@@ -1,10 +1,9 @@
 package exec
 
 import (
-	"encoding/binary"
+	"fmt"
 
 	"datablocks/internal/core"
-	"datablocks/internal/simd"
 	"datablocks/internal/types"
 )
 
@@ -24,9 +23,8 @@ import (
 type batchConsumer func(*core.Batch)
 
 // compileBatchChain lowers the chain above the scan into a batch consumer
-// feeding down. It returns errVecUnsupported (or an expression-compile
-// error) when some operator cannot run batch-at-a-time; the caller then
-// falls back to the tuple chain.
+// feeding down. An operator or expression it cannot lower is the query's
+// error: vectorized modes run this chain or nothing.
 func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) (batchConsumer, error) {
 	// down consumes n's output batches: the wrapper counts n's emitted
 	// rows/batches and times the downstream chain (see compileChain).
@@ -288,45 +286,68 @@ func (m *batchMap) consume(b *core.Batch) {
 	m.down(&m.out)
 }
 
-// batchJoinProbe probes the build hash table with a whole batch of keys,
-// collecting (probe row, build row) match pairs and gathering the joined
-// output columnar-wise (inner joins), or compacting the probe batch by its
-// match mask (semi/anti joins).
+// batchJoinProbe is one worker's probe state for one hash join, shared by
+// both chains: the batch chain binds a whole batch of probe keys and
+// probes them at once, the tuple chain binds one tuple and probes at n = 1
+// through the same code. A probe is hash vector (hashKeyCol) → chain walk
+// (hashTable.head/next) → typed verification of every candidate
+// (verifyRow); the verified (probe row, build row) pairs come out in probe
+// order, and per probe row in ascending build-row order.
 type batchJoinProbe struct {
-	ht         *hashTable
-	node       *JoinNode
+	ht   *hashTable
+	node *JoinNode
+	// keys is this worker's copy of the table's key columns (stored side
+	// shared and read-only, probe side bound per batch or tuple).
+	keys []keyCol
+	// firstOnly stops at a probe row's first verified match: all a semi
+	// or anti join needs to know.
+	firstOnly bool
+
 	buildKinds []types.Kind
 	np         int // probe column count
 	down       batchConsumer
 
-	intKey bool // single int64 key: hash without byte encoding
-
-	out      core.Batch
-	pairsP   []uint32
-	pairsB   []int32
-	mask     []bool
-	sel      []uint32
-	keyBuf   []byte
-	vscratch []byte
+	out    core.Batch
+	hashes []uint64
+	pairsP []uint32
+	pairsB []int32
+	mask   []bool
+	sel    []uint32
 }
 
-func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compiler) (*batchJoinProbe, error) {
+// newJoinProbe allocates a worker's probe state for join n, checking that
+// the probe key columns match the build key columns in number and kind.
+func (ex *executor) newJoinProbe(n *JoinNode) (*batchJoinProbe, error) {
 	ht := ex.builds[n]
-	if ht == nil {
-		// compileOnly never materializes builds (and rejects joins).
-		return nil, errVecUnsupported
-	}
 	probeKinds, err := n.Probe.OutKinds()
 	if err != nil {
 		return nil, err
 	}
-	j := &batchJoinProbe{ht: ht, node: n, np: len(probeKinds), down: down}
-	j.intKey = len(n.ProbeKeys) == 1 && ht.keyKinds[0] == types.Int64
+	if len(n.ProbeKeys) != len(ht.keys) {
+		return nil, fmt.Errorf("exec: join has %d probe keys for %d build keys", len(n.ProbeKeys), len(ht.keys))
+	}
+	for i, c := range n.ProbeKeys {
+		if c < 0 || c >= len(probeKinds) || probeKinds[c] != ht.keys[i].kind {
+			return nil, fmt.Errorf("exec: join probe key %d does not match the %v build key", c, ht.keys[i].kind)
+		}
+	}
+	j := &batchJoinProbe{ht: ht, node: n, np: len(probeKinds), firstOnly: n.Kind != InnerJoin}
+	j.keys = append(j.keys, ht.keys...)
 	if n.Kind == InnerJoin {
-		j.buildKinds, err = n.Build.OutKinds()
-		if err != nil {
+		if j.buildKinds, err = n.Build.OutKinds(); err != nil {
 			return nil, err
 		}
+	}
+	return j, nil
+}
+
+func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compiler) (*batchJoinProbe, error) {
+	j, err := ex.newJoinProbe(n)
+	if err != nil {
+		return nil, err
+	}
+	j.down = down
+	if n.Kind == InnerJoin {
 		j.out.Cols = make([]core.BatchCol, j.np+len(j.buildKinds))
 	}
 	c.emit()
@@ -335,6 +356,8 @@ func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compile
 
 //dbvet:hotpath
 func (j *batchJoinProbe) consume(b *core.Batch) {
+	bindBatch(j.keys, b, j.node.ProbeKeys)
+	j.matchPairs(b.N)
 	if j.node.Kind == InnerJoin {
 		j.consumeInner(b)
 		return
@@ -342,51 +365,29 @@ func (j *batchJoinProbe) consume(b *core.Batch) {
 	j.consumeSemiAnti(b)
 }
 
-// matchPairs fills pairsP/pairsB with the verified matches of the batch,
-// bucket order per probe row — the same emission order as the tuple path.
+// matchPairs probes the n rows bound to j.keys and fills pairsP/pairsB
+// with the verified matches.
 //
 //dbvet:hotpath
-func (j *batchJoinProbe) matchPairs(b *core.Batch) {
+func (j *batchJoinProbe) matchPairs(n int) {
 	j.pairsP = j.pairsP[:0]
 	j.pairsB = j.pairsB[:0]
-	ht := j.ht
-	if j.intKey {
-		col := &b.Cols[j.node.ProbeKeys[0]]
-		bc := &ht.build.Cols[ht.keyCols[0]]
-		// Re-slicing the key column to the batch length lets the range
-		// loop index without checks; the null vector gets the same
-		// treatment by sharing the loop index with ints.
-		ints := col.Ints[:b.N]
-		nulls := col.Nulls
-		if nulls != nil {
-			nulls = nulls[:b.N]
-		}
-		for r, v := range ints {
-			if nulls != nil && nulls[r] {
-				continue
-			}
-			h := simd.Mix64(uint64(v))
-			if !ht.testTag(h) {
-				continue
-			}
-			for _, row := range ht.buckets[h] {
-				if bc.Ints[row] == v {
-					j.pairsP = append(j.pairsP, uint32(r))
-					j.pairsB = append(j.pairsB, row)
-				}
-			}
-		}
-		return
+	j.hashes = resizeU64(j.hashes, n)
+	hs := j.hashes[:n]
+	keys := j.keys
+	for k := range keys {
+		hashKeyCol(hs, k == 0, &keys[k])
 	}
-	for r := 0; r < b.N; r++ {
-		key := j.encodeKey(b, r)
-		if key == nil {
-			continue
-		}
-		for _, row := range ht.lookup(key) {
-			if j.verify(key, row) {
+	ht := j.ht
+	next := ht.next
+	for r, h := range hs {
+		for row := ht.head(h); row >= 0; row = next[row] {
+			if verifyRow(keys, uint32(row), r) {
 				j.pairsP = append(j.pairsP, uint32(r))
 				j.pairsB = append(j.pairsB, row)
+				if j.firstOnly {
+					break
+				}
 			}
 		}
 	}
@@ -394,7 +395,6 @@ func (j *batchJoinProbe) matchPairs(b *core.Batch) {
 
 //dbvet:hotpath
 func (j *batchJoinProbe) consumeInner(b *core.Batch) {
-	j.matchPairs(b)
 	if len(j.pairsP) == 0 {
 		return
 	}
@@ -419,96 +419,20 @@ func (j *batchJoinProbe) consumeInner(b *core.Batch) {
 
 //dbvet:hotpath
 func (j *batchJoinProbe) consumeSemiAnti(b *core.Batch) {
+	// A probe row passes a semi join iff it matched, an anti join iff it
+	// did not (NULL keys never match: semi drops them, anti keeps them).
 	wantMatch := j.node.Kind == SemiJoin
 	j.mask = resizeBool(j.mask, b.N)
 	mask := j.mask[:b.N]
-	ht := j.ht
-	if j.intKey {
-		col := &b.Cols[j.node.ProbeKeys[0]]
-		bc := &ht.build.Cols[ht.keyCols[0]]
-		ints := col.Ints[:b.N]
-		nulls := col.Nulls
-		if nulls != nil {
-			nulls = nulls[:b.N]
-		}
-		for r, v := range ints {
-			if nulls != nil && nulls[r] {
-				// NULL keys never match: semi drops, anti keeps.
-				mask[r] = !wantMatch
-				continue
-			}
-			matched := false
-			if h := simd.Mix64(uint64(v)); ht.testTag(h) {
-				for _, row := range ht.buckets[h] {
-					if bc.Ints[row] == v {
-						matched = true
-						break
-					}
-				}
-			}
-			mask[r] = matched == wantMatch
-		}
-	} else {
-		for r := range mask {
-			key := j.encodeKey(b, r)
-			if key == nil {
-				mask[r] = !wantMatch
-				continue
-			}
-			matched := false
-			for _, row := range ht.lookup(key) {
-				if j.verify(key, row) {
-					matched = true
-					break
-				}
-			}
-			mask[r] = matched == wantMatch
-		}
+	for r := range mask {
+		mask[r] = !wantMatch
 	}
-	j.sel = filterBatch(b, j.mask, j.sel)
+	for _, r := range j.pairsP {
+		mask[r] = wantMatch
+	}
+	j.sel = filterBatch(b, mask, j.sel)
 	if b.N > 0 {
 		j.down(b)
-	}
-}
-
-// encodeKey serializes the probe key of batch row r; nil marks a NULL key.
-//
-//dbvet:hotpath
-func (j *batchJoinProbe) encodeKey(b *core.Batch, r int) []byte {
-	buf := j.keyBuf[:0]
-	keys := j.node.ProbeKeys
-	kinds := j.ht.keyKinds[:len(keys)]
-	for i, c := range keys {
-		col := &b.Cols[c]
-		if col.Nulls != nil && col.Nulls[r] {
-			return nil
-		}
-		buf = appendKeyCell(buf, kinds[i], col, r)
-	}
-	j.keyBuf = buf
-	return buf
-}
-
-//dbvet:hotpath
-func (j *batchJoinProbe) verify(key []byte, row int32) bool {
-	ok, grown := j.ht.verify(key, row, j.vscratch)
-	j.vscratch = grown
-	return ok
-}
-
-// appendKeyCell serializes one batch cell with the same encoding the tuple
-// path's encodeProbeKey uses, so both probe paths hash identically.
-//
-//dbvet:hotpath
-func appendKeyCell(buf []byte, kind types.Kind, col *core.BatchCol, r int) []byte {
-	switch kind {
-	case types.Int64:
-		return binary.LittleEndian.AppendUint64(buf, uint64(col.Ints[r]))
-	case types.Float64:
-		return binary.LittleEndian.AppendUint64(buf, floatKeyBits(col.Floats[r]))
-	default:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(col.Strs[r])))
-		return append(buf, col.Strs[r]...)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -613,8 +614,8 @@ func TestBatchSinksMatchTupleExactly(t *testing.T) {
 	}
 }
 
-// TestBatchJoinStringKeysAndNulls exercises the byte-key batch probe path
-// (non-integer join keys) including NULL probe keys, for inner, semi and
+// TestBatchJoinStringKeysAndNulls exercises the batch probe with
+// non-integer join keys, including NULL probe keys, for inner, semi and
 // anti joins, against the tuple path.
 func TestBatchJoinStringKeysAndNulls(t *testing.T) {
 	orders := ordersRel(t, 12000, 1<<12, 2)
@@ -685,7 +686,7 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	plan := &ScanNode{Rel: rel, Cols: []int{0, 3}}
 	var consumed atomic.Int64
 	ex := &executor{
-		opt:    Options{Mode: ModeVectorizedSARG, Parallelism: 2, VectorSize: core.DefaultVectorSize},
+		opt:    Options{Mode: ModeVectorizedSARG, TupleAtATime: true, Parallelism: 2, VectorSize: core.DefaultVectorSize},
 		builds: make(map[*JoinNode]*hashTable),
 	}
 	err = ex.runPipeline(plan, func(*compiler) (pipeSink, error) {
@@ -701,5 +702,100 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	total := int64(400 * chunkRows)
 	if got := consumed.Load(); got > total/2 {
 		t.Fatalf("workers consumed %d of %d rows after the error; cancellation is not stopping the backlog", got, total)
+	}
+}
+
+// foreignExpr is an expression of a type neither compiler knows; it stands
+// in for "something the vectorized compiler cannot lower".
+type foreignExpr struct{}
+
+func (foreignExpr) resultKind([]types.Kind) (types.Kind, error) { return types.Int64, nil }
+
+// TestCompileFailureIsTheQuerysError: every mode compiles exactly one
+// chain and reports that chain's compile failure from Run. A vectorized
+// mode returns the vectorized compiler's error from each place it lowers
+// an expression — scan conjunct, filter, map, aggregate argument — rather
+// than running the query some other way, and never consults the tuple
+// compiler; TupleAtATime and ModeJIT never consult the vectorized one.
+// (TestCompileParity shows both compilers accept the same expressions, so
+// no plan is rejected by only one of them: what tells the chains apart
+// here is whose error comes back.)
+func TestCompileFailureIsTheQuerysError(t *testing.T) {
+	rel := ordersRel(t, 3000, 1<<10, 1)
+	scan := func(filter Expr) *ScanNode { return &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}, Filter: filter} }
+	plans := map[string]func(e Expr) Node{
+		"scan-conjunct": func(e Expr) Node { return scan(And(Cmp(types.Ge, Col(3), CInt(10)), e)) },
+		"filter":        func(e Expr) Node { return &FilterNode{Child: scan(nil), Cond: e} },
+		"map":           func(e Expr) Node { return &MapNode{Child: scan(nil), Exprs: []Expr{Col(0), e}} },
+		"aggregate": func(e Expr) Node {
+			return &AggNode{Child: scan(nil), GroupBy: []int{2}, Aggs: []AggSpec{{Func: AggCountCol, Arg: e}}}
+		},
+	}
+	vectorized := []ScanMode{ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA}
+	for name, mk := range plans {
+		for _, mode := range vectorized {
+			for _, par := range []int{1, 3} {
+				_, err := Run(mk(foreignExpr{}), Options{Mode: mode, Parallelism: par, Profile: true})
+				if !errors.Is(err, errVecUnsupported) {
+					t.Fatalf("%s %v p%d: got %v, want the vectorized compiler's error", name, mode, par, err)
+				}
+			}
+			_, err := Run(mk(foreignExpr{}), Options{Mode: mode, TupleAtATime: true})
+			if err == nil || errors.Is(err, errVecUnsupported) {
+				t.Fatalf("%s %v tuple: got %v, want the tuple compiler's error", name, mode, err)
+			}
+			// The same plan with an expression both compilers know runs on
+			// either chain and agrees.
+			valid := Cmp(types.Lt, Col(3), CInt(40))
+			batch, err := Run(mk(valid), Options{Mode: mode})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, mode, err)
+			}
+			tuple, err := Run(mk(valid), Options{Mode: mode, TupleAtATime: true})
+			if err != nil {
+				t.Fatalf("%s %v tuple: %v", name, mode, err)
+			}
+			requireExactResult(t, name, tuple, batch)
+		}
+		if _, err := Run(mk(foreignExpr{}), Options{Mode: ModeJIT}); err == nil || errors.Is(err, errVecUnsupported) {
+			t.Fatalf("%s jit: got %v, want the tuple compiler's error", name, err)
+		}
+	}
+}
+
+// TestJoinProfileReportsBuildTime: a profiled join accounts for its build
+// pipeline — rows and wall time — on the join's own row, for every join
+// kind and on both chains.
+func TestJoinProfileReportsBuildTime(t *testing.T) {
+	orders := ordersRel(t, 6000, 1<<12, 1)
+	customers := customersRel(t, 1500)
+	for _, kind := range []JoinKind{InnerJoin, SemiJoin, AntiJoin} {
+		for _, tuple := range []bool{false, true} {
+			plan := &JoinNode{
+				Build:     &ScanNode{Rel: customers, Cols: []int{0, 1}},
+				Probe:     &ScanNode{Rel: orders, Cols: []int{0, 1}},
+				BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: kind,
+			}
+			res, err := Run(plan, Options{Mode: ModeVectorizedSARG, TupleAtATime: tuple, Profile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := res.Profile
+			if p.BatchPath == tuple || (p.Fallback != "") != tuple {
+				t.Fatalf("kind %v tuple=%v: BatchPath=%v Fallback=%q", kind, tuple, p.BatchPath, p.Fallback)
+			}
+			var join *OperatorProfile
+			for i := range p.Operators {
+				if p.Operators[i].ProbeDetail {
+					join = &p.Operators[i]
+				}
+			}
+			if join == nil || join.BuildRows != 1500 || join.BuildTime <= 0 || join.BuildTime > p.Wall {
+				t.Fatalf("kind %v tuple=%v: join row %+v (wall %v)", kind, tuple, join, p.Wall)
+			}
+			if !strings.Contains(p.String(), "build-time=") {
+				t.Fatalf("rendered profile omits the build time:\n%s", p)
+			}
+		}
 	}
 }

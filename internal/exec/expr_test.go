@@ -169,3 +169,81 @@ func TestBoolFromIntExpr(t *testing.T) {
 		t.Fatal("NULL should be falsy")
 	}
 }
+
+// parityOperands is every operand kind an expression can be built from: a
+// column, a literal and a NULL literal of each type, plus one computed
+// value and one boolean of each compiler's making.
+func parityOperands() []Expr {
+	return []Expr{
+		Col(0), Col(1), Col(2), Col(9), // int, float, string, out of range
+		CInt(3), CFloat(0), CStr("ab"),
+		Const{Val: types.NullValue(types.Int64)}, Const{Val: types.NullValue(types.Float64)}, Const{Val: types.NullValue(types.String)},
+		Add(Col(0), CInt(1)), Div(Col(0), Col(1)), Div(Col(0), CInt(2)),
+		Cmp(types.Lt, Col(0), CInt(5)), IsNullExpr{E: Col(2)},
+		If{Cond: Cmp(types.Gt, Col(1), CFloat(1)), Then: Col(1), Else: CInt(0)},
+	}
+}
+
+// parityExprs walks every Expr constructor over every operand combination
+// (binary constructors over all pairs, ternary ones over a diagonal of
+// triples), one level deep on top of parityOperands.
+func parityExprs() []Expr {
+	ops := parityOperands()
+	out := append([]Expr{}, ops...)
+	cmpOps := []types.CompareOp{types.Eq, types.Ne, types.Lt, types.Le, types.Gt, types.Ge, types.Prefix}
+	for i, l := range ops {
+		out = append(out, Not(l), IsNullExpr{E: l}, IsNullExpr{E: l, Not: true})
+		for j, r := range ops {
+			out = append(out, Add(l, r), Sub(l, r), Mul(l, r), Div(l, r), Binary{Op: '%', L: l, R: r}, And(l, r), Or(l, r))
+			for _, op := range cmpOps {
+				out = append(out, Cmp(op, l, r))
+			}
+			third := ops[(i+j)%len(ops)]
+			out = append(out, BetweenE(l, r, third), BetweenE(third, l, r), If{Cond: l, Then: r, Else: third}, If{Cond: third, Then: l, Else: r})
+		}
+	}
+	return out
+}
+
+// TestCompileParity asserts that the tuple compiler and the vectorized
+// compiler accept exactly the same expressions in every typed context.
+// This is what makes "no silent fallback" a checked property: a vectorized
+// mode can refuse a plan only if the tuple reference refuses it too.
+func TestCompileParity(t *testing.T) {
+	kinds := []types.Kind{types.Int64, types.Float64, types.String}
+	contexts := []struct {
+		name  string
+		tuple func(*compiler, Expr) error
+		vec   func(*vcompiler, Expr) error
+	}{
+		{"int", func(c *compiler, e Expr) error { _, err := c.compileInt(e); return err },
+			func(c *vcompiler, e Expr) error { _, err := c.compileInt(e); return err }},
+		{"float", func(c *compiler, e Expr) error { _, err := c.compileFloat(e); return err },
+			func(c *vcompiler, e Expr) error { _, err := c.compileFloat(e); return err }},
+		{"string", func(c *compiler, e Expr) error { _, err := c.compileStr(e); return err },
+			func(c *vcompiler, e Expr) error { _, err := c.compileStr(e); return err }},
+		{"bool", func(c *compiler, e Expr) error { _, err := c.compileBool(e); return err },
+			func(c *vcompiler, e Expr) error { _, err := c.compileMask(e); return err }},
+	}
+	exprs := parityExprs()
+	for _, ctx := range contexts {
+		accepted, rejected := 0, 0
+		for _, e := range exprs {
+			terr := ctx.tuple(&compiler{kinds: kinds}, e)
+			verr := ctx.vec(&vcompiler{kinds: kinds}, e)
+			cerr := ctx.vec(&vcompiler{kinds: kinds, cse: &vcse{memo: map[Expr]vecFloatFn{}}}, e)
+			if (terr == nil) != (verr == nil) || (terr == nil) != (cerr == nil) {
+				t.Fatalf("%s context, %#v:\n  tuple compiler: %v\n  vector compiler: %v\n  vector compiler with CSE: %v", ctx.name, e, terr, verr, cerr)
+			}
+			if terr == nil {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+		// Only a column, a literal and a NULL literal are string-valued.
+		if accepted < 3 || rejected < 3 {
+			t.Fatalf("%s context: %d accepted, %d rejected of %d — the walk is not exercising both outcomes", ctx.name, accepted, rejected, len(exprs))
+		}
+	}
+}

@@ -1,26 +1,26 @@
 package exec
 
-// groupTable is the aggregator's cache-conscious group index: an
-// open-addressing table with linear probing over two parallel flat arrays
-// (combined group-key hash, group id), replacing the Go maps the batch
-// path previously probed per row. Power-of-two capacity keeps the slot
-// computation a mask; the parallel-array layout touches 12 bytes per probe
-// step instead of a map bucket, and the hot probe loop allocates nothing
-// and calls nothing (see assignGroups).
+// groupTable is the one hash table of internal/exec: open addressing with
+// linear probing over two parallel flat arrays (combined key hash, entry
+// id). The aggregator embeds it to map group keys to group ids; the join's
+// hashTable embeds it to map key hashes to build-row chains. Power-of-two
+// capacity keeps the slot computation a mask, a probe step touches 12
+// bytes, and neither array holds pointers, so the collector never scans a
+// table however large the build side or the group count.
 //
-// Collision policy matches the old map+overflow design: a slot hit counts
-// only if the stored hash equals the probe hash AND the caller verifies the
-// stored key against the row (verifyRow), so hash collisions can
-// never merge distinct groups — equal-hash distinct keys simply occupy
-// later slots in the probe chain.
+// The table knows hashes, not keys. A slot matches a probe only if its
+// stored hash equals the probe hash AND the owner verifies the entry's key
+// columns (keyCol, verifyRow) against the probing row, so equal-hash
+// distinct keys can never merge: in the aggregator they occupy separate
+// slots on the same probe chain, in the join they share one slot and every
+// row of its chain is verified.
 type groupTable struct {
 	hashes []uint64
-	slots  []uint32 // gid+1; 0 marks an empty slot
+	slots  []uint32 // entry id + 1; 0 marks an empty slot
 	mask   uint64
 	used   int
 	// displaced counts insert-probe steps past an occupied slot — the
-	// table's collision telemetry, surfaced as the aggregator's
-	// "overflow groups" profile counter.
+	// table's collision telemetry (OperatorProfile.SpilledGroups).
 	displaced int
 }
 
@@ -32,18 +32,31 @@ const groupTableMinSize = 64
 // non-nil tables (an empty table then simply misses every probe).
 func (t *groupTable) ensure() {
 	if t.slots == nil {
-		t.hashes = make([]uint64, groupTableMinSize)
-		t.slots = make([]uint32, groupTableMinSize)
-		t.mask = groupTableMinSize - 1
+		t.resize(groupTableMinSize)
 	}
 }
 
-// insert registers gid under the combined key hash h. Called once per new
-// group — never per row — so it may allocate (first use, growth).
-func (t *groupTable) insert(h uint64, gid uint32) {
+// reserve sizes the table for n entries up front, so a bulk load (the
+// join build) does not rehash on the way.
+func (t *groupTable) reserve(n int) {
+	size := groupTableMinSize
+	for size*3 <= n*4 {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.resize(size)
+	}
+}
+
+// insert stores id under hash h in a fresh slot, without looking for an
+// existing one: callers that need one slot per hash call find first.
+// Called once per new entry — never per probed row — so it may allocate
+// (first use, growth). The load factor stays below 3/4, so every probe
+// chain ends at an empty slot.
+func (t *groupTable) insert(h uint64, id uint32) {
 	t.ensure()
 	if (t.used+1)*4 >= len(t.slots)*3 {
-		t.grow()
+		t.resize(2 * len(t.slots))
 	}
 	i := h & t.mask
 	for t.slots[i] != 0 {
@@ -51,17 +64,31 @@ func (t *groupTable) insert(h uint64, gid uint32) {
 		t.displaced++
 	}
 	t.hashes[i] = h
-	t.slots[i] = gid + 1
+	t.slots[i] = id + 1
 	t.used++
 }
 
-// grow doubles the table and rehashes every occupied slot. Out of line so
-// the allocation cost is attributed here, not to insert's caller.
+// find returns the position of the first slot on h's probe chain that
+// stores hash h; ok is false when the chain ends first.
+func (t *groupTable) find(h uint64) (pos uint64, ok bool) {
+	if t.slots == nil {
+		return 0, false
+	}
+	for i := h & t.mask; t.slots[i] != 0; i = (i + 1) & t.mask {
+		if t.hashes[i] == h {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// resize reallocates the table at n slots (a power of two) and rehashes
+// every occupied slot. Out of line so the allocation cost is attributed
+// here, not to the hot loops that insert.
 //
 //go:noinline
-func (t *groupTable) grow() {
+func (t *groupTable) resize(n int) {
 	oldHashes, oldSlots := t.hashes, t.slots
-	n := len(oldSlots) * 2
 	t.hashes = make([]uint64, n)
 	t.slots = make([]uint32, n)
 	t.mask = uint64(n - 1)

@@ -1,6 +1,12 @@
 package exec
 
-import "testing"
+import (
+	"testing"
+
+	"datablocks/internal/core"
+	"datablocks/internal/simd"
+	"datablocks/internal/types"
+)
 
 // TestGroupTableGrowAndProbe drives the table through several doublings
 // with adversarial hashes (all landing on the same initial slot) and
@@ -21,23 +27,10 @@ func TestGroupTableGrowAndProbe(t *testing.T) {
 	if 4*tab.used >= 3*len(tab.slots) {
 		t.Fatalf("load factor too high: %d used in %d slots", tab.used, len(tab.slots))
 	}
-	lookup := func(h uint64) (uint32, bool) {
-		i := h & tab.mask
-		for {
-			s := tab.slots[i]
-			if s == 0 {
-				return 0, false
-			}
-			if tab.hashes[i] == h {
-				return s - 1, true
-			}
-			i = (i + 1) & tab.mask
-		}
-	}
 	for i := 0; i < n; i++ {
-		gid, ok := lookup(hash(i))
-		if !ok || gid != uint32(i) {
-			t.Fatalf("hash(%d): gid=%d ok=%v", i, gid, ok)
+		pos, ok := tab.find(hash(i))
+		if !ok || tab.slots[pos]-1 != uint32(i) {
+			t.Fatalf("hash(%d): pos=%d ok=%v", i, pos, ok)
 		}
 	}
 
@@ -71,5 +64,95 @@ func TestGroupTableEmptyProbe(t *testing.T) {
 	i := uint64(0xdeadbeef) & tab.mask
 	if tab.slots[i] != 0 {
 		t.Fatal("fresh table not empty")
+	}
+}
+
+// TestJoinChainsSurviveGrow links build rows into a hash table that grows
+// several times on the way (no reserve), with only a handful of distinct
+// hashes so every chain is long: after each doubling every chain must
+// still read complete and in ascending build-row order.
+func TestJoinChainsSurviveGrow(t *testing.T) {
+	const rows, spread = 20_000, 700
+	hashOf := func(row int) uint64 {
+		if row%3 == 0 {
+			return 0xfeed000000000007 // one hot hash shared by a third of the rows
+		}
+		return simd.Mix64(uint64(row % spread))
+	}
+	ht := &hashTable{next: make([]int32, rows)}
+	want := map[uint64][]int32{}
+	for row := rows - 1; row >= 0; row-- {
+		ht.link(hashOf(row), int32(row))
+	}
+	for row := 0; row < rows; row++ {
+		want[hashOf(row)] = append(want[hashOf(row)], int32(row))
+	}
+	if len(ht.slots) <= groupTableMinSize {
+		t.Fatalf("table never grew: %d slots", len(ht.slots))
+	}
+	if ht.used != len(want) {
+		t.Fatalf("%d slots used for %d distinct hashes", ht.used, len(want))
+	}
+	for h, rows := range want {
+		i := 0
+		for row := ht.head(h); row >= 0; row = ht.next[row] {
+			if i >= len(rows) || rows[i] != row {
+				t.Fatalf("hash %#x: chain position %d is row %d, want %v", h, i, row, rows)
+			}
+			i++
+		}
+		if i != len(rows) {
+			t.Fatalf("hash %#x: chain has %d rows, want %d", h, i, len(rows))
+		}
+	}
+	if ht.head(12345) != -1 {
+		t.Fatal("absent hash has a chain")
+	}
+}
+
+// TestEqualHashDistinctKeysNeverMerge feeds the aggregator key pairs that
+// provably share their combined hash — (a, b) and (b, a): the two-column
+// combine Mix64(Mix64(a) ^ Mix64(b)) is symmetric — in batches small
+// enough that collisions are met both inside one batch and against groups
+// stored by earlier batches, across several table doublings. Every
+// distinct pair must keep its own group and its own count.
+func TestEqualHashDistinctKeysNeverMerge(t *testing.T) {
+	kinds := []types.Kind{types.Int64, types.Int64}
+	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}}}
+	a, err := newAggregator(node, kinds, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 3000
+	var xs, ys []int64
+	for i := int64(0); i < pairs; i++ {
+		// (i, i+pairs) three times, its mirror twice, interleaved.
+		xs = append(xs, i, i+pairs, i, i+pairs, i)
+		ys = append(ys, i+pairs, i, i+pairs, i, i+pairs)
+	}
+	for from := 0; from < len(xs); from += 7 {
+		to := min(from+7, len(xs))
+		b := &core.Batch{N: to - from, Cols: []core.BatchCol{
+			{Kind: types.Int64, Ints: xs[from:to]},
+			{Kind: types.Int64, Ints: ys[from:to]},
+		}}
+		a.consumeBatch(b)
+	}
+	if a.groups != 2*pairs {
+		t.Fatalf("%d groups, want %d: equal-hash keys merged or split", a.groups, 2*pairs)
+	}
+	res := a.finalize([]types.Kind{types.Int64, types.Int64, types.Int64})
+	for g := 0; g < res.NumRows(); g++ {
+		x, y, cnt := res.Cols[0].Ints[g], res.Cols[1].Ints[g], res.Cols[2].Ints[g]
+		want := int64(3)
+		if x > y {
+			want = 2
+		}
+		if cnt != want {
+			t.Fatalf("group (%d,%d): count %d, want %d", x, y, cnt, want)
+		}
+	}
+	if a.displaced == 0 {
+		t.Fatal("colliding groups were never displaced past their home slot")
 	}
 }

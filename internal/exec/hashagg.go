@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"encoding/binary"
+	"cmp"
 	"math"
 
 	"datablocks/internal/core"
@@ -11,30 +11,36 @@ import (
 
 // aggregator is a per-worker hash-aggregation sink. Group state is
 // columnar — flat accumulator arrays indexed [aggregate][group id] — so the
-// batch-at-a-time path can fold whole argument vectors with the simd
-// kernels instead of chasing a per-group state struct per row.
+// batch chain can fold whole argument vectors with the simd kernels
+// instead of chasing a per-group state struct per row.
 //
-// Two consume paths feed it:
+// Groups are resolved one way whatever feeds the sink: the rows' group-by
+// cells are bound to keys (a batch's columns, one tuple's registers, or —
+// in merge — another worker's stored keys), hashed column-wise and looked
+// up in the embedded groupTable, and every hash hit is verified against
+// the stored raw key cells, so equal-hash distinct keys never merge.
+// Group ids are dense and issued in first-seen row order, which is the
+// order finalize renders. Aggregations without GROUP BY skip all of that
+// and fold straight into group 0.
 //
-//   - consume (tuple-at-a-time): serializes the group-by values into a
-//     byte key and resolves the group id through byteIDs. Used by the JIT
-//     pipeline and as the fallback when vectorization is unavailable.
-//   - consumeBatch (batch-at-a-time): hashes the group-by columns
-//     column-wise into a group-id vector (verified against the stored
-//     keys, so hash collisions cannot merge distinct groups), evaluates
-//     each aggregate argument as a vector, and scatter-folds it with the
-//     simd grouping kernels. Aggregations without GROUP BY skip the hash
-//     step entirely and fold straight into group 0 — no map in the loop.
-//
-// Both paths fold rows in scan order into the same accumulators, so their
-// results are bit-identical.
+// Which chain drives the sink is fixed at construction: consumeBatch in
+// vectorized modes (arguments evaluated as vectors, scatter-folded by
+// group-id vector), consume under ModeJIT/TupleAtATime (arguments
+// evaluated per tuple). Both fold rows in scan order into the same
+// accumulators, so their results are bit-identical.
 type aggregator struct {
+	groupTable // group-key hash → group id
+
 	node     *AggNode
 	inKinds  []types.Kind
-	argI     []intFn
-	argF     []floatFn
-	argS     []strFn
 	argKinds []types.Kind
+
+	// Tuple-chain argument evaluators, nil in batch mode. COUNT(col) only
+	// needs its argument's NULL flag (argNull).
+	argI    []intFn
+	argF    []floatFn
+	argS    []strFn
+	argNull []func(*Tuple) bool
 
 	// accIdx maps each aggregate to its canonical accumulator: aggregates
 	// whose folds are identical — SUM(x)/AVG(x) (same sum+count),
@@ -43,10 +49,9 @@ type aggregator struct {
 	// marks the canonical aggregate; the rest only read at finalize.
 	accIdx []int
 
-	// Vectorized argument evaluation slots; populated by vectorize, nil
-	// when the aggregator runs tuple-at-a-time only. Aggregates with an
-	// identical (argument expression, evaluation kind) share a slot, so
-	// e.g. SUM(x) and AVG(x) evaluate x once per batch.
+	// Batch-chain argument evaluation slots, nil in tuple mode.
+	// Aggregates with an identical (argument expression, evaluation kind)
+	// share a slot, so e.g. SUM(x) and AVG(x) evaluate x once per batch.
 	argSlot []int // per agg; -1 for COUNT(*)
 	// cse is the vectorized compiler's common-subexpression state; the
 	// batch path bumps its epoch before evaluating each batch's slots.
@@ -73,40 +78,24 @@ type aggregator struct {
 	maxS   [][]string
 	seen   [][]bool
 
-	keys   []types.Row // group-by values per group id, in first-seen order
-	keyEnc []string    // canonical byte encoding per group id (merge identity)
+	// keys has one column per group-by ordinal; its stored side is every
+	// group's raw key cells, indexed by group id.
+	keys   []keyCol
+	groups int
 
-	// Raw group-by key columns, indexed [group-by ordinal][gid]: the batch
-	// path verifies hash hits against these flat arrays instead of boxing
-	// through types.Value. Floats are stored as their bit patterns.
-	gbNull [][]bool
-	gbInt  [][]int64
-	gbStr  [][]string
-
-	byteIDs map[string]uint32 // canonical key → gid (tuple path, merge)
-
-	// table indexes groups by combined key hash for the batch path: an
-	// open-addressing table probed with flat array accesses instead of a
-	// map lookup per row. Every newGroup call inserts, whichever path
-	// created the group, so batch lookups see tuple- and merge-created
-	// groups too.
-	table groupTable
-
-	keyBuf  []byte
-	gids    []uint32
-	hashes  []uint64
-	vfy     []gbVerify // per-batch verification views (scratch)
-	badRows []uint32   // rows flagged by column-wise verification (scratch)
+	gids    []uint32 // per-row group ids of the rows being assigned (scratch)
+	rowHash []uint64 // their combined key hashes (scratch)
+	badRows []uint32 // rows flagged by column-wise verification (scratch)
 }
 
-func newAggregator(node *AggNode, inKinds []types.Kind, c *compiler) (*aggregator, error) {
+// newAggregator builds a worker's sink for node, compiling the aggregate
+// arguments for exactly one chain: vectorized slots when batch is set,
+// tuple closures otherwise.
+func newAggregator(node *AggNode, inKinds []types.Kind, stats *CompileStats, batch bool) (*aggregator, error) {
 	n := len(node.Aggs)
 	a := &aggregator{
 		node:     node,
 		inKinds:  inKinds,
-		argI:     make([]intFn, n),
-		argF:     make([]floatFn, n),
-		argS:     make([]strFn, n),
 		argKinds: make([]types.Kind, n),
 		counts:   make([][]int64, n),
 		sums:     make([][]float64, n),
@@ -117,7 +106,10 @@ func newAggregator(node *AggNode, inKinds []types.Kind, c *compiler) (*aggregato
 		minS:     make([][]string, n),
 		maxS:     make([][]string, n),
 		seen:     make([][]bool, n),
-		byteIDs:  make(map[string]uint32),
+		keys:     make([]keyCol, len(node.GroupBy)),
+	}
+	for i, g := range node.GroupBy {
+		a.keys[i].kind = inKinds[g]
 	}
 	// Deduplicate identical folds into canonical accumulators. The fold
 	// class captures which accumulator rows a fold writes: SUM and AVG
@@ -149,52 +141,62 @@ func newAggregator(node *AggNode, inKinds []types.Kind, c *compiler) (*aggregato
 			canon[k] = i
 			a.accIdx[i] = i
 		}
-	}
-	for i, spec := range node.Aggs {
-		if spec.Func == AggCount {
-			continue
-		}
-		k, err := spec.Arg.resultKind(inKinds)
-		if err != nil {
-			return nil, err
-		}
-		a.argKinds[i] = k
-		switch spec.Func {
-		case AggSum, AggAvg:
-			f, err := c.compileFloat(spec.Arg)
+		if spec.Func != AggCount {
+			k, err := spec.Arg.resultKind(inKinds)
 			if err != nil {
 				return nil, err
 			}
-			a.argF[i] = f
-		default:
-			switch k {
-			case types.Int64:
-				f, err := c.compileInt(spec.Arg)
-				if err != nil {
-					return nil, err
-				}
-				a.argI[i] = f
-			case types.Float64:
-				f, err := c.compileFloat(spec.Arg)
-				if err != nil {
-					return nil, err
-				}
-				a.argF[i] = f
-			default:
-				f, err := c.compileStr(spec.Arg)
-				if err != nil {
-					return nil, err
-				}
-				a.argS[i] = f
-			}
+			a.argKinds[i] = k
 		}
 	}
-	return a, nil
+	if batch {
+		return a, a.vectorize(stats)
+	}
+	return a, a.compileTupleArgs(&compiler{kinds: inKinds, stats: stats})
+}
+
+// nullOf narrows a typed evaluator to its NULL flag.
+func nullOf[T any](f func(*Tuple) (T, bool)) func(*Tuple) bool {
+	return func(t *Tuple) bool {
+		_, null := f(t)
+		return null
+	}
+}
+
+// compileTupleArgs compiles the tuple-at-a-time argument evaluators.
+func (a *aggregator) compileTupleArgs(c *compiler) error {
+	n := len(a.node.Aggs)
+	a.argI, a.argF, a.argS = make([]intFn, n), make([]floatFn, n), make([]strFn, n)
+	a.argNull = make([]func(*Tuple) bool, n)
+	for i, spec := range a.node.Aggs {
+		if spec.Func == AggCount {
+			continue
+		}
+		kind := a.argKinds[i]
+		if spec.Func == AggSum || spec.Func == AggAvg {
+			kind = types.Float64 // sums fold doubles whatever the argument's kind
+		}
+		var err error
+		switch kind {
+		case types.Int64:
+			a.argI[i], err = c.compileInt(spec.Arg)
+			a.argNull[i] = nullOf(a.argI[i])
+		case types.Float64:
+			a.argF[i], err = c.compileFloat(spec.Arg)
+			a.argNull[i] = nullOf(a.argF[i])
+		default:
+			a.argS[i], err = c.compileStr(spec.Arg)
+			a.argNull[i] = nullOf(a.argS[i])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // vectorize compiles the batch-at-a-time argument evaluators, deduplicating
-// identical arguments into shared slots. An error means some aggregate
-// argument cannot be vectorized; the caller falls back to the tuple path.
+// identical arguments into shared slots.
 func (a *aggregator) vectorize(stats *CompileStats) error {
 	type slotKey struct {
 		e    Expr
@@ -237,8 +239,6 @@ func (a *aggregator) vectorize(stats *CompileStats) error {
 			fS, err = vc.compileStr(spec.Arg)
 		}
 		if err != nil {
-			a.argSlot = nil
-			a.slotKind, a.slotI, a.slotF, a.slotS = nil, nil, nil, nil
 			return err
 		}
 		a.slotKind = append(a.slotKind, kind)
@@ -281,117 +281,69 @@ func (a *aggregator) evalSlots(b *core.Batch) {
 	}
 }
 
-func (a *aggregator) numGroups() int { return len(a.keys) }
-
-// overflowGroups reports the group table's insert-displacement count —
-// probe steps past an occupied slot — the aggregator's collision telemetry.
-func (a *aggregator) overflowGroups() int {
-	return a.table.displaced
-}
-
-// newGroup appends a zeroed accumulator slot for a fresh group, registers
-// its canonical byte key for merging and its raw key cells for batch-path
-// verification.
-func (a *aggregator) newGroup(key types.Row, enc string) uint32 {
-	gid := uint32(len(a.keys))
-	a.keys = append(a.keys, key)
-	a.keyEnc = append(a.keyEnc, enc)
-	a.byteIDs[enc] = gid
-	if len(a.node.GroupBy) > 0 {
-		a.table.insert(a.groupKeyHash(key), gid)
-	}
-	if a.gbNull == nil && len(a.node.GroupBy) > 0 {
-		ng := len(a.node.GroupBy)
-		a.gbNull = make([][]bool, ng)
-		a.gbInt = make([][]int64, ng)
-		a.gbStr = make([][]string, ng)
-	}
-	for i, g := range a.node.GroupBy {
-		v := key[i]
-		a.gbNull[i] = append(a.gbNull[i], v.IsNull())
-		switch a.inKinds[g] {
-		case types.Int64:
-			var raw int64
-			if !v.IsNull() {
-				raw = v.Int()
-			}
-			a.gbInt[i] = append(a.gbInt[i], raw)
-			a.gbStr[i] = append(a.gbStr[i], "")
-		case types.Float64:
-			var raw int64
-			if !v.IsNull() {
-				raw = int64(math.Float64bits(v.Float()))
-			}
-			a.gbInt[i] = append(a.gbInt[i], raw)
-			a.gbStr[i] = append(a.gbStr[i], "")
-		default:
-			var raw string
-			if !v.IsNull() {
-				raw = v.Str()
-			}
-			a.gbInt[i] = append(a.gbInt[i], 0)
-			a.gbStr[i] = append(a.gbStr[i], raw)
+// newGroup appends a zeroed accumulator cell to every array a canonical
+// aggregate folds into and returns the new group id; the caller records
+// the group's key cells and table entry.
+func (a *aggregator) newGroup() uint32 {
+	gid := uint32(a.groups)
+	a.groups++
+	for i, spec := range a.node.Aggs {
+		if a.accIdx[i] != i {
+			continue
 		}
-	}
-	for i := range a.node.Aggs {
-		a.counts[i] = append(a.counts[i], 0)
-		a.sums[i] = append(a.sums[i], 0)
-		a.minI[i] = append(a.minI[i], 0)
-		a.maxI[i] = append(a.maxI[i], 0)
-		a.minF[i] = append(a.minF[i], 0)
-		a.maxF[i] = append(a.maxF[i], 0)
-		a.minS[i] = append(a.minS[i], "")
-		a.maxS[i] = append(a.maxS[i], "")
-		a.seen[i] = append(a.seen[i], false)
+		switch spec.Func {
+		case AggSum, AggAvg:
+			a.sums[i] = append(a.sums[i], 0)
+			a.counts[i] = append(a.counts[i], 0)
+		case AggCount, AggCountCol:
+			a.counts[i] = append(a.counts[i], 0)
+		default: // MIN, MAX
+			a.seen[i] = append(a.seen[i], false)
+			switch a.argKinds[i] {
+			case types.Int64:
+				a.minI[i], a.maxI[i] = append(a.minI[i], 0), append(a.maxI[i], 0)
+			case types.Float64:
+				a.minF[i], a.maxF[i] = append(a.minF[i], 0), append(a.maxF[i], 0)
+			default:
+				a.minS[i], a.maxS[i] = append(a.minS[i], ""), append(a.maxS[i], "")
+			}
+		}
 	}
 	return gid
 }
 
-// consume folds one tuple into the hash table (tuple-at-a-time path).
-func (a *aggregator) consume(t *Tuple) {
-	key := a.keyBuf[:0]
-	for _, g := range a.node.GroupBy {
-		if t.Nulls[g] {
-			key = append(key, 0)
-			continue
-		}
-		key = append(key, 1)
-		switch a.inKinds[g] {
-		case types.Int64:
-			key = binary.LittleEndian.AppendUint64(key, uint64(t.Ints[g]))
-		case types.Float64:
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(t.Floats[g]))
-		default:
-			key = binary.LittleEndian.AppendUint32(key, uint32(len(t.Strs[g])))
-			key = append(key, t.Strs[g]...)
-		}
+// widen extends group g's running [min, max] to cover [mn, mx].
+func widen[T cmp.Ordered](mins, maxs []T, seen []bool, g uint32, mn, mx T) {
+	if !seen[g] {
+		mins[g], maxs[g], seen[g] = mn, mx, true
+		return
 	}
-	a.keyBuf = key
-	gid, ok := a.byteIDs[string(key)]
-	if !ok {
-		gid = a.newGroup(a.keyFromTuple(t), string(key))
+	if mn < mins[g] {
+		mins[g] = mn
 	}
-	a.fold(gid, t)
+	if mx > maxs[g] {
+		maxs[g] = mx
+	}
 }
 
-// keyFromTuple materializes the group-by values of a tuple.
-func (a *aggregator) keyFromTuple(t *Tuple) types.Row {
-	key := make(types.Row, len(a.node.GroupBy))
-	for i, g := range a.node.GroupBy {
-		if t.Nulls[g] {
-			key[i] = types.NullValue(a.inKinds[g])
-			continue
-		}
-		switch a.inKinds[g] {
-		case types.Int64:
-			key[i] = types.IntValue(t.Ints[g])
-		case types.Float64:
-			key[i] = types.FloatValue(t.Floats[g])
-		default:
-			key[i] = types.StringValue(t.Strs[g])
-		}
+// globalGroup returns group 0 of an aggregation without GROUP BY,
+// creating it on first use.
+func (a *aggregator) globalGroup() uint32 {
+	if a.groups == 0 {
+		a.newGroup()
 	}
-	return key
+	return 0
+}
+
+// consume folds one tuple (tuple-at-a-time chain): the tuple's group-by
+// registers are probed as a one-row batch.
+func (a *aggregator) consume(t *Tuple) {
+	if len(a.keys) == 0 {
+		a.fold(a.globalGroup(), t)
+		return
+	}
+	bindTuple(a.keys, t, a.node.GroupBy)
+	a.fold(a.assignGroups(1)[0], t)
 }
 
 func (a *aggregator) fold(gid uint32, t *Tuple) {
@@ -403,7 +355,7 @@ func (a *aggregator) fold(gid uint32, t *Tuple) {
 		case AggCount:
 			a.counts[i][gid]++
 		case AggCountCol:
-			if _, null := a.anyArg(i, t); !null {
+			if !a.argNull[i](t) {
 				a.counts[i][gid]++
 			}
 		case AggSum, AggAvg:
@@ -419,74 +371,22 @@ func (a *aggregator) fold(gid uint32, t *Tuple) {
 	}
 }
 
-// anyArg evaluates the i-th aggregate argument only for its null flag.
-func (a *aggregator) anyArg(i int, t *Tuple) (any, bool) {
-	switch a.argKinds[i] {
-	case types.Int64:
-		v, null := a.argI[i](t)
-		return v, null
-	case types.Float64:
-		v, null := a.argF[i](t)
-		return v, null
-	default:
-		v, null := a.argS[i](t)
-		return v, null
-	}
-}
-
 func (a *aggregator) foldMinMax(gid uint32, i int, t *Tuple) {
 	switch a.argKinds[i] {
 	case types.Int64:
-		v, null := a.argI[i](t)
-		if null {
-			return
-		}
-		if !a.seen[i][gid] {
-			a.minI[i][gid], a.maxI[i][gid] = v, v
-		} else {
-			if v < a.minI[i][gid] {
-				a.minI[i][gid] = v
-			}
-			if v > a.maxI[i][gid] {
-				a.maxI[i][gid] = v
-			}
+		if v, null := a.argI[i](t); !null {
+			widen(a.minI[i], a.maxI[i], a.seen[i], gid, v, v)
 		}
 	case types.Float64:
-		v, null := a.argF[i](t)
-		if null {
-			return
-		}
-		if !a.seen[i][gid] {
-			a.minF[i][gid], a.maxF[i][gid] = v, v
-		} else {
-			if v < a.minF[i][gid] {
-				a.minF[i][gid] = v
-			}
-			if v > a.maxF[i][gid] {
-				a.maxF[i][gid] = v
-			}
+		if v, null := a.argF[i](t); !null {
+			widen(a.minF[i], a.maxF[i], a.seen[i], gid, v, v)
 		}
 	default:
-		v, null := a.argS[i](t)
-		if null {
-			return
-		}
-		if !a.seen[i][gid] {
-			a.minS[i][gid], a.maxS[i][gid] = v, v
-		} else {
-			if v < a.minS[i][gid] {
-				a.minS[i][gid] = v
-			}
-			if v > a.maxS[i][gid] {
-				a.maxS[i][gid] = v
-			}
+		if v, null := a.argS[i](t); !null {
+			widen(a.minS[i], a.maxS[i], a.seen[i], gid, v, v)
 		}
 	}
-	a.seen[i][gid] = true
 }
-
-// nullKeyHash is the hash contribution of a NULL group-by cell.
-const nullKeyHash = 0x9e3779b97f4a7c15
 
 // consumeBatch folds a whole batch (batch-at-a-time path).
 //
@@ -496,11 +396,12 @@ func (a *aggregator) consumeBatch(b *core.Batch) {
 		return
 	}
 	a.evalSlots(b)
-	if len(a.node.GroupBy) == 0 {
+	if len(a.keys) == 0 {
 		a.foldBatchSingle(b)
 		return
 	}
-	gids := a.assignGroups(b)
+	bindBatch(a.keys, b, a.node.GroupBy)
+	gids := a.assignGroups(b.N)
 	aggs := a.node.Aggs
 	argSlot := a.argSlot[:len(aggs)]
 	accIdx := a.accIdx[:len(aggs)]
@@ -528,9 +429,7 @@ func (a *aggregator) consumeBatch(b *core.Batch) {
 //
 //dbvet:hotpath
 func (a *aggregator) foldBatchSingle(b *core.Batch) {
-	if len(a.keys) == 0 {
-		a.ensureGlobalGroup()
-	}
+	a.globalGroup()
 	n := b.N
 	// Aggregate-indexed accesses are proven by re-slicing every
 	// accumulator table to the aggregate count; the row-0 accesses into
@@ -561,34 +460,12 @@ func (a *aggregator) foldBatchSingle(b *core.Batch) {
 		case AggMin, AggMax:
 			switch argKinds[i] {
 			case types.Int64:
-				mn, mx, any := simd.MinMaxInt64(a.slotValsI[slot], a.slotNulls[slot])
-				if !any {
-					continue
-				}
-				if !seen[i][0] {
-					minI[i][0], maxI[i][0], seen[i][0] = mn, mx, true
-					continue
-				}
-				if mn < minI[i][0] {
-					minI[i][0] = mn
-				}
-				if mx > maxI[i][0] {
-					maxI[i][0] = mx
+				if mn, mx, any := simd.MinMaxInt64(a.slotValsI[slot], a.slotNulls[slot]); any {
+					widen(minI[i], maxI[i], seen[i], 0, mn, mx)
 				}
 			case types.Float64:
-				mn, mx, any := simd.MinMaxFloat64(a.slotValsF[slot], a.slotNulls[slot])
-				if !any {
-					continue
-				}
-				if !seen[i][0] {
-					minF[i][0], maxF[i][0], seen[i][0] = mn, mx, true
-					continue
-				}
-				if mn < minF[i][0] {
-					minF[i][0] = mn
-				}
-				if mx > maxF[i][0] {
-					maxF[i][0] = mx
+				if mn, mx, any := simd.MinMaxFloat64(a.slotValsF[slot], a.slotNulls[slot]); any {
+					widen(minF[i], maxF[i], seen[i], 0, mn, mx)
 				}
 			default:
 				vals := a.slotValsS[slot][:n]
@@ -597,32 +474,13 @@ func (a *aggregator) foldBatchSingle(b *core.Batch) {
 					nulls = nulls[:n]
 				}
 				for r, v := range vals {
-					if nulls != nil && nulls[r] {
-						continue
-					}
-					if !seen[i][0] {
-						minS[i][0], maxS[i][0], seen[i][0] = v, v, true
-						continue
-					}
-					if v < minS[i][0] {
-						minS[i][0] = v
-					}
-					if v > maxS[i][0] {
-						maxS[i][0] = v
+					if nulls == nil || !nulls[r] {
+						widen(minS[i], maxS[i], seen[i], 0, v, v)
 					}
 				}
 			}
 		}
 	}
-}
-
-// ensureGlobalGroup registers group 0 for the no-GROUP-BY path. Kept
-// out of line so its once-per-aggregator key allocation is attributed
-// here, not to the hot fold loop that calls it.
-//
-//go:noinline
-func (a *aggregator) ensureGlobalGroup() {
-	a.newGroup(types.Row{}, "")
 }
 
 //dbvet:hotpath
@@ -640,133 +498,53 @@ func (a *aggregator) foldBatchMinMax(i, slot int, gids []uint32) {
 		}
 		mins, maxs, seen := a.minS[i], a.maxS[i], a.seen[i]
 		for r, g := range gids {
-			if nulls != nil && nulls[r] {
-				continue
-			}
-			v := vals[r]
-			if !seen[g] {
-				mins[g], maxs[g], seen[g] = v, v, true
-				continue
-			}
-			if v < mins[g] {
-				mins[g] = v
-			}
-			if v > maxs[g] {
-				maxs[g] = v
+			if nulls == nil || !nulls[r] {
+				widen(mins, maxs, seen, g, vals[r], vals[r])
 			}
 		}
 	}
 }
 
-// assignGroups computes the group id of every batch row: the group-by
+// assignGroups resolves the n rows bound to a.keys to group ids: the key
 // columns are hashed column-at-a-time into one combined hash per row, and
-// each hash resolves to a group id verified against the stored key values
+// each hash resolves to a group id verified against the stored key cells
 // (so a collision can never merge two distinct groups). New groups are
-// created in row order, matching the tuple path's first-seen order.
+// created in row order — first-seen order, whichever chain feeds the sink.
 //
 //dbvet:hotpath
-func (a *aggregator) assignGroups(b *core.Batch) []uint32 {
-	n := b.N
-	a.hashes = resizeU64(a.hashes, n)
+func (a *aggregator) assignGroups(n int) []uint32 {
+	a.rowHash = resizeU64(a.rowHash, n)
 	a.gids = resizeU32(a.gids, n)
 	// hs and gids are re-sliced to n outside the loops, so every [r]
-	// access below is proven in bounds; the group-by columns are
-	// re-sliced once per column (a per-batch check, not a per-row one).
-	hs := a.hashes[:n]
+	// access below is proven in bounds.
+	hs := a.rowHash[:n]
 	gids := a.gids[:n]
-	for ci, g := range a.node.GroupBy {
-		col := &b.Cols[g]
-		nulls := col.Nulls
-		if nulls != nil {
-			nulls = nulls[:n]
-		}
-		first := ci == 0
-		switch a.inKinds[g] {
-		case types.Int64:
-			ints := col.Ints[:n]
-			if nulls == nil {
-				// Dense column: the whole hash column runs through the
-				// batched Mix64 kernel.
-				if first {
-					simd.HashInt64(ints, hs)
-				} else {
-					simd.HashCombineInt64(hs, ints)
-				}
-				continue
-			}
-			for r := range hs {
-				hv := uint64(nullKeyHash)
-				if !nulls[r] {
-					hv = simd.Mix64(uint64(ints[r]))
-				}
-				if first {
-					hs[r] = hv
-				} else {
-					hs[r] = simd.Mix64(hs[r] ^ hv)
-				}
-			}
-		case types.Float64:
-			floats := col.Floats[:n]
-			if nulls == nil {
-				if first {
-					simd.HashFloat64(floats, hs)
-				} else {
-					simd.HashCombineFloat64(hs, floats)
-				}
-				continue
-			}
-			for r := range hs {
-				hv := uint64(nullKeyHash)
-				if !nulls[r] {
-					hv = simd.Mix64(math.Float64bits(floats[r]))
-				}
-				if first {
-					hs[r] = hv
-				} else {
-					hs[r] = simd.Mix64(hs[r] ^ hv)
-				}
-			}
-		default:
-			strs := col.Strs[:n]
-			for r := range hs {
-				hv := uint64(nullKeyHash)
-				if nulls == nil || !nulls[r] {
-					hv = simd.HashStr(strs[r])
-				}
-				if first {
-					hs[r] = hv
-				} else {
-					hs[r] = simd.Mix64(hs[r] ^ hv)
-				}
-			}
-		}
+	keys := a.keys
+	for k := range keys {
+		hashKeyCol(hs, k == 0, &keys[k])
 	}
-	// Probe the open-addressing table: flat array reads, no map, no calls
-	// on the hit path. Resolution is two-pass. Pass 1 assigns each row a
+	// Probe the open-addressing table: flat array reads, no calls on the
+	// hit path. Resolution is two-pass. Pass 1 assigns each row a
 	// provisional group by stored hash alone (an empty slot creates the
 	// group, in row order). Pass 2 then verifies every assignment
-	// column-at-a-time against the stored raw keys — the kind dispatch
+	// column-at-a-time against the stored key cells — the kind dispatch
 	// runs once per column per batch instead of once per row — and the
 	// (astronomically rare, 64-bit hash collision) mismatches re-probe
 	// with the full per-row verification. A collision can therefore never
 	// merge two distinct groups; the only observable effect of deferring
 	// its resolution is the colliding group's first-seen position. The
-	// verify views and table slices are hoisted out of the row loops and
-	// refreshed only after a new group is created (inserting may grow the
-	// table and the per-group key arrays).
-	table := &a.table
-	table.ensure()
-	vfy := a.buildVerify(b)
-	hashes, slots, mask := table.hashes, table.slots, table.mask
+	// table slices are hoisted out of the row loops and refreshed only
+	// after a new group is created (inserting may grow the table).
+	a.ensure()
+	hashes, slots, mask := a.hashes, a.slots, a.mask
 	for r, h := range hs {
 		i := h & mask
 		var gid uint32
 		for {
 			s := slots[i]
 			if s == 0 {
-				gid = a.newGroupFromBatch(b, r)
-				vfy = a.refreshVerify(vfy)
-				hashes, slots, mask = table.hashes, table.slots, table.mask
+				gid = a.newGroupFromRow(h, r)
+				hashes, slots, mask = a.hashes, a.slots, a.mask
 				break
 			}
 			if hashes[i] == h {
@@ -778,8 +556,8 @@ func (a *aggregator) assignGroups(b *core.Batch) []uint32 {
 		gids[r] = gid
 	}
 	bad := a.badRows[:0]
-	for c := range vfy {
-		v := &vfy[c]
+	for c := range keys {
+		v := &keys[c]
 		gNull := v.gNull
 		switch v.kind {
 		case types.Int64:
@@ -843,12 +621,11 @@ func (a *aggregator) assignGroups(b *core.Batch) []uint32 {
 		for {
 			s := slots[i]
 			if s == 0 {
-				gids[r] = a.newGroupFromBatch(b, r)
-				vfy = a.refreshVerify(vfy)
-				hashes, slots, mask = table.hashes, table.slots, table.mask
+				gids[r] = a.newGroupFromRow(h, r)
+				hashes, slots, mask = a.hashes, a.slots, a.mask
 				break
 			}
-			if hashes[i] == h && verifyRow(vfy, s-1, r) {
+			if hashes[i] == h && verifyRow(keys, s-1, r) {
 				gids[r] = s - 1
 				break
 			}
@@ -858,169 +635,44 @@ func (a *aggregator) assignGroups(b *core.Batch) []uint32 {
 	return gids
 }
 
-// gbVerify is the per-batch flattened view of one group-by column: the
-// batch side (this vector's values) and the group side (the stored raw
-// keys), gathered once per batch so the per-row hash-hit verification
-// indexes flat slices instead of re-deriving [][] views on every row.
-type gbVerify struct {
-	kind   types.Kind
-	nulls  []bool
-	ints   []int64
-	floats []float64
-	strs   []string
-	gNull  []bool
-	gInt   []int64
-	gStr   []string
-}
-
-// buildVerify assembles the verification views for this batch.
-func (a *aggregator) buildVerify(b *core.Batch) []gbVerify {
-	if a.gbNull == nil {
-		// No group exists yet; allocate the outer arrays so the views
-		// below stay valid (newGroup appends into these same slots).
-		ng := len(a.node.GroupBy)
-		a.gbNull = make([][]bool, ng)
-		a.gbInt = make([][]int64, ng)
-		a.gbStr = make([][]string, ng)
+// newGroupFromRow creates the group of bound row r, whose key hash is h.
+func (a *aggregator) newGroupFromRow(h uint64, r int) uint32 {
+	gid := a.newGroup()
+	for k := range a.keys {
+		a.keys[k].storeRow(r)
 	}
-	vfy := a.vfy[:0]
-	n := b.N
-	for i, g := range a.node.GroupBy {
-		col := &b.Cols[g]
-		vc := gbVerify{
-			kind:  a.inKinds[g],
-			gNull: a.gbNull[i],
-			gInt:  a.gbInt[i],
-			gStr:  a.gbStr[i],
-		}
-		if col.Nulls != nil {
-			vc.nulls = col.Nulls[:n]
-		}
-		switch vc.kind {
-		case types.Int64:
-			vc.ints = col.Ints[:n]
-		case types.Float64:
-			vc.floats = col.Floats[:n]
-		default:
-			vc.strs = col.Strs[:n]
-		}
-		vfy = append(vfy, vc)
-	}
-	a.vfy = vfy
-	return vfy
-}
-
-// refreshVerify re-reads the group-side key arrays after a newGroup append
-// may have reallocated them; the batch-side views are unchanged.
-func (a *aggregator) refreshVerify(vfy []gbVerify) []gbVerify {
-	for i := range vfy {
-		vfy[i].gNull = a.gbNull[i]
-		vfy[i].gInt = a.gbInt[i]
-		vfy[i].gStr = a.gbStr[i]
-	}
-	return vfy
-}
-
-// verifyRow reports whether batch row r's group-by values equal the stored
-// raw key of gid. Floats compare by bit pattern, matching the byte-key
-// encoding of the tuple path.
-//
-//dbvet:hotpath
-func verifyRow(vfy []gbVerify, gid uint32, r int) bool {
-	for k := range vfy {
-		c := &vfy[k]
-		null := c.nulls != nil && c.nulls[r]
-		if c.gNull[gid] != null {
-			return false
-		}
-		if null {
-			continue
-		}
-		switch c.kind {
-		case types.Int64:
-			if c.gInt[gid] != c.ints[r] {
-				return false
-			}
-		case types.Float64:
-			if c.gInt[gid] != int64(math.Float64bits(c.floats[r])) {
-				return false
-			}
-		default:
-			if c.gStr[gid] != c.strs[r] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// groupKeyHash computes the canonical combined hash of a materialized
-// group key — the same value assignGroups computes column-wise per row —
-// so groups created by any path (batch, tuple, merge) index identically.
-func (a *aggregator) groupKeyHash(key types.Row) uint64 {
-	var h uint64
-	for i, g := range a.node.GroupBy {
-		v := key[i]
-		hv := uint64(nullKeyHash)
-		if !v.IsNull() {
-			switch a.inKinds[g] {
-			case types.Int64:
-				hv = simd.Mix64(uint64(v.Int()))
-			case types.Float64:
-				hv = simd.Mix64(math.Float64bits(v.Float()))
-			default:
-				hv = simd.HashStr(v.Str())
-			}
-		}
-		if i == 0 {
-			h = hv
-		} else {
-			h = simd.Mix64(h ^ hv)
-		}
-	}
-	return h
-}
-
-// newGroupFromBatch creates a group from batch row r, registering the same
-// canonical byte key the tuple path would have produced.
-func (a *aggregator) newGroupFromBatch(b *core.Batch, r int) uint32 {
-	key := make(types.Row, len(a.node.GroupBy))
-	enc := a.keyBuf[:0]
-	for i, g := range a.node.GroupBy {
-		col := &b.Cols[g]
-		if col.Nulls != nil && col.Nulls[r] {
-			key[i] = types.NullValue(a.inKinds[g])
-			enc = append(enc, 0)
-			continue
-		}
-		enc = append(enc, 1)
-		switch a.inKinds[g] {
-		case types.Int64:
-			key[i] = types.IntValue(col.Ints[r])
-			enc = binary.LittleEndian.AppendUint64(enc, uint64(col.Ints[r]))
-		case types.Float64:
-			key[i] = types.FloatValue(col.Floats[r])
-			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(col.Floats[r]))
-		default:
-			key[i] = types.StringValue(col.Strs[r])
-			enc = binary.LittleEndian.AppendUint32(enc, uint32(len(col.Strs[r])))
-			enc = append(enc, col.Strs[r]...)
-		}
-	}
-	a.keyBuf = enc
-	return a.newGroup(key, string(enc))
+	a.insert(h, gid)
+	return gid
 }
 
 // merge folds another worker's partial groups into this aggregator, in the
 // other worker's first-seen group order (re-aggregation across morsels,
-// cf. morsel-driven parallelism [20]).
+// cf. morsel-driven parallelism [20]): o's stored keys are probed like a
+// batch of o.groups rows, so groups match by hash + raw key cells.
 func (a *aggregator) merge(o *aggregator) {
-	for g := 0; g < o.numGroups(); g++ {
-		og := uint32(g)
-		gid, ok := a.byteIDs[o.keyEnc[g]]
-		if !ok {
-			gid = a.newGroup(o.keys[g], o.keyEnc[g])
+	if o.groups == 0 {
+		return
+	}
+	gids := a.gids[:0]
+	if len(a.keys) == 0 {
+		gids = append(gids, a.globalGroup())
+	} else {
+		for i := range a.keys {
+			k, ok := &a.keys[i], &o.keys[i]
+			k.nulls, k.ints, k.strs = ok.gNull, ok.gInt, ok.gStr
+			if k.kind == types.Float64 {
+				// Stored floats are bit patterns: hash and compare them as
+				// the integers they are stored as (same hash, same order).
+				k.kind = types.Int64
+			}
 		}
+		gids = a.assignGroups(o.groups)
+		for i, g := range a.node.GroupBy {
+			a.keys[i].kind = a.inKinds[g]
+		}
+	}
+	for g, gid := range gids {
+		og := uint32(g)
 		for i, spec := range a.node.Aggs {
 			if a.accIdx[i] != i {
 				continue // an identical fold already feeds this accumulator
@@ -1035,30 +687,13 @@ func (a *aggregator) merge(o *aggregator) {
 				if !o.seen[i][og] {
 					continue
 				}
-				if !a.seen[i][gid] {
-					a.minI[i][gid], a.maxI[i][gid] = o.minI[i][og], o.maxI[i][og]
-					a.minF[i][gid], a.maxF[i][gid] = o.minF[i][og], o.maxF[i][og]
-					a.minS[i][gid], a.maxS[i][gid] = o.minS[i][og], o.maxS[i][og]
-					a.seen[i][gid] = true
-					continue
-				}
-				if o.minI[i][og] < a.minI[i][gid] {
-					a.minI[i][gid] = o.minI[i][og]
-				}
-				if o.maxI[i][og] > a.maxI[i][gid] {
-					a.maxI[i][gid] = o.maxI[i][og]
-				}
-				if o.minF[i][og] < a.minF[i][gid] {
-					a.minF[i][gid] = o.minF[i][og]
-				}
-				if o.maxF[i][og] > a.maxF[i][gid] {
-					a.maxF[i][gid] = o.maxF[i][og]
-				}
-				if o.minS[i][og] < a.minS[i][gid] {
-					a.minS[i][gid] = o.minS[i][og]
-				}
-				if o.maxS[i][og] > a.maxS[i][gid] {
-					a.maxS[i][gid] = o.maxS[i][og]
+				switch a.argKinds[i] {
+				case types.Int64:
+					widen(a.minI[i], a.maxI[i], a.seen[i], gid, o.minI[i][og], o.maxI[i][og])
+				case types.Float64:
+					widen(a.minF[i], a.maxF[i], a.seen[i], gid, o.minF[i][og], o.maxF[i][og])
+				default:
+					widen(a.minS[i], a.maxS[i], a.seen[i], gid, o.minS[i][og], o.maxS[i][og])
 				}
 			}
 		}
@@ -1077,67 +712,73 @@ func canonNaN(x float64) float64 {
 	return x
 }
 
-// finalize renders the aggregation result in first-seen group order.
+// finalize renders the aggregation result in first-seen group order: the
+// key columns straight from the stored key cells, the aggregates from
+// their canonical accumulators (aggregates with identical folds share one
+// row — SUM/AVG, MIN/MAX pairs).
 func (a *aggregator) finalize(outKinds []types.Kind) *Result {
 	res := NewResult(outKinds)
-	ng := len(a.node.GroupBy)
-	row := make(types.Row, len(outKinds))
-	for g := 0; g < a.numGroups(); g++ {
-		gid := uint32(g)
-		copy(row, a.keys[g])
-		for i, spec := range a.node.Aggs {
-			c := ng + i
-			// Read through the canonical accumulator: aggregates with
-			// identical folds share one row (SUM/AVG, MIN/MAX pairs).
-			ci := a.accIdx[i]
-			switch spec.Func {
-			case AggCount, AggCountCol:
-				row[c] = types.IntValue(a.counts[ci][gid])
-			case AggSum:
-				// A sum's NULL-ness is its non-null count being zero;
-				// the fold kernels don't maintain seen for sums.
-				if a.counts[ci][gid] == 0 {
-					row[c] = types.NullValue(types.Float64)
-				} else {
-					row[c] = types.FloatValue(canonNaN(a.sums[ci][gid]))
-				}
-			case AggAvg:
-				if a.counts[ci][gid] == 0 {
-					row[c] = types.NullValue(types.Float64)
-				} else {
-					row[c] = types.FloatValue(canonNaN(a.sums[ci][gid] / float64(a.counts[ci][gid])))
-				}
-			case AggMin, AggMax:
-				if !a.seen[ci][gid] {
-					row[c] = types.NullValue(outKinds[c])
-					continue
-				}
-				isMin := spec.Func == AggMin
-				switch a.argKinds[i] {
-				case types.Int64:
-					if isMin {
-						row[c] = types.IntValue(a.minI[ci][gid])
-					} else {
-						row[c] = types.IntValue(a.maxI[ci][gid])
-					}
-				case types.Float64:
-					if isMin {
-						row[c] = types.FloatValue(a.minF[ci][gid])
-					} else {
-						row[c] = types.FloatValue(a.maxF[ci][gid])
-					}
+	n := a.groups
+	res.n = n
+	for c := range a.keys {
+		k, col := &a.keys[c], &res.Cols[c]
+		col.Nulls = k.gNull
+		switch col.Kind {
+		case types.Int64:
+			col.Ints = k.gInt
+		case types.Float64:
+			col.Floats = make([]float64, n)
+			for g, bits := range k.gInt {
+				col.Floats[g] = math.Float64frombits(uint64(bits))
+			}
+		default:
+			col.Strs = k.gStr
+		}
+	}
+	for i, spec := range a.node.Aggs {
+		col := &res.Cols[len(a.keys)+i]
+		ci := a.accIdx[i]
+		col.Nulls = make([]bool, n)
+		switch spec.Func {
+		case AggCount, AggCountCol:
+			col.Ints = append(col.Ints, a.counts[ci]...)
+		case AggSum, AggAvg:
+			// A sum's NULL-ness is its non-null count being zero; the fold
+			// kernels don't maintain seen for sums.
+			col.Floats = make([]float64, n)
+			for g, cnt := range a.counts[ci] {
+				switch {
+				case cnt == 0:
+					col.Nulls[g] = true
+				case spec.Func == AggSum:
+					col.Floats[g] = canonNaN(a.sums[ci][g])
 				default:
-					if isMin {
-						row[c] = types.StringValue(a.minS[ci][gid])
-					} else {
-						row[c] = types.StringValue(a.maxS[ci][gid])
-					}
+					col.Floats[g] = canonNaN(a.sums[ci][g] / float64(cnt))
 				}
 			}
+		case AggMin, AggMax:
+			isMin := spec.Func == AggMin
+			switch a.argKinds[i] {
+			case types.Int64:
+				col.Ints = append(col.Ints, pick(isMin, a.minI[ci], a.maxI[ci])...)
+			case types.Float64:
+				col.Floats = append(col.Floats, pick(isMin, a.minF[ci], a.maxF[ci])...)
+			default:
+				col.Strs = append(col.Strs, pick(isMin, a.minS[ci], a.maxS[ci])...)
+			}
+			for g, seen := range a.seen[ci] {
+				col.Nulls[g] = !seen
+			}
 		}
-		res.appendRow(row)
 	}
 	return res
+}
+
+func pick[T any](first bool, a, b T) T {
+	if first {
+		return a
+	}
+	return b
 }
 
 func resizeU64(s []uint64, n int) []uint64 {

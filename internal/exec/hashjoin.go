@@ -1,118 +1,90 @@
 package exec
 
 import (
-	"encoding/binary"
-	"math"
-	"math/bits"
-
 	"datablocks/internal/simd"
 	"datablocks/internal/types"
 )
 
-// hashTable is the materialized build side of a hash join. In addition to
-// the bucket map it keeps a 2^16-bit tag filter — our analogue of HyPer's
-// tagged hash-table pointers (Appendix E, [20]) — that vectorized scans can
-// probe early to drop probe tuples before unpacking them.
+// hashTable is the materialized build side of a hash join. The embedded
+// groupTable holds one slot per distinct key hash, whose entry id is the
+// lowest build row with that hash; next links every further row with the
+// same hash in ascending row order (-1 ends the chain). Candidates
+// therefore come back in build-row order, which fixes the join's emission
+// order and with it every downstream float sum. Rows of one chain share a
+// hash, not necessarily a key: the prober verifies each against keys,
+// whose stored side aliases the build result's key columns. Build rows
+// with a NULL key are never linked in, so NULL keys never join.
+//
+// tags is a 2^16-bit filter over the top hash bits — our analogue of
+// HyPer's tagged hash-table pointers (Appendix E, [20]) — that probes test
+// before touching the table and vectorized scans test early, to drop probe
+// tuples before unpacking them.
 type hashTable struct {
-	build    *Result
-	keyCols  []int
-	keyKinds []types.Kind
-	buckets  map[uint64][]int32
-	tags     [1024]uint64 // 2^16 tag bits
-	// intKey is >= 0 when the join key is a single non-null integer
-	// column, enabling the fast early-probe path.
-	intKey int
+	groupTable
+	next  []int32
+	build *Result
+	keys  []keyCol
+	tags  [1024]uint64 // 2^16 tag bits
 }
 
 func buildHashTable(build *Result, keyCols []int) *hashTable {
-	ht := &hashTable{
-		build:   build,
-		keyCols: keyCols,
-		buckets: make(map[uint64][]int32, build.NumRows()),
-		intKey:  -1,
-	}
-	ht.keyKinds = make([]types.Kind, len(keyCols))
+	n := build.NumRows()
+	ht := &hashTable{build: build, keys: make([]keyCol, len(keyCols)), next: make([]int32, n)}
+	hs := make([]uint64, n)
 	for i, c := range keyCols {
-		ht.keyKinds[i] = build.Cols[c].Kind
-	}
-	if len(keyCols) == 1 && ht.keyKinds[0] == types.Int64 {
-		ht.intKey = keyCols[0]
-	}
-	var buf []byte
-	for row := 0; row < build.NumRows(); row++ {
-		buf = ht.encodeBuildKey(buf[:0], row)
-		if buf == nil {
-			continue // NULL keys never join
+		col := &build.Cols[c]
+		k := &ht.keys[i]
+		*k = keyCol{
+			kind: col.Kind, canonZero: true,
+			nulls: col.Nulls, ints: col.Ints, floats: col.Floats, strs: col.Strs,
+			gInt: col.Ints, gStr: col.Strs,
 		}
-		h := hashBytes(buf)
-		ht.buckets[h] = append(ht.buckets[h], int32(row))
-		ht.setTag(h)
+		if col.Kind == types.Float64 {
+			k.gInt = make([]int64, n)
+			for r, f := range col.Floats {
+				k.gInt[r] = int64(floatKeyBits(f))
+			}
+		}
+		hashKeyCol(hs, i == 0, k)
+	}
+	ht.reserve(n)
+	// Rows are linked in descending order, each becoming the new head of
+	// its hash's chain, so every chain reads in ascending row order.
+rows:
+	for row := n - 1; row >= 0; row-- {
+		for i := range ht.keys {
+			if ht.keys[i].nulls[row] {
+				continue rows
+			}
+		}
+		ht.link(hs[row], int32(row))
 	}
 	return ht
 }
 
-// encodeBuildKey serializes the key of a build row; nil marks a NULL key.
-func (ht *hashTable) encodeBuildKey(buf []byte, row int) []byte {
-	for _, c := range ht.keyCols {
-		col := &ht.build.Cols[c]
-		if col.Nulls[row] {
-			return nil
-		}
-		switch col.Kind {
-		case types.Int64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(col.Ints[row]))
-		case types.Float64:
-			buf = binary.LittleEndian.AppendUint64(buf, floatKeyBits(col.Floats[row]))
-		default:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(col.Strs[row])))
-			buf = append(buf, col.Strs[row]...)
-		}
+// link makes row the head of h's chain, in front of the chain's current
+// rows.
+func (ht *hashTable) link(h uint64, row int32) {
+	if pos, ok := ht.find(h); ok {
+		ht.next[row] = int32(ht.slots[pos]) - 1
+		ht.slots[pos] = uint32(row) + 1
+	} else {
+		ht.next[row] = -1
+		ht.insert(h, uint32(row))
 	}
-	return buf
+	ht.setTag(h)
 }
 
-// encodeProbeKey serializes the probe tuple's key; nil marks a NULL key.
-func (ht *hashTable) encodeProbeKey(buf []byte, t *Tuple, probeKeys []int) []byte {
-	for i, c := range probeKeys {
-		if t.Nulls[c] {
-			return nil
-		}
-		switch ht.keyKinds[i] {
-		case types.Int64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Ints[c]))
-		case types.Float64:
-			buf = binary.LittleEndian.AppendUint64(buf, floatKeyBits(t.Floats[c]))
-		default:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Strs[c])))
-			buf = append(buf, t.Strs[c]...)
-		}
-	}
-	return buf
-}
-
-// lookup returns the candidate build rows for an encoded key. Candidates
-// share the 64-bit hash; the caller verifies equality.
-func (ht *hashTable) lookup(key []byte) []int32 {
-	h := hashBytes(key)
+// head returns the first build row of h's chain, -1 when no build key has
+// that hash; next continues the chain.
+func (ht *hashTable) head(h uint64) int32 {
 	if !ht.testTag(h) {
-		return nil
+		return -1
 	}
-	return ht.buckets[h]
-}
-
-// verify checks that the build row's key equals the probe key byte-wise.
-// It returns the (possibly regrown) scratch buffer for reuse.
-func (ht *hashTable) verify(key []byte, row int32, scratch []byte) (bool, []byte) {
-	bk := ht.encodeBuildKey(scratch[:0], int(row))
-	if len(bk) != len(key) {
-		return false, bk
+	if pos, ok := ht.find(h); ok {
+		return int32(ht.slots[pos]) - 1
 	}
-	for i := range bk {
-		if bk[i] != key[i] {
-			return false, bk
-		}
-	}
-	return true, bk
+	return -1
 }
 
 func (ht *hashTable) setTag(h uint64) {
@@ -125,41 +97,9 @@ func (ht *hashTable) testTag(h uint64) bool {
 	return ht.tags[tag>>6]>>(tag&63)&1 == 1
 }
 
-// TestTagInt probes the tag filter for a bare integer key — the early-probe
+// testTagInt probes the tag filter for a bare integer key — the early-probe
 // fast path used inside vectorized scans (Appendix E, Figure 14): one hash,
-// one bit test, no bucket access.
+// one bit test, no table access.
 func (ht *hashTable) testTagInt(key int64) bool {
-	return ht.testTag(hashInt(uint64(key)))
-}
-
-// hashInt is a finalized multiplicative hash (splitmix64 finalizer); it
-// lives in the simd package so the vectorized batch kernels agree with the
-// scalar hash table and its tag filter.
-func hashInt(x uint64) uint64 { return simd.Mix64(x) }
-
-// hashBytes hashes an encoded key. Single 8-byte keys (the common integer
-// join key) take the finalizer fast path so that testTagInt agrees with the
-// general path.
-func hashBytes(b []byte) uint64 {
-	if len(b) == 8 {
-		return hashInt(binary.LittleEndian.Uint64(b))
-	}
-	var h uint64 = 14695981039346656037 // FNV-64 offset basis
-	for len(b) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * 1099511628211
-		h = bits.RotateLeft64(h, 23)
-		b = b[8:]
-	}
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return hashInt(h)
-}
-
-// floatKeyBits canonicalizes -0.0 to +0.0 so equal floats hash equally.
-func floatKeyBits(f float64) uint64 {
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f)
+	return ht.testTag(simd.Mix64(uint64(key)))
 }

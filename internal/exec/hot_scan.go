@@ -12,8 +12,8 @@ import (
 // This file implements the interpreted vectorized scan over hot
 // uncompressed chunks (Figure 6, middle path): SARGable predicates are
 // evaluated on column vectors with the simd kernels, matching tuples are
-// copied into a batch, and the batch is pushed tuple-at-a-time into the
-// compiled pipeline.
+// copied into a batch, and the batch is handed to the worker's consumer
+// chain (whole in batch mode, tuple-at-a-time under TupleAtATime).
 
 func (d *scanDriver) vecHot(ch *storage.ChunkView) error {
 	h := ch.Hot()

@@ -22,10 +22,10 @@ type Options struct {
 	// Each worker compiles its own consumer chain and drives whole chunks
 	// (morsels); partial sink states are merged when all workers finish.
 	Parallelism int
-	// TupleAtATime forces the tuple-at-a-time consume path even in
-	// vectorized modes, disabling the batch sinks. Used by equivalence
-	// tests and benchmarks to isolate the batch pipeline's contribution;
-	// JIT mode is always tuple-at-a-time regardless.
+	// TupleAtATime runs the tuple-at-a-time chain behind a vectorized
+	// scan instead of the batch chain. It is the reference the equivalence
+	// tests and benchmarks compare the batch chain against; JIT mode is
+	// always tuple-at-a-time regardless.
 	TupleAtATime bool
 	// Stats, when non-nil, receives code-generation counters.
 	Stats *CompileStats
@@ -135,43 +135,31 @@ func (ex *executor) run(n Node) (*Result, error) {
 			aggs []*aggregator
 		)
 		err = ex.runPipeline(n.Child, func(c *compiler) (pipeSink, error) {
-			a, err := newAggregator(n, inKinds, &compiler{kinds: inKinds, stats: c.stats})
+			a, err := newAggregator(n, inKinds, c.stats, ex.batchMode())
 			if err != nil {
 				return pipeSink{}, err
 			}
 			mu.Lock()
 			aggs = append(aggs, a)
 			mu.Unlock()
-			s := pipeSink{tuple: a.consume}
-			if ex.batchMode() {
-				// An unvectorizable aggregate argument falls back to the
-				// tuple chain; the aggregator still works either way.
-				if err := a.vectorize(c.stats); err == nil {
-					s.batch = a.consumeBatch
-				} else if ex.prof != nil {
-					ex.prof.setFallback("aggregate not vectorizable: " + err.Error())
-				}
-			}
-			return s, nil
+			return pipeSink{tuple: a.consume, batch: a.consumeBatch}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		if p := ex.prof; p != nil {
-			// Overflow-map occupancy is per worker state; sum it before the
+			// Probe displacement is per worker table; sum it before the
 			// merge collapses the partials.
-			var spilled uint64
 			for _, a := range aggs {
-				spilled += uint64(a.overflowGroups())
+				p.spilled += uint64(a.displaced)
 			}
-			p.spilled = spilled
 		}
 		root := aggs[0]
 		for _, a := range aggs[1:] {
 			root.merge(a)
 		}
 		if p := ex.prof; p != nil {
-			p.groups = uint64(root.numGroups())
+			p.groups = uint64(root.groups)
 		}
 		return root.finalize(outKinds), nil
 	default:
@@ -266,25 +254,28 @@ func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
 	return root, nil
 }
 
-// pipeSink is one worker's terminal consumer: the tuple-at-a-time closure
-// always exists; batch is the sink's batch-at-a-time interface, nil when
-// the sink (or its compiled expressions) cannot run batch-wise.
+// pipeSink is one worker's terminal consumer, offered in both forms.
+// runPipeline attaches exactly one of them — batch when the execution is
+// in batch mode, tuple otherwise — so a sink only needs its state prepared
+// for that one (see newAggregator).
 type pipeSink struct {
 	tuple func(*Tuple)
 	batch batchConsumer
 }
 
-// batchMode reports whether this execution is allowed to consume
-// batch-at-a-time: vectorized scans only, unless explicitly disabled.
+// batchMode reports which chain this execution compiles: the
+// batch-at-a-time chain in vectorized modes, the tuple-at-a-time chain
+// under ModeJIT or Options.TupleAtATime. There is no third case and no
+// switching between them once chosen.
 func (ex *executor) batchMode() bool {
 	return ex.opt.Mode != ModeJIT && !ex.opt.TupleAtATime
 }
 
 // runPipeline executes the pipeline rooted at chain: it materializes the
-// build sides of all hash joins along the probe spine, compiles one
-// consumer chain per worker — the batch-at-a-time chain when every
-// operator and the sink support it, the fused tuple-at-a-time chain
-// otherwise — and drives the scan over the relation's chunks (morsels).
+// build sides of all hash joins along the probe spine, compiles exactly
+// one consumer chain per worker (see batchMode) — a compile failure is the
+// query's error — and drives the scan over the relation's chunks
+// (morsels).
 func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) (pipeSink, error)) error {
 	scan, err := ex.prepareBuilds(chain)
 	if err != nil {
@@ -303,8 +294,9 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) (pipeSin
 	}
 	if p := ex.prof; p != nil && !ex.compileOnly {
 		p.totalChunks = uint64(len(chunks))
+		p.batchPath = ex.batchMode()
 		if ex.opt.TupleAtATime && ex.opt.Mode != ModeJIT {
-			p.setFallback("tuple-at-a-time forced by options")
+			p.fallback = "tuple-at-a-time forced by options"
 		}
 	}
 	drivers := make([]*scanDriver, workers)
@@ -320,34 +312,19 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) (pipeSin
 		if err != nil {
 			return err
 		}
-		cons, err := ex.compileChain(chain, sink.tuple, c)
+		var cons func(*Tuple)
+		var bcons batchConsumer
+		if ex.batchMode() {
+			bcons, err = ex.compileBatchChain(chain, sink.batch, c)
+		} else {
+			cons, err = ex.compileChain(chain, sink.tuple, c)
+		}
 		if err != nil {
 			return err
-		}
-		var bcons batchConsumer
-		if ex.batchMode() && sink.batch != nil {
-			// Any operator or expression the vectorized compiler cannot
-			// lower silently falls back to the tuple chain compiled above.
-			if bc, berr := ex.compileBatchChain(chain, sink.batch, c); berr == nil {
-				bcons = bc
-			} else if ex.prof != nil {
-				ex.prof.setFallback("batch chain: " + berr.Error())
-			}
 		}
 		d, err := ex.newScanDriver(scan, cons, bcons, c, chunks)
 		if err != nil {
 			return err
-		}
-		if p := ex.prof; p != nil && w == 0 {
-			if d.bcons != nil {
-				p.mu.Lock()
-				p.batchPath = true
-				p.mu.Unlock()
-			} else if bcons != nil {
-				// The driver dropped the compiled batch chain: a scan
-				// conjunct could not be lowered to a batch mask.
-				p.setFallback("scan conjunct not vectorizable")
-			}
 		}
 		// Early probing runs inside vectorized scans only (Appendix E).
 		if ex.opt.Mode != ModeJIT {
@@ -423,6 +400,7 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 			// the probe spine only, so suspend collection while it runs.
 			saved := ex.prof
 			ex.prof = nil
+			t0 := time.Now()
 			buildRes, err := ex.run(n.Build)
 			ex.prof = saved
 			if err != nil {
@@ -430,7 +408,7 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 			}
 			ex.builds[n] = buildHashTable(buildRes, n.BuildKeys)
 			if ex.prof != nil {
-				ex.prof.noteBuild(n, uint64(buildRes.NumRows()))
+				ex.prof.noteBuild(n, uint64(buildRes.NumRows()), time.Since(t0))
 			}
 		}
 		return ex.prepareBuilds(n.Probe)
@@ -515,88 +493,54 @@ func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) (func(*
 	}
 }
 
+// compileJoinProbe lowers a join probe into the tuple chain: each tuple's
+// key registers are probed as a one-row batch (see batchJoinProbe).
 func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler) (func(*Tuple), error) {
-	ht := ex.builds[n]
-	probeKinds, err := n.Probe.OutKinds()
+	j, err := ex.newJoinProbe(n)
 	if err != nil {
 		return nil, err
 	}
-	var keyBuf, scratch []byte
-	verify := func(key []byte, row int32) bool {
-		ok, grown := ht.verify(key, row, scratch)
-		scratch = grown
-		return ok
-	}
-	switch n.Kind {
-	case InnerJoin:
-		buildKinds, err := n.Build.OutKinds()
-		if err != nil {
-			return nil, err
-		}
-		out := NewTuple(len(probeKinds) + len(buildKinds))
-		np := len(probeKinds)
-		c.emit()
-		cons := func(t *Tuple) {
-			key := ht.encodeProbeKey(keyBuf[:0], t, n.ProbeKeys)
-			if key == nil {
-				return
-			}
-			keyBuf = key
-			rows := ht.lookup(key)
-			if len(rows) == 0 {
-				return
-			}
-			// Probe columns change only per probe tuple.
-			copy(out.Ints[:np], t.Ints[:np])
-			copy(out.Floats[:np], t.Floats[:np])
-			copy(out.Strs[:np], t.Strs[:np])
-			copy(out.Nulls[:np], t.Nulls[:np])
-			for _, row := range rows {
-				if !verify(key, row) {
-					continue
-				}
-				for bi := range buildKinds {
-					col := &ht.build.Cols[bi]
-					slot := np + bi
-					out.Nulls[slot] = col.Nulls[row]
-					switch col.Kind {
-					case types.Int64:
-						out.Ints[slot] = col.Ints[row]
-					case types.Float64:
-						out.Floats[slot] = col.Floats[row]
-					default:
-						out.Strs[slot] = col.Strs[row]
-					}
-				}
-				down(out)
-			}
-		}
-		return ex.compileChain(n.Probe, cons, c)
-	default: // SemiJoin, AntiJoin
+	c.emit()
+	if n.Kind != InnerJoin {
 		wantMatch := n.Kind == SemiJoin
-		c.emit()
-		cons := func(t *Tuple) {
-			key := ht.encodeProbeKey(keyBuf[:0], t, n.ProbeKeys)
-			if key == nil {
-				if !wantMatch {
-					down(t)
-				}
-				return
-			}
-			keyBuf = key
-			matched := false
-			for _, row := range ht.lookup(key) {
-				if verify(key, row) {
-					matched = true
-					break
-				}
-			}
-			if matched == wantMatch {
+		return ex.compileChain(n.Probe, func(t *Tuple) {
+			bindTuple(j.keys, t, n.ProbeKeys)
+			j.matchPairs(1)
+			if (len(j.pairsB) > 0) == wantMatch {
 				down(t)
 			}
-		}
-		return ex.compileChain(n.Probe, cons, c)
+		}, c)
 	}
+	np := j.np
+	out := NewTuple(np + len(j.buildKinds))
+	return ex.compileChain(n.Probe, func(t *Tuple) {
+		bindTuple(j.keys, t, n.ProbeKeys)
+		j.matchPairs(1)
+		if len(j.pairsB) == 0 {
+			return
+		}
+		// Probe columns change only per probe tuple.
+		copy(out.Ints[:np], t.Ints[:np])
+		copy(out.Floats[:np], t.Floats[:np])
+		copy(out.Strs[:np], t.Strs[:np])
+		copy(out.Nulls[:np], t.Nulls[:np])
+		for _, row := range j.pairsB {
+			for bi := range j.buildKinds {
+				col := &j.ht.build.Cols[bi]
+				slot := np + bi
+				out.Nulls[slot] = col.Nulls[row]
+				switch col.Kind {
+				case types.Int64:
+					out.Ints[slot] = col.Ints[row]
+				case types.Float64:
+					out.Floats[slot] = col.Floats[row]
+				default:
+					out.Strs[slot] = col.Strs[row]
+				}
+			}
+			down(out)
+		}
+	}, c)
 }
 
 // earlyProbeFor finds a join directly above the scan with EarlyProbe set
@@ -616,7 +560,7 @@ func (ex *executor) earlyProbeFor(n Node) (*hashTable, int) {
 			return ex.earlyProbeFor(n.Probe)
 		}
 		ht := ex.builds[n]
-		if ht.intKey < 0 {
+		if len(ht.keys) != 1 || ht.keys[0].kind != types.Int64 {
 			return nil, -1
 		}
 		return ht, n.ProbeKeys[0]

@@ -24,9 +24,11 @@ type QueryProfile struct {
 	VectorSize  int
 	Parallelism int
 	// BatchPath reports whether the batch-at-a-time chain drove the
-	// pipeline; when false, Fallback holds the reason the execution fell
-	// back to the fused tuple-at-a-time chain ("" when tuple execution
-	// was requested rather than fallen back to, e.g. JIT mode).
+	// pipeline. It is false exactly when the tuple-at-a-time chain was
+	// asked for: by ModeJIT (Fallback stays ""), or by TupleAtATime in a
+	// vectorized mode, which Fallback then names. A vectorized execution
+	// never drops to the tuple chain by itself — what it cannot compile
+	// is the query's error.
 	BatchPath bool
 	Fallback  string
 	// Wall is the end-to-end execution time, including plan compilation
@@ -57,16 +59,22 @@ type OperatorProfile struct {
 	// everything downstream of it, summed across workers. For the scan
 	// it is the workers' total busy time.
 	Time time.Duration
-	// Join detail: build-side rows and probe hits (rows emitted for
-	// inner joins, probe rows surviving for semi/anti).
+	// Join detail: build-side rows, the wall time of the build pipeline
+	// (build-side scan plus hash-table construction; it runs before the
+	// probe pipeline and is not part of any operator's Time), and probe
+	// hits (rows emitted for inner joins, probe rows surviving for
+	// semi/anti).
 	BuildRows uint64
+	BuildTime time.Duration
 	ProbeHits uint64
-	// Aggregate detail: group count after the cross-worker merge, and
-	// group ids that landed in the same-hash overflow map (the spill
-	// path of the batch aggregator), summed across workers pre-merge.
+	// Aggregate detail: group count after the cross-worker merge, and the
+	// group tables' probe displacement — insert steps past an occupied
+	// slot, i.e. how far new groups landed from their home slot — summed
+	// across workers pre-merge. (The field predates the open-addressing
+	// table and keeps its name; nothing spills.)
 	Groups         uint64
 	SpilledGroups  uint64
-	ProbeDetail    bool // ProbeHits/BuildRows are meaningful
+	ProbeDetail    bool // ProbeHits/BuildRows/BuildTime are meaningful
 	GroupingDetail bool // Groups/SpilledGroups are meaningful
 }
 
@@ -113,7 +121,7 @@ type profiler struct {
 	idx     map[Node]int
 	sinkIdx int
 	aggSink bool
-	joins   map[Node]uint64 // spine join -> build rows
+	joins   map[Node]buildNote // spine join -> its build pipeline
 
 	totalChunks uint64
 	fallback    string
@@ -124,6 +132,12 @@ type profiler struct {
 	orderIn, orderOut uint64
 	orderTime         time.Duration
 	hasOrder          bool
+}
+
+// buildNote is what a join's build pipeline reported.
+type buildNote struct {
+	rows uint64
+	time time.Duration
 }
 
 // workerProf is one worker's profile shard: plain obs.ShardCounter
@@ -160,7 +174,7 @@ func newProfiler(root Node, opt Options) (*profiler, bool) {
 		start: time.Now(),
 		opt:   opt,
 		idx:   make(map[Node]int),
-		joins: make(map[Node]uint64),
+		joins: make(map[Node]buildNote),
 	}
 	n := root
 	if ob, ok := n.(*OrderByNode); ok {
@@ -252,18 +266,11 @@ func (p *profiler) opIndex(n Node) int {
 	return -1
 }
 
-// setFallback records the first tuple-path fallback reason.
-func (p *profiler) setFallback(reason string) {
+// noteBuild records join n's build pipeline: rows materialized and the
+// wall time from starting the build-side scan to the finished hash table.
+func (p *profiler) noteBuild(n Node, rows uint64, d time.Duration) {
 	p.mu.Lock()
-	if p.fallback == "" {
-		p.fallback = reason
-	}
-	p.mu.Unlock()
-}
-
-func (p *profiler) noteBuild(n Node, rows uint64) {
-	p.mu.Lock()
-	p.joins[n] = rows
+	p.joins[n] = buildNote{rows, d}
 	p.mu.Unlock()
 }
 
@@ -378,11 +385,12 @@ func (p *profiler) finish(resultRows uint64) *QueryProfile {
 		sink.RowsOut = resultRows
 	}
 	// Join detail from the recorded build sides.
-	for n, buildRows := range p.joins {
+	for n, build := range p.joins {
 		if i := p.opIndex(n); i >= 0 {
 			op := &q.Operators[i]
 			op.ProbeDetail = true
-			op.BuildRows = buildRows
+			op.BuildRows = build.rows
+			op.BuildTime = build.time
 			if jn, ok := n.(*JoinNode); ok && jn.Kind == AntiJoin {
 				op.ProbeHits = op.RowsIn - op.RowsOut
 			} else {
@@ -403,7 +411,7 @@ func (q *QueryProfile) String() string {
 	fmt.Fprintf(&b, "mode=%s vector=%d workers=%d path=%s wall=%s\n",
 		q.Mode, q.VectorSize, len(q.Workers), path, round(q.Wall))
 	if q.Fallback != "" {
-		fmt.Fprintf(&b, "tuple-path fallback: %s\n", q.Fallback)
+		fmt.Fprintf(&b, "tuple path: %s\n", q.Fallback)
 	}
 	for i := len(q.Operators) - 1; i >= 0; i-- {
 		op := &q.Operators[i]
@@ -414,12 +422,12 @@ func (q *QueryProfile) String() string {
 		}
 		fmt.Fprintf(&b, " time=%s", round(op.Time))
 		if op.ProbeDetail {
-			fmt.Fprintf(&b, " build=%d hits=%d", op.BuildRows, op.ProbeHits)
+			fmt.Fprintf(&b, " build=%d build-time=%s hits=%d", op.BuildRows, round(op.BuildTime), op.ProbeHits)
 		}
 		if op.GroupingDetail {
 			fmt.Fprintf(&b, " groups=%d", op.Groups)
 			if op.SpilledGroups > 0 {
-				fmt.Fprintf(&b, " spilled=%d", op.SpilledGroups)
+				fmt.Fprintf(&b, " probe-displaced=%d", op.SpilledGroups)
 			}
 		}
 		b.WriteByte('\n')

@@ -85,36 +85,6 @@ func (r *Result) appendBatch(b *core.Batch) {
 	r.n += b.N
 }
 
-// appendRow adds a dynamic row (used by sinks that finalize states).
-func (r *Result) appendRow(row types.Row) {
-	for i := range r.Cols {
-		c := &r.Cols[i]
-		v := row[i]
-		c.Nulls = append(c.Nulls, v.IsNull())
-		switch c.Kind {
-		case types.Int64:
-			if v.IsNull() {
-				c.Ints = append(c.Ints, 0)
-			} else {
-				c.Ints = append(c.Ints, v.Int())
-			}
-		case types.Float64:
-			if v.IsNull() {
-				c.Floats = append(c.Floats, 0)
-			} else {
-				c.Floats = append(c.Floats, v.Float())
-			}
-		default:
-			if v.IsNull() {
-				c.Strs = append(c.Strs, "")
-			} else {
-				c.Strs = append(c.Strs, v.Str())
-			}
-		}
-	}
-	r.n++
-}
-
 // Value returns cell (col, row).
 func (r *Result) Value(col, row int) types.Value {
 	c := &r.Cols[col]

@@ -12,36 +12,39 @@ import (
 )
 
 // scanDriver drives one worker's pipeline over chunks. It owns all
-// per-worker buffers (tuple register file, batch, match vectors).
+// per-worker buffers (tuple register file, batch, match vectors) and
+// feeds exactly one consumer chain: bcons in batch mode, cons otherwise.
 type scanDriver struct {
 	scan    *ScanNode
 	mode    ScanMode
 	vecSize int
-	cons    func(*Tuple)
 	kinds   []types.Kind
 	stats   *CompileStats
 	tuple   *Tuple
 	batch   core.Batch
 
-	// pipeFilter is the residual condition evaluated tuple-at-a-time:
-	// Filter only in pushdown modes, Preds ∧ Filter otherwise. nil = none.
+	// cons is the tuple-at-a-time consumer chain and pipeFilter the
+	// residual condition evaluated in front of it: Filter only in
+	// pushdown modes, Preds ∧ Filter otherwise (nil = none).
+	cons       func(*Tuple)
 	pipeFilter boolFn
 
-	// bcons, when non-nil, is the batch-at-a-time consumer chain: gathered
-	// batches are handed over whole instead of being pushed tuple-wise.
-	bcons batchConsumer
-	// conjuncts are the residual condition's top-level conjuncts compiled
-	// as vectorized masks (the batch twin of pipeFilter). The batch path
-	// materializes lazily: each conjunct unpacks only the columns it
-	// references, thins the match vector, and later conjuncts (and the
-	// final projection) decompress survivors only.
+	// bcons is the batch-at-a-time consumer chain: gathered batches are
+	// handed over whole. conjuncts are the residual condition's top-level
+	// conjuncts compiled as vectorized masks (the batch twin of
+	// pipeFilter). The batch path materializes lazily: each conjunct
+	// unpacks only the columns it references, thins the match vector, and
+	// later conjuncts (and the final projection) decompress survivors
+	// only.
+	bcons     batchConsumer
 	conjuncts []vconjunct
 	// unpacked tracks which scan-output columns the current batch has
 	// materialized; vsel is the selection-vector scratch.
 	unpacked []bool
 	vsel     []uint32
 
-	// batchLoad copies one batch row into the tuple register file.
+	// batchLoad copies one batch row into the tuple register file (the
+	// tuple chain behind a vectorized scan).
 	batchLoad []func(b *core.Batch, row int, t *Tuple)
 
 	// JIT scan code paths: one specialized path per storage-layout
@@ -107,25 +110,19 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 	if err != nil {
 		return nil, err
 	}
-	if filterExpr != nil {
-		cc := &compiler{kinds: kinds, stats: c.stats}
-		d.pipeFilter, err = cc.compileBool(filterExpr)
-		if err != nil {
-			return nil, err
-		}
-		if d.bcons != nil {
-			// The batch chain needs the residual as vectorized masks; if
-			// any conjunct cannot be lowered, drop back to the tuple chain.
-			vc := &vcompiler{kinds: kinds, stats: c.stats}
-			for _, cj := range splitConjuncts(filterExpr, nil) {
-				mask, verr := vc.compileMask(cj)
-				if verr != nil {
-					d.bcons = nil
-					d.conjuncts = nil
-					break
-				}
-				d.conjuncts = append(d.conjuncts, vconjunct{cols: exprCols(cj, nil), mask: mask})
+	if filterExpr != nil && d.bcons != nil {
+		vc := &vcompiler{kinds: kinds, stats: c.stats}
+		for _, cj := range splitConjuncts(filterExpr, nil) {
+			mask, merr := vc.compileMask(cj)
+			if merr != nil {
+				return nil, merr
 			}
+			d.conjuncts = append(d.conjuncts, vconjunct{cols: exprCols(cj, nil), mask: mask})
+		}
+	} else if filterExpr != nil {
+		cc := &compiler{kinds: kinds, stats: c.stats}
+		if d.pipeFilter, err = cc.compileBool(filterExpr); err != nil {
+			return nil, err
 		}
 	}
 	if d.mode == ModeJIT {
@@ -149,9 +146,9 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		}
 	} else {
 		if d.bcons == nil {
-			// Tuple fallback: per-row copies from the gathered batch into
-			// the register file. The batch chain needs no loaders — whole
-			// vectors flow through.
+			// Per-row copies from the gathered batch into the register
+			// file. The batch chain needs no loaders — whole vectors flow
+			// through.
 			d.batchLoad = d.compileBatchLoaders(c)
 		}
 		if c.stats != nil {
@@ -677,7 +674,7 @@ func (d *scanDriver) earlyProbeHot(h *storage.HotChunk, m []uint32) []uint32 {
 
 // pushBatch feeds the unpacked batch tuple-at-a-time into the compiled
 // pipeline (Figure 6: "matches are pushed to the query pipeline tuple at a
-// time") — the fallback when no batch chain is active.
+// time") — the TupleAtATime reference path behind a vectorized scan.
 func (d *scanDriver) pushBatch() {
 	t := d.tuple
 	for row := 0; row < d.batch.N; row++ {

@@ -23,8 +23,10 @@ import (
 // call. A ColRef returns the batch's column directly (zero copy), so the
 // returned slices are read-only.
 
-// errVecUnsupported marks an expression the vectorized compiler cannot
-// lower; callers fall back to the tuple-at-a-time chain.
+// errVecUnsupported marks an expression or operator the vectorized
+// compiler cannot lower. It fails the query: the vectorized compiler
+// accepts exactly what the tuple compiler accepts (TestCompileParity), so
+// there is nothing to drop back to.
 var errVecUnsupported = errors.New("exec: expression not vectorizable")
 
 // Vectorized closure signatures: value vector plus a null mask (nil = no

@@ -319,9 +319,9 @@ func hashFloat64Portable(vals []float64, out []uint64) {
 
 // HashCombineInt64 folds a batch of int64 key columns into the running
 // group hashes: hs[i] = Mix64(hs[i] ^ Mix64(uint64(vals[i]))). This is
-// the multi-column group-by hash chain of the vectorized aggregator; the
-// formula must match the scalar per-row combination used for
-// tuple-created groups.
+// the multi-column key hash chain of exec's group and join tables; the
+// formula must match the scalar per-row combination exec uses for
+// nullable columns (exec.foldKeyHash).
 //
 //dbvet:hotpath
 func HashCombineInt64(hs []uint64, vals []int64) {
@@ -351,10 +351,8 @@ func hashCombineFloat64Portable(hs []uint64, vals []float64) {
 const hashStrSeed = 14695981039346656037
 
 // HashStr hashes a string byte-wise (FNV-1 style) and finalizes with
-// Mix64. It feeds the aggregator's group-key hashing only — it is NOT the
-// join hash table's key hash (exec.hashBytes consumes 8-byte words with a
-// rotate and produces different values for keys of 8+ bytes), so it must
-// never be used to index join buckets.
+// Mix64: the string-cell hash of exec's key identity, for group keys and
+// join keys alike.
 func HashStr(s string) uint64 {
 	var h uint64 = hashStrSeed
 	for i := 0; i < len(s); i++ {

@@ -377,3 +377,40 @@ func TestBatchConsumeMatchesTupleExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestVectorizedModesRunTheBatchChain: every supported plan, in every
+// vectorized mode and at both storage temperatures, runs on the batch
+// chain with nothing to report as a fallback, and every join on its probe
+// spine accounts for its build pipeline. TupleAtATime is the one way onto
+// the tuple chain behind a vectorized scan, and says so.
+func TestVectorizedModesRunTheBatchChain(t *testing.T) {
+	hot := genTest(t, false)
+	cold := genTest(t, true)
+	for _, q := range SupportedQueries {
+		for di, db := range []*DB{hot, cold} {
+			for _, mode := range []exec.ScanMode{exec.ModeVectorized, exec.ModeVectorizedSARG, exec.ModeVectorizedSARGPSMA} {
+				name := fmt.Sprintf("Q%d frozen=%v %v", q, di == 1, mode)
+				res, err := db.Query(q, exec.Options{Mode: mode, Profile: true, Parallelism: 2})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				p := res.Profile
+				if p == nil || !p.BatchPath || p.Fallback != "" {
+					t.Fatalf("%s: profile %+v", name, p)
+				}
+				for _, op := range p.Operators {
+					if op.ProbeDetail && op.BuildTime <= 0 {
+						t.Fatalf("%s: %s reports no build time", name, op.Name)
+					}
+				}
+				res, err = db.Query(q, exec.Options{Mode: mode, Profile: true, TupleAtATime: true})
+				if err != nil {
+					t.Fatalf("%s (tuple): %v", name, err)
+				}
+				if p := res.Profile; p.BatchPath || p.Fallback != "tuple-at-a-time forced by options" {
+					t.Fatalf("%s (tuple): BatchPath=%v Fallback=%q", name, p.BatchPath, p.Fallback)
+				}
+			}
+		}
+	}
+}
