@@ -12,7 +12,8 @@
 #                      the kill -9 WAL recovery stress (a victim process
 #                      is SIGKILLed at random crash points and reopened
 #                      asserting zero lost acknowledged writes)
-#   make bench-evict — eviction/reload benchmarks, one iteration each
+#   make bench-evict — eviction/reload benchmarks (a scan's four columns
+#                      and the whole block), one iteration each
 #   make bench-json  — full benchmark suite, one iteration each, as JSON
 #                      events in BENCH_$(BENCH_PR).json (committed so future
 #                      PRs can diff perf against this one), plus a
@@ -120,6 +121,7 @@ bench-smoke:
 # go test fuzzes one target per invocation: list each explicitly.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalBlock -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz=FuzzLoadAttrs -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzFindKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzReduceKernels -fuzztime=$(FUZZTIME) ./internal/simd

@@ -515,8 +515,9 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 
 // recoverFromManifest rebuilds the table from its block directory's newest
 // valid manifest generation: every frozen chunk is restored evicted
-// (payload reloaded lazily on first touch), the primary-key index is
-// rebuilt by streaming keys from the stored blocks one at a time, and
+// (directory and attributes read lazily, by what touches them), the
+// primary-key index is rebuilt by streaming the key attribute — and only
+// it — out of the stored blocks one at a time, and
 // block files left unreferenced — superseded generations, writes a crash
 // orphaned — are garbage-collected along with stale manifest records.
 // When no manifest exists the table starts empty and any stray block
@@ -560,10 +561,10 @@ func (t *Table) recoverFromManifest() error {
 		}
 	}
 	if t.memBudget > 0 {
-		// The index rebuild reloaded blocks one at a time but released
-		// only the pins, not the payloads: trim the resident set back
-		// under the budget before the table goes live, so reopening never
-		// starts over budget.
+		// The index rebuild left every block's key attribute resident; on
+		// a table whose keys alone outweigh the budget, trim back under it
+		// before the table goes live, so reopening never starts over
+		// budget.
 		if _, err := t.rel.EvictUnderBudget(); err != nil {
 			return err
 		}

@@ -2,9 +2,9 @@
 // successful pin must be released on every path out of the function
 // that took it (lostcancel-style). Two pin shapes are recognized:
 //
-//   - view pins: a call to a method named Acquire with signature
-//     func() error on a receiver that also has a Release() method
-//     (storage.ChunkView). The matching release is <recv>.Release(),
+//   - view pins: a call to a method named Acquire whose last result is
+//     an error, on a receiver that also has a Release() method
+//     (storage.ChunkView.Acquire(cols)). The matching release is <recv>.Release(),
 //     called directly or deferred.
 //   - handle pins: a call to a function in PinFuncs (storage's
 //     (*Relation).pinBlock) whose results include a func() unpin
@@ -313,7 +313,7 @@ func (w *walker) handleAssign(s *ast.AssignStmt, st state) {
 
 	// Handle pins: v1, unpin, ..., err := x.pinBlock(...). The unpin
 	// closure is located by type — the func() result — not by position,
-	// so pin functions may grow extra results (pinBlock's loaded flag)
+	// so pin functions may grow extra results (pinBlock's loaded bytes)
 	// without silently escaping the check.
 	if PinFuncs[obj.Name()] && len(s.Lhs) >= 2 {
 		unpinIdx := len(s.Lhs) - 2
@@ -339,7 +339,7 @@ func (w *walker) handleAssign(s *ast.AssignStmt, st state) {
 		return
 	}
 
-	// View pins: err := v.Acquire()
+	// View pins: err := v.Acquire(cols)
 	if obj.Name() == "Acquire" && analysis.LastResultIsError(w.pass.TypesInfo, call) {
 		sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !isSel {

@@ -2,11 +2,11 @@ package fixture
 
 import "errors"
 
-// View mimics storage.ChunkView: Acquire() error pins, Release() unpins.
+// View mimics storage.ChunkView: Acquire(cols) error pins, Release() unpins.
 type View struct{}
 
-func (v *View) Acquire() error { return nil }
-func (v *View) Release()       {}
+func (v *View) Acquire(cols []int) error { return nil }
+func (v *View) Release()                 {}
 
 // pinBlock mimics (*Relation).pinBlock: the func() result releases the pin.
 func pinBlock() (int, func(), error) { return 0, func() {}, nil }
@@ -14,7 +14,7 @@ func pinBlock() (int, func(), error) { return 0, func() {}, nil }
 func cond() bool { return false }
 
 func deferredRelease(v *View) error {
-	if err := v.Acquire(); err != nil {
+	if err := v.Acquire(nil); err != nil {
 		return err
 	}
 	defer v.Release()
@@ -22,7 +22,7 @@ func deferredRelease(v *View) error {
 }
 
 func manualRelease(v *View) error {
-	if err := v.Acquire(); err != nil {
+	if err := v.Acquire(nil); err != nil {
 		return err
 	}
 	if cond() {
@@ -34,7 +34,7 @@ func manualRelease(v *View) error {
 }
 
 func leakOnReturn(v *View) error {
-	if err := v.Acquire(); err != nil {
+	if err := v.Acquire(nil); err != nil {
 		return err
 	}
 	if cond() {
@@ -46,7 +46,7 @@ func leakOnReturn(v *View) error {
 
 func leakInLoop(vs []*View) {
 	for _, v := range vs {
-		if err := v.Acquire(); err != nil { // want "not released before the iteration ends"
+		if err := v.Acquire(nil); err != nil { // want "not released before the iteration ends"
 			continue
 		}
 	}
@@ -54,7 +54,7 @@ func leakInLoop(vs []*View) {
 
 func releasedInLoop(vs []*View) {
 	for _, v := range vs {
-		if err := v.Acquire(); err != nil {
+		if err := v.Acquire(nil); err != nil {
 			continue
 		}
 		v.Release()

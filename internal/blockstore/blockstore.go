@@ -12,9 +12,11 @@
 // of work — placement tracks observed access, not just chunk age.
 //
 // The Store is a flat directory of self-contained block files, one per
-// block, written atomically (temp file + fsync + rename) and verified on
-// load through the serialized format's CRC32-C. It stores payload bytes
-// only; which chunk a handle belongs to is the owner's (the relation's)
+// block, written atomically (temp file + fsync + rename) and read back by
+// attribute: a block's header and directory (ReadDirectory) say where each
+// attribute's sections are, LoadAttrs fetches the ones a reader asks for,
+// and the serialized format's per-attribute CRC32-C verifies exactly what
+// was read. It stores payload bytes only; which chunk a handle belongs to is the owner's (the relation's)
 // bookkeeping, exactly like the paper's blocks, which carry no schema.
 //
 // # Durability and garbage collection
@@ -171,27 +173,86 @@ func (s *Store) Put(blk *core.Block) (Handle, error) {
 	return h, nil
 }
 
-// Load reads a stored block back into memory, verifying its checksum and
-// structure; kinds supplies the schema the serialized block does not
-// carry. A missing file, a truncated read, or corruption all surface as
-// errors — never as a block with wrong contents.
-func (s *Store) Load(h Handle, kinds []types.Kind) (*core.Block, error) {
+// open opens block h's file for reading.
+func (s *Store) open(h Handle) (*os.File, error) {
 	if h == 0 {
 		return nil, fmt.Errorf("blockstore: load of zero handle")
 	}
-	buf, err := os.ReadFile(s.path(h))
+	f, err := os.Open(s.path(h))
 	if err != nil {
 		s.loadErrors.Add(1)
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	blk, err := core.UnmarshalBlock(buf, kinds)
+	return f, nil
+}
+
+// ReadDirectory reads and verifies the header and attribute directory of a
+// stored block — the part that stays in RAM while the payload does not;
+// kinds supplies the schema the serialized block does not carry.
+func (s *Store) ReadDirectory(h Handle, kinds []types.Kind) (*core.Directory, error) {
+	f, err := s.open(h)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, core.DirectorySize(len(kinds)))
+	_, err = f.ReadAt(buf, 0)
+	var d *core.Directory
+	if err == nil {
+		d, err = core.ParseDirectory(buf, kinds)
+	}
+	if err == nil {
+		// A file shorter than its header claims fails here, once, rather
+		// than as a short read (behind a section-sized allocation) later.
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil && fi.Size() != int64(d.BlockSize()) {
+			err = fmt.Errorf("file is %d bytes, header says %d", fi.Size(), d.BlockSize())
+		}
+	}
 	if err != nil {
 		s.loadErrors.Add(1)
-		return nil, fmt.Errorf("blockstore: block %d: %w", h, err)
+		return nil, fmt.Errorf("blockstore: block %d: directory: %w", h, err)
 	}
-	s.loads.Add(1)
 	s.bytesIn.Add(int64(len(buf)))
-	return blk, nil
+	return d, nil
+}
+
+// LoadAttrs returns a block holding what have holds (nil: nothing) plus the
+// attributes listed in cols (nil: all of them), reading only the sections
+// of listed attributes that have lacks — adjacent ones in one read — and
+// verifying each attribute's checksum and structure. d is the block's
+// directory (ReadDirectory). A missing file, a short read or corruption of
+// a requested attribute surfaces as an error — never as a block with wrong
+// contents; damage confined to attributes that are not read goes unnoticed
+// until a load asks for them. The second result is the number of bytes
+// read.
+func (s *Store) LoadAttrs(h Handle, d *core.Directory, have *core.Block, cols []int) (*core.Block, int, error) {
+	f, err := s.open(h)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	blk, n, err := d.Load(f, have, cols)
+	if err != nil {
+		s.loadErrors.Add(1)
+		return nil, 0, fmt.Errorf("blockstore: block %d: %w", h, err)
+	}
+	if n > 0 { // a load of attributes that were all resident (or of none) reads nothing
+		s.loads.Add(1)
+		s.bytesIn.Add(int64(n))
+	}
+	return blk, n, nil
+}
+
+// Load reads a whole stored block back into memory: the directory, then
+// every attribute in one read.
+func (s *Store) Load(h Handle, kinds []types.Kind) (*core.Block, error) {
+	d, err := s.ReadDirectory(h, kinds)
+	if err != nil {
+		return nil, err
+	}
+	blk, _, err := s.LoadAttrs(h, d, nil, nil)
+	return blk, err
 }
 
 // Retain removes every stored block whose handle is not in keep — the

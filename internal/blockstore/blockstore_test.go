@@ -73,23 +73,78 @@ func TestStoreLoadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the file on disk: the CRC must reject it at reload.
 	path := s.path(h)
-	buf, err := os.ReadFile(path)
+	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[len(buf)/2] ^= 0x40
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	d, err := s.ReadDirectory(h, testKinds)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Load(h, testKinds); err == nil {
-		t.Fatal("corrupt block load succeeded")
+	rewrite := func(buf []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The zero handle is rejected before touching disk; the missing file
-	// and the corrupt file each count as a load error.
-	if got := s.Stats().LoadErrors; got != 2 {
-		t.Fatalf("LoadErrors = %d, want 2", got)
+	errs := func() int64 { return s.Stats().LoadErrors }
+	base := errs() // the missing file; the zero handle never reached the disk
+	if base != 1 {
+		t.Fatalf("LoadErrors = %d, want 1", base)
+	}
+
+	// A flipped byte in attribute 1 (the last section byte before the
+	// trailer): loads that ask for attribute 1 fail, loads of attribute 0
+	// alone keep working — the per-attribute CRC verifies what was read.
+	bad := append([]byte(nil), pristine...)
+	bad[len(bad)-9] ^= 0x40
+	rewrite(bad)
+	if _, lerr := s.Load(h, testKinds); lerr == nil {
+		t.Fatal("whole-block load of a corrupt block succeeded")
+	}
+	if _, _, lerr := s.LoadAttrs(h, d, nil, []int{1}); lerr == nil {
+		t.Fatal("load of the corrupt attribute succeeded")
+	}
+	blk, n, err := s.LoadAttrs(h, d, nil, []int{0})
+	if err != nil {
+		t.Fatalf("load of the intact attribute failed: %v", err)
+	}
+	if n != d.AttrBytes(0) || !blk.Has([]int{0}) || blk.Has([]int{1}) {
+		t.Fatalf("read %d bytes (attribute 0 is %d), Has(0)=%v Has(1)=%v", n, d.AttrBytes(0), blk.Has([]int{0}), blk.Has([]int{1}))
+	}
+	if blk.Int(0, 7) != 7 {
+		t.Fatalf("attribute 0 row 7 = %d", blk.Int(0, 7))
+	}
+	if got := errs() - base; got != 2 {
+		t.Fatalf("corrupt attribute counted %d load errors, want 2", got)
+	}
+
+	// A corrupt directory fails everything that needs to read it.
+	bad = append([]byte(nil), pristine...)
+	bad[30] ^= 0x01
+	rewrite(bad)
+	if _, err := s.ReadDirectory(h, testKinds); err == nil {
+		t.Fatal("corrupt directory went undetected")
+	}
+	if _, err := s.Load(h, testKinds); err == nil {
+		t.Fatal("load through a corrupt directory succeeded")
+	}
+
+	// A file cut short: the directory read notices the size mismatch, and
+	// a reader that still holds the old directory gets a short read.
+	rewrite(pristine[:len(pristine)-20])
+	if _, err := s.ReadDirectory(h, testKinds); err == nil {
+		t.Fatal("truncated file went undetected")
+	}
+	if _, _, err := s.LoadAttrs(h, d, nil, nil); err == nil {
+		t.Fatal("short read went undetected")
+	}
+
+	// The pristine bytes load again: nothing above was cached.
+	rewrite(pristine)
+	if _, err := s.Load(h, testKinds); err != nil {
+		t.Fatalf("pristine block rejected: %v", err)
 	}
 }
 
@@ -183,6 +238,93 @@ func TestCacheVictimsColdestFirst(t *testing.T) {
 	}
 	if st := c.Stats(); st.Evictions != 2 || st.Resident != 2 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestCacheCyclicScanKeepsPrefix replays the access pattern that used to
+// defeat the cache: a cyclic scan over n equally sized blocks with room for
+// k of them, every pass touching every owner once (what Snapshot does), so
+// all temperatures tie. Most-recently-installed-first keeps a resident
+// prefix — at least k−1 hits per pass — where coldest-first over map order
+// evicted at random, and the total order makes every run nominate the same
+// victims.
+func TestCacheCyclicScanKeepsPrefix(t *testing.T) {
+	const n, k, size, passes = 8, 3, 100, 5
+	run := func() (victims []int, hits []int) {
+		c := NewCache(k * size)
+		owners := make([]*fakeOwner, n)
+		index := make(map[Owner]int, n)
+		for i := range owners {
+			owners[i] = &fakeOwner{}
+			index[owners[i]] = i
+		}
+		resident := make([]bool, n)
+		for p := 0; p < passes; p++ {
+			for _, o := range owners {
+				o.temp.Add(1)
+			}
+			h := 0
+			for i, o := range owners {
+				if resident[i] {
+					h++
+					continue
+				}
+				// Reload under a pin, then let the evictor run.
+				o.pinned.Store(true)
+				c.Insert(o, size)
+				resident[i] = true
+				o.pinned.Store(false)
+				for _, v := range c.Victims() {
+					c.Drop(v)
+					resident[index[v]] = false
+					victims = append(victims, index[v])
+				}
+				if c.OverBudget() {
+					t.Fatalf("pass %d: over budget after eviction", p)
+				}
+			}
+			hits = append(hits, h)
+		}
+		return victims, hits
+	}
+	victims, hits := run()
+	for p, h := range hits[1:] {
+		if h < k-1 {
+			t.Fatalf("pass %d: %d hits with room for %d blocks, want >= %d (hits per pass %v)", p+1, h, k, k-1, hits)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		again, _ := run()
+		if len(again) != len(victims) {
+			t.Fatalf("run %d evicted %d blocks, first run %d", i, len(again), len(victims))
+		}
+		for j := range again {
+			if again[j] != victims[j] {
+				t.Fatalf("run %d: victim %d is block %d, first run evicted block %d", i, j, again[j], victims[j])
+			}
+		}
+	}
+}
+
+func TestCacheReserveCountsAgainstBudget(t *testing.T) {
+	c := NewCache(150)
+	a, b := &fakeOwner{}, &fakeOwner{}
+	c.Insert(a, 60)
+	c.Insert(b, 60)
+	if c.OverBudget() {
+		t.Fatal("120 of 150 bytes is over budget?")
+	}
+	c.Reserve(40) // e.g. the directories of evicted blocks
+	if got := c.Stats().ResidentBytes; got != 160 {
+		t.Fatalf("resident %d, want 160", got)
+	}
+	victims := c.Victims()
+	if len(victims) != 1 || victims[0] != b {
+		t.Fatalf("want the most recently installed owner as the one victim, got %d", len(victims))
+	}
+	c.Drop(b)
+	if c.OverBudget() || c.Used() != 100 {
+		t.Fatalf("used %d after the eviction", c.Used())
 	}
 }
 

@@ -29,10 +29,18 @@ type Cache struct {
 	budget int64
 
 	mu   sync.Mutex
-	res  map[Owner]int64
-	used int64
+	res  map[Owner]resident
+	used int64 // resident payload bytes plus reserved
+	seq  uint64
 
 	evictions atomic.Int64
+}
+
+// resident is one owner's entry: its payload bytes in RAM and when they
+// were last installed.
+type resident struct {
+	bytes int64
+	seq   uint64 // install order, the eviction tie-break
 }
 
 // CacheStats summarizes cache occupancy and churn.
@@ -46,7 +54,7 @@ type CacheStats struct {
 // NewCache creates a residency cache with the given byte budget; a budget
 // of zero or less means unbounded (no victim is ever nominated).
 func NewCache(budget int64) *Cache {
-	return &Cache{budget: budget, res: make(map[Owner]int64)}
+	return &Cache{budget: budget, res: make(map[Owner]resident)}
 }
 
 // Budget returns the configured byte budget (<= 0: unbounded).
@@ -60,13 +68,21 @@ func (c *Cache) Used() int64 {
 }
 
 // Insert records that an owner's block is resident with the given
-// footprint. Re-inserting an already resident owner updates its size.
+// footprint. Re-inserting an already resident owner — its block gained
+// attributes — updates its size; either way the owner becomes the most
+// recently installed.
 func (c *Cache) Insert(o Owner, bytes int64) {
 	c.mu.Lock()
-	if old, ok := c.res[o]; ok {
-		c.used -= old
-	}
-	c.res[o] = bytes
+	c.used += bytes - c.res[o].bytes
+	c.seq++
+	c.res[o] = resident{bytes: bytes, seq: c.seq}
+	c.mu.Unlock()
+}
+
+// Reserve accounts bytes that are resident but never evictable — the block
+// directories evicted owners keep — against the budget.
+func (c *Cache) Reserve(bytes int64) {
+	c.mu.Lock()
 	c.used += bytes
 	c.mu.Unlock()
 }
@@ -75,8 +91,8 @@ func (c *Cache) Insert(o Owner, bytes int64) {
 // away). Dropping a non-resident owner is a no-op.
 func (c *Cache) Drop(o Owner) {
 	c.mu.Lock()
-	if bytes, ok := c.res[o]; ok {
-		c.used -= bytes
+	if r, ok := c.res[o]; ok {
+		c.used -= r.bytes
 		delete(c.res, o)
 		c.evictions.Add(1)
 	}
@@ -94,9 +110,14 @@ func (c *Cache) OverBudget() bool {
 }
 
 // Victims nominates unpinned owners, coldest first by temperature, whose
-// combined eviction would bring the resident set back under budget. The
-// caller performs the actual evictions (some may fail benignly — a reader
-// can pin a victim after nomination) and reports them back through Drop.
+// combined eviction would bring the resident set back under budget. Equal
+// temperatures — the normal case under scans, which touch every owner once
+// per pass — go most recently installed first: a cyclic scan larger than
+// the budget then keeps a stable resident prefix and churns one slot,
+// instead of evicting the block it needs next. The order is total, so the
+// same state nominates the same victims. The caller performs the actual
+// evictions (some may fail benignly — a reader can pin a victim after
+// nomination) and reports them back through Drop.
 func (c *Cache) Victims() []Owner {
 	if c.budget <= 0 {
 		return nil
@@ -108,19 +129,24 @@ func (c *Cache) Victims() []Owner {
 		return nil
 	}
 	type cand struct {
-		o     Owner
-		bytes int64
-		temp  uint64
+		o Owner
+		resident
+		temp uint64
 	}
 	cands := make([]cand, 0, len(c.res))
-	for o, bytes := range c.res {
+	for o, r := range c.res {
 		if o.Pinned() {
 			continue
 		}
-		cands = append(cands, cand{o, bytes, o.Temperature()})
+		cands = append(cands, cand{o, r, o.Temperature()})
 	}
 	c.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].temp < cands[j].temp })
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].temp != cands[j].temp {
+			return cands[i].temp < cands[j].temp
+		}
+		return cands[i].seq > cands[j].seq
+	})
 	var out []Owner
 	for _, v := range cands {
 		if shed <= 0 {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"datablocks/internal/compress"
 	"datablocks/internal/psma"
@@ -43,6 +44,10 @@ type Attr struct {
 	Psma      *psma.Table // nil for floats and single-value attributes
 }
 
+// loaded reports whether the attribute's vectors are in RAM; only a block
+// reloaded by attribute (Directory.Load) holds attributes that are not.
+func (a *Attr) loaded() bool { return a.Ints != nil || a.Floats != nil || a.Strs != nil }
+
 // scheme returns the attribute's compression scheme.
 func (a *Attr) scheme() compress.Scheme {
 	switch a.Kind {
@@ -59,6 +64,13 @@ func (a *Attr) scheme() compress.Scheme {
 type Block struct {
 	n     int
 	attrs []Attr
+	// missing counts attributes whose vectors are not loaded. It is zero
+	// for every block except one Directory.Load built from a column subset;
+	// reading an attribute such a block lacks is a caller bug (see Has).
+	missing int
+	// decoded marks a block decoded from its serialized form: its string
+	// dictionary entries are substrings of whole sections (see Row).
+	decoded bool
 }
 
 // ColumnData is the uncompressed input of one column at freeze time.
@@ -222,16 +234,38 @@ func (b *Block) NumAttrs() int { return len(b.attrs) }
 // Attr exposes the compressed attribute at ordinal i (read-only).
 func (b *Block) Attr(i int) *Attr { return &b.attrs[i] }
 
+// Has reports whether the block holds every attribute listed in cols. A nil
+// cols asks for all attributes; an empty one for none.
+func (b *Block) Has(cols []int) bool {
+	if b.missing == 0 {
+		return true
+	}
+	if cols == nil {
+		return false
+	}
+	for _, c := range cols {
+		if !b.attrs[c].loaded() {
+			return false
+		}
+	}
+	return true
+}
+
 // Scheme returns the compression scheme of attribute col.
 func (b *Block) Scheme(col int) compress.Scheme { return b.attrs[col].scheme() }
 
 // LayoutKey identifies the block's storage-layout combination: the tuple of
-// (scheme, width) per attribute. The number of distinct layout keys across a
-// relation drives JIT code-path explosion (Figure 5).
+// (scheme, width) per attribute, with a placeholder for attributes that are
+// not loaded. The number of distinct layout keys across a relation drives
+// JIT code-path explosion (Figure 5).
 func (b *Block) LayoutKey() string {
 	key := make([]byte, 0, 2*len(b.attrs))
 	for i := range b.attrs {
 		a := &b.attrs[i]
+		if !a.loaded() {
+			key = append(key, 0xFF, 0)
+			continue
+		}
 		w := 0
 		switch a.Kind {
 		case types.Int64:
@@ -304,8 +338,37 @@ func (b *Block) Value(col, row int) types.Value {
 	}
 }
 
+// Row materializes tuple row into dst, one value per attribute — the point
+// read of a whole tuple. The strings it returns own their bytes. In a block
+// decoded from its serialized form the dictionary entries are substrings of
+// whole sections, and a row outlives the pin it was read under: returned as
+// they are, its strings would keep those sections alive — past the block's
+// eviction, and for as long as a hot chunk the row is written back into.
+// They are copied out, into one allocation per row.
+func (b *Block) Row(row int, dst types.Row) {
+	strBytes := 0
+	for i := range dst {
+		dst[i] = b.Value(i, row)
+		if b.decoded && b.attrs[i].Kind == types.String && !dst[i].IsNull() {
+			strBytes += len(dst[i].Str())
+		}
+	}
+	if strBytes == 0 {
+		return
+	}
+	var own strings.Builder
+	own.Grow(strBytes) // sized for the row: the buffer never moves
+	for i := range dst {
+		if b.attrs[i].Kind == types.String && !dst[i].IsNull() {
+			start := own.Len()
+			own.WriteString(dst[i].Str())
+			dst[i] = types.StringValue(own.String()[start:])
+		}
+	}
+}
+
 // CompressedSize returns the total in-memory footprint of the block's
-// compressed vectors, bitmaps and PSMAs, in bytes.
+// loaded compressed vectors, bitmaps and PSMAs, in bytes.
 func (b *Block) CompressedSize() int {
 	size := 16 // block header
 	for i := range b.attrs {
@@ -315,10 +378,14 @@ func (b *Block) CompressedSize() int {
 }
 
 // AttrCompressedSize returns the in-memory footprint of one attribute's
-// compressed vector, validity bitmap and PSMA, in bytes. Per-scheme
-// compression-ratio telemetry sums these by Scheme(i).
+// compressed vector, validity bitmap and PSMA, in bytes — zero while the
+// attribute is not loaded. Per-scheme compression-ratio telemetry sums
+// these by Scheme(i).
 func (b *Block) AttrCompressedSize(i int) int {
 	a := &b.attrs[i]
+	if !a.loaded() {
+		return 0
+	}
 	size := 0
 	switch a.Kind {
 	case types.Int64:

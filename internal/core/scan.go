@@ -274,9 +274,27 @@ func (s *Scanner) compileFloat(a *Attr, p Predicate, addValidity func()) (bool, 
 	if v.AllNull {
 		return true, nil
 	}
-	c1 := p.Lo.Float()
-	c2 := c1
-	var op simd.Op
+	op, c1, c2, err := floatPred(p)
+	if err != nil {
+		return false, err
+	}
+	switch smaFloat(op, c1, c2, v.Min, v.Max) {
+	case compress.None:
+		return true, nil
+	case compress.All:
+		addValidity()
+		return false, nil
+	}
+	s.preds = append(s.preds, compiledPred{class: predFloat, fvals: v.Values, fop: op, f1: c1, f2: c2})
+	addValidity()
+	return false, nil
+}
+
+// floatPred normalizes a predicate on a double column to a comparison
+// operator and its constants.
+func floatPred(p Predicate) (op simd.Op, c1, c2 float64, err error) {
+	c1 = p.Lo.Float()
+	c2 = c1
 	switch p.Op {
 	case types.Eq:
 		op = simd.OpEq
@@ -294,18 +312,55 @@ func (s *Scanner) compileFloat(a *Attr, p Predicate, addValidity func()) (bool, 
 		op = simd.OpBetween
 		c2 = p.Hi.Float()
 	default:
-		return false, fmt.Errorf("core: operator %v not valid on doubles", p.Op)
+		err = fmt.Errorf("core: operator %v not valid on doubles", p.Op)
 	}
-	switch smaFloat(op, c1, c2, v.Min, v.Max) {
-	case compress.None:
-		return true, nil
-	case compress.All:
-		addValidity()
-		return false, nil
+	return op, c1, c2, err
+}
+
+// MayMatch reports whether the block can hold a tuple that satisfies every
+// predicate, judged by the directory alone: per attribute the SMA bounds,
+// the single value, and the NULL flags — the whole-block skip of §3.2,
+// decidable while the payload is on secondary storage. It errs on the side
+// of true: a dictionary miss needs the dictionary, and a malformed
+// predicate is NewScanner's to report once the block is pinned.
+func (d *Directory) MayMatch(preds []Predicate) bool {
+	for _, p := range preds {
+		if p.Col < 0 || p.Col >= len(d.attrs) {
+			continue
+		}
+		e := &d.attrs[p.Col]
+		allNull := e.flags&flagAllNull != 0
+		if p.Op == types.IsNull || p.Op == types.IsNotNull {
+			// Without a validity bitmap the column is all NULL or all
+			// non-NULL, which decides the predicate for the whole block.
+			if e.flags&flagValidity == 0 && allNull != (p.Op == types.IsNull) {
+				return false
+			}
+			continue
+		}
+		if allNull {
+			return false // a value predicate never matches NULL
+		}
+		switch {
+		case e.kind == types.Int64 && p.Lo.Kind() == types.Int64:
+			// A payload-free stand-in: presented as uncompressed, its
+			// translation can only be ruled out by min/max or the single
+			// value, exactly what the directory knows.
+			v := compress.IntVector{Scheme: compress.Uncompressed, Min: int64(e.min), Max: int64(e.max), Single: int64(e.single)}
+			if e.scheme == compress.SingleValue {
+				v.Scheme = compress.SingleValue
+			}
+			if tr, _, err := translateInt(&v, p); err == nil && tr.Verdict == compress.None {
+				return false
+			}
+		case e.kind == types.Float64 && p.Lo.Kind() == types.Float64:
+			op, c1, c2, err := floatPred(p)
+			if err == nil && smaFloat(op, c1, c2, math.Float64frombits(e.min), math.Float64frombits(e.max)) == compress.None {
+				return false
+			}
+		}
 	}
-	s.preds = append(s.preds, compiledPred{class: predFloat, fvals: v.Values, fop: op, f1: c1, f2: c2})
-	addValidity()
-	return false, nil
+	return true
 }
 
 // smaFloat decides whether the SMA interval [min, max] proves a float

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"datablocks/internal/compress"
@@ -12,31 +13,61 @@ import (
 	"datablocks/internal/types"
 )
 
-// Serialization follows Figure 3: a single flat, pointer-free buffer
-// starting with the tuple count, followed by per-attribute metadata
-// (compression method and offsets to SMA/PSMA, dictionary, data vector and
-// string section) and the sections themselves. Blocks carry no schema —
-// replicating it per block would waste space (§3) — so deserialization
-// takes the column kinds from the caller.
+// Serialization follows Figure 3: a single flat, pointer-free buffer that
+// starts with a fixed header and a directory of per-attribute metadata
+// (compression method, SMA, and where the attribute's vectors live),
+// followed by the vectors themselves. Blocks carry no schema — replicating
+// it per block would waste space (§3) — so deserialization takes the column
+// kinds from the caller.
 //
-// Version 2 appends a CRC32-C (Castagnoli) checksum over everything after
-// the fixed header to the header itself, so a block reloaded from
-// secondary storage detects on-disk corruption at load time instead of
-// surfacing it as wrong query results. Every offset and length read from
-// the buffer is additionally bounds-checked: a truncated or corrupt buffer
-// that happens to carry a valid checksum is rejected with an error, never
-// a panic.
+// Version 3 makes the block readable by attribute: the directory alone
+// answers every whole-block SMA test (Directory.MayMatch), and each
+// attribute's sections are contiguous and individually checksummed, so a
+// reader fetches and verifies only the attributes it needs
+// (Directory.Load).
+//
+//	fixed header, 24 bytes
+//	   0  u32  magic "DBLK"
+//	   4  u32  version (3)
+//	   8  u32  tuple count
+//	  12  u32  attribute count
+//	  16  u32  size of the whole serialized block in bytes
+//	  20  u32  CRC32-C over bytes [0,20) and the attribute directory
+//	attribute directory, 64 bytes per attribute
+//	   0  u8   kind            1  u8  scheme
+//	   2  u8   code width      3  u8  flags (validity, PSMA, all-NULL)
+//	   4  u32  NULL count
+//	   8  u64  min    16  u64  max    24  u64  single value (SMA, §3.2)
+//	  32  u32  offset of the attribute's sections
+//	  36  u32  their total length
+//	  40  u32  integer dictionary entries (8 bytes each)
+//	  44  u32  data (code vector) bytes
+//	  48  u32  string dictionary entries (0: one single string)
+//	  52  u32  string section bytes (u32 length + bytes per string)
+//	  56  u32  CRC32-C over the attribute's sections
+//	  60  u32  reserved, zero
+//	sections of attribute 0, 1, …, back to back, each attribute's in the
+//	order  dictionary | data | strings | validity | PSMA
+//	trailer: dataSlack zero bytes
+//
+// The two checksums split the buffer without overlap: the header CRC
+// covers what stays resident while a block is evicted, each attribute CRC
+// covers exactly the bytes one partial read fetches. The directory is
+// validated as a whole before any section is touched — lengths must be the
+// ones scheme, width and tuple count imply, and sections must tile the
+// buffer from the end of the directory to the trailer with no gap or
+// overlap — so a corrupt or crafted buffer is an error, never a panic or a
+// wrong result. Versions 1 and 2 are rejected.
 
 const (
-	blockMagic = 0x4B4C4244 // "DBLK"
-	// blockVersion 2 = v1 layout plus a CRC32-C field in the header
-	// (header grew 16 → 24 bytes). v1 buffers are rejected.
-	blockVersion = 2
+	blockMagic   = 0x4B4C4244 // "DBLK"
+	blockVersion = 3
 	headerSize   = 24
-	crcOffset    = 16 // CRC32-C over buf[headerSize:]
+	crcOffset    = 20
 	attrHdrSize  = 64
-	// dataSlack is appended to code vectors so 8-byte SWAR loads at the
-	// tail stay in bounds.
+	// dataSlack bytes follow every code vector so 8-byte SWAR loads at the
+	// tail stay in bounds: inside a block they are simply the next
+	// section, the trailer provides them behind the last one.
 	dataSlack = 8
 )
 
@@ -50,115 +81,118 @@ const (
 // accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// dirAttr is one attribute's directory entry.
+type dirAttr struct {
+	kind             types.Kind
+	scheme           compress.Scheme
+	width            int
+	flags            byte
+	nullCount        int
+	min, max, single uint64
+	off, length      int
+	dictCount        int
+	dataLen          int
+	strCount, strLen int
+	crc              uint32
+}
+
+// Directory is the part of a serialized block that stays in RAM while the
+// payload is on secondary storage: tuple count plus, per attribute, the
+// SMA, compression metadata and section location.
+type Directory struct {
+	n     int
+	size  int
+	attrs []dirAttr
+}
+
+// DirectorySize returns the serialized size of the fixed header and the
+// directory of a block with the given attribute count — the prefix
+// ParseDirectory needs.
+func DirectorySize(attrs int) int { return headerSize + attrHdrSize*attrs }
+
+// BlockSize returns the size of the whole serialized block the directory
+// describes. Every section lies inside it, so a reader that has checked it
+// against what it is about to read from knows Load stays in bounds.
+func (d *Directory) BlockSize() int { return d.size }
+
+// Size returns the directory's own footprint in bytes.
+func (d *Directory) Size() int { return DirectorySize(len(d.attrs)) }
+
+// AttrBytes returns the serialized size of attribute col's sections — what
+// loading that attribute reads.
+func (d *Directory) AttrBytes(col int) int { return d.attrs[col].length }
+
+// headerCRC is the checksum over the fixed header (minus its own field)
+// and the directory.
+func headerCRC(buf []byte, attrs int) uint32 {
+	return crc32.Update(crc32.Checksum(buf[:crcOffset], crcTable), crcTable, buf[headerSize:DirectorySize(attrs)])
+}
+
 // MarshalBinary flattens the block into a self-contained byte buffer.
 func (b *Block) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, headerSize+attrHdrSize*len(b.attrs))
-	binary.LittleEndian.PutUint32(buf[0:], blockMagic)
-	binary.LittleEndian.PutUint32(buf[4:], blockVersion)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(b.n))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(b.attrs)))
-
+	if b.missing != 0 {
+		return nil, errors.New("core: cannot marshal a partially loaded block")
+	}
+	dirEnd := DirectorySize(len(b.attrs))
+	buf := make([]byte, dirEnd, dirEnd+b.CompressedSize()+dataSlack)
 	for i := range b.attrs {
 		a := &b.attrs[i]
-		// Header fields are written via absolute offsets into the current
-		// buf: appends below reallocate the backing array, so a cached
-		// subslice would go stale.
-		hdr := headerSize + i*attrHdrSize
-		putU32 := func(off int, v uint32) { binary.LittleEndian.PutUint32(buf[hdr+off:], v) }
-		putU64 := func(off int, v uint64) { binary.LittleEndian.PutUint64(buf[hdr+off:], v) }
-		buf[hdr+0] = byte(a.Kind)
-		buf[hdr+1] = byte(a.scheme())
-		var flags byte
+		e := dirAttr{kind: a.Kind, scheme: a.scheme(), nullCount: a.NullCount, off: len(buf)}
 		if a.Validity != nil {
-			flags |= flagValidity
+			e.flags |= flagValidity
 		}
 		if a.Psma != nil {
-			flags |= flagPSMA
+			e.flags |= flagPSMA
 		}
-		putU32(4, uint32(a.NullCount))
-
-		var width int
-		var min, max, single uint64
-		var dict []int64
-		var data []byte
-		var strs []string
-		var singleStr string
+		allNull := false
 		switch a.Kind {
 		case types.Int64:
 			v := a.Ints
-			width = v.Width
-			min, max, single = uint64(v.Min), uint64(v.Max), uint64(v.Single)
-			dict, data = v.Dict, v.Data
-			if v.AllNull {
-				flags |= flagAllNull
+			e.width, allNull = v.Width, v.AllNull
+			e.min, e.max, e.single = uint64(v.Min), uint64(v.Max), uint64(v.Single)
+			e.dictCount = len(v.Dict)
+			for _, x := range v.Dict {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
 			}
 			if v.Scheme != compress.SingleValue {
-				data = data[:v.N*v.Width]
-			} else {
-				data = nil
+				e.dataLen = v.N * v.Width
+				buf = append(buf, v.Data[:e.dataLen]...)
 			}
 		case types.Float64:
 			v := a.Floats
-			min = floatBits(v.Min)
-			max = floatBits(v.Max)
-			single = floatBits(v.Single)
-			if v.AllNull {
-				flags |= flagAllNull
-			}
+			allNull = v.AllNull
+			e.min, e.max, e.single = math.Float64bits(v.Min), math.Float64bits(v.Max), math.Float64bits(v.Single)
 			if v.Scheme == compress.Uncompressed {
-				data = make([]byte, 8*v.N)
-				for j, f := range v.Values {
-					binary.LittleEndian.PutUint64(data[j*8:], floatBits(f))
+				e.dataLen = 8 * v.N
+				for _, f := range v.Values {
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 				}
 			}
 		case types.String:
 			v := a.Strs
-			width = v.Width
-			strs = v.Dict
-			singleStr = v.Single
-			if v.AllNull {
-				flags |= flagAllNull
-			}
+			e.width, allNull = v.Width, v.AllNull
 			if v.Scheme != compress.SingleValue {
-				data = v.Data[:v.N*v.Width]
+				e.dataLen = v.N * v.Width
+				buf = append(buf, v.Data[:e.dataLen]...)
 			}
-		}
-		buf[hdr+2] = byte(width)
-		buf[hdr+3] = flags
-		putU64(8, min)
-		putU64(16, max)
-		putU64(24, single)
-
-		// dict section (integer dictionaries)
-		putU32(32, uint32(len(buf)))
-		putU32(36, uint32(len(dict)))
-		for _, d := range dict {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
-		}
-		// data section
-		putU32(40, uint32(len(buf)))
-		putU32(44, uint32(len(data)))
-		buf = append(buf, data...)
-		// string section: single string or string dictionary
-		putU32(48, uint32(len(buf)))
-		if strs != nil {
-			putU32(52, uint32(len(strs)))
+			strs := v.Dict
+			e.strCount = len(strs)
+			if strs == nil {
+				strs = []string{v.Single}
+			}
+			strStart := len(buf)
 			for _, s := range strs {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 				buf = append(buf, s...)
 			}
-		} else {
-			putU32(52, 0)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(singleStr)))
-			buf = append(buf, singleStr...)
+			e.strLen = len(buf) - strStart
 		}
-		// validity section
-		putU32(56, uint32(len(buf)))
+		if allNull {
+			e.flags |= flagAllNull
+		}
 		for _, w := range a.Validity {
 			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
-		// PSMA section
-		putU32(60, uint32(len(buf)))
 		if a.Psma != nil {
 			for s := 0; s < a.Psma.NumSlots(); s++ {
 				r := a.Psma.SlotRange(s)
@@ -166,55 +200,49 @@ func (b *Block) MarshalBinary() ([]byte, error) {
 				buf = binary.LittleEndian.AppendUint32(buf, r.End)
 			}
 		}
+		e.length = len(buf) - e.off
+		e.crc = crc32.Checksum(buf[e.off:], crcTable)
+		e.put(buf[headerSize+i*attrHdrSize:])
 	}
-	binary.LittleEndian.PutUint32(buf[crcOffset:], crc32.Checksum(buf[headerSize:], crcTable))
+	buf = append(buf, make([]byte, dataSlack)...)
+	if len(buf) > math.MaxUint32 {
+		return nil, fmt.Errorf("core: serialized block of %d bytes exceeds the format's 4 GiB", len(buf))
+	}
+	binary.LittleEndian.PutUint32(buf[0:], blockMagic)
+	binary.LittleEndian.PutUint32(buf[4:], blockVersion)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(b.n))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(b.attrs)))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(len(buf)))
+	binary.LittleEndian.PutUint32(buf[crcOffset:], headerCRC(buf, len(b.attrs)))
 	return buf, nil
 }
 
-// section bounds-checks one serialized section and returns it. off and
-// length come straight from the (untrusted) buffer.
-func section(buf []byte, off uint32, length int, what string) ([]byte, error) {
-	end := int(off) + length
-	if length < 0 || int(off) < headerSize || end > len(buf) || end < int(off) {
-		return nil, fmt.Errorf("core: %s section [%d:%d] outside buffer of %d bytes", what, off, end, len(buf))
-	}
-	return buf[off:end], nil
-}
-
-// checkCodes verifies every code of a dictionary-compressed vector indexes
-// an existing dictionary entry, so a logically corrupt (but checksum-valid)
-// buffer cannot cause an out-of-range access on first point access.
-func checkCodes(data []byte, n, width, dictLen int, attr int) error {
-	for i := 0; i < n; i++ {
-		if c := readUintAt(data, i, width); c >= uint64(dictLen) {
-			return fmt.Errorf("core: attribute %d: row %d code %d exceeds dictionary of %d", attr, i, c, dictLen)
-		}
-	}
-	return nil
-}
-
-// readUintAt mirrors simd.ReadUint for the validated widths 1, 2, 4, 8.
-func readUintAt(data []byte, idx, width int) uint64 {
-	switch width {
-	case 1:
-		return uint64(data[idx])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(data[idx*2:]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(data[idx*4:]))
-	default:
-		return binary.LittleEndian.Uint64(data[idx*8:])
-	}
+// put writes the directory entry into its 64-byte slot.
+func (e *dirAttr) put(h []byte) {
+	h[0], h[1], h[2], h[3] = byte(e.kind), byte(e.scheme), byte(e.width), e.flags
+	binary.LittleEndian.PutUint32(h[4:], uint32(e.nullCount))
+	binary.LittleEndian.PutUint64(h[8:], e.min)
+	binary.LittleEndian.PutUint64(h[16:], e.max)
+	binary.LittleEndian.PutUint64(h[24:], e.single)
+	binary.LittleEndian.PutUint32(h[32:], uint32(e.off))
+	binary.LittleEndian.PutUint32(h[36:], uint32(e.length))
+	binary.LittleEndian.PutUint32(h[40:], uint32(e.dictCount))
+	binary.LittleEndian.PutUint32(h[44:], uint32(e.dataLen))
+	binary.LittleEndian.PutUint32(h[48:], uint32(e.strCount))
+	binary.LittleEndian.PutUint32(h[52:], uint32(e.strLen))
+	binary.LittleEndian.PutUint32(h[56:], e.crc)
 }
 
 func validWidth(w int) bool { return w == 1 || w == 2 || w == 4 || w == 8 }
 
-// UnmarshalBlock reconstructs a block from a flat buffer produced by
-// MarshalBinary. kinds supplies the schema the block itself does not
-// carry. The buffer is untrusted: the checksum is verified and every
-// offset, length and code read from it is bounds-checked, so a truncated
-// or corrupt buffer yields an error instead of a panic or wrong results.
-func UnmarshalBlock(buf []byte, kinds []types.Kind) (*Block, error) {
+// ParseDirectory verifies and decodes the fixed header and attribute
+// directory at the start of a serialized block; buf needs to hold no more
+// than DirectorySize(len(kinds)) bytes of it. kinds supplies the schema the
+// block does not carry. Everything a later Load relies on is checked here,
+// once: the header checksum, and that every attribute's section lengths are
+// exactly what its scheme, width and the tuple count imply and that the
+// sections tile the block without gap or overlap.
+func ParseDirectory(buf []byte, kinds []types.Kind) (*Directory, error) {
 	if len(buf) < headerSize {
 		return nil, errors.New("core: buffer too short")
 	}
@@ -224,9 +252,6 @@ func UnmarshalBlock(buf []byte, kinds []types.Kind) (*Block, error) {
 	if v := binary.LittleEndian.Uint32(buf[4:]); v != blockVersion {
 		return nil, fmt.Errorf("core: unsupported version %d", v)
 	}
-	if want, got := binary.LittleEndian.Uint32(buf[crcOffset:]), crc32.Checksum(buf[headerSize:], crcTable); want != got {
-		return nil, fmt.Errorf("core: checksum mismatch: header says %08x, payload is %08x", want, got)
-	}
 	n := int(binary.LittleEndian.Uint32(buf[8:]))
 	if n < 1 || n > MaxRows {
 		return nil, fmt.Errorf("core: block size %d out of range (1..%d)", n, MaxRows)
@@ -235,219 +260,353 @@ func UnmarshalBlock(buf []byte, kinds []types.Kind) (*Block, error) {
 	if attrCount != len(kinds) {
 		return nil, fmt.Errorf("core: block has %d attributes, schema has %d", attrCount, len(kinds))
 	}
-	if headerSize+attrCount*attrHdrSize > len(buf) {
+	if DirectorySize(attrCount) > len(buf) {
 		return nil, fmt.Errorf("core: %d attribute headers do not fit in %d bytes", attrCount, len(buf))
 	}
-	b := &Block{n: n, attrs: make([]Attr, attrCount)}
-	for i := 0; i < attrCount; i++ {
+	if want, got := binary.LittleEndian.Uint32(buf[crcOffset:]), headerCRC(buf, attrCount); want != got {
+		return nil, fmt.Errorf("core: header checksum mismatch: header says %08x, directory is %08x", want, got)
+	}
+	d := &Directory{n: n, size: int(binary.LittleEndian.Uint32(buf[16:])), attrs: make([]dirAttr, attrCount)}
+	next := DirectorySize(attrCount)
+	for i := range d.attrs {
 		h := buf[headerSize+i*attrHdrSize:]
-		a := &b.attrs[i]
-		a.Kind = types.Kind(h[0])
-		if a.Kind != kinds[i] {
-			return nil, fmt.Errorf("core: attribute %d kind %v, schema says %v", i, a.Kind, kinds[i])
+		e := &d.attrs[i]
+		*e = dirAttr{
+			kind: types.Kind(h[0]), scheme: compress.Scheme(h[1]), width: int(h[2]), flags: h[3],
+			nullCount: int(binary.LittleEndian.Uint32(h[4:])),
+			min:       binary.LittleEndian.Uint64(h[8:]),
+			max:       binary.LittleEndian.Uint64(h[16:]),
+			single:    binary.LittleEndian.Uint64(h[24:]),
+			off:       int(binary.LittleEndian.Uint32(h[32:])),
+			length:    int(binary.LittleEndian.Uint32(h[36:])),
+			dictCount: int(binary.LittleEndian.Uint32(h[40:])),
+			dataLen:   int(binary.LittleEndian.Uint32(h[44:])),
+			strCount:  int(binary.LittleEndian.Uint32(h[48:])),
+			strLen:    int(binary.LittleEndian.Uint32(h[52:])),
+			crc:       binary.LittleEndian.Uint32(h[56:]),
 		}
-		scheme := compress.Scheme(h[1])
-		if scheme > compress.Truncation {
-			return nil, fmt.Errorf("core: attribute %d: unknown scheme %d", i, h[1])
+		if e.kind != kinds[i] {
+			return nil, fmt.Errorf("core: attribute %d kind %v, schema says %v", i, e.kind, kinds[i])
 		}
-		width := int(h[2])
-		flags := h[3]
-		a.NullCount = int(binary.LittleEndian.Uint32(h[4:]))
-		if a.NullCount > n {
-			return nil, fmt.Errorf("core: attribute %d: %d nulls in %d rows", i, a.NullCount, n)
+		if err := e.validate(n); err != nil {
+			return nil, fmt.Errorf("core: attribute %d: %w", i, err)
 		}
-		min := binary.LittleEndian.Uint64(h[8:])
-		max := binary.LittleEndian.Uint64(h[16:])
-		single := binary.LittleEndian.Uint64(h[24:])
-		dictOff := binary.LittleEndian.Uint32(h[32:])
-		dictCount := int(binary.LittleEndian.Uint32(h[36:]))
-		dataOff := binary.LittleEndian.Uint32(h[40:])
-		dataLen := int(binary.LittleEndian.Uint32(h[44:]))
-		strOff := binary.LittleEndian.Uint32(h[48:])
-		strCount := int(binary.LittleEndian.Uint32(h[52:]))
-		validityOff := binary.LittleEndian.Uint32(h[56:])
-		psmaOff := binary.LittleEndian.Uint32(h[60:])
+		if e.off != next {
+			return nil, fmt.Errorf("core: attribute %d: sections start at %d, previous ones end at %d", i, e.off, next)
+		}
+		next += e.length
+	}
+	if next+dataSlack != d.size {
+		return nil, fmt.Errorf("core: sections end at %d in a block of %d bytes", next, d.size)
+	}
+	return d, nil
+}
 
-		// wantData is the exact code-vector size the scheme implies; the
-		// accessors index data by row*width, so anything shorter would be
-		// an out-of-range access waiting for its first point read.
-		wantData := func(perRow int) error {
-			if dataLen != n*perRow {
-				return fmt.Errorf("core: attribute %d: data section is %d bytes, %d rows of width %d need %d",
-					i, dataLen, n, perRow, n*perRow)
-			}
-			return nil
-		}
-		dataSec, err := section(buf, dataOff, dataLen, "data")
-		if err != nil {
-			return nil, err
-		}
-		var data []byte
-		if dataLen > 0 {
-			data = make([]byte, dataLen+dataSlack)
-			copy(data, dataSec)
-		}
-		switch a.Kind {
-		case types.Int64:
-			switch scheme {
-			case compress.SingleValue:
-				if err := wantData(0); err != nil {
-					return nil, err
-				}
-			case compress.Uncompressed:
-				width = 8
-				if err := wantData(8); err != nil {
-					return nil, err
-				}
-			default: // Truncation, Dictionary
-				if !validWidth(width) {
-					return nil, fmt.Errorf("core: attribute %d: invalid code width %d", i, width)
-				}
-				if err := wantData(width); err != nil {
-					return nil, err
-				}
-			}
-			v := &compress.IntVector{
-				Scheme: scheme, Width: width, N: n,
-				AllNull: flags&flagAllNull != 0,
-				Min:     int64(min), Max: int64(max), Single: int64(single),
-				Data: data,
-			}
-			if scheme == compress.Dictionary {
-				if dictCount < 1 {
-					return nil, fmt.Errorf("core: attribute %d: dictionary scheme with empty dictionary", i)
-				}
-				dictSec, err := section(buf, dictOff, 8*dictCount, "dictionary")
-				if err != nil {
-					return nil, err
-				}
-				if err := checkCodes(data, n, width, dictCount, i); err != nil {
-					return nil, err
-				}
-				v.Dict = make([]int64, dictCount)
-				for j := range v.Dict {
-					v.Dict[j] = int64(binary.LittleEndian.Uint64(dictSec[8*j:]))
-				}
-			}
-			a.Ints = v
-		case types.Float64:
-			v := &compress.FloatVector{
-				Scheme: scheme, N: n,
-				AllNull: flags&flagAllNull != 0,
-				Min:     floatFromBits(min), Max: floatFromBits(max), Single: floatFromBits(single),
-			}
-			switch scheme {
-			case compress.SingleValue:
-			case compress.Uncompressed:
-				if err := wantData(8); err != nil {
-					return nil, err
-				}
-				v.Values = make([]float64, n)
-				for j := range v.Values {
-					v.Values[j] = floatFromBits(binary.LittleEndian.Uint64(data[j*8:]))
-				}
-			default:
-				return nil, fmt.Errorf("core: attribute %d: scheme %v not valid for doubles", i, scheme)
-			}
-			a.Floats = v
-		case types.String:
-			v := &compress.StringVector{
-				Scheme: scheme, Width: width, N: n,
-				AllNull: flags&flagAllNull != 0,
-				Data:    data,
-			}
-			switch scheme {
-			case compress.SingleValue:
-				if err := wantData(0); err != nil {
-					return nil, err
-				}
-				s, _, err := readString(buf, int(strOff), i)
-				if err != nil {
-					return nil, err
-				}
-				v.Single = s
-			case compress.Dictionary:
-				if strCount < 1 {
-					return nil, fmt.Errorf("core: attribute %d: string dictionary is empty", i)
-				}
-				// Every dictionary entry occupies at least its 4-byte length
-				// prefix; bound the count against the buffer before the
-				// allocation, or a crafted count OOMs instead of erroring.
-				if int(strOff)+4*strCount > len(buf) {
-					return nil, fmt.Errorf("core: attribute %d: %d dictionary strings cannot fit in %d bytes", i, strCount, len(buf))
-				}
-				if !validWidth(width) {
-					return nil, fmt.Errorf("core: attribute %d: invalid code width %d", i, width)
-				}
-				if err := wantData(width); err != nil {
-					return nil, err
-				}
-				if err := checkCodes(data, n, width, strCount, i); err != nil {
-					return nil, err
-				}
-				v.Dict = make([]string, strCount)
-				off := int(strOff)
-				for j := range v.Dict {
-					s, next, err := readString(buf, off, i)
-					if err != nil {
-						return nil, err
-					}
-					v.Dict[j], off = s, next
-				}
-			default:
-				return nil, fmt.Errorf("core: attribute %d: scheme %v not valid for strings", i, scheme)
-			}
-			a.Strs = v
+// validate checks one directory entry against the tuple count: scheme and
+// width are legal for the kind, and every section has exactly the length
+// they imply, so decodeAttr can slice the sections without further bounds
+// checks. All quantities are at most 2^35, far from overflowing int.
+func (e *dirAttr) validate(n int) error {
+	if e.nullCount > n {
+		return fmt.Errorf("%d nulls in %d rows", e.nullCount, n)
+	}
+	coded := false // scheme stores one width-byte code per row
+	wantDict, wantStrs := false, false
+	switch e.kind {
+	case types.Int64:
+		switch e.scheme {
+		case compress.SingleValue:
+		case compress.Uncompressed:
+			e.width, coded = 8, true
+		case compress.Dictionary:
+			coded, wantDict = true, true
+		case compress.Truncation:
+			coded = true
 		default:
-			return nil, fmt.Errorf("core: attribute %d: unknown kind %d", i, h[0])
+			return fmt.Errorf("unknown scheme %d", e.scheme)
 		}
-		if flags&flagValidity != 0 {
-			words := (n + 63) / 64
-			sec, err := section(buf, validityOff, 8*words, "validity")
-			if err != nil {
-				return nil, err
-			}
-			a.Validity = make([]uint64, words)
-			for j := range a.Validity {
-				a.Validity[j] = binary.LittleEndian.Uint64(sec[8*j:])
-			}
+	case types.Float64:
+		switch e.scheme {
+		case compress.SingleValue:
+		case compress.Uncompressed:
+			e.width, coded = 8, true
+		default:
+			return fmt.Errorf("scheme %v not valid for doubles", e.scheme)
 		}
-		if flags&flagPSMA != 0 {
-			if !validWidth(width) {
-				return nil, fmt.Errorf("core: attribute %d: PSMA with invalid width %d", i, width)
-			}
-			t := psma.NewEmpty(width)
-			sec, err := section(buf, psmaOff, 8*t.NumSlots(), "psma")
-			if err != nil {
-				return nil, err
-			}
-			for s := 0; s < t.NumSlots(); s++ {
-				begin := binary.LittleEndian.Uint32(sec[8*s:])
-				end := binary.LittleEndian.Uint32(sec[8*s+4:])
-				if end > uint32(n) || begin > end {
-					return nil, fmt.Errorf("core: attribute %d: PSMA slot %d range [%d,%d) exceeds %d rows", i, s, begin, end, n)
-				}
-				t.SetSlotRange(s, psma.Range{Begin: begin, End: end})
-			}
-			a.Psma = t
+		if e.flags&flagPSMA != 0 {
+			return errors.New("PSMA on a double attribute")
 		}
+	case types.String:
+		switch e.scheme {
+		case compress.SingleValue:
+		case compress.Dictionary:
+			coded, wantStrs = true, true
+		default:
+			return fmt.Errorf("scheme %v not valid for strings", e.scheme)
+		}
+	default:
+		return fmt.Errorf("unknown kind %d", e.kind)
 	}
-	return b, nil
+	wantData := 0
+	if coded {
+		if !validWidth(e.width) {
+			return fmt.Errorf("invalid code width %d", e.width)
+		}
+		wantData = n * e.width
+	}
+	if e.dataLen != wantData {
+		return fmt.Errorf("data section is %d bytes, %d rows under scheme %v width %d need %d", e.dataLen, n, e.scheme, e.width, wantData)
+	}
+	if (e.dictCount > 0) != wantDict {
+		return fmt.Errorf("%d integer dictionary entries under scheme %v", e.dictCount, e.scheme)
+	}
+	switch {
+	case e.kind != types.String:
+		if e.strCount != 0 || e.strLen != 0 {
+			return errors.New("string section on a non-string attribute")
+		}
+	case (e.strCount > 0) != wantStrs:
+		return fmt.Errorf("%d dictionary strings under scheme %v", e.strCount, e.scheme)
+	case e.strLen < 4*max(e.strCount, 1):
+		// Every string occupies at least its length prefix: bounding the
+		// count here keeps a crafted one from sizing an allocation.
+		return fmt.Errorf("%d strings cannot fit in %d bytes", e.strCount, e.strLen)
+	}
+	want := 8*e.dictCount + e.dataLen + e.strLen
+	if e.flags&flagValidity != 0 {
+		want += 8 * ((n + 63) / 64)
+	}
+	if e.flags&flagPSMA != 0 {
+		if !coded {
+			return errors.New("PSMA without a code vector")
+		}
+		want += 8 * 256 * e.width
+	}
+	if e.length != want {
+		return fmt.Errorf("sections are %d bytes, their parts add up to %d", e.length, want)
+	}
+	return nil
 }
 
-// readString decodes one length-prefixed string at off, returning the
-// string and the offset just past it.
-func readString(buf []byte, off, attr int) (string, int, error) {
-	if off < headerSize || off+4 > len(buf) {
-		return "", 0, fmt.Errorf("core: attribute %d: string length at %d outside buffer of %d bytes", attr, off, len(buf))
+// fetchFunc returns the n serialized bytes at offset off as a slice of
+// n+dataSlack bytes: the trailing slack is addressable filler for SWAR
+// loads, its contents do not matter.
+type fetchFunc func(off, n int) ([]byte, error)
+
+// UnmarshalBlock reconstructs a block from a flat buffer produced by
+// MarshalBinary: every attribute, decoded in place. The returned block
+// aliases buf, which must not be modified afterwards. The buffer is
+// untrusted: checksums are verified and every length and code read from it
+// is validated, so a truncated or corrupt buffer yields an error instead
+// of a panic or wrong results.
+func UnmarshalBlock(buf []byte, kinds []types.Kind) (*Block, error) {
+	d, err := ParseDirectory(buf, kinds)
+	if err != nil {
+		return nil, err
 	}
-	l := int(binary.LittleEndian.Uint32(buf[off:]))
-	off += 4
-	if l < 0 || off+l > len(buf) {
-		return "", 0, fmt.Errorf("core: attribute %d: string of %d bytes at %d outside buffer of %d bytes", attr, l, off, len(buf))
+	if len(buf) != d.BlockSize() {
+		return nil, fmt.Errorf("core: buffer is %d bytes, header says %d", len(buf), d.BlockSize())
 	}
-	return string(buf[off : off+l]), off + l, nil
+	// The trailer makes off+n+dataSlack <= len(buf) for every section.
+	b, _, err := d.load(func(off, n int) ([]byte, error) { return buf[off : off+n+dataSlack], nil }, nil, nil)
+	return b, err
 }
 
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }
+// Load returns a block holding the attributes have already holds (nil:
+// none) plus those listed in cols (nil: every attribute; empty: none),
+// reading from r — the serialized block — only the sections of listed
+// attributes that have lacks; adjacent ones share one read. have is not
+// modified: the result shares its vectors. The second result is the number
+// of bytes read. A short read, a checksum mismatch or an invalid code is
+// an error.
+func (d *Directory) Load(r io.ReaderAt, have *Block, cols []int) (*Block, int, error) {
+	return d.load(func(off, n int) ([]byte, error) {
+		// The read buffer becomes the attributes' code vectors; it is
+		// allocated with the slack they need behind them.
+		buf := make([]byte, n+dataSlack)
+		if _, err := r.ReadAt(buf[:n], int64(off)); err != nil {
+			return nil, fmt.Errorf("core: read of %d bytes at %d: %w", n, off, err)
+		}
+		return buf, nil
+	}, have, cols)
+}
+
+func (d *Directory) load(fetch fetchFunc, have *Block, cols []int) (*Block, int, error) {
+	b := &Block{n: d.n, attrs: make([]Attr, len(d.attrs)), decoded: true}
+	if have != nil {
+		if have.n != d.n || len(have.attrs) != len(d.attrs) {
+			return nil, 0, errors.New("core: loaded block does not belong to this directory")
+		}
+		copy(b.attrs, have.attrs)
+	}
+	want := make([]bool, len(d.attrs))
+	for _, c := range cols {
+		if c < 0 || c >= len(want) {
+			return nil, 0, fmt.Errorf("core: attribute %d out of range", c)
+		}
+		want[c] = true
+	}
+	need := func(i int) bool { return (cols == nil || want[i]) && !b.attrs[i].loaded() }
+	read := 0
+	for i := 0; i < len(d.attrs); {
+		if !need(i) {
+			b.attrs[i].Kind = d.attrs[i].kind
+			i++
+			continue
+		}
+		// One read for the run [i, j) of adjacent attributes to load.
+		j := i + 1
+		for j < len(d.attrs) && need(j) {
+			j++
+		}
+		off := d.attrs[i].off
+		n := d.attrs[j-1].off + d.attrs[j-1].length - off
+		buf, err := fetch(off, n)
+		if err != nil {
+			return nil, 0, err
+		}
+		read += n
+		for ; i < j; i++ {
+			e := &d.attrs[i]
+			if b.attrs[i], err = e.decode(d.n, buf[e.off-off:e.off-off+e.length+dataSlack]); err != nil {
+				return nil, 0, fmt.Errorf("core: attribute %d: %w", i, err)
+			}
+		}
+	}
+	for i := range b.attrs {
+		if !b.attrs[i].loaded() {
+			b.missing++
+		}
+	}
+	return b, read, nil
+}
+
+// decode builds the attribute from its sections, sec[:e.length], which
+// validate already sized; the dataSlack bytes behind them are addressable.
+// Nothing bulky is copied: the code vector is a subslice of sec, and a
+// string dictionary is one string with its entries as substrings.
+func (e *dirAttr) decode(n int, sec []byte) (Attr, error) {
+	body := sec[:e.length]
+	if got := crc32.Checksum(body, crcTable); got != e.crc {
+		return Attr{}, fmt.Errorf("checksum mismatch: directory says %08x, sections are %08x", e.crc, got)
+	}
+	a := Attr{Kind: e.kind, NullCount: e.nullCount}
+	allNull := e.flags&flagAllNull != 0
+	dictSec := body[:8*e.dictCount]
+	dataEnd := len(dictSec) + e.dataLen
+	var data []byte
+	if e.dataLen > 0 {
+		data = sec[len(dictSec) : dataEnd+dataSlack : dataEnd+dataSlack]
+	}
+	strSec := body[dataEnd : dataEnd+e.strLen]
+	rest := body[dataEnd+e.strLen:]
+
+	switch e.kind {
+	case types.Int64:
+		v := &compress.IntVector{
+			Scheme: e.scheme, Width: e.width, N: n, AllNull: allNull,
+			Min: int64(e.min), Max: int64(e.max), Single: int64(e.single),
+			Data: data,
+		}
+		if e.scheme == compress.Dictionary {
+			if c := maxCode(data, n, e.width); c >= uint64(e.dictCount) {
+				return Attr{}, fmt.Errorf("code %d exceeds dictionary of %d", c, e.dictCount)
+			}
+			v.Dict = make([]int64, e.dictCount)
+			for j := range v.Dict {
+				v.Dict[j] = int64(binary.LittleEndian.Uint64(dictSec[8*j:]))
+			}
+		}
+		a.Ints = v
+	case types.Float64:
+		v := &compress.FloatVector{
+			Scheme: e.scheme, N: n, AllNull: allNull,
+			Min: math.Float64frombits(e.min), Max: math.Float64frombits(e.max), Single: math.Float64frombits(e.single),
+		}
+		if e.scheme == compress.Uncompressed {
+			v.Values = make([]float64, n)
+			for j := range v.Values {
+				v.Values[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+			}
+		}
+		a.Floats = v
+	case types.String:
+		v := &compress.StringVector{Scheme: e.scheme, Width: e.width, N: n, AllNull: allNull, Data: data}
+		all := string(strSec)
+		strs := make([]string, max(e.strCount, 1))
+		off := 0
+		for j := range strs {
+			if off+4 > len(all) {
+				return Attr{}, fmt.Errorf("string %d starts at %d in a section of %d bytes", j, off, len(all))
+			}
+			l := int(binary.LittleEndian.Uint32(strSec[off:]))
+			off += 4
+			if l > len(all)-off {
+				return Attr{}, fmt.Errorf("string %d of %d bytes at %d overruns a section of %d bytes", j, l, off, len(all))
+			}
+			strs[j] = all[off : off+l]
+			off += l
+		}
+		if off != len(all) {
+			return Attr{}, fmt.Errorf("strings end at %d in a section of %d bytes", off, len(all))
+		}
+		if e.scheme == compress.SingleValue {
+			v.Single = strs[0]
+		} else {
+			if c := maxCode(data, n, e.width); c >= uint64(e.strCount) {
+				return Attr{}, fmt.Errorf("code %d exceeds dictionary of %d", c, e.strCount)
+			}
+			v.Dict = strs
+		}
+		a.Strs = v
+	}
+	if e.flags&flagValidity != 0 {
+		a.Validity = make([]uint64, (n+63)/64)
+		for j := range a.Validity {
+			a.Validity[j] = binary.LittleEndian.Uint64(rest[8*j:])
+		}
+		rest = rest[8*len(a.Validity):]
+	}
+	if e.flags&flagPSMA != 0 {
+		t := psma.NewEmpty(e.width)
+		for s := 0; s < t.NumSlots(); s++ {
+			begin := binary.LittleEndian.Uint32(rest[8*s:])
+			end := binary.LittleEndian.Uint32(rest[8*s+4:])
+			if end > uint32(n) || begin > end {
+				return Attr{}, fmt.Errorf("PSMA slot %d range [%d,%d) exceeds %d rows", s, begin, end, n)
+			}
+			t.SetSlotRange(s, psma.Range{Begin: begin, End: end})
+		}
+		a.Psma = t
+	}
+	return a, nil
+}
+
+// maxCode returns the largest of the n width-byte codes in data. Checking
+// it against the dictionary size once per vector is what lets point
+// accesses index the dictionary unchecked, even on a logically corrupt
+// (but checksum-valid) buffer.
+func maxCode(data []byte, n, width int) uint64 {
+	var m uint64
+	switch width {
+	case 1:
+		var m8 byte
+		for _, c := range data[:n] {
+			m8 = max(m8, c)
+		}
+		m = uint64(m8)
+	case 2:
+		for i := 0; i < n; i++ {
+			m = max(m, uint64(binary.LittleEndian.Uint16(data[2*i:])))
+		}
+	case 4:
+		for i := 0; i < n; i++ {
+			m = max(m, uint64(binary.LittleEndian.Uint32(data[4*i:])))
+		}
+	default:
+		for i := 0; i < n; i++ {
+			m = max(m, binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	}
+	return m
+}

@@ -97,11 +97,13 @@ type ScanProfile struct {
 	// ColumnUnpacks counts per-column materializations on the
 	// vectorized path (lazy per-conjunct unpacks and final projections).
 	ColumnUnpacks uint64
-	// Reloads counts evicted blocks this query reloaded from the store;
-	// PinWait is the total time spent acquiring frozen blocks (pin +
-	// single-flight wait + disk read), summed across workers.
-	Reloads uint64
-	PinWait time.Duration
+	// Reloads counts the pins of this query that read from the block
+	// store and ReloadBytes what they read (whole evicted blocks or single
+	// attributes); PinWait is the total time spent acquiring frozen blocks
+	// (pin + single-flight wait + disk read), summed across workers.
+	Reloads     uint64
+	ReloadBytes uint64
+	PinWait     time.Duration
 }
 
 // WorkerProfile is one morsel worker's share of the scan.
@@ -163,7 +165,7 @@ type scanShard struct {
 	hotChunks, frozenChunks, skippedChunks obs.ShardCounter
 	vectors, prunedVectors                 obs.ShardCounter
 	rowsMatched, unpacks                   obs.ShardCounter
-	reloads, pinWaitNs                     obs.ShardCounter
+	reloads, reloadBytes, pinWaitNs        obs.ShardCounter
 }
 
 // newProfiler maps the plan to an operator list (scan-first dataflow
@@ -334,6 +336,7 @@ func (p *profiler) finish(resultRows uint64) *QueryProfile {
 		q.Scan.RowsMatched += s.rowsMatched.Value()
 		q.Scan.ColumnUnpacks += s.unpacks.Value()
 		q.Scan.Reloads += s.reloads.Value()
+		q.Scan.ReloadBytes += s.reloadBytes.Value()
 		q.Scan.PinWait += time.Duration(s.pinWaitNs.Value())
 		q.Workers = append(q.Workers, WorkerProfile{
 			Morsels: wp.morsel.Value(),
@@ -440,7 +443,7 @@ func (q *QueryProfile) String() string {
 	}
 	fmt.Fprintf(&b, " matched=%d unpacks=%d", s.RowsMatched, s.ColumnUnpacks)
 	if s.Reloads > 0 || s.PinWait > 0 {
-		fmt.Fprintf(&b, " reloads=%d pin-wait=%s", s.Reloads, round(s.PinWait))
+		fmt.Fprintf(&b, " reloads=%d reload-bytes=%d pin-wait=%s", s.Reloads, s.ReloadBytes, round(s.PinWait))
 	}
 	b.WriteByte('\n')
 	if len(q.Workers) > 1 {

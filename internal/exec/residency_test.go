@@ -1,0 +1,214 @@
+package exec
+
+import (
+	"fmt"
+	"testing"
+
+	"datablocks/internal/blockstore"
+	"datablocks/internal/core"
+	"datablocks/internal/storage"
+	"datablocks/internal/types"
+)
+
+// residency is one state a frozen relation with a block store can be in
+// when a query starts. reset puts the relation into that state and returns
+// it; for "reopened" that is a fresh relation restored from the manifest.
+type residency struct {
+	name  string
+	reset func() *storage.Relation
+}
+
+// evictFrozen evicts every frozen chunk of rel.
+func evictFrozen(t testing.TB, rel *storage.Relation) {
+	t.Helper()
+	for i := 0; i < rel.NumChunks(); i++ {
+		if rel.Chunk(i).State() != storage.ChunkFrozen {
+			continue
+		}
+		if ok, err := rel.EvictChunk(i); err != nil || !ok {
+			t.Fatalf("evict chunk %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+}
+
+// residencies attaches a block store to the completely frozen rel and
+// returns the states its payload can be in: resident, evicted, partially
+// loaded (first and last column of every chunk) and reopened from a
+// manifest (nothing in RAM, not even the directories).
+func residencies(t testing.TB, rel *storage.Relation) (*blockstore.Store, []residency) {
+	t.Helper()
+	store, err := blockstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.SetBlockStore(store, 0, nil)
+	if err := rel.FlushFrozen(); err != nil {
+		t.Fatal(err)
+	}
+	return store, []residency{
+		{"resident", func() *storage.Relation { return rel }},
+		{"evicted", func() *storage.Relation { evictFrozen(t, rel); return rel }},
+		{"partial", func() *storage.Relation {
+			evictFrozen(t, rel)
+			views := rel.Snapshot()
+			for i := range views {
+				if err := views[i].Acquire([]int{0, rel.Schema().NumColumns() - 1}); err != nil {
+					t.Fatal(err)
+				}
+				views[i].Release()
+			}
+			return rel
+		}},
+		{"reopened", func() *storage.Relation {
+			re := storage.NewRelation(rel.Schema(), rel.ChunkCapacity())
+			re.SetBlockStore(store, 0, nil)
+			for _, mc := range rel.ManifestChunks() {
+				if err := re.RestoreEvicted(mc.Handle, mc.Rows, mc.Bytes, mc.Deleted, mc.NumDeleted); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return re
+		}},
+	}
+}
+
+// TestScansAgreeAcrossResidency: a scan returns the same rows whether the
+// blocks it reads are resident, evicted, partly loaded or freshly reopened
+// from a manifest — in every scan mode, serial and parallel — as the same
+// relation without a block store.
+func TestScansAgreeAcrossResidency(t *testing.T) {
+	const n, chunkCap = 20000, 1 << 12
+	plans := []struct {
+		name string
+		scan func(rel *storage.Relation) Node
+	}{
+		{"sarg", func(rel *storage.Relation) Node {
+			return &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}, Preds: []core.Predicate{
+				{Col: 0, Op: types.Between, Lo: types.IntValue(1000), Hi: types.IntValue(15000)},
+				{Col: 2, Op: types.Eq, Lo: types.StringValue("paid")},
+				{Col: 1, Op: types.Lt, Lo: types.FloatValue(400)},
+			}}
+		}},
+		{"one-chunk", func(rel *storage.Relation) Node {
+			return &ScanNode{Rel: rel, Cols: []int{3, 0}, Preds: []core.Predicate{
+				{Col: 0, Op: types.Between, Lo: types.IntValue(5000), Hi: types.IntValue(5100)},
+			}}
+		}},
+		{"nulls+filter", func(rel *storage.Relation) Node {
+			return &ScanNode{Rel: rel, Cols: []int{2, 3},
+				Preds:  []core.Predicate{{Col: 2, Op: types.IsNull}},
+				Filter: Compare{Op: types.Gt, L: Col(1), R: CInt(40)}}
+		}},
+		{"aggregate", func(rel *storage.Relation) Node {
+			return &AggNode{
+				Child:   &ScanNode{Rel: rel, Cols: []int{2, 1}},
+				GroupBy: []int{0},
+				Aggs:    []AggSpec{{Func: AggSum, Arg: Col(1)}, {Func: AggCount}},
+			}
+		}},
+		{"no-columns", func(rel *storage.Relation) Node {
+			return &AggNode{Child: &ScanNode{Rel: rel}, Aggs: []AggSpec{{Func: AggCount}}}
+		}},
+	}
+	build := func() *storage.Relation {
+		rel := ordersRel(t, n, chunkCap, n/chunkCap+1)
+		for _, row := range []uint32{3, 77, 4000} {
+			if !rel.Delete(storage.TupleID{Chunk: 1, Row: row}) {
+				t.Fatal("delete failed")
+			}
+		}
+		return rel
+	}
+	ref := build()
+	_, states := residencies(t, build())
+	for _, p := range plans {
+		want, err := Run(p.scan(ref), Options{Mode: ModeVectorizedSARG})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.NumRows() == 0 {
+			t.Fatalf("%s: empty reference result", p.name)
+		}
+		for _, st := range states {
+			for _, mode := range allModes {
+				for _, par := range []int{1, 4} {
+					got, err := Run(p.scan(st.reset()), Options{Mode: mode, Parallelism: par})
+					name := fmt.Sprintf("%s/%s/mode=%v/par=%d", p.name, st.name, mode, par)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					requireApproxResult(t, name, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestSMASkipsEvictedChunksWithoutIO: on a relation frozen sorted, with
+// every chunk evicted, a range predicate that falls into one chunk reads
+// that chunk's scanned columns and nothing else — the resident directories
+// rule the other chunks out, so they are neither pinned nor read. After a
+// reopen the same holds once the directories have been read once.
+func TestSMASkipsEvictedChunksWithoutIO(t *testing.T) {
+	const n, chunkCap = 16384, 1 << 12 // 4 chunks, okey ascending across them
+	rel := ordersRel(t, n, chunkCap, 0)
+	if err := rel.FreezeAll(core.FreezeOptions{SortBy: 0}, false); err != nil {
+		t.Fatal(err)
+	}
+	bs, states := residencies(t, rel)
+	kinds := []types.Kind{types.Int64, types.Float64, types.String, types.Int64}
+	plan := func(rel *storage.Relation) Node {
+		return &ScanNode{Rel: rel, Cols: []int{0, 3}, Preds: []core.Predicate{
+			{Col: 0, Op: types.Between, Lo: types.IntValue(2*chunkCap + 10), Hi: types.IntValue(2*chunkCap + 500)},
+		}}
+	}
+	for _, st := range states {
+		if st.name != "evicted" && st.name != "reopened" {
+			continue
+		}
+		rel := st.reset()
+		// What the one matching chunk's two columns occupy on disk.
+		d, err := bs.ReadDirectory(rel.ManifestChunks()[2].Handle, kinds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(d.AttrBytes(0) + d.AttrBytes(3))
+		for _, mode := range []ScanMode{ModeVectorizedSARG, ModeVectorizedSARGPSMA} {
+			for _, par := range []int{1, 4} {
+				rel = st.reset()
+				if st.name == "reopened" {
+					// Nothing is resident after a reopen, so the first scan
+					// has to pin every chunk to learn its SMAs. From then on
+					// the directories stay, evicted or not.
+					if _, err := Run(plan(rel), Options{Mode: mode, Parallelism: par}); err != nil {
+						t.Fatal(err)
+					}
+					evictFrozen(t, rel)
+				}
+				before := bs.Stats()
+				res, err := Run(plan(rel), Options{Mode: mode, Parallelism: par, Profile: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := bs.Stats()
+				name := fmt.Sprintf("%s/mode=%v/par=%d", st.name, mode, par)
+				if res.NumRows() != 491 {
+					t.Fatalf("%s: %d rows, want 491", name, res.NumRows())
+				}
+				if loads, read := after.Loads-before.Loads, after.BytesRead-before.BytesRead; loads != 1 || read != want {
+					t.Fatalf("%s: %d loads reading %d bytes; the matching chunk's two columns are 1 load of %d bytes", name, loads, read, want)
+				}
+				sp := res.Profile.Scan
+				if sp.SkippedChunks != 3 || sp.FrozenChunks != 1 || sp.Reloads != 1 || sp.ReloadBytes != uint64(want) {
+					t.Fatalf("%s: profile skipped=%d frozen=%d reloads=%d reload-bytes=%d, want 3/1/1/%d",
+						name, sp.SkippedChunks, sp.FrozenChunks, sp.Reloads, sp.ReloadBytes, want)
+				}
+				for i := 0; i < rel.NumChunks(); i++ {
+					if resident := rel.Chunk(i).Block() != nil; resident != (i == 2) {
+						t.Fatalf("%s: chunk %d resident=%v after the scan", name, i, resident)
+					}
+				}
+			}
+		}
+	}
+}

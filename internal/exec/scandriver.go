@@ -60,6 +60,10 @@ type scanDriver struct {
 	matches  []uint32
 	pushSARG bool
 	usePSMA  bool
+	// pinCols is what a frozen chunk must have loaded for this scan:
+	// scan.Cols (predicate and early-probe columns are among them), never
+	// nil — to Acquire, nil means every column.
+	pinCols []int
 
 	// wp is this worker's profile shard (nil when the query is not being
 	// profiled); its counters are plain, worker-owned cells.
@@ -99,6 +103,7 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		tuple:   NewTuple(len(kinds)),
 		usePSMA: ex.opt.Mode == ModeVectorizedSARGPSMA,
 		wp:      c.wp,
+		pinCols: append([]int{}, scan.Cols...),
 	}
 	d.pushSARG = ex.opt.Mode == ModeVectorizedSARG || ex.opt.Mode == ModeVectorizedSARGPSMA
 	for _, p := range scan.Preds {
@@ -130,10 +135,11 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		d.jitLayouts = make(map[string]*layoutPath)
 		for i := range chunks {
 			ch := &chunks[i]
-			// Evicted chunks have no resident block to compile against;
-			// their layout path is compiled lazily when the scan acquires
-			// (reloads) the block.
-			if ch.IsFrozen() && ch.Block() != nil {
+			// Evicted chunks have no resident block to compile against
+			// (and partly loaded ones may lack the scan's columns); their
+			// layout path is compiled lazily when the scan acquires the
+			// block.
+			if ch.IsFrozen() && ch.Block() != nil && ch.Block().Has(d.pinCols) {
 				key := ch.Block().LayoutKey()
 				if _, done := d.jitLayouts[key]; !done {
 					lp, err := d.compileLayout(ch.Block(), c)
@@ -370,33 +376,11 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) (blockAccessor,
 // processChunk runs the pipeline over one morsel. The chunk view is an
 // immutable snapshot: the driver never re-reads mutable relation state, so
 // concurrent inserts, deletes and hot→cold freezes cannot tear a scan.
-// Frozen views are acquired first — pinning the block in RAM, reloading
-// it from the block store when the chunk was evicted — so the budget
-// evictor cannot pull the block out from under the scan.
 func (d *scanDriver) processChunk(ch *storage.ChunkView) error {
 	if ch.IsFrozen() {
-		if d.wp != nil {
-			t0 := time.Now()
-			reloaded, err := ch.AcquireReload()
-			d.wp.scan.pinWaitNs.Add(uint64(time.Since(t0)))
-			if err != nil {
-				return err
-			}
-			if reloaded {
-				d.wp.scan.reloads.Inc()
-			}
-		} else if err := ch.Acquire(); err != nil {
-			return err
-		}
-		defer ch.Release()
 		if d.mode == ModeJIT {
-			// JIT never probes the SMA, so every frozen chunk is visited.
-			if d.wp != nil {
-				d.wp.scan.frozenChunks.Inc()
-			}
 			return d.jitBlock(ch)
 		}
-		// vecBlock attributes the chunk to visited or SMA-skipped itself.
 		return d.vecBlock(ch)
 	}
 	if d.wp != nil {
@@ -409,6 +393,25 @@ func (d *scanDriver) processChunk(ch *storage.ChunkView) error {
 		return d.jitHotChunk(ch)
 	}
 	return d.vecHot(ch)
+}
+
+// pin acquires a frozen view for the scan: the block is pinned in RAM —
+// the budget evictor cannot pull it out from under the scan — with the
+// scan's columns loaded, read from the block store by attribute when the
+// chunk was evicted or earlier readers needed other columns. The caller
+// releases the view.
+func (d *scanDriver) pin(ch *storage.ChunkView) error {
+	if d.wp == nil {
+		return ch.Acquire(d.pinCols)
+	}
+	t0 := time.Now()
+	reloaded, err := ch.AcquireReload(d.pinCols)
+	d.wp.scan.pinWaitNs.Add(uint64(time.Since(t0)))
+	if reloaded > 0 {
+		d.wp.scan.reloads.Inc()
+		d.wp.scan.reloadBytes.Add(uint64(reloaded))
+	}
+	return err
 }
 
 // processChunkTimed is processChunk under the profiler's per-worker
@@ -427,6 +430,14 @@ func (d *scanDriver) processChunkTimed(ch *storage.ChunkView) error {
 // jitBlock scans a frozen block tuple-at-a-time through the layout's
 // specialized code path.
 func (d *scanDriver) jitBlock(ch *storage.ChunkView) error {
+	if err := d.pin(ch); err != nil {
+		return err
+	}
+	defer ch.Release()
+	// JIT never probes the SMA, so every frozen chunk is visited.
+	if d.wp != nil {
+		d.wp.scan.frozenChunks.Inc()
+	}
 	blk := ch.Block()
 	key := blk.LayoutKey()
 	lp := d.jitLayouts[key]
@@ -478,7 +489,8 @@ func (d *scanDriver) jitHotChunk(ch *storage.ChunkView) error {
 }
 
 // vecBlock scans a frozen block through the interpreted vectorized scan
-// (Figure 6, left path). Deleted tuples are filtered here through the
+// (Figure 6, left path), attributing the chunk to visited or SMA-skipped.
+// Deleted tuples are filtered here through the
 // view's epoch cutoff rather than via ScanSpec.Deleted: the view shares
 // the live delete bitmap zero-copy, so raw word access inside the scanner
 // would race concurrent delete stamps.
@@ -491,6 +503,18 @@ func (d *scanDriver) vecBlock(ch *storage.ChunkView) error {
 	if d.pushSARG {
 		spec.Preds = d.scan.Preds
 	}
+	// The SMA test first, against what is resident anyway: a chunk it
+	// rules out is neither pinned nor read.
+	if !ch.MayMatch(spec.Preds) {
+		if d.wp != nil {
+			d.wp.scan.skippedChunks.Inc()
+		}
+		return nil
+	}
+	if err := d.pin(ch); err != nil {
+		return err
+	}
+	defer ch.Release()
 	sc, err := core.NewScanner(ch.Block(), spec)
 	if err != nil {
 		return err

@@ -207,9 +207,9 @@ func (h *Hash) Len() int {
 // Required after a sorted freeze, which reassigns tuple identifiers (and
 // drops version history: rebuilt records have no previous version), and
 // the bulk path recovery uses to reconstruct the index at reopen: chunks
-// restored from a durable manifest stream their keys one block at a time
-// through the pin/reload machinery, so the whole frozen set never has to
-// be resident at once.
+// restored from a durable manifest stream their keys through the
+// pin/reload machinery one block at a time and the key attribute only, so
+// reopening reads the key sections rather than the frozen set.
 // Rebuild runs stop-the-world with respect to the index: callers already
 // exclude writers (sorted freeze, recovery), so shard locks are taken
 // per-entry rather than held across the scan.
@@ -223,13 +223,14 @@ func (h *Hash) Rebuild(r *storage.Relation, keyCol int) error {
 	}
 	views := r.Snapshot()
 	var scratch []int64 // per-chunk bulk decode buffer, reused across chunks
+	keyOnly := []int{keyCol}
 	for ci := range views {
 		c := &views[ci]
-		// Pin the view's block in RAM (reloading it from the block store
-		// when the chunk is evicted) for this chunk's key sweep only —
-		// holding all pins to the end would force the whole frozen set
-		// resident at once, defeating the memory budget.
-		if err := c.Acquire(); err != nil {
+		// Pin the view's block in RAM (loading the key attribute from the
+		// block store when it is not resident) for this chunk's key sweep
+		// only — holding all pins to the end would defeat the memory
+		// budget.
+		if err := c.Acquire(keyOnly); err != nil {
 			return err
 		}
 		frozen := c.IsFrozen()

@@ -12,6 +12,7 @@ import (
 
 	"datablocks/internal/blockstore"
 	"datablocks/internal/core"
+	"datablocks/internal/types"
 )
 
 // newColdRelation builds a relation with a block store, nChunks full
@@ -125,7 +126,7 @@ func TestEvictReloadScanEquivalence(t *testing.T) {
 		views := r.Snapshot()
 		for ci := range views {
 			v := &views[ci]
-			if err := v.Acquire(); err != nil {
+			if err := v.Acquire(nil); err != nil {
 				t.Fatal(err)
 			}
 			for row := 0; row < v.Rows(); row++ {
@@ -163,7 +164,7 @@ func TestEvictReloadScanEquivalence(t *testing.T) {
 func TestEvictSkipsPinnedChunk(t *testing.T) {
 	r, _ := newColdRelation(t, 32, 1, 0)
 	views := r.Snapshot()
-	if err := views[0].Acquire(); err != nil {
+	if err := views[0].Acquire(nil); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := r.EvictChunk(0)
@@ -208,7 +209,8 @@ func TestEvictUnderBudgetColdestFirst(t *testing.T) {
 	// With an impossible budget everything is evicted eventually, but the
 	// victim order is coldest-first: re-check via a fresh pass with a
 	// budget that fits exactly one chunk.
-	oneBlock := r.Chunk(2).frozenBytes.Load()
+	// …one chunk's block plus the directories the evicted chunks keep.
+	oneBlock := r.Chunk(2).frozenBytes.Load() + 4*int64(r.Chunk(2).dir.Load().Size())
 	r2, tids2 := newColdRelation(t, chunkRows, 4, oneBlock+16)
 	for i := 0; i < 64; i++ {
 		if _, ok := r2.Get(tids2[2*chunkRows+5]); !ok {
@@ -232,8 +234,10 @@ func TestEvictUnderBudgetColdestFirst(t *testing.T) {
 	}
 }
 
-// TestReloadFailureSurfaces corrupts the stored block and checks the
-// reload reports Unavailable + LoadError instead of silent data.
+// TestReloadFailureSurfaces damages the stored block and checks the reload
+// reports Unavailable + LoadError instead of silent data: a flipped byte in
+// one attribute fails exactly the pins that ask for that attribute, a
+// truncated file fails them all.
 func TestReloadFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	s, err := blockstore.Open(dir)
@@ -244,7 +248,7 @@ func TestReloadFailureSurfaces(t *testing.T) {
 	r.SetBlockStore(s, 0, nil)
 	var tid TupleID
 	for i := 0; i < 32; i++ {
-		tid, err = r.Insert(mkRow(int64(i), 1, "x"))
+		tid, err = r.Insert(mkRow(int64(i), float64(i), "x"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,20 +257,44 @@ func TestReloadFailureSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	evictAll(t, r)
-	// Truncate every stored block file.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var path string
 	for _, e := range entries {
 		if filepath.Ext(e.Name()) == ".dblk" {
-			if err := os.Truncate(filepath.Join(dir, e.Name()), 10); err != nil {
-				t.Fatal(err)
-			}
+			path = filepath.Join(dir, e.Name())
 		}
 	}
-	if _, ok := r.Get(tid); ok {
-		t.Fatal("read of a corrupt evicted block succeeded")
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip the last byte of the last attribute (note): pins of id and
+	// amount still work, and read right values; a pin that includes note,
+	// or a whole-row read, fails.
+	bad := append([]byte(nil), pristine...)
+	bad[len(bad)-9] ^= 0x01
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	views := r.Snapshot()
+	if err := views[0].Acquire([]int{0, 1}); err != nil {
+		t.Fatalf("pin of the intact attributes failed: %v", err)
+	}
+	if got := views[0].Value(1, 5).Float(); got != 5 {
+		t.Fatalf("amount of row 5 = %v", got)
+	}
+	views[0].Release()
+	if r.LoadError() != nil {
+		t.Fatalf("intact attributes left a LoadError: %v", r.LoadError())
+	}
+	views = r.Snapshot()
+	if err := views[0].Acquire([]int{2}); err == nil {
+		views[0].Release()
+		t.Fatal("pin of the corrupt attribute succeeded")
 	}
 	if _, vis := r.GetAt(tid, r.ReadEpoch()); vis != Unavailable {
 		t.Fatalf("visibility %v, want Unavailable", vis)
@@ -274,22 +302,40 @@ func TestReloadFailureSurfaces(t *testing.T) {
 	if r.LoadError() == nil {
 		t.Fatal("corrupt reload left no LoadError")
 	}
-	// Scans must propagate the failure as an error too.
-	views := r.Snapshot()
-	if err := views[0].Acquire(); err == nil {
-		t.Fatal("Acquire of a corrupt evicted block succeeded")
+	// The failed loads must not have disturbed what was resident.
+	views = r.Snapshot()
+	if err := views[0].Acquire([]int{0}); err != nil {
+		t.Fatalf("pin of a resident attribute after a failed load: %v", err)
+	}
+	views[0].Release()
+
+	// A truncated file: nothing that has to read loads.
+	evictAll(t, r)
+	if err := os.Truncate(path, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Get(tid); ok {
+		t.Fatal("read of a truncated evicted block succeeded")
+	}
+	views = r.Snapshot()
+	if err := views[0].Acquire([]int{0}); err == nil {
+		t.Fatal("Acquire of a truncated evicted block succeeded")
 	}
 }
 
 // TestConcurrentEvictReloadStress races writers, point readers, scanning
-// snapshots and a budget evictor over one relation (run under -race).
+// snapshots — whole-block ones and ones that ask for different column sets
+// of the same chunks — and a budget evictor over one relation (run under
+// -race). Besides right values it asserts that the block a reader pinned
+// never changes underneath it: other readers loading further attributes of
+// the chunk, and the evictor dropping it, install new payloads instead.
 func TestConcurrentEvictReloadStress(t *testing.T) {
 	const chunkRows = 128
 	r, tids := newColdRelation(t, chunkRows, 6, 1) // evict everything, always
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var evictions, reloads atomic.Int64
-	fail := make(chan error, 16)
+	fail := make(chan error, 32)
 
 	// Evictor: hammer the budget loop.
 	wg.Add(1)
@@ -350,7 +396,7 @@ func TestConcurrentEvictReloadStress(t *testing.T) {
 			// writer keeps growing the tail behind them.
 			for ci := 0; ci < 6; ci++ {
 				v := &views[ci]
-				if err := v.Acquire(); err != nil {
+				if err := v.Acquire(nil); err != nil {
 					fail <- err
 					return
 				}
@@ -367,6 +413,67 @@ func TestConcurrentEvictReloadStress(t *testing.T) {
 			}
 		}
 	}()
+	// Column-subset scanners: same chunks, different attributes each.
+	for _, cols := range [][]int{{0}, {2}, {1, 2}, {}} {
+		wg.Add(1)
+		go func(cols []int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				views := r.Snapshot()
+				for ci := 0; ci < 6; ci++ {
+					v := &views[ci]
+					if err := v.Acquire(cols); err != nil {
+						fail <- err
+						return
+					}
+					blk := v.Block()
+					var has [3]bool
+					for c := range has {
+						has[c] = blk.Has([]int{c})
+					}
+					for _, c := range cols {
+						if !has[c] {
+							fail <- fmt.Errorf("chunk %d pinned with %v lacks attribute %d", ci, cols, c)
+							v.Release()
+							return
+						}
+					}
+					for pass := 0; pass < 2; pass++ {
+						for _, row := range []int{0, 5, chunkRows - 1} {
+							i := ci*chunkRows + row
+							for _, c := range cols {
+								got := v.Value(c, row)
+								ok := c == 0 && got.Int() == int64(i) ||
+									c == 1 && got.Float() == float64(i)/2 ||
+									c == 2 && (i%5 == 0 && got.IsNull() || i%5 != 0 && got.Str() == fmt.Sprintf("note-%d", i%7))
+								if !ok {
+									fail <- fmt.Errorf("cols %v: cell (%d, chunk %d row %d) = %v", cols, c, ci, row, got)
+									v.Release()
+									return
+								}
+							}
+						}
+						// Let the other pinners and the evictor at the chunk,
+						// then look again.
+						runtime.Gosched()
+						for c := range has {
+							if v.Block() != blk || blk.Has([]int{c}) != has[c] {
+								fail <- fmt.Errorf("chunk %d: pinned block changed underneath its reader", ci)
+								v.Release()
+								return
+							}
+						}
+					}
+					v.Release()
+				}
+			}
+		}(cols)
+	}
 	// Writer: keep the hot tail moving (appends land in fresh chunks).
 	wg.Add(1)
 	go func() {
@@ -423,23 +530,61 @@ func TestConcurrentEvictReloadStress(t *testing.T) {
 	}
 }
 
-// BenchmarkEvictReload measures one evict→reload→point-read cycle — the
-// cold path a larger-than-RAM table pays per miss. Run in CI with
-// -benchtime=1x to keep the reload path exercised.
+// BenchmarkEvictReload measures one evict→reload→read cycle of a 16-column
+// block — the cold path a larger-than-RAM table pays per miss — at both
+// ends of what a reader can ask for: a scan's four columns, and the whole
+// row a point read wants. Run in CI with -benchtime=1x to keep the reload
+// path exercised.
 func BenchmarkEvictReload(b *testing.B) {
-	r, tids := newColdRelation(b, 4096, 1, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, err := r.EvictChunk(0)
-		if err != nil {
-			b.Fatal(err)
+	const rows, ncols = 4096, 16
+	cols := make([]types.Column, ncols)
+	data := make([]core.ColumnData, ncols)
+	for c := range cols {
+		if c%4 == 3 {
+			cols[c] = types.Column{Name: fmt.Sprintf("s%d", c), Kind: types.String}
+			data[c] = core.ColumnData{Kind: types.String, Strs: make([]string, rows)}
+			for i := range data[c].Strs {
+				data[c].Strs[i] = fmt.Sprintf("value-%d-%d", c, i%(50*c))
+			}
+			continue
 		}
-		if !ok {
-			b.Fatal("chunk not evicted")
+		cols[c] = types.Column{Name: fmt.Sprintf("i%d", c), Kind: types.Int64}
+		data[c] = core.ColumnData{Kind: types.Int64, Ints: make([]int64, rows)}
+		for i := range data[c].Ints {
+			data[c].Ints[i] = int64(i * (c + 1) % (100 << c))
 		}
-		if _, ok := r.Get(tids[i%len(tids)]); !ok {
-			b.Fatal("row missing")
-		}
+	}
+	r := NewRelation(types.NewSchema(cols...), rows)
+	r.SetBlockStore(openTestStore(b), 0, nil)
+	if err := r.BulkAppend(data, rows); err != nil {
+		b.Fatal(err)
+	}
+	if err := r.FreezeAll(core.FreezeOptions{SortBy: -1}, false); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		cols []int
+	}{{"cols=4", []int{4, 5, 6, 10}}, {"cols=all", nil}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var read int64
+			for i := 0; i < b.N; i++ {
+				if ok, err := r.EvictChunk(0); err != nil || !ok {
+					b.Fatalf("chunk not evicted: %v", err)
+				}
+				views := r.Snapshot()
+				n, err := views[0].AcquireReload(bc.cols)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if views[0].Value(4, i%rows).IsNull() {
+					b.Fatal("NULL in a column without NULLs")
+				}
+				views[0].Release()
+				read += n
+			}
+			b.ReportMetric(float64(read)/float64(b.N), "read-B/op")
+		})
 	}
 }

@@ -30,9 +30,9 @@
 //     lookups and scans proceed while a chunk is being compressed.
 //   - Background eviction: EvictChunk/EvictUnderBudget spill frozen
 //     blocks to the block store and drop their payloads; reads of
-//     evicted chunks transparently reload and pin them (see "Eviction,
-//     pinning and reload" below). Spill and reload I/O run outside the
-//     relation lock.
+//     evicted chunks transparently pin them, loading the attributes they
+//     need (see "Eviction, pinning and reload" below). Spill and reload
+//     I/O run outside the relation lock.
 //
 // # Epoch-versioned reads
 //
@@ -70,8 +70,8 @@
 //	ChunkHot ──(claim: owner stripe lock + brief write lock)──► ChunkFreezing
 //	ChunkFreezing ──(compress outside lock, install)──► ChunkFrozen
 //	ChunkFreezing ──(compression error)──► ChunkHot
-//	ChunkFrozen ──(spill to store, drop payload)──► ChunkEvicted
-//	ChunkEvicted ──(reload from store, reinstall payload)──► ChunkFrozen
+//	ChunkFrozen ──(spill to store, drop payload, keep directory)──► ChunkEvicted
+//	ChunkEvicted ──(load the attributes a reader needs, install)──► ChunkFrozen
 //
 // A freezing chunk no longer accepts appends (the insert tail skips it and
 // rolls over to a fresh chunk), but its tuples remain readable from the hot
@@ -82,39 +82,67 @@
 // # Eviction, pinning and reload
 //
 // An evicted chunk keeps everything mutable in RAM — the delete bitmap,
-// epoch stamps and counters — and drops only the immutable compressed
-// payload, replaced by a handle into the block store. Reads stay
-// transparent: point reads (GetAt/GetCol) and scans (via ChunkView.Acquire)
-// pin the block, reloading it from the store first when it is not
-// resident. The rules:
+// epoch stamps and counters — plus its block's directory: the serialized
+// block's fixed header and per-attribute entries (SMA, scheme, width, NULL
+// flags, section location and checksum; 24 + 64 bytes per attribute). Only
+// the compressed vectors leave, and they come back by attribute: a pin
+// names the columns its reader needs, and the chunk's resident block holds
+// whichever attributes readers have asked for since the last eviction. The
+// rules:
 //
-//   - Reload I/O runs outside the relation lock (single-flighted per
-//     chunk), so writers and other readers proceed while a block streams
-//     in from disk; the reloaded payload is re-installed with an atomic
-//     payload swap under the write lock (Evicted → Frozen).
+//   - The directory (Chunk.dir) is read from the store once — by the
+//     eviction that first drops the payload, or by the first pin of a chunk
+//     restored from a manifest — and never dropped. It is what lets a scan
+//     run the SMA test of its pushed-down predicates before pinning
+//     (ChunkView.MayMatch): a chunk the SMA rules out costs no I/O and no
+//     pin. Its bytes count as resident (MemStats.FrozenBytes,
+//     ColdStats.ResidentBytes) and against the budget, but no eviction can
+//     win them back.
+//   - Readers pin with a column set (pinBlock, ChunkView.Acquire): a scan
+//     its ScanNode.Cols (predicate and early-probe columns are among them),
+//     an index rebuild the key column, point reads (GetAt/GetCol) and
+//     UnevictAll every column (nil). A pin whose columns are all loaded is
+//     one payload load and one check; otherwise the missing attributes'
+//     sections are read from the store — adjacent ones in one read, each
+//     verified by its own checksum — outside the relation lock and
+//     single-flighted per chunk (loadMu), so concurrent readers of one
+//     chunk never read an attribute twice.
+//   - Blocks are immutable. Loading further attributes builds a new
+//     core.Block that shares the vectors already loaded and replaces the
+//     payload in one atomic swap under the write lock (Evicted → Frozen
+//     the first time); a reader keeps the block its pin returned, which has
+//     what it asked for and never changes underneath it. A partly loaded
+//     chunk is ChunkFrozen; only core.Block.Has tells what it holds.
 //   - A reader pins (Chunk.pins) before loading the payload pointer and
 //     unpins when done; the evictor skips pinned chunks, so an in-flight
-//     scan cannot have its block evicted underneath it. Blocks are
-//     immutable, so the residual race — an eviction nominated just before
-//     a pin lands — at worst leaves the reader on a privately retained
-//     copy while the budget accounting already dropped it; it can never
-//     produce a torn read.
-//   - Eviction (EvictChunk/EvictUnderBudget) only targets ChunkFrozen
-//     chunks with a zero pin count; the first eviction of a chunk
-//     serializes the block into the store, later ones reuse the file.
-//   - Every scan and point-lookup touch bumps the chunk's access counter;
-//     the block cache evicts coldest-first by that temperature whenever
-//     the resident set exceeds the configured byte budget.
-//   - A failed reload (I/O error, corrupt or truncated block file) is an
-//     error, never silent data: scans propagate it, point reads report
-//     Unavailable and record it on the relation (LoadError).
+//     scan cannot have its block evicted underneath it. The residual race —
+//     an eviction nominated just before a pin lands — at worst leaves the
+//     reader on a privately retained block while the budget accounting
+//     already dropped it; it can never produce a torn read.
+//   - Eviction (EvictChunk/EvictUnderBudget) is chunk-granular: it targets
+//     ChunkFrozen chunks with a zero pin count and drops every loaded
+//     vector at once. The first eviction of a chunk serializes the block
+//     into the store, later ones reuse the file.
+//   - The residency cache is charged what is actually loaded. Every scan
+//     and point-lookup touch bumps the chunk's access counter and the cache
+//     evicts coldest-first by that temperature, most recently installed
+//     first among equals (scans touch every chunk alike, so ties are the
+//     rule: a cyclic scan larger than the budget keeps a stable resident
+//     prefix). frozenBytes, the manifest's Bytes and MemStats.EvictedBytes
+//     keep meaning the complete block's compressed size.
+//   - A failed reload (I/O error, a short file, a corrupt directory, or
+//     corruption in an attribute that was asked for) is an error, never
+//     silent data: scans propagate it, point reads report Unavailable and
+//     record it on the relation (LoadError). Damage in an attribute nobody
+//     reads goes unnoticed until somebody does.
 //
 // # Recovery
 //
 // A relation can be rebuilt from a durable manifest (see
 // blockstore.Manifest): each frozen chunk is restored with RestoreEvicted
-// in manifest order, in the evicted state — the payload stays in the block
-// store until the first read touches it. The preconditions are strict and
+// in manifest order, in the evicted state — payload and directory stay in
+// the block store until the first read touches the chunk, which then reads
+// the directory and the attributes it needs. The preconditions are strict and
 // unchecked beyond what the functions validate themselves:
 //
 //   - SetBlockStore must already have been called, and the relation must
@@ -169,6 +197,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,9 +290,10 @@ const (
 	// ChunkFrozen is an immutable compressed Data Block resident in RAM.
 	ChunkFrozen
 	// ChunkEvicted is a frozen chunk whose compressed payload has been
-	// spilled to the block store and dropped from RAM; only a handle (and
-	// the mutable delete/epoch state) remains. Reads transparently reload
-	// and pin the block through the store, moving it back to ChunkFrozen.
+	// spilled to the block store and dropped from RAM; a handle, the
+	// block's directory and the mutable delete/epoch state remain. Reads
+	// transparently pin the block through the store, loading the
+	// attributes they need and moving the chunk back to ChunkFrozen.
 	ChunkEvicted
 )
 
@@ -284,8 +314,9 @@ func (s ChunkState) String() string {
 // chunkPayload is the storage behind a chunk: at most one of hot, blk is
 // non-nil; both are nil while the chunk is evicted (its block lives in
 // the block store). It is swapped atomically when a freeze installs its
-// block, an eviction drops it, or a reload re-installs it, so a reader
-// that loads the payload once observes a coherent chunk.
+// block, an eviction drops it, or a reload installs a block with the
+// attributes a reader needed, so a reader that loads the payload once
+// observes a coherent chunk.
 type chunkPayload struct {
 	hot *HotChunk
 	blk *core.Block
@@ -336,15 +367,20 @@ type Chunk struct {
 	// Writers hold loadMu; it is atomic so manifest snapshots can read it
 	// under the relation lock alone.
 	handle atomic.Uint64
+	// dir is the stored block's directory — SMAs and section locations —
+	// set under loadMu by the first eviction or reload and never dropped:
+	// it is what lets a scan rule an evicted chunk out without I/O and a
+	// reload fetch single attributes.
+	dir atomic.Pointer[core.Directory]
 	// pins counts in-flight readers of the frozen payload; eviction skips
 	// pinned chunks (see the package doc's pin rules).
 	pins atomic.Int32
 	// access is the chunk's temperature: bumped on every scan snapshot and
 	// point-lookup touch, consumed by the cache's coldest-first policy.
 	access atomic.Uint64
-	// frozenRows/frozenBytes mirror the installed block's row count and
+	// frozenRows/frozenBytes mirror the complete block's row count and
 	// compressed size so they stay answerable while the payload is
-	// evicted.
+	// evicted or only partly loaded.
 	frozenRows  atomic.Int32
 	frozenBytes atomic.Int64
 
@@ -391,9 +427,11 @@ func (c *Chunk) IsFrozen() bool {
 }
 
 // Block returns the frozen Data Block while it is resident in RAM, or nil
-// for hot and evicted chunks. Callers that must read an evicted chunk's
-// block go through a pinned path instead (GetAt/GetCol, or a ChunkView
-// with Acquire), which reloads it from the block store.
+// for hot and evicted chunks. In a relation with a block store the
+// resident block may hold only the attributes earlier readers asked for
+// (core.Block.Has), so callers there go through a pinned path instead
+// (GetAt/GetCol, or a ChunkView with Acquire), which loads what is missing
+// from the store.
 func (c *Chunk) Block() *core.Block { return c.pay.Load().blk }
 
 // Hot returns the uncompressed chunk, or nil for frozen chunks.
@@ -438,9 +476,10 @@ func (c *Chunk) NumDeleted() int { return int(c.numDeleted.Load()) }
 type ChunkView struct {
 	hot *HotChunk
 	blk *core.Block
-	// frozen records the chunk's compression status at snapshot time; for
-	// an evicted chunk it is true while blk stays nil until Acquire
-	// reloads the block.
+	// frozen records the chunk's compression status at snapshot time; with
+	// a block store attached blk is whatever was resident then — nil for an
+	// evicted chunk, possibly a column subset — until Acquire replaces it
+	// with a pinned block that has the columns the scan asked for.
 	frozen bool
 	// chunk and rel are set when the view may need the pin/reload path: a
 	// block store is attached (a resident block can be evicted mid-scan)
@@ -468,37 +507,52 @@ type ChunkView struct {
 // snapshot time.
 func (v *ChunkView) IsFrozen() bool { return v.frozen }
 
-// Block returns the frozen Data Block, or nil for hot views — and for
-// evicted views until Acquire has pinned the block back into RAM.
+// Block returns the frozen Data Block, or nil for hot views. In a relation
+// with a block store it is only meaningful after Acquire, and then holds
+// at least the columns Acquire was given.
 func (v *ChunkView) Block() *core.Block { return v.blk }
 
 // Acquire pins the view's frozen block in RAM for the duration of a scan,
-// reloading it from the block store first when the chunk is evicted (the
-// I/O runs outside the relation lock). It is a no-op for hot views and
-// for frozen views of a relation without a block store, whose blocks can
-// never leave RAM. Each successful Acquire must be paired with Release;
-// while pinned, the budget evictor will not touch the chunk.
-func (v *ChunkView) Acquire() error {
-	_, err := v.AcquireReload()
+// with at least the attributes listed in cols loaded (nil: all of them) —
+// reading from the block store whichever of them the resident block lacks
+// (the I/O runs outside the relation lock). It is a no-op for hot views
+// and for frozen views of a relation without a block store, whose blocks
+// can never leave RAM. Each successful Acquire must be paired with
+// Release; while pinned, the budget evictor will not touch the chunk.
+func (v *ChunkView) Acquire(cols []int) error {
+	_, err := v.AcquireReload(cols)
 	return err
 }
 
-// AcquireReload is Acquire, additionally reporting whether this call had
-// to reload the block from the store (the chunk was evicted and this
-// pinner performed — rather than shared — the disk read). Query profiles
-// use it to attribute evicted-block reloads to the scan that paid them.
-func (v *ChunkView) AcquireReload() (reloaded bool, err error) {
+// AcquireReload is Acquire, additionally reporting how many bytes this
+// call read from the store (zero: everything asked for was resident, or
+// another pinner's read was shared). Query profiles use it to attribute
+// reloads to the scan that paid them.
+func (v *ChunkView) AcquireReload(cols []int) (reloaded int64, err error) {
 	if !v.frozen || v.chunk == nil || v.release != nil {
-		return false, nil
+		return 0, nil
 	}
-	blk, unpin, loaded, err := v.rel.pinBlock(v.chunk)
+	blk, unpin, loaded, err := v.rel.pinBlock(v.chunk, cols)
 	if err != nil {
 		v.rel.noteLoadError(err)
-		return false, err
+		return 0, err
 	}
 	v.blk = blk
 	v.release = unpin
 	return loaded, nil
+}
+
+// MayMatch reports whether a frozen view can hold a tuple satisfying every
+// predicate, as far as that is decidable without I/O and without a pin:
+// from the resident directory of a chunk whose block has been to the store
+// (core.Directory.MayMatch). False means the scan may skip the chunk; true
+// promises nothing.
+func (v *ChunkView) MayMatch(preds []core.Predicate) bool {
+	if v.chunk == nil || len(preds) == 0 {
+		return true
+	}
+	d := v.chunk.dir.Load()
+	return d == nil || d.MayMatch(preds)
 }
 
 // Release unpins a block pinned by Acquire. Safe to call on any view,
@@ -1201,12 +1255,12 @@ func (r *Relation) GetAt(tid TupleID, e uint64) (types.Row, Visibility) {
 		// Hot, or frozen with no store attached (the payload cannot leave
 		// RAM): materialize under the read lock as before.
 		defer r.mu.RUnlock()
+		if p.blk != nil {
+			p.blk.Row(int(tid.Row), row)
+			return row, Visible
+		}
 		for i := range row {
-			if p.blk != nil {
-				row[i] = p.blk.Value(i, int(tid.Row))
-			} else {
-				row[i] = p.hot.Value(i, int(tid.Row))
-			}
+			row[i] = p.hot.Value(i, int(tid.Row))
 		}
 		return row, Visible
 	}
@@ -1214,22 +1268,22 @@ func (r *Relation) GetAt(tid TupleID, e uint64) (types.Row, Visibility) {
 	// and read through a pin. Visibility cannot regress — the stamps that
 	// decided it are monotone in the epoch and frozen rows never move.
 	r.mu.RUnlock()
-	blk, unpin, _, err := r.pinBlock(c)
+	blk, unpin, _, err := r.pinBlock(c, nil)
 	if err != nil {
 		r.noteLoadError(err)
 		return nil, Unavailable
 	}
 	defer unpin()
-	for i := range row {
-		row[i] = blk.Value(i, int(tid.Row))
-	}
+	blk.Row(int(tid.Row), row)
 	return row, Visible
 }
 
 // GetCol returns a single attribute of a tuple at the current write epoch
 // — the OLTP point access the format is designed around (§3.4). Like
 // GetAt it reads evicted chunks through a pinned reload outside the
-// relation lock; a reload failure reports a miss and records LoadError.
+// relation lock — of the whole row's block, since point reads of one row
+// tend to come in groups; a reload failure reports a miss and records
+// LoadError.
 func (r *Relation) GetCol(tid TupleID, col int) (types.Value, bool) {
 	r.mu.RLock()
 	c, vis := r.visibilityLocked(tid, r.epoch.Load())
@@ -1247,13 +1301,19 @@ func (r *Relation) GetCol(tid TupleID, col int) (types.Value, bool) {
 		return p.hot.Value(col, int(tid.Row)), true
 	}
 	r.mu.RUnlock()
-	blk, unpin, _, err := r.pinBlock(c)
+	blk, unpin, _, err := r.pinBlock(c, nil)
 	if err != nil {
 		r.noteLoadError(err)
 		return types.Value{}, false
 	}
 	defer unpin()
-	return blk.Value(col, int(tid.Row)), true
+	v := blk.Value(col, int(tid.Row))
+	if v.Kind() == types.String && !v.IsNull() {
+		// The value outlives the pin: it must not keep the dictionary
+		// section it may be a substring of alive (see core.Block.Row).
+		v = types.StringValue(strings.Clone(v.Str()))
+	}
+	return v, true
 }
 
 // visibilityLocked resolves a tuple identifier and classifies its
@@ -1599,11 +1659,14 @@ func (r *Relation) SetBlockStore(store *blockstore.Store, budget int64, wake fun
 
 // installBlockLocked installs a compressed block as chunk c's payload —
 // the single place a chunk becomes (or returns to) ChunkFrozen — and
-// registers it with the residency cache. Caller holds the write lock.
+// charges the residency cache the bytes it holds. Caller holds the write
+// lock.
 func (r *Relation) installBlockLocked(c *Chunk, blk *core.Block) {
 	size := int64(blk.CompressedSize())
-	c.frozenRows.Store(int32(blk.Rows()))
-	c.frozenBytes.Store(size)
+	if blk.Has(nil) {
+		c.frozenRows.Store(int32(blk.Rows()))
+		c.frozenBytes.Store(size)
+	}
 	c.pay.Store(&chunkPayload{blk: blk})
 	c.state.Store(uint32(ChunkFrozen))
 	if r.cache != nil {
@@ -1619,48 +1682,75 @@ func (r *Relation) maybeWakeEvictor() {
 	}
 }
 
-// pinBlock pins chunk c's compressed payload in RAM and returns it with
-// the matching unpin. If the chunk is evicted the block is reloaded from
-// the store first — outside the relation lock, single-flighted per chunk
-// so concurrent readers share one disk read — and re-installed with an
-// atomic payload swap (Evicted → Frozen). The caller must not hold the
-// relation lock. loaded reports whether this call performed the reload
-// itself (telemetry: per-query reload attribution).
-func (r *Relation) pinBlock(c *Chunk) (blk *core.Block, unpin func(), loaded bool, err error) {
+// chunkDirectory returns chunk c's block directory, reading it from the
+// store the first time (read is then the bytes that took). Caller holds
+// c.loadMu and has checked that the chunk has a store handle.
+func (r *Relation) chunkDirectory(c *Chunk) (d *core.Directory, read int, err error) {
+	if d = c.dir.Load(); d != nil {
+		return d, 0, nil
+	}
+	d, err = r.store.ReadDirectory(blockstore.Handle(c.handle.Load()), r.kinds)
+	if err != nil {
+		return nil, 0, err
+	}
+	c.dir.Store(d)
+	r.cache.Reserve(int64(d.Size()))
+	return d, d.Size(), nil
+}
+
+// pinBlock pins chunk c's compressed payload in RAM, with at least the
+// attributes in cols loaded (nil: all), and returns it with the matching
+// unpin. Attributes the resident block lacks — all of them when the chunk
+// is evicted — are read from the store first, outside the relation lock
+// and single-flighted per chunk so concurrent readers share one disk read;
+// the result is a new block that shares the vectors already loaded and
+// replaces the payload in one atomic swap (Evicted → Frozen), so blocks
+// other readers hold never change. The caller must not hold the relation
+// lock. loaded is the number of bytes this call read from the store
+// (telemetry: per-query reload attribution).
+func (r *Relation) pinBlock(c *Chunk, cols []int) (blk *core.Block, unpin func(), loaded int64, err error) {
 	unpin = func() { c.pins.Add(-1) }
 	c.pins.Add(1)
-	if p := c.pay.Load(); p.blk != nil {
-		return p.blk, unpin, false, nil
+	if p := c.pay.Load(); p.blk != nil && p.blk.Has(cols) {
+		return p.blk, unpin, 0, nil
 	}
 	c.loadMu.Lock()
 	defer c.loadMu.Unlock()
-	if p := c.pay.Load(); p.blk != nil {
-		// Another reader reloaded the block while we waited: a
+	have := c.pay.Load().blk
+	if have != nil && have.Has(cols) {
+		// Another reader loaded the attributes while we waited: a
 		// single-flight collapse — this pinner shares that disk read.
 		r.collapses.Add(1)
-		return p.blk, unpin, false, nil
+		return have, unpin, 0, nil
 	}
 	h := blockstore.Handle(c.handle.Load())
 	if r.store == nil || h == 0 {
 		c.pins.Add(-1)
-		return nil, nil, false, errors.New("storage: evicted chunk has no block store handle")
+		return nil, nil, 0, errors.New("storage: evicted chunk has no block store handle")
 	}
-	blk, err = r.store.Load(h, r.kinds)
+	d, dirRead, err := r.chunkDirectory(c)
+	var n int
+	if err == nil {
+		blk, n, err = r.store.LoadAttrs(h, d, have, cols)
+	}
 	if err != nil {
 		c.pins.Add(-1)
-		return nil, nil, false, err
+		return nil, nil, 0, err
 	}
 	r.mu.Lock()
 	r.installBlockLocked(c, blk)
 	r.mu.Unlock()
-	r.reloads.Add(1)
+	if loaded = int64(dirRead + n); loaded > 0 {
+		r.reloads.Add(1)
+	}
 	r.maybeWakeEvictor()
-	return blk, unpin, true, nil
+	return blk, unpin, loaded, nil
 }
 
 // EvictChunk spills chunk i's frozen block to the store (the first
 // eviction serializes it; later ones reuse the stored file) and drops the
-// in-RAM payload (Frozen → Evicted). It reports false without error when
+// in-RAM payload — every attribute that is loaded — keeping the block's
+// directory (Frozen → Evicted). It reports false without error when
 // the chunk is not evictable right now: not frozen, already evicted, or
 // pinned by an in-flight reader.
 func (r *Relation) EvictChunk(i int) (bool, error) {
@@ -1694,6 +1784,11 @@ func (r *Relation) evictChunk(c *Chunk) (bool, error) {
 			return false, err
 		}
 		c.handle.Store(uint64(h))
+	}
+	// The directory outlives the payload. Reading it back here, before
+	// anything is dropped, also proves the stored copy is readable.
+	if _, _, err := r.chunkDirectory(c); err != nil {
+		return false, err
 	}
 	r.mu.Lock()
 	if c.pins.Load() != 0 {
@@ -1777,9 +1872,10 @@ func (r *Relation) FlushFrozen() error {
 }
 
 // RestoreEvicted appends a chunk recovered from a durable manifest, in the
-// evicted state: no payload in RAM, only the store handle, the row count,
-// the compressed size and the delete bitmap. The first read that touches
-// the chunk reloads its block lazily. Preconditions (see the package doc's
+// evicted state: no payload and no directory in RAM, only the store
+// handle, the row count, the compressed size and the delete bitmap. The
+// first read that touches the chunk reads its directory and the attributes
+// that read needs. Preconditions (see the package doc's
 // recovery section): a block store is attached, the relation sees no
 // concurrent use yet, and chunks are restored in manifest order before any
 // insert. Deleted rows are restored without epoch stamps, i.e. retired at
@@ -1902,16 +1998,16 @@ func (r *Relation) ManifestChunks() []blockstore.ManifestChunk {
 	return out
 }
 
-// UnevictAll reloads every evicted chunk's block back into RAM. It is the
-// inverse of draining to the store: used when the store is about to go
-// away (a spill cache being garbage-collected at close) and the relation
-// must keep serving reads from memory alone.
+// UnevictAll loads every evicted or partly loaded chunk's block back into
+// RAM, all attributes. It is the inverse of draining to the store: used
+// when the store is about to go away (a spill cache being garbage-collected
+// at close) and the relation must keep serving reads from memory alone.
 func (r *Relation) UnevictAll() error {
 	for _, c := range r.Chunks() {
-		if c.State() != ChunkEvicted {
+		if !c.IsFrozen() {
 			continue
 		}
-		_, unpin, _, err := r.pinBlock(c)
+		_, unpin, _, err := r.pinBlock(c, nil)
 		if err != nil {
 			return err
 		}
@@ -1939,13 +2035,15 @@ func (r *Relation) LoadError() error {
 
 // ColdStats summarizes the relation's cold-store traffic.
 type ColdStats struct {
-	// Evictions and Reloads count Frozen→Evicted and Evicted→Frozen
-	// transitions. Collapses counts single-flight reload collapses:
-	// pinners that waited out a concurrent reload and shared its disk
-	// read instead of issuing their own.
+	// Evictions counts Frozen→Evicted transitions. Collapses counts
+	// single-flight reload collapses: pinners that waited out a concurrent
+	// reload and shared its disk read instead of issuing their own.
 	Evictions, Reloads, Collapses int64
-	// ResidentBytes is the compressed frozen set currently in RAM;
-	// BudgetBytes the configured ceiling (0: unbounded).
+	// Reloads counts pins that had to read from the store — whole blocks
+	// or single attributes. ResidentBytes is the compressed frozen set
+	// currently in RAM: the loaded attributes of every block plus the
+	// directories evicted chunks keep; BudgetBytes the configured ceiling
+	// (0: unbounded).
 	ResidentBytes, BudgetBytes int64
 	// StoredBlocks/DiskBytes describe the store's on-disk footprint.
 	StoredBlocks int
@@ -1971,9 +2069,11 @@ func (r *Relation) ColdStatsSnapshot() ColdStats {
 	return s
 }
 
-// MemStats summarizes a relation's footprint. FrozenBytes covers only
-// blocks resident in RAM; EvictedBytes is the compressed size of blocks
-// currently living in the block store instead.
+// MemStats summarizes a relation's footprint. FrozenBytes covers what is
+// resident in RAM — the loaded attributes of frozen blocks and the block
+// directories kept for chunks that have been to the store; EvictedBytes is
+// the compressed size of what currently lives only in the block store:
+// evicted blocks, and the attributes a partly loaded block lacks.
 type MemStats struct {
 	HotBytes      int
 	FrozenBytes   int
@@ -2000,10 +2100,17 @@ func (r *Relation) MemoryStats() MemStats {
 	for _, c := range r.chunks {
 		m.DeletedRows += int(c.numDeleted.Load())
 		m.Rows += c.Rows()
+		if d := c.dir.Load(); d != nil {
+			m.FrozenBytes += d.Size()
+		}
 		p := c.pay.Load()
 		if p.blk != nil {
 			m.FrozenChunks++
-			m.FrozenBytes += p.blk.CompressedSize()
+			loaded := p.blk.CompressedSize()
+			m.FrozenBytes += loaded
+			if !p.blk.Has(nil) {
+				m.EvictedBytes += int(c.frozenBytes.Load()) - loaded
+			}
 			continue
 		}
 		if p.hot == nil {

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"datablocks/internal/blockstore"
 	"datablocks/internal/exec"
+	"datablocks/internal/storage"
 	"datablocks/internal/types"
 )
 
@@ -412,5 +414,160 @@ func TestVectorizedModesRunTheBatchChain(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// coldState is one residency state of a frozen database whose relations
+// all have block stores; reset puts every relation into that state and
+// returns the database to query (a freshly restored one for "reopened").
+type coldState struct {
+	name  string
+	reset func() *DB
+}
+
+// coldStates attaches a block store to every relation of the completely
+// frozen db and returns the states their payloads can be in when a query
+// starts: resident, evicted, partially loaded (first and last column of
+// every chunk) and reopened from the manifest.
+func coldStates(t *testing.T, db *DB) []coldState {
+	t.Helper()
+	stores := make(map[string]*blockstore.Store)
+	for name, rel := range db.Relations() {
+		store, err := blockstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[name] = store
+		rel.SetBlockStore(store, 0, nil)
+		if err := rel.FlushFrozen(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evict := func() {
+		for name, rel := range db.Relations() {
+			for i := 0; i < rel.NumChunks(); i++ {
+				if rel.Chunk(i).State() != storage.ChunkFrozen {
+					continue
+				}
+				if ok, err := rel.EvictChunk(i); err != nil || !ok {
+					t.Fatalf("evict %s chunk %d: ok=%v err=%v", name, i, ok, err)
+				}
+			}
+		}
+	}
+	restore := func(name string) *storage.Relation {
+		old := db.Relations()[name]
+		re := storage.NewRelation(old.Schema(), old.ChunkCapacity())
+		re.SetBlockStore(stores[name], 0, nil)
+		for _, mc := range old.ManifestChunks() {
+			if err := re.RestoreEvicted(mc.Handle, mc.Rows, mc.Bytes, mc.Deleted, mc.NumDeleted); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return re
+	}
+	return []coldState{
+		{"resident", func() *DB { return db }},
+		{"evicted", func() *DB { evict(); return db }},
+		{"partial", func() *DB {
+			evict()
+			for _, rel := range db.Relations() {
+				views := rel.Snapshot()
+				for i := range views {
+					if err := views[i].Acquire([]int{0, rel.Schema().NumColumns() - 1}); err != nil {
+						t.Fatal(err)
+					}
+					views[i].Release()
+				}
+			}
+			return db
+		}},
+		{"reopened", func() *DB {
+			return &DB{
+				SF: db.SF, Lineitem: restore("lineitem"), Orders: restore("orders"),
+				Customer: restore("customer"), Part: restore("part"), Supplier: restore("supplier"),
+				Nation: restore("nation"), Region: restore("region"),
+			}
+		}},
+	}
+}
+
+// TestQueriesAgreeAcrossResidency: every supported query returns the same
+// result whether the blocks it reads are resident, evicted, partly loaded
+// or freshly reopened from a manifest — in all four scan modes, serial and
+// with four workers — as on the same data without a block store.
+func TestQueriesAgreeAcrossResidency(t *testing.T) {
+	ref := genTest(t, true)
+	states := coldStates(t, genTest(t, true))
+	modes := []exec.ScanMode{exec.ModeJIT, exec.ModeVectorized, exec.ModeVectorizedSARG, exec.ModeVectorizedSARGPSMA}
+	for _, q := range SupportedQueries {
+		res, err := ref.Query(q, exec.Options{Mode: exec.ModeVectorizedSARGPSMA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := canonical(res)
+		for _, st := range states {
+			for _, mode := range modes {
+				for _, par := range []int{1, 4} {
+					db := st.reset()
+					res, err := db.Query(q, exec.Options{Mode: mode, Parallelism: par})
+					if err != nil {
+						t.Fatalf("Q%d %s mode %v par %d: %v", q, st.name, mode, par, err)
+					}
+					if st.name != "resident" && db.Lineitem.ColdStatsSnapshot().Reloads == 0 {
+						t.Fatalf("Q%d %s: the query read nothing from the block store (bad test setup)", q, st.name)
+					}
+					if got := canonical(res); got != want {
+						t.Fatalf("Q%d %s mode %v par %d differs:\n%s\nvs\n%s", q, st.name, mode, par, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQ6ReloadsOnlyItsColumns: over an evicted lineitem, Q6 reads from the
+// block store no more than the sections of the four columns it scans, in
+// the blocks its SMA test could not rule out.
+func TestQ6ReloadsOnlyItsColumns(t *testing.T) {
+	db := genTest(t, true)
+	li := db.Lineitem
+	store, err := blockstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	li.SetBlockStore(store, 0, nil)
+	for i := 0; i < li.NumChunks(); i++ {
+		if ok, eerr := li.EvictChunk(i); eerr != nil || !ok {
+			t.Fatalf("evict chunk %d: ok=%v err=%v", i, ok, eerr)
+		}
+	}
+	kinds := make([]types.Kind, li.Schema().NumColumns())
+	for i, c := range li.Schema().Columns {
+		kinds[i] = c.Kind
+	}
+	var q6Cols, allCols uint64
+	for _, mc := range li.ManifestChunks() {
+		d, derr := store.ReadDirectory(mc.Handle, kinds)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		for _, name := range []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"} {
+			q6Cols += uint64(d.AttrBytes(db.li(name)))
+		}
+		allCols += uint64(d.BlockSize())
+	}
+	before := store.Stats().BytesRead
+	res, err := db.Query(6, exec.Options{Mode: exec.ModeVectorizedSARGPSMA, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := res.Profile.Scan
+	if read := uint64(store.Stats().BytesRead - before); read != sp.ReloadBytes {
+		t.Fatalf("profile reports %d reload bytes, the store read %d", sp.ReloadBytes, read)
+	}
+	if sp.Reloads == 0 || sp.ReloadBytes == 0 || sp.ReloadBytes > q6Cols {
+		t.Fatalf("Q6 reloaded %d bytes in %d reloads; its four columns are %d bytes of the %d-byte blocks",
+			sp.ReloadBytes, sp.Reloads, q6Cols, allCols)
 	}
 }
