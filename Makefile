@@ -8,16 +8,12 @@
 #   make race        — full test suite under the race detector
 #   make test-portable — full test suite with GODEBUG=cpu.avx2=off, so
 #                      every simd kernel runs its pure-Go fallback
-#   make stress      — the concurrent OLTP/OLAP stress tests (raced) plus
-#                      the kill -9 WAL recovery stress (a victim process
-#                      is SIGKILLed at random crash points and reopened
-#                      asserting zero lost acknowledged writes)
+#   make stress      — the concurrent OLTP/OLAP stress tests, raced, twenty
+#                      times each, plus the kill -9 WAL recovery stress (a
+#                      victim process is SIGKILLed at random crash points
+#                      and reopened asserting zero lost acknowledged writes)
 #   make bench-evict — eviction/reload benchmarks (a scan's four columns
 #                      and the whole block), one iteration each
-#   make bench-json  — full benchmark suite, one iteration each, as JSON
-#                      events in BENCH_$(BENCH_PR).json (committed so future
-#                      PRs can diff perf against this one), plus a
-#                      DB.Metrics() snapshot in METRICS_$(BENCH_PR).json
 #   make bench-smoke — one-iteration run of the consume-path and TPC-H
 #                      benchmarks, so the suite can't bit-rot, plus the
 #                      profiled Q1/Q6 report with instrumentation cost
@@ -31,9 +27,8 @@
 
 GO ?= go
 FUZZTIME ?= 60s
-BENCH_PR ?= 10
 
-.PHONY: all build test test-portable race vet lint lint-vet fmt-check stress bench-evict bench-json bench-smoke fuzz-short examples linkcheck loc ci
+.PHONY: all build test test-portable race vet lint lint-vet fmt-check stress bench-evict bench-smoke fuzz-short examples linkcheck loc ci
 
 all: ci
 
@@ -91,23 +86,13 @@ fmt-check:
 	fi
 
 stress:
-	$(GO) test -race -count=1 -run 'TestHybridStress|TestStorageStress|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty' . ./internal/storage/
+	$(GO) test -race -count=20 -run 'TestHybridStress|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty' . ./internal/storage/
 	$(GO) test -count=1 -run 'TestKillRecoveryStress' ./internal/experiments/
 
 # One iteration is enough to exercise the evict→reload path on every PR;
 # use -benchtime=10x locally for actual numbers.
 bench-evict:
 	$(GO) test -run '^$$' -bench=Evict -benchtime=1x ./...
-
-# Machine-readable perf baseline: every paper benchmark, emitted as
-# test2json events. Committed as BENCH_<PR>.json so the next PR can diff
-# its numbers against this one. Three iterations per benchmark: shared
-# 1-vCPU runners jitter one-shot numbers by ±20%, and averaging three
-# keeps the committed baseline comparable run to run. Use -benchtime=10x
-# locally when the absolute numbers matter more than the trajectory.
-bench-json:
-	$(GO) test -run '^$$' -bench=. -benchtime=3x -count=1 -json . > BENCH_$(BENCH_PR).json
-	$(GO) run ./cmd/dbrepro -coldrows 20000 metrics > METRICS_$(BENCH_PR).json
 
 # Cheap CI guard: the consume-path (batch vs tuple) and TPC-H benchmark
 # families must at least still run, and the Q1/Q6 profiles print with

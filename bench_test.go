@@ -678,8 +678,7 @@ func BenchmarkStripedInsert(b *testing.B) {
 // BenchmarkNewOrderWrites measures new-order-style write throughput
 // through the striped WAL group commit at 1, 4 and GOMAXPROCS writers:
 // each transaction inserts one order row and three order lines, all
-// acknowledged by the stripe logs' fsyncs (satellite: recorded by make
-// bench-json).
+// acknowledged by the stripe logs' fsyncs.
 func BenchmarkNewOrderWrites(b *testing.B) {
 	orderCols := []datablocks.Column{
 		{Name: "o_id", Kind: datablocks.Int64},

@@ -311,3 +311,112 @@ func TestHybridStress(t *testing.T) {
 		t.Fatal("background compactor froze nothing during the stress run")
 	}
 }
+
+// TestScansSeeOneVersionPerKeyUnderUpdates is snapshot isolation through
+// the public API on stock-shaped traffic: a fixed key set is rewritten by
+// Table.Update the way CH new-order rewrites stock (qty −= d, ytd += d, so
+// qty + ytd is conserved per key) while the compactor freezes and the
+// evictor spills behind the writers, and every scan — each mode, serial
+// and parallel — must return each key exactly once with the conserved sum.
+func TestScansSeeOneVersionPerKeyUnderUpdates(t *testing.T) {
+	const (
+		keys      = 200
+		total     = 1000 // qty + ytd of every key, always
+		writers   = 2
+		perWriter = 6000
+	)
+	db := Open(WithBlockStore(t.TempDir()), WithMemoryBudget(8<<10), WithAutoFreeze(1), WithChunkRows(256))
+	tbl, err := db.CreateTable("stock",
+		[]Column{{Name: "k", Kind: Int64}, {Name: "qty", Kind: Int64}, {Name: "ytd", Kind: Int64}},
+		WithPrimaryKey("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < keys; k++ {
+		if _, err := tbl.Insert(Row{Int(k), Int(total), Int(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(mode ScanMode, par int) error {
+		res, err := tbl.Scan([]string{"k", "qty", "ytd"}, nil, QueryOptions{Mode: mode, Parallelism: par})
+		if err != nil {
+			return err
+		}
+		var seen [keys]bool
+		for r := 0; r < res.NumRows(); r++ {
+			row := res.Row(r)
+			k := row[0].Int()
+			if seen[k] {
+				return fmt.Errorf("mode %v par %d: key %d returned twice", mode, par, k)
+			}
+			seen[k] = true
+			if sum := row[1].Int() + row[2].Int(); sum != total {
+				return fmt.Errorf("mode %v par %d: key %d has qty+ytd = %d", mode, par, k, sum)
+			}
+		}
+		if res.NumRows() != keys {
+			return fmt.Errorf("mode %v par %d: %d rows, want %d", mode, par, res.NumRows(), keys)
+		}
+		return nil
+	}
+	modes := []ScanMode{ModeJIT, ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA}
+	pars := []int{1, 4}
+
+	var writerWg, scanWg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writerWg.Add(1)
+		go func(w int) { // owns the keys ≡ w (mod writers)
+			defer writerWg.Done()
+			var qty [keys]int64
+			for i := 0; i < perWriter; i++ {
+				k := int64(w + writers*(i%(keys/writers)))
+				d := int64(i%7 + 1)
+				qty[k] -= d
+				if err := tbl.Update(k, Row{Int(k), Int(total + qty[k]), Int(-qty[k])}); err != nil {
+					t.Errorf("update %d: %v", k, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for s := 0; s < 2; s++ {
+		scanWg.Add(1)
+		go func(s int) {
+			defer scanWg.Done()
+			for i := s; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(modes[i%len(modes)], pars[i/len(modes)%len(pars)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	writerWg.Wait()
+	close(stop)
+	scanWg.Wait()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	for _, mode := range modes {
+		for _, par := range pars {
+			if err := check(mode, par); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s := tbl.Stats(); s.FrozenChunks+s.EvictedChunks == 0 {
+		t.Fatal("nothing was frozen behind the updates")
+	}
+	if tbl.ColdStats().Evictions == 0 {
+		t.Fatal("nothing was evicted under the budget")
+	}
+}

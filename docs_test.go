@@ -1,7 +1,11 @@
 package datablocks
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -40,5 +44,45 @@ func TestMarkdownDocLinks(t *testing.T) {
 				t.Errorf("%s: broken link %q: %v", doc, target, err)
 			}
 		}
+	}
+}
+
+// TestNoDbvetIgnore keeps the analyzers' exception list empty: no Go file
+// outside the analyzer fixtures may carry a //dbvet:ignore directive. A
+// contract that needs an exception is restated so the type system or the
+// analyzer can check it (as the chunk's atomic epoch stamps replaced the
+// five suppressions on the delete bitmap).
+func TestNoDbvetIgnore(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// Fixtures exercise the directive; dot directories (.git, the
+			// benchmark's build cache) hold no source of ours.
+			if d.Name() == "testdata" || (len(d.Name()) > 1 && d.Name()[0] == '.') {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, "//dbvet:ignore") {
+					t.Errorf("%s: %s", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

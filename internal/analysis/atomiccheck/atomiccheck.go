@@ -1,9 +1,8 @@
 // Package atomiccheck enforces the engine's mixed-access rule: a struct
-// field that is accessed through sync/atomic anywhere in the package —
-// either by passing its address (or the address of one of its elements)
-// to a sync/atomic function, or by passing the field to a helper whose
-// name ends in "Atomic" (the simd.Bitmap*Atomic word-access helpers) —
-// must not also be read or written plainly, except where a written
+// field that is accessed through sync/atomic anywhere in the package — by
+// passing its address (or the address of one of its elements) to a
+// sync/atomic function — must not also be read or written plainly, except
+// where a written
 // //dbvet:ignore justification states why the plain access is safe
 // (typically: performed under the writer lock that excludes every
 // lock-free reader, or during single-threaded construction).
@@ -26,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"datablocks/internal/analysis"
 )
@@ -52,16 +50,13 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			if !isAtomicCall(info, call) {
+			if !analysis.IsPackageFunc(info, call, "sync/atomic") {
 				return true
 			}
-			// Which arguments perform the atomic access? For sync/atomic
-			// functions, the address-taken ones (&x.f, &x.f[i]); for the
-			// *Atomic slice helpers, the slice itself — argument 0. Plain
-			// arguments (indices, values) are not atomic uses.
-			helperCall := !analysis.IsPackageFunc(info, call, "sync/atomic")
-			for i, arg := range call.Args {
-				if !isAddrOf(arg) && !(helperCall && i == 0) {
+			// The address-taken arguments (&x.f, &x.f[i]) perform the atomic
+			// access; plain arguments (values) are not atomic uses.
+			for _, arg := range call.Args {
+				if !isAddrOf(arg) {
 					continue
 				}
 				if sel, field := fieldOfAtomicArg(info, arg); field != nil {
@@ -124,7 +119,7 @@ func run(pass *analysis.Pass) (any, error) {
 					}
 				}
 			case *ast.CallExpr:
-				if isAtomicCall(info, call(n)) {
+				if analysis.IsPackageFunc(info, n, "sync/atomic") {
 					return false
 				}
 				if skipHeaderOnlyCall(info, n) {
@@ -148,20 +143,6 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
-}
-
-func call(n *ast.CallExpr) *ast.CallExpr { return n }
-
-// isAtomicCall reports whether the call performs an atomic access: a
-// sync/atomic function, a method on the atomic.* value types, or a
-// helper whose name ends in "Atomic" (the package-local convention for
-// word-granular atomic slice helpers like simd.BitmapSetAtomic).
-func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	if analysis.IsPackageFunc(info, call, "sync/atomic") {
-		return true
-	}
-	obj := analysis.CalleeObject(info, call)
-	return obj != nil && strings.HasSuffix(obj.Name(), "Atomic")
 }
 
 // skipHeaderOnlyCall exempts built-ins that touch only the slice header
@@ -206,8 +187,7 @@ func isAddrOf(arg ast.Expr) bool {
 }
 
 // fieldOfAtomicArg resolves an atomic call argument to the struct field
-// it addresses: &x.f, &x.f[i], or x.f passed by value to an *Atomic
-// helper.
+// it addresses: &x.f or &x.f[i].
 func fieldOfAtomicArg(info *types.Info, arg ast.Expr) (*ast.SelectorExpr, *types.Var) {
 	e := ast.Unparen(arg)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {

@@ -8,18 +8,12 @@ type counter struct {
 	name string
 }
 
-// bitmapSetAtomic follows the engine's *Atomic helper convention: the
-// slice argument (argument 0) is accessed atomically inside.
-func bitmapSetAtomic(bm []uint64, i uint32) {
-	atomic.StoreUint64(&bm[i>>6], atomic.LoadUint64(&bm[i>>6])|1<<(i&63))
-}
-
 func (c *counter) incr() {
 	atomic.AddInt64(&c.n, 1)
 }
 
 func (c *counter) mark(i uint32) {
-	bitmapSetAtomic(c.bits, i)
+	atomic.StoreUint64(&c.bits[i>>6], atomic.LoadUint64(&c.bits[i>>6])|1<<(i&63))
 }
 
 func (c *counter) badWrite() {

@@ -2,7 +2,6 @@ package simd
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 )
 
 // Reduce shrinks an existing match vector m in place, keeping only positions
@@ -324,33 +323,6 @@ func BitmapGet(bm []uint64, i uint32) bool { return bm[i>>6]>>(i&63)&1 == 1 }
 //
 //dbvet:hotpath
 func BitmapSet(bm []uint64, i uint32) { bm[i>>6] |= 1 << (i & 63) }
-
-// BitmapGetAtomic reports bit i of bm with an atomic word load, so the
-// bitmap may be read concurrently with BitmapSetAtomic writers. On amd64
-// and arm64 the load compiles to a plain MOV; the atomicity only buys the
-// memory-model guarantee (and keeps the race detector quiet).
-//
-//dbvet:hotpath
-func BitmapGetAtomic(bm []uint64, i uint32) bool {
-	return atomic.LoadUint64(&bm[i>>6])>>(i&63)&1 == 1
-}
-
-// BitmapSetAtomic sets bit i of bm with a CAS on its word, so concurrent
-// BitmapGetAtomic readers never observe a torn word. Bits are only ever
-// set, never cleared, which is what makes lock-free snapshot consumers
-// sound: a bit observed set stays set.
-//
-//dbvet:hotpath
-func BitmapSetAtomic(bm []uint64, i uint32) {
-	word := &bm[i>>6]
-	mask := uint64(1) << (i & 63)
-	for {
-		old := atomic.LoadUint64(word)
-		if old&mask != 0 || atomic.CompareAndSwapUint64(word, old, old|mask) {
-			return
-		}
-	}
-}
 
 // BitmapWords returns the number of uint64 words needed for n bits.
 func BitmapWords(n int) int { return (n + 63) / 64 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -344,55 +343,6 @@ func TestBitmapKernels(t *testing.T) {
 	}
 	if got := PositionsFromBitmapBranchy(bm, n, 0, nil); !equalU32(got, setPos) {
 		t.Fatalf("PositionsFromBitmapBranchy mismatch")
-	}
-}
-
-// TestBitmapAtomic: the atomic variants agree with the plain ones, and
-// concurrent setters on overlapping words lose no bits (run with -race
-// this also proves the accessors are data-race free).
-func TestBitmapAtomic(t *testing.T) {
-	const n = 512
-	bm := make([]uint64, BitmapWords(n))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < n; i += 8 {
-				if i%3 == 0 {
-					BitmapSetAtomic(bm, uint32(i))
-				}
-			}
-		}(g)
-	}
-	// Concurrent readers while bits land.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if BitmapGetAtomic(bm, uint32(i)) && i%3 != 0 {
-					t.Errorf("bit %d set spuriously", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		want := i%3 == 0
-		if got := BitmapGetAtomic(bm, uint32(i)); got != want {
-			t.Fatalf("atomic bit %d = %v, want %v", i, got, want)
-		}
-		if got := BitmapGet(bm, uint32(i)); got != want {
-			t.Fatalf("plain bit %d = %v, want %v", i, got, want)
-		}
-	}
-	// Idempotent re-set.
-	BitmapSetAtomic(bm, 0)
-	BitmapSetAtomic(bm, 0)
-	if !BitmapGetAtomic(bm, 0) {
-		t.Fatal("re-set cleared the bit")
 	}
 }
 

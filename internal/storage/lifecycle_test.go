@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,8 +183,8 @@ func TestAbortPendingInvisible(t *testing.T) {
 
 // TestSnapshotCutoffExcludesLaterCommit: a snapshot taken mid-update (new
 // version pending) resolves the old version even when iterated after the
-// commit — the zero-copy view filters the shared bitmap and stamps by its
-// epoch cutoff.
+// commit — the zero-copy view filters the shared stamps by its epoch
+// cutoff.
 func TestSnapshotCutoffExcludesLaterCommit(t *testing.T) {
 	r := NewRelation(testSchema(), 0)
 	tid, _ := r.Insert(mkRow(1, 1.0, "old"))
@@ -218,18 +219,17 @@ func TestSnapshotCutoffExcludesLaterCommit(t *testing.T) {
 	}
 }
 
-// TestSnapshotWatermarkExcludesLaterUpdate: a snapshot taken while the
-// chunk has no pending rows (bornCheck off) must stay consistent when an
-// update protocol run starts *after* it. The pending insert lands above
-// the captured row-count watermark, so the view never consults the born
-// map for it, and the commit retires the old version at an epoch above
+// TestSnapshotWatermarkExcludesLaterUpdate: a snapshot taken before an
+// update protocol run starts must stay consistent through it. The pending
+// insert lands above the captured row-count watermark, so the view never
+// looks at it, and the commit retires the old version at an epoch above
 // the cutoff, so the view keeps the pre-update version — never zero and
 // never two versions of the key. Plain inserts after the snapshot are
 // likewise above the watermark.
 func TestSnapshotWatermarkExcludesLaterUpdate(t *testing.T) {
 	r := NewRelation(testSchema(), 0)
 	tid, _ := r.Insert(mkRow(1, 1.0, "old"))
-	views := r.Snapshot() // no pending rows: bornCheck is off
+	views := r.Snapshot() // before the chunk has any stamp
 
 	pend, err := r.InsertPending(mkRow(1, 2.0, "new"))
 	if err != nil {
@@ -526,10 +526,7 @@ func TestStorageStress(t *testing.T) {
 						}
 					}
 					if live != v.LiveRows() {
-						// LiveRows may lag the bitmap copy by design only
-						// when deletes race the snapshot; both come from
-						// the same locked view, so they must agree.
-						t.Errorf("view live=%d bitmap=%d", v.LiveRows(), live)
+						t.Errorf("view LiveRows=%d, scan saw %d", v.LiveRows(), live)
 						return
 					}
 				}
@@ -609,6 +606,175 @@ func TestStorageStress(t *testing.T) {
 	}
 	if total != r.NumRows() {
 		t.Fatalf("frozen live rows %d != NumRows %d", total, r.NumRows())
+	}
+}
+
+// TestSnapshotOneVersionPerKey is the snapshot-isolation property the
+// chunk's visibility stamps exist for. 64 logical rows (column 0 is the
+// logical id and never changes) are rewritten continuously — half through
+// the three-step protocol on their own write stripe, half through the
+// atomic Update — while chunks behind the tails are frozen and evicted
+// under a budget that holds about one block, and every Snapshot must hold
+// each id exactly once. The point-read half of the contract rides along:
+// the latest committed identifier of an id resolves at a freshly captured
+// epoch, or has been retired by a newer version about to be published.
+//
+// A snapshot is likeliest to catch an append mid-flight while the relation
+// is small and snapshots are cheap, so the work is cut into many short
+// rounds on fresh relations rather than one long one.
+func TestSnapshotOneVersionPerKey(t *testing.T) {
+	for round := 0; round < 250 && !t.Failed(); round++ {
+		oneVersionPerKeyRound(t, 120)
+	}
+}
+
+func oneVersionPerKeyRound(t *testing.T, updates int) {
+	const keys = 64
+	r := NewRelation(testSchema(), 64)
+	r.SetWriteStripes(2)
+	r.SetBlockStore(openTestStore(t), 1<<10, nil)
+	// latest[id] is the identifier of id's newest committed version,
+	// published by its updater after the commit.
+	var latest [keys]atomic.Uint64
+	publish := func(id int, tid TupleID) { latest[id].Store(uint64(tid.Chunk)<<32 | uint64(tid.Row)) }
+	resolve := func(id int) TupleID {
+		p := latest[id].Load()
+		return TupleID{Chunk: uint32(p >> 32), Row: uint32(p)}
+	}
+	for id := 0; id < keys; id++ {
+		tid, err := r.Insert(mkRow(int64(id), 0, "v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		publish(id, tid)
+	}
+
+	// The protocol updater paces everyone else, so the background work
+	// scales with the writes instead of starving them of the two cores:
+	// one atomic Update per token, one freeze + evict pass per tick.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	token := make(chan struct{}, 1)
+	tick := make(chan struct{}, 1)
+	offer := func(ch chan struct{}) {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	wg.Add(1)
+	go func() { // ids [0, keys/2): InsertPending → CommitUpdate on stripe 1
+		defer wg.Done()
+		defer close(stop)
+		defer close(token)
+		defer close(tick)
+		for i := 0; i < updates; i++ {
+			id := i % (keys / 2)
+			pend, err := r.InsertPendingStripe(1, mkRow(int64(id), float64(i), "p"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, ok := r.CommitUpdate(resolve(id), pend); !ok {
+				t.Errorf("commit of id %d refused", id)
+				return
+			}
+			publish(id, pend)
+			offer(token)
+			if i%16 == 0 {
+				offer(tick)
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // ids [keys/2, keys): Relation.Update
+		defer wg.Done()
+		i := 0
+		for range token {
+			id := keys/2 + i%(keys/2)
+			i++
+			tid, err := r.Update(resolve(id), mkRow(int64(id), float64(i), "u"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			publish(id, tid)
+		}
+	}()
+	wg.Add(1)
+	go func() { // compactor and evictor
+		defer wg.Done()
+		for range tick {
+			if err := r.FreezeAll(core.FreezeOptions{SortBy: -1}, true); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := r.EvictUnderBudget(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func() { // scanner
+			defer wg.Done()
+			idCol := []int{0}
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var seen [keys]int
+				views := r.Snapshot()
+				for ci := range views {
+					v := &views[ci]
+					if err := v.Acquire(idCol); err != nil {
+						t.Error(err)
+						return
+					}
+					for row := 0; row < v.Rows(); row++ {
+						if !v.IsDeleted(row) {
+							seen[v.Value(0, row).Int()]++
+						}
+					}
+					v.Release()
+				}
+				for id, versions := range seen {
+					if versions != 1 {
+						t.Errorf("snapshot holds %d versions of id %d", versions, id)
+						return
+					}
+				}
+				id := n % keys
+				for attempt := 0; ; attempt++ {
+					tid := resolve(id)
+					row, vis := r.GetAt(tid, r.ReadEpoch())
+					if vis == Visible {
+						if got := row[0].Int(); got != int64(id) {
+							t.Errorf("id %d resolved to a row of id %d", id, got)
+							return
+						}
+						break
+					}
+					// The identifier was committed before it was published,
+					// so a fresh epoch can only find it superseded.
+					if vis != Retired || attempt == 1<<20 {
+						t.Errorf("id %d: latest %v is %v", id, tid, vis)
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := r.LoadError(); err != nil {
+		t.Fatal(err)
+	}
+	if r.NumRows() != keys {
+		t.Fatalf("NumRows = %d, want %d", r.NumRows(), keys)
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
 
 	"datablocks/internal/core"
@@ -10,10 +11,15 @@ import (
 // TestManifestRestoreRoundTrip drives the relation-level half of durable
 // reopen: a frozen relation's ManifestChunks snapshot, restored with
 // RestoreEvicted into a fresh relation over the same store, must answer
-// point reads identically — deleted rows stay deleted (retired at epoch
-// zero), live rows materialize after a lazy reload.
+// point reads and scans identically — rows retired by a delete, by either
+// kind of update or by an aborted update stay dead (retired before every
+// epoch), live rows materialize after a lazy reload. The manifest itself
+// is pinned too: one bit per retired row in a bitmap trimmed to the row
+// count, none for a chunk without retired rows — what every database
+// directory written so far holds — and a restored relation writes the
+// manifest it was restored from.
 func TestManifestRestoreRoundTrip(t *testing.T) {
-	const chunkRows, nChunks = 128, 3
+	const chunkRows, nChunks = 128, 4
 	store := openTestStore(t)
 	r := NewRelation(testSchema(), chunkRows)
 	r.SetBlockStore(store, 0, nil)
@@ -25,19 +31,50 @@ func TestManifestRestoreRoundTrip(t *testing.T) {
 	if err := r.FreezeAll(core.FreezeOptions{SortBy: -1}, false); err != nil {
 		t.Fatal(err)
 	}
-	// Delete a few rows across chunks, then flush and snapshot.
-	deleted := []TupleID{{Chunk: 0, Row: 3}, {Chunk: 1, Row: 0}, {Chunk: 2, Row: 127}}
-	for _, tid := range deleted {
+	// Retire rows of frozen chunks 0-2 every way there is; the new versions
+	// land in a fifth chunk, which is frozen in turn. Chunk 3 stays clean.
+	for _, tid := range []TupleID{{Chunk: 0, Row: 3}, {Chunk: 1, Row: 0}, {Chunk: 2, Row: 127}} {
 		if !r.Delete(tid) {
 			t.Fatalf("delete %v failed", tid)
 		}
+	}
+	if _, err := r.Update(TupleID{Chunk: 1, Row: 5}, mkRow(1000, 1, "updated")); err != nil {
+		t.Fatal(err)
+	}
+	pend, err := r.InsertPending(mkRow(1001, 2, "committed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.CommitUpdate(TupleID{Chunk: 2, Row: 7}, pend); !ok {
+		t.Fatal("commit refused")
+	}
+	aborted, err := r.InsertPending(mkRow(1002, 3, "aborted"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AbortPending(aborted)
+	if err := r.FreezeAll(core.FreezeOptions{SortBy: -1}, false); err != nil {
+		t.Fatal(err)
 	}
 	if err := r.FlushFrozen(); err != nil {
 		t.Fatal(err)
 	}
 	chunks := r.ManifestChunks()
-	if len(chunks) != nChunks {
-		t.Fatalf("manifest has %d chunks, want %d", len(chunks), nChunks)
+	wantBits := [][]uint32{{3}, {0, 5}, {7, 127}, nil, {aborted.Row}}
+	if len(chunks) != len(wantBits) {
+		t.Fatalf("manifest has %d chunks, want %d", len(chunks), len(wantBits))
+	}
+	for i, mc := range chunks {
+		var want []uint64
+		for _, row := range wantBits[i] {
+			if want == nil {
+				want = make([]uint64, simd.BitmapWords(mc.Rows))
+			}
+			simd.BitmapSet(want, row)
+		}
+		if mc.NumDeleted != len(wantBits[i]) || !reflect.DeepEqual(mc.Deleted, want) {
+			t.Fatalf("manifest chunk %d: %d deleted, bitmap %x; want rows %v", i, mc.NumDeleted, mc.Deleted, wantBits[i])
+		}
 	}
 
 	r2 := NewRelation(testSchema(), chunkRows)
@@ -50,28 +87,27 @@ func TestManifestRestoreRoundTrip(t *testing.T) {
 	if got, want := r2.NumRows(), r.NumRows(); got != want {
 		t.Fatalf("restored live rows %d, want %d", got, want)
 	}
-	for i := 0; i < nChunks; i++ {
-		if s := r2.Chunk(i).State(); s != ChunkEvicted {
-			t.Fatalf("restored chunk %d state %v, want evicted", i, s)
-		}
+	if got := r2.ManifestChunks(); !reflect.DeepEqual(got, chunks) {
+		t.Fatalf("restored relation writes manifest %+v, was restored from %+v", got, chunks)
 	}
-	for i := 0; i < chunkRows*nChunks; i++ {
-		tid := TupleID{Chunk: uint32(i / chunkRows), Row: uint32(i % chunkRows)}
-		row, ok := r2.Get(tid)
-		wasDeleted := false
-		for _, d := range deleted {
-			if d == tid {
-				wasDeleted = true
-			}
+	views := r2.Snapshot()
+	for ci, mc := range chunks {
+		if s := r2.Chunk(ci).State(); s != ChunkEvicted {
+			t.Fatalf("restored chunk %d state %v, want evicted", ci, s)
 		}
-		if wasDeleted {
-			if ok {
-				t.Fatalf("deleted tuple %v resurrected as %v", tid, row)
-			}
-			continue
+		if got, want := views[ci].LiveRows(), mc.Rows-mc.NumDeleted; got != want {
+			t.Fatalf("restored chunk %d: a scan sees %d rows, want %d", ci, got, want)
 		}
-		if !ok || row[0].Int() != int64(i) {
-			t.Fatalf("tuple %v = %v, %v", tid, row, ok)
+		for row := 0; row < mc.Rows; row++ {
+			tid := TupleID{Chunk: uint32(ci), Row: uint32(row)}
+			want, wantOK := r.Get(tid)
+			got, ok := r2.Get(tid)
+			if ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("tuple %v restored as %v, %v; was %v, %v", tid, got, ok, want, wantOK)
+			}
+			if views[ci].IsDeleted(row) == ok {
+				t.Fatalf("tuple %v: scan and point read disagree", tid)
+			}
 		}
 	}
 }

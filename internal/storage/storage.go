@@ -50,6 +50,12 @@
 // times resolves to either its pre- or its post-update version, never to
 // neither.
 //
+// The two stamps are all the visibility state a chunk has (Chunk.retired,
+// Chunk.born): there is no separate delete flag — a row is deleted when
+// its retired slot is non-zero — and visibleAt, a function of the row's
+// two slots and the reader's epoch, is the only place the rule is written.
+// The per-chunk counters are telemetry; no read consults them.
+//
 // The three-step update protocol orders the steps so that no read epoch
 // ever observes a gap: InsertPending appends the new version invisibly
 // (born at +inf), the caller publishes the new tuple identifier in its
@@ -57,11 +63,16 @@
 // visible and retires the old one. Between the steps, readers resolve the
 // old version; after commit, the epoch decides.
 //
-// Snapshots are zero-copy: a ChunkView shares the chunk's delete bitmap
-// (word-level atomic access) and epoch stamps, and filters both by the
-// cutoff epoch captured at snapshot time. A delete or update committed
-// after the snapshot necessarily carries a later epoch, so the view keeps
-// reading the pre-mutation state without copying the bitmap.
+// Snapshots are zero-copy: a ChunkView captures the chunk's row-count
+// watermark and then its two stamp arrays, and filters by the cutoff epoch
+// captured at snapshot time. Two orderings make that sound without copying
+// anything. An append stores the new row's birth stamp before it publishes
+// the row through the watermark, so a view that can see a row can see the
+// stamp it was published with — a pending update version is never
+// mistaken for a plain insert. And deletes and update commits hold the
+// relation write lock, which the snapshot's read lock excludes, so every
+// stamp written after the snapshot carries an epoch above its cutoff and
+// the view keeps reading the pre-mutation state.
 //
 // Each chunk moves through a state machine that is one-way up to the
 // frozen station and oscillates between the last two when a block store
@@ -76,13 +87,13 @@
 // A freezing chunk no longer accepts appends (the insert tail skips it and
 // rolls over to a fresh chunk), but its tuples remain readable from the hot
 // payload until the compressed block is installed with an atomic payload
-// swap; deletes during freezing land in the chunk's delete bitmap, which is
-// shared by the hot and frozen forms (tuple identifiers are stable).
+// swap; deletes during freezing land in the chunk's retired stamps, which
+// are shared by the hot and frozen forms (tuple identifiers are stable).
 //
 // # Eviction, pinning and reload
 //
-// An evicted chunk keeps everything mutable in RAM — the delete bitmap,
-// epoch stamps and counters — plus its block's directory: the serialized
+// An evicted chunk keeps everything mutable in RAM — the epoch stamps and
+// counters — plus its block's directory: the serialized
 // block's fixed header and per-attribute entries (SMA, scheme, width, NULL
 // flags, section location and checksum; 24 + 64 bytes per attribute). Only
 // the compressed vectors leave, and they come back by attribute: a pin
@@ -155,19 +166,20 @@
 //   - The chunk capacity must be at least the restored row counts — reopen
 //     a relation with the chunk capacity it was created with (the durable
 //     catalog records it).
-//   - Epoch stamps are not persisted: restored deletes read as
-//     retired-at-zero (invisible to everyone), and rows that were pending
-//     an uncommitted update at manifest time were recorded as deleted by
-//     ManifestChunks. Cross-restart epoch continuity is the owner's job:
-//     the durable manifest records the epoch high-water mark and recovery
-//     restores it with AdvanceEpoch before replaying its write-ahead log,
-//     so replayed mutations mint epochs above everything the previous
-//     lifetime acknowledged.
+//   - Epochs are not persisted: the manifest carries one bit per retired
+//     row, restored deletes read as retired before every epoch (invisible
+//     to everyone), and rows that were pending an uncommitted update at
+//     manifest time were recorded as deleted by ManifestChunks.
+//     Cross-restart epoch continuity is the owner's job: the durable
+//     manifest records the epoch high-water mark and recovery restores it
+//     with AdvanceEpoch before replaying its write-ahead log, so replayed
+//     mutations mint epochs above everything the previous lifetime
+//     acknowledged.
 //
 // ManifestChunks is the writer-side half: it snapshots the frozen set
-// (handles, row counts, delete bitmaps) under the relation lock for a
-// manifest write, after FlushFrozen has given every frozen block a store
-// handle.
+// (handles, row counts, delete bitmaps derived from the retired stamps)
+// under the relation lock for a manifest write, after FlushFrozen has
+// given every frozen block a store handle.
 //
 // Sorted freezing (SortBy >= 0) reorders tuples and therefore invalidates
 // tuple identifiers; it runs stop-the-world under the relation write lock
@@ -184,19 +196,19 @@
 // The rules above are enforced by the in-tree dbvet analyzer suite
 // (internal/analysis, run by `make lint`): lockcheck checks that *Locked
 // helpers run with the relation lock held and that loadMu is acquired
-// before the relation lock (the documented rank order); atomiccheck
-// checks that the atomically-read delete bitmaps and counters are never
-// touched plainly; pincheck checks that every ChunkView.Acquire and
-// pinBlock is paired with its release on all paths. The few deliberate
-// exceptions in this file carry //dbvet:ignore directives whose reasons
-// state why the plain access cannot race (single-owner construction, or
-// writer-excluded freeze). See ARCHITECTURE.md, "Enforced invariants".
+// before the relation lock (the documented rank order); pincheck checks
+// that every ChunkView.Acquire and pinBlock is paired with its release on
+// all paths. Everything this package shares between goroutines without a
+// lock — epoch stamps, counters, payload and directory pointers — has a
+// sync/atomic type, so a plain access does not compile; atomiccheck
+// guards the function-style atomics elsewhere. Nothing here (or anywhere
+// in the tree) suppresses a finding. See ARCHITECTURE.md, "Enforced
+// invariants".
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -327,34 +339,76 @@ type chunkPayload struct {
 // until CommitUpdate overwrites the stamp with the commit epoch.
 const pendingEpoch = ^uint64(0)
 
+// stamps is one of a chunk's two per-row epoch arrays: chunk capacity
+// long, allocated the first time a row of the chunk needs a stamp (a chunk
+// nobody updates or deletes from carries none), shared by the hot and
+// frozen payloads (tuple identifiers survive unsorted freezing) and read
+// lock-free — the element type leaves no other way to read it.
+type stamps struct {
+	p atomic.Pointer[[]atomic.Uint64]
+}
+
+// load returns the array, or nil while no row has been stamped.
+func (s *stamps) load() []atomic.Uint64 {
+	if p := s.p.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// ensure returns the array, allocating it for n rows on first use.
+func (s *stamps) ensure(n int) []atomic.Uint64 {
+	if a := s.load(); a != nil {
+		return a
+	}
+	a := make([]atomic.Uint64, n)
+	if s.p.CompareAndSwap(nil, &a) {
+		return a
+	}
+	return s.load()
+}
+
+// visibleAt is the whole visibility rule: a row is visible at epoch e iff
+// it was born at or before e and not retired at or before e. Either array
+// may be nil (no row of the chunk carries such a stamp).
+func visibleAt(retired, born []atomic.Uint64, row uint32, e uint64) Visibility {
+	if born != nil && born[row].Load() > e {
+		return NotYetBorn
+	}
+	if retired != nil {
+		if s := retired[row].Load(); s != 0 && s-1 <= e {
+			return Retired
+		}
+	}
+	return Visible
+}
+
 // Chunk is one fixed-size slice of a relation: hot, freezing or frozen.
 type Chunk struct {
 	state atomic.Uint32
 	pay   atomic.Pointer[chunkPayload]
 
-	// The delete bitmap is shared by the hot and frozen payloads (tuple
-	// identifiers survive unsorted freezing). It is mutated under the
-	// relation write lock with word-level atomic sets and may be read
-	// lock-free with atomic loads (bits are only ever set), so ChunkViews
-	// share it without copying.
-	deleted    []uint64 // bit set = deleted; lazily allocated
-	numDeleted atomic.Int32
-	// retiredCount counts live entries in the retired map — the
-	// epoch-stamped tombstones only a sorted freeze garbage-collects.
-	// Telemetry only (the GC backlog of EpochStatsSnapshot).
+	// retired[row] is 0 while the row is live, else the write epoch that
+	// delete-flagged it plus one — so 1 reads "retired before every reader"
+	// (aborted pending rows, deletes restored from a manifest). Stamped
+	// under the relation write lock, once per row.
+	// born[row] is 0 for a row visible since its insert, pendingEpoch for
+	// an update version awaiting CommitUpdate, else the epoch that
+	// committed it. Stamped before the row count publishes the row
+	// (appendRow), re-stamped once by CommitUpdate under the write lock.
+	// A sorted freeze drops both arrays (row indexes are reassigned);
+	// in-flight views keep the slices they loaded.
+	retired, born stamps
+
+	// Telemetry (EpochStats, MemStats) and the sorted-freeze precondition;
+	// no visibility decision reads these. numDeleted counts retired rows,
+	// retiredCount those retired in this process lifetime (the backlog a
+	// sorted freeze collects), pending the InsertPending rows neither
+	// committed nor aborted, bornCount the rows ever given a birth stamp.
+	numDeleted   atomic.Int32
 	retiredCount atomic.Int32
-	// pending counts rows inserted by InsertPending that have neither
-	// committed nor aborted yet.
-	pending atomic.Int32
-	// bornCount counts rows that ever received a birth stamp; zero lets
-	// point reads skip the born map entirely.
-	bornCount atomic.Int32
-	// retired maps row -> write epoch at which the row was delete-flagged;
-	// born maps row -> write epoch at which an update-created row became
-	// visible (pendingEpoch until its commit). Both are replaced wholesale
-	// by a sorted freeze, so in-flight views keep their own references.
-	retired *sync.Map
-	born    *sync.Map
+	pending      atomic.Int32
+	bornCount    atomic.Int32
 
 	// loadMu serializes the chunk's traffic with the block store: the
 	// spill of an eviction and the single-flight reload of a read both
@@ -400,19 +454,9 @@ func (c *Chunk) Temperature() uint64 { return c.access.Load() }
 func (c *Chunk) Pinned() bool { return c.pins.Load() != 0 }
 
 func newChunk(h *HotChunk, stripe int32) *Chunk {
-	c := &Chunk{retired: &sync.Map{}, born: &sync.Map{}, stripe: stripe}
+	c := &Chunk{stripe: stripe}
 	c.pay.Store(&chunkPayload{hot: h})
 	return c
-}
-
-// retiredAt returns the epoch at which row was delete-flagged. A set bit
-// with no stamp (impossible through the public API) is treated as retired
-// at epoch 0, i.e. invisible to everyone.
-func (c *Chunk) retiredAt(row uint32) uint64 {
-	if e, ok := c.retired.Load(row); ok {
-		return e.(uint64)
-	}
-	return 0
 }
 
 // State returns the chunk's lifecycle state.
@@ -452,15 +496,16 @@ func (c *Chunk) Rows() int {
 }
 
 // LiveRows returns the tuple count excluding deleted and pending tuples.
-// Like Rows it is safe to call lock-free: both counters are atomic.
+// Like Rows it is safe to call lock-free: both counters are atomic. Three
+// separate loads make it a statistic, not a snapshot; a scan counts from a
+// ChunkView.
 func (c *Chunk) LiveRows() int {
 	return c.Rows() - int(c.numDeleted.Load()) - int(c.pending.Load())
 }
 
 // NumDeleted returns the number of delete-flagged tuples (atomic, safe
 // lock-free). Per-row delete state is only exposed through ChunkView,
-// whose epoch cutoff and atomic bitmap access make it safe without the
-// relation lock.
+// whose epoch cutoff makes it meaningful without the relation lock.
 func (c *Chunk) NumDeleted() int { return int(c.numDeleted.Load()) }
 
 // ChunkView is a consistent snapshot of one chunk, taken under the
@@ -468,11 +513,11 @@ func (c *Chunk) NumDeleted() int { return int(c.numDeleted.Load()) }
 // and never observe concurrent appends, hot→frozen payload swaps, or row
 // versions committed after the snapshot.
 //
-// Views are zero-copy: the delete bitmap and epoch stamps are shared with
-// the live chunk and filtered through the cutoff epoch captured at
-// snapshot time. Deletes and update commits that land after the snapshot
-// carry epochs above the cutoff, so the view keeps resolving the
-// pre-mutation state without having copied anything.
+// Views are zero-copy: the epoch stamps are shared with the live chunk and
+// filtered through the cutoff epoch captured at snapshot time. Deletes and
+// update commits that land after the snapshot carry epochs above the
+// cutoff, so the view keeps resolving the pre-mutation state without
+// having copied anything.
 type ChunkView struct {
 	hot *HotChunk
 	blk *core.Block
@@ -489,18 +534,15 @@ type ChunkView struct {
 	release func()
 	// rows is the row-count watermark captured under the relation lock:
 	// rows appended after the snapshot sit above it and are never
-	// consulted, which is what lets bornCheck stay false when the chunk
-	// had no pending rows at snapshot time (a later InsertPending or
-	// plain Insert lands above the watermark; a later CommitUpdate
-	// retires the old version at an epoch above the cutoff).
-	rows       int
-	del        []uint64 // shared with the chunk; atomic word access only
-	retired    *sync.Map
-	born       *sync.Map
-	cutoff     uint64
-	numDeleted int
-	pending    int
-	bornCheck  bool
+	// consulted. retired and born are the chunk's stamp arrays, loaded
+	// after the watermark — a row's birth stamp is stored before the row
+	// is published, so every stamp below the watermark is in them — and
+	// nil when the chunk had none. Visibility of a row is a function of
+	// its two stamps and cutoff, nothing else.
+	rows    int
+	retired []atomic.Uint64
+	born    []atomic.Uint64
+	cutoff  uint64
 }
 
 // IsFrozen reports whether the chunk was frozen (possibly evicted) at
@@ -572,10 +614,20 @@ func (v *ChunkView) Hot() *HotChunk { return v.hot }
 // snapshot sit above the watermark and are not part of the view.
 func (v *ChunkView) Rows() int { return v.rows }
 
-// LiveRows returns the tuple count visible at the view's epoch cutoff.
-// Watermark, delete count and pending count were all captured under one
-// lock acquisition, so the value is internally consistent.
-func (v *ChunkView) LiveRows() int { return v.rows - v.numDeleted - v.pending }
+// LiveRows returns the tuple count visible at the view's epoch cutoff,
+// counted from the view's own stamps: what a scan of the view sees.
+func (v *ChunkView) LiveRows() int {
+	if v.retired == nil && v.born == nil {
+		return v.rows
+	}
+	n := 0
+	for row := 0; row < v.rows; row++ {
+		if v.visible(uint32(row)) {
+			n++
+		}
+	}
+	return n
+}
 
 // IsDeleted reports whether the row is invisible at the view's epoch
 // cutoff: delete-flagged at or before the cutoff, or born after it (a
@@ -584,24 +636,14 @@ func (v *ChunkView) LiveRows() int { return v.rows - v.numDeleted - v.pending }
 func (v *ChunkView) IsDeleted(row int) bool { return !v.visible(uint32(row)) }
 
 func (v *ChunkView) visible(row uint32) bool {
-	if v.del != nil && simd.BitmapGetAtomic(v.del, row) {
-		if e, ok := v.retired.Load(row); !ok || e.(uint64) <= v.cutoff {
-			return false
-		}
-	}
-	if v.bornCheck {
-		if b, ok := v.born.Load(row); ok && b.(uint64) > v.cutoff {
-			return false
-		}
-	}
-	return true
+	return visibleAt(v.retired, v.born, row, v.cutoff) == Visible
 }
 
 // FilterVisible compacts a match vector in place, keeping only positions
-// visible at the view's epoch cutoff. When the chunk had no deletes and
-// no in-flight updates at snapshot time this is free.
+// visible at the view's epoch cutoff. For a chunk that never had a row
+// deleted or updated this is free.
 func (v *ChunkView) FilterVisible(m []uint32) []uint32 {
-	if v.numDeleted == 0 && !v.bornCheck {
+	if v.retired == nil && v.born == nil {
 		return m
 	}
 	w := 0
@@ -744,9 +786,8 @@ func (r *Relation) ReadEpoch() uint64 { return r.epoch.Load() }
 
 // Snapshot captures a consistent view of every chunk for a scan, pinned
 // to the current write epoch. View i corresponds to chunk ordinal i, so
-// row positions remain valid TupleIDs. The views share the live delete
-// bitmap and epoch stamps (zero-copy); the cutoff keeps later mutations
-// invisible.
+// row positions remain valid TupleIDs. The views share the live epoch
+// stamps (zero-copy); the cutoff keeps later mutations invisible.
 func (r *Relation) Snapshot() []ChunkView {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -760,30 +801,20 @@ func (r *Relation) Snapshot() []ChunkView {
 
 // viewLocked snapshots one chunk at the given epoch cutoff. Caller holds
 // at least the read lock, which excludes deletes, update commits, freeze
-// installs and bulk loads, so the captured headers, delete count and
-// cutoff are mutually consistent. Stripe appends run outside the relation
-// lock, but they publish through the row-count watermark: a hot chunk's
-// backing arrays are allocated at full capacity up front (the headers
-// never move), values are written before the watermark advances, and rows
-// below the watermark are immutable — so every mutation concurrent with
-// the snapshot either lands above the watermark (appends) or carries an
-// epoch above the cutoff (deletes, update commits).
+// installs and bulk loads, so no stamp at or below the cutoff is written
+// while the view is taken. Stripe appends run outside the relation lock,
+// but they publish through the row-count watermark: a hot chunk's backing
+// arrays are allocated at full capacity up front (the headers never move),
+// a row's values and its birth stamp are written before the watermark
+// advances, and rows below the watermark are immutable — so every mutation
+// concurrent with the snapshot either lands above the watermark (appends)
+// or carries an epoch above the cutoff (deletes, update commits). The
+// order of the loads is the contract: watermark first, stamp arrays after
+// it, so a row below the watermark always finds the stamp it was
+// published with.
 func (r *Relation) viewLocked(c *Chunk, cutoff uint64) ChunkView {
 	c.access.Add(1) // scan touch: temperature for the eviction policy
-	v := ChunkView{
-		del:        c.deleted,
-		retired:    c.retired,
-		born:       c.born,
-		cutoff:     cutoff,
-		numDeleted: int(c.numDeleted.Load()),
-		pending:    int(c.pending.Load()),
-	}
-	// Only rows that are pending right now can be born above the cutoff
-	// later (their commit epoch will exceed it); committed births are all
-	// at or below the current epoch. No pending rows means the view never
-	// needs the born map — a pending row inserted after the snapshot
-	// lands above the watermark and is excluded by the iteration bound.
-	v.bornCheck = v.pending > 0
+	v := ChunkView{cutoff: cutoff}
 	p := c.pay.Load()
 	if p.hot == nil {
 		// Frozen (blk set) or evicted (blk nil until Acquire reloads it).
@@ -795,16 +826,17 @@ func (r *Relation) viewLocked(c *Chunk, cutoff uint64) ChunkView {
 			// already is): give the view the pin/reload hook.
 			v.chunk, v.rel = c, r
 		}
-		return v
+	} else {
+		// The column copy pins the snapshot's slice headers (a bulk load may
+		// install null flags later, under the write lock) and the watermark
+		// bounds every accessor, so the view never reads past snapshot state.
+		n := p.hot.n.Load()
+		v.rows = int(n)
+		snap := &HotChunk{cols: append([]hotCol(nil), p.hot.cols...)}
+		snap.n.Store(n)
+		v.hot = snap
 	}
-	// The column copy pins the snapshot's slice headers (a bulk load may
-	// install null flags later, under the write lock) and the watermark
-	// bounds every accessor, so the view never reads past snapshot state.
-	n := p.hot.n.Load()
-	v.rows = int(n)
-	snap := &HotChunk{cols: append([]hotCol(nil), p.hot.cols...)}
-	snap.n.Store(n)
-	v.hot = snap
+	v.retired, v.born = c.retired.load(), c.born.load()
 	return v
 }
 
@@ -902,24 +934,24 @@ func (r *Relation) InsertStripe(s int, row types.Row) (TupleID, error) {
 	st := &r.stripes[s]
 	st.mu.Lock()
 	c, ci := r.ensureTail(st, s)
-	tid := r.appendRow(c, ci, row, false)
+	tid := r.appendRow(c, ci, row, 0)
 	st.mu.Unlock()
 	r.live.Add(1)
 	return tid, nil
 }
 
 // appendRow appends a pre-validated row to the resolved tail chunk c
-// (ordinal ci, from ensureTail or ensureTailLocked). A pending row is
-// stamped born-at-+inf *before* the row count is published, so no reader
-// or snapshot ever sees it until CommitUpdate re-stamps it. Caller holds
-// the owning stripe's mu and adjusts the live count.
-func (r *Relation) appendRow(c *Chunk, ci int, row types.Row, pending bool) TupleID {
+// (ordinal ci, from ensureTail or ensureTailLocked), born at the given
+// stamp: 0 for a plain insert, pendingEpoch for an update version awaiting
+// its commit, the commit epoch for the atomic Update. The stamp is stored
+// *before* the row count is published, so whoever can see the row sees its
+// stamp. Caller holds the owning stripe's mu and adjusts the live count.
+func (r *Relation) appendRow(c *Chunk, ci int, row types.Row, born uint64) TupleID {
 	h := c.pay.Load().hot
 	n := h.Rows()
-	if pending {
-		c.born.Store(uint32(n), pendingEpoch)
+	if born != 0 {
+		c.born.ensure(r.chunkCap)[n].Store(born)
 		c.bornCount.Add(1)
-		c.pending.Add(1)
 	}
 	for i, v := range row {
 		col := &h.cols[i]
@@ -1050,24 +1082,15 @@ func (r *Relation) deleteLocked(tid TupleID) bool {
 	return true
 }
 
-// retireLocked stamps row as retired at epoch e and sets its delete bit.
-// The stamp is stored before the bit so a lock-free reader that observes
-// the bit always finds the epoch. Caller holds the write lock.
+// retireLocked stamps row as retired at epoch e, reporting false when it
+// already was. Caller holds the write lock.
 func (r *Relation) retireLocked(c *Chunk, row uint32, e uint64) bool {
-	if c.deleted == nil {
-		// The slice-header swap is plain, not atomic: publication is safe
-		// because lock-free readers go through visibleInChunk, which
-		// nil-checks the header it loads once; they either see nil (no
-		// deletes yet — correct, the bit below is not set either until
-		// after the epoch stamp) or the fully-made slice.
-		c.deleted = make([]uint64, simd.BitmapWords(r.chunkCap)) //dbvet:ignore header swap published before any bit is set; readers nil-check their own copy
-	}
-	if simd.BitmapGetAtomic(c.deleted, row) {
+	s := &c.retired.ensure(r.chunkCap)[row]
+	if s.Load() != 0 {
 		return false
 	}
-	c.retired.Store(row, e)
+	s.Store(e + 1)
 	c.retiredCount.Add(1)
-	simd.BitmapSetAtomic(c.deleted, row)
 	c.numDeleted.Add(1)
 	return true
 }
@@ -1105,11 +1128,7 @@ func (r *Relation) Update(tid TupleID, row types.Row) (TupleID, error) {
 		return TupleID{}, errors.New("storage: update of missing or deleted tuple")
 	}
 	tc, tci := r.ensureTailLocked(st, 0)
-	newTid := r.appendRow(tc, tci, row, false)
-	nc := r.chunks[newTid.Chunk]
-	nc.born.Store(newTid.Row, e)
-	nc.bornCount.Add(1)
-	return newTid, nil
+	return r.appendRow(tc, tci, row, e), nil
 }
 
 // InsertPending appends a new row version that is invisible to every
@@ -1131,7 +1150,8 @@ func (r *Relation) InsertPendingStripe(s int, row types.Row) (TupleID, error) {
 	st := &r.stripes[s]
 	st.mu.Lock()
 	c, ci := r.ensureTail(st, s)
-	tid := r.appendRow(c, ci, row, true)
+	c.pending.Add(1)
+	tid := r.appendRow(c, ci, row, pendingEpoch)
 	st.mu.Unlock()
 	return tid, nil
 }
@@ -1149,11 +1169,14 @@ func (r *Relation) CommitUpdate(oldTid, newTid TupleID) (uint64, bool) {
 		return 0, false
 	}
 	oc, ok := r.chunkFor(oldTid)
-	if !ok || (oc.deleted != nil && simd.BitmapGetAtomic(oc.deleted, oldTid.Row)) {
+	if !ok {
+		return 0, false
+	}
+	if ret := oc.retired.load(); ret != nil && ret[oldTid.Row].Load() != 0 {
 		return 0, false
 	}
 	e := r.epoch.Add(1)
-	nc.born.Store(newTid.Row, e)
+	nc.born.ensure(r.chunkCap)[newTid.Row].Store(e)
 	nc.pending.Add(-1)
 	r.retireLocked(oc, oldTid.Row, e)
 	// Live count is unchanged: the old version leaves, the new one enters.
@@ -1161,9 +1184,9 @@ func (r *Relation) CommitUpdate(oldTid, newTid TupleID) (uint64, bool) {
 }
 
 // AbortPending discards a pending row inserted by InsertPending: the row
-// keeps its slot but is retired at epoch 0, invisible to every reader
-// past and future. It must only be called on a row whose commit never
-// happened.
+// keeps its slot but is retired before every epoch, invisible to every
+// reader past and future. It must only be called on a row whose commit
+// never happened.
 func (r *Relation) AbortPending(tid TupleID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1323,15 +1346,7 @@ func (r *Relation) visibilityLocked(tid TupleID, e uint64) (*Chunk, Visibility) 
 	if !ok {
 		return nil, Absent
 	}
-	if c.bornCount.Load() != 0 {
-		if b, ok := c.born.Load(tid.Row); ok && b.(uint64) > e {
-			return c, NotYetBorn
-		}
-	}
-	if c.deleted != nil && simd.BitmapGetAtomic(c.deleted, tid.Row) && c.retiredAt(tid.Row) <= e {
-		return c, Retired
-	}
-	return c, Visible
+	return c, visibleAt(c.retired.load(), c.born.load(), tid.Row, e)
 }
 
 // FreezeChunk compresses chunk i into a Data Block. With a non-negative
@@ -1341,7 +1356,7 @@ func (r *Relation) visibilityLocked(tid TupleID, e uint64) (*Chunk, Visibility) 
 // runs under the relation write lock (stop-the-world).
 //
 // Without sorting — the OLTP hot→cold path — identifiers remain stable,
-// the delete bitmap is carried over, and compression runs outside the
+// the epoch stamps carry over, and compression runs outside the
 // relation lock: the chunk is claimed (hot→freezing) and its column data
 // snapshotted under a brief write lock, core.Freeze runs unlocked, and the
 // block is installed with an atomic payload swap. Concurrent inserts roll
@@ -1461,9 +1476,9 @@ func (r *Relation) freezeChunkSorted(i int, opts core.FreezeOptions) error {
 	}
 	total := n
 	var keep []uint32
-	if c.numDeleted.Load() > 0 {
+	if ret := c.retired.load(); ret != nil {
 		for row := 0; row < total; row++ {
-			if !simd.BitmapGet(c.deleted, uint32(row)) { //dbvet:ignore sorted freeze runs with writers excluded (wmu + pending==0 checked above), no concurrent bit flips
+			if ret[row].Load() == 0 {
 				keep = append(keep, uint32(row))
 			}
 		}
@@ -1493,15 +1508,12 @@ func (r *Relation) freezeChunkSorted(i int, opts core.FreezeOptions) error {
 	}
 	r.noteFreeze(blk, time.Since(start), true)
 	r.installBlockLocked(c, blk)
-	if keep != nil {
-		c.deleted = nil //dbvet:ignore relation write lock held and rows were just compacted away; no reader holds the old bitmap row indexes
-		c.numDeleted.Store(0)
-	}
-	// Row indexes were reassigned: the old epoch stamps are meaningless.
-	// Fresh maps are installed so in-flight views keep their own
-	// references to the pre-freeze state.
-	c.retired = &sync.Map{}
-	c.born = &sync.Map{}
+	// Row indexes were reassigned and the retired rows compacted away: the
+	// old stamps are meaningless. In-flight views keep the arrays they
+	// loaded, and with them the pre-freeze state.
+	c.retired.p.Store(nil)
+	c.born.p.Store(nil)
+	c.numDeleted.Store(0)
 	c.bornCount.Store(0)
 	c.retiredCount.Store(0)
 	return nil
@@ -1873,13 +1885,14 @@ func (r *Relation) FlushFrozen() error {
 
 // RestoreEvicted appends a chunk recovered from a durable manifest, in the
 // evicted state: no payload and no directory in RAM, only the store
-// handle, the row count, the compressed size and the delete bitmap. The
+// handle, the row count, the compressed size and the retired rows. The
 // first read that touches the chunk reads its directory and the attributes
 // that read needs. Preconditions (see the package doc's
 // recovery section): a block store is attached, the relation sees no
 // concurrent use yet, and chunks are restored in manifest order before any
-// insert. Deleted rows are restored without epoch stamps, i.e. retired at
-// epoch zero — invisible to every reader of the new process lifetime.
+// insert. Deleted rows are restored without their epochs, i.e. retired
+// before every epoch — invisible to every reader of the new process
+// lifetime.
 func (r *Relation) RestoreEvicted(h blockstore.Handle, rows int, bytes int64, deleted []uint64, numDeleted int) error {
 	if r.store == nil {
 		return errors.New("storage: RestoreEvicted without a block store")
@@ -1893,16 +1906,15 @@ func (r *Relation) RestoreEvicted(h blockstore.Handle, rows int, bytes int64, de
 	if numDeleted < 0 || numDeleted > rows {
 		return fmt.Errorf("storage: restored chunk has %d deleted of %d rows", numDeleted, rows)
 	}
-	c := &Chunk{retired: &sync.Map{}, born: &sync.Map{}, stripe: -1}
+	c := &Chunk{stripe: -1}
 	c.pay.Store(&chunkPayload{})
 	c.state.Store(uint32(ChunkEvicted))
 	c.handle.Store(uint64(h))
 	c.frozenRows.Store(int32(rows))
 	c.frozenBytes.Store(bytes)
-	if len(deleted) > 0 || numDeleted > 0 {
-		c.deleted = make([]uint64, simd.BitmapWords(r.chunkCap)) //dbvet:ignore chunk is private until appended under r.mu below; no reader can race construction
-		copy(c.deleted, deleted)                                 //dbvet:ignore same single-owner construction window as the line above
-		c.numDeleted.Store(int32(numDeleted))
+	c.numDeleted.Store(int32(numDeleted))
+	for _, row := range simd.PositionsFromBitmap(deleted, min(rows, 64*len(deleted)), 0, nil) {
+		c.retired.ensure(r.chunkCap)[row].Store(1)
 	}
 	r.mu.Lock()
 	r.chunks = append(r.chunks, c)
@@ -1938,9 +1950,10 @@ func (r *Relation) AdvanceEpoch(e uint64) {
 
 // ManifestChunks snapshots the relation's frozen set for a manifest write:
 // every frozen (or evicted) chunk that has a store handle, in relation
-// order, with its delete bitmap trimmed to the row count. Rows pending an
-// uncommitted update are recorded as deleted — their commit epoch would
-// not survive the restart, so recovery must treat them as never visible.
+// order, with its delete bitmap (a bit per retired row, derived from the
+// stamps, nil when there is none). Rows pending an uncommitted update are
+// recorded as deleted — their commit epoch would not survive the restart,
+// so recovery must treat them as never visible.
 // Chunks still hot or freezing, and frozen chunks not yet flushed to the
 // store, are skipped: run FlushFrozen first so the manifest covers the
 // whole frozen set.
@@ -1962,37 +1975,19 @@ func (r *Relation) ManifestChunks() []blockstore.ManifestChunk {
 			Rows:   rows,
 			Bytes:  c.frozenBytes.Load(),
 		}
-		words := simd.BitmapWords(rows)
-		nd := 0
-		if c.deleted != nil && c.numDeleted.Load() > 0 {
-			mc.Deleted = make([]uint64, words)
-			for w := range mc.Deleted {
-				mc.Deleted[w] = atomic.LoadUint64(&c.deleted[w])
-			}
-			for _, w := range mc.Deleted {
-				nd += bits.OnesCount64(w)
-			}
-		}
-		if c.pending.Load() > 0 {
-			c.born.Range(func(k, v any) bool {
-				if v.(uint64) != pendingEpoch {
-					return true
-				}
-				row := k.(uint32)
-				if int(row) >= rows {
-					return true
+		if retired, born := c.retired.load(), c.born.load(); retired != nil || born != nil {
+			for row := 0; row < rows; row++ {
+				// Deleted for the manifest: invisible at the end of time.
+				if visibleAt(retired, born, uint32(row), pendingEpoch-1) == Visible {
+					continue
 				}
 				if mc.Deleted == nil {
-					mc.Deleted = make([]uint64, words)
+					mc.Deleted = make([]uint64, simd.BitmapWords(rows))
 				}
-				if !simd.BitmapGet(mc.Deleted, row) {
-					simd.BitmapSet(mc.Deleted, row)
-					nd++
-				}
-				return true
-			})
+				simd.BitmapSet(mc.Deleted, uint32(row))
+				mc.NumDeleted++
+			}
 		}
-		mc.NumDeleted = nd
 		out = append(out, mc)
 	}
 	return out
