@@ -107,6 +107,7 @@ bench-smoke:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalBlock -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzLoadAttrs -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz=FuzzScanLayouts -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzFindKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzReduceKernels -fuzztime=$(FUZZTIME) ./internal/simd

@@ -231,8 +231,8 @@ func OpenPath(dir string, defaults ...TableOption) (*DB, error) {
 // implication: the reload re-inflates the table's whole frozen set past
 // any WithMemoryBudget, which is what keeps the table readable after the
 // files are gone — for datasets that genuinely cannot fit in RAM, make
-// the table durable (OpenPath or WithRecover) so Close keeps the blocks
-// on disk instead.
+// the database durable (OpenPath) so Close keeps the blocks on disk
+// instead.
 //
 // Close returns the first error encountered. The data remains readable
 // and writable after Close; only automatic freezing stops.
@@ -376,8 +376,7 @@ func WithWriteStripes(n int) TableOption {
 // fsynced (one fsync acknowledges a whole batch of concurrent writers)
 // and survives any later crash — reopening the database replays each
 // stripe's log past the newest manifest generation. Requires a durable
-// table (OpenPath, or WithRecover + WithBlockStore) and a primary key
-// (replay identifies rows by key).
+// database (OpenPath) and a primary key (replay identifies rows by key).
 //
 // Error semantics follow the usual WAL discipline: when an append or
 // fsync fails, the write reports the error, the log is poisoned and every
@@ -392,24 +391,6 @@ func WithWAL() TableOption {
 // writes and simulated power loss through it.
 func withWALFS(fs walfs.FS) TableOption {
 	return func(t *Table) { t.walFS = fs }
-}
-
-// WithRecover makes the table durable in its block store directory
-// without a database-level catalog: CreateTable recovers the frozen chunk
-// sequence from the directory's newest valid manifest generation (if one
-// exists), rebuilds the primary-key index by streaming keys from the
-// stored blocks, garbage-collects unreferenced block files, and from then
-// on persists a fresh manifest on every freeze, flush and Close. Requires
-// WithBlockStore; the schema, primary key and chunk capacity passed to
-// CreateTable must match the ones the manifest was written with (a
-// durable database opened with OpenPath gets all of this from its catalog
-// instead). Tables without WithRecover treat their block store as a spill
-// cache owned by this process: DB.Close garbage-collects its files.
-func WithRecover() TableOption {
-	return func(t *Table) {
-		t.persist = true
-		t.recoverOnOpen = true
-	}
 }
 
 // CreateTable registers a new table. The DB's default options (see Open)
@@ -438,7 +419,6 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 		// root, it is listed in the catalog, and reopen recovers it.
 		t.storeDir = db.dir
 		t.persist = true
-		t.recoverOnOpen = true
 	}
 	if t.pkName != "" {
 		i := t.schema.ColumnIndex(t.pkName)
@@ -460,12 +440,9 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 	if t.memBudget > 0 && t.storeDir == "" {
 		return nil, fmt.Errorf("datablocks: WithMemoryBudget on table %q requires WithBlockStore", name)
 	}
-	if t.recoverOnOpen && t.storeDir == "" {
-		return nil, fmt.Errorf("datablocks: WithRecover on table %q requires WithBlockStore", name)
-	}
 	if t.walEnabled {
-		if !t.persist || t.storeDir == "" {
-			return nil, fmt.Errorf("datablocks: WithWAL on table %q requires a durable table (OpenPath, or WithRecover with WithBlockStore)", name)
+		if !t.persist {
+			return nil, fmt.Errorf("datablocks: WithWAL on table %q requires a durable database (OpenPath)", name)
 		}
 		if t.pk == nil {
 			return nil, fmt.Errorf("datablocks: WithWAL on table %q requires a primary key", name)
@@ -483,7 +460,7 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 		}
 		t.bs = bs
 		t.rel.SetBlockStore(bs, t.memBudget, t.wakeCompactor)
-		if t.recoverOnOpen {
+		if t.persist {
 			if err := t.recoverFromManifest(); err != nil {
 				return nil, fmt.Errorf("datablocks: table %q: %w", name, err)
 			}
@@ -498,7 +475,7 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 		}
 	}
 	db.tables[name] = t
-	if t.persist && !fromCatalog && db.dir != "" {
+	if t.persist && !fromCatalog {
 		if err := db.writeCatalogLocked(); err != nil {
 			delete(db.tables, name)
 			return nil, fmt.Errorf("datablocks: table %q: %w", name, err)
@@ -637,15 +614,15 @@ type Table struct {
 	memBudget int64
 	bs        *blockstore.Store
 
-	// Durability state (WithRecover / OpenPath). persist: freezes, flushes
-	// and Close write a manifest generation; recoverOnOpen: CreateTable
-	// rebuilds the table from the newest valid manifest. sortBy records
-	// the column of the last sorted freeze (-1 unsorted) for the manifest.
-	persist       bool
-	recoverOnOpen bool
-	manMu         sync.Mutex
-	manGen        uint64
-	sortBy        int
+	// Durability state. persist marks a table of a durable database
+	// (OpenPath): CreateTable rebuilds it from the newest valid manifest,
+	// and freezes, flushes and Close write a manifest generation. sortBy
+	// records the column of the last sorted freeze (-1 unsorted) for the
+	// manifest.
+	persist bool
+	manMu   sync.Mutex
+	manGen  uint64
+	sortBy  int
 
 	// Striped write path (WithWriteStripes) and write-ahead logging
 	// (WithWAL). writeStripes is the normalized stripe count (power of
@@ -1556,7 +1533,7 @@ func (t *Table) noteCompactErr(err error) {
 // in-flight freeze or eviction pass to finish, flushes every frozen block
 // that was never spilled to the block store (so the store holds a
 // complete cold copy of the frozen set) and releases the store. On a
-// durable table (OpenPath / WithRecover) Close first freezes the hot tail
+// table of a durable database (OpenPath) Close first freezes the hot tail
 // and then writes a fresh manifest generation, so a clean close leaves
 // the directory a complete image: reopening recovers exactly the closed
 // contents. It returns the first error the compactor, the flush, the

@@ -321,7 +321,7 @@ func TestCorruptBlockSurfacesLoadError(t *testing.T) {
 }
 
 // TestDBCloseRemovesUnpersistedStore: a table whose block store is a pure
-// spill cache (Open + WithBlockStore, no WithRecover) must leave no block
+// spill cache (Open + WithBlockStore, not OpenPath) must leave no block
 // files behind after DB.Close — and must stay fully readable, because the
 // evicted blocks are reloaded into RAM before the files go away.
 func TestDBCloseRemovesUnpersistedStore(t *testing.T) {
@@ -355,40 +355,5 @@ func TestDBCloseRemovesUnpersistedStore(t *testing.T) {
 	}
 	if res.NumRows() != tbl.NumRows() {
 		t.Fatalf("scan after close found %d of %d rows", res.NumRows(), tbl.NumRows())
-	}
-}
-
-// TestWithRecoverStandalone: table-level durability without a database
-// catalog — WithBlockStore + WithRecover recovers the frozen set from the
-// directory's manifest, with the schema supplied by the caller.
-func TestWithRecoverStandalone(t *testing.T) {
-	root := t.TempDir()
-	mk := func() (*DB, *Table) {
-		db := Open()
-		tbl, err := db.CreateTable("kv", []Column{
-			{Name: "k", Kind: Int64},
-			{Name: "v", Kind: String},
-		}, WithPrimaryKey("k"), WithChunkRows(256), WithBlockStore(root), WithRecover())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db, tbl
-	}
-	db, tbl := mk()
-	for i := 0; i < 1000; i++ {
-		if _, err := tbl.Insert(Row{Int(int64(i)), Str("v")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, tbl2 := mk()
-	defer db2.Close()
-	if got := tbl2.NumRows(); got != 1000 {
-		t.Fatalf("recovered %d rows, want 1000", got)
-	}
-	if row, ok := tbl2.Lookup(999); !ok || row[1].Str() != "v" {
-		t.Fatalf("lookup(999) = %v, %v", row, ok)
 	}
 }

@@ -59,42 +59,6 @@ func ExampleOpenPath() {
 	// lookup 2: true 20
 }
 
-// ExampleWithRecover shows table-level durability without a catalog: the
-// same directory recovers the table as long as the caller re-supplies the
-// schema.
-func ExampleWithRecover() {
-	dir, err := os.MkdirTemp("", "datablocks-example-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-
-	open := func() (*DB, *Table) {
-		db := Open()
-		kv, err := db.CreateTable("kv", []Column{
-			{Name: "k", Kind: Int64},
-			{Name: "v", Kind: String},
-		}, WithPrimaryKey("k"), WithBlockStore(dir), WithRecover())
-		if err != nil {
-			log.Fatal(err)
-		}
-		return db, kv
-	}
-	db, kv := open()
-	if _, err := kv.Insert(Row{Int(7), Str("seven")}); err != nil {
-		log.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		log.Fatal(err)
-	}
-
-	_, kv2 := open()
-	row, ok := kv2.Lookup(7)
-	fmt.Println(ok, row[1].Str())
-	// Output:
-	// true seven
-}
-
 func accountsTable(t *testing.T, n int) (*DB, *Table) {
 	t.Helper()
 	db := Open()

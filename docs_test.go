@@ -5,8 +5,10 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -84,5 +86,29 @@ func TestNoDbvetIgnore(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProductionImportGraph pins what the engine links: the root package's
+// in-module dependencies are exactly these twelve. The comparators the
+// paper's tables need (vwise, bitpack) and the experiment, benchmark and
+// data-generation packages (experiments, bench, tpcc, tpch, datasets,
+// xrand) import the engine, never the other way round — so none of them can
+// end up on the production path by accident.
+func TestProductionImportGraph(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	var got []string
+	for _, pkg := range strings.Fields(string(out)) {
+		if name, ok := strings.CutPrefix(pkg, "datablocks/internal/"); ok {
+			got = append(got, name)
+		}
+	}
+	sort.Strings(got)
+	const want = "blockstore compress core exec index obs psma simd storage types wal walfs"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("the root package depends on\n  %s\nwant exactly\n  %s", strings.Join(got, " "), want)
 	}
 }

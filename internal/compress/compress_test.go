@@ -276,6 +276,26 @@ func TestEncodeFloats(t *testing.T) {
 	if !allNull.AllNull {
 		t.Fatalf("all-null float not detected")
 	}
+	// Equal under == is not the same value: neither a NaN between equal
+	// values nor the other zero may be folded into a single value, and a
+	// NaN takes the SMA bounds with it (NULL rows do not).
+	for _, values := range [][]float64{{1, math.NaN(), 1}, {math.NaN(), 1, 1}, {0, math.Copysign(0, -1)}} {
+		v := EncodeFloats(values, nil)
+		if v.Scheme != Uncompressed {
+			t.Fatalf("%v stored as %v", values, v.Scheme)
+		}
+		for i, want := range values {
+			if math.Float64bits(v.Get(i)) != math.Float64bits(want) {
+				t.Fatalf("%v: Get(%d) = %v", values, i, v.Get(i))
+			}
+		}
+		if hasNaN := math.IsNaN(values[0] + values[1]); math.IsNaN(v.Min) != hasNaN || math.IsNaN(v.Max) != hasNaN {
+			t.Fatalf("%v: SMA = %g..%g", values, v.Min, v.Max)
+		}
+	}
+	if v := EncodeFloats([]float64{1, math.NaN(), 2}, []bool{false, true, false}); v.Min != 1 || v.Max != 2 {
+		t.Fatalf("NULL NaN entered the SMA: %g..%g", v.Min, v.Max)
+	}
 }
 
 func TestByteWidth(t *testing.T) {

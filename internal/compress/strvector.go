@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"math"
 	"sort"
 
 	"datablocks/internal/simd"
@@ -216,23 +217,33 @@ type FloatVector struct {
 	Values   []float64
 }
 
-// EncodeFloats compresses one double column.
+// EncodeFloats compresses one double column. Two rules keep every value
+// what it was. A column is a single value only when all its non-NULL
+// values have the same bits: -0.0 equals 0 and is not the same value. And
+// a non-NULL NaN poisons both SMA bounds to NaN: no ordered comparison
+// places NaN inside an interval, so bounds that ignored it would let the
+// SMA answer for a value it never saw; against NaN bounds every comparison
+// is false and the SMA decides nothing.
 func EncodeFloats(values []float64, nulls []bool) *FloatVector {
 	v := &FloatVector{N: len(values)}
-	first := true
+	first, single := true, true
+	var bits uint64
 	for i, x := range values {
 		if nulls != nil && nulls[i] {
 			continue
 		}
 		if first {
-			v.Min, v.Max = x, x
+			v.Min, v.Max, bits = x, x, math.Float64bits(x)
 			first = false
 			continue
 		}
-		if x < v.Min {
+		single = single && math.Float64bits(x) == bits
+		switch {
+		case math.IsNaN(x):
+			v.Min, v.Max = x, x
+		case x < v.Min:
 			v.Min = x
-		}
-		if x > v.Max {
+		case x > v.Max:
 			v.Max = x
 		}
 	}
@@ -241,9 +252,9 @@ func EncodeFloats(values []float64, nulls []bool) *FloatVector {
 		v.AllNull = true
 		return v
 	}
-	if v.Min == v.Max {
+	if single {
 		v.Scheme = SingleValue
-		v.Single = v.Min
+		v.Single = math.Float64frombits(bits)
 		return v
 	}
 	v.Scheme = Uncompressed

@@ -48,6 +48,19 @@ type Attr struct {
 // reloaded by attribute (Directory.Load) holds attributes that are not.
 func (a *Attr) loaded() bool { return a.Ints != nil || a.Floats != nil || a.Strs != nil }
 
+// allNull reports whether every value of the attribute is NULL — the one
+// case in which a nullable attribute carries no validity bitmap.
+func (a *Attr) allNull() bool {
+	switch a.Kind {
+	case types.Int64:
+		return a.Ints.AllNull
+	case types.Float64:
+		return a.Floats.AllNull
+	default:
+		return a.Strs.AllNull
+	}
+}
+
 // scheme returns the attribute's compression scheme.
 func (a *Attr) scheme() compress.Scheme {
 	switch a.Kind {
@@ -83,6 +96,25 @@ type ColumnData struct {
 	Nulls  []bool
 }
 
+// check reports whether the column holds at least n rows of its kind.
+func (c *ColumnData) check(n int) error {
+	have := 0
+	switch c.Kind {
+	case types.Int64:
+		have = len(c.Ints)
+	case types.Float64:
+		have = len(c.Floats)
+	case types.String:
+		have = len(c.Strs)
+	default:
+		return fmt.Errorf("unsupported kind %v", c.Kind)
+	}
+	if have < n || c.Nulls != nil && len(c.Nulls) < n {
+		return fmt.Errorf("%d %v values, %d null flags for %d rows", have, c.Kind, len(c.Nulls), n)
+	}
+	return nil
+}
+
 // FreezeOptions controls block construction.
 type FreezeOptions struct {
 	// SortBy reorders the block's tuples by the given column before
@@ -106,6 +138,11 @@ func Freeze(cols []ColumnData, n int, opts FreezeOptions) (*Block, error) {
 	}
 	if opts.SortBy >= len(cols) {
 		return nil, fmt.Errorf("core: sort column %d out of range", opts.SortBy)
+	}
+	for ci := range cols {
+		if err := cols[ci].check(n); err != nil {
+			return nil, fmt.Errorf("core: column %d: %w", ci, err)
+		}
 	}
 	var perm []int
 	if opts.SortBy >= 0 {
@@ -137,30 +174,19 @@ func Freeze(cols []ColumnData, n int, opts FreezeOptions) (*Block, error) {
 		}
 		switch col.Kind {
 		case types.Int64:
-			if len(col.Ints) < n {
-				return nil, fmt.Errorf("core: column %d: %d int values for %d rows", ci, len(col.Ints), n)
-			}
 			a.Ints = compress.EncodeInts(col.Ints[:n], col.Nulls)
 			if !opts.NoPSMA && a.Ints.Scheme != compress.SingleValue {
 				v := a.Ints
 				a.Psma = psma.Build(n, v.Width, v.CodeAt, v.MinCode())
 			}
 		case types.Float64:
-			if len(col.Floats) < n {
-				return nil, fmt.Errorf("core: column %d: %d float values for %d rows", ci, len(col.Floats), n)
-			}
 			a.Floats = compress.EncodeFloats(col.Floats[:n], col.Nulls)
 		case types.String:
-			if len(col.Strs) < n {
-				return nil, fmt.Errorf("core: column %d: %d string values for %d rows", ci, len(col.Strs), n)
-			}
 			a.Strs = compress.EncodeStrings(col.Strs[:n], col.Nulls)
 			if !opts.NoPSMA && a.Strs.Scheme != compress.SingleValue {
 				v := a.Strs
 				a.Psma = psma.Build(n, v.Width, v.CodeAt, 0)
 			}
-		default:
-			return nil, fmt.Errorf("core: column %d: unsupported kind %v", ci, col.Kind)
 		}
 	}
 	return b, nil
@@ -282,14 +308,7 @@ func (b *Block) LayoutKey() string {
 func (b *Block) IsNull(col, row int) bool {
 	a := &b.attrs[col]
 	if a.Validity == nil {
-		switch a.Kind {
-		case types.Int64:
-			return a.Ints.AllNull
-		case types.Float64:
-			return a.Floats.AllNull
-		default:
-			return a.Strs.AllNull
-		}
+		return a.allNull()
 	}
 	return !simd.BitmapGet(a.Validity, uint32(row))
 }

@@ -1,118 +1,260 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"datablocks/internal/types"
 )
 
-// TestScanPropertyRandomBlocks is the core end-to-end property test: for
-// arbitrary column contents and an arbitrary SARGable predicate, a block
-// scan (with and without PSMA narrowing) must select exactly the rows a
-// naive row-at-a-time evaluation selects, and unpack exactly their values.
-func TestScanPropertyRandomBlocks(t *testing.T) {
-	type input struct {
-		Seed   int64
-		N      uint16
-		Domain uint16
-		OpRaw  uint8
-		C1     int64
-		C2     int64
-		Sort   bool
+// chooser turns a byte string into a sequence of decisions, so one body
+// serves the random property test and the coverage-guided fuzzer. An
+// exhausted string yields zeros: short inputs end in constant columns.
+type chooser struct{ data []byte }
+
+func (c *chooser) byte() byte {
+	if len(c.data) == 0 {
+		return 0
 	}
-	ops := []types.CompareOp{types.Eq, types.Ne, types.Lt, types.Le, types.Gt, types.Ge, types.Between}
-	f := func(in input) bool {
-		n := int(in.N)%2000 + 1
-		domain := int64(in.Domain)%1000 + 1
-		r := rand.New(rand.NewSource(in.Seed))
-		vals := make([]int64, n)
-		nulls := make([]bool, n)
-		payload := make([]float64, n)
-		for i := range vals {
-			vals[i] = r.Int63n(domain) - domain/2
-			nulls[i] = r.Intn(8) == 0
-			payload[i] = float64(i)
-		}
-		sortBy := -1
-		if in.Sort {
-			sortBy = 0
-		}
-		blk, err := Freeze([]ColumnData{
-			{Kind: types.Int64, Ints: vals, Nulls: nulls},
-			{Kind: types.Float64, Floats: payload},
-		}, n, FreezeOptions{SortBy: sortBy})
-		if err != nil {
-			return false
-		}
-		op := ops[int(in.OpRaw)%len(ops)]
-		c1 := in.C1 % domain
-		c2 := in.C2 % domain
-		if op == types.Between && c1 > c2 {
-			c1, c2 = c2, c1
-		}
-		pred := Predicate{Col: 0, Op: op, Lo: types.IntValue(c1), Hi: types.IntValue(c2)}
-		for _, usePSMA := range []bool{false, true} {
-			sc, err := NewScanner(blk, ScanSpec{
-				Preds:   []Predicate{pred},
-				Project: []int{0, 1},
-				UsePSMA: usePSMA,
-			})
-			if err != nil {
-				return false
-			}
-			got := map[uint32]int64{}
-			var batch Batch
-			for sc.Next(&batch) {
-				for i, p := range batch.Pos {
-					got[p] = batch.Cols[0].Ints[i]
-				}
-			}
-			// Naive reference over the (possibly sorted) block contents.
-			matched := 0
-			for row := 0; row < blk.Rows(); row++ {
-				if blk.IsNull(0, row) {
-					continue
-				}
-				v := blk.Int(0, row)
-				var want bool
-				switch op {
-				case types.Eq:
-					want = v == c1
-				case types.Ne:
-					want = v != c1
-				case types.Lt:
-					want = v < c1
-				case types.Le:
-					want = v <= c1
-				case types.Gt:
-					want = v > c1
-				case types.Ge:
-					want = v >= c1
-				default:
-					want = v >= c1 && v <= c2
-				}
-				gv, ok := got[uint32(row)]
-				if want != ok {
-					return false
-				}
-				if ok {
-					matched++
-					if gv != v {
-						return false
-					}
-				}
-			}
-			if matched != len(got) {
-				return false
-			}
-		}
-		return true
+	b := c.data[0]
+	c.data = c.data[1:]
+	return b
+}
+
+func (c *chooser) intn(n int) int { return int(c.byte()) % n }
+
+var (
+	propInts   = []int64{0, 1, 2, 3, 7, -1, -2, 100, 255, 256, -300, 65535, 65536, 1 << 33, -1 << 40, math.MaxInt64, math.MinInt64}
+	propFloats = []float64{1, math.NaN(), 2, math.Copysign(0, -1), 0, 1.5, -3, math.Inf(1), math.Inf(-1), 1e300, 5e-324}
+	propStrs   = []string{"a", "ab", "", "abc", "abd", "b", "ba", "zz", "é", "a\x00"}
+	propOps    = [...][]types.CompareOp{
+		types.Int64:   {types.Eq, types.Ne, types.Lt, types.Le, types.Gt, types.Ge, types.Between, types.IsNull, types.IsNotNull},
+		types.Float64: {types.Eq, types.Ne, types.Lt, types.Le, types.Gt, types.Ge, types.Between, types.IsNull, types.IsNotNull},
+		types.String:  {types.Eq, types.Ne, types.Lt, types.Le, types.Gt, types.Ge, types.Between, types.IsNull, types.IsNotNull, types.Prefix},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+)
+
+// propValue picks the i-th value of the kind's domain.
+func propValue(k types.Kind, i int) types.Value {
+	switch k {
+	case types.Int64:
+		return types.IntValue(propInts[i%len(propInts)])
+	case types.Float64:
+		return types.FloatValue(propFloats[i%len(propFloats)])
+	default:
+		return types.StringValue(propStrs[i%len(propStrs)])
+	}
+}
+
+// cell reads (col, row) of uncompressed columns as a dynamic value.
+func cell(cols []ColumnData, col, row int) types.Value {
+	c := &cols[col]
+	switch {
+	case c.Nulls != nil && c.Nulls[row]:
+		return types.NullValue(c.Kind)
+	case c.Kind == types.Int64:
+		return types.IntValue(c.Ints[row])
+	case c.Kind == types.Float64:
+		return types.FloatValue(c.Floats[row])
+	default:
+		return types.StringValue(c.Strs[row])
+	}
+}
+
+// rowMatches is the reference evaluation of one predicate on one row, with
+// Go's own operators: NULL matches only IS NULL, NaN only <>.
+func rowMatches(cols []ColumnData, row int, p Predicate) bool {
+	v := cell(cols, p.Col, row)
+	switch {
+	case p.Op == types.IsNull:
+		return v.IsNull()
+	case p.Op == types.IsNotNull:
+		return !v.IsNull()
+	case v.IsNull():
+		return false
+	}
+	switch v.Kind() {
+	case types.Int64:
+		return compares(p.Op, v.Int(), p.Lo.Int(), p.Hi.Int())
+	case types.Float64:
+		return compares(p.Op, v.Float(), p.Lo.Float(), p.Hi.Float())
+	default:
+		if p.Op == types.Prefix {
+			return strings.HasPrefix(v.Str(), p.Lo.Str())
+		}
+		return compares(p.Op, v.Str(), p.Lo.Str(), p.Hi.Str())
+	}
+}
+
+func compares[T cmp.Ordered](op types.CompareOp, a, lo, hi T) bool {
+	switch op {
+	case types.Eq:
+		return a == lo
+	case types.Ne:
+		return a != lo
+	case types.Lt:
+		return a < lo
+	case types.Le:
+		return a <= lo
+	case types.Gt:
+		return a > lo
+	case types.Ge:
+		return a >= lo
+	default: // Between
+		return a >= lo && a <= hi
+	}
+}
+
+// checkScanLayouts is the core end-to-end property: for arbitrary column
+// contents (ints, doubles with NaN and -0.0, strings; no NULLs, some, all)
+// and an arbitrary conjunction of one or two SARGable predicates, the scan
+// of the uncompressed columns, the scan of the same rows frozen (with and
+// without PSMA narrowing) and a naive row loop select exactly the same
+// positions and unpack exactly the same cells.
+func checkScanLayouts(t *testing.T, data []byte) {
+	c := &chooser{data: data}
+	n := 1 + (int(c.byte())|int(c.byte())<<8)%1500
+	sorted := c.intn(4) == 0
+	vecSize := []int{0, 1, 7, 64}[c.intn(4)]
+	kinds := []types.Kind{types.Int64, types.Float64, types.String}
+	cols := make([]ColumnData, len(kinds))
+	for ci, k := range kinds {
+		col := ColumnData{Kind: k}
+		card, rot := 1+c.intn(17), c.intn(17) // distinct values, and which
+		nullMode := c.intn(8)                 // 0-3 no flags, 4-6 some NULLs, 7 all NULL
+		if nullMode >= 4 {
+			col.Nulls = make([]bool, n)
+		}
+		for row := 0; row < n; row++ {
+			b := int(c.byte())
+			v := propValue(k, rot+(b>>3)%card)
+			switch k {
+			case types.Int64:
+				col.Ints = append(col.Ints, v.Int())
+			case types.Float64:
+				col.Floats = append(col.Floats, v.Float())
+			default:
+				col.Strs = append(col.Strs, v.Str())
+			}
+			if col.Nulls != nil {
+				col.Nulls[row] = nullMode == 7 || b&7 == 0
+			}
+		}
+		cols[ci] = col
+	}
+	sortBy := -1
+	if sorted {
+		sortBy = 0
+	}
+	blk, err := Freeze(cols, n, FreezeOptions{SortBy: sortBy})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if sorted {
+		// Both layouts must hold the same rows in the same order: read the
+		// block's order back into columns.
+		for ci := range cols {
+			was := cols[ci]
+			col := ColumnData{Kind: was.Kind, Ints: make([]int64, n), Floats: make([]float64, n), Strs: make([]string, n)}
+			if was.Nulls != nil {
+				col.Nulls = make([]bool, n)
+			}
+			for row := 0; row < n; row++ {
+				switch v := blk.Value(ci, row); {
+				case v.IsNull():
+					col.Nulls[row] = true
+				case was.Kind == types.Int64:
+					col.Ints[row] = v.Int()
+				case was.Kind == types.Float64:
+					col.Floats[row] = v.Float()
+				default:
+					col.Strs[row] = v.Str()
+				}
+			}
+			cols[ci] = col
+		}
+	}
+	spec := ScanSpec{Project: []int{2, 0, 1}, VectorSize: vecSize}
+	for i := 1 + c.intn(2); i > 0; i-- {
+		p := Predicate{Col: c.intn(len(kinds))}
+		k := kinds[p.Col]
+		p.Op = propOps[k][c.intn(len(propOps[k]))]
+		p.Lo, p.Hi = propValue(k, c.intn(17)), propValue(k, c.intn(17))
+		spec.Preds = append(spec.Preds, p)
+	}
+
+	// The row loop.
+	want := map[uint32]string{}
+	for row := 0; row < n; row++ {
+		ok := true
+		for _, p := range spec.Preds {
+			ok = ok && rowMatches(cols, row, p)
+		}
+		if ok {
+			want[uint32(row)] = fmt.Sprint(cell(cols, 2, row), cell(cols, 0, row), cell(cols, 1, row))
+		}
+	}
+	run := func(name string, sc *Scanner, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v (preds %v)", name, err, spec.Preds)
+		}
+		got := map[uint32]string{}
+		var batch Batch
+		for sc.Next(&batch) {
+			for i, p := range batch.Pos {
+				if _, dup := got[p]; dup {
+					t.Fatalf("%s: position %d matched twice", name, p)
+				}
+				got[p] = fmt.Sprint(batch.Value(0, i), batch.Value(1, i), batch.Value(2, i))
+			}
+		}
+		for p, w := range want {
+			if g, ok := got[p]; !ok || g != w {
+				t.Fatalf("%s: row %d = %q (matched %v), the row loop has %q; preds %v, sorted %v", name, p, g, ok, w, spec.Preds, sorted)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d matches, the row loop has %d; preds %v, sorted %v", name, len(got), len(want), spec.Preds, sorted)
+		}
+	}
+	sc, err := NewColumnScanner(cols, n, spec)
+	run("columns", sc, err)
+	sc, err = NewScanner(blk, spec)
+	run("block", sc, err)
+	spec.UsePSMA = true
+	sc, err = NewScanner(blk, spec)
+	run("block+psma", sc, err)
+}
+
+func TestScanPropertyRandomBlocks(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for i := 0; i < 400; i++ {
+		data := make([]byte, r.Intn(6000))
+		r.Read(data)
+		if i%4 == 0 { // few rows, every decision still random
+			data[0], data[1] = byte(r.Intn(40)), 0
+		}
+		checkScanLayouts(t, data)
+	}
+}
+
+// FuzzScanLayouts lets the fuzzer steer checkScanLayouts' decisions.
+func FuzzScanLayouts(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 1, 1, 3, 1, 7, 8, 16, 24})
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		data := make([]byte, 300*(i+1))
+		r.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(checkScanLayouts)
 }
 
 // TestSerializePropertyRandom round-trips random blocks through the flat

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"datablocks/internal/compress"
 	"datablocks/internal/psma"
@@ -13,11 +14,36 @@ import (
 // Predicate is one SARGable scan restriction (§3: =, is, <, ≤, >, ≥,
 // between, plus LIKE-prefix on dictionary strings). Lo carries the constant
 // for unary operators; Hi is the upper bound of Between. Constant kinds
-// must match the column kind.
+// must match the column kind (Check).
 type Predicate struct {
 	Col    int
 	Op     types.CompareOp
 	Lo, Hi types.Value
+}
+
+// Check reports whether the predicate is well formed for a column of the
+// given kind: the operator exists for the kind, and Lo — and Hi for Between —
+// is a non-NULL constant of exactly that kind (no numeric coercion: an
+// integer column is never compared with a double). It is the one statement
+// of the SARG contract; every scan, on either layout and in every mode,
+// rejects what it rejects.
+func (p Predicate) Check(kind types.Kind) error {
+	switch {
+	case p.Op == types.IsNull || p.Op == types.IsNotNull:
+		return nil
+	case p.Op > types.Prefix, p.Op == types.Prefix && kind != types.String:
+		return fmt.Errorf("operator %v not valid on %v columns", p.Op, kind)
+	}
+	consts := []types.Value{p.Lo, p.Hi}
+	if p.Op != types.Between {
+		consts = consts[:1]
+	}
+	for _, c := range consts {
+		if c.Kind() != kind || c.IsNull() {
+			return fmt.Errorf("%v on a %v column with %v constant %v", p.Op, kind, c.Kind(), c)
+		}
+	}
+	return nil
 }
 
 // DefaultVectorSize is the number of records fetched per scan invocation
@@ -34,6 +60,11 @@ type ScanSpec struct {
 	VectorSize int
 	// UsePSMA enables Positional-SMA scan-range narrowing.
 	UsePSMA bool
+	// Matches is optional scratch for the match vector: its capacity is
+	// reused, its contents are not. A caller that scans chunk after chunk
+	// passes the vector NextMatches last returned, so one buffer serves the
+	// whole scan instead of one per chunk.
+	Matches []uint32
 }
 
 // predClass distinguishes how a compiled predicate is evaluated.
@@ -41,27 +72,41 @@ type predClass uint8
 
 const (
 	predCode  predClass = iota // simd kernels on compressed codes
-	predFloat                  // scalar kernels on doubles
+	predFloat                  // simd kernels on doubles (either layout)
+	predInt                    // simd kernels on uncompressed integers
+	predStr                    // scalar test on uncompressed strings
 	predNull                   // validity-bitmap test
+	predFlags                  // NULL-flag test (uncompressed layout)
 )
 
-// compiledPred is a predicate translated into the block's physical domain.
+// compiledPred is a predicate translated into the physical domain of the
+// chunk it scans.
 type compiledPred struct {
 	class predClass
+
+	op simd.Op // predCode, predFloat, predInt
 
 	// predCode
 	data   []byte
 	width  int
-	op     simd.Op
 	c1, c2 uint64
 
 	// predFloat
 	fvals  []float64
-	fop    simd.Op
 	f1, f2 float64
 
-	// predNull (also used to mask NULLs of value predicates)
+	// predInt
+	ivals  []int64
+	i1, i2 int64
+
+	// predStr
+	svals []string
+	stest func(string) bool
+
+	// predNull and predFlags (also used to mask NULLs of value predicates):
+	// wantSet keeps the rows that hold a value.
 	bitmap  []uint64
+	nulls   []bool
 	wantSet bool
 
 	// psma narrowing inputs (predCode with a range verdict only)
@@ -70,16 +115,20 @@ type compiledPred struct {
 	isRange bool
 }
 
-// Scanner evaluates a ScanSpec over one Data Block, yielding matches
-// vector-at-a-time.
+// Scanner evaluates a ScanSpec over one chunk — a Data Block or the same
+// tuples uncompressed — yielding matches vector-at-a-time: the single scan
+// interface of Figure 6. What differs per layout is how a predicate is
+// compiled (code translation, SMA and PSMA exist for blocks only) and how a
+// cell is fetched; find → reduce → unpack is one loop.
 type Scanner struct {
-	b       *Block
+	b       *Block       // compressed layout, or
+	cols    []ColumnData // the uncompressed one (b == nil)
 	spec    ScanSpec
 	preds   []compiledPred
 	vecSize int
 	cur     int // next row to examine
 	end     int
-	skipped bool // block ruled out by SMA / dictionary probe
+	skipped bool // chunk ruled out before touching any data
 	matches []uint32
 }
 
@@ -87,48 +136,76 @@ type Scanner struct {
 // scanner (Next returning false immediately) means the block was ruled out
 // before touching any data — the SMA skip of §3.2.
 func NewScanner(b *Block, spec ScanSpec) (*Scanner, error) {
-	s := &Scanner{b: b, spec: spec, vecSize: spec.VectorSize, end: b.n}
+	return newScanner(&Scanner{b: b, spec: spec, end: b.n})
+}
+
+// NewColumnScanner compiles spec against the first n rows of uncompressed
+// columns, the layout of a hot chunk. There is no SMA or PSMA to consult:
+// the scan range is [0, n), and only a NULL test on a column without NULL
+// flags is decided up front.
+func NewColumnScanner(cols []ColumnData, n int, spec ScanSpec) (*Scanner, error) {
+	for i := range cols {
+		if err := cols[i].check(n); err != nil {
+			return nil, fmt.Errorf("core: column %d: %w", i, err)
+		}
+	}
+	return newScanner(&Scanner{cols: cols, spec: spec, end: n})
+}
+
+func newScanner(s *Scanner) (*Scanner, error) {
+	s.vecSize, s.matches = s.spec.VectorSize, s.spec.Matches
 	if s.vecSize <= 0 {
 		s.vecSize = DefaultVectorSize
 	}
-	for _, p := range spec.Preds {
-		if p.Col < 0 || p.Col >= len(b.attrs) {
-			return nil, fmt.Errorf("core: predicate column %d out of range", p.Col)
-		}
+	// Room for a NULL mask behind every value predicate.
+	s.preds = make([]compiledPred, 0, 2*len(s.spec.Preds))
+	for _, p := range s.spec.Preds {
 		done, err := s.compilePred(p)
 		if err != nil {
 			return nil, err
 		}
-		if done { // predicate can never match: whole block skipped
+		if done { // predicate can never match: whole chunk skipped
 			s.skipped = true
 			s.cur = s.end
 			return s, nil
 		}
 	}
-	// Code predicates first: they are cheapest, PSMA-capable, and their
-	// false positives on NULL don't-care codes are corrected by the
-	// validity reductions that follow them.
-	ordered := make([]compiledPred, 0, len(s.preds))
-	for _, c := range s.preds {
-		if c.class == predCode {
-			ordered = append(ordered, c)
+	// Code predicates first, otherwise in the order given: they are
+	// cheapest, PSMA-capable, and their false positives on NULL don't-care
+	// codes are corrected by the validity reductions that follow them.
+	codes := 0
+	for i := range s.preds {
+		if c := s.preds[i]; c.class == predCode {
+			copy(s.preds[codes+1:i+1], s.preds[codes:i])
+			s.preds[codes] = c
+			codes++
 		}
 	}
-	for _, c := range s.preds {
-		if c.class != predCode {
-			ordered = append(ordered, c)
-		}
-	}
-	s.preds = ordered
-	if spec.UsePSMA {
+	if s.spec.UsePSMA {
 		s.narrowWithPSMA()
 	}
 	return s, nil
 }
 
-// compilePred translates one predicate. It returns done=true when the
-// predicate rules out the whole block.
+// compilePred checks one predicate against its column and translates it
+// for the chunk's layout. It returns done=true when the predicate rules out
+// the whole chunk.
 func (s *Scanner) compilePred(p Predicate) (done bool, err error) {
+	var kind types.Kind
+	switch {
+	case s.b != nil && p.Col >= 0 && p.Col < len(s.b.attrs):
+		kind = s.b.attrs[p.Col].Kind
+	case s.b == nil && p.Col >= 0 && p.Col < len(s.cols):
+		kind = s.cols[p.Col].Kind
+	default:
+		return false, fmt.Errorf("core: predicate column %d out of range", p.Col)
+	}
+	if err := p.Check(kind); err != nil {
+		return false, fmt.Errorf("core: predicate on column %d: %w", p.Col, err)
+	}
+	if s.b == nil {
+		return s.compileColumnPred(&s.cols[p.Col], p), nil
+	}
 	a := &s.b.attrs[p.Col]
 	switch p.Op {
 	case types.IsNull, types.IsNotNull:
@@ -136,7 +213,7 @@ func (s *Scanner) compilePred(p Predicate) (done bool, err error) {
 		if a.Validity == nil {
 			// No bitmap: the column is either entirely null or entirely
 			// non-null, so the predicate is decided for the whole block.
-			if s.attrAllNull(p.Col) == wantNull {
+			if a.allNull() == wantNull {
 				return false, nil // trivially true: drop
 			}
 			return true, nil
@@ -155,51 +232,79 @@ func (s *Scanner) compilePred(p Predicate) (done bool, err error) {
 
 	switch a.Kind {
 	case types.Int64:
-		if p.Lo.Kind() != types.Int64 {
-			return false, fmt.Errorf("core: predicate on int column %d with %v constant", p.Col, p.Lo.Kind())
-		}
-		tr, isRange, err := translateInt(a.Ints, p)
-		if err != nil {
-			return false, err
-		}
-		return s.addTranslated(a, tr, isRange, a.Ints.Data, a.Ints.Width, a.Ints.MinCode(), addValidity)
+		tr, isRange := translateInt(a.Ints, p)
+		return s.addTranslated(a, tr, isRange, a.Ints.Data, a.Ints.Width, a.Ints.MinCode(), addValidity), nil
 	case types.String:
-		if p.Lo.Kind() != types.String {
-			return false, fmt.Errorf("core: predicate on string column %d with %v constant", p.Col, p.Lo.Kind())
-		}
-		tr, isRange, err := translateStr(a.Strs, p)
-		if err != nil {
-			return false, err
-		}
-		return s.addTranslated(a, tr, isRange, a.Strs.Data, a.Strs.Width, 0, addValidity)
-	case types.Float64:
-		if p.Lo.Kind() != types.Float64 {
-			return false, fmt.Errorf("core: predicate on float column %d with %v constant", p.Col, p.Lo.Kind())
-		}
-		return s.compileFloat(a, p, addValidity)
-	}
-	return false, fmt.Errorf("core: unsupported column kind")
-}
-
-func (s *Scanner) attrAllNull(col int) bool {
-	a := &s.b.attrs[col]
-	switch a.Kind {
-	case types.Int64:
-		return a.Ints.AllNull
-	case types.Float64:
-		return a.Floats.AllNull
+		tr, isRange := translateStr(a.Strs, p)
+		return s.addTranslated(a, tr, isRange, a.Strs.Data, a.Strs.Width, 0, addValidity), nil
 	default:
-		return a.Strs.AllNull
+		return s.compileFloat(a, p, addValidity), nil
 	}
 }
 
-func (s *Scanner) addTranslated(a *Attr, tr compress.Translation, isRange bool, data []byte, width int, minCode uint64, addValidity func()) (bool, error) {
+// compileColumnPred compiles a checked predicate for an uncompressed
+// column: the constants are compared as they are, on the raw slices.
+func (s *Scanner) compileColumnPred(c *ColumnData, p Predicate) (done bool) {
+	switch p.Op {
+	case types.IsNull, types.IsNotNull:
+		wantNull := p.Op == types.IsNull
+		if c.Nulls == nil {
+			return wantNull // no flags, no NULLs: IS NOT NULL is dropped
+		}
+		s.preds = append(s.preds, compiledPred{class: predFlags, nulls: c.Nulls, wantSet: !wantNull})
+		return false
+	}
+	switch c.Kind {
+	case types.Int64:
+		cp := compiledPred{class: predInt, ivals: c.Ints, op: kernelOp(p.Op), i1: p.Lo.Int()}
+		if p.Op == types.Between {
+			cp.i2 = p.Hi.Int()
+		}
+		s.preds = append(s.preds, cp)
+	case types.Float64:
+		op, c1, c2 := floatPred(p)
+		s.preds = append(s.preds, compiledPred{class: predFloat, fvals: c.Floats, op: op, f1: c1, f2: c2})
+	default:
+		s.preds = append(s.preds, compiledPred{class: predStr, svals: c.Strs, stest: strTest(p)})
+	}
+	if c.Nulls != nil { // a value predicate never matches NULL
+		s.preds = append(s.preds, compiledPred{class: predFlags, nulls: c.Nulls, wantSet: true})
+	}
+	return false
+}
+
+// strTest builds the scalar test of a string predicate: uncompressed
+// strings have no integer codes to run a kernel over.
+func strTest(p Predicate) func(string) bool {
+	c := p.Lo.Str()
+	switch p.Op {
+	case types.Eq:
+		return func(s string) bool { return s == c }
+	case types.Ne:
+		return func(s string) bool { return s != c }
+	case types.Lt:
+		return func(s string) bool { return s < c }
+	case types.Le:
+		return func(s string) bool { return s <= c }
+	case types.Gt:
+		return func(s string) bool { return s > c }
+	case types.Ge:
+		return func(s string) bool { return s >= c }
+	case types.Between:
+		hi := p.Hi.Str()
+		return func(s string) bool { return s >= c && s <= hi }
+	default: // Prefix
+		return func(s string) bool { return strings.HasPrefix(s, c) }
+	}
+}
+
+func (s *Scanner) addTranslated(a *Attr, tr compress.Translation, isRange bool, data []byte, width int, minCode uint64, addValidity func()) (done bool) {
 	switch tr.Verdict {
 	case compress.None:
-		return true, nil
+		return true
 	case compress.All:
 		addValidity()
-		return false, nil
+		return false
 	}
 	op := simd.OpBetween
 	if tr.Verdict == compress.NotEqual {
@@ -211,110 +316,107 @@ func (s *Scanner) addTranslated(a *Attr, tr compress.Translation, isRange bool, 
 		psma: a.Psma, minCode: minCode, isRange: isRange && tr.Verdict == compress.Range,
 	})
 	addValidity()
-	return false, nil
+	return false
 }
 
-// translateInt normalizes an integer predicate to an inclusive range or a
-// not-equal and translates it into the code domain.
-func translateInt(v *compress.IntVector, p Predicate) (compress.Translation, bool, error) {
-	c := func(val types.Value) int64 { return val.Int() }
+// translateInt normalizes a checked integer predicate to an inclusive range
+// or a not-equal and translates it into the code domain.
+func translateInt(v *compress.IntVector, p Predicate) (compress.Translation, bool) {
+	c := p.Lo.Int()
 	switch p.Op {
 	case types.Eq:
-		return v.TranslateRange(c(p.Lo), c(p.Lo)), true, nil
+		return v.TranslateRange(c, c), true
 	case types.Ne:
-		return v.TranslateNotEqual(c(p.Lo)), false, nil
+		return v.TranslateNotEqual(c), false
 	case types.Lt:
-		if c(p.Lo) == math.MinInt64 {
-			return compress.Translation{Verdict: compress.None}, false, nil
+		if c == math.MinInt64 {
+			return compress.Translation{Verdict: compress.None}, false
 		}
-		return v.TranslateRange(math.MinInt64, c(p.Lo)-1), true, nil
+		return v.TranslateRange(math.MinInt64, c-1), true
 	case types.Le:
-		return v.TranslateRange(math.MinInt64, c(p.Lo)), true, nil
+		return v.TranslateRange(math.MinInt64, c), true
 	case types.Gt:
-		if c(p.Lo) == math.MaxInt64 {
-			return compress.Translation{Verdict: compress.None}, false, nil
+		if c == math.MaxInt64 {
+			return compress.Translation{Verdict: compress.None}, false
 		}
-		return v.TranslateRange(c(p.Lo)+1, math.MaxInt64), true, nil
+		return v.TranslateRange(c+1, math.MaxInt64), true
 	case types.Ge:
-		return v.TranslateRange(c(p.Lo), math.MaxInt64), true, nil
-	case types.Between:
-		return v.TranslateRange(c(p.Lo), c(p.Hi)), true, nil
-	default:
-		return compress.Translation{}, false, fmt.Errorf("core: operator %v not valid on integers", p.Op)
+		return v.TranslateRange(c, math.MaxInt64), true
+	default: // Between
+		return v.TranslateRange(c, p.Hi.Int()), true
 	}
 }
 
-func translateStr(v *compress.StringVector, p Predicate) (compress.Translation, bool, error) {
+// translateStr is translateInt for a checked string predicate.
+func translateStr(v *compress.StringVector, p Predicate) (compress.Translation, bool) {
+	c := p.Lo.Str()
 	switch p.Op {
 	case types.Eq:
-		return v.TranslateRange(p.Lo.Str(), p.Lo.Str()), true, nil
+		return v.TranslateRange(c, c), true
 	case types.Ne:
-		return v.TranslateNotEqual(p.Lo.Str()), false, nil
+		return v.TranslateNotEqual(c), false
 	case types.Lt:
-		return v.TranslateBounds("", p.Lo.Str(), false, true, false, true), true, nil
+		return v.TranslateBounds("", c, false, true, false, true), true
 	case types.Le:
-		return v.TranslateBounds("", p.Lo.Str(), false, true, false, false), true, nil
+		return v.TranslateBounds("", c, false, true, false, false), true
 	case types.Gt:
-		return v.TranslateBounds(p.Lo.Str(), "", true, false, true, false), true, nil
+		return v.TranslateBounds(c, "", true, false, true, false), true
 	case types.Ge:
-		return v.TranslateBounds(p.Lo.Str(), "", true, false, false, false), true, nil
+		return v.TranslateBounds(c, "", true, false, false, false), true
 	case types.Between:
-		return v.TranslateRange(p.Lo.Str(), p.Hi.Str()), true, nil
-	case types.Prefix:
-		return v.TranslatePrefix(p.Lo.Str()), true, nil
-	default:
-		return compress.Translation{}, false, fmt.Errorf("core: operator %v not valid on strings", p.Op)
+		return v.TranslateRange(c, p.Hi.Str()), true
+	default: // Prefix
+		return v.TranslatePrefix(c), true
 	}
 }
 
-// compileFloat performs the SMA check for doubles and compiles a scalar
-// predicate (the paper's non-integer fallback, §4.2).
-func (s *Scanner) compileFloat(a *Attr, p Predicate, addValidity func()) (bool, error) {
+// compileFloat performs the SMA check for doubles and compiles the
+// comparison on the values themselves (the paper's non-integer fallback,
+// §4.2).
+func (s *Scanner) compileFloat(a *Attr, p Predicate, addValidity func()) (done bool) {
 	v := a.Floats
 	if v.AllNull {
-		return true, nil
+		return true
 	}
-	op, c1, c2, err := floatPred(p)
-	if err != nil {
-		return false, err
+	op, c1, c2 := floatPred(p)
+	verdict := compress.None
+	if v.Scheme != compress.SingleValue {
+		verdict = smaFloat(op, c1, c2, v.Min, v.Max)
+	} else if len(simd.FindFloat64([]float64{v.Single}, op, c1, c2, 0, nil)) == 1 {
+		// One value decides the block, and there are no values to scan. The
+		// kernel is asked, not the SMA: a NaN constant lies on neither side
+		// of any bound, which the SMA reads as undecided.
+		verdict = compress.All
 	}
-	switch smaFloat(op, c1, c2, v.Min, v.Max) {
+	switch verdict {
 	case compress.None:
-		return true, nil
+		return true
 	case compress.All:
 		addValidity()
-		return false, nil
+		return false
 	}
-	s.preds = append(s.preds, compiledPred{class: predFloat, fvals: v.Values, fop: op, f1: c1, f2: c2})
+	s.preds = append(s.preds, compiledPred{class: predFloat, fvals: v.Values, op: op, f1: c1, f2: c2})
 	addValidity()
-	return false, nil
+	return false
 }
 
-// floatPred normalizes a predicate on a double column to a comparison
-// operator and its constants.
-func floatPred(p Predicate) (op simd.Op, c1, c2 float64, err error) {
+// kernelOp maps a checked value comparison (Eq … Between) to its kernel op.
+func kernelOp(op types.CompareOp) simd.Op {
+	return [...]simd.Op{
+		types.Eq: simd.OpEq, types.Ne: simd.OpNe, types.Lt: simd.OpLt, types.Le: simd.OpLe,
+		types.Gt: simd.OpGt, types.Ge: simd.OpGe, types.Between: simd.OpBetween,
+	}[op]
+}
+
+// floatPred normalizes a checked predicate on a double column to a kernel
+// op and its constants.
+func floatPred(p Predicate) (op simd.Op, c1, c2 float64) {
 	c1 = p.Lo.Float()
 	c2 = c1
-	switch p.Op {
-	case types.Eq:
-		op = simd.OpEq
-	case types.Ne:
-		op = simd.OpNe
-	case types.Lt:
-		op = simd.OpLt
-	case types.Le:
-		op = simd.OpLe
-	case types.Gt:
-		op = simd.OpGt
-	case types.Ge:
-		op = simd.OpGe
-	case types.Between:
-		op = simd.OpBetween
+	if p.Op == types.Between {
 		c2 = p.Hi.Float()
-	default:
-		err = fmt.Errorf("core: operator %v not valid on doubles", p.Op)
 	}
-	return op, c1, c2, err
+	return kernelOp(p.Op), c1, c2
 }
 
 // MayMatch reports whether the block can hold a tuple that satisfies every
@@ -329,6 +431,9 @@ func (d *Directory) MayMatch(preds []Predicate) bool {
 			continue
 		}
 		e := &d.attrs[p.Col]
+		if p.Check(e.kind) != nil {
+			continue
+		}
 		allNull := e.flags&flagAllNull != 0
 		if p.Op == types.IsNull || p.Op == types.IsNotNull {
 			// Without a validity bitmap the column is all NULL or all
@@ -341,8 +446,8 @@ func (d *Directory) MayMatch(preds []Predicate) bool {
 		if allNull {
 			return false // a value predicate never matches NULL
 		}
-		switch {
-		case e.kind == types.Int64 && p.Lo.Kind() == types.Int64:
+		switch e.kind {
+		case types.Int64:
 			// A payload-free stand-in: presented as uncompressed, its
 			// translation can only be ruled out by min/max or the single
 			// value, exactly what the directory knows.
@@ -350,12 +455,12 @@ func (d *Directory) MayMatch(preds []Predicate) bool {
 			if e.scheme == compress.SingleValue {
 				v.Scheme = compress.SingleValue
 			}
-			if tr, _, err := translateInt(&v, p); err == nil && tr.Verdict == compress.None {
+			if tr, _ := translateInt(&v, p); tr.Verdict == compress.None {
 				return false
 			}
-		case e.kind == types.Float64 && p.Lo.Kind() == types.Float64:
-			op, c1, c2, err := floatPred(p)
-			if err == nil && smaFloat(op, c1, c2, math.Float64frombits(e.min), math.Float64frombits(e.max)) == compress.None {
+		case types.Float64:
+			op, c1, c2 := floatPred(p)
+			if smaFloat(op, c1, c2, math.Float64frombits(e.min), math.Float64frombits(e.max)) == compress.None {
 				return false
 			}
 		}
@@ -365,6 +470,9 @@ func (d *Directory) MayMatch(preds []Predicate) bool {
 
 // smaFloat decides whether the SMA interval [min, max] proves a float
 // predicate always-false (None), always-true (All), or undecided (Range).
+// A column holding a NaN has NaN bounds (compress.EncodeFloats): every
+// comparison below is then false and the verdict is Range — the kernels
+// decide per value, by the IEEE rule.
 func smaFloat(op simd.Op, c1, c2, min, max float64) compress.Verdict {
 	switch op {
 	case simd.OpEq:
@@ -424,7 +532,7 @@ func smaFloat(op simd.Op, c1, c2, min, max float64) compress.Verdict {
 // scanned row interval (§3.2). Predicates without a range verdict or
 // without a PSMA contribute the full block.
 func (s *Scanner) narrowWithPSMA() {
-	r := psma.Range{Begin: 0, End: uint32(s.b.n)}
+	r := psma.Range{Begin: 0, End: uint32(s.end)}
 	narrowed := false
 	for i := range s.preds {
 		p := &s.preds[i]
@@ -506,10 +614,11 @@ func (s *Scanner) evalFirst(p *compiledPred, n int, base uint32, m []uint32) []u
 	case predCode:
 		return simd.Find(p.data[int(base)*p.width:], p.width, n, p.op, p.c1, p.c2, base, m)
 	case predFloat:
-		return simd.FindFloat64(p.fvals[base:int(base)+n], p.fop, p.f1, p.f2, base, m)
+		return simd.FindFloat64(p.fvals[base:int(base)+n], p.op, p.f1, p.f2, base, m)
+	case predInt:
+		return simd.FindInt64(p.ivals[base:int(base)+n], p.op, p.i1, p.i2, base, m)
 	default:
-		m = simd.Sequence(m, n, base)
-		return simd.ReduceBitmap(p.bitmap, p.wantSet, m)
+		return s.evalReduce(p, simd.Sequence(m, n, base))
 	}
 }
 
@@ -518,9 +627,43 @@ func (s *Scanner) evalReduce(p *compiledPred, m []uint32) []uint32 {
 	case predCode:
 		return simd.Reduce(p.data, p.width, p.op, p.c1, p.c2, m)
 	case predFloat:
-		return simd.ReduceFloat64(p.fvals, p.fop, p.f1, p.f2, m)
-	default:
+		return simd.ReduceFloat64(p.fvals, p.op, p.f1, p.f2, m)
+	case predInt:
+		return simd.ReduceInt64(p.ivals, p.op, p.i1, p.i2, m)
+	case predNull:
 		return simd.ReduceBitmap(p.bitmap, p.wantSet, m)
+	case predStr:
+		w := 0
+		for _, pos := range m {
+			if p.stest(p.svals[pos]) {
+				m[w] = pos
+				w++
+			}
+		}
+		return m[:w]
+	default: // predFlags
+		w := 0
+		for _, pos := range m {
+			if p.nulls[pos] != p.wantSet {
+				m[w] = pos
+				w++
+			}
+		}
+		return m[:w]
+	}
+}
+
+// GatherInts decodes integer column col at the given positions into dst
+// (len(m) long) without touching the projection — what early probing reads
+// before anything is unpacked.
+func (s *Scanner) GatherInts(col int, m []uint32, dst []int64) {
+	if s.b != nil {
+		s.b.attrs[col].Ints.Gather(m, dst)
+		return
+	}
+	src := s.cols[col].Ints
+	for i, p := range m {
+		dst[i] = src[p]
 	}
 }
 
@@ -553,8 +696,12 @@ func (s *Scanner) unpack(batch *Batch, m []uint32) {
 
 func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 	col := s.spec.Project[k]
-	a := &s.b.attrs[col]
 	bc := &batch.Cols[k]
+	if s.b == nil {
+		s.cols[col].gather(bc, m)
+		return
+	}
+	a := &s.b.attrs[col]
 	bc.Kind = a.Kind
 	switch a.Kind {
 	case types.Int64:
@@ -573,12 +720,43 @@ func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 		for i, p := range m {
 			bc.Nulls[i] = !simd.BitmapGet(a.Validity, p)
 		}
-	case s.attrAllNull(col):
+	case a.allNull():
 		bc.Nulls = resizeBool(bc.Nulls, len(m))
 		for i := range bc.Nulls {
 			bc.Nulls[i] = true
 		}
 	default:
 		bc.Nulls = nil
+	}
+}
+
+// gather copies the column's cells at the given positions into bc: unpacking
+// for the uncompressed layout (the "copying of matches" of Figure 6).
+func (c *ColumnData) gather(bc *BatchCol, m []uint32) {
+	bc.Kind = c.Kind
+	switch c.Kind {
+	case types.Int64:
+		bc.Ints = resizeI64(bc.Ints, len(m))
+		for i, p := range m {
+			bc.Ints[i] = c.Ints[p]
+		}
+	case types.Float64:
+		bc.Floats = resizeF64(bc.Floats, len(m))
+		for i, p := range m {
+			bc.Floats[i] = c.Floats[p]
+		}
+	default:
+		bc.Strs = resizeStr(bc.Strs, len(m))
+		for i, p := range m {
+			bc.Strs[i] = c.Strs[p]
+		}
+	}
+	if c.Nulls == nil {
+		bc.Nulls = nil
+		return
+	}
+	bc.Nulls = resizeBool(bc.Nulls, len(m))
+	for i, p := range m {
+		bc.Nulls[i] = c.Nulls[p]
 	}
 }

@@ -1,9 +1,13 @@
 // Package exec implements the query engine of §4: a data-centric,
 // push-based engine whose pipelines are "compiled" into fused
 // tuple-at-a-time Go closures (our stand-in for HyPer's LLVM code
-// generation), fed either by compiled scans or by interpreted, pre-compiled
-// vectorized scans over uncompressed chunks and Data Blocks behind a single
-// interface (Figure 6).
+// generation), fed either by compiled scans or by the interpreted,
+// pre-compiled vectorized scan over uncompressed chunks and Data Blocks
+// behind a single interface (Figure 6). That interface is core.Scanner:
+// this package asks storage for a chunk's block or raw columns and core for
+// match vectors and unpacked batches, and does not know how a predicate is
+// evaluated on either layout. Only the compiled scans — Figure 5's
+// per-layout code generation, a comparator — read the layouts themselves.
 //
 // The closure-compilation analogy is load-bearing for the reproduction:
 // compile time is real work proportional to the number of generated code
@@ -533,7 +537,7 @@ func (c *compiler) compileCompare(e Compare) (boolFn, error) {
 			if an || bn {
 				return false
 			}
-			return cmpOrd(op, compareF64(a, b))
+			return cmpF64(op, a, b)
 		}, nil
 	default:
 		l, err := c.compileInt(e.L)
@@ -598,6 +602,27 @@ func compareStr(a, b string) int {
 		return 1
 	}
 	return 0
+}
+
+// cmpF64 compares doubles with the operators themselves, not through the
+// three-way compareF64, in which NaN ties with everything: by the IEEE rule
+// every comparison with NaN is false and <> is true — what the simd
+// kernels, BETWEEN and therefore a pushed-down predicate answer.
+func cmpF64(op types.CompareOp, a, b float64) bool {
+	switch op {
+	case types.Eq:
+		return a == b
+	case types.Ne:
+		return a != b
+	case types.Lt:
+		return a < b
+	case types.Le:
+		return a <= b
+	case types.Gt:
+		return a > b
+	default: // Ge
+		return a >= b
+	}
 }
 
 func cmpOrd(op types.CompareOp, ord int) bool {

@@ -74,8 +74,9 @@ func residencies(t testing.TB, rel *storage.Relation) (*blockstore.Store, []resi
 
 // TestScansAgreeAcrossResidency: a scan returns the same rows whether the
 // blocks it reads are resident, evicted, partly loaded or freshly reopened
-// from a manifest — in every scan mode, serial and parallel — as the same
-// relation without a block store.
+// from a manifest, and whether its chunks are frozen at all (hot: none;
+// half-hot: the first half) — in every scan mode, serial and parallel —
+// as the same relation frozen without a block store.
 func TestScansAgreeAcrossResidency(t *testing.T) {
 	const n, chunkCap = 20000, 1 << 12
 	plans := []struct {
@@ -110,8 +111,9 @@ func TestScansAgreeAcrossResidency(t *testing.T) {
 			return &AggNode{Child: &ScanNode{Rel: rel}, Aggs: []AggSpec{{Func: AggCount}}}
 		}},
 	}
-	build := func() *storage.Relation {
-		rel := ordersRel(t, n, chunkCap, n/chunkCap+1)
+	const k = n/chunkCap + 1
+	build := func(frozenChunks int) *storage.Relation {
+		rel := ordersRel(t, n, chunkCap, frozenChunks)
 		for _, row := range []uint32{3, 77, 4000} {
 			if !rel.Delete(storage.TupleID{Chunk: 1, Row: row}) {
 				t.Fatal("delete failed")
@@ -119,8 +121,12 @@ func TestScansAgreeAcrossResidency(t *testing.T) {
 		}
 		return rel
 	}
-	ref := build()
-	_, states := residencies(t, build())
+	ref := build(k)
+	_, states := residencies(t, build(k))
+	hot, halfHot := build(0), build(k/2)
+	states = append(states,
+		residency{"hot", func() *storage.Relation { return hot }},
+		residency{"half-hot", func() *storage.Relation { return halfHot }})
 	for _, p := range plans {
 		want, err := Run(p.scan(ref), Options{Mode: ModeVectorizedSARG})
 		if err != nil {

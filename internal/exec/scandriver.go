@@ -106,9 +106,15 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		pinCols: append([]int{}, scan.Cols...),
 	}
 	d.pushSARG = ex.opt.Mode == ModeVectorizedSARG || ex.opt.Mode == ModeVectorizedSARGPSMA
+	// One check per query, before any mode or layout is chosen: a malformed
+	// predicate is the same error from every path.
 	for _, p := range scan.Preds {
-		if scan.colOrdinal(p.Col) < 0 {
+		slot := scan.colOrdinal(p.Col)
+		if slot < 0 {
 			return nil, fmt.Errorf("exec: predicate column %d not in scan projection", p.Col)
+		}
+		if cerr := p.Check(kinds[slot]); cerr != nil {
+			return nil, fmt.Errorf("exec: predicate on column %d: %w", p.Col, cerr)
 		}
 	}
 	filterExpr, err := d.residualExpr()
@@ -377,22 +383,14 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) (blockAccessor,
 // immutable snapshot: the driver never re-reads mutable relation state, so
 // concurrent inserts, deletes and hot→cold freezes cannot tear a scan.
 func (d *scanDriver) processChunk(ch *storage.ChunkView) error {
-	if ch.IsFrozen() {
-		if d.mode == ModeJIT {
-			return d.jitBlock(ch)
-		}
-		return d.vecBlock(ch)
-	}
-	if d.wp != nil {
-		d.wp.scan.hotChunks.Inc()
-	}
-	if ch.Rows() == 0 {
-		return nil
-	}
-	if d.mode == ModeJIT {
+	switch {
+	case d.mode != ModeJIT:
+		return d.vecChunk(ch)
+	case ch.IsFrozen():
+		return d.jitBlock(ch)
+	default:
 		return d.jitHotChunk(ch)
 	}
-	return d.vecHot(ch)
 }
 
 // pin acquires a frozen view for the scan: the block is pinned in RAM —
@@ -469,6 +467,9 @@ func (d *scanDriver) jitBlock(ch *storage.ChunkView) error {
 
 // jitHotChunk scans an uncompressed chunk tuple-at-a-time.
 func (d *scanDriver) jitHotChunk(ch *storage.ChunkView) error {
+	if d.wp != nil {
+		d.wp.scan.hotChunks.Inc()
+	}
 	h := ch.Hot()
 	t := d.tuple
 	// Iterate to the view's watermark: rows appended after the snapshot
@@ -488,23 +489,26 @@ func (d *scanDriver) jitHotChunk(ch *storage.ChunkView) error {
 	return nil
 }
 
-// vecBlock scans a frozen block through the interpreted vectorized scan
-// (Figure 6, left path), attributing the chunk to visited or SMA-skipped.
-// Deleted tuples are filtered here through the
-// view's epoch cutoff rather than via ScanSpec.Deleted: the view shares
-// the live delete bitmap zero-copy, so raw word access inside the scanner
-// would race concurrent delete stamps.
-func (d *scanDriver) vecBlock(ch *storage.ChunkView) error {
+// vecChunk runs the interpreted vectorized scan (Figure 6) over one chunk of
+// either layout: core.Scanner finds and reduces on the block's codes or on
+// the hot chunk's raw columns, and everything after the match vector —
+// visibility, early probing, lazy unpacking, the profile counters — is the
+// same code. Deleted tuples are filtered through the view's epoch cutoff
+// rather than inside the scanner: the view shares the live stamp arrays
+// zero-copy.
+func (d *scanDriver) vecChunk(ch *storage.ChunkView) error {
 	spec := core.ScanSpec{
 		Project:    d.scan.Cols,
 		VectorSize: d.vecSize,
 		UsePSMA:    d.usePSMA,
+		Matches:    d.matches,
 	}
 	if d.pushSARG {
 		spec.Preds = d.scan.Preds
 	}
 	// The SMA test first, against what is resident anyway: a chunk it
-	// rules out is neither pinned nor read.
+	// rules out is neither pinned nor read. (Hot views have no directory
+	// and nothing to pin: both calls are no-ops for them.)
 	if !ch.MayMatch(spec.Preds) {
 		if d.wp != nil {
 			d.wp.scan.skippedChunks.Inc()
@@ -515,7 +519,15 @@ func (d *scanDriver) vecBlock(ch *storage.ChunkView) error {
 		return err
 	}
 	defer ch.Release()
-	sc, err := core.NewScanner(ch.Block(), spec)
+	var sc *core.Scanner
+	var err error
+	if ch.IsFrozen() {
+		sc, err = core.NewScanner(ch.Block(), spec)
+	} else {
+		// To the view's watermark: rows appended after the snapshot are not
+		// part of the view.
+		sc, err = core.NewColumnScanner(ch.Hot().Columns(ch.Rows()), ch.Rows(), spec)
+	}
 	if err != nil {
 		return err
 	}
@@ -523,9 +535,12 @@ func (d *scanDriver) vecBlock(ch *storage.ChunkView) error {
 	var totalVec, produced uint64
 	if d.wp != nil {
 		s = &d.wp.scan
-		if sc.SkippedBySMA() {
+		switch {
+		case !ch.IsFrozen():
+			s.hotChunks.Inc()
+		case sc.SkippedBySMA():
 			s.skippedChunks.Inc()
-		} else {
+		default:
 			s.frozenChunks.Inc()
 		}
 		// ScanRange must be read before iterating: the cursor advances.
@@ -546,12 +561,13 @@ func (d *scanDriver) vecBlock(ch *storage.ChunkView) error {
 			return nil
 		}
 		produced++
+		d.matches = m // the next chunk's scanner reuses the buffer
 		m = ch.FilterVisible(m)
 		if len(m) == 0 {
 			continue
 		}
 		if d.ep != nil {
-			m = d.earlyProbeBlock(ch.Block(), m)
+			m = d.earlyProbe(sc, m)
 			if len(m) == 0 {
 				continue
 			}
@@ -666,29 +682,17 @@ func (d *scanDriver) compactUnpacked(sel []uint32) {
 	b.N = len(sel)
 }
 
-// earlyProbeBlock thins a match vector against the upstream join's tag
-// table before unpacking (Appendix E): only the key column is gathered.
-func (d *scanDriver) earlyProbeBlock(blk *core.Block, m []uint32) []uint32 {
+// earlyProbe thins a match vector against the upstream join's tag table
+// before unpacking (Appendix E): only the key column is gathered.
+func (d *scanDriver) earlyProbe(sc *core.Scanner, m []uint32) []uint32 {
 	if cap(d.epVals) < len(m) {
 		d.epVals = make([]int64, len(m))
 	}
 	vals := d.epVals[:len(m)]
-	blk.Attr(d.epRelCol).Ints.Gather(m, vals)
+	sc.GatherInts(d.epRelCol, m, vals)
 	w := 0
 	for i, p := range m {
 		if d.ep.testTagInt(vals[i]) {
-			m[w] = p
-			w++
-		}
-	}
-	return m[:w]
-}
-
-func (d *scanDriver) earlyProbeHot(h *storage.HotChunk, m []uint32) []uint32 {
-	col := h.Ints(d.epRelCol)
-	w := 0
-	for _, p := range m {
-		if d.ep.testTagInt(col[p]) {
 			m[w] = p
 			w++
 		}

@@ -919,7 +919,7 @@ func (c *vcompiler) compileCompareMask(e Compare) (vecMaskFn, error) {
 			out = resizeBool(out, b.N)
 			for i := range out {
 				out[i] = (an == nil || !an[i]) && (bn == nil || !bn[i]) &&
-					cmpOrd(op, compareF64(av[i], bv[i]))
+					cmpF64(op, av[i], bv[i])
 			}
 			return out
 		}, nil

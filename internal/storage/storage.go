@@ -24,7 +24,10 @@
 //   - OLTP reads: Get, GetCol, GetAt (shared lock).
 //   - OLAP scans: Snapshot returns ChunkViews pinned to an epoch cutoff;
 //     scan drivers iterate a snapshot and never observe row versions
-//     committed after the cutoff.
+//     committed after the cutoff. A view hands the vectorized scan its
+//     chunk in one of core's two layouts — Block, or Hot().Columns — and
+//     the hot layout is known here and in core only: freeze and scan read
+//     it through the same HotChunk.Columns.
 //   - Background freezing: FreezeChunk/FreezeAll with a negative SortBy
 //     run core.Freeze compression outside the relation lock, so inserts,
 //     lookups and scans proceed while a chunk is being compressed.
@@ -250,7 +253,8 @@ type hotCol struct {
 // Rows returns the number of tuples in the chunk (including deleted ones).
 func (h *HotChunk) Rows() int { return int(h.n.Load()) }
 
-// Ints exposes an integer column for vectorized scans.
+// Ints exposes an integer column to row-at-a-time readers (compiled scans,
+// index rebuild); a vectorized scan reads Columns.
 func (h *HotChunk) Ints(col int) []int64 { return h.cols[col].ints[:h.Rows()] }
 
 // Floats exposes a double column.
@@ -288,6 +292,32 @@ func (h *HotChunk) Value(col, row int) types.Value {
 	default:
 		return types.StringValue(c.strs[row])
 	}
+}
+
+// Columns returns the first n rows of every column as core's uncompressed
+// layout, sharing the chunk's arrays: what a freeze compresses and what a
+// vectorized scan of the hot chunk reads. n must not exceed a row count the
+// caller has observed (a view's watermark, or Rows under the lock that bars
+// appends); rows below it are immutable.
+func (h *HotChunk) Columns(n int) []core.ColumnData {
+	cols := make([]core.ColumnData, len(h.cols))
+	for ci := range h.cols {
+		col := &h.cols[ci]
+		cd := core.ColumnData{Kind: col.kind}
+		switch col.kind {
+		case types.Int64:
+			cd.Ints = col.ints[:n]
+		case types.Float64:
+			cd.Floats = col.floats[:n]
+		default:
+			cd.Strs = col.strs[:n]
+		}
+		if col.nulls != nil {
+			cd.Nulls = col.nulls[:n]
+		}
+		cols[ci] = cd
+	}
+	return cols
 }
 
 // ChunkState is one station of the hot→cold lifecycle.
@@ -1426,29 +1456,7 @@ func (r *Relation) beginFreeze(i int) (*Chunk, []core.ColumnData, int, error) {
 	// Rows below n are immutable and the freezing state bars further
 	// appends, so the snapshotted slice headers may be read without the
 	// lock while core.Freeze compresses them.
-	return c, hotColumns(h, n), n, nil
-}
-
-// hotColumns snapshots the first n rows of every column as freeze input.
-func hotColumns(h *HotChunk, n int) []core.ColumnData {
-	cols := make([]core.ColumnData, len(h.cols))
-	for ci := range h.cols {
-		col := &h.cols[ci]
-		cd := core.ColumnData{Kind: col.kind}
-		switch col.kind {
-		case types.Int64:
-			cd.Ints = col.ints[:n]
-		case types.Float64:
-			cd.Floats = col.floats[:n]
-		default:
-			cd.Strs = col.strs[:n]
-		}
-		if col.nulls != nil {
-			cd.Nulls = col.nulls[:n]
-		}
-		cols[ci] = cd
-	}
-	return cols
+	return c, h.Columns(n), n, nil
 }
 
 // freezeChunkSorted is the stop-the-world sorted freeze: deleted tuples are
