@@ -86,7 +86,7 @@ fmt-check:
 	fi
 
 stress:
-	$(GO) test -race -count=20 -run 'TestHybridStress|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty' . ./internal/storage/
+	$(GO) test -race -count=20 -run 'TestHybridStress|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty|TestIndexConcurrentGrowth' . ./internal/storage/ ./internal/index/
 	$(GO) test -count=1 -run 'TestKillRecoveryStress' ./internal/experiments/
 
 # One iteration is enough to exercise the evict→reload path on every PR;
@@ -109,6 +109,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzLoadAttrs -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzScanLayouts -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz=FuzzIndexModel -fuzztime=$(FUZZTIME) ./internal/index
 	$(GO) test -run '^$$' -fuzz=FuzzFindKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzReduceKernels -fuzztime=$(FUZZTIME) ./internal/simd
 

@@ -943,9 +943,10 @@ func (t *Table) Lookup(key int64) (Row, bool) {
 func (t *Table) lookupVersioned(key int64) (Row, bool) {
 	for {
 		// Epoch first, record second: the writer publishes the index
-		// record before it commits (mints the epoch), so a record newer
-		// than our epoch always still carries a previous version born at
-		// or before it — except in the doubly-stale case handled below.
+		// record before it commits (mints the epoch) and drops the
+		// previous version only after, so a current version newer than
+		// our epoch comes either with a previous version or with a commit
+		// that a fresh epoch will see.
 		e := t.rel.ReadEpoch()
 		rec, ok := t.pk.LookupRecord(key)
 		if !ok {
@@ -955,24 +956,28 @@ func (t *Table) lookupVersioned(key int64) (Row, bool) {
 		if vis == storage.Visible {
 			return row, true
 		}
+		if vis != storage.NotYetBorn {
+			// Cur retired at or before our epoch (and any previous version
+			// even earlier): the key was genuinely deleted.
+			return nil, false
+		}
 		if rec.HasPrev {
 			prow, pvis := t.rel.GetAt(rec.Prev, e)
 			if pvis == storage.Visible {
 				return prow, true
 			}
-			if vis == storage.NotYetBorn && pvis == storage.NotYetBorn {
-				// Both versions postdate our epoch: the goroutine was
-				// descheduled between reading the epoch and the record
-				// while two commits landed. A fresh epoch resolves it.
-				runtime.Gosched()
-				continue
+			if pvis != storage.NotYetBorn {
+				return nil, false
 			}
 		}
-		// Cur retired at or before our epoch (and any previous version
-		// even earlier): the key was genuinely deleted. A record without
-		// a previous version whose Cur is not yet born is a key created
-		// by an in-flight key-changing update — absent at our epoch.
-		return nil, false
+		// Nothing at or before our epoch is on record: the update sealed
+		// between our two loads (with a previous version: two commits
+		// landed in that window), or Cur is the pending row of a
+		// key-changing update in flight, whose writer commits it or takes
+		// the record out again (an aborted row stays not-yet-born). A
+		// fresh epoch resolves each: a committed version is visible at
+		// any later one.
+		runtime.Gosched()
 	}
 }
 
@@ -1364,11 +1369,9 @@ func (t *Table) openWALAndReplay() error {
 			applied[i] = t.walApplied[i]
 		}
 	}
-	type stripeRec struct {
-		si  int
-		rec wal.Record
-	}
-	var pending []stripeRec
+	// pending[i] is stripe i's records still to replay, LSN-ascending as
+	// wal.Open returns them.
+	pending := make([][]wal.Record, len(t.stripes))
 	for i := range t.stripes {
 		path := filepath.Join(t.bs.Dir(), fmt.Sprintf("wal-%d.log", i))
 		w, recs, err := wal.Open(fs, path, t.schema, &t.walSeq, &t.walStats)
@@ -1378,18 +1381,15 @@ func (t *Table) openWALAndReplay() error {
 		st := &t.stripes[i]
 		st.w = w
 		st.lastLSN = applied[i]
-		for _, rec := range recs {
-			if rec.LSN > st.lastLSN {
-				st.lastLSN = rec.LSN
-			}
-			if rec.LSN <= applied[i] {
-				// Already durable through the manifest's chunks; left in
-				// the file by a failed or refused truncation.
-				t.walStats.ReplaySkipped.Inc()
-				continue
-			}
-			pending = append(pending, stripeRec{si: i, rec: rec})
+		if len(recs) > 0 && recs[len(recs)-1].LSN > st.lastLSN {
+			st.lastLSN = recs[len(recs)-1].LSN
 		}
+		// Records at or below the applied LSN are already durable through
+		// the manifest's chunks; left in the file by a failed or refused
+		// truncation.
+		skip := sort.Search(len(recs), func(j int) bool { return recs[j].LSN > applied[i] })
+		t.walStats.ReplaySkipped.Add(uint64(skip))
+		pending[i] = recs[skip:]
 	}
 	// A truncated log holds no records, but the manifest proves its LSNs
 	// were consumed: advance the sequence past them too, so fresh records
@@ -1402,10 +1402,22 @@ func (t *Table) openWALAndReplay() error {
 			}
 		}
 	}
-	sort.Slice(pending, func(a, b int) bool { return pending[a].rec.LSN < pending[b].rec.LSN })
-	for _, pr := range pending {
-		if err := t.replayRecord(pr.si, pr.rec); err != nil {
-			return fmt.Errorf("replay lsn %d: %w", pr.rec.LSN, err)
+	// Replay in global LSN order: a merge over the per-stripe runs, always
+	// taking the stripe whose next record is oldest.
+	for {
+		si := -1
+		for i, recs := range pending {
+			if len(recs) > 0 && (si < 0 || recs[0].LSN < pending[si][0].LSN) {
+				si = i
+			}
+		}
+		if si < 0 {
+			break
+		}
+		rec := pending[si][0]
+		pending[si] = pending[si][1:]
+		if err := t.replayRecord(si, rec); err != nil {
+			return fmt.Errorf("replay lsn %d: %w", rec.LSN, err)
 		}
 		t.walStats.Replayed.Inc()
 	}

@@ -229,6 +229,8 @@ func TestObsHandlerEndpoints(t *testing.T) {
 		`datablocks_rows{table="orders"}`,
 		`datablocks_freezes_total{table="orders"}`,
 		`datablocks_ops_total{op="insert",table="orders"} 1000`,
+		`datablocks_index_keys{table="orders"} 980`,
+		`datablocks_index_bytes{table="orders"}`,
 		"# TYPE datablocks_freeze_duration_ns histogram",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -242,6 +244,10 @@ func TestObsHandlerEndpoints(t *testing.T) {
 	}
 	if vars["datablocks"].Tables["orders"].Ops.Inserts != 1000 {
 		t.Fatalf("/vars inserts = %d, want 1000", vars["datablocks"].Tables["orders"].Ops.Inserts)
+	}
+	// 16-byte slots at no more than 7/8 load, at least a quarter full.
+	if tm := vars["datablocks"].Tables["orders"]; tm.IndexBytes < 16*tm.IndexKeys || tm.IndexBytes > 64*tm.IndexKeys {
+		t.Fatalf("/vars IndexBytes = %d for %d keys", tm.IndexBytes, tm.IndexKeys)
 	}
 }
 

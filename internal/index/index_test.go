@@ -80,59 +80,73 @@ func TestDeleteAndUpdate(t *testing.T) {
 	}
 }
 
-// TestVersionRecordProtocol walks the three-step update protocol at the
-// index+storage level and checks that every intermediate state resolves a
-// visible version of the key through the record's Cur or Prev.
+// TestVersionRecordProtocol walks the update protocol at the
+// index+storage level: every intermediate state resolves a visible
+// version of the key through the record's Cur or Prev, the previous
+// version is on record from Publish until Seal, and after Seal a reader
+// whose epoch predates the commit is told to retry rather than to miss.
 func TestVersionRecordProtocol(t *testing.T) {
 	r, h := keyedRelation(t, 3, 0)
 
-	resolve := func(epoch uint64) (types.Row, bool) {
-		rec, ok := h.LookupRecord(1)
-		if !ok {
-			return nil, false
+	// resolve is Table.lookupVersioned's rule without the loop: retry
+	// reports that a fresh epoch is needed.
+	resolve := func(epoch uint64) (row types.Row, ok, retry bool) {
+		rec, found := h.LookupRecord(1)
+		if !found {
+			return nil, false, false
 		}
-		if row, vis := r.GetAt(rec.Cur, epoch); vis == storage.Visible {
-			return row, true
+		row, vis := r.GetAt(rec.Cur, epoch)
+		if vis == storage.Visible {
+			return row, true, false
+		}
+		if vis != storage.NotYetBorn {
+			return nil, false, false
 		}
 		if rec.HasPrev {
-			if row, vis := r.GetAt(rec.Prev, epoch); vis == storage.Visible {
-				return row, true
+			if row, vis := r.GetAt(rec.Prev, epoch); vis != storage.NotYetBorn {
+				return row, vis == storage.Visible, false
 			}
 		}
-		return nil, false
+		return nil, false, true
+	}
+	wantValue := func(when string, epoch uint64, want int64) {
+		t.Helper()
+		if row, ok, retry := resolve(epoch); !ok || retry || row[1].Int() != want {
+			t.Fatalf("%s: resolve = %v ok=%v retry=%v, want value %d", when, row, ok, retry, want)
+		}
 	}
 
 	e0 := r.ReadEpoch()
+	oldTid, _ := h.Lookup(1)
 	// Step 1: pending insert — invisible, old version still resolves.
 	newTid, err := r.InsertPending(types.Row{types.IntValue(1), types.IntValue(11)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row, ok := resolve(r.ReadEpoch()); !ok || row[1].Int() != 10 {
-		t.Fatalf("pre-publish resolve: %v %v", row, ok)
-	}
+	wantValue("pre-publish", r.ReadEpoch(), 10)
 	// Step 2: publish — Cur is pending, readers fall back to Prev.
 	h.Publish(1, newTid)
-	if row, ok := resolve(r.ReadEpoch()); !ok || row[1].Int() != 10 {
-		t.Fatalf("post-publish resolve: %v %v", row, ok)
+	if rec, _ := h.LookupRecord(1); rec != (Record{Cur: newTid, Prev: oldTid, HasPrev: true}) {
+		t.Fatalf("published record = %+v", rec)
 	}
+	wantValue("post-publish", r.ReadEpoch(), 10)
 	// Step 3: commit — the epoch decides which version a reader sees.
-	oldRec, _ := h.LookupRecord(1)
-	epoch, ok := r.CommitUpdate(oldRec.Prev, newTid)
-	if !ok {
+	if _, ok := r.CommitUpdate(oldTid, newTid); !ok {
 		t.Fatal("commit failed")
 	}
-	h.Seal(1, epoch)
-	if row, ok := resolve(e0); !ok || row[1].Int() != 10 {
-		t.Fatalf("old-epoch resolve after commit: %v %v", row, ok)
+	wantValue("old epoch, committed", e0, 10)
+	wantValue("new epoch, committed", r.ReadEpoch(), 11)
+	// Step 4: seal — the previous version leaves the index. A reader still
+	// holding the old epoch must retry, not miss; any fresh epoch sees the
+	// committed version.
+	h.Seal(1, r.ReadEpoch())
+	if rec, _ := h.LookupRecord(1); rec != (Record{Cur: newTid}) {
+		t.Fatalf("sealed record = %+v, want current version only", rec)
 	}
-	if row, ok := resolve(r.ReadEpoch()); !ok || row[1].Int() != 11 {
-		t.Fatalf("new-epoch resolve after commit: %v %v", row, ok)
+	if row, ok, retry := resolve(e0); ok || !retry {
+		t.Fatalf("old epoch after seal: resolve = %v ok=%v retry=%v, want retry", row, ok, retry)
 	}
-	rec, _ := h.LookupRecord(1)
-	if rec.Epoch != epoch || !rec.HasPrev {
-		t.Fatalf("sealed record = %+v, want epoch %d with prev", rec, epoch)
-	}
+	wantValue("new epoch, sealed", r.ReadEpoch(), 11)
 }
 
 // TestPublishAbsentKeyNoFabricatedPrev: publishing a key that is not in

@@ -69,10 +69,12 @@ type TableMetrics struct {
 	// Epoch is the MVCC side: write epoch and the retired/pending/born
 	// version-row backlog awaiting sorted-freeze GC.
 	Epoch EpochStats
-	// IndexKeys/IndexPublishes describe the primary-key index: resident
-	// keys and cumulative version-record installations. Zero without a
-	// primary key.
+	// IndexKeys/IndexBytes/IndexPublishes describe the primary-key index:
+	// resident keys, the heap its tables hold (not part of Mem, which
+	// covers the relation's chunks) and cumulative version installations.
+	// Zero without a primary key.
 	IndexKeys      int
+	IndexBytes     int
 	IndexPublishes uint64
 	// Store is the raw block-store I/O ledger (zero without a store).
 	Store StoreStats
@@ -110,7 +112,7 @@ func (t *Table) Metrics() TableMetrics {
 		Epoch:  t.rel.EpochStatsSnapshot(),
 	}
 	if t.pk != nil {
-		m.IndexKeys = t.pk.Len()
+		m.IndexKeys, m.IndexBytes = t.pk.Size()
 		m.IndexPublishes = t.pk.Publishes()
 	}
 	if t.bs != nil {

@@ -118,6 +118,7 @@ func (db *DB) promSamples() []obs.Sample {
 		g("datablocks_retired_rows", "Retired version rows awaiting sorted-freeze GC.", int64(tm.Epoch.RetiredRows))
 		g("datablocks_pending_rows", "Update versions inserted but not yet committed.", int64(tm.Epoch.PendingRows))
 		g("datablocks_index_keys", "Keys resident in the primary-key index.", int64(tm.IndexKeys))
+		g("datablocks_index_bytes", "Heap held by the primary-key index.", int64(tm.IndexBytes))
 		c("datablocks_index_publishes_total", "Version-record installations in the primary-key index.", uint64(tm.IndexPublishes))
 
 		c("datablocks_store_io_total", "Block store operations.", uint64(tm.Store.Puts), obs.Label{K: "op", V: "put"})
