@@ -1,6 +1,7 @@
 package datablocks
 
 import (
+	"bufio"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -110,5 +111,59 @@ func TestProductionImportGraph(t *testing.T) {
 	const want = "blockstore compress core exec index obs psma simd storage types wal walfs"
 	if strings.Join(got, " ") != want {
 		t.Fatalf("the root package depends on\n  %s\nwant exactly\n  %s", strings.Join(got, " "), want)
+	}
+}
+
+// locCeilings is ROADMAP aim 2's tracked figure as a ratchet: the lines
+// `make loc` counts, for internal/exec and for the whole tree, at the PR
+// that last moved them. A PR that needs more says so by raising a number
+// here in its own diff, like an entry in lint-budget.json; one that
+// deletes code lowers it.
+var locCeilings = map[string]int{
+	"datablocks/internal/exec": 4062,
+	"total":                    20898,
+}
+
+// TestLocCeilings counts what `make loc` counts — every line of a
+// package's non-test Go files that is neither blank nor comment-only — and
+// fails when a figure exceeds its ceiling.
+func TestLocCeilings(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Dir}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	loc := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		pkg, dir, _ := strings.Cut(line, " ")
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := os.Open(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := bufio.NewScanner(f)
+			sc.Buffer(nil, 1<<20)
+			for sc.Scan() {
+				if l := strings.TrimSpace(sc.Text()); l != "" && !strings.HasPrefix(l, "//") {
+					loc[pkg]++
+					loc["total"]++
+				}
+			}
+			f.Close()
+			if err := sc.Err(); err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+		}
+	}
+	for name, ceiling := range locCeilings {
+		if loc[name] == 0 || loc[name] > ceiling {
+			t.Errorf("%s: %d lines, ceiling %d (make loc)", name, loc[name], ceiling)
+		}
 	}
 }

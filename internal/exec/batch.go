@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"datablocks/internal/core"
 	"datablocks/internal/types"
 )
@@ -23,41 +21,22 @@ import (
 type batchConsumer func(*core.Batch)
 
 // compileBatchChain lowers the chain above the scan into a batch consumer
-// feeding down. An operator or expression it cannot lower is the query's
-// error: vectorized modes run this chain or nothing.
-func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) (batchConsumer, error) {
+// feeding down: vectorized modes run this chain or nothing.
+func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) batchConsumer {
 	// down consumes n's output batches: the wrapper counts n's emitted
 	// rows/batches and times the downstream chain (see compileChain).
 	down = c.wp.wrapBatch(ex.profIdx(n), down)
 	switch n := n.(type) {
-	case *ScanNode:
-		return down, nil
 	case *FilterNode:
-		kinds, err := n.Child.OutKinds()
-		if err != nil {
-			return nil, err
-		}
-		vc := &vcompiler{kinds: kinds, stats: c.stats}
-		mask, err := vc.compileMask(n.Cond)
-		if err != nil {
-			return nil, err
-		}
-		f := &batchFilter{mask: mask, down: down}
+		vc := &vcompiler{stats: c.stats}
+		f := &batchFilter{mask: vc.mask(ex.plan.nodes[n].exprs[0]), down: down}
 		return ex.compileBatchChain(n.Child, f.consume, c)
 	case *MapNode:
-		m, err := ex.compileBatchMap(n, down, c)
-		if err != nil {
-			return nil, err
-		}
-		return ex.compileBatchChain(n.Child, m.consume, c)
+		return ex.compileBatchChain(n.Child, ex.compileBatchMap(n, down, c).consume, c)
 	case *JoinNode:
-		j, err := ex.compileBatchJoin(n, down, c)
-		if err != nil {
-			return nil, err
-		}
-		return ex.compileBatchChain(n.Probe, j.consume, c)
-	default:
-		return nil, errVecUnsupported
+		return ex.compileBatchChain(n.Probe, ex.compileBatchJoin(n, down, c).consume, c)
+	default: // the ScanNode: prepareBuilds admitted nothing else
+		return down
 	}
 }
 
@@ -67,53 +46,6 @@ func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) (
 type vconjunct struct {
 	cols []int
 	mask vecMaskFn
-}
-
-// splitConjuncts flattens the ∧-spine of an expression.
-func splitConjuncts(e Expr, out []Expr) []Expr {
-	if l, ok := e.(Logic); ok && l.Op == '&' {
-		out = splitConjuncts(l.L, out)
-		return splitConjuncts(l.R, out)
-	}
-	return append(out, e)
-}
-
-// exprCols collects the distinct column ordinals an expression references,
-// in first-reference order.
-func exprCols(e Expr, cols []int) []int {
-	add := func(idx int) []int {
-		for _, c := range cols {
-			if c == idx {
-				return cols
-			}
-		}
-		return append(cols, idx)
-	}
-	switch e := e.(type) {
-	case ColRef:
-		cols = add(e.Idx)
-	case Binary:
-		cols = exprCols(e.L, cols)
-		cols = exprCols(e.R, cols)
-	case Compare:
-		cols = exprCols(e.L, cols)
-		cols = exprCols(e.R, cols)
-		if e.R2 != nil {
-			cols = exprCols(e.R2, cols)
-		}
-	case Logic:
-		cols = exprCols(e.L, cols)
-		if e.R != nil {
-			cols = exprCols(e.R, cols)
-		}
-	case IsNullExpr:
-		cols = exprCols(e.E, cols)
-	case If:
-		cols = exprCols(e.Cond, cols)
-		cols = exprCols(e.Then, cols)
-		cols = exprCols(e.Else, cols)
-	}
-	return cols
 }
 
 // batchFilter drops batch rows failing the compiled mask by compacting the
@@ -137,7 +69,7 @@ func (f *batchFilter) consume(b *core.Batch) {
 //
 //dbvet:hotpath
 func filterBatch(b *core.Batch, mask []bool, sel []uint32) []uint32 {
-	sel = resizeU32(sel, b.N)[:0]
+	sel = resize(sel, b.N)[:0]
 	mask = mask[:b.N]
 	for i, m := range mask {
 		if m {
@@ -211,66 +143,41 @@ type batchMap struct {
 	down    batchConsumer
 }
 
-func (ex *executor) compileBatchMap(n *MapNode, down batchConsumer, c *compiler) (*batchMap, error) {
-	kinds, err := n.Child.OutKinds()
-	if err != nil {
-		return nil, err
-	}
-	vc := &vcompiler{kinds: kinds, stats: c.stats}
+func (ex *executor) compileBatchMap(n *MapNode, down batchConsumer, c *compiler) *batchMap {
+	vc := &vcompiler{stats: c.stats}
 	m := &batchMap{down: down}
 	m.out.Cols = make([]core.BatchCol, len(n.Exprs))
-	for _, e := range n.Exprs {
-		k, err := e.resultKind(kinds)
-		if err != nil {
-			return nil, err
-		}
-		switch k {
+	for _, e := range ex.plan.nodes[n].exprs {
+		switch e.kind {
 		case types.Int64:
-			f, err := vc.compileInt(e)
-			if err != nil {
-				return nil, err
-			}
-			m.setters = append(m.setters, func(in *core.Batch, out *core.BatchCol) {
-				vals, nulls := f(in)
-				out.Kind = types.Int64
-				out.Ints = resizeI64(out.Ints, in.N)
-				copy(out.Ints, vals)
-				out.Nulls = copyNulls(out.Nulls, nulls, in.N)
-			})
+			m.setters = append(m.setters, mapSetter(vc.int(e), e.kind, func(c *core.BatchCol) *[]int64 { return &c.Ints }))
 		case types.Float64:
-			f, err := vc.compileFloat(e)
-			if err != nil {
-				return nil, err
-			}
-			m.setters = append(m.setters, func(in *core.Batch, out *core.BatchCol) {
-				vals, nulls := f(in)
-				out.Kind = types.Float64
-				out.Floats = resizeF64(out.Floats, in.N)
-				copy(out.Floats, vals)
-				out.Nulls = copyNulls(out.Nulls, nulls, in.N)
-			})
+			m.setters = append(m.setters, mapSetter(vc.float(e), e.kind, func(c *core.BatchCol) *[]float64 { return &c.Floats }))
 		default:
-			f, err := vc.compileStr(e)
-			if err != nil {
-				return nil, err
-			}
-			m.setters = append(m.setters, func(in *core.Batch, out *core.BatchCol) {
-				vals, nulls := f(in)
-				out.Kind = types.String
-				out.Strs = resizeStr(out.Strs, in.N)
-				copy(out.Strs, vals)
-				out.Nulls = copyNulls(out.Nulls, nulls, in.N)
-			})
+			m.setters = append(m.setters, mapSetter(vc.str(e), e.kind, func(c *core.BatchCol) *[]string { return &c.Strs }))
 		}
 	}
-	return m, nil
+	return m
+}
+
+// mapSetter copies what f evaluates to into the output column's vector of
+// f's kind, which vec picks.
+func mapSetter[T any](f vecFn[T], kind types.Kind, vec func(*core.BatchCol) *[]T) func(in *core.Batch, out *core.BatchCol) {
+	return func(in *core.Batch, out *core.BatchCol) {
+		vals, nulls := f(in)
+		out.Kind = kind
+		dst := vec(out)
+		*dst = resize(*dst, in.N)
+		copy(*dst, vals)
+		out.Nulls = copyNulls(out.Nulls, nulls, in.N)
+	}
 }
 
 func copyNulls(dst, src []bool, n int) []bool {
 	if src == nil {
 		return nil
 	}
-	dst = resizeBool(dst, n)
+	dst = resize(dst, n)
 	copy(dst, src[:n])
 	return dst
 }
@@ -315,43 +222,26 @@ type batchJoinProbe struct {
 	sel    []uint32
 }
 
-// newJoinProbe allocates a worker's probe state for join n, checking that
-// the probe key columns match the build key columns in number and kind.
-func (ex *executor) newJoinProbe(n *JoinNode) (*batchJoinProbe, error) {
+// newJoinProbe allocates a worker's probe state for join n (the plan check
+// matched the probe keys to the build keys in number and kind).
+func (ex *executor) newJoinProbe(n *JoinNode) *batchJoinProbe {
 	ht := ex.builds[n]
-	probeKinds, err := n.Probe.OutKinds()
-	if err != nil {
-		return nil, err
-	}
-	if len(n.ProbeKeys) != len(ht.keys) {
-		return nil, fmt.Errorf("exec: join has %d probe keys for %d build keys", len(n.ProbeKeys), len(ht.keys))
-	}
-	for i, c := range n.ProbeKeys {
-		if c < 0 || c >= len(probeKinds) || probeKinds[c] != ht.keys[i].kind {
-			return nil, fmt.Errorf("exec: join probe key %d does not match the %v build key", c, ht.keys[i].kind)
-		}
-	}
-	j := &batchJoinProbe{ht: ht, node: n, np: len(probeKinds), firstOnly: n.Kind != InnerJoin}
+	j := &batchJoinProbe{ht: ht, node: n, np: len(ex.plan.nodes[n.Probe].kinds), firstOnly: n.Kind != InnerJoin}
 	j.keys = append(j.keys, ht.keys...)
 	if n.Kind == InnerJoin {
-		if j.buildKinds, err = n.Build.OutKinds(); err != nil {
-			return nil, err
-		}
+		j.buildKinds = ex.plan.nodes[n.Build].kinds
 	}
-	return j, nil
+	return j
 }
 
-func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compiler) (*batchJoinProbe, error) {
-	j, err := ex.newJoinProbe(n)
-	if err != nil {
-		return nil, err
-	}
+func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compiler) *batchJoinProbe {
+	j := ex.newJoinProbe(n)
 	j.down = down
 	if n.Kind == InnerJoin {
 		j.out.Cols = make([]core.BatchCol, j.np+len(j.buildKinds))
 	}
 	c.emit()
-	return j, nil
+	return j
 }
 
 //dbvet:hotpath
@@ -372,7 +262,7 @@ func (j *batchJoinProbe) consume(b *core.Batch) {
 func (j *batchJoinProbe) matchPairs(n int) {
 	j.pairsP = j.pairsP[:0]
 	j.pairsB = j.pairsB[:0]
-	j.hashes = resizeU64(j.hashes, n)
+	j.hashes = resize(j.hashes, n)
 	hs := j.hashes[:n]
 	keys := j.keys
 	for k := range keys {
@@ -422,7 +312,7 @@ func (j *batchJoinProbe) consumeSemiAnti(b *core.Batch) {
 	// A probe row passes a semi join iff it matched, an anti join iff it
 	// did not (NULL keys never match: semi drops them, anti keeps them).
 	wantMatch := j.node.Kind == SemiJoin
-	j.mask = resizeBool(j.mask, b.N)
+	j.mask = resize(j.mask, b.N)
 	mask := j.mask[:b.N]
 	for r := range mask {
 		mask[r] = !wantMatch
@@ -445,26 +335,26 @@ func gatherBatchCol(dst, src *core.BatchCol, idx []uint32) {
 	dst.Kind = src.Kind
 	switch src.Kind {
 	case types.Int64:
-		d := resizeI64(dst.Ints, n)[:n]
+		d := resize(dst.Ints, n)[:n]
 		for i, p := range idx {
 			d[i] = src.Ints[p]
 		}
 		dst.Ints = d
 	case types.Float64:
-		d := resizeF64(dst.Floats, n)[:n]
+		d := resize(dst.Floats, n)[:n]
 		for i, p := range idx {
 			d[i] = src.Floats[p]
 		}
 		dst.Floats = d
 	default:
-		d := resizeStr(dst.Strs, n)[:n]
+		d := resize(dst.Strs, n)[:n]
 		for i, p := range idx {
 			d[i] = src.Strs[p]
 		}
 		dst.Strs = d
 	}
 	if src.Nulls != nil {
-		d := resizeBool(dst.Nulls, n)[:n]
+		d := resize(dst.Nulls, n)[:n]
 		for i, p := range idx {
 			d[i] = src.Nulls[p]
 		}
@@ -480,25 +370,25 @@ func gatherResultCol(dst *core.BatchCol, src *ResultCol, rows []int32) {
 	dst.Kind = src.Kind
 	switch src.Kind {
 	case types.Int64:
-		d := resizeI64(dst.Ints, n)[:n]
+		d := resize(dst.Ints, n)[:n]
 		for i, p := range rows {
 			d[i] = src.Ints[p]
 		}
 		dst.Ints = d
 	case types.Float64:
-		d := resizeF64(dst.Floats, n)[:n]
+		d := resize(dst.Floats, n)[:n]
 		for i, p := range rows {
 			d[i] = src.Floats[p]
 		}
 		dst.Floats = d
 	default:
-		d := resizeStr(dst.Strs, n)[:n]
+		d := resize(dst.Strs, n)[:n]
 		for i, p := range rows {
 			d[i] = src.Strs[p]
 		}
 		dst.Strs = d
 	}
-	d := resizeBool(dst.Nulls, n)[:n]
+	d := resize(dst.Nulls, n)[:n]
 	for i, p := range rows {
 		d[i] = src.Nulls[p]
 	}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -685,12 +684,12 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	}
 	plan := &ScanNode{Rel: rel, Cols: []int{0, 3}}
 	var consumed atomic.Int64
-	ex := &executor{
-		opt:    Options{Mode: ModeVectorizedSARG, TupleAtATime: true, Parallelism: 2, VectorSize: core.DefaultVectorSize},
-		builds: make(map[*JoinNode]*hashTable),
+	ex, err := newExecutor(plan, Options{Mode: ModeVectorizedSARG, TupleAtATime: true, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	err = ex.runPipeline(plan, func(*compiler) (pipeSink, error) {
-		return pipeSink{tuple: func(*Tuple) { consumed.Add(1) }}, nil
+	err = ex.runPipeline(plan, func(*compiler) pipeSink {
+		return pipeSink{tuple: func(*Tuple) { consumed.Add(1) }}
 	})
 	if err == nil {
 		t.Fatal("expected the broken chunk's reload error to propagate")
@@ -705,21 +704,20 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	}
 }
 
-// foreignExpr is an expression of a type neither compiler knows; it stands
-// in for "something the vectorized compiler cannot lower".
+// foreignExpr is an expression of a type the front end does not know.
 type foreignExpr struct{}
 
-func (foreignExpr) resultKind([]types.Kind) (types.Kind, error) { return types.Int64, nil }
+func (foreignExpr) isExpr() {}
 
-// TestCompileFailureIsTheQuerysError: every mode compiles exactly one
-// chain and reports that chain's compile failure from Run. A vectorized
-// mode returns the vectorized compiler's error from each place it lowers
-// an expression — scan conjunct, filter, map, aggregate argument — rather
-// than running the query some other way, and never consults the tuple
-// compiler; TupleAtATime and ModeJIT never consult the vectorized one.
-// (TestCompileParity shows both compilers accept the same expressions, so
-// no plan is rejected by only one of them: what tells the chains apart
-// here is whose error comes back.)
+// TestCompileFailureIsTheQuerysError: an expression the front end rejects
+// is the query's error — the same one from every mode, chain and degree of
+// parallelism and from each place a plan holds an expression (scan
+// conjunct, filter, map, aggregate argument) — rather than the query
+// running some other way; and the same plan with a well-formed expression
+// runs on either chain and agrees. (Which of two compilers refused is no
+// longer a question: neither can. TestMalformedExprIsAnError in the root
+// package walks the malformed expressions the exported constructors can
+// build.)
 func TestCompileFailureIsTheQuerysError(t *testing.T) {
 	rel := ordersRel(t, 3000, 1<<10, 1)
 	scan := func(filter Expr) *ScanNode { return &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}, Filter: filter} }
@@ -731,20 +729,25 @@ func TestCompileFailureIsTheQuerysError(t *testing.T) {
 			return &AggNode{Child: scan(nil), GroupBy: []int{2}, Aggs: []AggSpec{{Func: AggCountCol, Arg: e}}}
 		},
 	}
-	vectorized := []ScanMode{ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA}
+	want := ""
 	for name, mk := range plans {
-		for _, mode := range vectorized {
-			for _, par := range []int{1, 3} {
-				_, err := Run(mk(foreignExpr{}), Options{Mode: mode, Parallelism: par, Profile: true})
-				if !errors.Is(err, errVecUnsupported) {
-					t.Fatalf("%s %v p%d: got %v, want the vectorized compiler's error", name, mode, par, err)
+		for _, mode := range []ScanMode{ModeJIT, ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA} {
+			for _, opt := range []Options{{Mode: mode}, {Mode: mode, Parallelism: 3, Profile: true}, {Mode: mode, TupleAtATime: true}} {
+				_, err := Run(mk(foreignExpr{}), opt)
+				if err == nil {
+					t.Fatalf("%s %+v: the foreign expression ran", name, opt)
+				}
+				if want == "" {
+					want = err.Error()
+				}
+				if err.Error() != want {
+					t.Fatalf("%s %+v: error %q, elsewhere %q", name, opt, err, want)
 				}
 			}
-			_, err := Run(mk(foreignExpr{}), Options{Mode: mode, TupleAtATime: true})
-			if err == nil || errors.Is(err, errVecUnsupported) {
-				t.Fatalf("%s %v tuple: got %v, want the tuple compiler's error", name, mode, err)
+			if mode == ModeJIT {
+				continue
 			}
-			// The same plan with an expression both compilers know runs on
+			// The same plan with an expression the front end knows runs on
 			// either chain and agrees.
 			valid := Cmp(types.Lt, Col(3), CInt(40))
 			batch, err := Run(mk(valid), Options{Mode: mode})
@@ -756,9 +759,6 @@ func TestCompileFailureIsTheQuerysError(t *testing.T) {
 				t.Fatalf("%s %v tuple: %v", name, mode, err)
 			}
 			requireExactResult(t, name, tuple, batch)
-		}
-		if _, err := Run(mk(foreignExpr{}), Options{Mode: ModeJIT}); err == nil || errors.Is(err, errVecUnsupported) {
-			t.Fatalf("%s jit: got %v, want the tuple compiler's error", name, err)
 		}
 	}
 }

@@ -9,6 +9,13 @@
 // evaluated on either layout. Only the compiled scans — Figure 5's
 // per-layout code generation, a comparator — read the layouts themselves.
 //
+// Expressions have one front end and two back ends: check (check.go) types
+// every expression of a plan once per query and is the only code that can
+// reject one; the tuple closures of this file (the reference) and the batch
+// closures of vexpr.go (production) each lower the checked tree, written
+// independently of one another and held to the same answers by
+// TestEvalParity.
+//
 // The closure-compilation analogy is load-bearing for the reproduction:
 // compile time is real work proportional to the number of generated code
 // paths, so the Figure 5 explosion (one specialized scan per storage-layout
@@ -16,7 +23,8 @@
 package exec
 
 import (
-	"fmt"
+	"cmp"
+	"strings"
 
 	"datablocks/internal/types"
 )
@@ -49,10 +57,18 @@ type CompileStats struct {
 	ScanPaths int
 }
 
-// Expr is a scalar expression over pipeline tuples.
-type Expr interface {
-	resultKind(kinds []types.Kind) (types.Kind, error)
-}
+// Expr is a scalar expression over pipeline tuples: one of the node types
+// below, by value. What an expression means — its kind, what converts,
+// what is malformed — is check's to say (check.go), once per query.
+type Expr interface{ isExpr() }
+
+func (ColRef) isExpr()     {}
+func (Const) isExpr()      {}
+func (Binary) isExpr()     {}
+func (Compare) isExpr()    {}
+func (Logic) isExpr()      {}
+func (IsNullExpr) isExpr() {}
+func (If) isExpr()         {}
 
 // ColRef references pipeline column Idx.
 type ColRef struct{ Idx int }
@@ -120,53 +136,25 @@ func And(l, r Expr) Expr { return Logic{Op: '&', L: l, R: r} }
 func Or(l, r Expr) Expr  { return Logic{Op: '|', L: l, R: r} }
 func Not(e Expr) Expr    { return Logic{Op: '!', L: e} }
 
-func (e ColRef) resultKind(kinds []types.Kind) (types.Kind, error) {
-	if e.Idx < 0 || e.Idx >= len(kinds) {
-		return 0, fmt.Errorf("exec: column %d out of range", e.Idx)
-	}
-	return kinds[e.Idx], nil
-}
-
-func (e Const) resultKind([]types.Kind) (types.Kind, error) { return e.Val.Kind(), nil }
-
-func (e Binary) resultKind(kinds []types.Kind) (types.Kind, error) {
-	lk, err := e.L.resultKind(kinds)
-	if err != nil {
-		return 0, err
-	}
-	rk, err := e.R.resultKind(kinds)
-	if err != nil {
-		return 0, err
-	}
-	if lk == types.String || rk == types.String {
-		return 0, fmt.Errorf("exec: arithmetic on strings")
-	}
-	if e.Op == '/' || lk == types.Float64 || rk == types.Float64 {
-		return types.Float64, nil
-	}
-	return types.Int64, nil
-}
-
-// boolKind marks boolean results; reuse Int64 (0/1) as the physical kind.
-func (e Compare) resultKind(kinds []types.Kind) (types.Kind, error)    { return types.Int64, nil }
-func (e Logic) resultKind(kinds []types.Kind) (types.Kind, error)      { return types.Int64, nil }
-func (e IsNullExpr) resultKind(kinds []types.Kind) (types.Kind, error) { return types.Int64, nil }
-
-func (e If) resultKind(kinds []types.Kind) (types.Kind, error) {
-	return e.Then.resultKind(kinds)
-}
-
-// Typed closure signatures: each returns the value and a null flag.
+// The tuple back end: a checked tree lowered to closures over the register
+// file, one closure (one emit) per node. Each value closure returns the
+// value and a NULL flag; conditions collapse SQL's three-valued logic
+// (NULL ⇒ false). It is written apart from the batch back end of vexpr.go
+// on purpose: the tuple chain is the reference the batch chain is tested
+// against, and shares with it only what precedes evaluation.
 type (
-	intFn   func(t *Tuple) (int64, bool)
-	floatFn func(t *Tuple) (float64, bool)
-	strFn   func(t *Tuple) (string, bool)
-	boolFn  func(t *Tuple) bool // SQL three-valued logic collapsed: NULL ⇒ false
+	valFn[T any] func(t *Tuple) (T, bool)
+	boolFn       func(t *Tuple) bool
 )
 
-// compiler lowers expressions to closures against a fixed tuple layout.
+// number and value are the kinds arithmetic and everything else range over.
+type (
+	number interface{ int64 | float64 }
+	value  interface{ number | string }
+)
+
+// compiler lowers checked expressions to tuple closures.
 type compiler struct {
-	kinds []types.Kind
 	stats *CompileStats
 	// wp is the worker's profile shard the chain being compiled should
 	// report into; nil when the query is not being profiled.
@@ -179,436 +167,203 @@ func (c *compiler) emit() {
 	}
 }
 
-func (c *compiler) compileInt(e Expr) (intFn, error) {
-	k, err := e.resultKind(c.kinds)
-	if err != nil {
-		return nil, err
+// literal returns the value of a non-NULL literal node — what a constant
+// closure returns and a broadcast loop keeps in a register.
+func literal[T value](n *checked) (v T, ok bool) {
+	if n.op != opConst || n.val.IsNull() {
+		return v, false
 	}
-	if k != types.Int64 {
-		return nil, fmt.Errorf("exec: expression is %v, want int", k)
+	switch p := any(&v).(type) {
+	case *int64:
+		*p = n.val.Int()
+	case *float64:
+		*p = n.val.Float()
+	case *string:
+		*p = n.val.Str()
 	}
-	switch e := e.(type) {
-	case ColRef:
-		idx := e.Idx
+	return v, true
+}
+
+func (c *compiler) int(n *checked) valFn[int64] {
+	switch n.op {
+	case opCol:
+		idx := n.col
 		c.emit()
-		return func(t *Tuple) (int64, bool) { return t.Ints[idx], t.Nulls[idx] }, nil
-	case Const:
-		if e.Val.IsNull() {
-			c.emit()
-			return func(*Tuple) (int64, bool) { return 0, true }, nil
-		}
-		v := e.Val.Int()
-		c.emit()
-		return func(*Tuple) (int64, bool) { return v, false }, nil
-	case Binary:
-		l, err := c.compileInt(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileInt(e.R)
-		if err != nil {
-			return nil, err
-		}
-		c.emit()
-		switch e.Op {
-		case '+':
-			return func(t *Tuple) (int64, bool) {
-				a, an := l(t)
-				b, bn := r(t)
-				return a + b, an || bn
-			}, nil
-		case '-':
-			return func(t *Tuple) (int64, bool) {
-				a, an := l(t)
-				b, bn := r(t)
-				return a - b, an || bn
-			}, nil
-		case '*':
-			return func(t *Tuple) (int64, bool) {
-				a, an := l(t)
-				b, bn := r(t)
-				return a * b, an || bn
-			}, nil
-		default:
-			return nil, fmt.Errorf("exec: integer division unsupported; use Div for doubles")
-		}
-	case Compare, Logic, IsNullExpr:
-		b, err := c.compileBool(e)
-		if err != nil {
-			return nil, err
-		}
+		return func(t *Tuple) (int64, bool) { return t.Ints[idx], t.Nulls[idx] }
+	case opBoolInt:
+		b := c.bool(n.a)
 		c.emit()
 		return func(t *Tuple) (int64, bool) {
 			if b(t) {
 				return 1, false
 			}
 			return 0, false
-		}, nil
-	case If:
-		cond, err := c.compileBool(e.Cond)
-		if err != nil {
-			return nil, err
 		}
-		th, err := c.compileInt(e.Then)
-		if err != nil {
-			return nil, err
-		}
-		el, err := c.compileInt(e.Else)
-		if err != nil {
-			return nil, err
-		}
+	case opArith:
+		return tupleArith(c, n, c.int)
+	}
+	return tupleValue(c, n, c.int)
+}
+
+func (c *compiler) float(n *checked) valFn[float64] {
+	switch n.op {
+	case opCol:
+		idx := n.col
 		c.emit()
-		return func(t *Tuple) (int64, bool) {
+		return func(t *Tuple) (float64, bool) { return t.Floats[idx], t.Nulls[idx] }
+	case opToFloat:
+		f := c.int(n.a)
+		c.emit()
+		return func(t *Tuple) (float64, bool) {
+			v, null := f(t)
+			return float64(v), null
+		}
+	case opArith:
+		if n.arith != '/' {
+			return tupleArith(c, n, c.float)
+		}
+		l, r := c.float(n.a), c.float(n.b)
+		c.emit()
+		return func(t *Tuple) (float64, bool) {
+			a, an := l(t)
+			b, bn := r(t)
+			if bn || b == 0 {
+				return 0, true // a NULL or zero divisor yields NULL
+			}
+			return a / b, an
+		}
+	}
+	return tupleValue(c, n, c.float)
+}
+
+func (c *compiler) str(n *checked) valFn[string] {
+	if n.op == opCol {
+		idx := n.col
+		c.emit()
+		return func(t *Tuple) (string, bool) { return t.Strs[idx], t.Nulls[idx] }
+	}
+	return tupleValue(c, n, c.str)
+}
+
+// tupleValue lowers the nodes that read the same in every kind — a literal
+// and a conditional; rec lowers an operand of the node's own kind.
+func tupleValue[T value](c *compiler, n *checked, rec func(*checked) valFn[T]) valFn[T] {
+	switch n.op {
+	case opConst:
+		v, ok := literal[T](n)
+		c.emit()
+		return func(*Tuple) (T, bool) { return v, !ok }
+	case opIf:
+		cond, th, el := c.bool(n.a), rec(n.b), rec(n.c)
+		c.emit()
+		return func(t *Tuple) (T, bool) {
 			if cond(t) {
 				return th(t)
 			}
 			return el(t)
-		}, nil
+		}
 	}
-	return nil, fmt.Errorf("exec: cannot compile %T as int", e)
+	panic("exec: lowering a node check did not produce")
 }
 
-func (c *compiler) compileFloat(e Expr) (floatFn, error) {
-	k, err := e.resultKind(c.kinds)
-	if err != nil {
-		return nil, err
+// tupleArith lowers + - *; a NULL operand makes the result NULL.
+func tupleArith[T number](c *compiler, n *checked, rec func(*checked) valFn[T]) valFn[T] {
+	l, r := rec(n.a), rec(n.b)
+	c.emit()
+	switch n.arith {
+	case '+':
+		return func(t *Tuple) (T, bool) {
+			a, an := l(t)
+			b, bn := r(t)
+			return a + b, an || bn
+		}
+	case '-':
+		return func(t *Tuple) (T, bool) {
+			a, an := l(t)
+			b, bn := r(t)
+			return a - b, an || bn
+		}
+	default:
+		return func(t *Tuple) (T, bool) {
+			a, an := l(t)
+			b, bn := r(t)
+			return a * b, an || bn
+		}
 	}
-	if k == types.Int64 {
-		f, err := c.compileInt(e)
-		if err != nil {
-			return nil, err
-		}
-		c.emit()
-		return func(t *Tuple) (float64, bool) {
-			v, n := f(t)
-			return float64(v), n
-		}, nil
-	}
-	if k != types.Float64 {
-		return nil, fmt.Errorf("exec: expression is %v, want float", k)
-	}
-	switch e := e.(type) {
-	case ColRef:
-		idx := e.Idx
-		c.emit()
-		return func(t *Tuple) (float64, bool) { return t.Floats[idx], t.Nulls[idx] }, nil
-	case Const:
-		if e.Val.IsNull() {
-			c.emit()
-			return func(*Tuple) (float64, bool) { return 0, true }, nil
-		}
-		v := e.Val.Float()
-		c.emit()
-		return func(*Tuple) (float64, bool) { return v, false }, nil
-	case Binary:
-		l, err := c.compileFloat(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileFloat(e.R)
-		if err != nil {
-			return nil, err
-		}
-		c.emit()
-		switch e.Op {
-		case '+':
-			return func(t *Tuple) (float64, bool) {
-				a, an := l(t)
-				b, bn := r(t)
-				return a + b, an || bn
-			}, nil
-		case '-':
-			return func(t *Tuple) (float64, bool) {
-				a, an := l(t)
-				b, bn := r(t)
-				return a - b, an || bn
-			}, nil
-		case '*':
-			return func(t *Tuple) (float64, bool) {
-				a, an := l(t)
-				b, bn := r(t)
-				return a * b, an || bn
-			}, nil
+}
+
+func (c *compiler) bool(n *checked) boolFn {
+	switch n.op {
+	case opCompare, opBetween:
+		switch n.kind {
+		case types.Int64:
+			return tupleCompare(c, n, c.int)
+		case types.Float64:
+			return tupleCompare(c, n, c.float)
 		default:
-			return func(t *Tuple) (float64, bool) {
-				a, an := l(t)
-				b, bn := r(t)
-				if bn || b == 0 {
-					return 0, true
-				}
-				return a / b, an
-			}, nil
+			return tupleCompare(c, n, c.str)
 		}
-	case If:
-		cond, err := c.compileBool(e.Cond)
-		if err != nil {
-			return nil, err
-		}
-		th, err := c.compileFloat(e.Then)
-		if err != nil {
-			return nil, err
-		}
-		el, err := c.compileFloat(e.Else)
-		if err != nil {
-			return nil, err
-		}
-		c.emit()
-		return func(t *Tuple) (float64, bool) {
-			if cond(t) {
-				return th(t)
-			}
-			return el(t)
-		}, nil
-	}
-	return nil, fmt.Errorf("exec: cannot compile %T as float", e)
-}
-
-func (c *compiler) compileStr(e Expr) (strFn, error) {
-	k, err := e.resultKind(c.kinds)
-	if err != nil {
-		return nil, err
-	}
-	if k != types.String {
-		return nil, fmt.Errorf("exec: expression is %v, want string", k)
-	}
-	switch e := e.(type) {
-	case ColRef:
-		idx := e.Idx
-		c.emit()
-		return func(t *Tuple) (string, bool) { return t.Strs[idx], t.Nulls[idx] }, nil
-	case Const:
-		if e.Val.IsNull() {
-			c.emit()
-			return func(*Tuple) (string, bool) { return "", true }, nil
-		}
-		v := e.Val.Str()
-		c.emit()
-		return func(*Tuple) (string, bool) { return v, false }, nil
-	}
-	return nil, fmt.Errorf("exec: cannot compile %T as string", e)
-}
-
-func (c *compiler) compileBool(e Expr) (boolFn, error) {
-	switch e := e.(type) {
-	case Compare:
-		return c.compileCompare(e)
-	case Logic:
-		switch e.Op {
-		case '!':
-			inner, err := c.compileBool(e.L)
-			if err != nil {
-				return nil, err
-			}
-			c.emit()
-			return func(t *Tuple) bool { return !inner(t) }, nil
-		case '&':
-			l, err := c.compileBool(e.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.compileBool(e.R)
-			if err != nil {
-				return nil, err
-			}
-			c.emit()
-			return func(t *Tuple) bool { return l(t) && r(t) }, nil
-		default:
-			l, err := c.compileBool(e.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.compileBool(e.R)
-			if err != nil {
-				return nil, err
-			}
-			c.emit()
-			return func(t *Tuple) bool { return l(t) || r(t) }, nil
-		}
-	case IsNullExpr:
-		col, ok := e.E.(ColRef)
-		if !ok {
-			return nil, fmt.Errorf("exec: IS NULL supports column references only")
-		}
-		idx := col.Idx
-		not := e.Not
-		c.emit()
-		return func(t *Tuple) bool { return t.Nulls[idx] != not }, nil
-	case ColRef, Const, If, Binary:
-		// Treat a 0/1 integer expression as a boolean.
-		f, err := c.compileInt(e)
-		if err != nil {
-			return nil, err
-		}
-		c.emit()
-		return func(t *Tuple) bool {
-			v, n := f(t)
-			return !n && v != 0
-		}, nil
-	}
-	return nil, fmt.Errorf("exec: cannot compile %T as bool", e)
-}
-
-func (c *compiler) compileCompare(e Compare) (boolFn, error) {
-	lk, err := e.L.resultKind(c.kinds)
-	if err != nil {
-		return nil, err
-	}
-	if e.Op == types.Prefix {
-		l, lerr := c.compileStr(e.L)
-		if lerr != nil {
-			return nil, lerr
-		}
-		r, rerr := c.compileStr(e.R)
-		if rerr != nil {
-			return nil, rerr
-		}
+	case opPrefix:
+		l, r := c.str(n.a), c.str(n.b)
 		c.emit()
 		return func(t *Tuple) bool {
 			a, an := l(t)
 			p, pn := r(t)
-			return !an && !pn && len(a) >= len(p) && a[:len(p)] == p
-		}, nil
+			return !an && !pn && strings.HasPrefix(a, p)
+		}
+	case opNot:
+		inner := c.bool(n.a)
+		c.emit()
+		return func(t *Tuple) bool { return !inner(t) }
+	case opAnd, opOr:
+		l, r := c.bool(n.a), c.bool(n.b)
+		c.emit()
+		if n.op == opAnd {
+			return func(t *Tuple) bool { return l(t) && r(t) }
+		}
+		return func(t *Tuple) bool { return l(t) || r(t) }
+	case opIsNull:
+		idx, not := n.col, n.not
+		c.emit()
+		return func(t *Tuple) bool { return t.Nulls[idx] != not }
+	default: // opTruthy
+		f := c.int(n.a)
+		c.emit()
+		return func(t *Tuple) bool {
+			v, null := f(t)
+			return !null && v != 0
+		}
 	}
-	rk, err := e.R.resultKind(c.kinds)
-	if err != nil {
-		return nil, err
-	}
-	useFloat := lk == types.Float64 || rk == types.Float64
-	switch {
-	case lk == types.String:
-		l, err := c.compileStr(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileStr(e.R)
-		if err != nil {
-			return nil, err
-		}
-		if e.Op == types.Between {
-			r2, err := c.compileStr(e.R2)
-			if err != nil {
-				return nil, err
-			}
-			c.emit()
-			return func(t *Tuple) bool {
-				a, an := l(t)
-				lo, ln := r(t)
-				hi, hn := r2(t)
-				return !an && !ln && !hn && a >= lo && a <= hi
-			}, nil
-		}
-		op := e.Op
+}
+
+// tupleCompare lowers a comparison or BETWEEN in the kind it compares in;
+// a NULL operand makes it false.
+func tupleCompare[T value](c *compiler, n *checked, rec func(*checked) valFn[T]) boolFn {
+	l, r := rec(n.a), rec(n.b)
+	if n.op == opBetween {
+		r2 := rec(n.c)
 		c.emit()
 		return func(t *Tuple) bool {
 			a, an := l(t)
-			b, bn := r(t)
-			if an || bn {
-				return false
-			}
-			return cmpOrd(op, compareStr(a, b))
-		}, nil
-	case useFloat:
-		l, err := c.compileFloat(e.L)
-		if err != nil {
-			return nil, err
+			lo, ln := r(t)
+			hi, hn := r2(t)
+			return !an && !ln && !hn && a >= lo && a <= hi
 		}
-		r, err := c.compileFloat(e.R)
-		if err != nil {
-			return nil, err
-		}
-		if e.Op == types.Between {
-			r2, err := c.compileFloat(e.R2)
-			if err != nil {
-				return nil, err
-			}
-			c.emit()
-			return func(t *Tuple) bool {
-				a, an := l(t)
-				lo, ln := r(t)
-				hi, hn := r2(t)
-				return !an && !ln && !hn && a >= lo && a <= hi
-			}, nil
-		}
-		op := e.Op
-		c.emit()
-		return func(t *Tuple) bool {
-			a, an := l(t)
-			b, bn := r(t)
-			if an || bn {
-				return false
-			}
-			return cmpF64(op, a, b)
-		}, nil
-	default:
-		l, err := c.compileInt(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileInt(e.R)
-		if err != nil {
-			return nil, err
-		}
-		if e.Op == types.Between {
-			r2, err := c.compileInt(e.R2)
-			if err != nil {
-				return nil, err
-			}
-			c.emit()
-			return func(t *Tuple) bool {
-				a, an := l(t)
-				lo, ln := r(t)
-				hi, hn := r2(t)
-				return !an && !ln && !hn && a >= lo && a <= hi
-			}, nil
-		}
-		op := e.Op
-		c.emit()
-		return func(t *Tuple) bool {
-			a, an := l(t)
-			b, bn := r(t)
-			if an || bn {
-				return false
-			}
-			return cmpOrd(op, compareI64(a, b))
-		}, nil
+	}
+	op := n.cmp
+	c.emit()
+	return func(t *Tuple) bool {
+		a, an := l(t)
+		b, bn := r(t)
+		return !an && !bn && compare(op, a, b)
 	}
 }
 
-func compareI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func compareF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func compareStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// cmpF64 compares doubles with the operators themselves, not through the
-// three-way compareF64, in which NaN ties with everything: by the IEEE rule
-// every comparison with NaN is false and <> is true — what the simd
-// kernels, BETWEEN and therefore a pushed-down predicate answer.
-func cmpF64(op types.CompareOp, a, b float64) bool {
+// compare applies a comparison operator, written with the operators
+// themselves so that doubles compare by the IEEE rule — every comparison
+// with NaN is false and <> is true — which is what the simd kernels,
+// BETWEEN and therefore a pushed-down predicate answer.
+func compare[T cmp.Ordered](op types.CompareOp, a, b T) bool {
 	switch op {
 	case types.Eq:
 		return a == b
@@ -620,24 +375,7 @@ func cmpF64(op types.CompareOp, a, b float64) bool {
 		return a <= b
 	case types.Gt:
 		return a > b
-	default: // Ge
+	default: // Ge: check admits no other operator
 		return a >= b
-	}
-}
-
-func cmpOrd(op types.CompareOp, ord int) bool {
-	switch op {
-	case types.Eq:
-		return ord == 0
-	case types.Ne:
-		return ord != 0
-	case types.Lt:
-		return ord < 0
-	case types.Le:
-		return ord <= 0
-	case types.Gt:
-		return ord > 0
-	default: // Ge
-		return ord >= 0
 	}
 }

@@ -119,10 +119,7 @@ func TestJoinChainsSurviveGrow(t *testing.T) {
 func TestEqualHashDistinctKeysNeverMerge(t *testing.T) {
 	kinds := []types.Kind{types.Int64, types.Int64}
 	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}}}
-	a, err := newAggregator(node, kinds, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newAggregator(node, kinds, []*checked{nil}, nil, true)
 	const pairs = 3000
 	var xs, ys []int64
 	for i := int64(0); i < pairs; i++ {

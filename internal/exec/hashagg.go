@@ -37,9 +37,9 @@ type aggregator struct {
 
 	// Tuple-chain argument evaluators, nil in batch mode. COUNT(col) only
 	// needs its argument's NULL flag (argNull).
-	argI    []intFn
-	argF    []floatFn
-	argS    []strFn
+	argI    []valFn[int64]
+	argF    []valFn[float64]
+	argS    []valFn[string]
 	argNull []func(*Tuple) bool
 
 	// accIdx maps each aggregate to its canonical accumulator: aggregates
@@ -57,9 +57,9 @@ type aggregator struct {
 	// batch path bumps its epoch before evaluating each batch's slots.
 	cse      *vcse
 	slotKind []types.Kind
-	slotI    []vecIntFn
-	slotF    []vecFloatFn
-	slotS    []vecStrFn
+	slotI    []vecFn[int64]
+	slotF    []vecFn[float64]
+	slotS    []vecFn[string]
 	// Per-batch evaluation cache, one entry per slot (slices alias the
 	// slot closures' scratch; valid until the next batch).
 	slotValsI [][]int64
@@ -88,10 +88,11 @@ type aggregator struct {
 	badRows []uint32 // rows flagged by column-wise verification (scratch)
 }
 
-// newAggregator builds a worker's sink for node, compiling the aggregate
-// arguments for exactly one chain: vectorized slots when batch is set,
-// tuple closures otherwise.
-func newAggregator(node *AggNode, inKinds []types.Kind, stats *CompileStats, batch bool) (*aggregator, error) {
+// newAggregator builds a worker's sink for node, lowering the checked
+// aggregate arguments (nil for COUNT(*), a sum's already converted to the
+// double it folds) for exactly one chain: vectorized slots when batch is
+// set, tuple closures otherwise.
+func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, stats *CompileStats, batch bool) *aggregator {
 	n := len(node.Aggs)
 	a := &aggregator{
 		node:     node,
@@ -141,18 +142,16 @@ func newAggregator(node *AggNode, inKinds []types.Kind, stats *CompileStats, bat
 			canon[k] = i
 			a.accIdx[i] = i
 		}
-		if spec.Func != AggCount {
-			k, err := spec.Arg.resultKind(inKinds)
-			if err != nil {
-				return nil, err
-			}
-			a.argKinds[i] = k
+		if args[i] != nil {
+			a.argKinds[i] = args[i].kind
 		}
 	}
 	if batch {
-		return a, a.vectorize(stats)
+		a.vectorize(args, stats)
+	} else {
+		a.compileTupleArgs(args, &compiler{stats: stats})
 	}
-	return a, a.compileTupleArgs(&compiler{kinds: inKinds, stats: stats})
+	return a
 }
 
 // nullOf narrows a typed evaluator to its NULL flag.
@@ -164,40 +163,31 @@ func nullOf[T any](f func(*Tuple) (T, bool)) func(*Tuple) bool {
 }
 
 // compileTupleArgs compiles the tuple-at-a-time argument evaluators.
-func (a *aggregator) compileTupleArgs(c *compiler) error {
-	n := len(a.node.Aggs)
-	a.argI, a.argF, a.argS = make([]intFn, n), make([]floatFn, n), make([]strFn, n)
+func (a *aggregator) compileTupleArgs(args []*checked, c *compiler) {
+	n := len(args)
+	a.argI, a.argF, a.argS = make([]valFn[int64], n), make([]valFn[float64], n), make([]valFn[string], n)
 	a.argNull = make([]func(*Tuple) bool, n)
-	for i, spec := range a.node.Aggs {
-		if spec.Func == AggCount {
+	for i, arg := range args {
+		if arg == nil {
 			continue
 		}
-		kind := a.argKinds[i]
-		if spec.Func == AggSum || spec.Func == AggAvg {
-			kind = types.Float64 // sums fold doubles whatever the argument's kind
-		}
-		var err error
-		switch kind {
+		switch arg.kind {
 		case types.Int64:
-			a.argI[i], err = c.compileInt(spec.Arg)
+			a.argI[i] = c.int(arg)
 			a.argNull[i] = nullOf(a.argI[i])
 		case types.Float64:
-			a.argF[i], err = c.compileFloat(spec.Arg)
+			a.argF[i] = c.float(arg)
 			a.argNull[i] = nullOf(a.argF[i])
 		default:
-			a.argS[i], err = c.compileStr(spec.Arg)
+			a.argS[i] = c.str(arg)
 			a.argNull[i] = nullOf(a.argS[i])
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // vectorize compiles the batch-at-a-time argument evaluators, deduplicating
 // identical arguments into shared slots.
-func (a *aggregator) vectorize(stats *CompileStats) error {
+func (a *aggregator) vectorize(args []*checked, stats *CompileStats) {
 	type slotKey struct {
 		e    Expr
 		kind types.Kind
@@ -206,42 +196,34 @@ func (a *aggregator) vectorize(stats *CompileStats) error {
 	// reused inside a larger expression, e.g. Q1's discounted price
 	// inside its charge) evaluate once per batch. evalSlots bumps the
 	// epoch, so the scope is exactly one batch.
-	vc := &vcompiler{kinds: a.inKinds, stats: stats, cse: &vcse{memo: make(map[Expr]vecFloatFn)}}
-	a.argSlot = make([]int, len(a.node.Aggs))
+	vc := &vcompiler{stats: stats, cse: &vcse{memo: make(map[Expr]vecFn[float64])}}
+	a.argSlot = make([]int, len(args))
 	seen := make(map[slotKey]int)
-	for i, spec := range a.node.Aggs {
-		if spec.Func == AggCount {
+	for i, arg := range args {
+		if arg == nil {
 			a.argSlot[i] = -1
 			continue
 		}
-		// Evaluation kind: SUM/AVG fold doubles whatever the argument's
-		// kind; the rest evaluate in the argument's own kind.
-		kind := a.argKinds[i]
-		if spec.Func == AggSum || spec.Func == AggAvg {
-			kind = types.Float64
-		}
-		k := slotKey{e: spec.Arg, kind: kind}
+		// The evaluation kind is the checked argument's: doubles for SUM
+		// and AVG, the argument's own for the rest.
+		k := slotKey{e: a.node.Aggs[i].Arg, kind: arg.kind}
 		if id, ok := seen[k]; ok {
 			a.argSlot[i] = id
 			continue
 		}
 		id := len(a.slotKind)
-		var err error
-		var fI vecIntFn
-		var fF vecFloatFn
-		var fS vecStrFn
-		switch kind {
+		var fI vecFn[int64]
+		var fF vecFn[float64]
+		var fS vecFn[string]
+		switch arg.kind {
 		case types.Int64:
-			fI, err = vc.compileInt(spec.Arg)
+			fI = vc.int(arg)
 		case types.Float64:
-			fF, err = vc.compileFloat(spec.Arg)
+			fF = vc.float(arg)
 		default:
-			fS, err = vc.compileStr(spec.Arg)
+			fS = vc.str(arg)
 		}
-		if err != nil {
-			return err
-		}
-		a.slotKind = append(a.slotKind, kind)
+		a.slotKind = append(a.slotKind, arg.kind)
 		a.slotI = append(a.slotI, fI)
 		a.slotF = append(a.slotF, fF)
 		a.slotS = append(a.slotS, fS)
@@ -254,7 +236,6 @@ func (a *aggregator) vectorize(stats *CompileStats) error {
 	a.slotValsS = make([][]string, n)
 	a.slotNulls = make([][]bool, n)
 	a.cse = vc.cse
-	return nil
 }
 
 // evalSlots evaluates every distinct aggregate argument once for the batch.
@@ -513,8 +494,8 @@ func (a *aggregator) foldBatchMinMax(i, slot int, gids []uint32) {
 //
 //dbvet:hotpath
 func (a *aggregator) assignGroups(n int) []uint32 {
-	a.rowHash = resizeU64(a.rowHash, n)
-	a.gids = resizeU32(a.gids, n)
+	a.rowHash = resize(a.rowHash, n)
+	a.gids = resize(a.gids, n)
 	// hs and gids are re-sliced to n outside the loops, so every [r]
 	// access below is proven in bounds.
 	hs := a.rowHash[:n]
@@ -780,13 +761,3 @@ func pick[T any](first bool, a, b T) T {
 	}
 	return b
 }
-
-func resizeU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return growU64(n)
-	}
-	return s[:n]
-}
-
-//go:noinline
-func growU64(n int) []uint64 { return make([]uint64, n) }

@@ -37,19 +37,17 @@ type Options struct {
 	Profile bool
 }
 
-// Run executes the plan and materializes its result.
+// Run executes the plan and materializes its result. A malformed plan or
+// expression is an error before any data is read.
 func Run(n Node, opt Options) (*Result, error) {
-	if opt.VectorSize <= 0 {
-		opt.VectorSize = core.DefaultVectorSize
+	ex, err := newExecutor(n, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Parallelism <= 0 {
-		opt.Parallelism = 1
-	}
-	ex := &executor{opt: opt, builds: make(map[*JoinNode]*hashTable)}
 	if opt.Profile {
 		// Plans whose shape the profiler cannot map run unprofiled rather
 		// than failing.
-		ex.prof, _ = newProfiler(n, opt)
+		ex.prof, _ = newProfiler(n, ex.opt)
 	}
 	res, err := ex.run(n)
 	if err != nil {
@@ -61,9 +59,27 @@ func Run(n Node, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// newExecutor fills in the option defaults and type-checks the plan: every
+// node's output kinds and every expression, once per query.
+func newExecutor(n Node, opt Options) (*executor, error) {
+	if opt.VectorSize <= 0 {
+		opt.VectorSize = core.DefaultVectorSize
+	}
+	if opt.Parallelism <= 0 {
+		opt.Parallelism = 1
+	}
+	ex := &executor{opt: opt, builds: make(map[*JoinNode]*hashTable)}
+	ex.plan = checkedPlan{nodes: make(map[Node]*planned), sargsPushed: opt.Mode == ModeVectorizedSARG || opt.Mode == ModeVectorizedSARGPSMA}
+	_, err := ex.plan.check(n)
+	return ex, err
+}
+
 type executor struct {
-	opt         Options
-	builds      map[*JoinNode]*hashTable
+	opt    Options
+	builds map[*JoinNode]*hashTable
+	// plan is the checked form of the plan: what every compile step below
+	// lowers, and where it reads a node's output kinds.
+	plan        checkedPlan
 	compileOnly bool
 	// prof, when non-nil, collects the QueryProfile for the root pipeline.
 	// Join build sides run with prof temporarily cleared: the profile
@@ -89,13 +105,11 @@ func CompileOnly(n Node, opt Options) (CompileStats, error) {
 	if opt.Stats == nil {
 		opt.Stats = &stats
 	}
-	if opt.VectorSize <= 0 {
-		opt.VectorSize = core.DefaultVectorSize
+	ex, err := newExecutor(n, opt)
+	if err != nil {
+		return CompileStats{}, err
 	}
-	if opt.Parallelism <= 0 {
-		opt.Parallelism = 1
-	}
-	ex := &executor{opt: opt, builds: make(map[*JoinNode]*hashTable), compileOnly: true}
+	ex.compileOnly = true
 	if _, err := ex.run(n); err != nil {
 		return CompileStats{}, err
 	}
@@ -122,27 +136,16 @@ func (ex *executor) run(n Node) (*Result, error) {
 		}
 		return res, nil
 	case *AggNode:
-		inKinds, err := n.Child.OutKinds()
-		if err != nil {
-			return nil, err
-		}
-		outKinds, err := n.OutKinds()
-		if err != nil {
-			return nil, err
-		}
 		var (
 			mu   sync.Mutex
 			aggs []*aggregator
 		)
-		err = ex.runPipeline(n.Child, func(c *compiler) (pipeSink, error) {
-			a, err := newAggregator(n, inKinds, c.stats, ex.batchMode())
-			if err != nil {
-				return pipeSink{}, err
-			}
+		err := ex.runPipeline(n.Child, func(c *compiler) pipeSink {
+			a := newAggregator(n, ex.plan.nodes[n.Child].kinds, ex.plan.nodes[n].exprs, c.stats, ex.batchMode())
 			mu.Lock()
 			aggs = append(aggs, a)
 			mu.Unlock()
-			return pipeSink{tuple: a.consume, batch: a.consumeBatch}, nil
+			return pipeSink{tuple: a.consume, batch: a.consumeBatch}
 		})
 		if err != nil {
 			return nil, err
@@ -161,22 +164,18 @@ func (ex *executor) run(n Node) (*Result, error) {
 		if p := ex.prof; p != nil {
 			p.groups = uint64(root.groups)
 		}
-		return root.finalize(outKinds), nil
+		return root.finalize(ex.plan.nodes[n].kinds), nil
 	default:
-		outKinds, err := n.OutKinds()
-		if err != nil {
-			return nil, err
-		}
 		var (
 			mu      sync.Mutex
 			results []*Result
 		)
-		err = ex.runPipeline(n, func(*compiler) (pipeSink, error) {
-			res := NewResult(outKinds)
+		err := ex.runPipeline(n, func(*compiler) pipeSink {
+			res := NewResult(ex.plan.nodes[n].kinds)
 			mu.Lock()
 			results = append(results, res)
 			mu.Unlock()
-			return pipeSink{tuple: res.appendTuple, batch: res.appendBatch}, nil
+			return pipeSink{tuple: res.appendTuple, batch: res.appendBatch}
 		})
 		if err != nil {
 			return nil, err
@@ -214,20 +213,16 @@ func streamableChain(n Node) bool {
 // during the scan, so the sort input never materializes. Result order is
 // identical to materialize + SortBy (stable, NULLs first).
 func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
-	outKinds, err := n.Child.OutKinds()
-	if err != nil {
-		return nil, err
-	}
 	var (
 		mu    sync.Mutex
 		sinks []*topkSink
 	)
-	err = ex.runPipeline(n.Child, func(*compiler) (pipeSink, error) {
-		s := newTopkSink(outKinds, n.Keys, n.Limit)
+	err := ex.runPipeline(n.Child, func(*compiler) pipeSink {
+		s := newTopkSink(ex.plan.nodes[n.Child].kinds, n.Keys, n.Limit)
 		mu.Lock()
 		sinks = append(sinks, s)
 		mu.Unlock()
-		return pipeSink{tuple: s.consumeTuple, batch: s.consumeBatch}, nil
+		return pipeSink{tuple: s.consumeTuple, batch: s.consumeBatch}
 	})
 	if err != nil {
 		return nil, err
@@ -272,11 +267,10 @@ func (ex *executor) batchMode() bool {
 }
 
 // runPipeline executes the pipeline rooted at chain: it materializes the
-// build sides of all hash joins along the probe spine, compiles exactly
-// one consumer chain per worker (see batchMode) — a compile failure is the
-// query's error — and drives the scan over the relation's chunks
-// (morsels).
-func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) (pipeSink, error)) error {
+// build sides of all hash joins along the probe spine, lowers exactly one
+// consumer chain per worker (see batchMode) from the checked plan — which
+// cannot fail — and drives the scan over the relation's chunks (morsels).
+func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink) error {
 	scan, err := ex.prepareBuilds(chain)
 	if err != nil {
 		return err
@@ -308,24 +302,15 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) (pipeSin
 		if ex.prof != nil && !ex.compileOnly {
 			c.wp = ex.prof.newWorker()
 		}
-		sink, err := sinkFactory(c)
-		if err != nil {
-			return err
-		}
+		sink := sinkFactory(c)
 		var cons func(*Tuple)
 		var bcons batchConsumer
 		if ex.batchMode() {
-			bcons, err = ex.compileBatchChain(chain, sink.batch, c)
+			bcons = ex.compileBatchChain(chain, sink.batch, c)
 		} else {
-			cons, err = ex.compileChain(chain, sink.tuple, c)
+			cons = ex.compileChain(chain, sink.tuple, c)
 		}
-		if err != nil {
-			return err
-		}
-		d, err := ex.newScanDriver(scan, cons, bcons, c, chunks)
-		if err != nil {
-			return err
-		}
+		d := ex.newScanDriver(scan, cons, bcons, c, chunks)
 		// Early probing runs inside vectorized scans only (Appendix E).
 		if ex.opt.Mode != ModeJIT {
 			if ht, slot := ex.earlyProbeFor(chain); ht != nil {
@@ -419,24 +404,14 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 
 // compileChain lowers the operator chain above the scan into a single fused
 // consumer closure — the query-pipeline compilation of §4.
-func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) (func(*Tuple), error) {
+func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) func(*Tuple) {
 	// down consumes n's output: wrapping it here counts n's emitted rows
 	// and times everything downstream of n, attributed to n's slot.
 	down = c.wp.wrapTuple(ex.profIdx(n), down)
 	switch n := n.(type) {
-	case *ScanNode:
-		return down, nil
 	case *FilterNode:
-		kinds, err := n.Child.OutKinds()
-		if err != nil {
-			return nil, err
-		}
-		cc := &compiler{kinds: kinds, stats: c.stats}
-		cond, err := cc.compileBool(n.Cond)
-		if err != nil {
-			return nil, err
-		}
-		cc.emit()
+		cond := c.bool(ex.plan.nodes[n].exprs[0])
+		c.emit()
 		cons := func(t *Tuple) {
 			if cond(t) {
 				down(t)
@@ -444,40 +419,23 @@ func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) (func(*
 		}
 		return ex.compileChain(n.Child, cons, c)
 	case *MapNode:
-		kinds, err := n.Child.OutKinds()
-		if err != nil {
-			return nil, err
-		}
-		cc := &compiler{kinds: kinds, stats: c.stats}
-		out := NewTuple(len(n.Exprs))
-		setters := make([]func(in, out *Tuple), len(n.Exprs))
-		for i, e := range n.Exprs {
-			k, err := e.resultKind(kinds)
-			if err != nil {
-				return nil, err
-			}
+		exprs := ex.plan.nodes[n].exprs
+		out := NewTuple(len(exprs))
+		setters := make([]func(in, out *Tuple), len(exprs))
+		for i, e := range exprs {
 			slot := i
-			switch k {
+			switch e.kind {
 			case types.Int64:
-				f, err := cc.compileInt(e)
-				if err != nil {
-					return nil, err
-				}
+				f := c.int(e)
 				setters[i] = func(in, out *Tuple) { out.Ints[slot], out.Nulls[slot] = f(in) }
 			case types.Float64:
-				f, err := cc.compileFloat(e)
-				if err != nil {
-					return nil, err
-				}
+				f := c.float(e)
 				setters[i] = func(in, out *Tuple) { out.Floats[slot], out.Nulls[slot] = f(in) }
 			default:
-				f, err := cc.compileStr(e)
-				if err != nil {
-					return nil, err
-				}
+				f := c.str(e)
 				setters[i] = func(in, out *Tuple) { out.Strs[slot], out.Nulls[slot] = f(in) }
 			}
-			cc.emit()
+			c.emit()
 		}
 		cons := func(t *Tuple) {
 			for _, set := range setters {
@@ -488,18 +446,15 @@ func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) (func(*
 		return ex.compileChain(n.Child, cons, c)
 	case *JoinNode:
 		return ex.compileJoinProbe(n, down, c)
-	default:
-		return nil, fmt.Errorf("exec: %T cannot appear inside a pipeline", n)
+	default: // the ScanNode: prepareBuilds admitted nothing else
+		return down
 	}
 }
 
 // compileJoinProbe lowers a join probe into the tuple chain: each tuple's
 // key registers are probed as a one-row batch (see batchJoinProbe).
-func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler) (func(*Tuple), error) {
-	j, err := ex.newJoinProbe(n)
-	if err != nil {
-		return nil, err
-	}
+func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler) func(*Tuple) {
+	j := ex.newJoinProbe(n)
 	c.emit()
 	if n.Kind != InnerJoin {
 		wantMatch := n.Kind == SemiJoin

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"datablocks/internal/core"
@@ -46,7 +47,9 @@ func (m ScanMode) String() string {
 
 // Node is a physical plan operator.
 type Node interface {
-	// OutKinds returns the kinds of the operator's output columns.
+	// OutKinds returns the kinds of the operator's output columns, or the
+	// error Run would report for the plan under it: it is the type check
+	// Run performs (check.go), applied to this subtree.
 	OutKinds() ([]types.Kind, error)
 }
 
@@ -66,16 +69,7 @@ type ScanNode struct {
 }
 
 // OutKinds implements Node.
-func (s *ScanNode) OutKinds() ([]types.Kind, error) {
-	kinds := make([]types.Kind, len(s.Cols))
-	for i, c := range s.Cols {
-		if c < 0 || c >= s.Rel.Schema().NumColumns() {
-			return nil, fmt.Errorf("exec: scan column %d out of range", c)
-		}
-		kinds[i] = s.Rel.Schema().Columns[c].Kind
-	}
-	return kinds, nil
-}
+func (s *ScanNode) OutKinds() ([]types.Kind, error) { return outKinds(s) }
 
 // colOrdinal returns the pipeline slot of relation column rc, or -1.
 func (s *ScanNode) colOrdinal(rc int) int {
@@ -94,7 +88,7 @@ type FilterNode struct {
 }
 
 // OutKinds implements Node.
-func (f *FilterNode) OutKinds() ([]types.Kind, error) { return f.Child.OutKinds() }
+func (f *FilterNode) OutKinds() ([]types.Kind, error) { return outKinds(f) }
 
 // MapNode computes a new tuple layout from expressions over the child.
 type MapNode struct {
@@ -103,20 +97,7 @@ type MapNode struct {
 }
 
 // OutKinds implements Node.
-func (m *MapNode) OutKinds() ([]types.Kind, error) {
-	childKinds, err := m.Child.OutKinds()
-	if err != nil {
-		return nil, err
-	}
-	kinds := make([]types.Kind, len(m.Exprs))
-	for i, e := range m.Exprs {
-		kinds[i], err = e.resultKind(childKinds)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return kinds, nil
-}
+func (m *MapNode) OutKinds() ([]types.Kind, error) { return outKinds(m) }
 
 // JoinKind selects the join semantics.
 type JoinKind int
@@ -144,23 +125,7 @@ type JoinNode struct {
 }
 
 // OutKinds implements Node.
-func (j *JoinNode) OutKinds() ([]types.Kind, error) {
-	probe, err := j.Probe.OutKinds()
-	if err != nil {
-		return nil, err
-	}
-	if j.Kind != InnerJoin {
-		return probe, nil
-	}
-	build, err := j.Build.OutKinds()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]types.Kind, 0, len(probe)+len(build))
-	out = append(out, probe...)
-	out = append(out, build...)
-	return out, nil
-}
+func (j *JoinNode) OutKinds() ([]types.Kind, error) { return outKinds(j) }
 
 // AggFunc enumerates aggregate functions.
 type AggFunc int
@@ -189,34 +154,7 @@ type AggNode struct {
 }
 
 // OutKinds implements Node.
-func (a *AggNode) OutKinds() ([]types.Kind, error) {
-	childKinds, err := a.Child.OutKinds()
-	if err != nil {
-		return nil, err
-	}
-	kinds := make([]types.Kind, 0, len(a.GroupBy)+len(a.Aggs))
-	for _, g := range a.GroupBy {
-		if g < 0 || g >= len(childKinds) {
-			return nil, fmt.Errorf("exec: group-by column %d out of range", g)
-		}
-		kinds = append(kinds, childKinds[g])
-	}
-	for _, spec := range a.Aggs {
-		switch spec.Func {
-		case AggCount, AggCountCol:
-			kinds = append(kinds, types.Int64)
-		case AggSum, AggAvg:
-			kinds = append(kinds, types.Float64)
-		default: // Min, Max
-			k, err := spec.Arg.resultKind(childKinds)
-			if err != nil {
-				return nil, err
-			}
-			kinds = append(kinds, k)
-		}
-	}
-	return kinds, nil
-}
+func (a *AggNode) OutKinds() ([]types.Kind, error) { return outKinds(a) }
 
 // OrderKey is one sort key of an OrderByNode.
 type OrderKey struct {
@@ -232,4 +170,194 @@ type OrderByNode struct {
 }
 
 // OutKinds implements Node.
-func (o *OrderByNode) OutKinds() ([]types.Kind, error) { return o.Child.OutKinds() }
+func (o *OrderByNode) OutKinds() ([]types.Kind, error) { return outKinds(o) }
+
+// planned is what the front end learned about one plan node.
+type planned struct {
+	kinds []types.Kind // of the node's output columns
+	// exprs are the node's expressions, checked: a FilterNode's condition,
+	// a MapNode's expressions, an AggNode's arguments (nil for COUNT(*)),
+	// and for a ScanNode the conjuncts of the condition its pipeline
+	// evaluates — the Filter's, behind the Preds where the scan does not
+	// evaluate those itself.
+	exprs []*checked
+}
+
+// checkedPlan holds the checked form of every node of a query plan. Run and
+// CompileOnly fill it once per query, before anything is built, scanned or
+// compiled; every OutKinds is the same walk.
+type checkedPlan struct {
+	nodes map[Node]*planned
+	// sargsPushed says the scans evaluate their Preds themselves (the SARG
+	// modes), so a predicate is checked as a SARG only and not also as a
+	// pipeline condition — which a predicate core.Predicate.Check accepts
+	// always is, so the mode changes no verdict.
+	sargsPushed bool
+}
+
+func outKinds(n Node) ([]types.Kind, error) {
+	return (&checkedPlan{nodes: map[Node]*planned{}}).check(n)
+}
+
+// check types the plan under n and returns n's output kinds.
+func (pl *checkedPlan) check(n Node) ([]types.Kind, error) {
+	p := &planned{}
+	var err error
+	switch n := n.(type) {
+	case *ScanNode:
+		err = p.checkScan(pl, n)
+	case *FilterNode:
+		if p.kinds, err = pl.check(n.Child); err == nil {
+			p.exprs = make([]*checked, 1)
+			p.exprs[0], err = checkBool(n.Cond, p.kinds)
+		}
+	case *MapNode:
+		err = p.checkMap(pl, n)
+	case *JoinNode:
+		err = p.checkJoin(pl, n)
+	case *AggNode:
+		err = p.checkAgg(pl, n)
+	case *OrderByNode:
+		p.kinds, err = pl.check(n.Child)
+	default:
+		err = fmt.Errorf("exec: unknown plan node %T", n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pl.nodes[n] = p
+	return p.kinds, nil
+}
+
+func (p *planned) checkScan(pl *checkedPlan, s *ScanNode) error {
+	schema := s.Rel.Schema()
+	for _, c := range s.Cols {
+		if c < 0 || c >= schema.NumColumns() {
+			return fmt.Errorf("exec: scan column %d out of range", c)
+		}
+		p.kinds = append(p.kinds, schema.Columns[c].Kind)
+	}
+	conds := make([]Expr, 0, len(s.Preds)+1)
+	for _, pr := range s.Preds {
+		slot := s.colOrdinal(pr.Col)
+		if slot < 0 {
+			return fmt.Errorf("exec: predicate column %d not in scan projection", pr.Col)
+		}
+		if err := pr.Check(p.kinds[slot]); err != nil {
+			return fmt.Errorf("exec: predicate on column %d: %w", pr.Col, err)
+		}
+		if !pl.sargsPushed {
+			conds = append(conds, predExpr(pr, slot))
+		}
+	}
+	if s.Filter != nil {
+		conds = splitConjuncts(s.Filter, conds)
+	}
+	for _, e := range conds {
+		c, err := checkBool(e, p.kinds)
+		if err != nil {
+			return err
+		}
+		p.exprs = append(p.exprs, c)
+	}
+	return nil
+}
+
+// predExpr rewrites a SARGable predicate as a pipeline expression over the
+// scan-output tuple.
+func predExpr(p core.Predicate, slot int) Expr {
+	switch p.Op {
+	case types.IsNull:
+		return IsNullExpr{E: Col(slot)}
+	case types.IsNotNull:
+		return IsNullExpr{E: Col(slot), Not: true}
+	case types.Between:
+		return Compare{Op: types.Between, L: Col(slot), R: Const{Val: p.Lo}, R2: Const{Val: p.Hi}}
+	default:
+		return Compare{Op: p.Op, L: Col(slot), R: Const{Val: p.Lo}}
+	}
+}
+
+// splitConjuncts appends the conjuncts of e's ∧-spine to out.
+func splitConjuncts(e Expr, out []Expr) []Expr {
+	if l, ok := e.(Logic); ok && l.Op == '&' {
+		out = splitConjuncts(l.L, out)
+		return splitConjuncts(l.R, out)
+	}
+	return append(out, e)
+}
+
+func (p *planned) checkMap(pl *checkedPlan, m *MapNode) error {
+	in, err := pl.check(m.Child)
+	if err != nil {
+		return err
+	}
+	for _, e := range m.Exprs {
+		c, err := checkValue(e, in)
+		if err != nil {
+			return err
+		}
+		p.exprs, p.kinds = append(p.exprs, c), append(p.kinds, c.kind)
+	}
+	return nil
+}
+
+func (p *planned) checkJoin(pl *checkedPlan, j *JoinNode) error {
+	probe, err := pl.check(j.Probe)
+	if err != nil {
+		return err
+	}
+	build, err := pl.check(j.Build)
+	if err != nil {
+		return err
+	}
+	if len(j.ProbeKeys) != len(j.BuildKeys) {
+		return fmt.Errorf("exec: join has %d probe keys for %d build keys", len(j.ProbeKeys), len(j.BuildKeys))
+	}
+	for i, pk := range j.ProbeKeys {
+		bk := j.BuildKeys[i]
+		if pk < 0 || pk >= len(probe) || bk < 0 || bk >= len(build) || probe[pk] != build[bk] {
+			return fmt.Errorf("exec: join probe key %d does not match build key %d", pk, bk)
+		}
+	}
+	p.kinds = probe
+	if j.Kind == InnerJoin {
+		p.kinds = append(append(make([]types.Kind, 0, len(probe)+len(build)), probe...), build...)
+	}
+	return nil
+}
+
+func (p *planned) checkAgg(pl *checkedPlan, a *AggNode) error {
+	in, err := pl.check(a.Child)
+	if err != nil {
+		return err
+	}
+	for _, g := range a.GroupBy {
+		if g < 0 || g >= len(in) {
+			return fmt.Errorf("exec: group-by column %d out of range", g)
+		}
+		p.kinds = append(p.kinds, in[g])
+	}
+	for _, spec := range a.Aggs {
+		var arg *checked
+		kind := types.Int64 // the counts
+		if spec.Func != AggCount {
+			if arg, err = checkValue(spec.Arg, in); err != nil {
+				return err
+			}
+		}
+		switch spec.Func {
+		case AggCount, AggCountCol:
+		case AggSum, AggAvg:
+			// Sums fold doubles whatever the argument's kind.
+			if arg.kind == types.String {
+				return errors.New("exec: sum over strings")
+			}
+			arg, kind = arg.float(), types.Float64
+		default: // MIN, MAX
+			kind = arg.kind
+		}
+		p.exprs, p.kinds = append(p.exprs, arg), append(p.kinds, kind)
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -125,7 +126,10 @@ func (r *Result) append(o *Result) {
 
 // compareRowsAt compares rows ia and ib under the given order keys (NULLs
 // first, Desc negates), returning <0, 0 or >0. Shared by SortBy and the
-// top-k sink so both orders agree exactly.
+// top-k sink so both orders agree exactly. Values compare through
+// cmp.Compare, a total order on doubles too (NaN below every number, equal
+// to itself, -0.0 = +0.0) — a sort key has to be one, unlike a predicate,
+// which follows IEEE (compare, expr.go).
 func (r *Result) compareRowsAt(keys []OrderKey, ia, ib int) int {
 	for _, k := range keys {
 		c := &r.Cols[k.Col]
@@ -141,11 +145,11 @@ func (r *Result) compareRowsAt(keys []OrderKey, ia, ib int) int {
 		default:
 			switch c.Kind {
 			case types.Int64:
-				ord = compareI64(c.Ints[ia], c.Ints[ib])
+				ord = cmp.Compare(c.Ints[ia], c.Ints[ib])
 			case types.Float64:
-				ord = compareF64(c.Floats[ia], c.Floats[ib])
+				ord = cmp.Compare(c.Floats[ia], c.Floats[ib])
 			default:
-				ord = compareStr(c.Strs[ia], c.Strs[ib])
+				ord = cmp.Compare(c.Strs[ia], c.Strs[ib])
 			}
 		}
 		if k.Desc {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"time"
 
 	"datablocks/internal/compress"
@@ -24,9 +23,10 @@ type scanDriver struct {
 	batch   core.Batch
 
 	// cons is the tuple-at-a-time consumer chain and pipeFilter the
-	// residual condition evaluated in front of it: Filter only in
-	// pushdown modes, Preds ∧ Filter otherwise (nil = none).
+	// residual condition evaluated in front of it, lowered from residual:
+	// Filter only in pushdown modes, Preds ∧ Filter otherwise (nil = none).
 	cons       func(*Tuple)
+	residual   *checked
 	pipeFilter boolFn
 
 	// bcons is the batch-at-a-time consumer chain: gathered batches are
@@ -87,54 +87,32 @@ type hotPath struct {
 	filter  boolFn
 }
 
-func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batchConsumer, c *compiler, chunks []storage.ChunkView) (*scanDriver, error) {
-	kinds, err := scan.OutKinds()
-	if err != nil {
-		return nil, err
-	}
+func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batchConsumer, c *compiler, chunks []storage.ChunkView) *scanDriver {
+	p := ex.plan.nodes[scan]
 	d := &scanDriver{
 		scan:    scan,
 		mode:    ex.opt.Mode,
 		vecSize: ex.opt.VectorSize,
 		cons:    cons,
 		bcons:   bcons,
-		kinds:   kinds,
+		kinds:   p.kinds,
 		stats:   c.stats,
-		tuple:   NewTuple(len(kinds)),
+		tuple:   NewTuple(len(p.kinds)),
 		usePSMA: ex.opt.Mode == ModeVectorizedSARGPSMA,
 		wp:      c.wp,
 		pinCols: append([]int{}, scan.Cols...),
 	}
-	d.pushSARG = ex.opt.Mode == ModeVectorizedSARG || ex.opt.Mode == ModeVectorizedSARGPSMA
-	// One check per query, before any mode or layout is chosen: a malformed
-	// predicate is the same error from every path.
-	for _, p := range scan.Preds {
-		slot := scan.colOrdinal(p.Col)
-		if slot < 0 {
-			return nil, fmt.Errorf("exec: predicate column %d not in scan projection", p.Col)
+	d.pushSARG = ex.plan.sargsPushed
+	// p.exprs is the condition evaluated inside the pipeline: the
+	// non-SARGable Filter, behind the SARGable predicates in modes that do
+	// not push them into the scan.
+	if d.bcons != nil {
+		vc := &vcompiler{stats: c.stats}
+		for _, cj := range p.exprs {
+			d.conjuncts = append(d.conjuncts, vconjunct{cols: cj.cols(nil), mask: vc.mask(cj)})
 		}
-		if cerr := p.Check(kinds[slot]); cerr != nil {
-			return nil, fmt.Errorf("exec: predicate on column %d: %w", p.Col, cerr)
-		}
-	}
-	filterExpr, err := d.residualExpr()
-	if err != nil {
-		return nil, err
-	}
-	if filterExpr != nil && d.bcons != nil {
-		vc := &vcompiler{kinds: kinds, stats: c.stats}
-		for _, cj := range splitConjuncts(filterExpr, nil) {
-			mask, merr := vc.compileMask(cj)
-			if merr != nil {
-				return nil, merr
-			}
-			d.conjuncts = append(d.conjuncts, vconjunct{cols: exprCols(cj, nil), mask: mask})
-		}
-	} else if filterExpr != nil {
-		cc := &compiler{kinds: kinds, stats: c.stats}
-		if d.pipeFilter, err = cc.compileBool(filterExpr); err != nil {
-			return nil, err
-		}
+	} else if d.residual = allOf(p.exprs); d.residual != nil {
+		d.pipeFilter = c.bool(d.residual)
 	}
 	if d.mode == ModeJIT {
 		d.jitHot = d.compileHotPath(c)
@@ -148,11 +126,7 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 			if ch.IsFrozen() && ch.Block() != nil && ch.Block().Has(d.pinCols) {
 				key := ch.Block().LayoutKey()
 				if _, done := d.jitLayouts[key]; !done {
-					lp, err := d.compileLayout(ch.Block(), c)
-					if err != nil {
-						return nil, err
-					}
-					d.jitLayouts[key] = lp
+					d.jitLayouts[key] = d.compileLayout(ch.Block(), c)
 				}
 			}
 		}
@@ -167,50 +141,7 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 			c.stats.ScanPaths++ // one interpreted vectorized path
 		}
 	}
-	return d, nil
-}
-
-// residualExpr builds the condition evaluated inside the pipeline: the
-// non-SARGable Filter, plus the SARGable predicates in modes that do not
-// push them into the scan.
-func (d *scanDriver) residualExpr() (Expr, error) {
-	var conj Expr
-	and := func(e Expr) {
-		if conj == nil {
-			conj = e
-		} else {
-			conj = And(conj, e)
-		}
-	}
-	if d.mode == ModeJIT || d.mode == ModeVectorized {
-		for _, p := range d.scan.Preds {
-			slot := d.scan.colOrdinal(p.Col)
-			e, err := predExpr(p, slot)
-			if err != nil {
-				return nil, err
-			}
-			and(e)
-		}
-	}
-	if d.scan.Filter != nil {
-		and(d.scan.Filter)
-	}
-	return conj, nil
-}
-
-// predExpr rewrites a SARGable predicate as a pipeline expression over the
-// scan-output tuple.
-func predExpr(p core.Predicate, slot int) (Expr, error) {
-	switch p.Op {
-	case types.IsNull:
-		return IsNullExpr{E: Col(slot)}, nil
-	case types.IsNotNull:
-		return IsNullExpr{E: Col(slot), Not: true}, nil
-	case types.Between:
-		return Compare{Op: types.Between, L: Col(slot), R: Const{Val: p.Lo}, R2: Const{Val: p.Hi}}, nil
-	default:
-		return Compare{Op: p.Op, L: Col(slot), R: Const{Val: p.Lo}}, nil
-	}
+	return d
 }
 
 // compileBatchLoaders compiles the per-column copies from a scan batch into
@@ -278,35 +209,25 @@ func (d *scanDriver) compileHotPath(c *compiler) *hotPath {
 // for one storage-layout combination: one decompressing accessor per
 // projected attribute plus a fresh clone of the residual filter. The work
 // done here is what Figure 5 measures.
-func (d *scanDriver) compileLayout(blk *core.Block, c *compiler) (*layoutPath, error) {
+func (d *scanDriver) compileLayout(blk *core.Block, c *compiler) *layoutPath {
 	lp := &layoutPath{}
 	for i, relCol := range d.scan.Cols {
-		acc, err := compileAccessor(blk.Attr(relCol), d.kinds[i], c)
-		if err != nil {
-			return nil, err
-		}
-		lp.accessors = append(lp.accessors, acc)
+		lp.accessors = append(lp.accessors, compileAccessor(blk.Attr(relCol), d.kinds[i], c))
 	}
 	// Clone the filter for this code path (the paper's unrolled variants
-	// each carry their own copies of the predicate code).
-	if expr, err := d.residualExpr(); err != nil {
-		return nil, err
-	} else if expr != nil {
-		cc := &compiler{kinds: d.kinds, stats: c.stats}
-		f, err := cc.compileBool(expr)
-		if err != nil {
-			return nil, err
-		}
-		lp.filter = f
+	// each carry their own copies of the predicate code): the checked tree
+	// is lowered again, not checked again.
+	if d.residual != nil {
+		lp.filter = c.bool(d.residual)
 	}
 	if c.stats != nil {
 		c.stats.ScanPaths++
 	}
-	return lp, nil
+	return lp
 }
 
 // compileAccessor specializes decompression on (kind, scheme, width).
-func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) (blockAccessor, error) {
+func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) blockAccessor {
 	defer c.emit()
 	loadNull := func(a *core.Attr, row int) bool {
 		return a.Validity != nil && !simd.BitmapGet(a.Validity, uint32(row))
@@ -319,36 +240,36 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) (blockAccessor,
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Ints[slot] = a.Ints.Single
 				t.Nulls[slot] = allNull || loadNull(a, row)
-			}, nil
+			}
 		case compress.Truncation:
 			switch a.Ints.Width {
 			case 1:
 				return func(a *core.Attr, row int, t *Tuple, slot int) {
 					t.Ints[slot] = a.Ints.Min + int64(a.Ints.Data[row])
 					t.Nulls[slot] = loadNull(a, row)
-				}, nil
+				}
 			case 2:
 				return func(a *core.Attr, row int, t *Tuple, slot int) {
 					t.Ints[slot] = a.Ints.Min + int64(simd.ReadUint(a.Ints.Data, row, 2))
 					t.Nulls[slot] = loadNull(a, row)
-				}, nil
+				}
 			default:
 				return func(a *core.Attr, row int, t *Tuple, slot int) {
 					t.Ints[slot] = a.Ints.Min + int64(simd.ReadUint(a.Ints.Data, row, 4))
 					t.Nulls[slot] = loadNull(a, row)
-				}, nil
+				}
 			}
 		case compress.Dictionary:
 			width := a.Ints.Width
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Ints[slot] = a.Ints.Dict[simd.ReadUint(a.Ints.Data, row, width)]
 				t.Nulls[slot] = loadNull(a, row)
-			}, nil
+			}
 		default:
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Ints[slot] = compress.UnbiasInt(simd.ReadUint(a.Ints.Data, row, 8))
 				t.Nulls[slot] = loadNull(a, row)
-			}, nil
+			}
 		}
 	case types.Float64:
 		if a.Floats.Scheme == compress.SingleValue {
@@ -356,27 +277,26 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) (blockAccessor,
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Floats[slot] = a.Floats.Single
 				t.Nulls[slot] = allNull || loadNull(a, row)
-			}, nil
+			}
 		}
 		return func(a *core.Attr, row int, t *Tuple, slot int) {
 			t.Floats[slot] = a.Floats.Values[row]
 			t.Nulls[slot] = loadNull(a, row)
-		}, nil
-	case types.String:
+		}
+	default:
 		if a.Strs.Scheme == compress.SingleValue {
 			allNull := a.Strs.AllNull
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Strs[slot] = a.Strs.Single
 				t.Nulls[slot] = allNull || loadNull(a, row)
-			}, nil
+			}
 		}
 		width := a.Strs.Width
 		return func(a *core.Attr, row int, t *Tuple, slot int) {
 			t.Strs[slot] = a.Strs.Dict[simd.ReadUint(a.Strs.Data, row, width)]
 			t.Nulls[slot] = loadNull(a, row)
-		}, nil
+		}
 	}
-	return nil, fmt.Errorf("exec: unsupported kind %v", kind)
 }
 
 // processChunk runs the pipeline over one morsel. The chunk view is an
@@ -442,11 +362,7 @@ func (d *scanDriver) jitBlock(ch *storage.ChunkView) error {
 	if lp == nil {
 		// A layout frozen after compilation: generate its path lazily
 		// (and pay the compile cost now).
-		var err error
-		lp, err = d.compileLayout(blk, &compiler{kinds: d.kinds, stats: d.stats})
-		if err != nil {
-			return err
-		}
+		lp = d.compileLayout(blk, &compiler{stats: d.stats})
 		d.jitLayouts[key] = lp
 	}
 	t := d.tuple
@@ -616,7 +532,7 @@ func (d *scanDriver) lazyPush(m []uint32, unpackCol func(col int, m []uint32)) {
 			}
 		}
 		mask := cj.mask(b)
-		sel := resizeU32(d.vsel, b.N)[:0]
+		sel := resize(d.vsel, b.N)[:0]
 		for r := 0; r < b.N; r++ {
 			if mask[r] {
 				sel = append(sel, uint32(r))
