@@ -23,10 +23,11 @@
 // key, row = the complete new version), delete (key only).
 //
 // LSNs are drawn from one table-global sequence, assigned under the
-// stripe's batch lock, so each stripe's file is LSN-ascending and a
-// cross-stripe replay merges files by LSN into the exact serialization
-// order of every conflicting pair (conflicting operations share the
-// key's stripe lock, which spans both the apply and the LSN draw).
+// stripe's batch lock, so each stripe's file is LSN-ascending. The table
+// logs every effect on a key to that key's stripe file, so one file's
+// order is the serialization order of every conflicting pair
+// (conflicting operations share the key's stripe lock, which spans both
+// the apply and the LSN draw) and stripe files replay independently.
 //
 // # Group commit
 //
@@ -48,13 +49,18 @@
 //
 // # Recovery
 //
-// Open scans the file, verifies each frame's length and CRC, stops at
-// the first frame that does not verify — a torn group-commit tail — and
-// truncates the file back to the end of the verified prefix before
-// appending resumes. A record that frames and checksums correctly but
-// does not decode against the schema is corruption, not a torn tail:
-// Open refuses the log rather than silently dropping a suffix that may
-// contain acknowledged writes.
+// Open reads the file once and makes one framing pass over it: it
+// verifies each frame's length and CRC and that LSNs ascend, stops at the
+// first frame that does not verify — a torn group-commit tail — truncates
+// the file back to the end of the verified prefix before appending
+// resumes, and advances the LSN sequence once, to the last verified LSN.
+// It decodes nothing: it returns a Records iterator over the verified
+// frames, and each Next decodes one body into a row buffer the caller
+// reuses, so replay never holds more than one decoded record and
+// allocates only string values. A record that frames and checksums
+// correctly but does not decode against the schema is corruption, not a
+// torn tail: Next reports it as an error rather than silently dropping a
+// suffix that may contain acknowledged writes.
 package wal
 
 import (
@@ -81,6 +87,8 @@ const (
 	frameSize = 8
 	// maxBody bounds a single record body; larger lengths read as torn.
 	maxBody = 1 << 26
+	// bodyHeader is a body's fixed prefix: LSN u64 | op u8 | key s64.
+	bodyHeader = 17
 )
 
 // Record ops.
@@ -160,25 +168,35 @@ type batch struct {
 // fsync decided the record's durability.
 type Batch = batch
 
-// Open opens (or creates) the log at path, scans it, truncates a torn
-// tail, and returns the verified records for replay, in file (= LSN)
-// order. seq is the table-global LSN sequence: Open advances it past
-// every LSN in the file so new records sort after recovered ones. st
-// receives the log's telemetry (must be non-nil).
-func Open(fs walfs.FS, path string, schema *types.Schema, seq *atomic.Uint64, st *Stats) (*Log, []Record, error) {
+// Open opens (or creates) the log at path, makes the framing pass,
+// truncates a torn tail, and returns an iterator over the verified
+// records for replay, in file (= LSN) order. seq is the table-global LSN
+// sequence: Open advances it past every LSN in the file so new records
+// sort after recovered ones. st receives the log's telemetry (must be
+// non-nil).
+func Open(fs walfs.FS, path string, schema *types.Schema, seq *atomic.Uint64, st *Stats) (_ *Log, _ *Records, err error) {
 	f, err := fs.OpenAppend(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	recs, valid, err := scanFile(f, schema)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: %s: %w", path, err)
-	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			err = fmt.Errorf("wal: %s: %w", path, err)
+		}
+	}()
 	size, err := f.Size()
+	var buf []byte
+	if err == nil && size >= headerSize {
+		buf = make([]byte, size)
+		_, err = f.ReadAt(buf, 0)
+	}
 	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: %s: %w", path, err)
+		return nil, nil, err
+	}
+	recs, valid, err := frame(buf, schema)
+	if err != nil {
+		return nil, nil, err
 	}
 	if valid == 0 {
 		// No verified header: new file, or a create torn before the
@@ -187,41 +205,36 @@ func Open(fs walfs.FS, path string, schema *types.Schema, seq *atomic.Uint64, st
 		binary.LittleEndian.PutUint32(hdr[0:], Magic)
 		binary.LittleEndian.PutUint32(hdr[4:], Version)
 		if size != 0 {
-			if terr := f.Truncate(0); terr != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("wal: %s: %w", path, terr)
-			}
+			err = f.Truncate(0)
 		}
-		herr := f.Append(hdr[:])
-		if herr == nil {
-			herr = f.Sync()
+		if err == nil {
+			err = f.Append(hdr[:])
 		}
-		if herr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: %s: header: %w", path, herr)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("header: %w", err)
 		}
 	} else if size > valid {
 		// Torn group-commit tail: cut it before appends resume, so new
 		// records are never stranded behind garbage.
 		st.TornTails.Inc()
-		terr := f.Truncate(valid)
-		if terr == nil {
-			terr = f.Sync()
+		if err = f.Truncate(valid); err == nil {
+			err = f.Sync()
 		}
-		if terr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: %s: truncate torn tail: %w", path, terr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
-	for _, rec := range recs {
-		for {
-			curSeq := seq.Load()
-			if rec.LSN <= curSeq || seq.CompareAndSwap(curSeq, rec.LSN) {
-				break
-			}
-		}
-	}
+	Advance(seq, recs.last)
 	return &Log{f: f, schema: schema, seq: seq, st: st}, recs, nil
+}
+
+// Advance raises seq to lsn unless it is already at or past it.
+func Advance(seq *atomic.Uint64, lsn uint64) {
+	for cur := seq.Load(); cur < lsn && !seq.CompareAndSwap(cur, lsn); cur = seq.Load() {
+	}
 }
 
 // Append stages one record for the next group commit and returns its
@@ -408,31 +421,140 @@ func appendBody(buf []byte, schema *types.Schema, rec Record) []byte {
 	return buf
 }
 
-// DecodeBody decodes one record body against the schema. Every defect is
-// an error, never a panic: the fuzz target feeds this arbitrary bytes.
-func DecodeBody(body []byte, schema *types.Schema) (Record, error) {
-	var rec Record
-	if len(body) < 17 {
-		return rec, fmt.Errorf("wal: record body too short (%d bytes)", len(body))
+// Records iterates the verified records of one log image in file (= LSN)
+// order. The framing pass that built it checked every frame's length and
+// CRC and every LSN; Next decodes one body per call.
+type Records struct {
+	buf     []byte // header + the verified frames
+	schema  *types.Schema
+	off     int
+	inserts int    // verified OpInsert records
+	last    uint64 // LSN of the last verified record, 0 without one
+}
+
+// Inserts returns how many of the verified records are inserts: the
+// most keys their replay can add to a primary-key index.
+func (rs *Records) Inserts() int { return rs.inserts }
+
+// LastLSN returns the LSN of the last verified record (0 without one).
+func (rs *Records) LastLSN() uint64 { return rs.last }
+
+// SkipThrough advances past every remaining record at or below lsn
+// without decoding it and returns how many it passed.
+func (rs *Records) SkipThrough(lsn uint64) int {
+	k := 0
+	for ; rs.off < len(rs.buf) && binary.LittleEndian.Uint64(rs.buf[rs.off+frameSize:]) <= lsn; k++ {
+		rs.off += frameSize + int(binary.LittleEndian.Uint32(rs.buf[rs.off:]))
 	}
+	return k
+}
+
+// Next decodes the next record into rec, reusing rec.Row's storage for
+// the row, so only string values allocate. It reports false after the
+// last record, and an error for a body that does not decode.
+func (rs *Records) Next(rec *Record) (bool, error) {
+	if rs.off >= len(rs.buf) {
+		return false, nil
+	}
+	end := rs.off + frameSize + int(binary.LittleEndian.Uint32(rs.buf[rs.off:]))
+	if err := decodeBody(rec, rs.buf[rs.off+frameSize:end], rs.schema); err != nil {
+		return false, fmt.Errorf("wal: record at offset %d: %w", rs.off, err)
+	}
+	rs.off = end
+	return true, nil
+}
+
+// frame is the framing pass over a full log image: the header, then
+// frames until the first one that does not verify (a torn tail). It
+// returns the iterator over the verified records and the offset where
+// they end — 0 when the image is too short to hold a header. A bad header
+// on a full-length image, a verified body too short to hold a record, or
+// an LSN that does not ascend is an error.
+func frame(buf []byte, schema *types.Schema) (*Records, int64, error) {
+	rs := &Records{schema: schema}
+	if len(buf) < headerSize {
+		return rs, 0, nil
+	}
+	if m := binary.LittleEndian.Uint32(buf[0:]); m != Magic {
+		return nil, 0, fmt.Errorf("wal: bad magic %08x", m)
+	}
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != Version {
+		return nil, 0, fmt.Errorf("wal: unsupported format version %d", v)
+	}
+	off := headerSize
+	for off+frameSize <= len(buf) {
+		n := int(binary.LittleEndian.Uint32(buf[off:]))
+		if n > maxBody || off+frameSize+n > len(buf) {
+			break
+		}
+		body := buf[off+frameSize : off+frameSize+n]
+		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(buf[off+4:]) {
+			break
+		}
+		// Framed and checksummed but malformed: corruption or a schema
+		// mismatch, not a torn tail.
+		if n < bodyHeader {
+			return nil, 0, fmt.Errorf("wal: record at offset %d: body too short (%d bytes)", off, n)
+		}
+		lsn := binary.LittleEndian.Uint64(body)
+		if lsn <= rs.last {
+			return nil, 0, fmt.Errorf("wal: record at offset %d: LSN %d not ascending (previous %d)", off, lsn, rs.last)
+		}
+		rs.last = lsn
+		if body[8] == OpInsert {
+			rs.inserts++
+		}
+		off += frameSize + n
+	}
+	rs.buf, rs.off = buf[:off], headerSize
+	return rs, int64(off), nil
+}
+
+// ScanRecords is the framing pass plus a full iteration over a log image,
+// collecting every record into a slice — for the recovery tests, the
+// fuzz target and the benchmark's scan probe; recovery itself iterates.
+func ScanRecords(buf []byte, schema *types.Schema) ([]Record, int64, error) {
+	rs, valid, err := frame(buf, schema)
+	var recs []Record
+	for ok := err == nil; ok; {
+		var rec Record
+		if ok, err = rs.Next(&rec); ok {
+			recs = append(recs, rec)
+		}
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return recs, valid, nil
+}
+
+// decodeBody decodes one framed record body (at least bodyHeader bytes)
+// into rec, reusing rec.Row's storage. Every defect is an error, never a
+// panic: the fuzz target feeds this arbitrary bytes.
+func decodeBody(rec *Record, body []byte, schema *types.Schema) error {
 	rec.LSN = binary.LittleEndian.Uint64(body[0:])
 	rec.Op = body[8]
 	rec.Key = int64(binary.LittleEndian.Uint64(body[9:]))
-	off := 17
+	off := bodyHeader
 	switch rec.Op {
 	case OpDelete:
+		rec.Row = rec.Row[:0]
 		if off != len(body) {
-			return rec, fmt.Errorf("wal: delete record has %d trailing bytes", len(body)-off)
+			return fmt.Errorf("wal: delete record has %d trailing bytes", len(body)-off)
 		}
-		return rec, nil
+		return nil
 	case OpInsert, OpUpdate:
 	default:
-		return rec, fmt.Errorf("wal: unknown record op %d", rec.Op)
+		return fmt.Errorf("wal: unknown record op %d", rec.Op)
 	}
-	rec.Row = make(types.Row, schema.NumColumns())
+	if nc := schema.NumColumns(); cap(rec.Row) < nc {
+		rec.Row = make(types.Row, nc)
+	} else {
+		rec.Row = rec.Row[:nc]
+	}
 	for i := range rec.Row {
 		if off >= len(body) {
-			return rec, fmt.Errorf("wal: record body truncated at column %d", i)
+			return fmt.Errorf("wal: record body truncated at column %d", i)
 		}
 		null := body[off]
 		off++
@@ -442,101 +564,34 @@ func DecodeBody(body []byte, schema *types.Schema) (Record, error) {
 			continue
 		}
 		if null != 0 {
-			return rec, fmt.Errorf("wal: record column %d has presence byte %d", i, null)
+			return fmt.Errorf("wal: record column %d has presence byte %d", i, null)
+		}
+		width := 8 // an int64 or a float64; a string's u32 length prefix
+		if kind == types.String {
+			width = 4
+		}
+		if off+width > len(body) {
+			return fmt.Errorf("wal: record body truncated in column %d", i)
 		}
 		switch kind {
 		case types.Int64:
-			if off+8 > len(body) {
-				return rec, fmt.Errorf("wal: record body truncated in column %d", i)
-			}
 			rec.Row[i] = types.IntValue(int64(binary.LittleEndian.Uint64(body[off:])))
 			off += 8
 		case types.Float64:
-			if off+8 > len(body) {
-				return rec, fmt.Errorf("wal: record body truncated in column %d", i)
-			}
 			rec.Row[i] = types.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(body[off:])))
 			off += 8
 		default:
-			if off+4 > len(body) {
-				return rec, fmt.Errorf("wal: record body truncated in column %d", i)
-			}
 			n := int(binary.LittleEndian.Uint32(body[off:]))
 			off += 4
 			if n < 0 || off+n > len(body) {
-				return rec, fmt.Errorf("wal: record column %d string length %d exceeds body", i, n)
+				return fmt.Errorf("wal: record column %d string length %d exceeds body", i, n)
 			}
 			rec.Row[i] = types.StringValue(string(body[off : off+n]))
 			off += n
 		}
 	}
 	if off != len(body) {
-		return rec, fmt.Errorf("wal: record body has %d trailing bytes", len(body)-off)
+		return fmt.Errorf("wal: record body has %d trailing bytes", len(body)-off)
 	}
-	return rec, nil
-}
-
-// scanFile reads and verifies the whole log. It returns the decoded
-// records of the verified prefix and the file offset where that prefix
-// ends — 0 when even the header does not verify on a file too short to
-// have one. An unreadable file, a corrupt header on a full-length file,
-// or a CRC-valid record that fails to decode is an error.
-func scanFile(f walfs.File, schema *types.Schema) ([]Record, int64, error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, 0, err
-	}
-	if size < headerSize {
-		return nil, 0, nil
-	}
-	buf := make([]byte, size)
-	if _, rerr := f.ReadAt(buf, 0); rerr != nil {
-		return nil, 0, rerr
-	}
-	return ScanRecords(buf, schema)
-}
-
-// ScanRecords is the pure scanning core over a full log image: header,
-// then frames until the first one that does not verify (torn tail — the
-// scan stops and valid marks the end of the verified prefix). Exposed
-// for the recovery tests and the fuzz target.
-func ScanRecords(buf []byte, schema *types.Schema) (recs []Record, valid int64, err error) {
-	if len(buf) < headerSize {
-		return nil, 0, nil
-	}
-	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
-		return nil, 0, fmt.Errorf("wal: bad magic %08x", binary.LittleEndian.Uint32(buf[0:]))
-	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != Version {
-		return nil, 0, fmt.Errorf("wal: unsupported format version %d", v)
-	}
-	off := int64(headerSize)
-	var lastLSN uint64
-	for {
-		if off+frameSize > int64(len(buf)) {
-			return recs, off, nil
-		}
-		n := int64(binary.LittleEndian.Uint32(buf[off:]))
-		want := binary.LittleEndian.Uint32(buf[off+4:])
-		if n > maxBody || off+frameSize+n > int64(len(buf)) {
-			return recs, off, nil
-		}
-		body := buf[off+frameSize : off+frameSize+n]
-		if crc32.Checksum(body, crcTable) != want {
-			return recs, off, nil
-		}
-		rec, derr := DecodeBody(body, schema)
-		if derr != nil {
-			// Framed and checksummed but undecodable: corruption or a
-			// schema mismatch, not a torn tail. Refuse rather than drop a
-			// suffix that may hold acknowledged writes.
-			return nil, 0, fmt.Errorf("wal: record at offset %d: %w", off, derr)
-		}
-		if rec.LSN <= lastLSN {
-			return nil, 0, fmt.Errorf("wal: record at offset %d: LSN %d not ascending (previous %d)", off, rec.LSN, lastLSN)
-		}
-		lastLSN = rec.LSN
-		recs = append(recs, rec)
-		off += frameSize + n
-	}
+	return nil
 }

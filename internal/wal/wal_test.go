@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,11 +28,29 @@ func testRow(i int64) types.Row {
 	return types.Row{types.IntValue(i), types.FloatValue(float64(i) / 2), types.StringValue("s")}
 }
 
+// mustOpen opens the log and drains its iterator, each record decoded
+// into a fresh Record (the iterator's buffer reuse is
+// TestRecordsReuseRowBuffer's subject).
 func mustOpen(t *testing.T, fs walfs.FS, path string, seq *atomic.Uint64, st *Stats) (*Log, []Record) {
 	t.Helper()
-	l, recs, err := Open(fs, path, testSchema(), seq, st)
+	l, rs, err := Open(fs, path, testSchema(), seq, st)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var recs []Record
+	for {
+		var rec Record
+		ok, err := rs.Next(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		recs = append(recs, rec)
+	}
+	if n := len(recs); n > 0 && recs[n-1].LSN != rs.LastLSN() {
+		t.Fatalf("last record has LSN %d, framing pass found %d", recs[n-1].LSN, rs.LastLSN())
 	}
 	return l, recs
 }
@@ -414,6 +433,159 @@ func TestTruncateAllRefusesStagedBatch(t *testing.T) {
 	}
 }
 
+// writeLog appends n acknowledged records — every third a delete, every
+// third an update — to a fresh log and returns its image.
+func writeLog(t *testing.T, path string, n int64) []byte {
+	t.Helper()
+	var seq atomic.Uint64
+	var st Stats
+	l, _ := mustOpen(t, walfs.OS, path, &seq, &st)
+	for i := int64(0); i < n; i++ {
+		op, row := []byte{OpInsert, OpUpdate, OpDelete}[i%3], testRow(i)
+		if op == OpDelete {
+			row = nil
+		}
+		_, b, err := l.Append(op, i, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Wait(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestRecordsCountsAndSkip: the framing pass counts inserts and finds
+// the last LSN without decoding; SkipThrough passes records by
+// LSN alone and Next resumes right after them.
+func TestRecordsCountsAndSkip(t *testing.T) {
+	img := writeLog(t, filepath.Join(t.TempDir(), "wal.log"), 10)
+	rs, valid, err := frame(img, testSchema())
+	if err != nil || valid != int64(len(img)) {
+		t.Fatalf("frame: valid %d/%d, err %v", valid, len(img), err)
+	}
+	if rs.Inserts() != 4 || rs.LastLSN() != 10 {
+		t.Fatalf("framing pass: %d inserts, last LSN %d; want 4, 10", rs.Inserts(), rs.LastLSN())
+	}
+	if k := rs.SkipThrough(4); k != 4 {
+		t.Fatalf("SkipThrough(4) passed %d records", k)
+	}
+	if k := rs.SkipThrough(2); k != 0 {
+		t.Fatalf("SkipThrough below the position passed %d records", k)
+	}
+	var rec Record
+	if ok, err := rs.Next(&rec); !ok || err != nil || rec.LSN != 5 || rec.Key != 4 {
+		t.Fatalf("after the skip: %v %v lsn %d key %d", ok, err, rec.LSN, rec.Key)
+	}
+	if k := rs.SkipThrough(100); k != 5 {
+		t.Fatalf("SkipThrough past the end passed %d records, want 5", k)
+	}
+	if ok, err := rs.Next(&rec); ok || err != nil {
+		t.Fatalf("Next after the last record: %v %v", ok, err)
+	}
+}
+
+// TestRecordsReuseRowBuffer: iterating decodes every row into the one
+// buffer the caller passes, so a whole replay allocates the iterator, one
+// row and the string values — nothing per record.
+func TestRecordsReuseRowBuffer(t *testing.T) {
+	img := writeLog(t, filepath.Join(t.TempDir(), "wal.log"), 300)
+	schema := testSchema()
+	strs := 0
+	for i := int64(0); i < 300; i++ {
+		if i%3 != 2 && !testRow(i)[2].IsNull() {
+			strs++
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		rs, _, err := frame(img, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec Record
+		var first *types.Value
+		for {
+			ok, err := rs.Next(&rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return
+			}
+			if len(rec.Row) == 0 {
+				continue
+			}
+			if first == nil {
+				first = &rec.Row[0]
+			} else if &rec.Row[0] != first {
+				t.Fatal("Next reallocated the caller's row buffer")
+			}
+		}
+	})
+	if max := float64(2 + strs); allocs > max {
+		t.Fatalf("%.0f allocations to iterate 300 records, want at most %.0f (iterator, row, %d strings)", allocs, max, strs)
+	}
+}
+
+// TestOpenFramesWithoutDecoding: Open verifies frames only. A CRC-valid
+// record that does not decode is not a torn tail — Open keeps it and
+// still cuts the real torn tail behind it — and the iterator reports it
+// as an error. A CRC-valid body too short for a record and an LSN that
+// does not ascend are refused by the framing pass itself.
+func TestOpenFramesWithoutDecoding(t *testing.T) {
+	dir := t.TempDir()
+	img := writeLog(t, filepath.Join(dir, "wal.log"), 3)
+	bad := binary.LittleEndian.AppendUint64(nil, 9)
+	bad = append(bad, OpInsert)
+	bad = binary.LittleEndian.AppendUint64(bad, 3)
+	bad = append(bad, 7) // presence byte 7: undecodable
+	good := appendBody(nil, testSchema(), Record{LSN: 10, Op: OpInsert, Key: 4, Row: testRow(4)})
+	withBad := appendFrame(appendFrame(bytes.Clone(img), bad), good)
+	path := filepath.Join(dir, "bad.log")
+	if err := os.WriteFile(path, append(bytes.Clone(withBad), 0xde, 0xad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seq atomic.Uint64
+	var st Stats
+	l, rs, err := Open(walfs.OS, path, testSchema(), &seq, &st)
+	if err != nil {
+		t.Fatalf("Open refused a log whose frames verify: %v", err)
+	}
+	defer l.Close()
+	if rs.LastLSN() != 10 || seq.Load() != 10 || st.TornTails.Load() != 1 {
+		t.Fatalf("framing pass: last LSN %d, sequence %d, %d torn tails; want 10, 10, 1", rs.LastLSN(), seq.Load(), st.TornTails.Load())
+	}
+	if fi, _ := os.Stat(path); fi.Size() != int64(len(withBad)) {
+		t.Fatalf("torn tail not cut: %d bytes, want %d", fi.Size(), len(withBad))
+	}
+	var rec Record
+	for i := 0; i < 3; i++ {
+		if ok, err := rs.Next(&rec); !ok || err != nil {
+			t.Fatalf("record %d: %v %v", i, ok, err)
+		}
+	}
+	if _, err := rs.Next(&rec); err == nil {
+		t.Fatal("undecodable record iterated without an error")
+	}
+
+	for name, body := range map[string][]byte{
+		"short":     bad[:16],
+		"lsn-order": appendBody(nil, testSchema(), Record{LSN: 2, Op: OpDelete, Key: 9}),
+	} {
+		if _, _, err := frame(appendFrame(bytes.Clone(img), body), testSchema()); err == nil {
+			t.Fatalf("%s: framing pass accepted a malformed verified frame", name)
+		}
+	}
+}
+
 // FuzzWALReplay feeds arbitrary (and corrupted-real) log images to the
 // recovery scanner: it must never panic, never return a record from an
 // unverified region, and always produce a valid prefix that rescans to
@@ -460,29 +632,54 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flip)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid, err := ScanRecords(data, schema)
+		// The oracle drives recovery's own path: the framing pass, then
+		// the iterator decoding into one reused record.
+		rs, valid, err := frame(data, schema)
+		if err != nil {
+			return // clean error: bad header or malformed-but-CRC-valid frame
+		}
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
 		}
-		if err != nil {
-			return // clean error: corrupt-but-CRC-valid record, never wrong results
-		}
-		last := uint64(0)
-		for _, rec := range recs {
+		n, inserts, last := 0, 0, uint64(0)
+		var rec Record
+		for {
+			ok, err := rs.Next(&rec)
+			if err != nil {
+				return // clean error: corrupt-but-CRC-valid record, never wrong results
+			}
+			if !ok {
+				break
+			}
 			if rec.LSN <= last {
 				t.Fatal("recovered LSNs not strictly ascending")
 			}
 			last = rec.LSN
-			if rec.Op == OpInsert || rec.Op == OpUpdate {
+			n++
+			switch rec.Op {
+			case OpInsert, OpUpdate:
 				if len(rec.Row) != schema.NumColumns() {
 					t.Fatalf("recovered row has %d values", len(rec.Row))
 				}
+				if rec.Op == OpInsert {
+					inserts++
+				}
+			case OpDelete:
+				if len(rec.Row) != 0 {
+					t.Fatal("delete record carries a row")
+				}
+			default:
+				t.Fatalf("op %d decoded", rec.Op)
 			}
 		}
+		if inserts != rs.Inserts() || last != rs.LastLSN() {
+			t.Fatalf("framing pass counted %d inserts, last LSN %d; iteration found %d, %d",
+				rs.Inserts(), rs.LastLSN(), inserts, last)
+		}
 		again, v2, err2 := ScanRecords(data[:valid], schema)
-		if err2 != nil || v2 != valid || len(again) != len(recs) {
+		if err2 != nil || v2 != valid || len(again) != n {
 			t.Fatalf("valid prefix is not a fixed point: %d/%d records, valid %d/%d, err %v",
-				len(again), len(recs), v2, valid, err2)
+				len(again), n, v2, valid, err2)
 		}
 	})
 }
