@@ -11,9 +11,8 @@ import (
 	"datablocks/internal/types"
 )
 
-// TestUpdateValidatesBeforeDelete is the regression test for the
-// destructive Update path: a row that fails validation must leave the old
-// tuple untouched instead of deleting it.
+// TestUpdateValidatesBeforeDelete: an update whose row fails validation
+// must leave the old tuple untouched instead of deleting it.
 func TestUpdateValidatesBeforeDelete(t *testing.T) {
 	r := NewRelation(testSchema(), 0)
 	tid, err := r.Insert(mkRow(1, 1.5, "keep"))
@@ -26,7 +25,7 @@ func TestUpdateValidatesBeforeDelete(t *testing.T) {
 		mkRow(2, 2.0, "short")[:2], // wrong arity
 	}
 	for i, row := range bad {
-		if _, uerr := r.Update(tid, row); uerr == nil {
+		if _, uerr := update(r, tid, row); uerr == nil {
 			t.Fatalf("bad row %d: update succeeded", i)
 		}
 		got, ok := r.Get(tid)
@@ -42,7 +41,7 @@ func TestUpdateValidatesBeforeDelete(t *testing.T) {
 	}
 	// A valid update still works and is atomic: the old tid dies, the new
 	// one lives.
-	newTid, err := r.Update(tid, mkRow(1, 9.0, "moved"))
+	newTid, err := update(r, tid, mkRow(1, 9.0, "moved"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +51,8 @@ func TestUpdateValidatesBeforeDelete(t *testing.T) {
 	if got, ok := r.Get(newTid); !ok || got[1].Float() != 9.0 {
 		t.Fatalf("new tuple wrong: %v", got)
 	}
-	// Updating a dead tid fails without inserting anything.
-	if _, err := r.Update(tid, mkRow(1, 0, "x")); err == nil {
+	// Updating a dead tid fails and leaves no new live row.
+	if _, err := update(r, tid, mkRow(1, 0, "x")); err == nil {
 		t.Fatal("update of deleted tuple succeeded")
 	}
 	if r.NumRows() != 1 {
@@ -123,11 +122,11 @@ func TestEpochVisibility(t *testing.T) {
 		t.Fatalf("bogus tid = %v", vis)
 	}
 
-	// The atomic Relation.Update stamps retire and birth with one epoch:
-	// a reader at any epoch sees exactly one of the two versions.
+	// update (the same protocol in one call) stamps retire and birth with
+	// one epoch: a reader at any epoch sees exactly one of the two versions.
 	base, _ := r.Insert(mkRow(2, 5.0, "a"))
 	ePre := r.ReadEpoch()
-	moved, err := r.Update(base, mkRow(2, 6.0, "b"))
+	moved, err := update(r, base, mkRow(2, 6.0, "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +551,7 @@ func TestStorageStress(t *testing.T) {
 				tids = append(tids, tid)
 				switch i % 7 {
 				case 3:
-					nt, err := r.Update(tids[i/2], mkRow(base+int64(perWriter+i), 1, "u"))
+					nt, err := update(r, tids[i/2], mkRow(base+int64(perWriter+i), 1, "u"))
 					if err == nil {
 						tids[i/2] = nt
 					}
@@ -611,9 +610,9 @@ func TestStorageStress(t *testing.T) {
 
 // TestSnapshotOneVersionPerKey is the snapshot-isolation property the
 // chunk's visibility stamps exist for. 64 logical rows (column 0 is the
-// logical id and never changes) are rewritten continuously — half through
-// the three-step protocol on their own write stripe, half through the
-// atomic Update — while chunks behind the tails are frozen and evicted
+// logical id and never changes) are rewritten continuously through the
+// pending/commit protocol, half on write stripe 1 and half on stripe 0 —
+// while chunks behind the tails are frozen and evicted
 // under a budget that holds about one block, and every Snapshot must hold
 // each id exactly once. The point-read half of the contract rides along:
 // the latest committed identifier of an id resolves at a freshly captured
@@ -651,7 +650,7 @@ func oneVersionPerKeyRound(t *testing.T, updates int) {
 
 	// The protocol updater paces everyone else, so the background work
 	// scales with the writes instead of starving them of the two cores:
-	// one atomic Update per token, one freeze + evict pass per tick.
+	// one stripe-0 update per token, one freeze + evict pass per tick.
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	token := make(chan struct{}, 1)
@@ -687,13 +686,13 @@ func oneVersionPerKeyRound(t *testing.T, updates int) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // ids [keys/2, keys): Relation.Update
+	go func() { // ids [keys/2, keys): update on stripe 0
 		defer wg.Done()
 		i := 0
 		for range token {
 			id := keys/2 + i%(keys/2)
 			i++
-			tid, err := r.Update(resolve(id), mkRow(int64(id), float64(i), "u"))
+			tid, err := update(r, resolve(id), mkRow(int64(id), float64(i), "u"))
 			if err != nil {
 				t.Error(err)
 				return

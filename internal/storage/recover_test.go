@@ -38,7 +38,7 @@ func TestManifestRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("delete %v failed", tid)
 		}
 	}
-	if _, err := r.Update(TupleID{Chunk: 1, Row: 5}, mkRow(1000, 1, "updated")); err != nil {
+	if _, err := update(r, TupleID{Chunk: 1, Row: 5}, mkRow(1000, 1, "updated")); err != nil {
 		t.Fatal(err)
 	}
 	pend, err := r.InsertPending(mkRow(1001, 2, "committed"))

@@ -13,8 +13,8 @@
 // A Relation is safe for concurrent use. The operations that may overlap
 // freely are:
 //
-//   - OLTP writes: Insert, BulkAppend, Delete, Update and the three-step
-//     update protocol InsertPending/CommitUpdate/AbortPending, each O(1).
+//   - OLTP writes: Insert, BulkAppend, Delete and the three-step update
+//     protocol InsertPending/CommitUpdate/AbortPending, each O(1).
 //     Appends serialize per write stripe (SetWriteStripes): InsertStripe
 //     and InsertPendingStripe on distinct stripes run concurrently,
 //     holding only their stripe's appender lock; the single-writer entry
@@ -719,7 +719,7 @@ type Relation struct {
 
 	// stripes are the append lanes (at least one). The slice itself is
 	// fixed before concurrent use (SetWriteStripes); single-writer callers
-	// use stripe 0 through the legacy Insert/Update entry points.
+	// use stripe 0 through the Insert/InsertPending entry points.
 	stripes []relStripe
 
 	// live is the live tuple count, maintained atomically because stripe
@@ -973,7 +973,7 @@ func (r *Relation) InsertStripe(s int, row types.Row) (TupleID, error) {
 // appendRow appends a pre-validated row to the resolved tail chunk c
 // (ordinal ci, from ensureTail or ensureTailLocked), born at the given
 // stamp: 0 for a plain insert, pendingEpoch for an update version awaiting
-// its commit, the commit epoch for the atomic Update. The stamp is stored
+// its commit. The stamp is stored
 // *before* the row count is published, so whoever can see the row sees its
 // stamp. Caller holds the owning stripe's mu and adjusts the live count.
 func (r *Relation) appendRow(c *Chunk, ci int, row types.Row, born uint64) TupleID {
@@ -1123,42 +1123,6 @@ func (r *Relation) retireLocked(c *Chunk, row uint32, e uint64) bool {
 	c.retiredCount.Add(1)
 	c.numDeleted.Add(1)
 	return true
-}
-
-// Update rewrites the tuple as delete + insert into the hot tail (§1) and
-// returns the tuple's new identifier. The new row is validated before the
-// old tuple is touched, and the delete + insert pair happens atomically
-// under the relation lock, so a failed update leaves the tuple intact and
-// no reader or snapshot ever sees both versions. (Callers that publish
-// tuple identifiers through an index want the three-step
-// InsertPending/CommitUpdate protocol instead, which keeps a version
-// visible across the index repoint.)
-func (r *Relation) Update(tid TupleID, row types.Row) (TupleID, error) {
-	if err := r.validateRow(row); err != nil {
-		return TupleID{}, err
-	}
-	// The new version is appended through stripe 0, so its appender lock
-	// comes first (the global lock order), then the relation lock for the
-	// retire + birth stamps.
-	st := &r.stripes[0]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.chunkFor(tid)
-	if !ok {
-		return TupleID{}, errors.New("storage: update of missing or deleted tuple")
-	}
-	// One epoch retires the old version and births the new one, so a
-	// reader at any epoch sees exactly one of the two (the born stamp
-	// matters only to GetAt with a pre-update epoch; snapshots are
-	// already watermark-bounded).
-	e := r.epoch.Add(1)
-	if !r.retireLocked(c, tid.Row, e) {
-		return TupleID{}, errors.New("storage: update of missing or deleted tuple")
-	}
-	tc, tci := r.ensureTailLocked(st, 0)
-	return r.appendRow(tc, tci, row, e), nil
 }
 
 // InsertPending appends a new row version that is invisible to every

@@ -26,6 +26,21 @@ func mkRow(id int64, amount float64, note string) types.Row {
 	return types.Row{types.IntValue(id), types.FloatValue(amount), n}
 }
 
+// update rewrites tid as row through the one update path, on stripe 0:
+// append the new version pending, then commit it against tid, aborting
+// it when tid is no longer live.
+func update(r *Relation, tid TupleID, row types.Row) (TupleID, error) {
+	nt, err := r.InsertPending(row)
+	if err != nil {
+		return TupleID{}, err
+	}
+	if _, ok := r.CommitUpdate(tid, nt); !ok {
+		r.AbortPending(nt)
+		return TupleID{}, fmt.Errorf("update of missing or deleted tuple %v", tid)
+	}
+	return nt, nil
+}
+
 func TestInsertGet(t *testing.T) {
 	r := NewRelation(testSchema(), 0)
 	tid, err := r.Insert(mkRow(1, 2.5, "hello"))
@@ -99,7 +114,7 @@ func TestDeleteUpdate(t *testing.T) {
 		t.Fatal("deleted tuple visible")
 	}
 	tid2, _ := r.Insert(mkRow(2, 2.0, "b"))
-	newTid, err := r.Update(tid2, mkRow(2, 9.0, "b2"))
+	newTid, err := update(r, tid2, mkRow(2, 9.0, "b2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +206,7 @@ func TestFreezePreservesTuplesAndTIDs(t *testing.T) {
 		t.Fatal("frozen-deleted tuple visible")
 	}
 	// Updating a frozen tuple moves it to the hot region.
-	newTid, err := r.Update(tids[40], mkRow(40, 99.0, "moved"))
+	newTid, err := update(r, tids[40], mkRow(40, 99.0, "moved"))
 	if err != nil {
 		t.Fatal(err)
 	}
