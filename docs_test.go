@@ -120,8 +120,8 @@ func TestProductionImportGraph(t *testing.T) {
 // here in its own diff, like an entry in lint-budget.json; one that
 // deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4062,
-	"total":                    20916,
+	"datablocks/internal/exec": 4186,
+	"total":                    21078,
 }
 
 // TestLocCeilings counts what `make loc` counts — every line of a

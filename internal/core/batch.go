@@ -25,6 +25,12 @@ type BatchCol struct {
 	// Nulls marks NULL cells; nil when the column has no NULLs in this
 	// batch's source.
 	Nulls []bool
+	// Domain, when non-nil, says the column travels as its block's 1-byte
+	// codes, Codes, which Domain decodes (Attr.CodeInt, Attr.CodeStr): see
+	// ScanSpec.Codes. The value vectors then hold values only if the column
+	// was unpacked as well.
+	Codes  []byte
+	Domain *Attr
 }
 
 // Reset clears the batch for reuse without releasing buffers.
@@ -49,30 +55,11 @@ func (b *Batch) Value(col, row int) types.Value {
 	}
 }
 
-func resizeI64(s []int64, n int) []int64 {
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeStr(s []string, n int) []string {
-	if cap(s) < n {
-		return make([]string, n)
-	}
-	return s[:n]
-}
-
-func resizeBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

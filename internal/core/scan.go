@@ -65,7 +65,18 @@ type ScanSpec struct {
 	// passes the vector NextMatches last returned, so one buffer serves the
 	// whole scan instead of one per chunk.
 	Matches []uint32
+	// Codes lists projection indices a consumer can take as codes
+	// (UnpackCodes) — the group keys of an aggregation on the scan. It is
+	// one choice per chunk, for all of them or none: a block whose listed
+	// attributes all have 1-byte codes and no validity bitmap, with at most
+	// MaxCodeCombos code combinations, is coded; a hot chunk never is.
+	Codes []int
 }
+
+// MaxCodeCombos caps the product of the code domains of a coded scan's
+// ScanSpec.Codes attributes, so a combination of codes indexes a table of
+// at most 64 Ki entries.
+const MaxCodeCombos = 1 << 16
 
 // predClass distinguishes how a compiled predicate is evaluated.
 type predClass uint8
@@ -129,6 +140,7 @@ type Scanner struct {
 	cur     int // next row to examine
 	end     int
 	skipped bool // chunk ruled out before touching any data
+	coded   bool // ScanSpec.Codes travel as codes (UnpackCodes)
 	matches []uint32
 }
 
@@ -136,8 +148,43 @@ type Scanner struct {
 // scanner (Next returning false immediately) means the block was ruled out
 // before touching any data — the SMA skip of §3.2.
 func NewScanner(b *Block, spec ScanSpec) (*Scanner, error) {
-	return newScanner(&Scanner{b: b, spec: spec, end: b.n})
+	s := &Scanner{b: b, spec: spec, end: b.n, coded: len(spec.Codes) > 0}
+	combos := 1
+	for _, k := range spec.Codes {
+		combos *= b.attrs[spec.Project[k]].CodeCard()
+		s.coded = s.coded && combos > 0 && combos <= MaxCodeCombos
+	}
+	return newScanner(s)
 }
+
+// CodeCard is the size of the attribute's code domain when its cells can
+// travel as 1-byte codes — a string or integer dictionary (its length) or
+// integer truncation (every byte: Min + code) — and the attribute has no
+// validity bitmap; 0 otherwise.
+func (a *Attr) CodeCard() int {
+	switch {
+	case a.Validity != nil:
+		return 0
+	case a.Kind == types.String && a.Strs.Width == 1:
+		return len(a.Strs.Dict)
+	case a.Kind == types.Int64 && a.Ints.Width == 1 && a.Ints.Scheme == compress.Dictionary:
+		return len(a.Ints.Dict)
+	case a.Kind == types.Int64 && a.Ints.Width == 1:
+		return 256
+	}
+	return 0
+}
+
+// CodeInt decodes one code of an integer attribute with a CodeCard.
+func (a *Attr) CodeInt(c byte) int64 {
+	if a.Ints.Scheme == compress.Dictionary {
+		return a.Ints.Dict[c]
+	}
+	return a.Ints.Min + int64(c)
+}
+
+// CodeStr decodes one code of a string attribute with a CodeCard.
+func (a *Attr) CodeStr(c byte) string { return a.Strs.Dict[c] }
 
 // NewColumnScanner compiles spec against the first n rows of uncompressed
 // columns, the layout of a hot chunk. There is no SMA or PSMA to consult:
@@ -673,11 +720,43 @@ func (s *Scanner) GatherInts(col int, m []uint32, dst []int64) {
 // first, thins the match vector, and only pays decompression of the
 // remaining columns for surviving tuples.
 func (s *Scanner) UnpackColumn(batch *Batch, k int, m []uint32) {
+	s.sizeCols(batch)
+	s.unpackCol(batch, k, m)
+}
+
+// sizeCols gives the batch one column per projected attribute.
+func (s *Scanner) sizeCols(batch *Batch) {
 	if cap(batch.Cols) < len(s.spec.Project) {
 		batch.Cols = make([]BatchCol, len(s.spec.Project))
 	}
 	batch.Cols = batch.Cols[:len(s.spec.Project)]
-	s.unpackCol(batch, k, m)
+}
+
+// Coded reports whether this chunk's ScanSpec.Codes columns travel as
+// codes: whether UnpackCodes, rather than UnpackColumn, serves them.
+func (s *Scanner) Coded() bool { return s.coded }
+
+// UnpackCodes gathers the codes of every ScanSpec.Codes column of a coded
+// chunk at the given positions into the batch, with the attribute that
+// decodes them. A column UnpackColumn also serves keeps its values beside
+// them, provided it was unpacked first.
+func (s *Scanner) UnpackCodes(batch *Batch, m []uint32) {
+	s.sizeCols(batch)
+	for _, k := range s.spec.Codes {
+		bc := &batch.Cols[k]
+		a := &s.b.attrs[s.spec.Project[k]]
+		var data []byte
+		if a.Kind == types.String {
+			data = a.Strs.Data
+		} else {
+			data = a.Ints.Data
+		}
+		bc.Domain = a
+		bc.Codes = resize(bc.Codes, len(m))
+		for i, p := range m {
+			bc.Codes[i] = data[p]
+		}
+	}
 }
 
 // unpack materializes the projected attributes of the matched positions
@@ -685,10 +764,7 @@ func (s *Scanner) UnpackColumn(batch *Batch, k int, m []uint32) {
 func (s *Scanner) unpack(batch *Batch, m []uint32) {
 	batch.N = len(m)
 	batch.Pos = append(batch.Pos[:0], m...)
-	if cap(batch.Cols) < len(s.spec.Project) {
-		batch.Cols = make([]BatchCol, len(s.spec.Project))
-	}
-	batch.Cols = batch.Cols[:len(s.spec.Project)]
+	s.sizeCols(batch)
 	for k := range s.spec.Project {
 		s.unpackCol(batch, k, m)
 	}
@@ -697,6 +773,7 @@ func (s *Scanner) unpack(batch *Batch, m []uint32) {
 func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 	col := s.spec.Project[k]
 	bc := &batch.Cols[k]
+	bc.Domain = nil
 	if s.b == nil {
 		s.cols[col].gather(bc, m)
 		return
@@ -705,23 +782,23 @@ func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 	bc.Kind = a.Kind
 	switch a.Kind {
 	case types.Int64:
-		bc.Ints = resizeI64(bc.Ints, len(m))
+		bc.Ints = resize(bc.Ints, len(m))
 		a.Ints.Gather(m, bc.Ints)
 	case types.Float64:
-		bc.Floats = resizeF64(bc.Floats, len(m))
+		bc.Floats = resize(bc.Floats, len(m))
 		a.Floats.Gather(m, bc.Floats)
 	default:
-		bc.Strs = resizeStr(bc.Strs, len(m))
+		bc.Strs = resize(bc.Strs, len(m))
 		a.Strs.Gather(m, bc.Strs)
 	}
 	switch {
 	case a.Validity != nil:
-		bc.Nulls = resizeBool(bc.Nulls, len(m))
+		bc.Nulls = resize(bc.Nulls, len(m))
 		for i, p := range m {
 			bc.Nulls[i] = !simd.BitmapGet(a.Validity, p)
 		}
 	case a.allNull():
-		bc.Nulls = resizeBool(bc.Nulls, len(m))
+		bc.Nulls = resize(bc.Nulls, len(m))
 		for i := range bc.Nulls {
 			bc.Nulls[i] = true
 		}
@@ -736,17 +813,17 @@ func (c *ColumnData) gather(bc *BatchCol, m []uint32) {
 	bc.Kind = c.Kind
 	switch c.Kind {
 	case types.Int64:
-		bc.Ints = resizeI64(bc.Ints, len(m))
+		bc.Ints = resize(bc.Ints, len(m))
 		for i, p := range m {
 			bc.Ints[i] = c.Ints[p]
 		}
 	case types.Float64:
-		bc.Floats = resizeF64(bc.Floats, len(m))
+		bc.Floats = resize(bc.Floats, len(m))
 		for i, p := range m {
 			bc.Floats[i] = c.Floats[p]
 		}
 	default:
-		bc.Strs = resizeStr(bc.Strs, len(m))
+		bc.Strs = resize(bc.Strs, len(m))
 		for i, p := range m {
 			bc.Strs[i] = c.Strs[p]
 		}
@@ -755,7 +832,7 @@ func (c *ColumnData) gather(bc *BatchCol, m []uint32) {
 		bc.Nulls = nil
 		return
 	}
-	bc.Nulls = resizeBool(bc.Nulls, len(m))
+	bc.Nulls = resize(bc.Nulls, len(m))
 	for i, p := range m {
 		bc.Nulls[i] = c.Nulls[p]
 	}

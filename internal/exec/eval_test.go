@@ -296,7 +296,7 @@ func requireEval(t testing.TB, rel *storage.Relation, rows []types.Row, e exec.E
 			t.Fatalf("%s aggregated: error %v, oracle accepts: %v", name, err, ok)
 		}
 		for c, w := range wantAggs {
-			if got := res.Value(c, 0); !w.IsZero() && !same(got, w) {
+			if got := res.Value(c, 0); !same(got, w) {
 				t.Fatalf("%s, aggregate %d: got %v, want %v", name, c, got, w)
 			}
 		}
@@ -347,10 +347,8 @@ func sumOf(vals []types.Value) types.Value {
 }
 
 // minOf is MIN over vals: the least non-NULL value, NULL when there are
-// none — and the zero Value, which requireEval does not compare, when one
-// of them is NaN: what MIN and MAX make of a NaN is the fold kernels' rule,
-// not the expression back ends', and depends on where batches end (ROADMAP,
-// oracle item).
+// none. NaN sorts below every number, as in ORDER BY, so the least of
+// values holding a NaN is NaN.
 func minOf(vals []types.Value) types.Value {
 	min := types.NullValue(vals[0].Kind())
 	for _, v := range vals {
@@ -358,7 +356,7 @@ func minOf(vals []types.Value) types.Value {
 			continue
 		}
 		if v.Kind() == types.Float64 && math.IsNaN(v.Float()) {
-			return types.Value{}
+			return v
 		}
 		if min.IsNull() || holds(types.Lt, v, min) {
 			min = v

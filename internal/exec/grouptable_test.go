@@ -110,22 +110,52 @@ func TestJoinChainsSurviveGrow(t *testing.T) {
 	}
 }
 
+// unmix64 inverts simd.Mix64: each xorshift and each odd multiplication of
+// the splitmix64 finalizer is a bijection.
+func unmix64(x uint64) uint64 {
+	// inverse is the multiplicative inverse of odd c modulo 2^64: Newton's
+	// iteration doubles the correct low bits, from 3 for inv = c.
+	inverse := func(c uint64) uint64 {
+		inv := c
+		for i := 0; i < 5; i++ {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	x ^= x>>31 ^ x>>62
+	x *= inverse(0x94d049bb133111eb)
+	x ^= x>>27 ^ x>>54
+	x *= inverse(0xbf58476d1ce4e5b9)
+	x ^= x>>30 ^ x>>60
+	return x
+}
+
 // TestEqualHashDistinctKeysNeverMerge feeds the aggregator key pairs that
-// provably share their combined hash — (a, b) and (b, a): the two-column
-// combine Mix64(Mix64(a) ^ Mix64(b)) is symmetric — in batches small
-// enough that collisions are met both inside one batch and against groups
-// stored by earlier batches, across several table doublings. Every
+// provably share their combined hash — for each (i, i+pairs) a twin
+// (i+pairs, y) with y solved from simd.HashCombine's inverse — in batches
+// small enough that collisions are met both inside one batch and against
+// groups stored by earlier batches, across several table doublings. Every
 // distinct pair must keep its own group and its own count.
 func TestEqualHashDistinctKeysNeverMerge(t *testing.T) {
 	kinds := []types.Kind{types.Int64, types.Int64}
 	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}}}
 	a := newAggregator(node, kinds, []*checked{nil}, nil, true)
 	const pairs = 3000
+	hash := func(x, y int64) uint64 { return simd.HashCombine(simd.Mix64(uint64(x)), simd.Mix64(uint64(y))) }
 	var xs, ys []int64
 	for i := int64(0); i < pairs; i++ {
-		// (i, i+pairs) three times, its mirror twice, interleaved.
-		xs = append(xs, i, i+pairs, i, i+pairs, i)
-		ys = append(ys, i+pairs, i, i+pairs, i, i+pairs)
+		// HashCombine(h, hv) is Mix64(rot(h) ^ hv), so rot(h) is
+		// unmix64(HashCombine(h, 0)): solve for the hv, and through Mix64's
+		// inverse for the y, that meets (i, i+pairs).
+		x2 := i + pairs
+		rot := unmix64(simd.HashCombine(simd.Mix64(uint64(x2)), 0))
+		y2 := int64(unmix64(unmix64(hash(i, i+pairs)) ^ rot))
+		if hash(x2, y2) != hash(i, i+pairs) {
+			t.Fatalf("(%d, %d) does not collide with (%d, %d)", x2, y2, i, i+pairs)
+		}
+		// (i, i+pairs) three times, its twin twice, interleaved.
+		xs = append(xs, i, x2, i, x2, i)
+		ys = append(ys, i+pairs, y2, i+pairs, y2, i+pairs)
 	}
 	for from := 0; from < len(xs); from += 7 {
 		to := min(from+7, len(xs))
@@ -142,7 +172,7 @@ func TestEqualHashDistinctKeysNeverMerge(t *testing.T) {
 	for g := 0; g < res.NumRows(); g++ {
 		x, y, cnt := res.Cols[0].Ints[g], res.Cols[1].Ints[g], res.Cols[2].Ints[g]
 		want := int64(3)
-		if x > y {
+		if x >= pairs {
 			want = 2
 		}
 		if cnt != want {
@@ -151,5 +181,27 @@ func TestEqualHashDistinctKeysNeverMerge(t *testing.T) {
 	}
 	if a.displaced == 0 {
 		t.Fatal("colliding groups were never displaced past their home slot")
+	}
+}
+
+// TestGroupByEqualColumnsNeedsNoReprobes: GROUP BY (x, x) over 20 000
+// distinct x resolves every row on its first probe. The verification pass
+// collects the rows whose stored hash matched another key's; with a
+// combine that cancels equal cells every (x, x) hashes alike, each row is
+// collected, and each re-probe walks the whole chain — quadratic.
+func TestGroupByEqualColumnsNeedsNoReprobes(t *testing.T) {
+	const n = 20_000
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = int64(i)
+	}
+	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}}}
+	a := newAggregator(node, []types.Kind{types.Int64, types.Int64}, []*checked{nil}, nil, true)
+	a.consumeBatch(&core.Batch{N: n, Cols: []core.BatchCol{{Kind: types.Int64, Ints: xs}, {Kind: types.Int64, Ints: xs}}})
+	if a.groups != n {
+		t.Fatalf("%d groups, want %d", a.groups, n)
+	}
+	if cap(a.badRows) != 0 {
+		t.Fatalf("verification flagged rows for re-probing (scratch grew to %d)", cap(a.badRows))
 	}
 }

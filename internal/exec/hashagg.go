@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"math"
+	"sync"
 
 	"datablocks/internal/core"
 	"datablocks/internal/simd"
@@ -86,6 +87,46 @@ type aggregator struct {
 	gids    []uint32 // per-row group ids of the rows being assigned (scratch)
 	rowHash []uint64 // their combined key hashes (scratch)
 	badRows []uint32 // rows flagged by column-wise verification (scratch)
+
+	codes codeTable
+}
+
+// codeTable resolves batches whose keys arrive as 1-byte codes (a coded
+// scan, core.ScanSpec.Codes) without hashing: the codes of a row combine
+// into one index, c0 + d0·(c1 + d1·(c2 + …)) over the key domains' sizes
+// d, and the index maps to the group id. The table is valid for one set of
+// domains — one block — and is cleared when a batch brings another. An
+// index is resolved on its first row through the one-row hashed probe,
+// with the row's key decoded to values, so groups are created in the same
+// first-seen row order as on the hashed path and equal keys in different
+// blocks meet in the same group.
+type codeTable struct {
+	ids    *[core.MaxCodeCombos]uint32 // index → group id + 1; 0 = unresolved
+	doms   []*core.Attr                // the key domains ids is valid for
+	stride []uint16                    // d0·…·d(k-1) per key column
+	used   int                         // d0·d1·…: the entries of ids in use
+	codes  [][]byte                    // the bound batch's codes per key column
+	combos []uint16                    // per-row indexes (scratch)
+	gids   []uint32                    // per-row group ids (scratch)
+	// The decoded key cells of the row being resolved, bound to the keys'
+	// probe side as one-row vectors.
+	ints []int64
+	strs []string
+}
+
+// codeTables recycles the 256 KiB index arrays of code tables across
+// queries; a query typically fills a handful of entries. A table is
+// returned cleared (release).
+var codeTables = sync.Pool{New: func() any { return new([core.MaxCodeCombos]uint32) }}
+
+// release hands the code table's index array back to codeTables once the
+// aggregator has been merged and rendered.
+func (a *aggregator) release() {
+	if ct := &a.codes; ct.ids != nil {
+		clear(ct.ids[:ct.used])
+		codeTables.Put(ct.ids)
+		ct.ids = nil
+	}
 }
 
 // newAggregator builds a worker's sink for node, lowering the checked
@@ -293,16 +334,18 @@ func (a *aggregator) newGroup() uint32 {
 	return gid
 }
 
-// widen extends group g's running [min, max] to cover [mn, mx].
+// widen extends group g's running [min, max] to cover [mn, mx], in the
+// order cmp.Compare defines: for doubles NaN sorts below every number,
+// as in simd.MinMaxFloat64, so a merge agrees with the fold kernels.
 func widen[T cmp.Ordered](mins, maxs []T, seen []bool, g uint32, mn, mx T) {
 	if !seen[g] {
 		mins[g], maxs[g], seen[g] = mn, mx, true
 		return
 	}
-	if mn < mins[g] {
+	if cmp.Less(mn, mins[g]) {
 		mins[g] = mn
 	}
-	if mx > maxs[g] {
+	if cmp.Less(maxs[g], mx) {
 		maxs[g] = mx
 	}
 }
@@ -381,8 +424,14 @@ func (a *aggregator) consumeBatch(b *core.Batch) {
 		a.foldBatchSingle(b)
 		return
 	}
-	bindBatch(a.keys, b, a.node.GroupBy)
-	gids := a.assignGroups(b.N)
+	var gids []uint32
+	if b.Cols[a.node.GroupBy[0]].Domain != nil {
+		a.bindCodes(b)
+		gids = a.assignCodes(b.N)
+	} else {
+		bindBatch(a.keys, b, a.node.GroupBy)
+		gids = a.assignGroups(b.N)
+	}
 	aggs := a.node.Aggs
 	argSlot := a.argSlot[:len(aggs)]
 	accIdx := a.accIdx[:len(aggs)]
@@ -624,6 +673,95 @@ func (a *aggregator) newGroupFromRow(h uint64, r int) uint32 {
 	}
 	a.insert(h, gid)
 	return gid
+}
+
+// bindCodes points the code table at coded batch b's key codes, clearing
+// it when b comes from another block than the table was filled from.
+func (a *aggregator) bindCodes(b *core.Batch) {
+	ct, keys := &a.codes, a.node.GroupBy
+	if ct.ids == nil {
+		ct.ids = codeTables.Get().(*[core.MaxCodeCombos]uint32)
+		ct.doms, ct.stride, ct.codes = make([]*core.Attr, len(keys)), make([]uint16, len(keys)), make([][]byte, len(keys))
+		ct.ints, ct.strs = make([]int64, len(keys)), make([]string, len(keys))
+	}
+	same := true
+	for k, g := range keys {
+		ct.codes[k] = b.Cols[g].Codes
+		same = same && b.Cols[g].Domain == ct.doms[k]
+	}
+	if same {
+		return
+	}
+	clear(ct.ids[:ct.used])
+	ct.used = 1
+	for k, g := range keys {
+		// The scan admits at most core.MaxCodeCombos combinations, so every
+		// index, and every stride that matters, fits 16 bits.
+		ct.doms[k] = b.Cols[g].Domain
+		ct.stride[k] = uint16(ct.used)
+		ct.used *= ct.doms[k].CodeCard()
+	}
+}
+
+// assignCodes resolves the n rows of the bound coded batch to group ids
+// through the code table: once a block's key combination has a group,
+// each of its rows costs one table load — no hash, no verification, no
+// string.
+//
+//dbvet:hotpath
+func (a *aggregator) assignCodes(n int) []uint32 {
+	ct := &a.codes
+	ct.combos = resize(ct.combos, n)
+	ct.gids = resize(ct.gids, n)
+	combos, gids := ct.combos[:n], ct.gids[:n]
+	clear(combos)
+	stride := ct.stride[:len(ct.codes)]
+	for k, codes := range ct.codes {
+		foldCodes(combos, codes, stride[k])
+	}
+	// A uint16 index into the 64 Ki-entry table needs no bounds check.
+	ids := ct.ids
+	for r, x := range combos {
+		id := ids[x]
+		if id == 0 {
+			id = a.resolveCode(r) + 1
+			ids[x] = id
+		}
+		gids[r] = id - 1
+	}
+	return gids
+}
+
+// foldCodes adds one key column's codes, times the column's stride, into
+// the rows' combination indexes. Kept out of line, its one re-slice stays
+// a check per key column, outside the row loop.
+//
+//dbvet:hotpath
+//go:noinline
+func foldCodes(combos []uint16, codes []byte, stride uint16) {
+	codes = codes[:len(combos)]
+	for r, c := range codes {
+		combos[r] += uint16(c) * stride
+	}
+}
+
+// resolveCode returns the group of row r of the bound coded batch: its
+// codes are decoded and probed as a one-row batch, which creates the group
+// if it is new.
+func (a *aggregator) resolveCode(r int) uint32 {
+	ct := &a.codes
+	for k := range a.keys {
+		key, code := &a.keys[k], ct.codes[k][r]
+		key.nulls = nil
+		if key.kind == types.String {
+			ct.strs[k] = ct.doms[k].CodeStr(code)
+			key.strs = ct.strs[k : k+1]
+		} else {
+			ct.ints[k] = ct.doms[k].CodeInt(code)
+			key.ints = ct.ints[k : k+1]
+		}
+	}
+	return a.assignGroups(1)[0]
 }
 
 // merge folds another worker's partial groups into this aggregator, in the

@@ -1,0 +1,319 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"datablocks/internal/blockstore"
+	"datablocks/internal/core"
+	"datablocks/internal/storage"
+	"datablocks/internal/types"
+)
+
+// Columns of codedRel.
+const (
+	cS1   = iota // string, 3–5 values per chunk: dictionary codes
+	cS2          // string, 2 values
+	cI1          // int 1..15: truncation codes
+	cI1b         // int 0..200: truncation codes
+	cI2          // int of three far-apart values: dictionary codes
+	cNS          // string, NULL in chunks 0 and 3 only
+	cV           // int argument
+	cF           // float argument: whole numbers and NaN
+	cOKey        // int join key, 0..n/8
+	codedCols
+)
+
+// codedRel builds six 4 Ki-row chunks: 0 frozen, 1 frozen sorted by cI1,
+// 2 frozen and evicted to a block store (evict re-evicts it), 3 frozen, 4
+// and 5 hot. s1 = "Z" occurs in chunk 3 only and "Q" in chunk 4 only, so
+// those groups are first seen late.
+func codedRel(t *testing.T) (rel *storage.Relation, evict func()) {
+	t.Helper()
+	const chunkCap, chunks = 1 << 12, 6
+	const n = chunkCap * chunks
+	kinds := []types.Kind{types.String, types.String, types.Int64, types.Int64, types.Int64, types.String, types.Int64, types.Float64, types.Int64}
+	cols := make([]core.ColumnData, codedCols)
+	schema := make([]types.Column, codedCols)
+	for c, k := range kinds {
+		schema[c] = types.Column{Name: fmt.Sprintf("c%d", c), Kind: k, Nullable: c == cNS}
+		cols[c] = core.ColumnData{Kind: k, Ints: make([]int64, n), Floats: make([]float64, n), Strs: make([]string, n)}
+	}
+	cols[cNS].Nulls = make([]bool, n)
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		chunk := i / chunkCap
+		cols[cS1].Strs[i] = []string{"A", "N", "R"}[r.Intn(3)]
+		if r.Intn(50) == 0 && (chunk == 3 || chunk == 4) {
+			cols[cS1].Strs[i] = map[int]string{3: "Z", 4: "Q"}[chunk]
+		}
+		cols[cS2].Strs[i] = []string{"F", "O"}[r.Intn(2)]
+		cols[cI1].Ints[i] = int64(1 + r.Intn(15))
+		cols[cI1b].Ints[i] = int64(r.Intn(201))
+		cols[cI2].Ints[i] = []int64{-7_000_000, 12, 9_000_000}[r.Intn(3)]
+		cols[cNS].Strs[i] = []string{"x", "y"}[r.Intn(2)]
+		cols[cNS].Nulls[i] = (chunk == 0 || chunk == 3) && i%7 == 0
+		cols[cV].Ints[i] = int64(r.Intn(1000) - 500)
+		cols[cF].Floats[i] = float64(r.Intn(2000) - 1000)
+		if r.Intn(300) == 0 {
+			cols[cF].Floats[i] = math.NaN()
+		}
+		cols[cOKey].Ints[i] = int64(i / 8)
+	}
+	rel = storage.NewRelation(types.NewSchema(schema...), chunkCap)
+	if err := rel.BulkAppend(cols, n); err != nil {
+		t.Fatal(err)
+	}
+	for i, sortBy := range []int{-1, cI1, -1, -1} {
+		if err := rel.FreezeChunk(i, core.FreezeOptions{SortBy: sortBy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := blockstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.SetBlockStore(store, 0, nil)
+	evict = func() {
+		if _, err := rel.EvictChunk(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rel, evict
+}
+
+// bitRows renders a result row by row, floats as bit patterns.
+func bitRows(res *Result) []string {
+	out := make([]string, res.NumRows())
+	for i := range out {
+		var sb strings.Builder
+		for _, v := range res.Row(i) {
+			if v.Kind() == types.Float64 && !v.IsNull() {
+				fmt.Fprintf(&sb, "f%016x|", math.Float64bits(v.Float()))
+			} else {
+				fmt.Fprintf(&sb, "%v|", v)
+			}
+		}
+		out[i] = sb.String()
+	}
+	return out
+}
+
+// TestCodedAggregationMatchesTuple: an aggregation directly on a scan takes
+// a coded chunk's keys as codes, and on every chunk mix and key shape its
+// result equals the tuple-at-a-time reference's bit for bit — in the same
+// first-seen group order serially, as the same rows with three workers
+// (the folds are exact: integer sums, NaN-ruled MIN/MAX). Where a chunk
+// cannot be coded (hot, a NULL-able key, a wide domain) or something
+// stands between scan and aggregation (the semi-join probe of Q4's shape)
+// the keys travel as values.
+func TestCodedAggregationMatchesTuple(t *testing.T) {
+	rel, evict := codedRel(t)
+	other, _ := codedRel(t)
+	aggs := []AggSpec{
+		{Func: AggCount}, {Func: AggSum, Arg: Col(cV)}, {Func: AggMin, Arg: Col(cF)},
+		{Func: AggMax, Arg: Col(cF)}, {Func: AggMin, Arg: Col(cV)}, {Func: AggAvg, Arg: Col(cF)},
+	}
+	all := make([]int, codedCols)
+	for i := range all {
+		all[i] = i
+	}
+	scan := func(preds ...core.Predicate) *ScanNode { return &ScanNode{Rel: rel, Cols: all, Preds: preds} }
+	shipped := core.Predicate{Col: cV, Op: types.Le, Lo: types.IntValue(400)}
+	cases := []struct {
+		name  string
+		plan  *AggNode
+		coded bool
+	}{
+		{"string keys", &AggNode{Child: scan(shipped), GroupBy: []int{cS1, cS2}, Aggs: aggs}, true},
+		{"integer keys", &AggNode{Child: scan(), GroupBy: []int{cI1, cI2}, Aggs: aggs}, true},
+		{"one integer key", &AggNode{Child: scan(shipped), GroupBy: []int{cI1}, Aggs: aggs}, true},
+		{"nullable key", &AggNode{Child: scan(), GroupBy: []int{cS1, cNS}, Aggs: aggs}, true},
+		{"three keys", &AggNode{Child: scan(), GroupBy: []int{cS2, cI1, cS1}, Aggs: aggs}, true},
+		{"over the cap", &AggNode{Child: scan(), GroupBy: []int{cI1, cI1b, cS1}, Aggs: aggs}, false},
+		{"key read by an argument", &AggNode{Child: scan(), GroupBy: []int{cS1, cI1}, Aggs: append([]AggSpec{
+			{Func: AggMin, Arg: Col(cS1)}, {Func: AggMax, Arg: Col(cS1)}, {Func: AggSum, Arg: Col(cI1)}}, aggs...)}, true},
+		{"key read by a residual conjunct", &AggNode{Child: &ScanNode{Rel: rel, Cols: all,
+			Filter: And(Cmp(types.Ne, Col(cS1), CStr("N")), Cmp(types.Lt, Col(cI1), CInt(9)))},
+			GroupBy: []int{cS1, cI1}, Aggs: aggs}, true},
+		{"above a semi-join", &AggNode{Child: &JoinNode{
+			Build:     &ScanNode{Rel: other, Cols: []int{cOKey, cI1}, Filter: Cmp(types.Lt, Col(1), CInt(4))},
+			Probe:     scan(),
+			BuildKeys: []int{0}, ProbeKeys: []int{cOKey}, Kind: SemiJoin,
+		}, GroupBy: []int{cS1}, Aggs: aggs}, false},
+	}
+	for _, tc := range cases {
+		for _, mode := range []ScanMode{ModeVectorized, ModeVectorizedSARGPSMA} {
+			for _, par := range []int{1, 3} {
+				name := fmt.Sprintf("%s/%v/par%d", tc.name, mode, par)
+				evict()
+				want, err := Run(tc.plan, Options{Mode: mode, Parallelism: par, TupleAtATime: true})
+				if err != nil {
+					t.Fatalf("%s (tuple): %v", name, err)
+				}
+				evict()
+				got, err := Run(tc.plan, Options{Mode: mode, Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				w, g := bitRows(want), bitRows(got)
+				if par > 1 {
+					sort.Strings(w)
+					sort.Strings(g)
+				}
+				if len(w) < 2 || len(g) != len(w) {
+					t.Fatalf("%s: %d rows, want %d", name, len(g), len(w))
+				}
+				for i := range w {
+					if g[i] != w[i] {
+						t.Fatalf("%s: row %d is %s, want %s", name, i, g[i], w[i])
+					}
+				}
+				evict()
+				ex, err := newExecutor(tc.plan, Options{Mode: mode, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				workers, err := ex.aggregate(tc.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coded := false
+				for _, a := range workers {
+					coded = coded || a.codes.ids != nil
+				}
+				if coded != tc.coded {
+					t.Fatalf("%s: keys travelled as codes: %v, want %v", name, coded, tc.coded)
+				}
+			}
+		}
+	}
+}
+
+// TestCodedConsumeBatchAllocatesNothing: once warm, folding coded batches
+// allocates nothing — neither per batch nor when a batch from another
+// block clears the code table.
+func TestCodedConsumeBatchAllocatesNothing(t *testing.T) {
+	const n = 1000
+	block := func(seed int64) *core.Block {
+		r := rand.New(rand.NewSource(seed))
+		cols := []core.ColumnData{
+			{Kind: types.String, Strs: make([]string, n)},
+			{Kind: types.Int64, Ints: make([]int64, n)},
+			{Kind: types.Int64, Ints: make([]int64, n)},
+		}
+		for i := 0; i < n; i++ {
+			cols[0].Strs[i] = []string{"A", "N", "R"}[r.Intn(3)]
+			cols[1].Ints[i] = int64(1 + r.Intn(7))
+			cols[2].Ints[i] = r.Int63n(1000)
+		}
+		b, err := core.Freeze(cols, n, core.FreezeOptions{SortBy: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	kinds := []types.Kind{types.String, types.Int64, types.Int64}
+	batches := make([]*core.Batch, 2)
+	for i := range batches {
+		sc, err := core.NewScanner(block(int64(i)), core.ScanSpec{Project: []int{0, 1, 2}, Codes: []int{0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := sc.NextMatches()
+		if !sc.Coded() {
+			t.Fatal("block not coded")
+		}
+		batches[i] = &core.Batch{N: len(m), Pos: m}
+		sc.UnpackColumn(batches[i], 2, m)
+		sc.UnpackCodes(batches[i], m)
+	}
+	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}, {Func: AggSum, Arg: Col(2)}, {Func: AggMax, Arg: Col(2)}}}
+	var args []*checked
+	for _, spec := range node.Aggs {
+		var arg *checked
+		if spec.Arg != nil {
+			var err error
+			if arg, err = check(spec.Arg, kinds); err != nil {
+				t.Fatal(err)
+			}
+			if spec.Func == AggSum {
+				arg = arg.float()
+			}
+		}
+		args = append(args, arg)
+	}
+	a := newAggregator(node, kinds, args, nil, true)
+	fold := func() {
+		a.consumeBatch(batches[0])
+		a.consumeBatch(batches[1])
+	}
+	fold()
+	if allocs := testing.AllocsPerRun(50, fold); allocs != 0 {
+		t.Fatalf("%v allocations per pair of coded batches", allocs)
+	}
+	if a.groups != 21 || a.codes.ids == nil {
+		t.Fatalf("%d groups, code table used: %v", a.groups, a.codes.ids != nil)
+	}
+}
+
+// TestMinMaxFloatIgnoresOrderAndBatching: MIN and MAX over doubles that
+// include NaN come out the same however the rows are ordered, cut into
+// batches and split between two workers merged afterwards — with and
+// without GROUP BY (the dense and the scatter kernels): NaN sorts below
+// every number, so MIN is NaN and MAX the greatest number, or NaN when
+// there is none.
+func TestMinMaxFloatIgnoresOrderAndBatching(t *testing.T) {
+	kinds := []types.Kind{types.Float64, types.Int64}
+	arg, err := check(Col(0), kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(9))
+	for _, vals := range [][]float64{
+		{math.NaN(), 1, 2, 3, 4, 5, 6, 7},
+		{3, math.Inf(-1), math.NaN(), math.Inf(1), -2.5},
+		{math.NaN(), math.NaN()},
+	} {
+		wantMax := math.NaN()
+		for _, v := range vals {
+			if !math.IsNaN(v) && (math.IsNaN(wantMax) || v > wantMax) {
+				wantMax = v
+			}
+		}
+		for trial := 0; trial < 100; trial++ {
+			for _, groupBy := range [][]int{nil, {1}} {
+				node := &AggNode{GroupBy: groupBy, Aggs: []AggSpec{{Func: AggMin, Arg: Col(0)}, {Func: AggMax, Arg: Col(0)}}}
+				workers := []*aggregator{newAggregator(node, kinds, []*checked{arg, arg}, nil, true), newAggregator(node, kinds, []*checked{arg, arg}, nil, true)}
+				perm := r.Perm(len(vals))
+				split := r.Intn(len(vals) + 1)
+				for w, rows := range [][]int{perm[:split], perm[split:]} {
+					for len(rows) > 0 {
+						k := 1 + r.Intn(len(rows))
+						b := &core.Batch{N: k, Cols: []core.BatchCol{{Kind: types.Float64}, {Kind: types.Int64, Ints: make([]int64, k)}}}
+						for _, row := range rows[:k] {
+							b.Cols[0].Floats = append(b.Cols[0].Floats, vals[row])
+						}
+						workers[w].consumeBatch(b)
+						rows = rows[k:]
+					}
+				}
+				workers[0].merge(workers[1])
+				out := []types.Kind{types.Float64, types.Float64}
+				if groupBy != nil {
+					out = append([]types.Kind{types.Int64}, out...)
+				}
+				res := workers[0].finalize(out)
+				mnCol := len(groupBy)
+				mn, mx := res.Cols[mnCol].Floats[0], res.Cols[mnCol+1].Floats[0]
+				if !math.IsNaN(mn) || math.Float64bits(mx) != math.Float64bits(wantMax) {
+					t.Fatalf("%v in order %v split at %d (group by %v): MIN %v MAX %v, want NaN and %v", vals, perm, split, groupBy, mn, mx, wantMax)
+				}
+			}
+		}
+	}
+}

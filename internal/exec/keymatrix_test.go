@@ -222,21 +222,17 @@ func requireRows(t *testing.T, name string, got, want []string, ordered bool) {
 	}
 }
 
-// keyShapes are the key layouts of the matrix. collides marks layouts
-// whose rows include distinct keys with equal combined hashes: the
-// two-column combine Mix64(Mix64(a) ^ Mix64(b)) is symmetric, so (a, b)
-// and (b, a) collide whenever both columns have the same kind.
+// keyShapes are the key layouts of the matrix.
 var keyShapes = []struct {
-	name     string
-	kinds    []types.Kind
-	collides bool
+	name  string
+	kinds []types.Kind
 }{
-	{"int", []types.Kind{types.Int64}, false},
-	{"float", []types.Kind{types.Float64}, false},
-	{"string", []types.Kind{types.String}, false},
-	{"int+int", []types.Kind{types.Int64, types.Int64}, true},
-	{"string+int", []types.Kind{types.String, types.Int64}, false},
-	{"int+float+string", []types.Kind{types.Int64, types.Float64, types.String}, false},
+	{"int", []types.Kind{types.Int64}},
+	{"float", []types.Kind{types.Float64}},
+	{"string", []types.Kind{types.String}},
+	{"int+int", []types.Kind{types.Int64, types.Int64}},
+	{"string+int", []types.Kind{types.String, types.Int64}},
+	{"int+float+string", []types.Kind{types.Int64, types.Float64, types.String}},
 }
 
 func TestJoinKeyMatrix(t *testing.T) {
@@ -388,20 +384,16 @@ func TestGroupByKeyMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				// Serial runs must also reproduce first-seen group order —
-				// except that the batch chain resolves an equal-hash
-				// distinct key after the rest of its batch, which moves
-				// that group's position (never its contents).
-				requireRows(t, name, renderResult(res), want, cfg.opt.Parallelism == 1 && !shape.collides)
+				// Serial runs must also reproduce first-seen group order.
+				requireRows(t, name, renderResult(res), want, cfg.opt.Parallelism == 1)
 			}
 		}
 	}
 }
 
 // TestGroupByManyDistinctKeysParallel: 120 000 distinct two-column keys
-// (every int key in both orders, so half of them collide pairwise on the
-// combined hash) spread over four workers must merge into exactly the
-// serial result.
+// (every int key in both orders) spread over four workers must merge into
+// exactly the serial result.
 func TestGroupByManyDistinctKeysParallel(t *testing.T) {
 	const n = 120_000
 	rows := make([]types.Row, 0, n+n/10)

@@ -86,13 +86,14 @@ func foldKeyHash(h uint64, first, null bool, hv uint64) uint64 {
 	if first {
 		return hv
 	}
-	return simd.Mix64(h ^ hv)
+	return simd.HashCombine(h, hv)
 }
 
 // hashKeyCol folds the probe side of key column c into the per-row hashes
-// hs (len(hs) rows): hs[r] = cell hash for the first column, Mix64(hs[r] ^
-// cell hash) for every later one. A single integer key therefore hashes
-// to Mix64(key) — what the join's tag filter tests during early probing.
+// hs (len(hs) rows): hs[r] = cell hash for the first column,
+// simd.HashCombine(hs[r], cell hash) for every later one. A single integer
+// key therefore hashes to Mix64(key) — what the join's tag filter tests
+// during early probing.
 // Dense integer and float columns run through the batched simd kernels.
 //
 //dbvet:hotpath

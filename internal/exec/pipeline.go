@@ -136,17 +136,7 @@ func (ex *executor) run(n Node) (*Result, error) {
 		}
 		return res, nil
 	case *AggNode:
-		var (
-			mu   sync.Mutex
-			aggs []*aggregator
-		)
-		err := ex.runPipeline(n.Child, func(c *compiler) pipeSink {
-			a := newAggregator(n, ex.plan.nodes[n.Child].kinds, ex.plan.nodes[n].exprs, c.stats, ex.batchMode())
-			mu.Lock()
-			aggs = append(aggs, a)
-			mu.Unlock()
-			return pipeSink{tuple: a.consume, batch: a.consumeBatch}
-		})
+		aggs, err := ex.aggregate(n)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +154,11 @@ func (ex *executor) run(n Node) (*Result, error) {
 		if p := ex.prof; p != nil {
 			p.groups = uint64(root.groups)
 		}
-		return root.finalize(ex.plan.nodes[n].kinds), nil
+		res := root.finalize(ex.plan.nodes[n].kinds)
+		for _, a := range aggs {
+			a.release()
+		}
+		return res, nil
 	default:
 		var (
 			mu      sync.Mutex
@@ -186,6 +180,30 @@ func (ex *executor) run(n Node) (*Result, error) {
 		}
 		return root, nil
 	}
+}
+
+// aggregate runs n's input pipeline into one aggregator per worker, not
+// yet merged.
+func (ex *executor) aggregate(n *AggNode) ([]*aggregator, error) {
+	var (
+		mu   sync.Mutex
+		aggs []*aggregator
+	)
+	kinds, args := ex.plan.nodes[n.Child].kinds, ex.plan.nodes[n].exprs
+	reads := make([]bool, len(kinds))
+	for _, arg := range args {
+		for _, col := range arg.cols(nil) {
+			reads[col] = true
+		}
+	}
+	err := ex.runPipeline(n.Child, func(c *compiler) pipeSink {
+		a := newAggregator(n, kinds, args, c.stats, ex.batchMode())
+		mu.Lock()
+		aggs = append(aggs, a)
+		mu.Unlock()
+		return pipeSink{tuple: a.consume, batch: a.consumeBatch, keys: n.GroupBy, reads: reads}
+	})
+	return aggs, err
 }
 
 // streamableChain reports whether n is a pure pipeline (scan / filter /
@@ -256,6 +274,11 @@ func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
 type pipeSink struct {
 	tuple func(*Tuple)
 	batch batchConsumer
+	// keys and reads are what an aggregation sink takes from a batch: its
+	// group-by columns, which it can take as codes, and the columns its
+	// arguments read as values. nil reads means every column as values.
+	keys  []int
+	reads []bool
 }
 
 // batchMode reports which chain this execution compiles: the
@@ -311,6 +334,12 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 			cons = ex.compileChain(chain, sink.tuple, c)
 		}
 		d := ex.newScanDriver(scan, cons, bcons, c, chunks)
+		if bcons != nil && chain == Node(scan) && sink.reads != nil {
+			// Nothing between the scan and the aggregation: the scan
+			// unpacks only what the sink reads, and hands frozen keys over
+			// as codes. Any operator in between reads values.
+			d.reads, d.keys = sink.reads, sink.keys
+		}
 		// Early probing runs inside vectorized scans only (Appendix E).
 		if ex.opt.Mode != ModeJIT {
 			if ht, slot := ex.earlyProbeFor(chain); ht != nil {

@@ -42,6 +42,13 @@ type scanDriver struct {
 	// materialized; vsel is the selection-vector scratch.
 	unpacked []bool
 	vsel     []uint32
+	// reads and keys are set when an aggregation consumes the scan's
+	// batches directly (pipeSink): the columns it reads as values — the
+	// rest are unpacked only for residual conjuncts — and its group-by
+	// columns, handed over as codes wherever the chunk allows
+	// (ScanSpec.Codes). nil reads means every column is read as values.
+	reads []bool
+	keys  []int
 
 	// batchLoad copies one batch row into the tuple register file (the
 	// tuple chain behind a vectorized scan).
@@ -418,6 +425,7 @@ func (d *scanDriver) vecChunk(ch *storage.ChunkView) error {
 		VectorSize: d.vecSize,
 		UsePSMA:    d.usePSMA,
 		Matches:    d.matches,
+		Codes:      d.keys,
 	}
 	if d.pushSARG {
 		spec.Preds = d.scan.Preds
@@ -492,9 +500,7 @@ func (d *scanDriver) vecChunk(ch *storage.ChunkView) error {
 			s.rowsMatched.Add(uint64(len(m)))
 		}
 		if d.bcons != nil {
-			d.lazyPush(m, func(col int, m []uint32) {
-				sc.UnpackColumn(&d.batch, col, m)
-			})
+			d.lazyPush(sc, m)
 			continue
 		}
 		sc.Unpack(&d.batch, m)
@@ -507,10 +513,12 @@ func (d *scanDriver) vecChunk(ch *storage.ChunkView) error {
 
 // lazyPush drives the late-materializing batch flow over one match vector:
 // residual conjuncts unpack only the columns they reference and thin the
-// match vector in place; columns not needed by any conjunct are unpacked
-// for the surviving positions only, and the finished batch goes to the
-// batch consumer whole.
-func (d *scanDriver) lazyPush(m []uint32, unpackCol func(col int, m []uint32)) {
+// match vector in place; of the other columns, those the consumer reads
+// are unpacked for the surviving positions only — an aggregation's keys
+// as codes when the chunk is coded, after every value column, since
+// unpacking a column's values drops its codes — and the finished batch
+// goes to the batch consumer whole.
+func (d *scanDriver) lazyPush(sc *core.Scanner, m []uint32) {
 	b := &d.batch
 	b.N = len(m)
 	b.Pos = append(b.Pos[:0], m...)
@@ -523,13 +531,7 @@ func (d *scanDriver) lazyPush(m []uint32, unpackCol func(col int, m []uint32)) {
 	for i := range d.conjuncts {
 		cj := &d.conjuncts[i]
 		for _, col := range cj.cols {
-			if !d.unpacked[col] {
-				unpackCol(col, b.Pos)
-				if d.wp != nil {
-					d.wp.scan.unpacks.Inc()
-				}
-				d.unpacked[col] = true
-			}
+			d.unpack(sc, col)
 		}
 		mask := cj.mask(b)
 		sel := resize(d.vsel, b.N)[:0]
@@ -548,14 +550,34 @@ func (d *scanDriver) lazyPush(m []uint32, unpackCol func(col int, m []uint32)) {
 		d.compactUnpacked(sel)
 	}
 	for col := range d.kinds {
-		if !d.unpacked[col] {
-			unpackCol(col, b.Pos)
-			if d.wp != nil {
-				d.wp.scan.unpacks.Inc()
-			}
+		if d.reads == nil || d.reads[col] {
+			d.unpack(sc, col)
+		}
+	}
+	if sc.Coded() {
+		sc.UnpackCodes(b, b.Pos)
+		if d.wp != nil {
+			d.wp.scan.unpacks.Add(uint64(len(d.keys)))
+		}
+	} else {
+		for _, col := range d.keys {
+			d.unpack(sc, col)
 		}
 	}
 	d.bcons(b)
+}
+
+// unpack materializes scan-output column col of the current batch unless
+// it already is.
+func (d *scanDriver) unpack(sc *core.Scanner, col int) {
+	if d.unpacked[col] {
+		return
+	}
+	sc.UnpackColumn(&d.batch, col, d.batch.Pos)
+	if d.wp != nil {
+		d.wp.scan.unpacks.Inc()
+	}
+	d.unpacked[col] = true
 }
 
 // compactUnpacked keeps only the selected rows of the already-unpacked

@@ -1,6 +1,10 @@
 package simd
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"math/bits"
+)
 
 // Aggregation and grouping kernels for the batch-at-a-time consume path:
 // instead of pushing every unpacked tuple through a chain of compiled
@@ -120,7 +124,12 @@ func minMaxInt64Masked(vals []int64, nulls []bool) (mn, mx int64, any bool) {
 	return mn, mx, any
 }
 
-// MinMaxFloat64 folds a vector into (min, max, any-non-null).
+// MinMaxFloat64 folds a vector into (min, max, any-non-null) in the sort
+// order's total order (cmp.Compare), where NaN sorts below every number:
+// the minimum is NaN if any value is, the maximum ignores NaN unless every
+// value is NaN. The answer is thus the same however the values are split
+// into batches and workers and whatever their order; of equal values
+// (-0.0 and +0.0, NaNs with other payloads) the first is kept.
 //
 //dbvet:hotpath
 func MinMaxFloat64(vals []float64, nulls []bool) (mn, mx float64, any bool) {
@@ -135,17 +144,17 @@ func MinMaxFloat64(vals []float64, nulls []bool) (mn, mx float64, any bool) {
 }
 
 // minMaxFloat64Dense folds a non-empty vector sequentially. Unlike the
-// integer fold, IEEE min/max is NOT reassociable bit-for-bit (NaN and
-// ±0.0 ordering depend on fold order), so the assembler version keeps
-// this exact element order — the speedup comes from branch-free
+// integer fold it is not reassociable bit for bit — which of two equal
+// values (±0.0, two NaNs) is kept depends on fold order — so the assembler
+// version keeps this exact element order: its speedup comes from
 // MINSD/MAXSD and the removal of bounds checks, not from lanes.
 func minMaxFloat64Dense(vals []float64) (mn, mx float64) {
 	mn, mx = vals[0], vals[0]
 	for _, v := range vals[1:] {
-		if v < mn {
+		if cmp.Less(v, mn) {
 			mn = v
 		}
-		if v > mx {
+		if cmp.Less(mx, v) {
 			mx = v
 		}
 	}
@@ -161,10 +170,10 @@ func minMaxFloat64Masked(vals []float64, nulls []bool) (mn, mx float64, any bool
 			mn, mx, any = v, v, true
 			continue
 		}
-		if v < mn {
+		if cmp.Less(v, mn) {
 			mn = v
 		}
-		if v > mx {
+		if cmp.Less(mx, v) {
 			mx = v
 		}
 	}
@@ -247,7 +256,8 @@ func GroupMinMaxInt64(mins, maxs []int64, seen []bool, gids []uint32, vals []int
 	}
 }
 
-// GroupMinMaxFloat64 scatter-folds a vector into per-group min/max.
+// GroupMinMaxFloat64 scatter-folds a vector into per-group min/max, by
+// MinMaxFloat64's rule.
 //
 //dbvet:hotpath
 func GroupMinMaxFloat64(mins, maxs []float64, seen []bool, gids []uint32, vals []float64, nulls []bool) {
@@ -264,10 +274,10 @@ func GroupMinMaxFloat64(mins, maxs []float64, seen []bool, gids []uint32, vals [
 			mins[g], maxs[g], seen[g] = v, v, true
 			continue
 		}
-		if v < mins[g] {
+		if cmp.Less(v, mins[g]) {
 			mins[g] = v
 		}
-		if v > maxs[g] {
+		if cmp.Less(maxs[g], v) {
 			maxs[g] = v
 		}
 	}
@@ -317,9 +327,19 @@ func hashFloat64Portable(vals []float64, out []uint64) {
 	}
 }
 
+// HashCombine folds the hash hv of a row's next key cell into the row's
+// running hash h. Rotating h first makes the fold depend on column order —
+// (a, b) and (b, a) hash apart — and keeps equal cells from cancelling:
+// for an odd rotation rotl(v, r) ^ v is zero only for v = 0 and v = ^0, so
+// (x, x) does not collapse to Mix64(0) as h ^ hv would. The rotation is 23
+// bits, not one: Mix64 nearly commutes with doubling a small integer
+// (Mix64(2x) == rotl(Mix64(x), 1) for one x in sixteen), which would make
+// (a, 2c) and (c, 2a) collide.
+func HashCombine(h, hv uint64) uint64 { return Mix64(bits.RotateLeft64(h, 23) ^ hv) }
+
 // HashCombineInt64 folds a batch of int64 key columns into the running
-// group hashes: hs[i] = Mix64(hs[i] ^ Mix64(uint64(vals[i]))). This is
-// the multi-column key hash chain of exec's group and join tables; the
+// group hashes: hs[i] = HashCombine(hs[i], Mix64(uint64(vals[i]))). This
+// is the multi-column key hash chain of exec's group and join tables; the
 // formula must match the scalar per-row combination exec uses for
 // nullable columns (exec.foldKeyHash).
 //
@@ -330,7 +350,7 @@ func HashCombineInt64(hs []uint64, vals []int64) {
 
 func hashCombineInt64Portable(hs []uint64, vals []int64) {
 	for i, v := range vals {
-		hs[i] = Mix64(hs[i] ^ Mix64(uint64(v)))
+		hs[i] = HashCombine(hs[i], Mix64(uint64(v)))
 	}
 }
 
@@ -343,7 +363,7 @@ func HashCombineFloat64(hs []uint64, vals []float64) {
 
 func hashCombineFloat64Portable(hs []uint64, vals []float64) {
 	for i, v := range vals {
-		hs[i] = Mix64(hs[i] ^ Mix64(math.Float64bits(v)))
+		hs[i] = HashCombine(hs[i], Mix64(math.Float64bits(v)))
 	}
 }
 

@@ -102,7 +102,7 @@ func hashCombineInt64AVX2(hs []uint64, vals []int64) {
 		mix64CombineAVX2(unsafe.Pointer(&hs[0]), unsafe.Pointer(&vals[0]), i)
 	}
 	for ; i < len(vals); i++ {
-		hs[i] = Mix64(hs[i] ^ Mix64(uint64(vals[i])))
+		hs[i] = HashCombine(hs[i], Mix64(uint64(vals[i])))
 	}
 }
 
@@ -112,6 +112,6 @@ func hashCombineFloat64AVX2(hs []uint64, vals []float64) {
 		mix64CombineAVX2(unsafe.Pointer(&hs[0]), unsafe.Pointer(&vals[0]), i)
 	}
 	for ; i < len(vals); i++ {
-		hs[i] = Mix64(hs[i] ^ Mix64(math.Float64bits(vals[i])))
+		hs[i] = HashCombine(hs[i], Mix64(math.Float64bits(vals[i])))
 	}
 }

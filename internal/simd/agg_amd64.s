@@ -1,8 +1,9 @@
 // AVX2 aggregation and hash kernels (agg_amd64.go wrappers).
 //
 // Bit-identity contract: float64 folds keep the exact element order of the
-// portable loops (IEEE addition and min/max are not reassociable), so their
-// wins come from branch-free MINSD/MAXSD and dropped bounds checks. The
+// portable loops (IEEE addition is not reassociable, and min/max keep the
+// first of equal values), so their wins come from MINSD/MAXSD — branching
+// only on a NaN — and dropped bounds checks. The
 // int64 min/max fold IS associative, so it runs four lanes wide with
 // VPCMPGTQ + VPBLENDVB. The Mix64 batch hash runs four lanes of splitmix64
 // with the 64x64 multiply decomposed into three VPMULUDQ products.
@@ -154,10 +155,34 @@ mmdone:
 	MOVB R13, any+40(FP)
 	RET
 
+// The float min/max step, for a value v in X2 against the running MIN in
+// X0 and MAX in X1, by MinMaxFloat64's rule (NaN below every number; the
+// first of equal values kept). While neither v nor MAX is NaN, MINSD and
+// MAXSD with v as SRC1 compute "v < mn ? v : mn" and "v > mx ? v : mx" —
+// and a NaN MIN stays, since MINSD then returns SRC2. A NaN v becomes the
+// MIN unless the MIN already is NaN. MAX is NaN only while every value so
+// far was, and then the first number replaces it. Clobbers X3.
+#define MINMAX_F64_STEP(nan, vnan, next) \
+	UCOMISD X1, X2 \
+	JP      nan    \
+	MOVAPD  X2, X3 \
+	MINSD   X0, X2 \
+	MOVAPD  X2, X0 \
+	MAXSD   X1, X3 \
+	MOVAPD  X3, X1 \
+	JMP     next   \
+nan:               \
+	UCOMISD X2, X2 \
+	JP      vnan   \
+	MOVAPD  X2, X1 \
+	JMP     next   \
+vnan:              \
+	UCOMISD X0, X0 \
+	JP      next   \
+	MOVAPD  X2, X0
+
 // func minMaxF64DenseAVX2asm(data *float64, n int) (mn, mx float64)
-// n >= 1. Strict element order; MINSD/MAXSD computed with the new value as
-// SRC1 so NaN and signed-zero handling matches the portable
-// "v < mn ? v : mn" fold exactly.
+// n >= 1. Strict element order (MINMAX_F64_STEP).
 TEXT ·minMaxF64DenseAVX2asm(SB), NOSPLIT, $0-32
 	MOVQ  data+0(FP), SI
 	MOVQ  n+8(FP), CX
@@ -168,11 +193,8 @@ mf:
 	CMPQ   R10, CX
 	JGE    mfdone
 	MOVSD  (SI)(R10*8), X2
-	MOVAPD X2, X3
-	MINSD  X0, X2
-	MOVAPD X2, X0
-	MAXSD  X1, X3
-	MOVAPD X3, X1
+	MINMAX_F64_STEP(mfnan, mfvnan, mfnext)
+mfnext:
 	INCQ   R10
 	JMP    mf
 mfdone:
@@ -202,11 +224,7 @@ mg:
 	MOVQ  $1, R13
 	JMP   mgskip
 mgfold:
-	MOVAPD X2, X3
-	MINSD  X0, X2
-	MOVAPD X2, X0
-	MAXSD  X1, X3
-	MOVAPD X3, X1
+	MINMAX_F64_STEP(mgnan, mgvnan, mgskip)
 mgskip:
 	INCQ R10
 	JMP  mg
@@ -273,7 +291,8 @@ hb4:
 	RET
 
 // func mix64CombineAVX2(hs, src unsafe.Pointer, n4 int)
-// hs[i] = Mix64(hs[i] ^ Mix64(src[i])) for i < n4; n4 a positive multiple of 4.
+// hs[i] = HashCombine(hs[i], Mix64(src[i])) = Mix64(rotl(hs[i], 23) ^
+// Mix64(src[i])) for i < n4; n4 a positive multiple of 4.
 TEXT ·mix64CombineAVX2(SB), NOSPLIT, $0-24
 	MOVQ hs+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -284,6 +303,9 @@ hc4:
 	VMOVDQU (SI)(R10*8), Y0
 	MIX64
 	VMOVDQU (DI)(R10*8), Y8
+	VPSRLQ  $41, Y8, Y9
+	VPSLLQ  $23, Y8, Y8
+	VPOR    Y9, Y8, Y8
 	VPXOR   Y8, Y0, Y0
 	MIX64
 	VMOVDQU Y0, (DI)(R10*8)

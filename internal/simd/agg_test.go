@@ -97,3 +97,56 @@ func TestHashKernels(t *testing.T) {
 		t.Fatal("HashStr collision on trivial inputs")
 	}
 }
+
+// TestHashCombineOrderDependent: the two-column key hash of (x, x) is
+// distinct for every x in 0…20 000 — a symmetric combine sends them all to
+// Mix64(0) — (a, b) and (b, a) hash apart, so do (a, 2c) and (c, 2a), and
+// the dispatched kernel (AVX2 where active), the portable loop and the
+// scalar HashCombine agree.
+func TestHashCombineOrderDependent(t *testing.T) {
+	const n = 20_001
+	xs, ys := make([]int64, n), make([]int64, n)
+	for i := range xs {
+		xs[i], ys[i] = int64(i), int64(i*7919+13)
+	}
+	pair := func(a, b []int64, kernel func([]uint64, []int64)) []uint64 {
+		hs := make([]uint64, len(a))
+		HashInt64(a, hs)
+		kernel(hs, b)
+		return hs
+	}
+	same := pair(xs, xs, HashCombineInt64)
+	portable := pair(xs, xs, hashCombineInt64Portable)
+	ab, ba := pair(xs, ys, HashCombineInt64), pair(ys, xs, HashCombineInt64)
+	seen := make(map[uint64]int64, n)
+	for i, h := range same {
+		x := xs[i]
+		if want := HashCombine(Mix64(uint64(x)), Mix64(uint64(x))); h != want || portable[i] != want {
+			t.Fatalf("(%d, %d): kernel %x, portable %x, scalar %x", x, x, h, portable[i], want)
+		}
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("(%d, %d) and (%d, %d) share hash %x", x, x, prev, prev, h)
+		}
+		seen[h] = x
+		if xs[i] != ys[i] && ab[i] == ba[i] {
+			t.Fatalf("(%d, %d) and its mirror share hash %x", xs[i], ys[i], ab[i])
+		}
+	}
+	for a := uint64(1); a < 300; a++ {
+		for c := a + 1; c < 300; c++ {
+			if HashCombine(Mix64(a), Mix64(2*c)) == HashCombine(Mix64(c), Mix64(2*a)) {
+				t.Fatalf("(%d, %d) and (%d, %d) share a hash", a, 2*c, c, 2*a)
+			}
+		}
+	}
+	fs := []float64{1.5, -2, 0}
+	hf, want := make([]uint64, len(fs)), make([]uint64, len(fs))
+	HashFloat64(fs, hf)
+	HashFloat64(fs, want)
+	HashCombineFloat64(hf, fs)
+	for i, f := range fs {
+		if want[i] = HashCombine(want[i], Mix64(math.Float64bits(f))); hf[i] != want[i] {
+			t.Fatalf("float (%v, %v): kernel %x, scalar %x", f, f, hf[i], want[i])
+		}
+	}
+}

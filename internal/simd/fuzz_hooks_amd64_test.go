@@ -3,9 +3,10 @@
 package simd
 
 // The fuzz hooks force the AVX2 kernels regardless of the dispatch state,
-// mirroring Find's and Reduce's normalization exactly, so the differential
-// fuzz targets cover the assembly even on the GODEBUG=cpu.avx2=off CI leg.
-// Gated on hardware capability, not on avx2Active.
+// mirroring Find's, Reduce's and MinMaxFloat64's normalization exactly, so
+// the differential fuzz targets cover the assembly even on the
+// GODEBUG=cpu.avx2=off CI leg. Gated on hardware capability, not on
+// avx2Active.
 
 func init() {
 	if !cpuHasAVX2 {
@@ -42,6 +43,16 @@ func init() {
 		default:
 			return findBetweenW8AVX2(data, n, lo, hi, base, out)
 		}
+	}
+	fuzzMinMaxAlt = func(vals []float64, nulls []bool) (float64, float64, bool) {
+		if nulls != nil {
+			return minMaxFloat64MaskedAVX2(vals, nulls)
+		}
+		if len(vals) == 0 {
+			return 0, 0, false
+		}
+		mn, mx := minMaxFloat64DenseAVX2(vals)
+		return mn, mx, true
 	}
 	fuzzReduceAlt = func(data []byte, width int, op Op, c1, c2 uint64, m []uint32) []uint32 {
 		lo, hi, ne, empty, all := normalizeU(op, c1, c2, maxFor(width))

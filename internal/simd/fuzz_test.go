@@ -2,6 +2,7 @@ package simd
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -19,6 +20,8 @@ import (
 var (
 	fuzzFindAlt   func(data []byte, width, n int, op Op, c1, c2 uint64, base uint32) []uint32
 	fuzzReduceAlt func(data []byte, width int, op Op, c1, c2 uint64, m []uint32) []uint32
+	// fuzzMinMaxAlt is MinMaxFloat64 on the AVX2 kernels (nil without them).
+	fuzzMinMaxAlt func(vals []float64, nulls []bool) (mn, mx float64, any bool)
 )
 
 // evalU is the oracle: does the width-truncated unsigned value v satisfy
@@ -229,6 +232,87 @@ func FuzzReduceKernels(f *testing.F) {
 			if got := ReduceBitmap(bm, wantSet, append([]uint32(nil), mb...)); !eqPos(got, wantB) {
 				t.Fatalf("ReduceBitmap wantSet=%v: got %d matches want %d", wantSet, len(got), len(wantB))
 			}
+		}
+	})
+}
+
+// minMaxRule is the MIN/MAX oracle, stated on the values rather than as a
+// fold: NaN sorts below every number, so the minimum is the first NaN if
+// there is one and otherwise the first value equal to the least number;
+// the maximum is the first value equal to the greatest number, or the
+// first NaN when there is no number. (Equal values — ±0.0, NaN payloads —
+// are told apart by position only.)
+func minMaxRule(vals []float64, nulls []bool) (mn, mx float64, any bool) {
+	var present, numbers []float64
+	for i, v := range vals {
+		if nulls == nil || !nulls[i] {
+			present = append(present, v)
+			if !math.IsNaN(v) {
+				numbers = append(numbers, v)
+			}
+		}
+	}
+	if len(present) == 0 {
+		return 0, 0, false
+	}
+	first := func(vs []float64, eq func(float64) bool) float64 {
+		for _, v := range vs {
+			if eq(v) {
+				return v
+			}
+		}
+		panic("no such value")
+	}
+	if len(numbers) == 0 {
+		return present[0], present[0], true
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range numbers {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	mn = first(numbers, func(v float64) bool { return v == lo })
+	if len(numbers) < len(present) {
+		mn = first(present, math.IsNaN)
+	}
+	return mn, first(numbers, func(v float64) bool { return v == hi }), true
+}
+
+// FuzzMinMaxKernels holds MinMaxFloat64 — dispatched, portable, and on
+// the AVX2 kernels where the CPU has them — to minMaxRule bit for bit, over
+// arbitrary bit patterns (every NaN payload, ±0.0, ±Inf) with and without
+// a NULL mask.
+func FuzzMinMaxKernels(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, []byte{0x02})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0xf8, 0xff}, []byte{})
+	f.Fuzz(func(t *testing.T, data, sel []byte) {
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		var nulls []bool
+		if len(sel) > 0 {
+			nulls = make([]bool, len(vals))
+			for i := range nulls {
+				nulls[i] = sel[i%len(sel)]>>(uint(i)%8)&1 == 1
+			}
+		}
+		wmn, wmx, wany := minMaxRule(vals, nulls)
+		check := func(leg string, mn, mx float64, any bool) {
+			if any != wany || any && (math.Float64bits(mn) != math.Float64bits(wmn) || math.Float64bits(mx) != math.Float64bits(wmx)) {
+				t.Fatalf("%s over %v (nulls %v): (%v, %v, %v), want (%v, %v, %v)", leg, vals, nulls, mn, mx, any, wmn, wmx, wany)
+			}
+		}
+		mn, mx, any := MinMaxFloat64(vals, nulls)
+		check("dispatched", mn, mx, any)
+		if nulls != nil {
+			mn, mx, any = minMaxFloat64Masked(vals, nulls)
+		} else if len(vals) > 0 {
+			mn, mx = minMaxFloat64Dense(vals)
+		}
+		check("portable", mn, mx, any)
+		if fuzzMinMaxAlt != nil {
+			mn, mx, any = fuzzMinMaxAlt(vals, nulls)
+			check("AVX2", mn, mx, any)
 		}
 	})
 }
