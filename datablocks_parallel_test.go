@@ -63,7 +63,9 @@ func TestWithParallelismDefault(t *testing.T) {
 // (inserts, updates, deletes) and the background freezer. Run under -race
 // via `make stress`. Every query must see a consistent snapshot: the id sum
 // it returns has to equal the sum implied by its own row count, because
-// writers only ever hold the invariant id == amount.
+// writers only ever hold the invariant id == amount. A semi join builds
+// its per-worker key tables from the live table, and merges them, under
+// the same writers: every seed id no writer deletes must find its key.
 func TestParallelBatchQueryUnderWrites(t *testing.T) {
 	db := Open()
 	defer db.Close()
@@ -80,7 +82,7 @@ func TestParallelBatchQueryUnderWrites(t *testing.T) {
 	const seed = 8192
 	tags := []string{"a", "b", "c"}
 	for i := 0; i < seed; i++ {
-		if _, err := tbl.Insert(Row{Int(int64(i)), Int(int64(i)), Str(tags[i%3])}); err != nil {
+		if _, err = tbl.Insert(Row{Int(int64(i)), Int(int64(i)), Str(tags[i%3])}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,6 +91,7 @@ func TestParallelBatchQueryUnderWrites(t *testing.T) {
 		nextID  atomic.Int64
 		wg      sync.WaitGroup
 		queryOK atomic.Int64
+		semiOK  atomic.Int64
 	)
 	nextID.Store(seed)
 	writer := func(worker int) {
@@ -149,14 +152,63 @@ func TestParallelBatchQueryUnderWrites(t *testing.T) {
 			queryOK.Add(1)
 		}
 	}
-	wg.Add(2)
+	// Writers delete only ids > 0 with id%13 < 3; the probe side is a
+	// static table of the seed ids and as many negative ones, which never
+	// match.
+	probeTbl, err := db.CreateTable("probe", []Column{{Name: "id", Kind: Int64}}, WithChunkRows(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := -seed / 8; i < seed; i++ {
+		if _, err := probeTbl.Insert(Row{Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	semiReader := func() {
+		defer wg.Done()
+		build, err := tbl.ScanPlan([]string{"amount"}, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		probe, err := probeTbl.ScanPlan([]string{"id"}, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		semi := &exec.JoinNode{Build: build, Probe: probe, BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: exec.SemiJoin}
+		for !stop.Load() {
+			res, err := tbl.Query(semi, QueryOptions{Mode: ModeVectorizedSARG})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			found := make(map[int64]bool, res.NumRows())
+			for _, id := range res.Cols[0].Ints {
+				if id < 0 || found[id] {
+					t.Errorf("semi join emitted id %d wrongly or twice", id)
+					return
+				}
+				found[id] = true
+			}
+			for id := int64(0); id < seed; id++ {
+				if id%13 >= 3 && !found[id] {
+					t.Errorf("semi join lost live key %d", id)
+					return
+				}
+			}
+			semiOK.Add(1)
+		}
+	}
+	wg.Add(3)
 	go reader()
 	go reader()
+	go semiReader()
 	time.Sleep(400 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
-	if queryOK.Load() == 0 {
-		t.Fatal("no queries completed")
+	if queryOK.Load() == 0 || semiOK.Load() == 0 {
+		t.Fatalf("%d aggregations and %d semi joins completed", queryOK.Load(), semiOK.Load())
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

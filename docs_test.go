@@ -120,8 +120,8 @@ func TestProductionImportGraph(t *testing.T) {
 // here in its own diff, like an entry in lint-budget.json; one that
 // deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4186,
-	"total":                    21078,
+	"datablocks/internal/exec": 4321,
+	"total":                    21213,
 }
 
 // TestLocCeilings counts what `make loc` counts — every line of a

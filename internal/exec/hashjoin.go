@@ -1,19 +1,27 @@
 package exec
 
 import (
+	"slices"
+
+	"datablocks/internal/core"
 	"datablocks/internal/simd"
 	"datablocks/internal/types"
 )
 
-// hashTable is the materialized build side of a hash join. The embedded
-// groupTable holds one slot per distinct key hash, whose entry id is the
-// lowest build row with that hash; next links every further row with the
-// same hash in ascending row order (-1 ends the chain). Candidates
-// therefore come back in build-row order, which fixes the join's emission
-// order and with it every downstream float sum. Rows of one chain share a
-// hash, not necessarily a key: the prober verifies each against keys,
-// whose stored side aliases the build result's key columns. Build rows
-// with a NULL key are never linked in, so NULL keys never join.
+// hashTable is the build side of a hash join. The embedded groupTable holds
+// one slot per distinct key hash, whose entry id heads a chain that next
+// continues (-1 ends it). Entries of one chain share a hash, not
+// necessarily a key: the prober verifies each against keys, whose stored
+// side holds every entry's key cells. Entries with a NULL key are never
+// linked in, so NULL keys never join.
+//
+// What an entry is depends on the join. An inner join's entries are the
+// rows of the materialized build result (buildHashTable): the stored key
+// side aliases its key columns, and a chain links every row with the hash
+// in ascending row order, which fixes the join's emission order and with
+// it every downstream float sum. A semi or anti join's entries are its
+// distinct build keys (keySink): build is nil, the stored side holds one
+// copy of each key, and a chain links only distinct keys with equal hashes.
 //
 // tags is a 2^16-bit filter over the top hash bits — our analogue of
 // HyPer's tagged hash-table pointers (Appendix E, [20]) — that probes test
@@ -27,6 +35,7 @@ type hashTable struct {
 	tags  [1024]uint64 // 2^16 tag bits
 }
 
+// buildHashTable links the rows of an inner join's materialized build side.
 func buildHashTable(build *Result, keyCols []int) *hashTable {
 	n := build.NumRows()
 	ht := &hashTable{build: build, keys: make([]keyCol, len(keyCols)), next: make([]int32, n)}
@@ -73,6 +82,125 @@ func (ht *hashTable) link(h uint64, row int32) {
 		ht.insert(h, uint32(row))
 	}
 	ht.setTag(h)
+}
+
+// keySink is one morsel worker's semi- or anti-join build sink: it enters
+// each distinct non-NULL key of the rows it consumes once into its own
+// hashTable, and copies no other column. Batches and tuples (bound as
+// one-row batches) take the same path, so both chains share one build.
+type keySink struct {
+	ht   *hashTable
+	cols []int    // the build keys' columns in the build pipeline's output
+	hs   []uint64 // per-row key hashes (scratch)
+	rows int      // rows consumed: the join's BuildRows
+}
+
+func newKeySink(kinds []types.Kind, cols []int) *keySink {
+	ht := &hashTable{keys: make([]keyCol, len(cols))}
+	for i, c := range cols {
+		ht.keys[i] = keyCol{kind: kinds[c], canonZero: true}
+	}
+	return &keySink{ht: ht, cols: cols}
+}
+
+// sink offers the key sink to both chains: a batch's key columns or a
+// tuple's key registers are bound, then inserted.
+func (s *keySink) sink(reads []bool) pipeSink {
+	return pipeSink{
+		tuple: func(t *Tuple) { bindTuple(s.ht.keys, t, s.cols); s.insert(1) },
+		batch: func(b *core.Batch) { bindBatch(s.ht.keys, b, s.cols); s.insert(b.N) },
+		reads: reads,
+	}
+}
+
+func (s *keySink) insert(n int) {
+	s.hs = resize(s.hs, n)
+	s.ht.insertKeys(s.hs)
+	s.rows += n
+}
+
+// insertKeys enters the keys of the len(hs) rows bound to the probe side
+// of ht.keys that the table does not hold yet, hashing them into hs. NULL
+// keys are skipped, and so is a row whose key is the previous row's —
+// found without a probe, the common case in a build input clustered by
+// its key.
+//
+//dbvet:hotpath
+func (ht *hashTable) insertKeys(hs []uint64) {
+	keys := ht.keys
+	for k := range keys {
+		hashKeyCol(hs, k == 0, &keys[k])
+	}
+	last, lastHash := int32(-1), uint64(0)
+rows:
+	for r, h := range hs {
+		// A NULL row never verifies against a stored key, so this also
+		// passes NULL rows on to the check below.
+		if last >= 0 && h == lastHash && verifyRow(keys, uint32(last), r) {
+			continue
+		}
+		for k := range keys {
+			if keys[k].nulls != nil && keys[k].nulls[r] {
+				continue rows
+			}
+		}
+		head := ht.head(h)
+		e := head
+		for e >= 0 && !verifyRow(keys, uint32(e), r) {
+			e = ht.next[e]
+		}
+		if e < 0 {
+			e = ht.newKey(h, r, head)
+		}
+		last, lastHash = e, h
+	}
+}
+
+// newKey stores bound row r's key, hashed h, as a new entry; head is the
+// entry heading h's chain, -1 when no key has that hash yet.
+func (ht *hashTable) newKey(h uint64, r int, head int32) int32 {
+	e := int32(len(ht.next))
+	for k := range ht.keys {
+		ht.keys[k].storeRow(r)
+	}
+	ht.next = append(ht.next, -1)
+	if head >= 0 {
+		ht.link(h, e)
+		return e
+	}
+	ht.insert(h, uint32(e))
+	ht.setTag(h)
+	return e
+}
+
+// mergeKeys enters the keys of another worker's key table that ht lacks:
+// o's stored key cells are bound as ht's probe side, as aggregator.merge
+// does, floats as the canonical bit patterns they are stored as. The
+// table is sized for all of o's keys first: workers' key sets are often
+// disjoint (a build side clustered by its key).
+func (ht *hashTable) mergeKeys(o *hashTable, hs []uint64) []uint64 {
+	ht.reserve(len(ht.next) + len(o.next))
+	ht.next = slices.Grow(ht.next, len(o.next))
+	for i := range ht.keys {
+		k, ok := &ht.keys[i], &o.keys[i]
+		k.gNull = slices.Grow(k.gNull, len(o.next))
+		if k.kind == types.String {
+			k.gStr = slices.Grow(k.gStr, len(o.next))
+		} else {
+			k.gInt = slices.Grow(k.gInt, len(o.next))
+		}
+		k.nulls, k.ints, k.floats, k.strs = nil, ok.gInt, nil, ok.gStr
+		if k.kind == types.Float64 {
+			k.kind = types.Int64
+		}
+	}
+	hs = resize(hs, len(o.next))
+	ht.insertKeys(hs)
+	for i := range ht.keys {
+		k := &ht.keys[i]
+		k.kind, k.ints, k.strs = o.keys[i].kind, nil, nil
+	}
+	return hs
 }
 
 // head returns the first build row of h's chain, -1 when no build key has

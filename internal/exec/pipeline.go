@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,24 +161,17 @@ func (ex *executor) run(n Node) (*Result, error) {
 		}
 		return res, nil
 	default:
-		var (
-			mu      sync.Mutex
-			results []*Result
-		)
+		var results []*Result
 		err := ex.runPipeline(n, func(*compiler) pipeSink {
 			res := NewResult(ex.plan.nodes[n].kinds)
-			mu.Lock()
 			results = append(results, res)
-			mu.Unlock()
 			return pipeSink{tuple: res.appendTuple, batch: res.appendBatch}
 		})
 		if err != nil {
 			return nil, err
 		}
 		root := results[0]
-		for _, r := range results[1:] {
-			root.append(r)
-		}
+		root.append(results[1:]...)
 		return root, nil
 	}
 }
@@ -185,10 +179,7 @@ func (ex *executor) run(n Node) (*Result, error) {
 // aggregate runs n's input pipeline into one aggregator per worker, not
 // yet merged.
 func (ex *executor) aggregate(n *AggNode) ([]*aggregator, error) {
-	var (
-		mu   sync.Mutex
-		aggs []*aggregator
-	)
+	var aggs []*aggregator
 	kinds, args := ex.plan.nodes[n.Child].kinds, ex.plan.nodes[n].exprs
 	reads := make([]bool, len(kinds))
 	for _, arg := range args {
@@ -198,9 +189,7 @@ func (ex *executor) aggregate(n *AggNode) ([]*aggregator, error) {
 	}
 	err := ex.runPipeline(n.Child, func(c *compiler) pipeSink {
 		a := newAggregator(n, kinds, args, c.stats, ex.batchMode())
-		mu.Lock()
 		aggs = append(aggs, a)
-		mu.Unlock()
 		return pipeSink{tuple: a.consume, batch: a.consumeBatch, keys: n.GroupBy, reads: reads}
 	})
 	return aggs, err
@@ -219,7 +208,7 @@ func streamableChain(n Node) bool {
 	case *MapNode:
 		return streamableChain(n.Child)
 	case *JoinNode:
-		// The build side is materialized by prepareBuilds regardless.
+		// The build side is built by prepareBuilds regardless.
 		return streamableChain(n.Probe)
 	default:
 		return false
@@ -231,15 +220,10 @@ func streamableChain(n Node) bool {
 // during the scan, so the sort input never materializes. Result order is
 // identical to materialize + SortBy (stable, NULLs first).
 func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
-	var (
-		mu    sync.Mutex
-		sinks []*topkSink
-	)
+	var sinks []*topkSink
 	err := ex.runPipeline(n.Child, func(*compiler) pipeSink {
 		s := newTopkSink(ex.plan.nodes[n.Child].kinds, n.Keys, n.Limit)
-		mu.Lock()
 		sinks = append(sinks, s)
-		mu.Unlock()
 		return pipeSink{tuple: s.consumeTuple, batch: s.consumeBatch}
 	})
 	if err != nil {
@@ -274,9 +258,11 @@ func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
 type pipeSink struct {
 	tuple func(*Tuple)
 	batch batchConsumer
-	// keys and reads are what an aggregation sink takes from a batch: its
-	// group-by columns, which it can take as codes, and the columns its
-	// arguments read as values. nil reads means every column as values.
+	// keys and reads are what a sink takes from a batch that comes straight
+	// from the scan: an aggregation's group-by columns, which it can take
+	// as codes, and the columns it reads as values — an aggregation's
+	// arguments, a join build's keys. nil reads means every column as
+	// values.
 	keys  []int
 	reads []bool
 }
@@ -289,10 +275,12 @@ func (ex *executor) batchMode() bool {
 	return ex.opt.Mode != ModeJIT && !ex.opt.TupleAtATime
 }
 
-// runPipeline executes the pipeline rooted at chain: it materializes the
-// build sides of all hash joins along the probe spine, lowers exactly one
+// runPipeline executes the pipeline rooted at chain: it builds the hash
+// tables of all joins along the probe spine, lowers exactly one
 // consumer chain per worker (see batchMode) from the checked plan — which
 // cannot fail — and drives the scan over the relation's chunks (morsels).
+// sinkFactory runs once per worker, on the calling goroutine, before any
+// worker starts.
 func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink) error {
 	scan, err := ex.prepareBuilds(chain)
 	if err != nil {
@@ -335,9 +323,9 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 		}
 		d := ex.newScanDriver(scan, cons, bcons, c, chunks)
 		if bcons != nil && chain == Node(scan) && sink.reads != nil {
-			// Nothing between the scan and the aggregation: the scan
-			// unpacks only what the sink reads, and hands frozen keys over
-			// as codes. Any operator in between reads values.
+			// Nothing between the scan and the sink: the scan unpacks only
+			// what the sink reads, and hands an aggregation's frozen keys
+			// over as codes. Any operator in between reads values.
 			d.reads, d.keys = sink.reads, sink.keys
 		}
 		// Early probing runs inside vectorized scans only (Appendix E).
@@ -395,8 +383,8 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 	}
 }
 
-// prepareBuilds materializes the build side of every join on the probe
-// spine and returns the driving ScanNode.
+// prepareBuilds builds the hash table of every join on the probe spine and
+// returns the driving ScanNode.
 func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 	switch n := n.(type) {
 	case *ScanNode:
@@ -415,20 +403,71 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 			saved := ex.prof
 			ex.prof = nil
 			t0 := time.Now()
-			buildRes, err := ex.run(n.Build)
+			ht, rows, err := ex.build(n)
 			ex.prof = saved
 			if err != nil {
 				return nil, err
 			}
-			ex.builds[n] = buildHashTable(buildRes, n.BuildKeys)
+			ex.builds[n] = ht
 			if ex.prof != nil {
-				ex.prof.noteBuild(n, uint64(buildRes.NumRows()), time.Since(t0))
+				ex.prof.noteBuild(n, uint64(rows), time.Since(t0))
 			}
 		}
 		return ex.prepareBuilds(n.Probe)
 	default:
 		return nil, fmt.Errorf("exec: %T cannot appear inside a pipeline", n)
 	}
+}
+
+// build runs join n's build side into its hash table and returns the
+// table and the number of rows the build side produced. An inner join
+// materializes the build result and links its rows; a semi or anti join
+// streams the build pipeline into one keySink per morsel worker, which
+// keep distinct keys only, and inserts the smaller workers' keys into the
+// largest table.
+func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
+	if n.Kind == InnerJoin {
+		res, err := ex.run(n.Build)
+		if err != nil {
+			return nil, 0, err
+		}
+		return buildHashTable(res, n.BuildKeys), res.NumRows(), nil
+	}
+	kinds := ex.plan.nodes[n.Build].kinds
+	// A scan feeding the sink directly unpacks the key columns only,
+	// besides what its residual conjuncts read.
+	reads := make([]bool, len(kinds))
+	for _, c := range n.BuildKeys {
+		reads[c] = true
+	}
+	var sinks []*keySink
+	newSink := func(*compiler) pipeSink {
+		s := newKeySink(kinds, n.BuildKeys)
+		sinks = append(sinks, s)
+		return s.sink(reads)
+	}
+	if streamableChain(n.Build) {
+		if err := ex.runPipeline(n.Build, newSink); err != nil {
+			return nil, 0, err
+		}
+	} else {
+		// A pipeline breaker (an aggregation, an ORDER BY) has
+		// materialized its output anyway: it is the sink's one batch.
+		res, err := ex.run(n.Build)
+		if err != nil {
+			return nil, 0, err
+		}
+		newSink(nil).batch(res.batch())
+	}
+	root := slices.MaxFunc(sinks, func(a, b *keySink) int { return len(a.ht.next) - len(b.ht.next) })
+	rows := 0
+	for _, s := range sinks {
+		rows += s.rows
+		if s != root {
+			root.hs = root.ht.mergeKeys(s.ht, root.hs)
+		}
+	}
+	return root.ht, rows, nil
 }
 
 // compileChain lowers the operator chain above the scan into a single fused

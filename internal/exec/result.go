@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -78,9 +79,9 @@ func (r *Result) appendBatch(b *core.Batch) {
 		if bc.Nulls != nil {
 			c.Nulls = append(c.Nulls, bc.Nulls[:b.N]...)
 		} else {
-			for k := 0; k < b.N; k++ {
-				c.Nulls = append(c.Nulls, false)
-			}
+			// Extends by a cleared tail in one step, without allocating a
+			// temporary.
+			c.Nulls = append(c.Nulls, make([]bool, b.N)...)
 		}
 	}
 	r.n += b.N
@@ -111,17 +112,42 @@ func (r *Result) Row(i int) types.Row {
 	return row
 }
 
-// append concatenates another result with identical kinds (merge of
-// per-worker partial results).
-func (r *Result) append(o *Result) {
-	for i := range r.Cols {
-		c, oc := &r.Cols[i], &o.Cols[i]
-		c.Ints = append(c.Ints, oc.Ints...)
-		c.Floats = append(c.Floats, oc.Floats...)
-		c.Strs = append(c.Strs, oc.Strs...)
-		c.Nulls = append(c.Nulls, oc.Nulls...)
+// append concatenates other results with identical kinds (the merge of
+// per-worker partial results), growing each column once to the total.
+func (r *Result) append(parts ...*Result) {
+	n := r.n
+	for _, o := range parts {
+		n += o.n
 	}
-	r.n += o.n
+	for i := range r.Cols {
+		c := &r.Cols[i]
+		c.Nulls = slices.Grow(c.Nulls, n-r.n)
+		switch c.Kind {
+		case types.Int64:
+			c.Ints = slices.Grow(c.Ints, n-r.n)
+		case types.Float64:
+			c.Floats = slices.Grow(c.Floats, n-r.n)
+		default:
+			c.Strs = slices.Grow(c.Strs, n-r.n)
+		}
+		for _, o := range parts {
+			oc := &o.Cols[i]
+			c.Ints = append(c.Ints, oc.Ints...)
+			c.Floats = append(c.Floats, oc.Floats...)
+			c.Strs = append(c.Strs, oc.Strs...)
+			c.Nulls = append(c.Nulls, oc.Nulls...)
+		}
+	}
+	r.n = n
+}
+
+// batch views the result as one batch, sharing its columns.
+func (r *Result) batch() *core.Batch {
+	b := &core.Batch{N: r.n, Cols: make([]core.BatchCol, len(r.Cols))}
+	for i, c := range r.Cols {
+		b.Cols[i] = core.BatchCol{Kind: c.Kind, Ints: c.Ints, Floats: c.Floats, Strs: c.Strs, Nulls: c.Nulls}
+	}
+	return b
 }
 
 // compareRowsAt compares rows ia and ib under the given order keys (NULLs

@@ -233,7 +233,10 @@ func (d *scanDriver) compileLayout(blk *core.Block, c *compiler) *layoutPath {
 	return lp
 }
 
-// compileAccessor specializes decompression on (kind, scheme, width).
+// compileAccessor specializes decompression on (kind, scheme, width) — the
+// block's LayoutKey. Everything else, such as whether a single-value
+// attribute is all NULL, is read from the attribute each call is handed:
+// the path serves every block of that layout.
 func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) blockAccessor {
 	defer c.emit()
 	loadNull := func(a *core.Attr, row int) bool {
@@ -243,10 +246,9 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) blockAccessor {
 	case types.Int64:
 		switch a.Ints.Scheme {
 		case compress.SingleValue:
-			allNull := a.Ints.AllNull
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Ints[slot] = a.Ints.Single
-				t.Nulls[slot] = allNull || loadNull(a, row)
+				t.Nulls[slot] = a.Ints.AllNull || loadNull(a, row)
 			}
 		case compress.Truncation:
 			switch a.Ints.Width {
@@ -280,10 +282,9 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) blockAccessor {
 		}
 	case types.Float64:
 		if a.Floats.Scheme == compress.SingleValue {
-			allNull := a.Floats.AllNull
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Floats[slot] = a.Floats.Single
-				t.Nulls[slot] = allNull || loadNull(a, row)
+				t.Nulls[slot] = a.Floats.AllNull || loadNull(a, row)
 			}
 		}
 		return func(a *core.Attr, row int, t *Tuple, slot int) {
@@ -292,10 +293,9 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) blockAccessor {
 		}
 	default:
 		if a.Strs.Scheme == compress.SingleValue {
-			allNull := a.Strs.AllNull
 			return func(a *core.Attr, row int, t *Tuple, slot int) {
 				t.Strs[slot] = a.Strs.Single
-				t.Nulls[slot] = allNull || loadNull(a, row)
+				t.Nulls[slot] = a.Strs.AllNull || loadNull(a, row)
 			}
 		}
 		width := a.Strs.Width
