@@ -13,11 +13,6 @@
 #                      times each, plus the kill -9 WAL recovery stress (a
 #                      victim process is SIGKILLed at random crash points
 #                      and reopened asserting zero lost acknowledged writes)
-#   make bench-evict — eviction/reload benchmarks (a scan's four columns
-#                      and the whole block), one iteration each
-#   make bench-smoke — one-iteration run of the consume-path and TPC-H
-#                      benchmarks, so the suite can't bit-rot, plus the
-#                      profiled Q1/Q6 report with instrumentation cost
 #   make fuzz-short  — every fuzz target for FUZZTIME (default 60s) each
 #   make examples    — build every example; run quickstart (incl. durable
 #                      reopen) against a temp dir
@@ -29,7 +24,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: all build test test-portable race vet lint lint-vet fmt-check stress bench-evict bench-smoke fuzz-short examples linkcheck loc ci
+.PHONY: all build test test-portable race vet lint lint-vet fmt-check stress fuzz-short examples linkcheck loc ci
 
 all: ci
 
@@ -87,22 +82,8 @@ fmt-check:
 	fi
 
 stress:
-	$(GO) test -race -count=20 -run 'TestHybridStress|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty|TestWALParallelReplayMatchesModel|TestIndexConcurrentGrowth' . ./internal/storage/ ./internal/index/
-	$(GO) test -count=1 -run 'TestKillRecoveryStress' ./internal/experiments/
-
-# One iteration is enough to exercise the evict→reload path on every PR;
-# use -benchtime=10x locally for actual numbers.
-bench-evict:
-	$(GO) test -run '^$$' -bench=Evict -benchtime=1x ./...
-
-# Cheap CI guard: the consume-path (batch vs tuple) and TPC-H benchmark
-# families must at least still run, and the Q1/Q6 profiles print with
-# the cost of turning the instrumentation on.
-# Note: go test splits -bench on '/' into per-level regexes, so the
-# second level anchors Q1|Q6 for both families.
-bench-smoke:
-	$(GO) test -run '^$$' -bench='ConsumePath|Table2TPCH/(Q1|Q6)$$' -benchtime=1x .
-	$(GO) run ./cmd/dbrepro -sf 0.02 -rounds 3 profile
+	$(GO) test -race -count=20 -run 'TestHybridStress|TestBudgetedTableMatchesUnbounded|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty|TestWALParallelReplayMatchesModel|TestIndexConcurrentGrowth' . ./internal/storage/ ./internal/index/
+	$(GO) test -count=1 -run 'TestKillRecoveryStress' .
 
 # go test fuzzes one target per invocation: list each explicitly.
 fuzz-short:
@@ -139,4 +120,4 @@ loc:
 		printf '%6d  %s\n' "$$n" "$$pkg"; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
-ci: fmt-check vet lint build test test-portable race stress bench-evict bench-smoke fuzz-short examples linkcheck
+ci: fmt-check vet lint build test test-portable race stress fuzz-short examples linkcheck

@@ -1,14 +1,14 @@
 // Command dbrepro regenerates the paper's tables and figures (§5 and the
 // appendices) on laptop-scale data. Each subcommand prints the same rows or
-// series the paper reports; EXPERIMENTS.md records a captured run next to
-// the paper's numbers.
+// series the paper reports; "Reproducing the paper" in the repository
+// README says what each one reproduces.
 //
 // Usage:
 //
 //	dbrepro [flags] <experiment>
 //
-// Experiments: table1 table2 table3 tpcc hybrid coldstore restart fig5
-// fig8 fig9 fig10 fig11 fig12 fig13 flights profile metrics all
+// Experiments: table1 table2 table3 tpcc fig5 fig8 fig9 fig10 fig11 fig12
+// fig13 flights all
 package main
 
 import (
@@ -20,16 +20,6 @@ import (
 )
 
 func main() {
-	// Victim mode for the restart kill test: when the parent re-executes
-	// this binary with the crash directory in the environment, run the
-	// child workload instead of an experiment (the process ends by SIGKILL).
-	if dir := os.Getenv(experiments.CrashDirEnv); dir != "" {
-		if err := experiments.CrashChild(dir); err != nil {
-			fmt.Fprintf(os.Stderr, "dbrepro crash child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var (
 		sf       = flag.Float64("sf", 0.05, "TPC-H scale factor")
 		rows     = flag.Int("rows", 400_000, "rows for IMDB/flights data sets")
@@ -38,12 +28,6 @@ func main() {
 		txCount  = flag.Int("tx", 20_000, "transactions for tpcc")
 		parallel = flag.Int("parallel", 0, "query parallelism (<=0: all of GOMAXPROCS)")
 		combos   = flag.Int("combos", 4096, "max storage-layout combinations for fig5")
-		seconds  = flag.Float64("seconds", 2, "wall time for the hybrid/coldstore experiments")
-		writers  = flag.Int("writers", 4, "OLTP writer goroutines for hybrid/coldstore")
-		scanners = flag.Int("scanners", 2, "OLAP scanner goroutines for hybrid/coldstore")
-		coldRows = flag.Int("coldrows", 120_000, "preloaded rows for coldstore")
-		budget   = flag.Int64("budget", 128<<10, "frozen-block memory budget in bytes for coldstore")
-		kill     = flag.Bool("kill", false, "restart only: SIGKILL a writer process at random crash points and assert zero lost acknowledged writes")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dbrepro [flags] <experiment>\n\nexperiments:\n")
@@ -51,10 +35,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  table2   TPC-H runtimes per scan type (Table 2/4)\n")
 		fmt.Fprintf(os.Stderr, "  table3   point-access throughput (Table 3)\n")
 		fmt.Fprintf(os.Stderr, "  tpcc     TPC-C throughput (§5.3)\n")
-		fmt.Fprintf(os.Stderr, "  hybrid   concurrent OLTP writers + OLAP scans + background freezing (§1)\n")
-		fmt.Fprintf(os.Stderr, "  coldstore larger-than-RAM: disk-backed eviction under a memory budget (§1)\n")
-		fmt.Fprintf(os.Stderr, "  restart  durable reopen: close a dataset ≫ budget, reopen from disk, verify equivalence\n")
-		fmt.Fprintf(os.Stderr, "           with -kill: SIGKILL a WAL-writing child at random crash points, reopen, assert zero lost acknowledged writes\n")
 		fmt.Fprintf(os.Stderr, "  fig5     compile-time explosion (Figure 5)\n")
 		fmt.Fprintf(os.Stderr, "  fig8     SIMD find-matches speedup (Figure 8)\n")
 		fmt.Fprintf(os.Stderr, "  fig9     SIMD reduce-matches (Figure 9)\n")
@@ -63,8 +43,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  fig12    bit-packing vs byte-aligned codes (Figure 12)\n")
 		fmt.Fprintf(os.Stderr, "  fig13    vector-size sweep (Figure 13 / Appendix A)\n")
 		fmt.Fprintf(os.Stderr, "  flights  Appendix D flights query\n")
-		fmt.Fprintf(os.Stderr, "  profile  EXPLAIN-ANALYZE profiles of Q1/Q6 on Data Blocks + instrumentation cost\n")
-		fmt.Fprintf(os.Stderr, "  metrics  DB.Metrics() JSON snapshot after a representative workload\n")
 		fmt.Fprintf(os.Stderr, "  all      everything above\n\nflags:\n")
 		flag.PrintDefaults()
 	}
@@ -84,23 +62,12 @@ func main() {
 			return experiments.Table3(w, *sf, *lookups)
 		case "tpcc":
 			return experiments.TPCC(w, *txCount)
-		case "hybrid":
-			return experiments.Hybrid(w, *seconds, *writers, *scanners)
-		case "coldstore":
-			return experiments.ColdStore(w, *coldRows, *seconds, *writers, *scanners, *budget)
-		case "restart":
-			if *kill {
-				return experiments.CrashRestart(w, *rounds, nil)
-			}
-			return experiments.Restart(w, *coldRows, *budget)
 		case "fig5":
 			return experiments.Fig5(w, *combos)
 		case "fig8":
-			experiments.Fig8(w, 1<<14)
-			return nil
+			return experiments.Fig8(w, 1<<14)
 		case "fig9":
-			experiments.Fig9(w, 1<<14)
-			return nil
+			return experiments.Fig9(w, 1<<14)
 		case "fig10":
 			return experiments.Fig10(w, *sf, *rows, *rows)
 		case "fig11":
@@ -111,17 +78,13 @@ func main() {
 			return experiments.Fig13(w, *sf, *rounds)
 		case "flights":
 			return experiments.FlightsQuery(w, *rows, *rounds)
-		case "profile":
-			return experiments.ProfileQueries(w, *sf, *rounds, *parallel)
-		case "metrics":
-			return experiments.MetricsSnapshot(w, *coldRows)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
 	}
 	name := flag.Arg(0)
 	if name == "all" {
-		for _, e := range []string{"table1", "table2", "table3", "tpcc", "hybrid", "coldstore", "restart", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "flights", "profile", "metrics"} {
+		for _, e := range []string{"table1", "table2", "table3", "tpcc", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "flights"} {
 			fmt.Fprintf(w, "==== %s ====\n", e)
 			if err := run(e); err != nil {
 				fmt.Fprintf(os.Stderr, "dbrepro %s: %v\n", e, err)

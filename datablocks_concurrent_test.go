@@ -2,6 +2,7 @@ package datablocks
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -418,5 +419,174 @@ func TestScansSeeOneVersionPerKeyUnderUpdates(t *testing.T) {
 	}
 	if tbl.ColdStats().Evictions == 0 {
 		t.Fatal("nothing was evicted under the budget")
+	}
+}
+
+// TestBudgetedTableMatchesUnbounded checks the larger-than-RAM path
+// against ground truth. Writers churn disjoint key stripes of a table
+// whose frozen set far exceeds a 32 KiB budget, while the compactor
+// freezes sealed chunks, spills the coldest blocks and reloads them on
+// demand, and a scanner sweeps alongside. Each writer draws a fixed number
+// of operations from a seeded sequence over its own stripe, so the same
+// rounds replayed serially into an unbudgeted table must leave the same
+// rows.
+func TestBudgetedTableMatchesUnbounded(t *testing.T) {
+	const (
+		writers = 2
+		preload = 4000 // rows per stripe
+		rounds  = 1500 // operations per writer
+		stripe  = int64(1) << 32
+	)
+	cols := []Column{
+		{Name: "id", Kind: Int64},
+		{Name: "amount", Kind: Float64},
+		{Name: "status", Kind: String},
+	}
+	statuses := []string{"new", "paid", "shipped"}
+	mkRow := func(key int64, amount float64) Row {
+		return Row{Int(key), Float(amount), Str(statuses[key%3])}
+	}
+	newEvents := func(db *DB) *Table {
+		tbl, err := db.CreateTable("events", cols, WithPrimaryKey("id"), WithChunkRows(2048))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < writers; g++ {
+			for i := 0; i < preload; i++ {
+				if _, err := tbl.Insert(mkRow(int64(g)*stripe+int64(i), float64(i)/2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return tbl
+	}
+	// play runs writer g's rounds against tbl, checking each answer
+	// against the writer's own record of its live keys, and returns the
+	// stripe's first unused key.
+	play := func(tbl *Table, g int) (int64, error) {
+		r := rand.New(rand.NewSource(int64(0xC01D + g)))
+		base := int64(g) * stripe
+		next := base + preload
+		live := make(map[int64]bool, preload+rounds)
+		for key := base; key < next; key++ {
+			live[key] = true
+		}
+		for round := 0; round < rounds; round++ {
+			key := base + r.Int63n(next-base)
+			switch r.Intn(10) {
+			case 0, 1, 2, 3, 4, 5:
+				if _, err := tbl.Insert(mkRow(next, float64(next-base)/2)); err != nil {
+					return 0, fmt.Errorf("insert %d: %w", next, err)
+				}
+				live[next] = true
+				next++
+			case 6, 7:
+				if live[key] {
+					if err := tbl.Update(key, mkRow(key, -0.5)); err != nil {
+						return 0, fmt.Errorf("update %d: %w", key, err)
+					}
+				}
+			case 8:
+				if ok, err := tbl.Delete(key); err != nil || ok != live[key] {
+					return 0, fmt.Errorf("delete %d = %v, %v; live %v", key, ok, err, live[key])
+				}
+				delete(live, key)
+			default:
+				if row, ok := tbl.Lookup(key); ok != live[key] || ok && row[0].Int() != key {
+					return 0, fmt.Errorf("lookup %d = %v, %v; live %v", key, row, ok, live[key])
+				}
+			}
+		}
+		return next, nil
+	}
+
+	db := Open(WithBlockStore(t.TempDir()), WithMemoryBudget(32<<10), WithAutoFreeze(1))
+	defer db.Close()
+	tbl := newEvents(db)
+	var wg sync.WaitGroup
+	next := make([]int64, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var err error
+			if next[g], err = play(tbl, g); err != nil {
+				t.Errorf("writer %d: %v", g, err)
+			}
+		}(g)
+	}
+	done, scanned := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scanned)
+		modes := []ScanMode{ModeVectorizedSARG, ModeVectorizedSARGPSMA, ModeJIT}
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := tbl.Scan([]string{"id", "amount"}, []Pred{{Col: "amount", Op: Ge, Lo: Float(0)}},
+				QueryOptions{Mode: modes[i%len(modes)]}); err != nil {
+				t.Errorf("scan: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-scanned
+	if t.Failed() {
+		return
+	}
+	// The compactor evicts asynchronously; one more freeze and eviction
+	// pass puts the frozen set over the budget on disk however the
+	// goroutines were scheduled.
+	if err := tbl.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Relation().EvictUnderBudget(); err != nil {
+		t.Fatal(err)
+	}
+
+	truth := newEvents(Open())
+	for g := 0; g < writers; g++ {
+		if _, err := play(truth, g); err != nil {
+			t.Fatalf("replay of writer %d: %v", g, err)
+		}
+	}
+	type answers struct {
+		rows, count int
+		sumID       int64
+		sumAmount   float64 // halves of small integers: exact in any order
+	}
+	aggregate := func(tbl *Table) answers {
+		res, err := tbl.Scan([]string{"id", "amount"}, nil, QueryOptions{Mode: ModeVectorizedSARG})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := answers{rows: tbl.NumRows(), count: res.NumRows()}
+		for i := 0; i < res.NumRows(); i++ {
+			a.sumID += res.Value(0, i).Int()
+			a.sumAmount += res.Value(1, i).Float()
+		}
+		return a
+	}
+	if got, want := aggregate(tbl), aggregate(truth); got != want {
+		t.Fatalf("budgeted table %+v, unbudgeted replay %+v", got, want)
+	}
+	for g := 0; g < writers; g++ {
+		for key := int64(g) * stripe; key < next[g]; key += 97 {
+			a, okA := tbl.Lookup(key)
+			b, okB := truth.Lookup(key)
+			if okA != okB || okA && (a[1].Float() != b[1].Float() || a[2].Str() != b[2].Str()) {
+				t.Fatalf("lookup %d: budgeted %v, %v; unbudgeted %v, %v", key, a, okA, b, okB)
+			}
+		}
+	}
+	if m := tbl.Metrics().Cold; m.Evictions == 0 || m.Reloads == 0 {
+		t.Fatalf("no churn under the budget: %d evictions, %d reloads", m.Evictions, m.Reloads)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

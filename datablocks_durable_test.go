@@ -37,7 +37,10 @@ func loadEvents(t *testing.T, tbl *Table, n int) {
 
 // TestDurableReopen is the create → close → reopen → query regression:
 // aggregates, point lookups, deletes and the last committed update must
-// survive the restart exactly.
+// survive the restart exactly. The reopen also garbage-collects a block
+// file no manifest references (a write a crash orphaned), restores the
+// frozen chunks evicted with none hot, and answers out of the block store
+// (the subtest, which carries the checks of the retired restart experiment).
 func TestDurableReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenPath(dir, durableOpts()...)
@@ -59,6 +62,15 @@ func TestDurableReopen(t *testing.T) {
 	if err = db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	tableDir := filepath.Join(dir, "events")
+	orphan := filepath.Join(tableDir, "999999999999.dblk")
+	buf, err := os.ReadFile(newestFile(t, filepath.Join(tableDir, "*.dblk")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err = os.WriteFile(orphan, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	db2, err := OpenPath(dir, durableOpts()...)
 	if err != nil {
@@ -69,6 +81,28 @@ func TestDurableReopen(t *testing.T) {
 	if tbl2 == nil {
 		t.Fatalf("table not recovered; catalog lists %v", db2.Tables())
 	}
+	t.Run("gc-orphans-and-reload-evicted", func(t *testing.T) {
+		if _, serr := os.Stat(orphan); !os.IsNotExist(serr) {
+			t.Fatalf("unreferenced block file survived reopen (stat: %v)", serr)
+		}
+		if manifests, _ := filepath.Glob(filepath.Join(tableDir, "manifest-*.dbm")); len(manifests) != 1 {
+			t.Fatalf("want exactly the surviving manifest generation, found %v", manifests)
+		}
+		if m := tbl2.Metrics().Mem; m.EvictedChunks == 0 || m.HotChunks != 0 {
+			t.Fatalf("recovered table should hold evicted chunks and no hot ones: %d evicted, %d frozen, %d hot",
+				m.EvictedChunks, m.FrozenChunks, m.HotChunks)
+		}
+		res, err := tbl2.Scan([]string{"id"}, []Pred{{Col: "id", Op: Ge, Lo: Int(0)}}, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() != wantRows {
+			t.Fatalf("scan found %d rows, want %d", res.NumRows(), wantRows)
+		}
+		if r := tbl2.Metrics().Cold.Reloads; r == 0 {
+			t.Fatal("reopened table answered without reloading any block")
+		}
+	})
 	if got := tbl2.NumRows(); got != wantRows {
 		t.Fatalf("recovered %d rows, want %d", got, wantRows)
 	}

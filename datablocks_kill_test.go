@@ -1,4 +1,4 @@
-package experiments
+package datablocks_test
 
 import (
 	"bufio"
@@ -9,17 +9,17 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"testing"
 	"time"
 
 	"datablocks"
 	"datablocks/internal/xrand"
 )
 
-// CrashDirEnv carries the database directory into the victim process:
-// when set, the process must run CrashChild against it instead of its
-// normal entry point (cmd/dbrepro and the experiments test binary both
-// honor it).
-const CrashDirEnv = "DBREPRO_CRASH_DIR"
+// crashDirEnv carries the database directory into the victim process:
+// when set, the re-executed test binary runs only TestCrashChildMode,
+// which writes against that directory until it is killed.
+const crashDirEnv = "DATABLOCKS_CRASH_DIR"
 
 const crashTable = "events"
 
@@ -39,7 +39,55 @@ func crashOpts() []datablocks.TableOption {
 // values across the pipe.
 func crashAmount(key int64) float64 { return float64(key%1_000_003) / 2 }
 
-// CrashChild is the victim: it opens dir as a WAL-enabled database and
+// TestCrashChildMode is the victim entry point for the kill -9 stress:
+// TestKillRecoveryStress re-executes this test binary with crashDirEnv
+// set, and this function then writes against that directory until the
+// parent kills the process. In a normal test run the env is unset and it
+// skips.
+func TestCrashChildMode(t *testing.T) {
+	dir := os.Getenv(crashDirEnv)
+	if dir == "" {
+		t.Skip("victim mode: spawned by TestKillRecoveryStress")
+	}
+	if err := crashChild(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKillRecoveryStress is the kill -9 recovery stress: rounds times
+// over, it spawns this test binary as a crashChild victim writing through
+// the striped WAL, SIGKILLs it at a random crash point mid-traffic,
+// reopens the directory and asserts ZERO lost acknowledged writes — every
+// insert or rename whose group commit acknowledged before the kill is
+// present with its exact payload, an acknowledged rename's old key is
+// gone, a rename in flight at the kill never destroys its acknowledged
+// pre-update row without the new version surviving, and every recovered
+// row carries a payload that was actually written.
+func TestKillRecoveryStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kill -9 stress skipped in -short")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(0xC4A5)
+	for round := 1; round <= 3; round++ {
+		dir := t.TempDir()
+		led, err := runVictim(exe, dir, 300+rng.Range(0, 2000))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		recovered, err := verifyCrashImage(dir, led)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		t.Logf("round %d: killed at %d acknowledged writes (%d renames), recovered %d rows, 0 lost",
+			round, len(led.acked), len(led.moved), recovered)
+	}
+}
+
+// crashChild is the victim: it opens dir as a WAL-enabled database and
 // runs concurrent writers forever. Each writer inserts rows (even key
 // slots) and periodically renames one of its earlier rows to a fresh odd
 // key — a key-changing update, usually crossing stripes, the WAL's
@@ -53,7 +101,7 @@ func crashAmount(key int64) float64 { return float64(key%1_000_003) / 2 }
 // commit, and the trailing '#' lets the parent discard the line the kill
 // tore. Writer 0 checkpoints periodically so the kill also lands between
 // manifest writes and log truncations.
-func CrashChild(dir string) error {
+func crashChild(dir string) error {
 	cols := []datablocks.Column{
 		{Name: "id", Kind: datablocks.Int64},
 		{Name: "amount", Kind: datablocks.Float64},
@@ -136,54 +184,12 @@ type crashLedger struct {
 	moved map[int64]int64 // old → new, rename acknowledged (MV)
 }
 
-// CrashRestart is `dbrepro restart`'s kill mode: rounds times over, it
-// spawns this binary as a CrashChild victim, SIGKILLs it at a random
-// crash point mid-traffic, reopens the directory and asserts ZERO lost
-// acknowledged writes — every insert or rename whose group commit
-// acknowledged before the kill is present with its exact payload, an
-// acknowledged rename's old key is gone, a rename in flight at the kill
-// never destroys its acknowledged pre-update row without the new version
-// surviving, and every recovered row carries a payload that was actually
-// written. childArgs are extra argv for the victim (the test harness uses
-// them to route its binary into child mode); the database directory
-// travels via CrashDirEnv.
-func CrashRestart(w io.Writer, rounds int, childArgs []string) error {
-	if rounds < 1 {
-		rounds = 1
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	rng := xrand.New(0xC4A5)
-	for round := 1; round <= rounds; round++ {
-		dir, err := os.MkdirTemp("", "crash-*")
-		if err != nil {
-			return err
-		}
-		led, err := runVictim(exe, childArgs, dir, 300+rng.Range(0, 2000))
-		if err != nil {
-			os.RemoveAll(dir)
-			return fmt.Errorf("round %d: %w", round, err)
-		}
-		recovered, err := verifyCrashImage(dir, led)
-		os.RemoveAll(dir)
-		if err != nil {
-			return fmt.Errorf("round %d: %w", round, err)
-		}
-		fmt.Fprintf(w, "round %d: killed at %d acknowledged writes (%d renames), recovered %d rows, 0 lost\n",
-			round, len(led.acked), len(led.moved), recovered)
-	}
-	fmt.Fprintf(w, "kill -9 recovery: %d rounds, every acknowledged write survived\n", rounds)
-	return nil
-}
-
 // runVictim spawns the child, collects the acknowledgement ledger off its
 // stdout, kills it once threshold acks arrived (or after a 60s safety
 // valve) and returns the ledger.
-func runVictim(exe string, childArgs []string, dir string, threshold int64) (*crashLedger, error) {
-	cmd := exec.Command(exe, childArgs...)
-	cmd.Env = append(os.Environ(), CrashDirEnv+"="+dir)
+func runVictim(exe, dir string, threshold int64) (*crashLedger, error) {
+	cmd := exec.Command(exe, "-test.run=^TestCrashChildMode$", "-test.v")
+	cmd.Env = append(os.Environ(), crashDirEnv+"="+dir)
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err

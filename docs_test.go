@@ -92,9 +92,9 @@ func TestNoDbvetIgnore(t *testing.T) {
 
 // TestProductionImportGraph pins what the engine links: the root package's
 // in-module dependencies are exactly these twelve. The comparators the
-// paper's tables need (vwise, bitpack) and the experiment, benchmark and
-// data-generation packages (experiments, bench, tpcc, tpch, datasets,
-// xrand) import the engine, never the other way round — so none of them can
+// paper's tables need (vwise, bitpack) and the experiment and
+// data-generation packages (experiments, tpcc, tpch, datasets, xrand)
+// import the engine, never the other way round — so none of them can
 // end up on the production path by accident.
 func TestProductionImportGraph(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", ".").Output()
@@ -121,7 +121,7 @@ func TestProductionImportGraph(t *testing.T) {
 // deletes code lowers it.
 var locCeilings = map[string]int{
 	"datablocks/internal/exec": 4321,
-	"total":                    21213,
+	"total":                    19978,
 }
 
 // TestLocCeilings counts what `make loc` counts — every line of a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"datablocks/internal/bench"
 	"datablocks/internal/core"
 	"datablocks/internal/datasets"
 	"datablocks/internal/storage"
@@ -42,10 +41,10 @@ func Table1(w io.Writer, sf float64, imdbRows, flightRows int) error {
 		return err
 	}
 	fmt.Fprintf(w, "Table 1 — database sizes (TPC-H SF %g, cast_info %d rows, flights %d rows)\n", sf, imdbRows, flightRows)
-	tbl := bench.NewTable("data set", "CSV", "HyPer unc.", "HyPer Data Blocks", "Vectorwise comp.", "DB ratio", "VW ratio")
+	tbl := newTable(w, "data set", "CSV", "HyPer unc.", "HyPer Data Blocks", "Vectorwise comp.", "DB ratio", "VW ratio")
 	for _, name := range []string{"TPC-H lineitem", "IMDB cast_info", "Flights"} {
 		rel := rels[name]
-		csv := bench.CSVSize(rel)
+		csv := csvSize(rel)
 		cols, n := RelationColumns(rel)
 		unc := UncompressedBytes(cols, n)
 		frozen, err := CloneRelation(rel.Schema(), cols, n, 0, true)
@@ -58,10 +57,12 @@ func Table1(w io.Writer, sf float64, imdbRows, flightRows int) error {
 			return err
 		}
 		vwBytes := vw.CompressedSize()
-		tbl.AddRow(name, bench.Bytes(csv), bench.Bytes(unc), bench.Bytes(dbBytes), bench.Bytes(vwBytes),
+		addRow(tbl, name, humanBytes(csv), humanBytes(unc), humanBytes(dbBytes), humanBytes(vwBytes),
 			float64(unc)/float64(dbBytes), float64(unc)/float64(vwBytes))
 	}
-	tbl.Write(w)
+	if err := tbl.Flush(); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "(ratios are uncompressed/compressed; the paper reports Vectorwise ~25% smaller than Data Blocks)")
 	return nil
 }
@@ -74,7 +75,7 @@ func Fig10(w io.Writer, sf float64, imdbRows, flightRows int) error {
 		return err
 	}
 	fmt.Fprintln(w, "Figure 10 — compression ratio vs records per Data Block")
-	tbl := bench.NewTable("records/block", "TPC-H lineitem", "IMDB cast_info", "Flights")
+	tbl := newTable(w, "records/block", "TPC-H lineitem", "IMDB cast_info", "Flights")
 	type prepared struct {
 		rel  *storage.Relation
 		cols []core.ColumnData
@@ -96,9 +97,11 @@ func Fig10(w io.Writer, sf float64, imdbRows, flightRows int) error {
 			}
 			row = append(row, float64(p.unc)/float64(frozen.MemoryStats().FrozenBytes))
 		}
-		tbl.AddRow(row...)
+		addRow(tbl, row...)
 	}
-	tbl.Write(w)
+	if err := tbl.Flush(); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "(expected shape: ratio grows with block size; metadata overhead dominates small blocks)")
 	return nil
 }

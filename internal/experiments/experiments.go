@@ -1,10 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5 and the appendices). Each function prints the same rows or
-// series the paper reports; cmd/dbrepro exposes them on the command line
-// and the repository-root benchmarks measure their kernels under
-// testing.B. Absolute numbers differ from the paper's testbed; the shapes
-// (who wins, by what factor, where the crossovers fall) are the
-// reproduction target — see EXPERIMENTS.md.
+// series the paper reports, and cmd/dbrepro exposes them on the command
+// line. Absolute numbers differ from the paper's testbed; the shapes (who
+// wins, by what factor, where the crossovers fall) are the reproduction
+// target — see "Reproducing the paper" in the repository README.
 package experiments
 
 import (

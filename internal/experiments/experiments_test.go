@@ -57,46 +57,6 @@ func TestTPCCSmall(t *testing.T) {
 	}
 }
 
-func TestHybridSmall(t *testing.T) {
-	var sb strings.Builder
-	if err := Hybrid(&sb, 0.3, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "frozen chunks") {
-		t.Fatalf("output:\n%s", sb.String())
-	}
-}
-
-func TestColdStoreSmall(t *testing.T) {
-	var sb strings.Builder
-	// 8000 rows against a 32 KiB budget: the frozen set can never fit, so
-	// the run must observe evictions and reloads to pass.
-	if err := ColdStore(&sb, 8000, 0.3, 2, 1, 32<<10); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"block evictions", "block reloads", "match the unbounded-memory run"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in output:\n%s", want, out)
-		}
-	}
-}
-
-func TestRestartSmall(t *testing.T) {
-	var sb strings.Builder
-	// 10k rows against a 32 KiB budget: the frozen set cannot fit in RAM,
-	// so the reopened database must answer out of the block store.
-	if err := Restart(&sb, 10_000, 32<<10); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"chunks recovered", "block reloads after reopen", "match the pre-restart run exactly"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in output:\n%s", want, out)
-		}
-	}
-}
-
 func TestFig5Small(t *testing.T) {
 	var sb strings.Builder
 	if err := Fig5(&sb, 16); err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"datablocks/internal/bench"
 	"datablocks/internal/bitpack"
 	"datablocks/internal/compress"
 	"datablocks/internal/simd"
@@ -25,38 +24,38 @@ func makeCodes(n, width int, domain uint64, seed uint64) []byte {
 
 // Fig8 reproduces Figure 8: speedup of the SWAR between-kernel over
 // branch-free scalar code, per lane width, at 20% selectivity.
-func Fig8(w io.Writer, n int) {
+func Fig8(w io.Writer, n int) error {
 	fmt.Fprintln(w, "Figure 8 — SIMD(SWAR) speedup of `l <= A <= r` (selectivity 20%) over scalar code")
-	tbl := bench.NewTable("width", "scalar ns/elem", "swar ns/elem", "speedup")
+	tbl := newTable(w, "width", "scalar ns/elem", "swar ns/elem", "speedup")
 	for _, width := range []int{1, 2, 4, 8} {
 		domain := uint64(100)
 		data := makeCodes(n, width, domain, 42)
 		lo, hi := uint64(10), uint64(29) // 20% of [0,100)
 		out := make([]uint32, 0, n+8)
 		rounds := 50
-		scalar := bench.MeasureBest(5, func() {
+		scalar := measureBest(5, func() {
 			for i := 0; i < rounds; i++ {
 				out = simd.FindScalar(data, width, n, simd.OpBetween, lo, hi, 0, out[:0])
 			}
 		})
-		swar := bench.MeasureBest(5, func() {
+		swar := measureBest(5, func() {
 			for i := 0; i < rounds; i++ {
 				out = simd.Find(data, width, n, simd.OpBetween, lo, hi, 0, out[:0])
 			}
 		})
 		perElemS := float64(scalar.Nanoseconds()) / float64(rounds*n)
 		perElemV := float64(swar.Nanoseconds()) / float64(rounds*n)
-		tbl.AddRow(fmt.Sprintf("%d-bit", width*8), perElemS, perElemV, perElemS/perElemV)
+		addRow(tbl, fmt.Sprintf("%d-bit", width*8), perElemS, perElemV, perElemS/perElemV)
 	}
-	tbl.Write(w)
+	return tbl.Flush()
 }
 
 // Fig9 reproduces Figure 9: cost of applying an additional restriction
 // (reduce matches) as a function of the first predicate's selectivity, with
 // the second predicate fixed at 40%.
-func Fig9(w io.Writer, n int) {
+func Fig9(w io.Writer, n int) error {
 	fmt.Fprintln(w, "Figure 9 — reduce-matches cost vs selectivity of first predicate (second fixed at 40%)")
-	tbl := bench.NewTable("width", "sel1 %", "scalar ns/elem", "swar ns/elem")
+	tbl := newTable(w, "width", "sel1 %", "scalar ns/elem", "swar ns/elem")
 	for _, width := range []int{1, 2, 4, 8} {
 		domain := uint64(200)
 		data := makeCodes(n, width, domain, 7)
@@ -73,13 +72,13 @@ func Fig9(w io.Writer, n int) {
 			hi2 := domain * 40 / 100 // second predicate: 40%
 			scratch := make([]uint32, len(matches))
 			rounds := 100
-			scalar := bench.MeasureBest(3, func() {
+			scalar := measureBest(3, func() {
 				for i := 0; i < rounds; i++ {
 					copy(scratch, matches)
 					_ = simd.ReduceScalar(data, width, simd.OpLt, hi2, 0, scratch[:len(matches)])
 				}
 			})
-			swar := bench.MeasureBest(3, func() {
+			swar := measureBest(3, func() {
 				for i := 0; i < rounds; i++ {
 					copy(scratch, matches)
 					_ = simd.Reduce(data, width, simd.OpLt, hi2, 0, scratch[:len(matches)])
@@ -87,10 +86,10 @@ func Fig9(w io.Writer, n int) {
 			})
 			perS := float64(scalar.Nanoseconds()) / float64(rounds*len(matches))
 			perV := float64(swar.Nanoseconds()) / float64(rounds*len(matches))
-			tbl.AddRow(fmt.Sprintf("%d-bit", width*8), sel, perS, perV)
+			addRow(tbl, fmt.Sprintf("%d-bit", width*8), sel, perS, perV)
 		}
 	}
-	tbl.Write(w)
+	return tbl.Flush()
 }
 
 // Fig12Data builds the §5.4 microbenchmark inputs: three columns of 2^16
@@ -167,13 +166,13 @@ func Fig12(w io.Writer) error {
 	}
 	n := d.N
 	fmt.Fprintln(w, "Figure 12(a) — SARG `l <= A <= r` cost (ns/tuple) vs selectivity")
-	ta := bench.NewTable("sel %", "data blocks", "bit-packed (branchy)", "bit-packed + positions table")
+	ta := newTable(w, "sel %", "data blocks", "bit-packed (branchy)", "bit-packed + positions table")
 	bm := make([]uint64, (n+63)/64)
 	out := make([]uint32, 0, n+8)
 	for _, sel := range []int{0, 10, 25, 50, 75, 100} {
 		hi := uint64(1<<16) * uint64(sel) / 100
 		rounds := 30
-		db := bench.MeasureBest(3, func() {
+		db := measureBest(3, func() {
 			for i := 0; i < rounds; i++ {
 				tr := d.ACodes.TranslateRange(0, int64(hi))
 				if tr.Verdict == compress.Range {
@@ -181,25 +180,27 @@ func Fig12(w io.Writer) error {
 				}
 			}
 		})
-		bpBranchy := bench.MeasureBest(3, func() {
+		bpBranchy := measureBest(3, func() {
 			for i := 0; i < rounds; i++ {
 				d.APacked.FindBetweenBitmap(0, uint32(hi), bm)
 				out = simd.PositionsFromBitmapBranchy(bm, n, 0, out[:0])
 			}
 		})
-		bpTable := bench.MeasureBest(3, func() {
+		bpTable := measureBest(3, func() {
 			for i := 0; i < rounds; i++ {
 				d.APacked.FindBetweenBitmap(0, uint32(hi), bm)
 				out = simd.PositionsFromBitmap(bm, n, 0, out[:0])
 			}
 		})
 		per := func(t time.Duration) float64 { return float64(t.Nanoseconds()) / float64(rounds*n) }
-		ta.AddRow(sel, per(db), per(bpBranchy), per(bpTable))
+		addRow(ta, sel, per(db), per(bpBranchy), per(bpTable))
 	}
-	ta.Write(w)
+	if err := ta.Flush(); err != nil {
+		return err
+	}
 
 	fmt.Fprintln(w, "\nFigure 12(b) — unpacking 3 attributes, ns per matching tuple vs selectivity")
-	tb := bench.NewTable("sel %", "data blocks", "bit-packed positional", "bit-packed unpack-all+filter")
+	tb := newTable(w, "sel %", "data blocks", "bit-packed positional", "bit-packed unpack-all+filter")
 	outI := make([]int64, n)
 	outU := make([]uint32, n)
 	full := make([]uint32, n)
@@ -213,21 +214,21 @@ func Fig12(w io.Writer) error {
 			continue
 		}
 		rounds := 20
-		db := bench.MeasureBest(3, func() {
+		db := measureBest(3, func() {
 			for i := 0; i < rounds; i++ {
 				d.ACodes.Gather(matches, outI[:len(matches)])
 				d.BCodes.Gather(matches, outI[:len(matches)])
 				d.CCodes.Gather(matches, outI[:len(matches)])
 			}
 		})
-		bpPos := bench.MeasureBest(3, func() {
+		bpPos := measureBest(3, func() {
 			for i := 0; i < rounds; i++ {
 				d.APacked.GatherPositions(matches, outU[:len(matches)])
 				d.BPacked.GatherPositions(matches, outU[:len(matches)])
 				d.CPacked.GatherPositions(matches, outU[:len(matches)])
 			}
 		})
-		bpAll := bench.MeasureBest(3, func() {
+		bpAll := measureBest(3, func() {
 			for i := 0; i < rounds; i++ {
 				for _, v := range []*bitpack.Vector{d.APacked, d.BPacked, d.CPacked} {
 					v.UnpackAll(full)
@@ -240,8 +241,7 @@ func Fig12(w io.Writer) error {
 		per := func(t time.Duration) float64 {
 			return float64(t.Nanoseconds()) / float64(rounds*len(matches))
 		}
-		tb.AddRow(sel, per(db), per(bpPos), per(bpAll))
+		addRow(tb, sel, per(db), per(bpPos), per(bpAll))
 	}
-	tb.Write(w)
-	return nil
+	return tb.Flush()
 }

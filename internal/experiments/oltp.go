@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"datablocks"
-	"datablocks/internal/bench"
 	"datablocks/internal/core"
 	"datablocks/internal/exec"
 	"datablocks/internal/index"
@@ -66,7 +62,7 @@ func Table3(w io.Writer, sf float64, lookups int) error {
 	}
 
 	fmt.Fprintf(w, "Table 3 — point-access throughput (lookups/s), customer SF %g (%d rows), %d lookups\n", sf, n, lookups)
-	tbl := bench.NewTable("storage", "index", "ordered", "shuffled")
+	tbl := newTable(w, "storage", "index", "ordered", "shuffled")
 	allCols := allColumnOrdinals(base.Customer.Schema())
 	for vi := range ordered {
 		for _, withIndex := range []bool{true, false} {
@@ -86,10 +82,12 @@ func Table3(w io.Writer, sf float64, lookups int) error {
 				}
 				row = append(row, fmt.Sprintf("%.0f", tput))
 			}
-			tbl.AddRow(row...)
+			addRow(tbl, row...)
 		}
 	}
-	tbl.Write(w)
+	if err := tbl.Flush(); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "(expected shape: index ≫ scans; without index, SMAs/PSMAs help only on ordered keys)")
 	return nil
 }
@@ -190,249 +188,12 @@ func shuffleColumns(cols []core.ColumnData, n int) []core.ColumnData {
 	return out
 }
 
-// Hybrid exercises the paper's central claim (§1): OLTP writers and OLAP
-// scanners run *simultaneously* over one relation while the background
-// compactor freezes cold chunks into Data Blocks behind the insert tail.
-// Writers insert, update, delete and point-look-up rows in disjoint key
-// stripes; scanners sweep the table with vectorized and JIT scans across
-// the hot/frozen boundary. Each writer also pins one hot key that it
-// updates in place on every round while a dedicated reader hammers point
-// lookups on it: those keys exist at all times, so any lookup miss is a
-// read anomaly and fails the experiment (the epoch-versioned reads
-// guarantee). After the clock runs out the table is verified: the live
-// row count must equal what the writers left behind.
-func Hybrid(w io.Writer, seconds float64, writers, scanners int) error {
-	if writers < 1 {
-		writers = 1
-	}
-	if scanners < 1 {
-		scanners = 1
-	}
-	db := datablocks.Open()
-	tbl, err := db.CreateTable("orders",
-		[]datablocks.Column{
-			{Name: "id", Kind: datablocks.Int64},
-			{Name: "amount", Kind: datablocks.Float64},
-			{Name: "status", Kind: datablocks.String},
-		},
-		datablocks.WithPrimaryKey("id"),
-		datablocks.WithChunkRows(4096),
-		datablocks.WithAutoFreeze(1),
-	)
-	if err != nil {
-		return err
-	}
-
-	// Operation counts come from the table's own telemetry (Table.Metrics)
-	// rather than hand-rolled atomics; only the pinned-key anomaly check
-	// keeps local counters, because "reader-observed miss" is a property of
-	// this experiment, not of the engine.
-	deadline := time.Now().Add(time.Duration(seconds * float64(time.Second)))
-	var (
-		pinnedLookups, pinnedMisses atomic.Int64
-		errMu                       sync.Mutex
-		runErr                      error
-		live                        = make([]int64, writers)
-		wg                          sync.WaitGroup
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
-	const stripe = int64(1) << 32
-	statuses := []string{"new", "paid", "shipped"}
-
-	// One pinned hot key per writer, inserted before the clock starts: it
-	// is never deleted, so every lookup on it must succeed — a miss is the
-	// update/lookup read anomaly.
-	pinned := make([]int64, writers)
-	for g := range pinned {
-		pinned[g] = int64(g)*stripe + stripe - 1
-		row := datablocks.Row{
-			datablocks.Int(pinned[g]),
-			datablocks.Float(0),
-			datablocks.Str("pinned"),
-		}
-		if _, err = tbl.Insert(row); err != nil {
-			return err
-		}
-		live[g]++
-	}
-
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := xrand.New(uint64(0xB0B + g))
-			base := int64(g) * stripe
-			next := base
-			for round := 0; time.Now().Before(deadline); round++ {
-				// Update-heavy pressure on the pinned key: every round
-				// rewrites it while its reader hammers lookups.
-				row := datablocks.Row{
-					datablocks.Int(pinned[g]),
-					datablocks.Float(float64(round)),
-					datablocks.Str("pinned"),
-				}
-				if err := tbl.Update(pinned[g], row); err != nil {
-					fail(fmt.Errorf("pinned update %d: %w", pinned[g], err))
-					return
-				}
-				switch r.Range(0, 10) {
-				case 0, 1, 2, 3, 4, 5: // insert a fresh key
-					key := next
-					next++
-					row := datablocks.Row{
-						datablocks.Int(key),
-						datablocks.Float(float64(key-base) / 2),
-						datablocks.Str(statuses[int(key%3)]),
-					}
-					if _, err := tbl.Insert(row); err != nil {
-						fail(fmt.Errorf("insert %d: %w", key, err))
-						return
-					}
-					live[g]++
-				case 6, 7: // update one of our own live keys in place
-					if next == base {
-						continue
-					}
-					key := base + r.Range(0, next-base-1)
-					row := datablocks.Row{
-						datablocks.Int(key),
-						datablocks.Float(-1),
-						datablocks.Str("updated"),
-					}
-					_ = tbl.Update(key, row)
-				case 8: // delete one of our own keys
-					if next == base {
-						continue
-					}
-					if ok, _ := tbl.Delete(base + r.Range(0, next-base-1)); ok {
-						live[g]--
-					}
-				default: // point lookup of the most recent own key
-					if next == base {
-						continue
-					}
-					if row, ok := tbl.Lookup(next - 1); ok && row[0].Int() != next-1 {
-						fail(fmt.Errorf("lookup %d returned id %d", next-1, row[0].Int()))
-						return
-					}
-				}
-			}
-		}(g)
-	}
-
-	// Pinned-key readers: one per writer, asserting zero lost lookups
-	// while the key is being rewritten.
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				row, ok := tbl.Lookup(pinned[g])
-				pinnedLookups.Add(1)
-				if !ok {
-					pinnedMisses.Add(1)
-					fail(fmt.Errorf("read anomaly: pinned key %d missed mid-update", pinned[g]))
-					return
-				}
-				if row[0].Int() != pinned[g] {
-					fail(fmt.Errorf("pinned key %d resolved to id %d", pinned[g], row[0].Int()))
-					return
-				}
-			}
-		}(g)
-	}
-
-	modes := []datablocks.ScanMode{
-		datablocks.ModeVectorizedSARG,
-		datablocks.ModeVectorizedSARGPSMA,
-		datablocks.ModeJIT,
-	}
-	for s := 0; s < scanners; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := s; time.Now().Before(deadline); i++ {
-				if _, err := tbl.Scan([]string{"id", "amount"},
-					[]datablocks.Pred{{Col: "amount", Op: datablocks.Ge, Lo: datablocks.Float(0)}},
-					datablocks.QueryOptions{Mode: modes[i%len(modes)]}); err != nil {
-					fail(fmt.Errorf("scan: %w", err))
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	// One consistent snapshot of the concurrent phase, before Close's final
-	// freeze and the verification queries add traffic of their own.
-	m := tbl.Metrics()
-	if err = db.Close(); err != nil {
-		return fmt.Errorf("compactor: %w", err)
-	}
-	if runErr != nil {
-		return runErr
-	}
-
-	// Verify: the surviving rows must be exactly what the writers left.
-	want := int64(0)
-	for _, n := range live {
-		want += n
-	}
-	if got := int64(tbl.NumRows()); got != want {
-		return fmt.Errorf("hybrid: %d live rows, writers left %d", got, want)
-	}
-	// The final sweep doubles as the profile demonstration: one profiled
-	// scan across the hot/frozen boundary the experiment just built.
-	res, err := tbl.Scan([]string{"id"}, nil,
-		datablocks.QueryOptions{Mode: datablocks.ModeVectorizedSARG, Profile: true})
-	if err != nil {
-		return err
-	}
-	if int64(res.NumRows()) != want {
-		return fmt.Errorf("hybrid: final scan saw %d rows, want %d", res.NumRows(), want)
-	}
-
-	final := tbl.Metrics()
-	fmt.Fprintf(w, "Hybrid OLTP/OLAP (§1) — %d writers, %d scanners, %.1fs, auto-freeze on\n",
-		writers, scanners, seconds)
-	t := bench.NewTable("metric", "count", "per second")
-	rate := func(n uint64) string {
-		if seconds <= 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.0f", float64(n)/seconds)
-	}
-	t.AddRow("inserts", fmt.Sprint(m.Ops.Inserts), rate(m.Ops.Inserts))
-	t.AddRow("updates", fmt.Sprint(m.Ops.Updates), rate(m.Ops.Updates))
-	t.AddRow("deletes", fmt.Sprint(m.Ops.Deletes), rate(m.Ops.Deletes))
-	t.AddRow("point lookups", fmt.Sprint(m.Ops.Lookups), rate(m.Ops.Lookups))
-	t.AddRow("analytic scans", fmt.Sprint(m.Ops.Scans), rate(m.Ops.Scans))
-	t.AddRow("rows read", fmt.Sprint(m.Ops.RowsRead), rate(m.Ops.RowsRead))
-	t.AddRow("rows written", fmt.Sprint(m.Ops.RowsWritten), rate(m.Ops.RowsWritten))
-	t.AddRow("freezes", fmt.Sprint(m.Freeze.Freezes), rate(m.Freeze.Freezes))
-	t.AddRow("index publishes", fmt.Sprint(m.IndexPublishes), rate(m.IndexPublishes))
-	t.Write(w)
-	fmt.Fprintf(w, "read anomalies on always-live keys: %d of %d lookups (must be 0)\n",
-		pinnedMisses.Load(), pinnedLookups.Load())
-	fmt.Fprintf(w, "final state: %d live rows, %d frozen chunks (%d B compressed), %d hot chunks (%d B)\n",
-		tbl.NumRows(), final.Mem.FrozenChunks, final.Mem.FrozenBytes, final.Mem.HotChunks, final.Mem.HotBytes)
-	if p := res.Profile; p != nil {
-		fmt.Fprintf(w, "\nfinal verification scan, profiled:\n%s", p)
-	}
-	return nil
-}
-
 // TPCC reproduces the §5.3 experiments: (1) new-order throughput with cold
 // new-order chunks frozen versus all-uncompressed, and (2) read-only
 // transaction throughput on an uncompressed versus fully frozen database.
 func TPCC(w io.Writer, txCount int) error {
 	fmt.Fprintf(w, "TPC-C (§5.3) — 5 warehouses, %d transactions per measurement\n", txCount)
-	tbl := bench.NewTable("experiment", "configuration", "tx/s")
+	tbl := newTable(w, "experiment", "configuration", "tx/s")
 
 	run := func(freezeCold bool) (float64, error) {
 		db, err := tpcc.New(tpcc.DefaultConfig())
@@ -460,8 +221,8 @@ func TPCC(w io.Writer, txCount int) error {
 	if err != nil {
 		return err
 	}
-	tbl.AddRow("new-order stream", "uncompressed", fmt.Sprintf("%.0f", unc))
-	tbl.AddRow("new-order stream", "cold neworder frozen", fmt.Sprintf("%.0f", frz))
+	addRow(tbl, "new-order stream", "uncompressed", fmt.Sprintf("%.0f", unc))
+	addRow(tbl, "new-order stream", "cold neworder frozen", fmt.Sprintf("%.0f", frz))
 
 	runRO := func(freezeAll bool) (float64, error) {
 		db, err := tpcc.New(tpcc.DefaultConfig())
@@ -500,9 +261,11 @@ func TPCC(w io.Writer, txCount int) error {
 	if err != nil {
 		return err
 	}
-	tbl.AddRow("read-only (order-status + stock-level)", "uncompressed", fmt.Sprintf("%.0f", uncRO))
-	tbl.AddRow("read-only (order-status + stock-level)", "fully frozen", fmt.Sprintf("%.0f", frzRO))
-	tbl.Write(w)
+	addRow(tbl, "read-only (order-status + stock-level)", "uncompressed", fmt.Sprintf("%.0f", uncRO))
+	addRow(tbl, "read-only (order-status + stock-level)", "fully frozen", fmt.Sprintf("%.0f", frzRO))
+	if err := tbl.Flush(); err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "(read-only overhead on Data Blocks: %.1f%%; the paper reports ~9%%)\n",
 		100*(uncRO-frzRO)/uncRO)
 	return nil

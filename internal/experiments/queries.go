@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"datablocks/internal/bench"
 	"datablocks/internal/core"
 	"datablocks/internal/datasets"
 	"datablocks/internal/exec"
@@ -60,7 +59,7 @@ func Table2(w io.Writer, sf float64, rounds, parallelism int) error {
 		header = append(header, c.Name)
 	}
 	header = append(header, "PSMA speedup over JIT")
-	tbl := bench.NewTable(header...)
+	tbl := newTable(w, header...)
 	times := make([][]float64, len(Table2Configs))
 	for _, q := range tpch.SupportedQueries {
 		row := []any{fmt.Sprintf("Q%d", q)}
@@ -71,7 +70,7 @@ func Table2(w io.Writer, sf float64, rounds, parallelism int) error {
 				db = cold
 			}
 			var res *exec.Result
-			d := bench.MeasureBest(rounds, func() {
+			d := measureBest(rounds, func() {
 				var err error
 				res, err = db.Query(q, exec.Options{Mode: cfg.Mode, Parallelism: parallelism})
 				if err != nil {
@@ -89,15 +88,17 @@ func Table2(w io.Writer, sf float64, rounds, parallelism int) error {
 			}
 		}
 		row = append(row, float64(jit)/float64(psma))
-		tbl.AddRow(row...)
+		addRow(tbl, row...)
 	}
 	geo := []any{"geometric mean"}
 	for ci := range Table2Configs {
-		geo = append(geo, time.Duration(bench.GeoMean(times[ci])*float64(time.Second)))
+		geo = append(geo, time.Duration(geoMean(times[ci])*float64(time.Second)))
 	}
-	geo = append(geo, bench.GeoMean(times[0])/bench.GeoMean(times[len(Table2Configs)-1]))
-	tbl.AddRow(geo...)
-	tbl.Write(w)
+	geo = append(geo, geoMean(times[0])/geoMean(times[len(Table2Configs)-1]))
+	addRow(tbl, geo...)
+	if err := tbl.Flush(); err != nil {
+		return err
+	}
 
 	fmt.Fprintln(w, "\nVectorwise baseline (decompress-then-filter; §5.2 contrast on Q1/Q6):")
 	if err := vectorwiseQ1Q6(w, cold, rounds); err != nil {
@@ -135,7 +136,7 @@ func vectorwiseQ1Q6(w io.Writer, db *tpch.DB, rounds int) error {
 		return rev
 	}
 	// Uncompressed: loops over the raw columnar arrays.
-	rawTime := bench.MeasureBest(rounds, func() {
+	rawTime := measureBest(rounds, func() {
 		_ = q6Raw(cols[shipC].Ints, cols[discC].Ints, cols[qtyC].Ints, cols[priceC].Ints)
 	})
 	// Compressed: full decompression of every scanned column, then filter.
@@ -143,7 +144,7 @@ func vectorwiseQ1Q6(w io.Writer, db *tpch.DB, rounds int) error {
 		shipC: make([]int64, n), discC: make([]int64, n),
 		qtyC: make([]int64, n), priceC: make([]int64, n),
 	}
-	compTime := bench.MeasureBest(rounds, func() {
+	compTime := measureBest(rounds, func() {
 		for col, buf := range bufs {
 			off := 0
 			vw.ScanInts(col, func(_ int, vals []int64) {
@@ -153,10 +154,9 @@ func vectorwiseQ1Q6(w io.Writer, db *tpch.DB, rounds int) error {
 		}
 		_ = q6Raw(bufs[shipC], bufs[discC], bufs[qtyC], bufs[priceC])
 	})
-	tbl := bench.NewTable("query", "VW uncompressed", "VW compressed", "slowdown")
-	tbl.AddRow("Q6 scan+filter+sum", rawTime, compTime, float64(compTime)/float64(rawTime))
-	tbl.Write(w)
-	return nil
+	tbl := newTable(w, "query", "VW uncompressed", "VW compressed", "slowdown")
+	addRow(tbl, "Q6 scan+filter+sum", rawTime, compTime, float64(compTime)/float64(rawTime))
+	return tbl.Flush()
 }
 
 // Fig5 reproduces Figure 5: compile time of a select * over an 8-attribute
@@ -164,7 +164,7 @@ func vectorwiseQ1Q6(w io.Writer, db *tpch.DB, rounds int) error {
 // for JIT-compiled scans, flat for the interpreted vectorized scan.
 func Fig5(w io.Writer, maxCombos int) error {
 	fmt.Fprintln(w, "Figure 5 — compile time vs storage layout combinations (8-attribute relation)")
-	tbl := bench.NewTable("layouts", "jit compile", "jit scan paths", "vectorized compile", "vectorized scan paths")
+	tbl := newTable(w, "layouts", "jit compile", "jit scan paths", "vectorized compile", "vectorized scan paths")
 	for combos := 1; combos <= maxCombos; combos *= 4 {
 		rel, err := LayoutRelation(combos)
 		if err != nil {
@@ -176,24 +176,23 @@ func Fig5(w io.Writer, maxCombos int) error {
 		}
 		plan := &exec.ScanNode{Rel: rel, Cols: cols}
 		var jitStats, vecStats exec.CompileStats
-		jit := bench.MeasureBest(3, func() {
+		jit := measureBest(3, func() {
 			s, err := exec.CompileOnly(plan, exec.Options{Mode: exec.ModeJIT})
 			if err != nil {
 				panic(err)
 			}
 			jitStats = s
 		})
-		vec := bench.MeasureBest(3, func() {
+		vec := measureBest(3, func() {
 			s, err := exec.CompileOnly(plan, exec.Options{Mode: exec.ModeVectorized})
 			if err != nil {
 				panic(err)
 			}
 			vecStats = s
 		})
-		tbl.AddRow(combos, jit, jitStats.ScanPaths, vec, vecStats.ScanPaths)
+		addRow(tbl, combos, jit, jitStats.ScanPaths, vec, vecStats.ScanPaths)
 	}
-	tbl.Write(w)
-	return nil
+	return tbl.Flush()
 }
 
 // LayoutRelation builds an 8-int-attribute relation whose frozen blocks
@@ -285,10 +284,10 @@ func Fig11(w io.Writer, sf float64, rounds int) error {
 		{"+SORT +PSMA", sorted, exec.ModeVectorizedSARGPSMA},
 	}
 	fmt.Fprintf(w, "Figure 11 — TPC-H Q6 (SF %g) speedup over JIT with block-wise l_shipdate sorting\n", sf)
-	tbl := bench.NewTable("configuration", "runtime", "speedup over JIT")
+	tbl := newTable(w, "configuration", "runtime", "speedup over JIT")
 	var jit time.Duration
 	for i, c := range cfgs {
-		d := bench.MeasureBest(rounds, func() {
+		d := measureBest(rounds, func() {
 			if _, err := c.db.Query(6, exec.Options{Mode: c.mode}); err != nil {
 				panic(err)
 			}
@@ -296,10 +295,9 @@ func Fig11(w io.Writer, sf float64, rounds int) error {
 		if i == 0 {
 			jit = d
 		}
-		tbl.AddRow(c.name, d, float64(jit)/float64(d))
+		addRow(tbl, c.name, d, float64(jit)/float64(d))
 	}
-	tbl.Write(w)
-	return nil
+	return tbl.Flush()
 }
 
 // Fig13 reproduces Figure 13 (Appendix A): geometric mean of the TPC-H
@@ -318,29 +316,28 @@ func Fig13(w io.Writer, sf float64, rounds int) error {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 13 — TPC-H (SF %g) geometric mean vs vector size\n", sf)
-	tbl := bench.NewTable("vector size", "vectorized uncompressed", "data block scan")
+	tbl := newTable(w, "vector size", "vectorized uncompressed", "data block scan")
 	for _, vs := range []int{256, 1024, 4096, 8192, 16384, 65536} {
 		var hotTimes, coldTimes []float64
 		for _, q := range tpch.SupportedQueries {
-			d := bench.MeasureBest(rounds, func() {
+			d := measureBest(rounds, func() {
 				if _, err := hot.Query(q, exec.Options{Mode: exec.ModeVectorizedSARG, VectorSize: vs}); err != nil {
 					panic(err)
 				}
 			})
 			hotTimes = append(hotTimes, d.Seconds())
-			d = bench.MeasureBest(rounds, func() {
+			d = measureBest(rounds, func() {
 				if _, err := cold.Query(q, exec.Options{Mode: exec.ModeVectorizedSARGPSMA, VectorSize: vs}); err != nil {
 					panic(err)
 				}
 			})
 			coldTimes = append(coldTimes, d.Seconds())
 		}
-		tbl.AddRow(vs,
-			time.Duration(bench.GeoMean(hotTimes)*float64(time.Second)),
-			time.Duration(bench.GeoMean(coldTimes)*float64(time.Second)))
+		addRow(tbl, vs,
+			time.Duration(geoMean(hotTimes)*float64(time.Second)),
+			time.Duration(geoMean(coldTimes)*float64(time.Second)))
 	}
-	tbl.Write(w)
-	return nil
+	return tbl.Flush()
 }
 
 // FlightsQuery reproduces the Appendix D experiment: the SFO arrival-delay
@@ -359,19 +356,18 @@ func FlightsQuery(w io.Writer, rows, rounds int) error {
 		return err
 	}
 	fmt.Fprintf(w, "Appendix D — flights query (%d rows): carriers by avg arrival delay, SFO, 1998-2008\n", rows)
-	tbl := bench.NewTable("configuration", "runtime", "speedup over JIT")
-	jit := bench.MeasureBest(rounds, func() {
+	tbl := newTable(w, "configuration", "runtime", "speedup over JIT")
+	jit := measureBest(rounds, func() {
 		if _, err := exec.Run(datasets.FlightsQuery(hot), exec.Options{Mode: exec.ModeJIT}); err != nil {
 			panic(err)
 		}
 	})
-	tbl.AddRow("JIT (uncompressed)", jit, 1.0)
-	blocks := bench.MeasureBest(rounds, func() {
+	addRow(tbl, "JIT (uncompressed)", jit, 1.0)
+	blocks := measureBest(rounds, func() {
 		if _, err := exec.Run(datasets.FlightsQuery(frozenRel), exec.Options{Mode: exec.ModeVectorizedSARGPSMA}); err != nil {
 			panic(err)
 		}
 	})
-	tbl.AddRow("Data Blocks +SMA/PSMA", blocks, float64(jit)/float64(blocks))
-	tbl.Write(w)
-	return nil
+	addRow(tbl, "Data Blocks +SMA/PSMA", blocks, float64(jit)/float64(blocks))
+	return tbl.Flush()
 }

@@ -1,4 +1,4 @@
-package bench
+package experiments
 
 import (
 	"math"
@@ -11,42 +11,46 @@ import (
 )
 
 func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("GeoMean(1,100) = %g", got)
+	if got := geoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
+		t.Fatalf("geoMean(1,100) = %g", got)
 	}
-	if got := GeoMean([]float64{4, 4, 4}); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("GeoMean(4,4,4) = %g", got)
+	if got := geoMean([]float64{4, 4, 4}); math.Abs(got-4) > 1e-9 {
+		t.Fatalf("geoMean(4,4,4) = %g", got)
 	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty GeoMean should be 0")
+	if geoMean(nil) != 0 {
+		t.Fatal("empty geoMean should be 0")
 	}
 }
 
 func TestMeasureBest(t *testing.T) {
-	d := MeasureBest(3, func() { time.Sleep(time.Millisecond) })
+	d := measureBest(3, func() { time.Sleep(time.Millisecond) })
 	if d < time.Millisecond {
 		t.Fatalf("median %v below sleep duration", d)
 	}
-	if d := MeasureBest(0, func() {}); d < 0 {
+	if d := measureBest(0, func() {}); d < 0 {
 		t.Fatal("rounds=0 must still measure")
 	}
 }
 
 func TestTableRendering(t *testing.T) {
-	tbl := NewTable("name", "value")
-	tbl.AddRow("alpha", 1.5)
-	tbl.AddRow("a-much-longer-name", 42*time.Millisecond)
-	out := tbl.String()
+	var sb strings.Builder
+	tbl := newTable(&sb, "name", "value")
+	addRow(tbl, "alpha", 1.5)
+	addRow(tbl, "a-much-longer-name", 42*time.Millisecond)
+	if err := tbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
+	if len(lines) != 3 {
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
-	if !strings.HasPrefix(lines[0], "name") || !strings.Contains(out, "1.500") || !strings.Contains(out, "42ms") {
+	// Columns align: the second column starts past the longest first cell,
+	// at the same offset on every line.
+	col := strings.Index(lines[0], "value")
+	if col <= len("a-much-longer-name") || !strings.HasPrefix(lines[1][col:], "1.500") ||
+		!strings.HasPrefix(lines[2][col:], "42ms") {
 		t.Fatalf("bad rendering:\n%s", out)
-	}
-	// Columns align: separator row is as wide as the longest cell.
-	if len(lines[1]) < len("a-much-longer-name") {
-		t.Fatalf("separator too short:\n%s", out)
 	}
 }
 
@@ -59,8 +63,8 @@ func TestCSVSize(t *testing.T) {
 	rel.Insert(types.Row{types.IntValue(123), types.StringValue("abc")})
 	rel.Insert(types.Row{types.IntValue(-4), types.NullValue(types.String)})
 	// row1: "123"+"abc"+2 = 8; row2: "-4"+""+2 = 4
-	if got := CSVSize(rel); got != 12 {
-		t.Fatalf("CSVSize = %d, want 12", got)
+	if got := csvSize(rel); got != 12 {
+		t.Fatalf("csvSize = %d, want 12", got)
 	}
 }
 
@@ -72,8 +76,8 @@ func TestBytes(t *testing.T) {
 		5 << 30: "5.00 GB",
 	}
 	for n, want := range cases {
-		if got := Bytes(n); got != want {
-			t.Fatalf("Bytes(%d) = %q, want %q", n, got, want)
+		if got := humanBytes(n); got != want {
+			t.Fatalf("humanBytes(%d) = %q, want %q", n, got, want)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"datablocks/internal/blockstore"
 	"datablocks/internal/core"
-	"datablocks/internal/types"
 )
 
 // newColdRelation builds a relation with a block store, nChunks full
@@ -527,64 +526,5 @@ func TestConcurrentEvictReloadStress(t *testing.T) {
 	if evictions.Load() == 0 || r.ColdStatsSnapshot().Reloads == 0 {
 		t.Fatalf("stress produced no churn: %d evictions, %d reloads",
 			evictions.Load(), r.ColdStatsSnapshot().Reloads)
-	}
-}
-
-// BenchmarkEvictReload measures one evict→reload→read cycle of a 16-column
-// block — the cold path a larger-than-RAM table pays per miss — at both
-// ends of what a reader can ask for: a scan's four columns, and the whole
-// row a point read wants. Run in CI with -benchtime=1x to keep the reload
-// path exercised.
-func BenchmarkEvictReload(b *testing.B) {
-	const rows, ncols = 4096, 16
-	cols := make([]types.Column, ncols)
-	data := make([]core.ColumnData, ncols)
-	for c := range cols {
-		if c%4 == 3 {
-			cols[c] = types.Column{Name: fmt.Sprintf("s%d", c), Kind: types.String}
-			data[c] = core.ColumnData{Kind: types.String, Strs: make([]string, rows)}
-			for i := range data[c].Strs {
-				data[c].Strs[i] = fmt.Sprintf("value-%d-%d", c, i%(50*c))
-			}
-			continue
-		}
-		cols[c] = types.Column{Name: fmt.Sprintf("i%d", c), Kind: types.Int64}
-		data[c] = core.ColumnData{Kind: types.Int64, Ints: make([]int64, rows)}
-		for i := range data[c].Ints {
-			data[c].Ints[i] = int64(i * (c + 1) % (100 << c))
-		}
-	}
-	r := NewRelation(types.NewSchema(cols...), rows)
-	r.SetBlockStore(openTestStore(b), 0, nil)
-	if err := r.BulkAppend(data, rows); err != nil {
-		b.Fatal(err)
-	}
-	if err := r.FreezeAll(core.FreezeOptions{SortBy: -1}, false); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		cols []int
-	}{{"cols=4", []int{4, 5, 6, 10}}, {"cols=all", nil}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var read int64
-			for i := 0; i < b.N; i++ {
-				if ok, err := r.EvictChunk(0); err != nil || !ok {
-					b.Fatalf("chunk not evicted: %v", err)
-				}
-				views := r.Snapshot()
-				n, err := views[0].AcquireReload(bc.cols)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if views[0].Value(4, i%rows).IsNull() {
-					b.Fatal("NULL in a column without NULLs")
-				}
-				views[0].Release()
-				read += n
-			}
-			b.ReportMetric(float64(read)/float64(b.N), "read-B/op")
-		})
 	}
 }
