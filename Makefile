@@ -13,6 +13,10 @@
 #                      times each, plus the kill -9 WAL recovery stress (a
 #                      victim process is SIGKILLed at random crash points
 #                      and reopened asserting zero lost acknowledged writes)
+#   make flake       — the whole suite five times over, beside one busy
+#                      loop per CPU, so a test whose verdict depends on
+#                      goroutine scheduling fails here and not at random
+#                      in someone's `go test ./...`
 #   make fuzz-short  — every fuzz target for FUZZTIME (default 60s) each
 #   make examples    — build every example; run quickstart (incl. durable
 #                      reopen) against a temp dir
@@ -24,7 +28,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: all build test test-portable race vet lint lint-vet fmt-check stress fuzz-short examples linkcheck loc ci
+.PHONY: all build test test-portable race vet lint lint-vet fmt-check stress flake fuzz-short examples linkcheck loc ci
 
 all: ci
 
@@ -85,6 +89,33 @@ stress:
 	$(GO) test -race -count=20 -run 'TestHybridStress|TestBudgetedTableMatchesUnbounded|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty|TestWALParallelReplayMatchesModel|TestIndexConcurrentGrowth' . ./internal/storage/ ./internal/index/
 	$(GO) test -count=1 -run 'TestKillRecoveryStress' .
 
+# Each package's test binary is built once, before the load starts; then
+# every binary runs -test.count=5 in its package directory (as go test
+# runs it) while one busy loop per CPU — GOMAXPROCS of them — competes for
+# the cores. A failing package's output is printed; the target fails if
+# any package did.
+flake:
+	@rm -rf bin/flake && mkdir -p bin/flake
+	@$(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}} {{.Dir}}{{end}}' ./... > bin/flake/pkgs
+	@while read -r pkg dir; do \
+		$(GO) test -c -o "bin/flake/$$(echo $$pkg | tr / _).test" "$$pkg" || exit 1; \
+	done < bin/flake/pkgs
+	@pids=; \
+	for i in $$(seq $$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)); do \
+		sh -c 'while :; do :; done' & pids="$$pids $$!"; \
+	done; \
+	trap 'kill $$pids' EXIT; \
+	failed=0; \
+	while read -r pkg dir; do \
+		bin="$(CURDIR)/bin/flake/$$(echo $$pkg | tr / _).test"; \
+		if (cd "$$dir" && "$$bin" -test.count=5 -test.timeout=30m) > "$(CURDIR)/bin/flake/out" 2>&1; then \
+			echo "ok    $$pkg"; \
+		else \
+			echo "FAIL  $$pkg"; cat "$(CURDIR)/bin/flake/out"; failed=1; \
+		fi; \
+	done < bin/flake/pkgs; \
+	exit $$failed
+
 # go test fuzzes one target per invocation: list each explicitly.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalBlock -fuzztime=$(FUZZTIME) ./internal/core
@@ -120,4 +151,4 @@ loc:
 		printf '%6d  %s\n' "$$n" "$$pkg"; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
-ci: fmt-check vet lint build test test-portable race stress fuzz-short examples linkcheck
+ci: fmt-check vet lint build test test-portable race stress flake fuzz-short examples linkcheck

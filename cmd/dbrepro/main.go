@@ -61,7 +61,7 @@ func main() {
 		case "table3":
 			return experiments.Table3(w, *sf, *lookups)
 		case "tpcc":
-			return experiments.TPCC(w, *txCount)
+			return experiments.TPCC(w, *txCount, *rounds)
 		case "fig5":
 			return experiments.Fig5(w, *combos)
 		case "fig8":

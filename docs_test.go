@@ -93,9 +93,9 @@ func TestNoDbvetIgnore(t *testing.T) {
 // TestProductionImportGraph pins what the engine links: the root package's
 // in-module dependencies are exactly these twelve. The comparators the
 // paper's tables need (vwise, bitpack) and the experiment and
-// data-generation packages (experiments, tpcc, tpch, datasets, xrand)
-// import the engine, never the other way round — so none of them can
-// end up on the production path by accident.
+// data-generation packages (experiments, tpch, datasets, xrand) import
+// the engine, never the other way round — so none of them can end up on
+// the production path by accident.
 func TestProductionImportGraph(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", ".").Output()
 	if err != nil {
@@ -120,8 +120,8 @@ func TestProductionImportGraph(t *testing.T) {
 // here in its own diff, like an entry in lint-budget.json; one that
 // deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4321,
-	"total":                    19978,
+	"datablocks/internal/exec": 4328,
+	"total":                    19728,
 }
 
 // TestLocCeilings counts what `make loc` counts — every line of a

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"datablocks/internal/blockstore"
@@ -659,9 +659,13 @@ func TestBatchJoinStringKeysAndNulls(t *testing.T) {
 	}
 }
 
-// TestParallelErrorStopsWorkers: when one morsel fails, the pipeline must
-// return the error, and the shared cancellation flag must keep the
-// remaining workers from draining the whole backlog.
+// TestParallelErrorStopsWorkers: when one morsel fails, the pipeline
+// returns its error, and the stop flag keeps the other workers from
+// draining the backlog — once it is set, each claims at most one more
+// morsel. The count is the engine's, not the scheduler's: the healthy
+// worker's sink holds its first morsel open until the flag is set, so
+// however the two goroutines are scheduled, the failing morsel and that
+// one are all the executor's morsel counter may show.
 func TestParallelErrorStopsWorkers(t *testing.T) {
 	const chunkRows = 1 << 10
 	rel := ordersRel(t, 400*chunkRows, chunkRows, 1) // chunk 0 frozen
@@ -683,24 +687,30 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &ScanNode{Rel: rel, Cols: []int{0, 3}}
-	var consumed atomic.Int64
-	ex, err := newExecutor(plan, Options{Mode: ModeVectorizedSARG, TupleAtATime: true, Parallelism: 2})
+	opt := Options{Mode: ModeVectorizedSARG, TupleAtATime: true, Parallelism: 2, Profile: true}
+	ex, err := newExecutor(plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ex.prof, _ = newProfiler(plan, opt)
 	err = ex.runPipeline(plan, func(*compiler) pipeSink {
-		return pipeSink{tuple: func(*Tuple) { consumed.Add(1) }}
+		return pipeSink{tuple: func(*Tuple) {
+			for !ex.stop.Load() {
+				runtime.Gosched()
+			}
+		}}
 	})
 	if err == nil {
 		t.Fatal("expected the broken chunk's reload error to propagate")
 	}
-	// The failing chunk is first in the queue, so one worker errors almost
-	// immediately; the other must stop at the flag instead of draining the
-	// remaining ~399 chunks. Allow generous slack for morsels already in
-	// flight when the flag flips.
-	total := int64(400 * chunkRows)
-	if got := consumed.Load(); got > total/2 {
-		t.Fatalf("workers consumed %d of %d rows after the error; cancellation is not stopping the backlog", got, total)
+	// Chunk 0 heads the queue, so whichever worker claims it fails before
+	// producing a row.
+	var morsels uint64
+	for _, w := range ex.prof.finish(0).Workers {
+		morsels += w.Morsels
+	}
+	if morsels > 2 {
+		t.Fatalf("workers processed %d of 400 morsels after one failed; the stop flag is not stopping the backlog", morsels)
 	}
 }
 
@@ -759,6 +769,32 @@ func TestCompileFailureIsTheQuerysError(t *testing.T) {
 				t.Fatalf("%s %v tuple: %v", name, mode, err)
 			}
 			requireExactResult(t, name, tuple, batch)
+		}
+	}
+	// A plan the front end rejects outside any expression — a sort key
+	// past the child's columns, an aggregate function that does not exist
+	// — fails the same way, and before a worker goroutine could panic.
+	malformed := map[string]Node{
+		"sort-key":      &OrderByNode{Child: scan(nil), Keys: []OrderKey{{Col: 7}}},
+		"top-k-key":     &OrderByNode{Child: scan(nil), Keys: []OrderKey{{Col: 0}, {Col: 7}}, Limit: 5},
+		"aggregate-fn":  &AggNode{Child: scan(nil), GroupBy: []int{2}, Aggs: []AggSpec{{Func: AggFunc(42), Arg: Col(3)}}},
+		"negative-sort": &OrderByNode{Child: scan(nil), Keys: []OrderKey{{Col: -1}}, Limit: 5},
+	}
+	for name, plan := range malformed {
+		want := ""
+		for _, mode := range []ScanMode{ModeJIT, ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA} {
+			for _, opt := range []Options{{Mode: mode}, {Mode: mode, Parallelism: 3, Profile: true}, {Mode: mode, TupleAtATime: true}} {
+				_, err := Run(plan, opt)
+				if err == nil {
+					t.Fatalf("%s %+v: the malformed plan ran", name, opt)
+				}
+				if want == "" {
+					want = err.Error()
+				}
+				if err.Error() != want {
+					t.Fatalf("%s %+v: error %q, elsewhere %q", name, opt, err, want)
+				}
+			}
 		}
 	}
 }

@@ -86,6 +86,10 @@ type executor struct {
 	// Join build sides run with prof temporarily cleared: the profile
 	// describes the probe spine, builds appear as BuildRows on their join.
 	prof *profiler
+	// stop is set by the first morsel that fails. Every other worker then
+	// claims at most one more morsel, sees it and quits; the error fails
+	// the whole query, so stop is never cleared.
+	stop atomic.Bool
 }
 
 // profIdx maps a spine node to its operator slot, -1 when unprofiled.
@@ -355,19 +359,16 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 	close(work)
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
-	// The first failure flips the shared flag so the surviving workers
-	// stop at their next morsel instead of draining the whole channel.
-	var failed atomic.Bool
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(d *scanDriver) {
 			defer wg.Done()
 			for v := range work {
-				if failed.Load() {
+				if ex.stop.Load() {
 					return
 				}
 				if err := d.processChunkTimed(v); err != nil {
-					failed.Store(true)
+					ex.stop.Store(true)
 					errCh <- err
 					return
 				}

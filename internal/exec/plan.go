@@ -219,6 +219,11 @@ func (pl *checkedPlan) check(n Node) ([]types.Kind, error) {
 		err = p.checkAgg(pl, n)
 	case *OrderByNode:
 		p.kinds, err = pl.check(n.Child)
+		for _, k := range n.Keys {
+			if err == nil && (k.Col < 0 || k.Col >= len(p.kinds)) {
+				err = fmt.Errorf("exec: order-by column %d out of range", k.Col)
+			}
+		}
 	default:
 		err = fmt.Errorf("exec: unknown plan node %T", n)
 	}
@@ -354,8 +359,10 @@ func (p *planned) checkAgg(pl *checkedPlan, a *AggNode) error {
 				return errors.New("exec: sum over strings")
 			}
 			arg, kind = arg.float(), types.Float64
-		default: // MIN, MAX
+		case AggMin, AggMax:
 			kind = arg.kind
+		default:
+			return fmt.Errorf("exec: unknown aggregate function %d", spec.Func)
 		}
 		p.exprs, p.kinds = append(p.exprs, arg), append(p.kinds, kind)
 	}

@@ -49,11 +49,13 @@ func TestTable3Small(t *testing.T) {
 
 func TestTPCCSmall(t *testing.T) {
 	var sb strings.Builder
-	if err := TPCC(&sb, 500); err != nil {
+	if err := TPCC(&sb, 500, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "new-order stream") {
-		t.Fatalf("output:\n%s", sb.String())
+	for _, want := range []string{"cold neworder frozen", "read-only (order-status + stock-level)  fully frozen", "read-only overhead"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("missing %q in output:\n%s", want, sb.String())
+		}
 	}
 }
 

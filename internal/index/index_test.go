@@ -38,8 +38,8 @@ func TestLookupAcrossFreeze(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d missing", k)
 		}
-		v, ok := r.GetCol(tid, 1)
-		if !ok || v.Int() != k*10 {
+		row, ok := r.Get(tid)
+		if !ok || row[1].Int() != k*10 {
 			t.Fatalf("key %d resolves to wrong tuple", k)
 		}
 	}
@@ -77,8 +77,8 @@ func TestDeleteAndUpdate(t *testing.T) {
 	}
 	h.Repoint(7, newTid)
 	got, _ := h.Lookup(7)
-	v, ok := r.GetCol(got, 1)
-	if !ok || v.Int() != 777 {
+	row, ok := r.Get(got)
+	if !ok || row[1].Int() != 777 {
 		t.Fatal("index points at stale version")
 	}
 }
@@ -207,8 +207,8 @@ func TestRebuildAfterSortedFreeze(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d missing after rebuild", k)
 		}
-		v, ok := r.GetCol(tid, 1)
-		if !ok || v.Int() != k*10 {
+		row, ok := r.Get(tid)
+		if !ok || row[1].Int() != k*10 {
 			t.Fatalf("key %d wrong after rebuild", k)
 		}
 	}

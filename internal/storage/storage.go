@@ -21,7 +21,7 @@
 //     points route to stripe 0. Deletes and commits still serialize on
 //     the relation lock — they are cross-stripe (any stripe's row) and
 //     epoch-minting.
-//   - OLTP reads: Get, GetCol, GetAt (shared lock).
+//   - OLTP reads: Get, GetAt (shared lock).
 //   - OLAP scans: Snapshot returns ChunkViews pinned to an epoch cutoff;
 //     scan drivers iterate a snapshot and never observe row versions
 //     committed after the cutoff. A view hands the vectorized scan its
@@ -114,7 +114,7 @@
 //     win them back.
 //   - Readers pin with a column set (pinBlock, ChunkView.Acquire): a scan
 //     its ScanNode.Cols (predicate and early-probe columns are among them),
-//     an index rebuild the key column, point reads (GetAt/GetCol) and
+//     an index rebuild the key column, point reads (GetAt) and
 //     UnevictAll every column (nil). A pin whose columns are all loaded is
 //     one payload load and one check; otherwise the missing attributes'
 //     sections are read from the store — adjacent ones in one read, each
@@ -212,7 +212,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -504,7 +503,7 @@ func (c *Chunk) IsFrozen() bool {
 // for hot and evicted chunks. In a relation with a block store the
 // resident block may hold only the attributes earlier readers asked for
 // (core.Block.Has), so callers there go through a pinned path instead
-// (GetAt/GetCol, or a ChunkView with Acquire), which loads what is missing
+// (GetAt, or a ChunkView with Acquire), which loads what is missing
 // from the store.
 func (c *Chunk) Block() *core.Block { return c.pay.Load().blk }
 
@@ -1293,44 +1292,6 @@ func (r *Relation) GetAt(tid TupleID, e uint64) (types.Row, Visibility) {
 	defer unpin()
 	blk.Row(int(tid.Row), row)
 	return row, Visible
-}
-
-// GetCol returns a single attribute of a tuple at the current write epoch
-// — the OLTP point access the format is designed around (§3.4). Like
-// GetAt it reads evicted chunks through a pinned reload outside the
-// relation lock — of the whole row's block, since point reads of one row
-// tend to come in groups; a reload failure reports a miss and records
-// LoadError.
-func (r *Relation) GetCol(tid TupleID, col int) (types.Value, bool) {
-	r.mu.RLock()
-	c, vis := r.visibilityLocked(tid, r.epoch.Load())
-	if vis != Visible {
-		r.mu.RUnlock()
-		return types.Value{}, false
-	}
-	c.access.Add(1) // lookup touch
-	p := c.pay.Load()
-	if p.hot != nil || (p.blk != nil && r.store == nil) {
-		defer r.mu.RUnlock()
-		if p.blk != nil {
-			return p.blk.Value(col, int(tid.Row)), true
-		}
-		return p.hot.Value(col, int(tid.Row)), true
-	}
-	r.mu.RUnlock()
-	blk, unpin, _, err := r.pinBlock(c, nil)
-	if err != nil {
-		r.noteLoadError(err)
-		return types.Value{}, false
-	}
-	defer unpin()
-	v := blk.Value(col, int(tid.Row))
-	if v.Kind() == types.String && !v.IsNull() {
-		// The value outlives the pin: it must not keep the dictionary
-		// section it may be a substring of alive (see core.Block.Row).
-		v = types.StringValue(strings.Clone(v.Str()))
-	}
-	return v, true
 }
 
 // visibilityLocked resolves a tuple identifier and classifies its

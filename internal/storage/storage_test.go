@@ -292,16 +292,16 @@ func TestMemoryStatsShrinkAfterFreeze(t *testing.T) {
 	}
 }
 
-func TestGetColPointAccess(t *testing.T) {
+func TestGetPointAccess(t *testing.T) {
 	r := NewRelation(testSchema(), 10)
 	tid, _ := r.Insert(mkRow(7, 1.25, "zz"))
-	v, ok := r.GetCol(tid, 0)
-	if !ok || v.Int() != 7 {
-		t.Fatalf("GetCol = %v %v", v, ok)
+	row, ok := r.Get(tid)
+	if !ok || row[0].Int() != 7 {
+		t.Fatalf("Get = %v %v", row, ok)
 	}
 	r.FreezeChunk(0, core.FreezeOptions{SortBy: -1})
-	v, ok = r.GetCol(tid, 2)
-	if !ok || v.Str() != "zz" {
-		t.Fatalf("frozen GetCol = %v %v", v, ok)
+	row, ok = r.Get(tid)
+	if !ok || row[2].Str() != "zz" {
+		t.Fatalf("frozen Get = %v %v", row, ok)
 	}
 }
