@@ -25,7 +25,6 @@ package datablocks
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -150,6 +149,9 @@ type DB struct {
 
 	// dir is the durable root of an OpenPath database ("" for Open).
 	dir string
+	// fs is the file layer every table's block store, manifest and WAL
+	// go through: walfs.OS, or a FaultFS in the crash tests.
+	fs walfs.FS
 	// catMu serializes catalog generation bumps and writes.
 	catMu  sync.Mutex
 	catGen uint64
@@ -162,7 +164,7 @@ type DB struct {
 // budget. Call Close to stop background compactors, flush frozen blocks
 // to their stores and release them.
 func Open(defaults ...TableOption) *DB {
-	return &DB{tables: make(map[string]*Table), defaults: defaults}
+	return &DB{tables: make(map[string]*Table), defaults: defaults, fs: walfs.OS}
 }
 
 // OpenPath opens (or creates) a durable database rooted at dir. Every
@@ -190,12 +192,20 @@ func Open(defaults ...TableOption) *DB {
 // primary key, chunk capacity) come from the catalog and override the
 // defaults. A corrupt or torn newest catalog/manifest generation falls
 // back to the previous one; a missing catalog opens an empty database.
+// A record or directory that cannot be read, and a record of another
+// format version, fail the open instead.
 func OpenPath(dir string, defaults ...TableOption) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return openPath(walfs.OS, dir, defaults...)
+}
+
+// openPath is OpenPath on the file layer fs; the crash tests pass a
+// walfs.FaultFS.
+func openPath(fs walfs.FS, dir string, defaults ...TableOption) (*DB, error) {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("datablocks: %w", err)
 	}
-	db := &DB{tables: make(map[string]*Table), defaults: defaults, dir: dir}
-	cat, err := blockstore.LoadCatalog(dir)
+	db := &DB{tables: make(map[string]*Table), defaults: defaults, dir: dir, fs: fs}
+	cat, err := blockstore.LoadCatalog(fs, dir)
 	if err != nil {
 		return nil, fmt.Errorf("datablocks: open %s: %w", dir, err)
 	}
@@ -203,7 +213,7 @@ func OpenPath(dir string, defaults ...TableOption) (*DB, error) {
 		return db, nil
 	}
 	db.catGen = cat.Generation
-	blockstore.PruneCatalogs(dir, cat.Generation)
+	blockstore.PruneCatalogs(fs, dir, cat.Generation)
 	for _, ct := range cat.Tables {
 		// The catalog's structural record is authoritative, applied after
 		// the defaults: WithPrimaryKey(ct.PrimaryKey) deliberately runs
@@ -299,7 +309,7 @@ func (db *DB) writeCatalogLocked() error {
 	defer db.catMu.Unlock()
 	db.catGen++
 	cat.Generation = db.catGen
-	return blockstore.WriteCatalog(db.dir, cat)
+	return blockstore.WriteCatalog(db.fs, db.dir, cat)
 }
 
 // TableOption customizes table creation.
@@ -394,12 +404,6 @@ func WithWAL() TableOption {
 	return func(t *Table) { t.walEnabled = true }
 }
 
-// withWALFS swaps the WAL's file layer; the crash tests inject torn
-// writes and simulated power loss through it.
-func withWALFS(fs walfs.FS) TableOption {
-	return func(t *Table) { t.walFS = fs }
-}
-
 // CreateTable registers a new table. The DB's default options (see Open)
 // are applied first, then the table's own. In a durable database
 // (OpenPath) the table automatically keeps its frozen blocks under the
@@ -414,7 +418,7 @@ func (db *DB) CreateTable(name string, cols []Column, opts ...TableOption) (*Tab
 // manifest recovery so two racing creations of the same name cannot both
 // run recovery (and its garbage collection) against one directory.
 func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...TableOption) (*Table, error) {
-	t := &Table{name: name, schema: types.NewSchema(cols...), sortBy: -1, walFS: walfs.OS}
+	t := &Table{name: name, schema: types.NewSchema(cols...), sortBy: -1}
 	for _, opt := range db.defaults {
 		opt(t)
 	}
@@ -461,7 +465,7 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 		return nil, fmt.Errorf("datablocks: table %q already exists", name)
 	}
 	if t.storeDir != "" {
-		if err := t.openStore(); err != nil {
+		if err := t.openStore(db.fs); err != nil {
 			_ = t.release() // the open error is the one to report
 			return nil, fmt.Errorf("datablocks: table %q: %w", name, err)
 		}
@@ -483,14 +487,14 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 	return t, nil
 }
 
-// openStore attaches the table's block store and recovers a durable
+// openStore attaches the table's block store on fs and recovers a durable
 // table: the stripe logs' framing pass first (it counts the inserts the
 // index must make room for), then the manifest, then the WAL replay past
 // the manifest's truncation points — run on the first open ever too (a
 // crash can predate the first manifest generation). On error the caller
 // releases whatever it opened.
-func (t *Table) openStore() error {
-	bs, err := blockstore.Open(filepath.Join(t.storeDir, t.name))
+func (t *Table) openStore(fs walfs.FS) error {
+	bs, err := blockstore.OpenFS(fs, filepath.Join(t.storeDir, t.name))
 	if err != nil {
 		return err
 	}
@@ -526,8 +530,8 @@ func (t *Table) openStore() error {
 // When no manifest exists the table starts empty and any stray block
 // files are cleared: nothing referenced them.
 func (t *Table) recoverFromManifest(reserve int) error {
-	dir := t.bs.Dir()
-	man, err := blockstore.LoadManifest(dir)
+	fs, dir := t.bs.FS(), t.bs.Dir()
+	man, err := blockstore.LoadManifest(fs, dir)
 	if err != nil {
 		return err
 	}
@@ -543,9 +547,9 @@ func (t *Table) recoverFromManifest(reserve int) error {
 		for _, mc := range man.Chunks {
 			keep[mc.Handle] = true
 		}
-		blockstore.PruneManifests(dir, man.Generation)
+		blockstore.PruneManifests(fs, dir, man.Generation)
 	} else {
-		blockstore.PruneManifests(dir, 0)
+		blockstore.PruneManifests(fs, dir, 0)
 	}
 	if _, err := t.bs.Retain(keep); err != nil {
 		return err
@@ -585,7 +589,7 @@ func (t *Table) dropStoreFiles() error {
 	if _, err := t.bs.Retain(nil); err != nil {
 		return err
 	}
-	os.Remove(t.bs.Dir()) // best effort: fails when non-store files remain
+	t.bs.FS().Remove(t.bs.Dir()) // best effort: fails when non-store files remain
 	return nil
 }
 
@@ -658,7 +662,6 @@ type Table struct {
 	// tables.
 	writeStripes int
 	walEnabled   bool
-	walFS        walfs.FS // walfs.OS unless a crash test swaps it
 	stripes      []tableStripe
 	walSeq       atomic.Uint64
 	walStats     wal.Stats
@@ -1349,7 +1352,7 @@ func (t *Table) checkpoint(stripesHeld bool) error {
 	chunks := t.rel.ManifestChunks()
 	t.manMu.Lock()
 	t.manGen++
-	err := blockstore.WriteManifest(t.bs.Dir(), &blockstore.Manifest{
+	err := blockstore.WriteManifest(t.bs.FS(), t.bs.Dir(), &blockstore.Manifest{
 		Generation: t.manGen,
 		SortBy:     t.sortBy,
 		Chunks:     chunks,
@@ -1388,7 +1391,7 @@ func (t *Table) openWAL() ([]*wal.Records, error) {
 	logs := make([]*wal.Records, len(t.stripes))
 	return logs, t.perStripe(func(si int) error {
 		path := filepath.Join(t.bs.Dir(), fmt.Sprintf("wal-%d.log", si))
-		w, recs, err := wal.Open(t.walFS, path, t.schema, &t.walSeq, &t.walStats)
+		w, recs, err := wal.Open(t.bs.FS(), path, t.schema, &t.walSeq, &t.walStats)
 		t.stripes[si].w, logs[si] = w, recs
 		return err
 	})

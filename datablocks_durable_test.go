@@ -1,6 +1,7 @@
 package datablocks
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -283,6 +284,49 @@ func TestAllManifestsCorruptRefusesAndKeepsBlocks(t *testing.T) {
 	blocksAfter, _ := filepath.Glob(filepath.Join(dir, "events", "*.dblk"))
 	if len(blocksAfter) != len(blocksBefore) || len(blocksAfter) == 0 {
 		t.Fatalf("block files not preserved for salvage: %d before, %d after", len(blocksBefore), len(blocksAfter))
+	}
+}
+
+// TestVersion1RecordsAreRefused: record format 2 made the WAL fields
+// ordinary fields of every catalog and manifest and dropped the version-1
+// decoder. A directory whose catalog or manifest generations are all
+// version 1 must fail to open with an error naming the version — never
+// open as an empty database — and must keep every block file.
+func TestVersion1RecordsAreRefused(t *testing.T) {
+	for _, pattern := range []string{"catalog-*.dbc", filepath.Join("events", "manifest-*.dbm")} {
+		t.Run(filepath.Base(pattern), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := OpenPath(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadEvents(t, mustCreateEvents(t, db), 2000)
+			if err = db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			records, err := filepath.Glob(filepath.Join(dir, pattern))
+			if err != nil || len(records) == 0 {
+				t.Fatalf("no %s records after close (err %v)", pattern, err)
+			}
+			for _, r := range records {
+				buf, err := os.ReadFile(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint32(buf[4:], 1) // the header's version field
+				if err = os.WriteFile(r, buf, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			blocksBefore, _ := filepath.Glob(filepath.Join(dir, "events", "*.dblk"))
+			if db2, err := OpenPath(dir); err == nil || !strings.Contains(err.Error(), "version 1") {
+				t.Fatalf("open over version-1 %s records: db %v, err %v; want an error naming version 1", pattern, db2, err)
+			}
+			blocksAfter, _ := filepath.Glob(filepath.Join(dir, "events", "*.dblk"))
+			if len(blocksAfter) != len(blocksBefore) || len(blocksAfter) == 0 {
+				t.Fatalf("block files not preserved: %d before, %d after", len(blocksBefore), len(blocksAfter))
+			}
+		})
 	}
 }
 

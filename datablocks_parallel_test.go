@@ -204,11 +204,17 @@ func TestParallelBatchQueryUnderWrites(t *testing.T) {
 	go reader()
 	go reader()
 	go semiReader()
-	time.Sleep(400 * time.Millisecond)
+	// Run until each reader kind has checked a few queries; the deadline
+	// only catches a reader that stopped making progress.
+	const enough = 3
+	deadline := time.Now().Add(60 * time.Second)
+	for (queryOK.Load() < enough || semiOK.Load() < enough) && !t.Failed() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	stop.Store(true)
 	wg.Wait()
-	if queryOK.Load() == 0 || semiOK.Load() == 0 {
-		t.Fatalf("%d aggregations and %d semi joins completed", queryOK.Load(), semiOK.Load())
+	if queryOK.Load() < enough || semiOK.Load() < enough {
+		t.Fatalf("%d aggregations and %d semi joins completed, want %d of each", queryOK.Load(), semiOK.Load(), enough)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestWALParallelReplayMatchesModel(t *testing.T) {
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := walfs.NewFaultFS()
-			db, err := OpenPath(dir, append(walOpts(stripes), withWALFS(ffs))...)
+			db, err := openPath(ffs, dir, walOpts(stripes)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func testCorruptStripeRefusesTable(t *testing.T, corrupt string) {
 	}
 	// The same through table construction directly: the failed table is
 	// never registered.
-	db3 := &DB{tables: make(map[string]*Table), dir: dir}
+	db3 := &DB{tables: make(map[string]*Table), dir: dir, fs: walfs.OS}
 	cols := []Column{{Name: "id", Kind: Int64}, {Name: "amount", Kind: Float64}, {Name: "status", Kind: String}}
 	if _, err := db3.createTable("events", cols, true, append(walOpts(4), WithPrimaryKey("id"))...); err == nil {
 		t.Fatal("createTable recovered over a corrupt stripe")

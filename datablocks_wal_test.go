@@ -254,7 +254,7 @@ func TestWALGroupCommitCrashProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := walfs.NewFaultFS()
-			db, err := OpenPath(dir, append(walOpts(8), withWALFS(ffs))...)
+			db, err := openPath(ffs, dir, walOpts(8)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -630,7 +630,7 @@ func TestWALBulkLoadReplay(t *testing.T) {
 func TestWALCrossStripeRenameCrashKeepsAcknowledgedRow(t *testing.T) {
 	dir := t.TempDir()
 	ffs := walfs.NewFaultFS()
-	db, err := OpenPath(dir, append(walOpts(4), withWALFS(ffs))...)
+	db, err := openPath(ffs, dir, walOpts(4)...)
 	if err != nil {
 		t.Fatal(err)
 	}

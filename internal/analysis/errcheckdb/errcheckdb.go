@@ -24,19 +24,22 @@ import (
 var Funcs = map[string]bool{
 	// storage: view pinning and cold-chunk restore
 	"Acquire":        true,
+	"AcquireReload":  true,
 	"RestoreEvicted": true,
-	"UnpackColumn":   true,
-	// blockstore: durable reads and writes
-	"ReadBlock":  true,
-	"WriteBlock": true,
-	"Load":       true,
-	"Flush":      true,
-	"Sync":       true,
+	// blockstore: block writes, reads and garbage collection
+	"Put":           true,
+	"ReadDirectory": true,
+	"LoadAttrs":     true,
+	"Load":          true,
+	"Retain":        true,
 	// catalog / manifest persistence
-	"SaveCatalog":  true,
-	"LoadCatalog":  true,
-	"SaveManifest": true,
-	"LoadManifest": true,
+	"WriteCatalog":  true,
+	"LoadCatalog":   true,
+	"WriteManifest": true,
+	"LoadManifest":  true,
+	// walfs: durable file writes
+	"WriteFile": true,
+	"Sync":      true,
 }
 
 // Analyzer is the errcheckdb pass.

@@ -4,7 +4,7 @@ package fixture
 type Store struct{}
 
 func (s *Store) Acquire() error          { return nil }
-func (s *Store) ReadBlock() (int, error) { return 0, nil }
+func (s *Store) LoadAttrs() (int, error) { return 0, nil }
 func (s *Store) Release()                {}
 
 // Gauge.Acquire returns no error: the analyzer must stay silent on it.
@@ -21,7 +21,7 @@ func blank(s *Store) {
 }
 
 func blankMulti(s *Store) int {
-	blk, _ := s.ReadBlock() // want "assigned to the blank identifier"
+	blk, _ := s.LoadAttrs() // want "assigned to the blank identifier"
 	return blk
 }
 
@@ -38,7 +38,7 @@ func handled(s *Store) error {
 		return err
 	}
 	defer s.Release()
-	blk, err := s.ReadBlock()
+	blk, err := s.LoadAttrs()
 	if err != nil {
 		return err
 	}

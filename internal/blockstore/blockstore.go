@@ -12,12 +12,16 @@
 // of work — placement tracks observed access, not just chunk age.
 //
 // The Store is a flat directory of self-contained block files, one per
-// block, written atomically (temp file + fsync + rename) and read back by
+// block, written atomically (walfs.FS.WriteFile) and read back by
 // attribute: a block's header and directory (ReadDirectory) say where each
 // attribute's sections are, LoadAttrs fetches the ones a reader asks for,
 // and the serialized format's per-attribute CRC32-C verifies exactly what
 // was read. It stores payload bytes only; which chunk a handle belongs to is the owner's (the relation's)
 // bookkeeping, exactly like the paper's blocks, which carry no schema.
+//
+// Every file the package touches — block files and the records below — is
+// reached through the walfs.FS the store or the record function is given,
+// so the crash tests inject faults into each call (walfs.FaultFS).
 //
 // # Durability and garbage collection
 //
@@ -43,14 +47,13 @@
 //
 // Error discipline is machine-checked: the dbvet errcheckdb analyzer
 // (internal/analysis, run by `make lint`) refuses a discarded error from
-// ReadBlock, WriteBlock, Load, Flush, Sync or the catalog/manifest
-// save/load functions — a dropped error here is a cold block silently
+// Put, ReadDirectory, LoadAttrs, Load, Retain or the catalog/manifest
+// write/load functions — a dropped error here is a cold block silently
 // treated as resident. See ARCHITECTURE.md, "Enforced invariants".
 package blockstore
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -60,6 +63,7 @@ import (
 
 	"datablocks/internal/core"
 	"datablocks/internal/types"
+	"datablocks/internal/walfs"
 )
 
 // Handle identifies one stored block within its Store. The zero Handle
@@ -73,6 +77,7 @@ const blockExt = ".dblk"
 // for concurrent use: Put and Load run without a lock (each handle maps
 // to its own file), only handle allocation is serialized.
 type Store struct {
+	fs   walfs.FS
 	dir  string
 	next atomic.Uint64
 
@@ -94,15 +99,18 @@ type StoreStats struct {
 	DiskBytes            int64
 }
 
-// Open creates (or reopens) a block store rooted at dir. Reopening a
-// directory that already holds block files resumes handle allocation past
-// the existing ones, so new blocks never clobber old files.
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// Open opens a block store rooted at dir on the OS filesystem.
+func Open(dir string) (*Store, error) { return OpenFS(walfs.OS, dir) }
+
+// OpenFS creates (or reopens) a block store rooted at dir on fs. Reopening
+// a directory that already holds block files resumes handle allocation
+// past the existing ones, so new blocks never clobber old files.
+func OpenFS(fs walfs.FS, dir string) (*Store, error) {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
-	s := &Store{dir: dir, sizes: make(map[Handle]int64)}
-	entries, err := os.ReadDir(dir)
+	s := &Store{fs: fs, dir: dir, sizes: make(map[Handle]int64)}
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %w", err)
 	}
@@ -130,40 +138,23 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
+// FS returns the file layer the store reads and writes through.
+func (s *Store) FS() walfs.FS { return s.fs }
+
 func (s *Store) path(h Handle) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%012d%s", uint64(h), blockExt))
 }
 
-// Put serializes the block and writes it to the store atomically (temp
-// file, fsync, rename), returning the handle that reloads it.
+// Put serializes the block and writes it to the store atomically
+// (walfs.FS.WriteFile), returning the handle that reloads it.
 func (s *Store) Put(blk *core.Block) (Handle, error) {
 	buf, err := blk.MarshalBinary()
 	if err != nil {
 		return 0, fmt.Errorf("blockstore: marshal: %w", err)
 	}
 	h := Handle(s.next.Add(1))
-	dst := s.path(h)
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err != nil {
-		return 0, fmt.Errorf("blockstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("blockstore: write %s: %w", dst, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("blockstore: sync %s: %w", dst, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("blockstore: close %s: %w", dst, err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return 0, fmt.Errorf("blockstore: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return 0, err
+	if err := s.fs.WriteFile(s.path(h), buf); err != nil {
+		return 0, fmt.Errorf("blockstore: put block %d: %w", h, err)
 	}
 	s.mu.Lock()
 	s.sizes[h] = int64(len(buf))
@@ -174,11 +165,11 @@ func (s *Store) Put(blk *core.Block) (Handle, error) {
 }
 
 // open opens block h's file for reading.
-func (s *Store) open(h Handle) (*os.File, error) {
+func (s *Store) open(h Handle) (walfs.Reader, error) {
 	if h == 0 {
 		return nil, fmt.Errorf("blockstore: load of zero handle")
 	}
-	f, err := os.Open(s.path(h))
+	f, err := s.fs.Open(s.path(h))
 	if err != nil {
 		s.loadErrors.Add(1)
 		return nil, fmt.Errorf("blockstore: %w", err)
@@ -204,9 +195,9 @@ func (s *Store) ReadDirectory(h Handle, kinds []types.Kind) (*core.Directory, er
 	if err == nil {
 		// A file shorter than its header claims fails here, once, rather
 		// than as a short read (behind a section-sized allocation) later.
-		var fi os.FileInfo
-		if fi, err = f.Stat(); err == nil && fi.Size() != int64(d.BlockSize()) {
-			err = fmt.Errorf("file is %d bytes, header says %d", fi.Size(), d.BlockSize())
+		var size int64
+		if size, err = f.Size(); err == nil && size != int64(d.BlockSize()) {
+			err = fmt.Errorf("file is %d bytes, header says %d", size, d.BlockSize())
 		}
 	}
 	if err != nil {
@@ -270,13 +261,13 @@ func (s *Store) Retain(keep map[Handle]bool) (int, error) {
 		}
 		removed++
 	}
-	entries, err := os.ReadDir(s.dir)
+	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return removed, fmt.Errorf("blockstore: %w", err)
 	}
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(s.dir, e.Name()))
+			s.fs.Remove(filepath.Join(s.dir, e.Name()))
 		}
 	}
 	return removed, nil
@@ -284,7 +275,7 @@ func (s *Store) Retain(keep map[Handle]bool) (int, error) {
 
 // Remove deletes a stored block.
 func (s *Store) Remove(h Handle) error {
-	if err := os.Remove(s.path(h)); err != nil {
+	if err := s.fs.Remove(s.path(h)); err != nil {
 		return fmt.Errorf("blockstore: %w", err)
 	}
 	s.mu.Lock()

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,22 +13,25 @@ import (
 
 	"datablocks/internal/core"
 	"datablocks/internal/types"
+	"datablocks/internal/walfs"
 )
 
 // The durable metadata of a database is two kinds of record file, both
 // versioned, generation-stamped and CRC32-C protected:
 //
 //   - The catalog (catalog-<gen>.dbc, in the database root) lists every
-//     table: name, schema, primary key and chunk capacity. It is what
-//     OpenPath needs to reconstruct the table set before any data is read.
+//     table: name, schema, primary key, chunk capacity, write-stripe count
+//     and whether it keeps a WAL. It is what OpenPath needs to reconstruct
+//     the table set before any data is read.
 //   - The manifest (manifest-<gen>.dbm, in a table's block directory)
 //     lists the table's frozen chunks in order: the block handle that
-//     reloads each chunk, its row count, its delete bitmap, and the sort
-//     column of the last sorted freeze.
+//     reloads each chunk, its row count, its delete bitmap, the sort
+//     column of the last sorted freeze, the write-epoch high-water mark
+//     and each stripe's WAL truncation point.
 //
 // Records are never updated in place. Each write serializes the whole
-// record, writes it to a temp file, fsyncs and renames it to a fresh
-// generation-numbered name, then removes generations older than the
+// record, writes it atomically to a fresh generation-numbered name
+// (walfs.FS.WriteFile), then removes generations older than the
 // immediately preceding one. Readers pick the highest generation whose
 // checksum and structure verify, so a torn or truncated write (a crash
 // mid-rename, a chopped file) falls back to the previous generation —
@@ -39,8 +43,11 @@ import (
 const (
 	// FormatVersion is the on-disk format version of catalog and manifest
 	// records. Blocks themselves carry their own version (core: v2 adds
-	// the payload CRC32-C).
-	FormatVersion = 1
+	// the payload CRC32-C). Version 2 made the WAL fields (the manifest's
+	// Epoch and WalApplied, the catalog's WriteStripes and Wal) ordinary
+	// fields of every record; a version-1 record is refused, never read
+	// as an empty database.
+	FormatVersion = 2
 
 	manifestMagic = 0x4D4C4244 // "DBLM"
 	catalogMagic  = 0x434C4244 // "DBLC"
@@ -48,11 +55,6 @@ const (
 	// Record header: magic u32 | version u32 | generation u64 | crc u32
 	// (CRC32-C over the payload that follows the header).
 	recHdrSize = 20
-
-	manifestPrefix = "manifest-"
-	manifestExt    = ".dbm"
-	catalogPrefix  = "catalog-"
-	catalogExt     = ".dbc"
 )
 
 // recCRC is the Castagnoli table shared by catalog and manifest records
@@ -60,7 +62,7 @@ const (
 var recCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // maxWalStripes bounds the stripe counts a decoded record may claim, so a
-// corrupt-but-CRC-colliding tail cannot drive huge allocations.
+// corrupt-but-CRC-colliding record cannot drive huge allocations.
 const maxWalStripes = 1 << 12
 
 // ManifestChunk describes one frozen chunk of a table: the handle that
@@ -99,9 +101,7 @@ type Manifest struct {
 	// WalApplied holds, per write stripe, the highest WAL LSN whose effect
 	// is fully covered by this manifest's chunks — the stripe's WAL
 	// truncation point. Replay skips records at or below it. Empty when
-	// the table runs without a WAL. Both fields ride in an optional
-	// manifest tail: manifests written before the WAL existed decode with
-	// a zero epoch and no stripes.
+	// the table runs without a WAL.
 	WalApplied []uint64
 }
 
@@ -115,8 +115,7 @@ type CatalogTable struct {
 	// WriteStripes and Wal record the table's write-path shape: both are
 	// structural (reopening must recreate the same stripe count to route
 	// WAL replay, and must know a WAL exists to replay it), so they live
-	// in the durable catalog, in an optional tail that old catalogs decode
-	// as 1 stripe / no WAL.
+	// in the durable catalog.
 	WriteStripes int
 	Wal          bool
 }
@@ -127,104 +126,123 @@ type Catalog struct {
 	Tables     []CatalogTable
 }
 
+// recKind is one of the two record families: its name, file naming and
+// magic.
+type recKind struct {
+	name, prefix, ext string
+	magic             uint32
+}
+
+var (
+	manifestRec = recKind{"manifest", "manifest-", ".dbm", manifestMagic}
+	catalogRec  = recKind{"catalog", "catalog-", ".dbc", catalogMagic}
+)
+
 // genFile is one generation-stamped record file on disk.
 type genFile struct {
 	gen  uint64
 	path string
 }
 
-// genFiles lists dir's prefix<gen-hex>ext files, newest generation first.
-// A missing directory reads as empty.
-func genFiles(dir, prefix, ext string) []genFile {
-	entries, err := os.ReadDir(dir)
+// genFiles lists dir's records of kind k (prefix<gen-hex>ext), newest
+// generation first. A missing directory reads as empty; any other listing
+// error is returned — read as "no records", it would let recovery delete
+// every block file the records reference.
+func genFiles(fs walfs.FS, dir string, k recKind) ([]genFile, error) {
+	entries, err := fs.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("blockstore: list %s records: %w", k.name, err)
 	}
 	var out []genFile
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ext) {
+		if !strings.HasPrefix(name, k.prefix) || !strings.HasSuffix(name, k.ext) {
 			continue
 		}
-		g, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ext), 16, 64)
+		g, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, k.prefix), k.ext), 16, 64)
 		if err != nil {
 			continue
 		}
 		out = append(out, genFile{g, filepath.Join(dir, name)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].gen > out[j].gen })
-	return out
+	return out, nil
 }
 
-// writeRecord atomically persists one generation of a record: temp file,
-// fsync, rename to prefix<gen-hex>ext — then prunes generations older than
-// gen-1 (the immediately preceding generation is kept as the torn-write
-// fallback).
-func writeRecord(dir, prefix, ext string, magic uint32, gen uint64, payload []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("blockstore: %w", err)
-	}
-	buf := make([]byte, recHdrSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], magic)
+// writeRecord atomically persists one generation of a record as
+// prefix<gen-hex>ext — then prunes generations older than gen-1 (the
+// immediately preceding generation is kept as the torn-write fallback).
+func writeRecord(fs walfs.FS, dir string, k recKind, gen uint64, payload []byte) error {
+	buf := make([]byte, recHdrSize, recHdrSize+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:], k.magic)
 	binary.LittleEndian.PutUint32(buf[4:], FormatVersion)
 	binary.LittleEndian.PutUint64(buf[8:], gen)
 	binary.LittleEndian.PutUint32(buf[16:], crc32.Checksum(payload, recCRC))
-	copy(buf[recHdrSize:], payload)
+	buf = append(buf, payload...)
+	if err := fs.WriteFile(filepath.Join(dir, fmt.Sprintf("%s%016x%s", k.prefix, gen, k.ext)), buf); err != nil {
+		return fmt.Errorf("blockstore: write %s: %w", k.name, err)
+	}
+	prune(fs, dir, k, func(g uint64) bool { return g+1 < gen })
+	return nil
+}
 
-	dst := filepath.Join(dir, fmt.Sprintf("%s%016x%s", prefix, gen, ext))
-	tmp, err := os.CreateTemp(dir, prefix+"*.tmp")
-	if err != nil {
-		return fmt.Errorf("blockstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("blockstore: write %s: %w", dst, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("blockstore: sync %s: %w", dst, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("blockstore: close %s: %w", dst, err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("blockstore: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	for _, f := range genFiles(dir, prefix, ext) {
-		if f.gen+1 < gen {
-			os.Remove(f.path)
+// prune removes the records of kind k in dir whose generation drop
+// selects. It is best effort: a record left behind is superseded, and
+// loading skips it.
+func prune(fs walfs.FS, dir string, k recKind, drop func(gen uint64) bool) {
+	files, _ := genFiles(fs, dir, k)
+	for _, f := range files {
+		if drop(f.gen) {
+			fs.Remove(f.path)
 		}
 	}
-	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// survives power loss — without it the file contents are durable but the
-// name may not be, and an acknowledged record or block could vanish.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// loadNewest returns the newest record of kind k in dir that verifies
+// (checksum and structure), decoded; nil when dir holds no such record.
+// When records exist but none verifies, it is an error: the directory
+// demonstrably had durable state, so treating it as empty would let
+// recovery garbage-collect intact block files and escalate record
+// corruption into data loss. A record that cannot be read at all is an
+// error too, not a reason to fall back: the older generation it would
+// fall back to predates a WAL truncation, and recovery prunes the newer
+// one.
+func loadNewest[T any](fs walfs.FS, dir string, k recKind, decode func(gen uint64, payload []byte) (*T, error)) (*T, error) {
+	files, err := genFiles(fs, dir, k)
 	if err != nil {
-		return fmt.Errorf("blockstore: %w", err)
+		return nil, err
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("blockstore: sync %s: %w", dir, err)
+	var newestErr error
+	for _, f := range files {
+		buf, err := fs.ReadFile(f.path)
+		if err != nil {
+			return nil, fmt.Errorf("blockstore: read %s: %w", k.name, err)
+		}
+		gen, payload, err := parseRecord(f.path, buf, k.magic)
+		if err == nil {
+			var v *T
+			if v, err = decode(gen, payload); err == nil {
+				return v, nil
+			}
+		}
+		if newestErr == nil {
+			newestErr = err
+		}
 	}
-	return nil
+	if newestErr != nil {
+		return nil, fmt.Errorf("blockstore: %s records exist in %s but none verifies (newest: %w); refusing to recover as empty", k.name, dir, newestErr)
+	}
+	return nil, nil
 }
 
-// loadRecord reads and verifies one record file, returning its generation
-// and payload. Any defect — wrong magic or version, short file, checksum
-// mismatch — is an error; callers fall back to an older generation.
-func loadRecord(path string, magic uint32) (uint64, []byte, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, err
-	}
+// parseRecord verifies the contents of one record file, returning its
+// generation and payload. Any defect — wrong magic or version, short file,
+// checksum mismatch — is an error; callers fall back to an older
+// generation.
+func parseRecord(path string, buf []byte, magic uint32) (uint64, []byte, error) {
 	if len(buf) < recHdrSize {
 		return 0, nil, fmt.Errorf("blockstore: %s: truncated record (%d bytes)", path, len(buf))
 	}
@@ -302,9 +320,21 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+func appendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
 func encodeManifest(m *Manifest) []byte {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(m.SortBy)))
+	buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.WalApplied)))
+	for _, lsn := range m.WalApplied {
+		buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Chunks)))
 	for i := range m.Chunks {
 		c := &m.Chunks[i]
@@ -317,22 +347,19 @@ func encodeManifest(m *Manifest) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
 	}
-	// Optional WAL tail (epoch + per-stripe applied LSNs). Written only
-	// when there is something to say, so WAL-less tables keep producing
-	// byte-identical manifests that pre-WAL builds can still read.
-	if m.Epoch != 0 || len(m.WalApplied) > 0 {
-		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.WalApplied)))
-		for _, lsn := range m.WalApplied {
-			buf = binary.LittleEndian.AppendUint64(buf, lsn)
-		}
-	}
 	return buf
 }
 
-func decodeManifest(payload []byte) (*Manifest, error) {
+func decodeManifest(gen uint64, payload []byte) (*Manifest, error) {
 	r := &recReader{buf: payload}
-	m := &Manifest{SortBy: int(int32(r.u32()))}
+	m := &Manifest{Generation: gen, SortBy: int(int32(r.u32())), Epoch: r.u64()}
+	stripes := int(r.u32())
+	if r.err == nil && stripes > maxWalStripes {
+		return nil, fmt.Errorf("blockstore: manifest records %d WAL stripes", stripes)
+	}
+	for i := 0; i < stripes && r.err == nil; i++ {
+		m.WalApplied = append(m.WalApplied, r.u64())
+	}
 	count := int(r.u32())
 	for i := 0; i < count && r.err == nil; i++ {
 		c := ManifestChunk{
@@ -362,18 +389,6 @@ func decodeManifest(payload []byte) (*Manifest, error) {
 		}
 		m.Chunks = append(m.Chunks, c)
 	}
-	if r.err == nil && r.off != len(payload) {
-		// Optional WAL tail: epoch high-water mark and per-stripe applied
-		// LSNs. Absent in pre-WAL manifests.
-		m.Epoch = r.u64()
-		stripes := int(r.u32())
-		if r.err == nil && stripes > maxWalStripes {
-			return nil, fmt.Errorf("blockstore: manifest records %d WAL stripes", stripes)
-		}
-		for i := 0; i < stripes && r.err == nil; i++ {
-			m.WalApplied = append(m.WalApplied, r.u64())
-		}
-	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -391,55 +406,32 @@ func encodeCatalog(c *Catalog) []byte {
 		buf = appendStr(buf, t.Name)
 		buf = appendStr(buf, t.PrimaryKey)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.ChunkRows))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.WriteStripes))
+		buf = appendBool(buf, t.Wal)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Columns)))
 		for _, col := range t.Columns {
 			buf = append(buf, byte(col.Kind))
-			if col.Nullable {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+			buf = appendBool(buf, col.Nullable)
 			buf = appendStr(buf, col.Name)
-		}
-	}
-	// Optional write-path tail: one (stripes, wal) pair per table, in
-	// table order. Written only when some table departs from the pre-WAL
-	// default (1 stripe, no WAL), keeping old catalogs byte-stable.
-	tailNeeded := false
-	for i := range c.Tables {
-		if c.Tables[i].WriteStripes > 1 || c.Tables[i].Wal {
-			tailNeeded = true
-			break
-		}
-	}
-	if tailNeeded {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Tables)))
-		for i := range c.Tables {
-			t := &c.Tables[i]
-			stripes := t.WriteStripes
-			if stripes < 1 {
-				stripes = 1
-			}
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(stripes))
-			if t.Wal {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
 		}
 	}
 	return buf
 }
 
-func decodeCatalog(payload []byte) (*Catalog, error) {
+func decodeCatalog(gen uint64, payload []byte) (*Catalog, error) {
 	r := &recReader{buf: payload}
-	c := &Catalog{}
+	c := &Catalog{Generation: gen}
 	count := int(r.u32())
 	for i := 0; i < count && r.err == nil; i++ {
 		t := CatalogTable{
-			Name:       r.str(),
-			PrimaryKey: r.str(),
-			ChunkRows:  int(r.u32()),
+			Name:         r.str(),
+			PrimaryKey:   r.str(),
+			ChunkRows:    int(r.u32()),
+			WriteStripes: int(r.u32()),
+			Wal:          r.byte() != 0,
+		}
+		if r.err == nil && (t.WriteStripes < 1 || t.WriteStripes > maxWalStripes) {
+			return nil, fmt.Errorf("blockstore: catalog table %q records %d write stripes", t.Name, t.WriteStripes)
 		}
 		cols := int(r.u32())
 		for j := 0; j < cols && r.err == nil; j++ {
@@ -455,28 +447,7 @@ func decodeCatalog(payload []byte) (*Catalog, error) {
 			if t.Name == "" || len(t.Columns) == 0 {
 				return nil, fmt.Errorf("blockstore: catalog table %d is empty", i)
 			}
-			t.WriteStripes = 1
 			c.Tables = append(c.Tables, t)
-		}
-	}
-	if r.err == nil && r.off != len(payload) {
-		// Optional write-path tail: per-table stripe counts and WAL flags.
-		// Absent in pre-WAL catalogs (every table defaults to 1 stripe).
-		n := int(r.u32())
-		if r.err == nil && n != len(c.Tables) {
-			return nil, fmt.Errorf("blockstore: catalog write-path tail covers %d tables, catalog has %d", n, len(c.Tables))
-		}
-		for i := 0; i < n && r.err == nil; i++ {
-			stripes := int(r.u32())
-			wal := r.byte() != 0
-			if r.err != nil {
-				break
-			}
-			if stripes < 1 || stripes > maxWalStripes {
-				return nil, fmt.Errorf("blockstore: catalog table %q records %d write stripes", c.Tables[i].Name, stripes)
-			}
-			c.Tables[i].WriteStripes = stripes
-			c.Tables[i].Wal = wal
 		}
 	}
 	if r.err != nil {
@@ -489,96 +460,50 @@ func decodeCatalog(payload []byte) (*Catalog, error) {
 }
 
 // WriteManifest atomically persists one generation of a table's manifest
-// into dir (the table's block directory). The caller owns the generation
-// counter and must increase it monotonically; the immediately preceding
-// generation is retained on disk as the torn-write fallback, older ones
-// are pruned.
-func WriteManifest(dir string, m *Manifest) error {
-	return writeRecord(dir, manifestPrefix, manifestExt, manifestMagic, m.Generation, encodeManifest(m))
+// into dir (the table's block directory) on fs. The caller owns the
+// generation counter and must increase it monotonically; the immediately
+// preceding generation is retained on disk as the torn-write fallback,
+// older ones are pruned.
+func WriteManifest(fs walfs.FS, dir string, m *Manifest) error {
+	return writeRecord(fs, dir, manifestRec, m.Generation, encodeManifest(m))
 }
 
 // LoadManifest returns the newest manifest generation in dir that verifies
 // (checksum and structure), or (nil, nil) when the directory holds no
 // manifest files at all. Torn, truncated or corrupt newer generations are
 // skipped — recovery falls back to the previous generation, never to a
-// half state. When manifest files exist but none of them verifies,
-// LoadManifest returns an error: the table demonstrably had durable state,
-// so treating it as empty would let recovery garbage-collect intact block
-// files and escalate record corruption into data loss. Use PruneManifests
-// after a successful load to clear the skipped files.
-func LoadManifest(dir string) (*Manifest, error) {
-	var newestErr error
-	for _, f := range genFiles(dir, manifestPrefix, manifestExt) {
-		gen, payload, err := loadRecord(f.path, manifestMagic)
-		if err == nil {
-			var m *Manifest
-			if m, err = decodeManifest(payload); err == nil {
-				m.Generation = gen
-				return m, nil
-			}
-		}
-		if newestErr == nil {
-			newestErr = err
-		}
-	}
-	return nil, refuseIfAllCorrupt("manifest", dir, newestErr)
-}
-
-// refuseIfAllCorrupt turns "record files exist but none verifies" into an
-// error (nil when the directory simply held no records).
-func refuseIfAllCorrupt(kind, dir string, newestErr error) error {
-	if newestErr == nil {
-		return nil
-	}
-	return fmt.Errorf("blockstore: %s records exist in %s but none verifies (newest: %w); refusing to recover as empty", kind, dir, newestErr)
+// half state. When manifest files exist but none of them verifies, or the
+// directory cannot be listed, LoadManifest returns an error: treating the
+// table as empty would let recovery garbage-collect intact block files.
+// Use PruneManifests after a successful load to clear the skipped files.
+func LoadManifest(fs walfs.FS, dir string) (*Manifest, error) {
+	return loadNewest(fs, dir, manifestRec, decodeManifest)
 }
 
 // PruneManifests removes every manifest generation other than keep (with
 // keep zero: all of them). Recovery calls it after choosing a generation,
 // so superseded and corrupt records do not accumulate.
-func PruneManifests(dir string, keep uint64) {
-	for _, f := range genFiles(dir, manifestPrefix, manifestExt) {
-		if keep == 0 || f.gen != keep {
-			os.Remove(f.path)
-		}
-	}
+func PruneManifests(fs walfs.FS, dir string, keep uint64) {
+	prune(fs, dir, manifestRec, func(g uint64) bool { return keep == 0 || g != keep })
 }
 
 // WriteCatalog atomically persists one generation of the database catalog
-// into dir (the database root). Generation discipline is the caller's, as
-// with WriteManifest.
-func WriteCatalog(dir string, c *Catalog) error {
-	return writeRecord(dir, catalogPrefix, catalogExt, catalogMagic, c.Generation, encodeCatalog(c))
+// into dir (the database root) on fs. Generation discipline is the
+// caller's, as with WriteManifest.
+func WriteCatalog(fs walfs.FS, dir string, c *Catalog) error {
+	return writeRecord(fs, dir, catalogRec, c.Generation, encodeCatalog(c))
 }
 
 // LoadCatalog returns the newest catalog generation in dir that verifies,
 // (nil, nil) when dir holds no catalog files, or an error when catalog
-// files exist but none verifies — the semantics of LoadManifest, for the
-// database root.
-func LoadCatalog(dir string) (*Catalog, error) {
-	var newestErr error
-	for _, f := range genFiles(dir, catalogPrefix, catalogExt) {
-		gen, payload, err := loadRecord(f.path, catalogMagic)
-		if err == nil {
-			var c *Catalog
-			if c, err = decodeCatalog(payload); err == nil {
-				c.Generation = gen
-				return c, nil
-			}
-		}
-		if newestErr == nil {
-			newestErr = err
-		}
-	}
-	return nil, refuseIfAllCorrupt("catalog", dir, newestErr)
+// files exist but none verifies or dir cannot be listed — the semantics
+// of LoadManifest, for the database root.
+func LoadCatalog(fs walfs.FS, dir string) (*Catalog, error) {
+	return loadNewest(fs, dir, catalogRec, decodeCatalog)
 }
 
 // PruneCatalogs removes every catalog generation other than keep (with
 // keep zero: all of them).
-func PruneCatalogs(dir string, keep uint64) {
-	for _, f := range genFiles(dir, catalogPrefix, catalogExt) {
-		if keep == 0 || f.gen != keep {
-			os.Remove(f.path)
-		}
-	}
+func PruneCatalogs(fs walfs.FS, dir string, keep uint64) {
+	prune(fs, dir, catalogRec, func(g uint64) bool { return keep == 0 || g != keep })
 }

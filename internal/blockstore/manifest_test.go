@@ -1,17 +1,22 @@
 package blockstore
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"datablocks/internal/types"
+	"datablocks/internal/walfs"
 )
 
 func sampleManifest(gen uint64) *Manifest {
 	return &Manifest{
 		Generation: gen,
 		SortBy:     2,
+		Epoch:      1 << 40,
+		WalApplied: []uint64{17, 0, 9},
 		Chunks: []ManifestChunk{
 			{Handle: 1, Rows: 1024, NumDeleted: 3, Bytes: 4096, Deleted: []uint64{0b1011, 0, 7: 0}},
 			{Handle: 9, Rows: 65536, Bytes: 1 << 20},
@@ -31,13 +36,16 @@ func sampleCatalog(gen uint64) *Catalog {
 					{Name: "amount", Kind: types.Float64, Nullable: true},
 					{Name: "status", Kind: types.String},
 				},
-				PrimaryKey: "id",
-				ChunkRows:  2048,
+				PrimaryKey:   "id",
+				ChunkRows:    2048,
+				WriteStripes: 4,
+				Wal:          true,
 			},
 			{
-				Name:      "nopk",
-				Columns:   []types.Column{{Name: "v", Kind: types.String}},
-				ChunkRows: 65536,
+				Name:         "nopk",
+				Columns:      []types.Column{{Name: "v", Kind: types.String}},
+				ChunkRows:    65536,
+				WriteStripes: 1,
 			},
 		},
 	}
@@ -45,7 +53,8 @@ func sampleCatalog(gen uint64) *Catalog {
 
 func manifestEqual(t *testing.T, a, b *Manifest) {
 	t.Helper()
-	if a.Generation != b.Generation || a.SortBy != b.SortBy || len(a.Chunks) != len(b.Chunks) {
+	if a.Generation != b.Generation || a.SortBy != b.SortBy || a.Epoch != b.Epoch || len(a.Chunks) != len(b.Chunks) ||
+		fmt.Sprint(a.WalApplied) != fmt.Sprint(b.WalApplied) {
 		t.Fatalf("manifest header diverged: %+v vs %+v", a, b)
 	}
 	for i := range a.Chunks {
@@ -67,10 +76,10 @@ func manifestEqual(t *testing.T, a, b *Manifest) {
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleManifest(7)
-	if err := WriteManifest(dir, want); err != nil {
+	if err := WriteManifest(walfs.OS, dir, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadManifest(dir)
+	got, err := LoadManifest(walfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +92,10 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestCatalogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := sampleCatalog(3)
-	if err := WriteCatalog(dir, want); err != nil {
+	if err := WriteCatalog(walfs.OS, dir, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCatalog(dir)
+	got, err := LoadCatalog(walfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +107,8 @@ func TestCatalogRoundTrip(t *testing.T) {
 	}
 	for i := range want.Tables {
 		w, g := want.Tables[i], got.Tables[i]
-		if w.Name != g.Name || w.PrimaryKey != g.PrimaryKey || w.ChunkRows != g.ChunkRows {
+		if w.Name != g.Name || w.PrimaryKey != g.PrimaryKey || w.ChunkRows != g.ChunkRows ||
+			w.WriteStripes != g.WriteStripes || w.Wal != g.Wal {
 			t.Fatalf("table %d diverged: %+v vs %+v", i, g, w)
 		}
 		if len(w.Columns) != len(g.Columns) {
@@ -114,26 +124,63 @@ func TestCatalogRoundTrip(t *testing.T) {
 
 func TestLoadEmptyDirIsNil(t *testing.T) {
 	dir := t.TempDir()
-	if m, err := LoadManifest(dir); err != nil || m != nil {
+	if m, err := LoadManifest(walfs.OS, dir); err != nil || m != nil {
 		t.Fatalf("LoadManifest on empty dir = %v, %v", m, err)
 	}
-	if c, err := LoadCatalog(dir); err != nil || c != nil {
+	if c, err := LoadCatalog(walfs.OS, dir); err != nil || c != nil {
 		t.Fatalf("LoadCatalog on empty dir = %v, %v", c, err)
 	}
-	if m, err := LoadManifest(filepath.Join(dir, "missing")); err != nil || m != nil {
+	if m, err := LoadManifest(walfs.OS, filepath.Join(dir, "missing")); err != nil || m != nil {
 		t.Fatalf("LoadManifest on missing dir = %v, %v", m, err)
+	}
+}
+
+// TestListingErrorIsNotEmpty: a directory listing that fails for any
+// reason but a missing directory must fail both loaders. Read as "no
+// records", it made recovery treat a table as empty and delete every
+// block file its manifest referenced.
+func TestListingErrorIsNotEmpty(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteManifest(walfs.OS, dir, sampleManifest(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCatalog(walfs.OS, dir, sampleCatalog(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, load := range []func(walfs.FS) (any, error){
+		func(fs walfs.FS) (any, error) { return LoadManifest(fs, dir) },
+		func(fs walfs.FS) (any, error) { return LoadCatalog(fs, dir) },
+	} {
+		ffs := walfs.NewFaultFS()
+		ffs.FailOp(1)
+		v, err := load(ffs)
+		if !errors.Is(err, walfs.ErrInjected) {
+			t.Fatalf("load with a failed listing = %v, %v; want the listing error", v, err)
+		}
+		if log := ffs.Log(); len(log) != 1 || log[0].Kind != "readdir" {
+			t.Fatalf("op log %v, want the one failed readdir", log)
+		}
 	}
 }
 
 // newestRecord returns the path of the highest-generation record file
 // with the given prefix and extension.
-func newestRecord(t *testing.T, dir, prefix, ext string) string {
+func newestRecord(t *testing.T, dir string, k recKind) string {
 	t.Helper()
-	files := genFiles(dir, prefix, ext)
+	files := mustGenFiles(t, dir, k)
 	if len(files) == 0 {
-		t.Fatalf("no %s*%s records in %s", prefix, ext, dir)
+		t.Fatalf("no %s records in %s", k.name, dir)
 	}
 	return files[0].path
+}
+
+func mustGenFiles(t *testing.T, dir string, k recKind) []genFile {
+	t.Helper()
+	files, err := genFiles(walfs.OS, dir, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestTornManifestFallsBackToPreviousGeneration is the write-then-chop
@@ -144,15 +191,15 @@ func newestRecord(t *testing.T, dir, prefix, ext string) string {
 func TestTornManifestFallsBackToPreviousGeneration(t *testing.T) {
 	dir := t.TempDir()
 	prev := sampleManifest(4)
-	if err := WriteManifest(dir, prev); err != nil {
+	if err := WriteManifest(walfs.OS, dir, prev); err != nil {
 		t.Fatal(err)
 	}
 	next := sampleManifest(5)
 	next.Chunks = append(next.Chunks, ManifestChunk{Handle: 77, Rows: 10, Bytes: 100})
-	if err := WriteManifest(dir, next); err != nil {
+	if err := WriteManifest(walfs.OS, dir, next); err != nil {
 		t.Fatal(err)
 	}
-	newest := newestRecord(t, dir, manifestPrefix, manifestExt)
+	newest := newestRecord(t, dir, manifestRec)
 	whole, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +208,7 @@ func TestTornManifestFallsBackToPreviousGeneration(t *testing.T) {
 		if err = os.WriteFile(newest, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, lerr := LoadManifest(dir)
+		got, lerr := LoadManifest(walfs.OS, dir)
 		if lerr != nil {
 			t.Fatalf("cut %d: %v", cut, lerr)
 		}
@@ -177,7 +224,7 @@ func TestTornManifestFallsBackToPreviousGeneration(t *testing.T) {
 	if err = os.WriteFile(newest, whole, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadManifest(dir)
+	got, err := LoadManifest(walfs.OS, dir)
 	if err != nil || got == nil || got.Generation != next.Generation {
 		t.Fatalf("restored newest generation not chosen: %+v, %v", got, err)
 	}
@@ -188,13 +235,13 @@ func TestTornManifestFallsBackToPreviousGeneration(t *testing.T) {
 func TestCorruptManifestPayloadFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	prev := sampleManifest(1)
-	if err := WriteManifest(dir, prev); err != nil {
+	if err := WriteManifest(walfs.OS, dir, prev); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteManifest(dir, sampleManifest(2)); err != nil {
+	if err := WriteManifest(walfs.OS, dir, sampleManifest(2)); err != nil {
 		t.Fatal(err)
 	}
-	newest := newestRecord(t, dir, manifestPrefix, manifestExt)
+	newest := newestRecord(t, dir, manifestRec)
 	whole, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +254,7 @@ func TestCorruptManifestPayloadFallsBack(t *testing.T) {
 		if err := os.WriteFile(newest, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadManifest(dir)
+		got, err := LoadManifest(walfs.OS, dir)
 		if err != nil {
 			t.Fatalf("corrupt byte %d: %v", pos, err)
 		}
@@ -224,27 +271,27 @@ func TestCorruptManifestPayloadFallsBack(t *testing.T) {
 // merely missing its metadata.
 func TestAllGenerationsCorruptIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteManifest(dir, sampleManifest(1)); err != nil {
+	if err := WriteManifest(walfs.OS, dir, sampleManifest(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteManifest(dir, sampleManifest(2)); err != nil {
+	if err := WriteManifest(walfs.OS, dir, sampleManifest(2)); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range genFiles(dir, manifestPrefix, manifestExt) {
+	for _, f := range mustGenFiles(t, dir, manifestRec) {
 		if err := os.Truncate(f.path, 7); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m, err := LoadManifest(dir); err == nil {
+	if m, err := LoadManifest(walfs.OS, dir); err == nil {
 		t.Fatalf("all-corrupt manifests loaded as %+v, want an error", m)
 	}
-	if err := WriteCatalog(dir, sampleCatalog(1)); err != nil {
+	if err := WriteCatalog(walfs.OS, dir, sampleCatalog(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(newestRecord(t, dir, catalogPrefix, catalogExt), 3); err != nil {
+	if err := os.Truncate(newestRecord(t, dir, catalogRec), 3); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := LoadCatalog(dir); err == nil {
+	if c, err := LoadCatalog(walfs.OS, dir); err == nil {
 		t.Fatalf("all-corrupt catalog loaded as %+v, want an error", c)
 	}
 }
@@ -253,22 +300,22 @@ func TestPruneRecords(t *testing.T) {
 	dir := t.TempDir()
 	for gen := uint64(1); gen <= 5; gen++ {
 		m := sampleManifest(gen)
-		if err := WriteManifest(dir, m); err != nil {
+		if err := WriteManifest(walfs.OS, dir, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// WriteManifest keeps the current and previous generation only.
-	files := genFiles(dir, manifestPrefix, manifestExt)
+	files := mustGenFiles(t, dir, manifestRec)
 	if len(files) != 2 || files[0].gen != 5 || files[1].gen != 4 {
 		t.Fatalf("after 5 writes: %+v", files)
 	}
-	PruneManifests(dir, 5)
-	files = genFiles(dir, manifestPrefix, manifestExt)
+	PruneManifests(walfs.OS, dir, 5)
+	files = mustGenFiles(t, dir, manifestRec)
 	if len(files) != 1 || files[0].gen != 5 {
 		t.Fatalf("after prune-to-5: %+v", files)
 	}
-	PruneManifests(dir, 0)
-	if files = genFiles(dir, manifestPrefix, manifestExt); len(files) != 0 {
+	PruneManifests(walfs.OS, dir, 0)
+	if files = mustGenFiles(t, dir, manifestRec); len(files) != 0 {
 		t.Fatalf("after prune-all: %+v", files)
 	}
 }
