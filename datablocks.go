@@ -155,16 +155,34 @@ type DB struct {
 	// catMu serializes catalog generation bumps and writes.
 	catMu  sync.Mutex
 	catGen uint64
+
+	// The background worker: one goroutine runs step on each wake-up
+	// until stopBackground closes stop; it closes done on exit. The
+	// channels are made once and never reassigned.
+	wake, stop, done chan struct{}
+	stopOnce         sync.Once
 }
 
-// Open creates an empty database. Table options passed here become
-// defaults for every CreateTable, applied before the table's own options
-// — e.g. Open(WithBlockStore(dir), WithMemoryBudget(64<<20)) gives every
-// table a cold block store under dir/<table> with a 64 MiB residency
-// budget. Call Close to stop background compactors, flush frozen blocks
-// to their stores and release them.
+// Open creates an empty database and starts its one background worker,
+// which freezes and evicts for every table created with WithAutoFreeze
+// or WithMemoryBudget. Table options passed here become defaults for
+// every CreateTable, applied before the table's own options — e.g.
+// Open(WithBlockStore(dir), WithMemoryBudget(64<<20)) gives every table a
+// cold block store under dir/<table> with a 64 MiB residency budget. Call
+// Close to stop the worker, flush frozen blocks to their stores and
+// release them; a database that is never closed stays reachable from its
+// worker, tables included, until the process exits.
 func Open(defaults ...TableOption) *DB {
-	return &DB{tables: make(map[string]*Table), defaults: defaults, fs: walfs.OS}
+	db := newDB(walfs.OS, "", defaults)
+	go db.background()
+	return db
+}
+
+// newDB is the database both Open and openPath start from, its worker
+// not yet running.
+func newDB(fs walfs.FS, dir string, defaults []TableOption) *DB {
+	return &DB{tables: make(map[string]*Table), defaults: defaults, dir: dir, fs: fs,
+		wake: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
 }
 
 // OpenPath opens (or creates) a durable database rooted at dir. Every
@@ -193,7 +211,9 @@ func Open(defaults ...TableOption) *DB {
 // defaults. A corrupt or torn newest catalog/manifest generation falls
 // back to the previous one; a missing catalog opens an empty database.
 // A record or directory that cannot be read, and a record of another
-// format version, fail the open instead.
+// format version, fail the open instead. The database's background
+// worker starts once recovery has succeeded: a failed OpenPath leaves
+// nothing running.
 func OpenPath(dir string, defaults ...TableOption) (*DB, error) {
 	return openPath(walfs.OS, dir, defaults...)
 }
@@ -204,40 +224,41 @@ func openPath(fs walfs.FS, dir string, defaults ...TableOption) (*DB, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("datablocks: %w", err)
 	}
-	db := &DB{tables: make(map[string]*Table), defaults: defaults, dir: dir, fs: fs}
+	db := newDB(fs, dir, defaults)
 	cat, err := blockstore.LoadCatalog(fs, dir)
 	if err != nil {
 		return nil, fmt.Errorf("datablocks: open %s: %w", dir, err)
 	}
-	if cat == nil {
-		return db, nil
-	}
-	db.catGen = cat.Generation
-	blockstore.PruneCatalogs(fs, dir, cat.Generation)
-	for _, ct := range cat.Tables {
-		// The catalog's structural record is authoritative, applied after
-		// the defaults: WithPrimaryKey(ct.PrimaryKey) deliberately runs
-		// even when empty, so a DB-level WithPrimaryKey default cannot
-		// graft a primary key onto a table that never had one.
-		opts := []TableOption{WithChunkRows(ct.ChunkRows), WithPrimaryKey(ct.PrimaryKey), WithWriteStripes(ct.WriteStripes)}
-		if ct.Wal {
-			opts = append(opts, WithWAL())
-		}
-		if _, err := db.createTable(ct.Name, ct.Columns, true, opts...); err != nil {
-			// The failed table released what it opened; release the
-			// tables recovered before it — compactors, logs, stores —
-			// reporting the recovery error, not a close error.
-			for _, t := range db.tables {
-				_ = t.release()
+	if cat != nil {
+		db.catGen = cat.Generation
+		blockstore.PruneCatalogs(fs, dir, cat.Generation)
+		for _, ct := range cat.Tables {
+			// The catalog's structural record is authoritative, applied
+			// after the defaults: WithPrimaryKey(ct.PrimaryKey)
+			// deliberately runs even when empty, so a DB-level
+			// WithPrimaryKey default cannot graft a primary key onto a
+			// table that never had one.
+			opts := []TableOption{WithChunkRows(ct.ChunkRows), WithPrimaryKey(ct.PrimaryKey), WithWriteStripes(ct.WriteStripes)}
+			if ct.Wal {
+				opts = append(opts, WithWAL())
 			}
-			return nil, fmt.Errorf("datablocks: recover table %q: %w", ct.Name, err)
+			if _, err := db.createTable(ct.Name, ct.Columns, true, opts...); err != nil {
+				// The failed table released what it opened; release the
+				// tables recovered before it — logs, stores — reporting the
+				// recovery error, not a close error.
+				for _, t := range db.tables {
+					_ = t.release()
+				}
+				return nil, fmt.Errorf("datablocks: recover table %q: %w", ct.Name, err)
+			}
 		}
 	}
+	go db.background()
 	return db, nil
 }
 
-// Close stops every table's background compactor and waits for in-flight
-// freezes to finish. For a durable database (OpenPath) it then freezes
+// Close stops the database's background worker and waits for its step
+// in flight to finish. For a durable database (OpenPath) it then freezes
 // each table's hot tail, flushes the frozen set to the block store, writes
 // each table's manifest and a fresh catalog generation — making the
 // directory a complete image of the database for the next OpenPath. For
@@ -251,18 +272,17 @@ func openPath(fs walfs.FS, dir string, defaults ...TableOption) (*DB, error) {
 // the database durable (OpenPath) so Close keeps the blocks on disk
 // instead.
 //
-// Close returns the first error encountered. The data remains readable
-// and writable after Close; only automatic freezing stops.
+// Close returns the first error encountered, the worker's first error on
+// a table included. It also closes the stripe write-ahead logs: on a WAL
+// table later writes fail at their group commit. The data otherwise
+// remains readable and writable after Close; only background work stops,
+// for tables created later too.
 func (db *DB) Close() error {
-	db.mu.RLock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.RUnlock()
+	db.stopBackground()
 	var first error
-	for _, t := range tables {
-		if err := t.Close(); err != nil && first == nil {
+	for _, name := range db.Tables() {
+		t := db.Table(name)
+		if err := t.close(); err != nil && first == nil {
 			first = err
 		}
 		if !t.persist && t.bs != nil {
@@ -280,6 +300,64 @@ func (db *DB) Close() error {
 		}
 	}
 	return first
+}
+
+// background is the database's one worker goroutine. Every wake-up — a
+// chunk sealing behind a table's insert tail, a freeze or reload pushing
+// a table's resident blocks over its budget, a background table being
+// created or recovered — runs one step.
+func (db *DB) background() {
+	defer close(db.done)
+	for {
+		select {
+		case <-db.stop:
+			return
+		case <-db.wake:
+			db.step()
+		}
+	}
+}
+
+// stopBackground stops the worker and waits for its step in flight.
+// Tests call it and then drive the work with step.
+func (db *DB) stopBackground() {
+	db.stopOnce.Do(func() { close(db.stop) })
+	<-db.done
+}
+
+// step makes one pass of background work over every table in name order:
+// a table whose sealed hot backlog reached its WithAutoFreeze threshold
+// is frozen (keeping the insert tail hot) and, if durable, checkpointed,
+// so a crash loses at most the hot tail since the last pass; a table with
+// a WithMemoryBudget evicts its coldest unpinned blocks until the budget
+// holds. Compression, spill and reload run outside the relation lock, so
+// OLTP and OLAP traffic continue meanwhile. A table's first error is kept
+// for Close. step reports whether anything froze or was evicted, with no
+// error.
+func (db *DB) step() bool {
+	progress, failed := false, false
+	ok := func(t *Table, err error) bool {
+		if err != nil && t.bgErr == nil {
+			t.bgErr = err
+		}
+		failed = failed || err != nil
+		return err == nil
+	}
+	for _, name := range db.Tables() {
+		t := db.Table(name)
+		if t.autoFreeze > 0 && t.rel.SealedHotChunks() >= t.autoFreeze {
+			err := t.rel.FreezeAll(core.FreezeOptions{SortBy: -1}, true)
+			if err == nil {
+				err = t.persistFrozen()
+			}
+			progress = ok(t, err) || progress
+		}
+		if t.memBudget > 0 {
+			n, err := t.rel.EvictUnderBudget()
+			progress = ok(t, err) && n > 0 || progress
+		}
+	}
+	return progress && !failed
 }
 
 // writeCatalogLocked persists a fresh catalog generation listing every
@@ -342,13 +420,14 @@ func WithParallelism(n int) TableOption {
 	}
 }
 
-// WithAutoFreeze runs a background compactor for the table: whenever at
-// least threshold chunks have filled up and fallen behind the insert tail,
-// the compactor freezes them into Data Blocks. Compression happens off the
-// write path and outside the relation lock, so OLTP writes, point lookups
-// and OLAP scans proceed while cold chunks are compressed — the hybrid
-// workload of §1. threshold < 1 is treated as 1 (freeze as soon as a chunk
-// seals). Stop the compactor with Table.Close or DB.Close.
+// WithAutoFreeze hands the table to the database's background worker:
+// whenever at least threshold chunks have filled up and fallen behind the
+// insert tail, the worker freezes them into Data Blocks. Compression
+// happens off the write path and outside the relation lock, so OLTP
+// writes, point lookups and OLAP scans proceed while cold chunks are
+// compressed — the hybrid workload of §1. threshold < 1 is treated as 1
+// (freeze as soon as a chunk seals). One worker serves every table of a
+// database; DB.Close stops it.
 func WithAutoFreeze(threshold int) TableOption {
 	if threshold < 1 {
 		threshold = 1
@@ -359,7 +438,7 @@ func WithAutoFreeze(threshold int) TableOption {
 // WithBlockStore attaches a disk-backed cold block store rooted at
 // dir/<table>: frozen chunks become evictable to secondary storage and
 // are transparently reloaded (and pinned) when scans or point lookups
-// touch them. On its own the store only fills on Table.Close (flush) or
+// touch them. On its own the store only fills on DB.Close (flush) or
 // manual eviction; combine with WithMemoryBudget for automatic
 // temperature-driven eviction, and with WithAutoFreeze to keep the
 // frozen set growing behind the insert tail.
@@ -369,10 +448,11 @@ func WithBlockStore(dir string) TableOption {
 
 // WithMemoryBudget bounds the RAM resident set of frozen Data Blocks to
 // bytes: whenever freezing or reloading pushes past the budget, the
-// background compactor evicts the coldest unpinned blocks — by observed
-// scan/lookup access, not chunk age — to the block store. Requires
-// WithBlockStore. The budget governs compressed frozen payloads; the
-// uncompressed hot tail and in-flight pinned blocks are outside it.
+// database's background worker evicts the coldest unpinned blocks — by
+// observed scan/lookup access, not chunk age — to the block store.
+// Requires WithBlockStore. The budget governs compressed frozen payloads;
+// the uncompressed hot tail and in-flight pinned blocks are outside it.
+// One worker serves every table of a database; DB.Close stops it.
 func WithMemoryBudget(bytes int64) TableOption {
 	return func(t *Table) { t.memBudget = bytes }
 }
@@ -424,6 +504,9 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 	}
 	for _, opt := range opts {
 		opt(t)
+	}
+	if t.autoFreeze > 0 || t.memBudget > 0 {
+		t.wake = db.wake
 	}
 	if db.dir != "" {
 		// Durable database: the table's blocks live under the database
@@ -478,12 +561,9 @@ func (db *DB) createTable(name string, cols []Column, fromCatalog bool, opts ...
 			return nil, fmt.Errorf("datablocks: table %q: %w", name, err)
 		}
 	}
-	if t.autoFreeze > 0 || t.memBudget > 0 {
-		t.freezeWake = make(chan struct{}, 1)
-		t.stop = make(chan struct{})
-		t.compactorDone = make(chan struct{})
-		go t.compact()
-	}
+	// A recovered table's replayed backlog has no later write to
+	// announce it.
+	t.wakeWorker()
 	return t, nil
 }
 
@@ -499,7 +579,7 @@ func (t *Table) openStore(fs walfs.FS) error {
 		return err
 	}
 	t.bs = bs
-	t.rel.SetBlockStore(bs, t.memBudget, t.wakeCompactor)
+	t.rel.SetBlockStore(bs, t.memBudget, t.wakeWorker)
 	if !t.persist {
 		return nil
 	}
@@ -670,14 +750,13 @@ type Table struct {
 	// points between recoverFromManifest and replayWAL.
 	walApplied []uint64
 
-	// Background compactor state (WithAutoFreeze).
-	autoFreeze    int
-	freezeWake    chan struct{}
-	stop          chan struct{}
-	compactorDone chan struct{}
-	closeOnce     sync.Once
-	compactMu     sync.Mutex
-	compactErr    error
+	// Background work (WithAutoFreeze, WithMemoryBudget). wake is the
+	// database worker's wake channel, nil for a table without background
+	// work. bgErr is the first error the worker hit on the table: only
+	// the worker writes it, and close reads it after the worker stopped.
+	autoFreeze int
+	wake       chan struct{}
+	bgErr      error
 
 	// ops counts the table's API traffic (see TableOps). These sit on
 	// the per-call paths, not inside scan kernels, so the shared atomic
@@ -849,7 +928,7 @@ func (t *Table) Insert(row Row) (TupleID, error) {
 	t.ops.rowsWritten.Inc()
 	if tid.Chunk > 0 && tid.Row == 0 {
 		// First row of a fresh chunk: the previous tail just sealed.
-		t.wakeCompactor()
+		t.wakeWorker()
 	}
 	return tid, nil
 }
@@ -909,7 +988,7 @@ func (t *Table) BulkLoad(cols []core.ColumnData, n int) error {
 		}
 	}
 	t.unlockAllStripes()
-	t.wakeCompactor()
+	t.wakeWorker()
 	var first error
 	for si, b := range batches {
 		if b == nil {
@@ -1242,7 +1321,7 @@ func (t *Table) Update(key int64, row Row) error {
 	if newTid.Chunk > 0 && newTid.Row == 0 {
 		// The rewritten version opened a fresh chunk: the previous tail
 		// just sealed (updates append row versions like inserts do).
-		t.wakeCompactor()
+		t.wakeWorker()
 	}
 	return nil
 }
@@ -1271,7 +1350,7 @@ func (t *Table) FreezeAll() error {
 // column to sharpen PSMA pruning for clustered queries (§3.2, Figure 11).
 // The primary-key index is rebuilt because sorted freezing reassigns tuple
 // identifiers. Sorted freezing is stop-the-world: it must not overlap
-// writers or a background compactor (do not combine with WithAutoFreeze).
+// writers or the background worker (do not combine with WithAutoFreeze).
 func (t *Table) FreezeSorted(col string) error {
 	i := t.schema.ColumnIndex(col)
 	if i < 0 {
@@ -1287,7 +1366,7 @@ func (t *Table) FreezeSorted(col string) error {
 			return err
 		}
 	}
-	// sortBy is read by manifest writes (compactor checkpoints included):
+	// sortBy is read by manifest writes (background checkpoints included):
 	// update it under the same lock.
 	t.manMu.Lock()
 	t.sortBy = i
@@ -1514,72 +1593,31 @@ func (t *Table) replayRecord(si int, rec *wal.Record) error {
 	return nil
 }
 
-// wakeCompactor nudges the background compactor without blocking the
-// write path; a pending wake-up is enough.
-func (t *Table) wakeCompactor() {
-	if t.freezeWake == nil {
+// wakeWorker nudges the database's background worker without blocking
+// the write path; a pending wake-up is enough.
+func (t *Table) wakeWorker() {
+	if t.wake == nil {
 		return
 	}
 	select {
-	case t.freezeWake <- struct{}{}:
+	case t.wake <- struct{}{}:
 	default:
 	}
 }
 
-// compact is the background compactor goroutine. It wakes whenever a hot
-// chunk seals behind the insert tail — freezing the backlog once it
-// reaches the configured threshold — and whenever freezing or a reload
-// pushes the resident frozen set over the memory budget, evicting the
-// coldest unpinned blocks to the store until the budget holds again.
-// Compression, spill and reload all run outside the relation lock, so
-// OLTP and OLAP traffic continue while it works.
-func (t *Table) compact() {
-	defer close(t.compactorDone)
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-t.freezeWake:
-		}
-		if t.autoFreeze > 0 && t.rel.SealedHotChunks() >= t.autoFreeze {
-			if err := t.rel.FreezeAll(core.FreezeOptions{SortBy: -1}, true); err != nil {
-				t.noteCompactErr(err)
-			} else if err := t.persistFrozen(); err != nil {
-				// Durable tables checkpoint every background freeze, so a
-				// crash loses at most the hot tail since the last pass.
-				t.noteCompactErr(err)
-			}
-		}
-		if t.memBudget > 0 {
-			if _, err := t.rel.EvictUnderBudget(); err != nil {
-				t.noteCompactErr(err)
-			}
-		}
-	}
-}
-
-func (t *Table) noteCompactErr(err error) {
-	t.compactMu.Lock()
-	if t.compactErr == nil {
-		t.compactErr = err
-	}
-	t.compactMu.Unlock()
-}
-
-// Close stops the table's background compactor, if any, waits for an
-// in-flight freeze or eviction pass to finish, flushes every frozen block
-// that was never spilled to the block store (so the store holds a
-// complete cold copy of the frozen set) and releases the store. On a
-// table of a durable database (OpenPath) Close first freezes the hot tail
-// and then writes a fresh manifest generation, so a clean close leaves
-// the directory a complete image: reopening recovers exactly the closed
-// contents. It returns the first error the compactor, the flush, the
-// manifest write or a block reload encountered. Close also closes the
-// stripe write-ahead logs: on a WAL table later writes fail at their
-// group commit. Close is otherwise idempotent and the table remains
-// readable afterwards — evicted chunks keep reloading through the store.
-func (t *Table) Close() error {
-	t.stopCompactor()
+// close is the table's part of DB.Close, run after the worker stopped: it
+// flushes every frozen block that was never spilled to the block store
+// (so the store holds a complete cold copy of the frozen set) and
+// releases the store and the stripe logs. On a table of a durable
+// database (OpenPath) it first freezes the hot tail and then writes a
+// fresh manifest generation, so a clean close leaves the directory a
+// complete image: reopening recovers exactly the closed contents. It
+// returns the worker's first error on the table, else the first error of
+// the flush, the manifest write, the release or a block reload. The table
+// remains readable afterwards — evicted chunks keep reloading through the
+// store.
+func (t *Table) close() error {
+	errs := []error{t.bgErr}
 	if t.bs != nil {
 		if t.persist {
 			// Freeze the tail so the manifest covers every row. If the
@@ -1590,42 +1628,25 @@ func (t *Table) Close() error {
 			// replays the logs. Without a WAL a failed close genuinely
 			// strands hot rows, which is why the error must not be
 			// swallowed.
-			if err := t.rel.FreezeAll(core.FreezeOptions{SortBy: -1}, false); err != nil {
-				t.noteCompactErr(err)
-			}
-			if err := t.persistFrozen(); err != nil {
-				t.noteCompactErr(err)
-			}
-		} else if err := t.rel.FlushFrozen(); err != nil {
-			t.noteCompactErr(err)
+			errs = append(errs, t.rel.FreezeAll(core.FreezeOptions{SortBy: -1}, false), t.persistFrozen())
+		} else {
+			errs = append(errs, t.rel.FlushFrozen())
 		}
 	}
-	if err := t.release(); err != nil {
-		t.noteCompactErr(err)
+	errs = append(errs, t.release(), t.rel.LoadError())
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	if err := t.rel.LoadError(); err != nil {
-		t.noteCompactErr(err)
-	}
-	t.compactMu.Lock()
-	defer t.compactMu.Unlock()
-	return t.compactErr
-}
-
-// stopCompactor stops the background compactor, if one was started, and
-// waits for it to exit.
-func (t *Table) stopCompactor() {
-	if t.compactorDone != nil {
-		t.closeOnce.Do(func() { close(t.stop) })
-		<-t.compactorDone
-	}
+	return nil
 }
 
 // release is the cleanup of a table whose open failed — its own or, in
-// OpenPath, a later table's: it stops the compactor and closes the
-// stripe logs and the block store without freezing or checkpointing
-// anything. Safe on a partly constructed table.
+// OpenPath, a later table's: it closes the stripe logs and the block
+// store without freezing or checkpointing anything. Safe on a partly
+// constructed table.
 func (t *Table) release() error {
-	t.stopCompactor()
 	var errs []error
 	for i := range t.stripes {
 		if w := t.stripes[i].w; w != nil {

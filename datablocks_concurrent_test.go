@@ -1,12 +1,17 @@
 package datablocks
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"datablocks/internal/walfs"
 )
 
 func ordersTable(t *testing.T, opts ...TableOption) (*DB, *Table) {
@@ -154,10 +159,17 @@ func TestAutoFreezeBackground(t *testing.T) {
 }
 
 // TestAutoFreezeWakesOnUpdateRollover: an update-only workload appends new
-// row versions and seals chunks just like inserts; the compactor must be
-// woken by those rollovers too, or sealed hot chunks pile up unfrozen.
+// row versions and seals chunks just like inserts; those rollovers must
+// wake the background worker too, or sealed hot chunks pile up unfrozen.
+// The worker is stopped and its step driven by hand, so the test
+// observes the wake itself rather than polling for its effect.
 func TestAutoFreezeWakesOnUpdateRollover(t *testing.T) {
 	db, tbl := ordersTable(t, WithChunkRows(128), WithAutoFreeze(1))
+	db.stopBackground()
+	select {
+	case <-db.wake: // the table's creation wake
+	default:
+	}
 	const keys = 100 // less than one chunk: only updates can seal chunks
 	for i := 0; i < keys; i++ {
 		if _, err := tbl.Insert(Row{Int(int64(i)), Float(0), Str("v0")}); err != nil {
@@ -170,12 +182,11 @@ func TestAutoFreezeWakesOnUpdateRollover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tbl.Stats().FrozenChunks == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("update-only workload never triggered the compactor")
-		}
-		time.Sleep(time.Millisecond)
+	if len(db.wake) == 0 {
+		t.Fatal("update-only workload never woke the background worker")
+	}
+	if !db.step() || tbl.Stats().FrozenChunks == 0 {
+		t.Fatalf("step after the updates froze %d chunks", tbl.Stats().FrozenChunks)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -184,6 +195,140 @@ func TestAutoFreezeWakesOnUpdateRollover(t *testing.T) {
 		if _, ok := tbl.Lookup(int64(i)); !ok {
 			t.Fatalf("key %d lost", i)
 		}
+	}
+}
+
+// engineGoroutines counts the live goroutines the engine's own code in
+// this package started; goroutines the tests start, and the runtime's
+// and the testing package's, are not counted.
+func engineGoroutines() int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if _, creator, ok := strings.Cut(g, "\ncreated by datablocks."); ok && !strings.HasPrefix(creator, "Test") {
+			count++
+		}
+	}
+	return count
+}
+
+// TestOneBackgroundWorker: a database runs one background goroutine
+// however many of its tables freeze and evict in the background, and
+// Close stops it.
+func TestOneBackgroundWorker(t *testing.T) {
+	before := engineGoroutines()
+	db := Open(WithBlockStore(t.TempDir()), WithAutoFreeze(1), WithMemoryBudget(64<<10))
+	for i := 0; i < 8; i++ {
+		if _, err := db.CreateTable(fmt.Sprintf("t%d", i), []Column{{Name: "id", Kind: Int64}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := engineGoroutines() - before; n != 1 {
+		t.Fatalf("Open plus 8 background tables added %d goroutines, want 1", n)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The worker exits just after Close has seen it stop.
+	deadline := time.Now().Add(5 * time.Second)
+	for engineGoroutines() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after Close", engineGoroutines()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStepServesEveryTable drives the background worker by hand. One
+// step freezes table a's sealed backlog and brings table b, reloaded past
+// its budget, back under it; the next step finds nothing to do. On a
+// durable database whose file layer fails the step's first call, the
+// step reports no progress, a later step does not refreeze what the
+// failed one froze, and Close returns the noted error.
+func TestStepServesEveryTable(t *testing.T) {
+	const budget = 16 << 10
+	cols := []Column{{Name: "id", Kind: Int64}, {Name: "v", Kind: Float64}}
+	fill := func(tbl *Table, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := tbl.Insert(Row{Int(int64(i)), Float(float64(i) / 3)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	db := Open()
+	db.stopBackground()
+	a, err := db.CreateTable("a", cols, WithPrimaryKey("id"), WithChunkRows(256), WithAutoFreeze(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.CreateTable("b", cols, WithPrimaryKey("id"), WithChunkRows(256),
+		WithBlockStore(t.TempDir()), WithMemoryBudget(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(a, 2000)
+	fill(b, 4000)
+	if err = b.FreezeAll(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < b.rel.NumChunks(); c++ {
+		if _, err = b.rel.EvictChunk(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err = b.Scan([]string{"id", "v"}, nil, QueryOptions{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if s := b.ColdStats(); s.ResidentBytes <= budget {
+		t.Fatalf("reload left %d resident bytes, want more than the %d budget", s.ResidentBytes, budget)
+	}
+	if !db.step() {
+		t.Fatal("first step reported no progress")
+	}
+	if n := a.rel.SealedHotChunks(); n != 0 || a.Stats().FrozenChunks == 0 {
+		t.Fatalf("table a after one step: %d sealed, %d frozen", n, a.Stats().FrozenChunks)
+	}
+	if s := b.ColdStats(); s.ResidentBytes > budget {
+		t.Fatalf("table b after one step: %d resident bytes, budget %d", s.ResidentBytes, budget)
+	}
+	if db.step() {
+		t.Fatal("second step reported progress with nothing left to do")
+	}
+	if err = db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ffs := walfs.NewFaultFS()
+	ddb, err := openPath(ffs, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddb.stopBackground()
+	d, err := ddb.CreateTable("d", cols, WithPrimaryKey("id"), WithChunkRows(256), WithAutoFreeze(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(d, 2000)
+	ffs.FailOp(len(ffs.Log()) + 1)
+	if ddb.step() {
+		t.Fatal("step whose checkpoint failed reported progress")
+	}
+	frozen, ops := d.Stats().FrozenChunks, len(ffs.Log())
+	if frozen == 0 || d.rel.SealedHotChunks() != 0 {
+		t.Fatalf("failed step left %d frozen, %d sealed", frozen, d.rel.SealedHotChunks())
+	}
+	if ddb.step() || d.Stats().FrozenChunks != frozen || len(ffs.Log()) != ops {
+		t.Fatalf("a later step retried: %d frozen (was %d), %d file calls (was %d)",
+			d.Stats().FrozenChunks, frozen, len(ffs.Log()), ops)
+	}
+	if err := ddb.Close(); !errors.Is(err, walfs.ErrInjected) {
+		t.Fatalf("Close returned %v, want the step's injected fault", err)
 	}
 }
 
@@ -423,14 +568,22 @@ func TestScansSeeOneVersionPerKeyUnderUpdates(t *testing.T) {
 }
 
 // TestBudgetedTableMatchesUnbounded checks the larger-than-RAM path
-// against ground truth. Writers churn disjoint key stripes of a table
-// whose frozen set far exceeds a 32 KiB budget, while the compactor
-// freezes sealed chunks, spills the coldest blocks and reloads them on
-// demand, and a scanner sweeps alongside. Each writer draws a fixed number
-// of operations from a seeded sequence over its own stripe, so the same
-// rounds replayed serially into an unbudgeted table must leave the same
-// rows.
+// against ground truth. Writers churn disjoint key stripes of tables
+// whose frozen sets far exceed a 32 KiB budget each, while the database's
+// one background worker freezes sealed chunks, spills the coldest blocks
+// and reloads them on demand, and a scanner sweeps alongside. Each writer
+// draws a fixed number of operations from a seeded sequence over its own
+// stripe, so the same rounds replayed serially into unbudgeted tables
+// must leave the same rows. With one table both writers share it; with
+// two, writer g plays on table g, so the one worker serves both tables'
+// freezes, spills and reloads.
 func TestBudgetedTableMatchesUnbounded(t *testing.T) {
+	for _, tables := range []int{1, 2} {
+		t.Run(fmt.Sprintf("tables=%d", tables), func(t *testing.T) { testBudgetedMatchesUnbounded(t, tables) })
+	}
+}
+
+func testBudgetedMatchesUnbounded(t *testing.T, tables int) {
 	const (
 		writers = 2
 		preload = 4000 // rows per stripe
@@ -446,19 +599,25 @@ func TestBudgetedTableMatchesUnbounded(t *testing.T) {
 	mkRow := func(key int64, amount float64) Row {
 		return Row{Int(key), Float(amount), Str(statuses[key%3])}
 	}
-	newEvents := func(db *DB) *Table {
-		tbl, err := db.CreateTable("events", cols, WithPrimaryKey("id"), WithChunkRows(2048))
-		if err != nil {
-			t.Fatal(err)
+	// newEvents creates the tables and preloads writer g's stripe into
+	// table g % tables, the table writer g plays on.
+	newEvents := func(db *DB) []*Table {
+		tbls := make([]*Table, tables)
+		for i := range tbls {
+			tbl, err := db.CreateTable(fmt.Sprintf("events%d", i), cols, WithPrimaryKey("id"), WithChunkRows(2048))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbls[i] = tbl
 		}
 		for g := 0; g < writers; g++ {
 			for i := 0; i < preload; i++ {
-				if _, err := tbl.Insert(mkRow(int64(g)*stripe+int64(i), float64(i)/2)); err != nil {
+				if _, err := tbls[g%tables].Insert(mkRow(int64(g)*stripe+int64(i), float64(i)/2)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		return tbl
+		return tbls
 	}
 	// play runs writer g's rounds against tbl, checking each answer
 	// against the writer's own record of its live keys, and returns the
@@ -502,7 +661,7 @@ func TestBudgetedTableMatchesUnbounded(t *testing.T) {
 
 	db := Open(WithBlockStore(t.TempDir()), WithMemoryBudget(32<<10), WithAutoFreeze(1))
 	defer db.Close()
-	tbl := newEvents(db)
+	tbls := newEvents(db)
 	var wg sync.WaitGroup
 	next := make([]int64, writers)
 	for g := 0; g < writers; g++ {
@@ -510,7 +669,7 @@ func TestBudgetedTableMatchesUnbounded(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var err error
-			if next[g], err = play(tbl, g); err != nil {
+			if next[g], err = play(tbls[g%tables], g); err != nil {
 				t.Errorf("writer %d: %v", g, err)
 			}
 		}(g)
@@ -525,7 +684,7 @@ func TestBudgetedTableMatchesUnbounded(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := tbl.Scan([]string{"id", "amount"}, []Pred{{Col: "amount", Op: Ge, Lo: Float(0)}},
+			if _, err := tbls[i%tables].Scan([]string{"id", "amount"}, []Pred{{Col: "amount", Op: Ge, Lo: Float(0)}},
 				QueryOptions{Mode: modes[i%len(modes)]}); err != nil {
 				t.Errorf("scan: %v", err)
 				return
@@ -538,19 +697,23 @@ func TestBudgetedTableMatchesUnbounded(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	// The compactor evicts asynchronously; one more freeze and eviction
-	// pass puts the frozen set over the budget on disk however the
-	// goroutines were scheduled.
-	if err := tbl.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Relation().EvictUnderBudget(); err != nil {
-		t.Fatal(err)
+	// The worker evicts asynchronously, and a freeze skips a chunk the
+	// worker is still freezing. With the worker stopped, one more freeze
+	// and eviction pass per table puts the frozen set over the budget on
+	// disk however the goroutines were scheduled.
+	db.stopBackground()
+	for _, tbl := range tbls {
+		if err := tbl.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.Relation().EvictUnderBudget(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	truth := newEvents(Open())
 	for g := 0; g < writers; g++ {
-		if _, err := play(truth, g); err != nil {
+		if _, err := play(truth[g%tables], g); err != nil {
 			t.Fatalf("replay of writer %d: %v", g, err)
 		}
 	}
@@ -571,20 +734,22 @@ func TestBudgetedTableMatchesUnbounded(t *testing.T) {
 		}
 		return a
 	}
-	if got, want := aggregate(tbl), aggregate(truth); got != want {
-		t.Fatalf("budgeted table %+v, unbudgeted replay %+v", got, want)
+	for i, tbl := range tbls {
+		if got, want := aggregate(tbl), aggregate(truth[i]); got != want {
+			t.Fatalf("budgeted table %d %+v, unbudgeted replay %+v", i, got, want)
+		}
+		if m := tbl.Metrics().Cold; m.Evictions == 0 || m.Reloads == 0 {
+			t.Fatalf("no churn under the budget on table %d: %d evictions, %d reloads", i, m.Evictions, m.Reloads)
+		}
 	}
 	for g := 0; g < writers; g++ {
 		for key := int64(g) * stripe; key < next[g]; key += 97 {
-			a, okA := tbl.Lookup(key)
-			b, okB := truth.Lookup(key)
+			a, okA := tbls[g%tables].Lookup(key)
+			b, okB := truth[g%tables].Lookup(key)
 			if okA != okB || okA && (a[1].Float() != b[1].Float() || a[2].Str() != b[2].Str()) {
 				t.Fatalf("lookup %d: budgeted %v, %v; unbudgeted %v, %v", key, a, okA, b, okB)
 			}
 		}
-	}
-	if m := tbl.Metrics().Cold; m.Evictions == 0 || m.Reloads == 0 {
-		t.Fatalf("no churn under the budget: %d evictions, %d reloads", m.Evictions, m.Reloads)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

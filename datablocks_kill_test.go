@@ -21,12 +21,28 @@ import (
 // which writes against that directory until it is killed.
 const crashDirEnv = "DATABLOCKS_CRASH_DIR"
 
+// crashBackgroundEnv, when set, gives the victim's table background
+// work (see crashOpts).
+const crashBackgroundEnv = "DATABLOCKS_CRASH_BACKGROUND"
+
 const crashTable = "events"
 
 // crashOpts is the table configuration both sides of the kill test agree
 // on: striped write path, write-ahead logging, modest chunks so freezes
-// interleave with the kill window.
-func crashOpts() []datablocks.TableOption {
+// interleave with the kill window. With background set, the table also
+// freezes every sealed chunk in the background and spills past a 64 KiB
+// budget, on chunks small enough that the kill lands during background
+// freezes, checkpoints and spills.
+func crashOpts(background bool) []datablocks.TableOption {
+	if background {
+		return []datablocks.TableOption{
+			datablocks.WithChunkRows(256),
+			datablocks.WithWriteStripes(8),
+			datablocks.WithWAL(),
+			datablocks.WithAutoFreeze(1),
+			datablocks.WithMemoryBudget(64 << 10),
+		}
+	}
 	return []datablocks.TableOption{
 		datablocks.WithChunkRows(2048),
 		datablocks.WithWriteStripes(8),
@@ -49,14 +65,15 @@ func TestCrashChildMode(t *testing.T) {
 	if dir == "" {
 		t.Skip("victim mode: spawned by TestKillRecoveryStress")
 	}
-	if err := crashChild(dir); err != nil {
+	if err := crashChild(dir, os.Getenv(crashBackgroundEnv) != ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestKillRecoveryStress is the kill -9 recovery stress: rounds times
 // over, it spawns this test binary as a crashChild victim writing through
-// the striped WAL, SIGKILLs it at a random crash point mid-traffic,
+// the striped WAL — every second round with background freezing and
+// spilling (crashOpts) — SIGKILLs it at a random crash point mid-traffic,
 // reopens the directory and asserts ZERO lost acknowledged writes — every
 // insert or rename whose group commit acknowledged before the kill is
 // present with its exact payload, an acknowledged rename's old key is
@@ -72,18 +89,23 @@ func TestKillRecoveryStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(0xC4A5)
-	for round := 1; round <= 3; round++ {
+	for round := 1; round <= 4; round++ {
+		background := round%2 == 0
+		threshold := 300 + rng.Range(0, 2000)
+		if background {
+			threshold = 3000 + rng.Range(0, 6000)
+		}
 		dir := t.TempDir()
-		led, err := runVictim(exe, dir, 300+rng.Range(0, 2000))
+		led, err := runVictim(exe, dir, threshold, background)
 		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+			t.Fatalf("round %d (background %v): %v", round, background, err)
 		}
-		recovered, err := verifyCrashImage(dir, led)
+		recovered, err := verifyCrashImage(dir, led, background)
 		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+			t.Fatalf("round %d (background %v): %v", round, background, err)
 		}
-		t.Logf("round %d: killed at %d acknowledged writes (%d renames), recovered %d rows, 0 lost",
-			round, len(led.acked), len(led.moved), recovered)
+		t.Logf("round %d (background %v): killed at %d acknowledged writes (%d renames), recovered %d rows, 0 lost",
+			round, background, len(led.acked), len(led.moved), recovered)
 	}
 }
 
@@ -101,13 +123,13 @@ func TestKillRecoveryStress(t *testing.T) {
 // commit, and the trailing '#' lets the parent discard the line the kill
 // tore. Writer 0 checkpoints periodically so the kill also lands between
 // manifest writes and log truncations.
-func crashChild(dir string) error {
+func crashChild(dir string, background bool) error {
 	cols := []datablocks.Column{
 		{Name: "id", Kind: datablocks.Int64},
 		{Name: "amount", Kind: datablocks.Float64},
 		{Name: "status", Kind: datablocks.String},
 	}
-	db, err := datablocks.OpenPath(dir, crashOpts()...)
+	db, err := datablocks.OpenPath(dir, crashOpts(background)...)
 	if err != nil {
 		return err
 	}
@@ -187,9 +209,12 @@ type crashLedger struct {
 // runVictim spawns the child, collects the acknowledgement ledger off its
 // stdout, kills it once threshold acks arrived (or after a 60s safety
 // valve) and returns the ledger.
-func runVictim(exe, dir string, threshold int64) (*crashLedger, error) {
+func runVictim(exe, dir string, threshold int64, background bool) (*crashLedger, error) {
 	cmd := exec.Command(exe, "-test.run=^TestCrashChildMode$", "-test.v")
 	cmd.Env = append(os.Environ(), crashDirEnv+"="+dir)
+	if background {
+		cmd.Env = append(cmd.Env, crashBackgroundEnv+"=1")
+	}
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -268,8 +293,8 @@ func runVictim(exe, dir string, threshold int64) (*crashLedger, error) {
 
 // verifyCrashImage reopens the killed directory and checks the
 // acknowledged-durability contract.
-func verifyCrashImage(dir string, led *crashLedger) (int, error) {
-	db, err := datablocks.OpenPath(dir, crashOpts()...)
+func verifyCrashImage(dir string, led *crashLedger, background bool) (int, error) {
+	db, err := datablocks.OpenPath(dir, crashOpts(background)...)
 	if err != nil {
 		return 0, fmt.Errorf("reopen after kill: %w", err)
 	}

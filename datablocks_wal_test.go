@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"datablocks/internal/types"
 	"datablocks/internal/wal"
@@ -16,9 +17,8 @@ import (
 )
 
 // walOpts are the WAL crash tests' table defaults. Deliberately no
-// WithAutoFreeze: without a background compactor, dropping a *DB without
-// Close is a faithful crash — nothing runs after the last acknowledged
-// fsync.
+// WithAutoFreeze: without background work, dropping a *DB without Close
+// is a faithful crash — nothing runs after the last acknowledged fsync.
 func walOpts(stripes int) []TableOption {
 	return []TableOption{WithChunkRows(256), WithWriteStripes(stripes), WithWAL()}
 }
@@ -138,6 +138,38 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	}
 	if err := tbl2.Update(77_777, Row{Int(77_777), Float(2), Str("post")}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReopenFreezesReplayedBacklog: a WAL table's replay rebuilds sealed
+// hot chunks with no write left to announce them, so reopening with
+// WithAutoFreeze must wake the background worker itself, or the backlog
+// stays hot until some later write opens a fresh chunk.
+func TestReopenFreezesReplayedBacklog(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenPath(dir, walOpts(1)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := mustCreateEvents(t, db)
+	loadEvents(t, tbl, 2000)
+	_ = tbl.release() // crash: the logs close, nothing is checkpointed
+	db2, err := OpenPath(dir, append(walOpts(1), WithAutoFreeze(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	tbl2 := db2.Table("events")
+	deadline := time.Now().Add(5 * time.Second)
+	for tbl2.rel.SealedHotChunks() > 0 || tbl2.Stats().FrozenChunks == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed backlog not frozen: %d sealed, %d frozen",
+				tbl2.rel.SealedHotChunks(), tbl2.Stats().FrozenChunks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := tbl2.NumRows(); got != 2000 {
+		t.Fatalf("recovered %d rows, want 2000", got)
 	}
 }
 

@@ -207,7 +207,7 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // deletes code lowers it.
 var locCeilings = map[string]int{
 	"datablocks/internal/exec": 4328,
-	"total":                    19714,
+	"total":                    19711,
 }
 
 // TestLocCeilings counts what `make loc` counts — every line of a

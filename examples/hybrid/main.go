@@ -1,7 +1,7 @@
 // Hybrid: OLTP and OLAP against the same database state (Figure 1).
 // Writers stream point inserts/updates into hot chunks while an analytical
 // query repeatedly scans the cold compressed Data Blocks. Chunks that fall
-// behind the insert tail are frozen by the table's background compactor
+// behind the insert tail are frozen by the database's background worker
 // (WithAutoFreeze); compression runs outside the relation lock, so neither
 // the writer nor the scanner stalls.
 package main
@@ -106,7 +106,7 @@ func main() {
 		}
 	}()
 	wg.Wait()
-	if err = db.Close(); err != nil { // stop the background compactor
+	if err = db.Close(); err != nil { // stop the background worker
 		log.Fatal(err)
 	}
 

@@ -307,7 +307,7 @@ func (s *Store) Stats() StoreStats {
 
 // Close is the store's lifecycle hook. Block files are each synced at
 // Put time, so there is nothing to flush, and the store deliberately
-// stays readable afterwards — Table.Close closes its store yet evicted
+// stays readable afterwards — DB.Close closes its store yet evicted
 // chunks keep reloading through it. A future write-behind store would
 // drain here.
 func (s *Store) Close() error { return nil }

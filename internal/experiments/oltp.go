@@ -214,6 +214,7 @@ var defaultTPCC = tpccConfig{warehouses: 5, districts: 10, customers: 300, items
 type tpccDB struct {
 	cfg tpccConfig
 	rng *xrand.Rand
+	eng *datablocks.DB
 
 	customer, item, stock, orders, newOrder, orderLine *datablocks.Table
 	all                                                []*datablocks.Table
@@ -230,10 +231,10 @@ func (db *tpccDB) olKey(w, d, o, ln int64) int64 { return db.orderKey(w, d, o)*1
 // newTPCC creates the six tables and loads items, stock and customers.
 func newTPCC(cfg tpccConfig) (*tpccDB, error) {
 	db := &tpccDB{cfg: cfg, rng: xrand.New(cfg.seed), lastOID: make([]int64, cfg.warehouses*cfg.districts)}
-	eng := datablocks.Open(datablocks.WithChunkRows(cfg.chunkRows))
+	db.eng = datablocks.Open(datablocks.WithChunkRows(cfg.chunkRows))
 	var err error
 	table := func(name string, cols ...datablocks.Column) *datablocks.Table {
-		t, cerr := eng.CreateTable(name, cols, datablocks.WithPrimaryKey(cols[0].Name))
+		t, cerr := db.eng.CreateTable(name, cols, datablocks.WithPrimaryKey(cols[0].Name))
 		err = errors.Join(err, cerr)
 		db.all = append(db.all, t)
 		return t
@@ -433,7 +434,9 @@ func TPCC(w io.Writer, txCount, rounds int) error {
 			return err
 		}
 		tput, err := txPerSec(rounds, txCount, func(n int) error { return db.newOrders(n, i == 1) })
-		if err != nil {
+		// Close stops the database's background worker, which would
+		// otherwise keep its tables reachable for the rest of the run.
+		if err = errors.Join(err, db.eng.Close()); err != nil {
 			return err
 		}
 		addRow(tbl, "new-order stream", config, fmt.Sprintf("%.0f", tput))
@@ -441,6 +444,7 @@ func TPCC(w io.Writer, txCount, rounds int) error {
 
 	db, err := newTPCC(defaultTPCC)
 	if err == nil {
+		defer db.eng.Close() // in memory without a block store: nothing to flush
 		err = db.newOrders(txCount/2, false)
 	}
 	if err != nil {

@@ -186,7 +186,7 @@
 //
 // Sorted freezing (SortBy >= 0) reorders tuples and therefore invalidates
 // tuple identifiers; it runs stop-the-world under the relation write lock
-// and must not overlap other writers or a background compactor — quiesce
+// and must not overlap other writers or a background freezer — quiesce
 // the relation first (see ROADMAP: sorted-freeze under concurrency).
 //
 // Lock-free access to a *Chunk (Relation.Chunk/Chunks) is safe for frozen
@@ -734,9 +734,9 @@ type Relation struct {
 	// Cold block store state (SetBlockStore). store persists serialized
 	// frozen blocks; cache tracks which are resident in RAM against the
 	// byte budget; kinds is the schema handed to deserialization;
-	// overBudget nudges the owner's compactor when an install pushes the
-	// resident set past the budget. All four are set once, before
-	// concurrent use.
+	// overBudget nudges the owner's background worker when an install
+	// pushes the resident set past the budget. All four are set once,
+	// before concurrent use.
 	store      *blockstore.Store
 	cache      *blockstore.Cache
 	kinds      []types.Kind
@@ -1506,7 +1506,7 @@ func (r *Relation) FreezeAll(opts core.FreezeOptions, keepHotTail bool) error {
 
 // SealedHotChunks counts chunks that are closed to inserts (everything
 // but the stripe tails) yet still uncompressed and unclaimed — the
-// backlog a background compactor should freeze.
+// backlog a background worker should freeze.
 func (r *Relation) SealedHotChunks() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -1579,7 +1579,7 @@ func gatherBool(src []bool, keep []uint32) []bool {
 // evictable to it, tracked against budget bytes of RAM residency (<= 0:
 // unbounded — manual EvictChunk only). wake, if non-nil, is invoked
 // (without locks held) whenever installing a block pushes the resident
-// set over budget, so a background compactor can run EvictUnderBudget.
+// set over budget, so a background worker can run EvictUnderBudget.
 // SetBlockStore must be called before the relation sees concurrent use;
 // blocks frozen before the call are accounted as resident.
 func (r *Relation) SetBlockStore(store *blockstore.Store, budget int64, wake func()) {
