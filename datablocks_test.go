@@ -225,6 +225,54 @@ func TestFreezeSortedRebuildIndex(t *testing.T) {
 	}
 }
 
+// TestFreezeSortedAllDeletedChunk: a chunk whose every row is deleted
+// has nothing to sort; it freezes as an unsorted freeze would, and the
+// chunks around it sort as usual. Each live key still looks up its own
+// row, the deleted keys miss, and no chunk is left hot — with the dead
+// chunk first and in the middle.
+func TestFreezeSortedAllDeletedChunk(t *testing.T) {
+	for _, dead := range []int{0, 1} {
+		t.Run(fmt.Sprintf("chunk%d", dead), func(t *testing.T) {
+			db := Open()
+			defer db.Close()
+			tbl, err := db.CreateTable("t", []Column{{Name: "id", Kind: Int64}, {Name: "v", Kind: Int64}},
+				WithPrimaryKey("id"), WithChunkRows(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(0); id < 10; id++ {
+				if _, err := tbl.Insert(Row{Int(id), Int(-id)}); err != nil { // sorting by v reverses each chunk
+					t.Fatal(err)
+				}
+			}
+			deleted := func(id int64) bool { return int(id)/4 == dead }
+			for id := int64(0); id < 10; id++ {
+				if deleted(id) {
+					if ok, err := tbl.Delete(id); !ok || err != nil {
+						t.Fatalf("delete %d: %v %v", id, ok, err)
+					}
+				}
+			}
+			if err := tbl.FreezeSorted("v"); err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(0); id < 10; id++ {
+				row, ok := tbl.Lookup(id)
+				if deleted(id) {
+					if ok {
+						t.Errorf("deleted key %d found: %v", id, row)
+					}
+				} else if !ok || row[0].Int() != id || row[1].Int() != -id {
+					t.Errorf("Lookup(%d) = %v %v", id, row, ok)
+				}
+			}
+			if st := tbl.Stats(); st.HotChunks != 0 {
+				t.Errorf("%d chunks left hot", st.HotChunks)
+			}
+		})
+	}
+}
+
 func TestPlanComposition(t *testing.T) {
 	_, tbl := accountsTable(t, 6000)
 	if err := tbl.Freeze(); err != nil {
