@@ -220,25 +220,47 @@ func TestFreezePreservesTuplesAndTIDs(t *testing.T) {
 }
 
 func TestFreezeSortedCompactsDeletes(t *testing.T) {
+	// Every column is a function of the id, and every third note is NULL,
+	// so each surviving row can be checked cell by cell after the sort.
+	amount := func(id int64) float64 { return float64(id)*1.5 + 0.25 }
+	note := func(id int64) string {
+		if id%3 == 0 {
+			return "" // NULL
+		}
+		return fmt.Sprintf("n%d", id)
+	}
 	r := NewRelation(testSchema(), 100)
 	var tids []TupleID
 	for i := 0; i < 100; i++ {
-		tid, _ := r.Insert(mkRow(int64(99-i), float64(i), "x")) // descending ids
+		id := int64(99 - i) // descending ids
+		tid, _ := r.Insert(mkRow(id, amount(id), note(id)))
 		tids = append(tids, tid)
 	}
-	r.Delete(tids[0])
+	r.Delete(tids[0])  // id 99
+	r.Delete(tids[50]) // id 49
 	if err := r.FreezeChunk(0, core.FreezeOptions{SortBy: 0}); err != nil {
 		t.Fatal(err)
 	}
 	c := r.Chunk(0)
-	if c.Rows() != 99 || c.LiveRows() != 99 {
+	if c.Rows() != 98 || c.LiveRows() != 98 {
 		t.Fatalf("rows = %d live = %d", c.Rows(), c.LiveRows())
 	}
-	// Sorted ascending by id; the deleted id (99) is gone.
+	// Sorted ascending by id; the deleted ids are gone.
+	want := int64(0)
 	for row := 0; row < c.Rows(); row++ {
-		if got := c.Block().Int(0, row); got != int64(row) {
-			t.Fatalf("row %d: id = %d", row, got)
+		if want == 49 {
+			want++
 		}
+		if got := c.Block().Int(0, row); got != want {
+			t.Fatalf("row %d: id = %d, want %d", row, got, want)
+		}
+		wantRow := mkRow(want, amount(want), note(want))
+		for col := 1; col < len(wantRow); col++ {
+			if got := c.Block().Value(col, row); !got.Equal(wantRow[col]) {
+				t.Errorf("id %d, column %d: %v, want %v", want, col, got, wantRow[col])
+			}
+		}
+		want++
 	}
 }
 
