@@ -146,13 +146,13 @@ func (op CompareOp) String() string {
 
 // Value is a dynamically typed cell value used at API boundaries (inserts,
 // point lookups, query results). The hot paths inside scans never allocate
-// Values; they work on typed column slices.
+// Values; they work on typed column slices. It is 32 bytes: the string, one
+// word that holds the int64 or the float64's bits, and three flag bytes.
 type Value struct {
+	s     string
+	bits  uint64
 	kind  Kind
 	null  bool
-	i     int64
-	f     float64
-	s     string
 	valid bool // distinguishes the zero Value from a typed one
 }
 
@@ -160,10 +160,10 @@ type Value struct {
 func NullValue(k Kind) Value { return Value{kind: k, null: true, valid: true} }
 
 // IntValue wraps an int64.
-func IntValue(v int64) Value { return Value{kind: Int64, i: v, valid: true} }
+func IntValue(v int64) Value { return Value{kind: Int64, bits: uint64(v), valid: true} }
 
 // FloatValue wraps a float64.
-func FloatValue(v float64) Value { return Value{kind: Float64, f: v, valid: true} }
+func FloatValue(v float64) Value { return Value{kind: Float64, bits: math.Float64bits(v), valid: true} }
 
 // StringValue wraps a string.
 func StringValue(v string) Value { return Value{kind: String, s: v, valid: true} }
@@ -199,7 +199,7 @@ func (v Value) Int() int64 {
 	if v.kind != Int64 || v.null {
 		panic(fmt.Sprintf("types: Int() on %s", v))
 	}
-	return v.i
+	return int64(v.bits)
 }
 
 // Float returns the float64 payload. It panics on a non-float or NULL value.
@@ -207,7 +207,7 @@ func (v Value) Float() float64 {
 	if v.kind != Float64 || v.null {
 		panic(fmt.Sprintf("types: Float() on %s", v))
 	}
-	return v.f
+	return math.Float64frombits(v.bits)
 }
 
 // Str returns the string payload. It panics on a non-string or NULL value.
@@ -229,9 +229,10 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case Int64:
-		return v.i == o.i
+		return v.bits == o.bits
 	case Float64:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
+		f, g := math.Float64frombits(v.bits), math.Float64frombits(o.bits)
+		return f == g || (math.IsNaN(f) && math.IsNaN(g))
 	case String:
 		return v.s == o.s
 	}
@@ -248,29 +249,22 @@ func (v Value) Compare(o Value) int {
 	}
 	switch v.kind {
 	case Int64:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		}
-		return 0
+		return cmp3(int64(v.bits), int64(o.bits))
 	case Float64:
-		switch {
-		case v.f < o.f:
-			return -1
-		case v.f > o.f:
-			return 1
-		}
-		return 0
+		return cmp3(math.Float64frombits(v.bits), math.Float64frombits(o.bits))
 	case String:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		}
-		return 0
+		return cmp3(v.s, o.s)
+	}
+	return 0
+}
+
+// cmp3 is Compare's three-way order; unordered floats (NaN) compare equal.
+func cmp3[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
 	return 0
 }
@@ -284,9 +278,9 @@ func (v Value) String() string {
 	}
 	switch v.kind {
 	case Int64:
-		return fmt.Sprintf("%d", v.i)
+		return fmt.Sprintf("%d", v.Int())
 	case Float64:
-		return fmt.Sprintf("%g", v.f)
+		return fmt.Sprintf("%g", v.Float())
 	case String:
 		return fmt.Sprintf("%q", v.s)
 	}

@@ -1,9 +1,11 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSchema(t *testing.T) {
@@ -80,6 +82,37 @@ func TestValueEqualCompare(t *testing.T) {
 	}
 	if FloatValue(1.5).Compare(FloatValue(1.5)) != 0 {
 		t.Fatal("float Compare broken")
+	}
+}
+
+// TestValueLayout pins Value at 32 bytes and checks that the one payload
+// word round-trips the extreme integers and the special floats, with
+// Equal and Compare as before: -0 equals +0, NaN equals NaN under Equal
+// and compares as 0, the zero Value is still IsZero.
+func TestValueLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("Value is %d bytes, want 32", n)
+	}
+	lo, hi := IntValue(math.MinInt64), IntValue(math.MaxInt64)
+	if lo.Int() != math.MinInt64 || hi.Int() != math.MaxInt64 {
+		t.Fatalf("int round trip: %v %v", lo, hi)
+	}
+	if !lo.Equal(lo) || lo.Equal(hi) || lo.Compare(hi) != -1 || hi.Compare(lo) != 1 || hi.Compare(hi) != 0 {
+		t.Fatal("Equal/Compare on extreme ints")
+	}
+	neg, pos := FloatValue(math.Copysign(0, -1)), FloatValue(0)
+	inf, nan := FloatValue(math.Inf(1)), FloatValue(math.NaN())
+	if !math.Signbit(neg.Float()) || !math.IsInf(inf.Float(), 1) || !math.IsNaN(nan.Float()) {
+		t.Fatalf("float round trip: %v %v %v", neg, inf, nan)
+	}
+	if !neg.Equal(pos) || neg.Compare(pos) != 0 || !inf.Equal(inf) || inf.Equal(pos) || inf.Compare(pos) != 1 {
+		t.Fatal("Equal/Compare on -0, +0, +Inf")
+	}
+	if !nan.Equal(FloatValue(math.NaN())) || nan.Equal(pos) || nan.Compare(nan) != 0 || nan.Compare(inf) != 0 {
+		t.Fatal("Equal/Compare on NaN")
+	}
+	if !(Value{}).IsZero() || lo.IsZero() || neg.IsZero() {
+		t.Fatal("IsZero")
 	}
 }
 
