@@ -86,7 +86,7 @@ fmt-check:
 	fi
 
 stress:
-	$(GO) test -race -count=20 -run 'TestHybridStress|TestBudgetedTableMatchesUnbounded|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty|TestWALParallelReplayMatchesModel|TestIndexConcurrentGrowth' . ./internal/storage/ ./internal/index/
+	$(GO) test -race -count=20 -run 'TestHybridStress|TestBudgetedTableMatchesUnbounded|TestStorageStress|TestSnapshotOneVersionPerKey|TestScansSeeOneVersionPerKeyUnderUpdates|TestFreezeAllConcurrentInserts|TestUpdateLookupNoReadAnomaly|TestUpdateLookupStress|TestConcurrentEvictReloadStress|TestParallelBatchQueryUnderWrites|TestWALStripedWritersRace|TestWALGroupCommitCrashProperty|TestWALParallelReplayMatchesModel|TestIndexConcurrentGrowth|TestLookupDuringFreezeSorted|TestLookupDuringBulkLoad|TestLookupOpCountsExact' . ./internal/storage/ ./internal/index/
 	$(GO) test -count=1 -run 'TestKillRecoveryStress' .
 
 # Each package's test binary is built once, before the load starts; then

@@ -181,3 +181,85 @@ func TestUpdateLookupStress(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupDuringFreezeSorted: a sorted freeze reorders every chunk and
+// rebuilds the index while lookups run beside it. A lookup that read a
+// tuple identifier before the reorder must not return the row that now
+// sits there, and a key that exists throughout must never miss. Sorting
+// by v = -id reverses each chunk, so a stale identifier names another
+// key's row.
+func TestLookupDuringFreezeSorted(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		lookupsBeside(t, func(tbl *Table) error { return tbl.FreezeSorted("v") })
+	}
+}
+
+// TestLookupDuringBulkLoad: a bulk load rebuilds the index; lookups of
+// the keys that were there before it must not miss meanwhile.
+func TestLookupDuringBulkLoad(t *testing.T) {
+	const n = 1 << 14
+	ids, vs := make([]int64, n), make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(n + i)
+	}
+	lookupsBeside(t, func(tbl *Table) error {
+		return tbl.BulkLoad([]ColumnData{{Kind: Int64, Ints: ids}, {Kind: Int64, Ints: vs}}, n)
+	})
+}
+
+// lookupsBeside fills a table with 16 Ki rows (id, -id) in chunks of
+// 4 Ki, runs reorganize on it while two goroutines look up every key
+// over and over, and fails if a lookup missed or returned another key's
+// row.
+func lookupsBeside(t *testing.T, reorganize func(*Table) error) {
+	t.Helper()
+	const keys, readers = 1 << 14, 2
+	db := Open()
+	defer db.Close()
+	tbl, err := db.CreateTable("t", []Column{{Name: "id", Kind: Int64}, {Name: "v", Kind: Int64}},
+		WithPrimaryKey("id"), WithChunkRows(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(0); id < keys; id++ {
+		if _, ierr := tbl.Insert(Row{Int(id), Int(-id)}); ierr != nil {
+			t.Fatal(ierr)
+		}
+	}
+	var (
+		wrong, missed, lookups atomic.Int64
+		stop                   = make(chan struct{})
+		wg                     sync.WaitGroup
+	)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int64(g); ; i += 7919 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := i % keys
+				row, ok := tbl.Lookup(key)
+				lookups.Add(1)
+				if !ok {
+					missed.Add(1)
+				} else if row[0].Int() != key || row[1].Int() != -key {
+					wrong.Add(1)
+				}
+			}
+		}(g)
+	}
+	err = reorganize(tbl)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrong.Load() != 0 || missed.Load() != 0 {
+		t.Fatalf("of %d lookups, %d returned another key's row and %d missed",
+			lookups.Load(), wrong.Load(), missed.Load())
+	}
+}

@@ -315,3 +315,37 @@ func TestMetricsRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestLookupOpCountsExact: four goroutines look up keys concurrently, a
+// known share of them absent; Metrics must then report the exact lookup,
+// miss and rows-read counts — no counter sampled, no stripe left out of
+// the sum.
+func TestLookupOpCountsExact(t *testing.T) {
+	const keys, workers, per = 1000, 4, 5000
+	db, tbl := accountsTable(t, keys)
+	defer db.Close()
+	res, err := tbl.Scan([]string{"id"}, []Pred{{Col: "id", Op: Lt, Lo: Int(100)}}, QueryOptions{})
+	if err != nil || res.NumRows() != 100 {
+		t.Fatalf("scan: %v rows, %v", res.NumRows(), err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				key := int64((i*workers + g) % (2 * keys)) // keys >= 1000 are absent
+				if _, ok := tbl.Lookup(key); ok != (key < keys) {
+					t.Errorf("Lookup(%d) = %v", key, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	ops := db.Metrics().Tables["accounts"].Ops
+	const lookups, misses = workers * per, workers * per / 2
+	if ops.Lookups != lookups || ops.LookupMisses != misses || ops.RowsRead != 100+lookups-misses {
+		t.Fatalf("ops %+v, want %d lookups, %d misses, %d rows read", ops, lookups, misses, 100+lookups-misses)
+	}
+}

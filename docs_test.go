@@ -206,7 +206,7 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // deletes code lowers it.
 var locCeilings = map[string]int{
 	"datablocks/internal/exec": 4328,
-	"total":                    19717,
+	"total":                    19724,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's

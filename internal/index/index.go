@@ -74,7 +74,8 @@ type inflight struct {
 	prev storage.TupleID
 }
 
-// shard is one lock-striped partition of the index.
+// shard is one lock-striped partition of the index, padded to two cache
+// lines so a reader's lock word never shares a line with a neighbour's.
 type shard struct {
 	mu    sync.RWMutex
 	slots []slot // power-of-two length
@@ -82,6 +83,7 @@ type shard struct {
 	// prevs holds one entry per update in flight in this shard — as many
 	// as there are concurrent writers, so a linear search of a slice.
 	prevs []inflight
+	_     [48]byte
 }
 
 // Hash is a unique index over an int64 key column. It is internally

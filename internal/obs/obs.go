@@ -5,8 +5,9 @@
 //
 //   - Shared instruments — Counter, Gauge, Histogram — are single cache
 //     lines of atomics, safe for any number of concurrent writers and
-//     readable at any time without locks. They live for the lifetime of
-//     a table or store and back DB.Metrics().
+//     readable at any time without locks; StripedCounter spreads one
+//     count over eight lines for paths two cores take at once. They live
+//     for the lifetime of a table or store and back DB.Metrics().
 //
 //   - Shard instruments — ShardCounter, ShardHistogram — are plain
 //     (non-atomic) cells owned by exactly one worker. They are the only
@@ -37,6 +38,29 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
+
+// StripedCounter is a Counter for paths two cores take at once: eight
+// cells, each alone on its cache line, picked by a caller-chosen index
+// (a key, a row), so concurrent writers rarely touch the same line. Load
+// sums the cells; the count stays exact.
+type StripedCounter struct {
+	_     [56]byte
+	cells [8]struct {
+		v atomic.Uint64
+		_ [56]byte
+	}
+}
+
+// Inc adds one to cell i mod 8.
+func (c *StripedCounter) Inc(i uint64) { c.cells[i%8].v.Add(1) }
+
+// Load returns the sum of the cells.
+func (c *StripedCounter) Load() (n uint64) {
+	for i := range c.cells {
+		n += c.cells[i].v.Load()
+	}
+	return n
+}
 
 // Gauge is a shared instantaneous value (may go up and down).
 type Gauge struct{ v atomic.Int64 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"datablocks/internal/core"
+	"datablocks/internal/obs"
 	"datablocks/internal/types"
 )
 
@@ -22,7 +23,7 @@ type hotCol struct {
 	ints   []int64
 	floats []float64
 	strs   []string
-	nulls  []bool // eager for nullable columns; else installed by BulkAppend under the write lock
+	nulls  []bool // allocated with the chunk for nullable columns, nil otherwise
 }
 
 // Rows returns the number of tuples in the chunk (including deleted ones).
@@ -235,8 +236,9 @@ type Chunk struct {
 	// pinned chunks (see the package doc's pin rules).
 	pins atomic.Int32
 	// access is the chunk's temperature: bumped on every scan snapshot and
-	// point-lookup touch, consumed by the cache's coldest-first policy.
-	access atomic.Uint64
+	// point-lookup touch (striped by row, so two readers of one chunk do
+	// not write one line), consumed by the cache's coldest-first policy.
+	access obs.StripedCounter
 	// frozenRows/frozenBytes mirror the complete block's row count and
 	// compressed size so they stay answerable while the payload is
 	// evicted or only partly loaded.

@@ -21,7 +21,7 @@
 //     points route to stripe 0. Deletes and commits still serialize on
 //     the relation lock — they are cross-stripe (any stripe's row) and
 //     epoch-minting.
-//   - OLTP reads: Get, GetAt (shared lock).
+//   - OLTP reads: Get, GetAt, which take no relation lock.
 //   - OLAP scans: Snapshot returns ChunkViews pinned to an epoch cutoff;
 //     scan drivers iterate a snapshot and never observe row versions
 //     committed after the cutoff. A view hands the vectorized scan its
@@ -42,16 +42,20 @@
 // The relation maintains a monotonically increasing write epoch. Every
 // delete stamps the retired row with the epoch that killed it, and every
 // committed update stamps the replacement row with the epoch it was born
-// at; both stamps are installed under one write-lock acquisition, so they
-// become visible atomically. A reader that captured epoch E therefore has
-// an exact visibility rule: a row is visible at E iff it was born at or
-// before E and not retired at or before E. GetAt evaluates that rule for
-// point reads and reports *why* an invisible row is invisible (not yet
-// born versus already retired), which is what lets an index with version
-// records fall back to the previous version of a tuple that is mid-update
-// — closing the update/lookup read anomaly: a key that exists at all
-// times resolves to either its pre- or its post-update version, never to
-// neither.
+// at. Writers hold the write lock, write their stamps with the next epoch
+// and only then publish it (epoch.Store), so a reader that loaded an
+// epoch finds every stamp made at or below it, and the stamps of one
+// commit become visible atomically. A reader that captured epoch E
+// therefore has an exact visibility rule: a row is visible at E iff it
+// was born at or before E and not retired at or before E. GetAt
+// evaluates that rule for point reads without the relation lock — the
+// chunk directory and the stamps are atomic, hot rows below the
+// watermark and frozen blocks immutable — and reports *why* an invisible
+// row is invisible (not yet born versus already retired), which is what
+// lets an index with version records fall back to the previous version
+// of a tuple that is mid-update — closing the update/lookup read
+// anomaly: a key that exists at all times resolves to either its pre- or
+// its post-update version, never to neither.
 //
 // The two stamps are all the visibility state a chunk has (Chunk.retired,
 // Chunk.born): there is no separate delete flag — a row is deleted when
@@ -114,13 +118,16 @@
 //     win them back.
 //   - Readers pin with a column set (pinBlock, ChunkView.Acquire): a scan
 //     its ScanNode.Cols (predicate and early-probe columns are among them),
-//     an index rebuild the key column, point reads (GetAt) and
-//     UnevictAll every column (nil). A pin whose columns are all loaded is
-//     one payload load and one check; otherwise the missing attributes'
-//     sections are read from the store — adjacent ones in one read, each
-//     verified by its own checksum — outside the relation lock and
-//     single-flighted per chunk (loadMu), so concurrent readers of one
-//     chunk never read an attribute twice.
+//     an index rebuild the key column, UnevictAll every column (nil). A
+//     point read (GetAt) pins only to load: it reads a block that holds
+//     every attribute without a pin (the block is immutable and kept alive
+//     by the reference it loaded; an eviction only drops the chunk's
+//     pointer), and pins, for every column, an evicted or partly loaded
+//     one. A pin whose columns are all loaded is one payload load and one
+//     check; otherwise the missing attributes' sections are read from the
+//     store — adjacent ones in one read, each verified by its own checksum
+//     — outside the relation lock and single-flighted per chunk (loadMu),
+//     so concurrent readers of one chunk never read an attribute twice.
 //   - Blocks are immutable. Loading further attributes builds a new
 //     core.Block that shares the vectors already loaded and replaces the
 //     payload in one atomic swap under the write lock (Evicted → Frozen
@@ -186,10 +193,11 @@
 //
 // Sorted freezing (SortBy >= 0) reorders tuples and therefore invalidates
 // tuple identifiers; it runs stop-the-world under the relation write lock
-// and must not overlap other writers or a background freezer — quiesce
-// the relation first. A sorted freeze that runs beside writers is the
-// parked "temperature-driven and incremental sorted freeze" item of
-// ROADMAP.md.
+// and must not overlap other writers, a background freezer or point
+// reads, which that lock no longer excludes — quiesce the relation first
+// (Table.Lookup waits on its own reorganization generation). A sorted
+// freeze that runs beside writers is the parked "temperature-driven and
+// incremental sorted freeze" item of ROADMAP.md.
 //
 // Lock-free access to a *Chunk (Relation.Chunk/Chunks) is safe for frozen
 // chunks and for the state/row-count accessors (Rows, LiveRows, Deleted
@@ -260,9 +268,9 @@ type Relation struct {
 	live atomic.Int64
 
 	// epoch is the monotonically increasing write epoch. Deletes and
-	// update commits bump it under the write lock and stamp the affected
-	// rows; readers capture it (ReadEpoch, Snapshot) to pin a visibility
-	// cutoff.
+	// update commits stamp the affected rows with epoch+1 under the write
+	// lock and then store it; readers capture it (ReadEpoch, Snapshot) to
+	// pin a visibility cutoff.
 	epoch atomic.Uint64
 
 	// Cold block store state (SetBlockStore). store persists serialized
@@ -292,21 +300,27 @@ type Relation struct {
 
 // chunkDir is the relation's chunk directory: chunk ordinal i is the
 // i-th chunk published, and the list only grows. publish is the only
-// append and list serves every read; both run under the relation lock
-// (publish under the write lock).
+// append and runs under the relation write lock; list is one atomic load,
+// so point reads resolve a chunk without the relation lock.
 type chunkDir struct {
-	chunks []*Chunk
+	chunks atomic.Pointer[[]*Chunk]
 }
 
-// publish appends c and returns its ordinal.
+// publish appends c and returns its ordinal. Caller holds the write lock.
 func (d *chunkDir) publish(c *Chunk) int {
-	d.chunks = append(d.chunks, c)
-	return len(d.chunks) - 1
+	chunks := append(d.list(), c)
+	d.chunks.Store(&chunks)
+	return len(chunks) - 1
 }
 
 // list returns the published chunks in ordinal order. Callers must not
 // modify the slice.
-func (d *chunkDir) list() []*Chunk { return d.chunks }
+func (d *chunkDir) list() []*Chunk {
+	if p := d.chunks.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // NewRelation creates an empty relation. chunkCapacity caps rows per chunk;
 // zero selects the Data Block default of 2^16.
@@ -335,25 +349,15 @@ func (r *Relation) Schema() *types.Schema { return r.schema }
 func (r *Relation) ChunkCapacity() int { return r.chunkCap }
 
 // NumChunks returns the number of chunks.
-func (r *Relation) NumChunks() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.dir.list())
-}
+func (r *Relation) NumChunks() int { return len(r.dir.list()) }
 
 // Chunk returns chunk i. The chunk list only grows, so a retrieved chunk
 // stays valid; hot chunks may keep receiving appends.
-func (r *Relation) Chunk(i int) *Chunk {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.dir.list()[i]
-}
+func (r *Relation) Chunk(i int) *Chunk { return r.dir.list()[i] }
 
 // chunkAt is Chunk for callers that take the ordinal from outside: an
 // ordinal that addresses no chunk is an error.
 func (r *Relation) chunkAt(i int) (*Chunk, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if chunks := r.dir.list(); i >= 0 && i < len(chunks) {
 		return chunks[i], nil
 	}
@@ -363,8 +367,6 @@ func (r *Relation) chunkAt(i int) (*Chunk, error) {
 // Chunks returns a snapshot of the chunk list. The *Chunk handles track
 // live state; concurrent scans should prefer Snapshot.
 func (r *Relation) Chunks() []*Chunk {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]*Chunk(nil), r.dir.list()...)
 }
 
@@ -403,7 +405,7 @@ func (r *Relation) Snapshot() []ChunkView {
 // it, so a row below the watermark always finds the stamp it was
 // published with.
 func (r *Relation) viewLocked(c *Chunk, cutoff uint64) ChunkView {
-	c.access.Add(1) // scan touch: temperature for the eviction policy
+	c.access.Inc(0) // scan touch: temperature for the eviction policy
 	v := ChunkView{cutoff: cutoff}
 	p := c.pay.Load()
 	if p.hot == nil {
@@ -417,12 +419,12 @@ func (r *Relation) viewLocked(c *Chunk, cutoff uint64) ChunkView {
 			v.chunk, v.rel = c, r
 		}
 	} else {
-		// The column copy pins the snapshot's slice headers (a bulk load may
-		// install null flags later, under the write lock) and the watermark
-		// bounds every accessor, so the view never reads past snapshot state.
+		// The column headers never change after the chunk is allocated;
+		// the watermark bounds every accessor, so the view never reads
+		// past snapshot state.
 		n := p.hot.n.Load()
 		v.rows = int(n)
-		snap := &HotChunk{cols: append([]hotCol(nil), p.hot.cols...)}
+		snap := &HotChunk{cols: p.hot.cols}
 		snap.n.Store(n)
 		v.hot = snap
 	}
@@ -498,52 +500,40 @@ func (r *Relation) Get(tid TupleID) (types.Row, bool) {
 // GetAt materializes the tuple as seen by a reader at epoch e: exactly
 // the version visible at that epoch — for a tuple mid-update, the pre- or
 // the post-commit version, never neither. The returned Visibility
-// explains an invisible result. For evicted chunks the block is pinned
-// and reloaded outside the relation lock; a reload failure reports
-// Unavailable (and LoadError), never a fabricated miss.
+// explains an invisible result. It takes no relation lock: the chunk
+// directory and the stamps are atomic, hot rows below the watermark and
+// frozen blocks are immutable, and writers stamp before they publish the
+// epoch that makes a stamp count. Only a block that lacks attributes is
+// pinned, and reloaded; a reload failure reports Unavailable (and
+// LoadError), never a fabricated miss.
 func (r *Relation) GetAt(tid TupleID, e uint64) (types.Row, Visibility) {
-	r.mu.RLock()
-	c, vis := r.visibilityLocked(tid, e)
-	if vis != Visible {
-		r.mu.RUnlock()
+	c, ok := r.chunkFor(tid)
+	if !ok {
+		return nil, Absent
+	}
+	if vis := visibleAt(c.retired.load(), c.born.load(), tid.Row, e); vis != Visible {
 		return nil, vis
 	}
-	c.access.Add(1) // lookup touch
+	c.access.Inc(uint64(tid.Row)) // lookup touch
 	row := make(types.Row, r.schema.NumColumns())
 	p := c.pay.Load()
-	if p.hot != nil || (p.blk != nil && r.store == nil) {
-		// Hot, or frozen with no store attached (the payload cannot leave
-		// RAM): materialize under the read lock as before.
-		defer r.mu.RUnlock()
-		if p.blk != nil {
-			p.blk.Row(int(tid.Row), row)
-			return row, Visible
-		}
+	if p.hot != nil {
 		for i := range row {
 			row[i] = p.hot.Value(i, int(tid.Row))
 		}
 		return row, Visible
 	}
-	// Frozen with a store (evictable) or already evicted: drop the lock
-	// and read through a pin. Visibility cannot regress — the stamps that
-	// decided it are monotone in the epoch and frozen rows never move.
-	r.mu.RUnlock()
-	blk, unpin, _, err := r.pinBlock(c, nil)
-	if err != nil {
-		r.noteLoadError(err)
-		return nil, Unavailable
+	blk := p.blk
+	if blk == nil || !blk.Has(nil) {
+		// Evicted or partly loaded: load the rest through a pin.
+		pinned, unpin, _, err := r.pinBlock(c, nil)
+		if err != nil {
+			r.noteLoadError(err)
+			return nil, Unavailable
+		}
+		defer unpin()
+		blk = pinned
 	}
-	defer unpin()
 	blk.Row(int(tid.Row), row)
 	return row, Visible
-}
-
-// visibilityLocked resolves a tuple identifier and classifies its
-// visibility at epoch e. Caller holds at least the read lock.
-func (r *Relation) visibilityLocked(tid TupleID, e uint64) (*Chunk, Visibility) {
-	c, ok := r.chunkFor(tid)
-	if !ok {
-		return nil, Absent
-	}
-	return c, visibleAt(c.retired.load(), c.born.load(), tid.Row, e)
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"datablocks/internal/core"
 	"datablocks/internal/types"
@@ -77,6 +78,16 @@ func TestInsertRejectsBadRows(t *testing.T) {
 	}
 	if _, err := r.Insert(mkRow(1, 1, "a")[:2]); err == nil {
 		t.Fatal("short row accepted")
+	}
+	// A bulk load is held to the same rule: a hot chunk's columns never
+	// gain null flags after it is allocated.
+	bulk := []core.ColumnData{
+		{Kind: types.Int64, Ints: []int64{1, 2}, Nulls: []bool{false, true}},
+		{Kind: types.Float64, Floats: []float64{1, 2}},
+		{Kind: types.String, Strs: []string{"a", "b"}},
+	}
+	if err := r.BulkAppend(bulk, 2); err == nil {
+		t.Fatal("bulk NULL in non-nullable column accepted")
 	}
 	if r.NumRows() != 0 {
 		t.Fatal("failed inserts left rows behind")
@@ -325,5 +336,40 @@ func TestGetPointAccess(t *testing.T) {
 	row, ok = r.Get(tid)
 	if !ok || row[2].Str() != "zz" {
 		t.Fatalf("frozen Get = %v %v", row, ok)
+	}
+}
+
+// TestPointReadsTakeNoRelationLock: GetAt of a resident frozen row (in a
+// relation with a block store) and of a hot row returns while another
+// goroutine holds the relation write lock.
+func TestPointReadsTakeNoRelationLock(t *testing.T) {
+	r, tids := newColdRelation(t, 64, 2, 0)
+	hot, err := r.Insert(mkRow(1000, 1, "hot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		r.mu.Lock()
+		close(locked)
+		<-release
+		r.mu.Unlock()
+	}()
+	<-locked
+	defer close(release)
+	for _, tid := range []TupleID{tids[70], hot} {
+		done := make(chan types.Row, 1)
+		go func() {
+			row, _ := r.GetAt(tid, r.ReadEpoch())
+			done <- row
+		}()
+		select {
+		case row := <-done:
+			if row == nil {
+				t.Fatalf("GetAt(%v) found no row", tid)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("GetAt(%v) waited for the relation lock", tid)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"datablocks/internal/core"
 	"datablocks/internal/types"
@@ -11,8 +12,7 @@ import (
 // growth never reallocates, so the slice headers are immutable and a
 // snapshot that copies them stays coherent with appends that hold only a
 // stripe lock. Nullable columns get their null flags eagerly for the same
-// reason (non-nullable columns can only gain them through BulkAppend,
-// which holds the write lock).
+// reason; non-nullable columns never have any.
 func (r *Relation) newHotChunk() *HotChunk {
 	h := &HotChunk{cols: make([]hotCol, r.schema.NumColumns())}
 	for i, col := range r.schema.Columns {
@@ -161,10 +161,13 @@ func (r *Relation) BulkAppendTracked(cols []core.ColumnData, n int) ([]uint32, e
 	if len(cols) != r.schema.NumColumns() {
 		return nil, fmt.Errorf("storage: %d columns, schema has %d", len(cols), r.schema.NumColumns())
 	}
-	// Bulk loads go through stripe 0 and additionally hold the relation
-	// write lock for the whole load: they may install null flags on
-	// existing chunks, which the snapshot header-copy otherwise relies on
-	// never changing.
+	for i := range cols {
+		if !r.schema.Columns[i].Nullable && cols[i].Nulls != nil && slices.Contains(cols[i].Nulls[:n], true) {
+			return nil, fmt.Errorf("storage: NULL in non-nullable column %q", r.schema.Columns[i].Name)
+		}
+	}
+	// Bulk loads go through stripe 0 and hold the relation write lock for
+	// the whole load, which its chunk rollovers need.
 	st := &r.stripes[0]
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -194,24 +197,8 @@ func (r *Relation) BulkAppendTracked(cols []core.ColumnData, n int) ([]uint32, e
 			default:
 				copy(col.strs[hn:hn+span], src.Strs[off:off+span])
 			}
-			if src.Nulls != nil {
-				if col.nulls == nil {
-					hasNull := false
-					for _, b := range src.Nulls[off : off+span] {
-						if b {
-							hasNull = true
-							break
-						}
-					}
-					if hasNull {
-						// Lazily install full-capacity null flags; rows below
-						// hn had none, and the zero value says so.
-						col.nulls = make([]bool, r.chunkCap)
-					}
-				}
-				if col.nulls != nil {
-					copy(col.nulls[hn:hn+span], src.Nulls[off:off+span])
-				}
+			if col.nulls != nil && src.Nulls != nil {
+				copy(col.nulls[hn:hn+span], src.Nulls[off:off+span])
 			}
 		}
 		h.n.Store(int32(hn + span))
@@ -233,12 +220,14 @@ func (r *Relation) Delete(tid TupleID) bool {
 }
 
 // deleteLocked flags a tuple under the write lock held by the caller,
-// stamping it with a freshly minted epoch.
+// stamping it with the next epoch and then publishing that epoch.
 func (r *Relation) deleteLocked(tid TupleID) bool {
 	c, ok := r.chunkFor(tid)
-	if !ok || !r.retireLocked(c, tid.Row, r.epoch.Add(1)) {
+	e := r.epoch.Load() + 1
+	if !ok || !r.retireLocked(c, tid.Row, e) {
 		return false
 	}
+	r.epoch.Store(e)
 	r.live.Add(-1)
 	return true
 }
@@ -300,10 +289,14 @@ func (r *Relation) CommitUpdate(oldTid, newTid TupleID) (uint64, bool) {
 	if ret := oc.retired.load(); ret != nil && ret[oldTid.Row].Load() != 0 {
 		return 0, false
 	}
-	e := r.epoch.Add(1)
+	// Stamp first, publish the epoch last: a lock-free reader that loads
+	// the new epoch then finds both stamps, and one that loaded an older
+	// epoch ignores them.
+	e := r.epoch.Load() + 1
 	nc.born.ensure(r.chunkCap)[newTid.Row].Store(e)
 	nc.pending.Add(-1)
 	r.retireLocked(oc, oldTid.Row, e)
+	r.epoch.Store(e)
 	// Live count is unchanged: the old version leaves, the new one enters.
 	return e, true
 }

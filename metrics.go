@@ -129,16 +129,17 @@ func (t *Table) Metrics() TableMetrics {
 		TornTails:     w.TornTails.Load(),
 	}
 	o := &t.ops
+	hits, misses := o.hits.Load(), o.misses.Load()
 	m.Ops = TableOps{
 		Inserts:      o.inserts.Load(),
 		Updates:      o.updates.Load(),
 		Deletes:      o.deletes.Load(),
-		Lookups:      o.lookups.Load(),
-		LookupMisses: o.lookupMisses.Load(),
+		Lookups:      hits + misses,
+		LookupMisses: misses,
 		Scans:        o.scans.Load(),
 		Queries:      o.queries.Load(),
 		RowsWritten:  o.rowsWritten.Load(),
-		RowsRead:     o.rowsRead.Load(),
+		RowsRead:     o.rowsRead.Load() + hits,
 	}
 	return m
 }

@@ -19,18 +19,32 @@ import (
 // or committed after the reader's epoch), the previous version. A key
 // that exists at all times therefore always resolves; a miss means the
 // key was absent or deleted at the reader's epoch.
+//
+// A sorted freeze reassigns tuple identifiers and rebuilds the index, a
+// bulk load rebuilds it; a Lookup waits while either runs and retries
+// when one ran between its index probe and its read, so it neither
+// returns another key's row nor misses a key that was there throughout.
 func (t *Table) Lookup(key int64) (Row, bool) {
 	if t.pk == nil {
 		return nil, false
 	}
-	t.ops.lookups.Inc()
-	row, ok := t.lookupVersioned(key)
-	if ok {
-		t.ops.rowsRead.Inc()
-	} else {
-		t.ops.lookupMisses.Inc()
+	for {
+		g := t.reorg.Load()
+		if g&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		row, ok := t.lookupVersioned(key)
+		if t.reorg.Load() != g {
+			continue
+		}
+		if ok {
+			t.ops.hits.Inc(uint64(key))
+		} else {
+			t.ops.misses.Inc(uint64(key))
+		}
+		return row, ok
 	}
-	return row, ok
 }
 
 // lookupVersioned is Lookup's epoch-retry loop.

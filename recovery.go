@@ -150,14 +150,17 @@ func (t *Table) FreezeSorted(col string) error {
 	}
 	t.lockAllStripes()
 	defer t.unlockAllStripes()
-	err := t.rel.FreezeAll(core.FreezeOptions{SortBy: i}, false)
-	if t.pk != nil {
-		// Rebuild after a failed pass too: the chunks frozen before the
-		// failure were already reordered.
-		if rerr := t.pk.Rebuild(t.rel, t.pkCol); err == nil {
-			err = rerr
+	err := t.reorganize(func() error {
+		err := t.rel.FreezeAll(core.FreezeOptions{SortBy: i}, false)
+		if t.pk != nil {
+			// Rebuild after a failed pass too: the chunks frozen before the
+			// failure were already reordered.
+			if rerr := t.pk.Rebuild(t.rel, t.pkCol); err == nil {
+				err = rerr
+			}
 		}
-	}
+		return err
+	})
 	if err != nil {
 		return err
 	}

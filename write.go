@@ -56,6 +56,10 @@ type Table struct {
 	manGen  uint64
 	sortBy  int
 
+	// reorg is the reorganization generation: odd while reorganize moves
+	// tuple identifiers or rebuilds the index (see Lookup).
+	reorg atomic.Uint64
+
 	// Striped write path (WithWriteStripes) and write-ahead logging
 	// (WithWAL). writeStripes is the normalized stripe count (power of
 	// two, >= 1); stripes[i] carries stripe i's write lock, WAL and
@@ -124,10 +128,12 @@ func (st *tableStripe) noteChunk(ord uint32, lsn uint64) {
 	}
 }
 
-// tableOps is the obs-instrument backing of TableOps.
+// tableOps is the obs-instrument backing of TableOps. Lookup hits and
+// misses are striped by key, so concurrent lookups write different lines;
+// rowsRead counts scan and query rows, and Metrics adds the hits.
 type tableOps struct {
 	inserts, updates, deletes obs.Counter
-	lookups, lookupMisses     obs.Counter
+	hits, misses              obs.StripedCounter
 	scans, queries            obs.Counter
 	rowsWritten, rowsRead     obs.Counter
 }
@@ -191,6 +197,15 @@ func (t *Table) unlockAllStripes() {
 	for i := len(t.stripes) - 1; i >= 0; i-- {
 		t.stripes[i].wmu.Unlock()
 	}
+}
+
+// reorganize runs f, which may move tuple identifiers or rebuild the
+// primary-key index, with the reorganization generation odd. Caller holds
+// every stripe write lock.
+func (t *Table) reorganize(f func() error) error {
+	t.reorg.Add(1)
+	defer t.reorg.Add(1)
+	return f()
 }
 
 // Insert appends a row, maintaining the primary-key index if present.
@@ -271,7 +286,7 @@ func (t *Table) BulkLoad(cols []core.ColumnData, n int) error {
 	}
 	t.ops.rowsWritten.Add(uint64(n))
 	if t.pk != nil {
-		if err := t.pk.Rebuild(t.rel, t.pkCol); err != nil {
+		if err := t.reorganize(func() error { return t.pk.Rebuild(t.rel, t.pkCol) }); err != nil {
 			t.unlockAllStripes()
 			return err
 		}
