@@ -217,7 +217,7 @@ type batchJoinProbe struct {
 	out    core.Batch
 	hashes []uint64
 	pairsP []uint32
-	pairsB []int32
+	pairsB []uint32
 	mask   []bool
 	sel    []uint32
 }
@@ -274,7 +274,7 @@ func (j *batchJoinProbe) matchPairs(n int) {
 		for row := ht.head(h); row >= 0; row = next[row] {
 			if verifyRow(keys, uint32(row), r) {
 				j.pairsP = append(j.pairsP, uint32(r))
-				j.pairsB = append(j.pairsB, row)
+				j.pairsB = append(j.pairsB, uint32(row))
 				if j.firstOnly {
 					break
 				}
@@ -297,12 +297,12 @@ func (j *batchJoinProbe) consumeInner(b *core.Batch) {
 	for i := range pcols {
 		gatherBatchCol(&pout[i], &pcols[i], j.pairsP)
 	}
-	// Build columns: gather from the materialized build result.
+	// Build columns: gather by build row index.
 	nb := len(j.buildKinds)
-	bcols := j.ht.build.Cols[:nb]
+	bcols := j.ht.rows[:nb]
 	bout := out.Cols[j.np:][:nb]
 	for bi := range bcols {
-		gatherResultCol(&bout[bi], &bcols[bi], j.pairsB)
+		gatherBatchCol(&bout[bi], &bcols[bi], j.pairsB)
 	}
 	j.down(out)
 }
@@ -362,35 +362,4 @@ func gatherBatchCol(dst, src *core.BatchCol, idx []uint32) {
 	} else {
 		dst.Nulls = nil
 	}
-}
-
-//dbvet:hotpath
-func gatherResultCol(dst *core.BatchCol, src *ResultCol, rows []int32) {
-	n := len(rows)
-	dst.Kind = src.Kind
-	switch src.Kind {
-	case types.Int64:
-		d := resize(dst.Ints, n)[:n]
-		for i, p := range rows {
-			d[i] = src.Ints[p]
-		}
-		dst.Ints = d
-	case types.Float64:
-		d := resize(dst.Floats, n)[:n]
-		for i, p := range rows {
-			d[i] = src.Floats[p]
-		}
-		dst.Floats = d
-	default:
-		d := resize(dst.Strs, n)[:n]
-		for i, p := range rows {
-			d[i] = src.Strs[p]
-		}
-		dst.Strs = d
-	}
-	d := resize(dst.Nulls, n)[:n]
-	for i, p := range rows {
-		d[i] = src.Nulls[p]
-	}
-	dst.Nulls = d
 }

@@ -15,13 +15,15 @@ import (
 // side holds every entry's key cells. Entries with a NULL key are never
 // linked in, so NULL keys never join.
 //
-// What an entry is depends on the join. An inner join's entries are the
-// rows of the materialized build result (buildHashTable): the stored key
-// side aliases its key columns, and a chain links every row with the hash
-// in ascending row order, which fixes the join's emission order and with
-// it every downstream float sum. A semi or anti join's entries are its
-// distinct build keys (keySink): build is nil, the stored side holds one
-// copy of each key, and a chain links only distinct keys with equal hashes.
+// Every join kind fills its table from the same per-worker buildSinks; an
+// entry is what the join emits from. An inner join's entries are its build
+// rows, kept by the sinks and concatenated in sink order into rows (the
+// build side's columns, as a batch's): the stored key side aliases their
+// key columns, and a chain links every row with the hash in ascending row
+// order, which fixes the join's emission order and with it every
+// downstream float sum. A semi or anti join's entries are its distinct
+// build keys: rows is nil, the stored side holds one copy of each key, and
+// a chain links only distinct keys with equal hashes.
 //
 // tags is a 2^16-bit filter over the top hash bits — our analogue of
 // HyPer's tagged hash-table pointers (Appendix E, [20]) — that probes test
@@ -29,46 +31,10 @@ import (
 // tuples before unpacking them.
 type hashTable struct {
 	groupTable
-	next  []int32
-	build *Result
-	keys  []keyCol
-	tags  [1024]uint64 // 2^16 tag bits
-}
-
-// buildHashTable links the rows of an inner join's materialized build side.
-func buildHashTable(build *Result, keyCols []int) *hashTable {
-	n := build.NumRows()
-	ht := &hashTable{build: build, keys: make([]keyCol, len(keyCols)), next: make([]int32, n)}
-	hs := make([]uint64, n)
-	for i, c := range keyCols {
-		col := &build.Cols[c]
-		k := &ht.keys[i]
-		*k = keyCol{
-			kind: col.Kind, canonZero: true,
-			nulls: col.Nulls, ints: col.Ints, floats: col.Floats, strs: col.Strs,
-			gInt: col.Ints, gStr: col.Strs,
-		}
-		if col.Kind == types.Float64 {
-			k.gInt = make([]int64, n)
-			for r, f := range col.Floats {
-				k.gInt[r] = int64(floatKeyBits(f))
-			}
-		}
-		hashKeyCol(hs, i == 0, k)
-	}
-	ht.reserve(n)
-	// Rows are linked in descending order, each becoming the new head of
-	// its hash's chain, so every chain reads in ascending row order.
-rows:
-	for row := n - 1; row >= 0; row-- {
-		for i := range ht.keys {
-			if ht.keys[i].nulls[row] {
-				continue rows
-			}
-		}
-		ht.link(hs[row], int32(row))
-	}
-	return ht
+	next []int32
+	rows []core.BatchCol
+	keys []keyCol
+	tags [1024]uint64 // 2^16 tag bits
 }
 
 // link makes row the head of h's chain, in front of the chain's current
@@ -84,39 +50,112 @@ func (ht *hashTable) link(h uint64, row int32) {
 	ht.setTag(h)
 }
 
-// keySink is one morsel worker's semi- or anti-join build sink: it enters
-// each distinct non-NULL key of the rows it consumes once into its own
-// hashTable, and copies no other column. Batches and tuples (bound as
-// one-row batches) take the same path, so both chains share one build.
-type keySink struct {
+// buildSink is one morsel worker's join build sink, for every join kind:
+// it binds the key columns of the rows it consumes and hashes them as they
+// arrive. A semi- or anti-join sink enters each distinct non-NULL key once
+// into its own hashTable and copies no other column; an inner-join sink
+// keeps every row and its hash, which linkRows links once the workers are
+// done. Batches and tuples (bound as one-row batches) take the same path,
+// so both chains share one build.
+type buildSink struct {
 	ht   *hashTable
 	cols []int    // the build keys' columns in the build pipeline's output
-	hs   []uint64 // per-row key hashes (scratch)
+	hs   []uint64 // an inner join's kept row hashes; per-batch scratch otherwise
+	kept *Result  // an inner join's rows; nil for a semi or anti join
 	rows int      // rows consumed: the join's BuildRows
 }
 
-func newKeySink(kinds []types.Kind, cols []int) *keySink {
-	ht := &hashTable{keys: make([]keyCol, len(cols))}
+func newBuildSink(kinds []types.Kind, cols []int, inner bool) *buildSink {
+	s := &buildSink{ht: &hashTable{keys: make([]keyCol, len(cols))}, cols: cols}
 	for i, c := range cols {
-		ht.keys[i] = keyCol{kind: kinds[c], canonZero: true}
+		s.ht.keys[i] = keyCol{kind: kinds[c], canonZero: true}
 	}
-	return &keySink{ht: ht, cols: cols}
+	if inner {
+		s.kept = NewResult(kinds)
+	}
+	return s
 }
 
-// sink offers the key sink to both chains: a batch's key columns or a
-// tuple's key registers are bound, then inserted.
-func (s *keySink) sink(reads []bool) pipeSink {
+// sink offers the build sink to both chains: a batch's key columns or a
+// tuple's key registers are bound, then hashed.
+func (s *buildSink) sink(reads []bool) pipeSink {
 	return pipeSink{
-		tuple: func(t *Tuple) { bindTuple(s.ht.keys, t, s.cols); s.insert(1) },
-		batch: func(b *core.Batch) { bindBatch(s.ht.keys, b, s.cols); s.insert(b.N) },
+		tuple: func(t *Tuple) {
+			bindTuple(s.ht.keys, t, s.cols)
+			if s.kept != nil {
+				s.kept.appendTuple(t)
+			}
+			s.add(1)
+		},
+		batch: func(b *core.Batch) {
+			bindBatch(s.ht.keys, b, s.cols)
+			if s.kept != nil {
+				s.kept.appendBatch(b)
+			}
+			s.add(b.N)
+		},
 		reads: reads,
 	}
 }
 
-func (s *keySink) insert(n int) {
-	s.hs = resize(s.hs, n)
-	s.ht.insertKeys(s.hs)
+// add hashes the n rows bound to the key columns: a semi- or anti-join
+// sink enters the keys its table lacks, an inner-join sink keeps the
+// hashes beside its rows.
+func (s *buildSink) add(n int) {
 	s.rows += n
+	if s.kept == nil {
+		s.hs = resize(s.hs, n)
+		s.ht.insertKeys(s.hs)
+		return
+	}
+	at := len(s.hs)
+	s.hs = slices.Grow(s.hs, n)[:at+n]
+	for k := range s.ht.keys {
+		hashKeyCol(s.hs[at:], k == 0, &s.ht.keys[k])
+	}
+}
+
+// linkRows makes one inner-join table of the sinks' rows, concatenated in
+// sink order, from the hashes the sinks saved. Rows are linked in
+// descending order — the last sink's first, each sink's from its last row
+// — each becoming the new head of its hash's chain, so every chain reads
+// in ascending row order.
+func linkRows(sinks []*buildSink) *hashTable {
+	root := sinks[0]
+	var parts []*Result
+	for _, s := range sinks[1:] {
+		parts = append(parts, s.kept)
+	}
+	root.kept.append(parts...)
+	ht, n := root.ht, root.kept.NumRows()
+	ht.rows = root.kept.batch().Cols
+	ht.next = make([]int32, n)
+	for i, c := range root.cols {
+		col, k := &ht.rows[c], &ht.keys[i]
+		k.gInt, k.gStr = col.Ints, col.Strs
+		if col.Kind == types.Float64 {
+			k.gInt = make([]int64, n)
+			for r, f := range col.Floats {
+				k.gInt[r] = int64(floatKeyBits(f))
+			}
+		}
+	}
+	ht.reserve(n)
+	row := n
+	for i := len(sinks) - 1; i >= 0; i-- {
+		hs := sinks[i].hs
+	rows:
+		for r := len(hs) - 1; r >= 0; r-- {
+			row--
+			for _, c := range root.cols {
+				if ht.rows[c].Nulls[row] {
+					continue rows
+				}
+			}
+			ht.link(hs[r], int32(row))
+		}
+	}
+	return ht
 }
 
 // insertKeys enters the keys of the len(hs) rows bound to the probe side

@@ -12,7 +12,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"testing"
 
 	"datablocks/internal/blockstore"
@@ -147,23 +147,27 @@ func loadRel(t *testing.T, kinds []types.Kind, rows []types.Row) *storage.Relati
 // render writes a row with floats as bit patterns, so -0.0, +0.0 and NaN
 // payloads stay distinguishable in comparisons.
 func render(row types.Row) string {
-	var sb strings.Builder
+	var b []byte
 	for i, v := range row {
 		if i > 0 {
-			sb.WriteByte('|')
+			b = append(b, '|')
 		}
 		switch {
 		case v.IsNull():
-			sb.WriteString("NULL")
+			b = append(b, "NULL"...)
 		case v.Kind() == types.Int64:
-			fmt.Fprintf(&sb, "%d", v.Int())
+			b = strconv.AppendInt(b, v.Int(), 10)
 		case v.Kind() == types.Float64:
-			fmt.Fprintf(&sb, "f%016x", math.Float64bits(v.Float()))
+			bits := math.Float64bits(v.Float())
+			b = append(b, 'f')
+			for shift := 60; shift >= 0; shift -= 4 {
+				b = append(b, "0123456789abcdef"[bits>>shift&15])
+			}
 		default:
-			fmt.Fprintf(&sb, "%q", v.Str())
+			b = strconv.AppendQuote(b, v.Str())
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
 func renderResult(res *exec.Result) []string {
@@ -385,12 +389,13 @@ func dupKeyRows(kinds []types.Kind, n int, clustered bool) []types.Row {
 	return rows
 }
 
-// TestSemiAntiJoinDuplicateBuildKeys: semi and anti joins whose build side
-// repeats every key many times — in runs or scattered — with NULL keys on
-// both sides, -0.0 and +0.0, NaN payloads and a two-column int+string key,
-// over hot, frozen and evicted build chunks, agree with refJoin: in order
-// serially, as multisets with four workers. The build side is the scan or
-// a GROUP BY of its keys, a pipeline breaker with the same key set.
+// TestSemiAntiJoinDuplicateBuildKeys: inner, semi and anti joins whose
+// build side repeats every key many times — in runs or scattered — with
+// NULL keys on both sides, -0.0 and +0.0, NaN payloads and a two-column
+// int+string key, over hot, frozen and evicted build chunks, agree with
+// refJoin: in order serially, as multisets with four workers. The build
+// side is the scan or a GROUP BY of its keys with a count, a pipeline
+// breaker with the same key set, whose rows an inner join emits.
 func TestSemiAntiJoinDuplicateBuildKeys(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -415,16 +420,28 @@ func TestSemiAntiJoinDuplicateBuildKeys(t *testing.T) {
 		}
 		for _, clustered := range []bool{true, false} {
 			buildRows := dupKeyRows(shape.kinds, 1200, clustered)
-			for _, residency := range []string{"hot", "frozen", "evicted"} {
-				build, reset := residentRel(t, rowKinds, buildRows, residency)
-				for _, kind := range []exec.JoinKind{exec.SemiJoin, exec.AntiJoin} {
-					want := renderRows(refJoin(kind, probeRows, buildRows, nk))
-					if len(want) == 0 || len(want) == len(probeRows) {
+			var groupedRows []types.Row // the keys and their count, first seen first
+			for _, g := range refGroupBy(buildRows, nk) {
+				groupedRows = append(groupedRows, g[:nk+1])
+			}
+			kinds := []exec.JoinKind{exec.InnerJoin, exec.SemiJoin, exec.AntiJoin}
+			wants := map[exec.JoinKind][][]string{} // per kind: over the scan, over the GROUP BY
+			for _, kind := range kinds {
+				for _, ref := range [][]types.Row{buildRows, groupedRows} {
+					want := renderRows(refJoin(kind, probeRows, ref, nk))
+					if len(want) == 0 || (kind != exec.InnerJoin && len(want) == len(probeRows)) {
 						t.Fatalf("%s: reference keeps %d of %d probe rows; the case tests nothing", shape.name, len(want), len(probeRows))
 					}
+					wants[kind] = append(wants[kind], want)
+				}
+			}
+			for _, residency := range []string{"hot", "frozen", "evicted"} {
+				build, reset := residentRel(t, rowKinds, buildRows, residency)
+				for _, kind := range kinds {
 					scan := &exec.ScanNode{Rel: build, Cols: cols}
 					grouped := &exec.AggNode{Child: scan, GroupBy: keys, Aggs: []exec.AggSpec{{Func: exec.AggCount}}}
-					for _, buildPlan := range []exec.Node{scan, grouped} {
+					for i, buildPlan := range []exec.Node{scan, grouped} {
+						want := wants[kind][i]
 						for _, cfg := range runCfgs() {
 							reset()
 							plan := &exec.JoinNode{
@@ -504,13 +521,13 @@ func TestSemiJoinBuildAllocatesPerDistinctKey(t *testing.T) {
 	}
 }
 
-// FuzzSemiAntiJoin holds semi and anti joins over random key multisets to
+// FuzzJoin holds inner, semi and anti joins over random key multisets to
 // refJoin. The first byte picks the key shape — one float, int or string
 // column, or a float+string pair — and where build rows end; every further
 // byte is one row, its key cells drawn from the kinds' pools (NULLs, NaN
 // payloads, -0.0 and +0.0 among them). Both chains run, serially and with
 // three workers.
-func FuzzSemiAntiJoin(f *testing.F) {
+func FuzzJoin(f *testing.F) {
 	f.Add([]byte{0x13, 0, 1, 2, 3, 4, 5, 1, 1, 0, 8, 7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add([]byte{0x40, 9, 9, 9, 9, 3, 4, 13, 22, 31, 40, 0, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -546,7 +563,7 @@ func FuzzSemiAntiJoin(f *testing.F) {
 		for i := range keys {
 			keys[i] = i
 		}
-		for _, kind := range []exec.JoinKind{exec.SemiJoin, exec.AntiJoin} {
+		for _, kind := range []exec.JoinKind{exec.InnerJoin, exec.SemiJoin, exec.AntiJoin} {
 			want := renderRows(refJoin(kind, probeRows, buildRows, nk))
 			for _, opt := range []exec.Options{
 				{Mode: exec.ModeVectorizedSARG},

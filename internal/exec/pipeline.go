@@ -421,29 +421,25 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 }
 
 // build runs join n's build side into its hash table and returns the
-// table and the number of rows the build side produced. An inner join
-// materializes the build result and links its rows; a semi or anti join
-// streams the build pipeline into one keySink per morsel worker, which
-// keep distinct keys only, and inserts the smaller workers' keys into the
-// largest table.
+// table and the number of rows the build sinks consumed. Every join kind
+// streams its build pipeline into one buildSink per morsel worker, or, when
+// the build side is a pipeline breaker, feeds its materialized result to
+// one sink as a single batch. An inner join then links the sinks' rows
+// into one table (linkRows); a semi or anti join inserts the smaller
+// workers' distinct keys into the largest table (mergeKeys).
 func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
-	if n.Kind == InnerJoin {
-		res, err := ex.run(n.Build)
-		if err != nil {
-			return nil, 0, err
-		}
-		return buildHashTable(res, n.BuildKeys), res.NumRows(), nil
-	}
 	kinds := ex.plan.nodes[n.Build].kinds
-	// A scan feeding the sink directly unpacks the key columns only,
-	// besides what its residual conjuncts read.
+	inner := n.Kind == InnerJoin
+	// A scan feeding a semi- or anti-join sink directly unpacks the key
+	// columns only, besides what its residual conjuncts read; an
+	// inner-join sink keeps every column.
 	reads := make([]bool, len(kinds))
-	for _, c := range n.BuildKeys {
-		reads[c] = true
+	for c := range reads {
+		reads[c] = inner || slices.Contains(n.BuildKeys, c)
 	}
-	var sinks []*keySink
+	var sinks []*buildSink
 	newSink := func(*compiler) pipeSink {
-		s := newKeySink(kinds, n.BuildKeys)
+		s := newBuildSink(kinds, n.BuildKeys, inner)
 		sinks = append(sinks, s)
 		return s.sink(reads)
 	}
@@ -460,10 +456,15 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 		}
 		newSink(nil).batch(res.batch())
 	}
-	root := slices.MaxFunc(sinks, func(a, b *keySink) int { return len(a.ht.next) - len(b.ht.next) })
 	rows := 0
 	for _, s := range sinks {
 		rows += s.rows
+	}
+	if inner {
+		return linkRows(sinks), rows, nil
+	}
+	root := slices.MaxFunc(sinks, func(a, b *buildSink) int { return len(a.ht.next) - len(b.ht.next) })
+	for _, s := range sinks {
 		if s != root {
 			root.hs = root.ht.mergeKeys(s.ht, root.hs)
 		}
@@ -550,7 +551,7 @@ func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler
 		copy(out.Nulls[:np], t.Nulls[:np])
 		for _, row := range j.pairsB {
 			for bi := range j.buildKinds {
-				col := &j.ht.build.Cols[bi]
+				col := &j.ht.rows[bi]
 				slot := np + bi
 				out.Nulls[slot] = col.Nulls[row]
 				switch col.Kind {

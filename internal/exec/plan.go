@@ -111,8 +111,8 @@ const (
 	AntiJoin
 )
 
-// JoinNode is a hash join: the build side is materialized into a tagged
-// hash table (a pipeline breaker), the probe side streams through the
+// JoinNode is a hash join: the build side streams into a tagged hash
+// table (a pipeline breaker), the probe side streams through the
 // pipeline.
 type JoinNode struct {
 	Build, Probe         Node

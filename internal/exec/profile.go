@@ -59,7 +59,8 @@ type OperatorProfile struct {
 	// everything downstream of it, summed across workers. For the scan
 	// it is the workers' total busy time.
 	Time time.Duration
-	// Join detail: build-side rows, the wall time of the build pipeline
+	// Join detail: the rows the build sinks consumed (duplicate and NULL
+	// keys included), the wall time of the build pipeline
 	// (build-side scan plus hash-table construction; it runs before the
 	// probe pipeline and is not part of any operator's Time), and probe
 	// hits (rows emitted for inner joins, probe rows surviving for
@@ -268,8 +269,8 @@ func (p *profiler) opIndex(n Node) int {
 	return -1
 }
 
-// noteBuild records join n's build pipeline: rows materialized and the
-// wall time from starting the build-side scan to the finished hash table.
+// noteBuild records join n's build pipeline: the rows its build sinks
+// consumed and the wall time from starting the build-side scan to the finished hash table.
 func (p *profiler) noteBuild(n Node, rows uint64, d time.Duration) {
 	p.mu.Lock()
 	p.joins[n] = buildNote{rows, d}
