@@ -82,53 +82,17 @@ func filterBatch(b *core.Batch, mask []bool, sel []uint32) []uint32 {
 	return sel
 }
 
-// compactBatchSel keeps only the selected rows of b, in order, in place.
+// compactBatchSel keeps only the selected rows of b, in order, in place:
+// sel ascends, so each gather reads a row before any write reaches it.
 //
 //dbvet:hotpath
 func compactBatchSel(b *core.Batch, sel []uint32) {
-	// Compaction writes go through destinations re-sliced to len(sel),
-	// which proves the write index in bounds for the whole row loop; the
-	// reads stay checked because the selection indices are data-dependent
-	// (see lint-budget.json). cols is a local so stores through c cannot
-	// clobber the slice header mid-loop.
-	cols := b.Cols
+	cols := b.Cols // a local: the calls cannot change its length
 	for ci := range cols {
-		c := &cols[ci]
-		switch c.Kind {
-		case types.Int64:
-			dst := c.Ints[:len(sel)]
-			for i, p := range sel {
-				dst[i] = c.Ints[p]
-			}
-			c.Ints = dst
-		case types.Float64:
-			dst := c.Floats[:len(sel)]
-			for i, p := range sel {
-				dst[i] = c.Floats[p]
-			}
-			c.Floats = dst
-		default:
-			dst := c.Strs[:len(sel)]
-			for i, p := range sel {
-				dst[i] = c.Strs[p]
-			}
-			c.Strs = dst
-		}
-		if c.Nulls != nil {
-			dst := c.Nulls[:len(sel)]
-			for i, p := range sel {
-				dst[i] = c.Nulls[p]
-			}
-			c.Nulls = dst
-		}
+		gatherBatchCol(&cols[ci], &cols[ci], sel)
 	}
 	if len(b.Pos) > 0 {
-		src := b.Pos
-		dst := src[:len(sel)]
-		for i, p := range sel {
-			dst[i] = src[p]
-		}
-		b.Pos = dst
+		b.Pos = gather(b.Pos, b.Pos, sel)
 	}
 	b.N = len(sel)
 }
@@ -210,9 +174,8 @@ type batchJoinProbe struct {
 	// or anti join needs to know.
 	firstOnly bool
 
-	buildKinds []types.Kind
-	np         int // probe column count
-	down       batchConsumer
+	np   int // probe column count
+	down batchConsumer
 
 	out    core.Batch
 	hashes []uint64
@@ -228,9 +191,6 @@ func (ex *executor) newJoinProbe(n *JoinNode) *batchJoinProbe {
 	ht := ex.builds[n]
 	j := &batchJoinProbe{ht: ht, node: n, np: len(ex.plan.nodes[n.Probe].kinds), firstOnly: n.Kind != InnerJoin}
 	j.keys = append(j.keys, ht.keys...)
-	if n.Kind == InnerJoin {
-		j.buildKinds = ex.plan.nodes[n.Build].kinds
-	}
 	return j
 }
 
@@ -238,7 +198,7 @@ func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compile
 	j := ex.newJoinProbe(n)
 	j.down = down
 	if n.Kind == InnerJoin {
-		j.out.Cols = make([]core.BatchCol, j.np+len(j.buildKinds))
+		j.out.Cols = make([]core.BatchCol, j.np+len(j.ht.rows))
 	}
 	c.emit()
 	return j
@@ -297,12 +257,11 @@ func (j *batchJoinProbe) consumeInner(b *core.Batch) {
 	for i := range pcols {
 		gatherBatchCol(&pout[i], &pcols[i], j.pairsP)
 	}
-	// Build columns: gather by build row index.
-	nb := len(j.buildKinds)
-	bcols := j.ht.rows[:nb]
-	bout := out.Cols[j.np:][:nb]
+	// Build columns: gather by build row id from the kept segments.
+	bcols := j.ht.rows
+	bout := out.Cols[j.np:][:len(bcols)]
 	for bi := range bcols {
-		gatherBatchCol(&bout[bi], &bcols[bi], j.pairsB)
+		bcols[bi].gather(&bout[bi], j.pairsB)
 	}
 	j.down(out)
 }
@@ -326,40 +285,33 @@ func (j *batchJoinProbe) consumeSemiAnti(b *core.Batch) {
 	}
 }
 
-//dbvet:hotpath
+// gatherBatchCol gathers src's cells at idx into dst, which may be src.
 func gatherBatchCol(dst, src *core.BatchCol, idx []uint32) {
-	// The destination of each gather is a local re-sliced to len(idx),
-	// proving the write index in bounds; the data-dependent reads keep
-	// their checks (see lint-budget.json).
-	n := len(idx)
 	dst.Kind = src.Kind
 	switch src.Kind {
 	case types.Int64:
-		d := resize(dst.Ints, n)[:n]
-		for i, p := range idx {
-			d[i] = src.Ints[p]
-		}
-		dst.Ints = d
+		dst.Ints = gather(dst.Ints, src.Ints, idx)
 	case types.Float64:
-		d := resize(dst.Floats, n)[:n]
-		for i, p := range idx {
-			d[i] = src.Floats[p]
-		}
-		dst.Floats = d
+		dst.Floats = gather(dst.Floats, src.Floats, idx)
 	default:
-		d := resize(dst.Strs, n)[:n]
-		for i, p := range idx {
-			d[i] = src.Strs[p]
-		}
-		dst.Strs = d
+		dst.Strs = gather(dst.Strs, src.Strs, idx)
 	}
-	if src.Nulls != nil {
-		d := resize(dst.Nulls, n)[:n]
-		for i, p := range idx {
-			d[i] = src.Nulls[p]
-		}
-		dst.Nulls = d
-	} else {
+	if src.Nulls == nil {
 		dst.Nulls = nil
+	} else {
+		dst.Nulls = gather(dst.Nulls, src.Nulls, idx)
 	}
+}
+
+// gather gathers src at idx, reusing dst. The destination is re-sliced to
+// len(idx), proving the write index in bounds; the data-dependent reads
+// keep their checks (see lint-budget.json).
+//
+//dbvet:hotpath
+func gather[T any](dst, src []T, idx []uint32) []T {
+	d := resize(dst, len(idx))[:len(idx)]
+	for i, p := range idx {
+		d[i] = src[p]
+	}
+	return d
 }

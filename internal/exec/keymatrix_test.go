@@ -471,12 +471,18 @@ func TestSemiAntiJoinDuplicateBuildKeys(t *testing.T) {
 // workers allocates at most what four serial builds of the 10 000 rows
 // do: each worker that claims a morsel keeps its own table of at most the
 // 1 000 keys. How many workers claim one is up to the scheduler, and the
-// bound holds for every count, so the verdict does not depend on it.
+// bound holds for every count, so the verdict does not depend on it. The
+// probe side holds every build key, so the key pass's filter drops no
+// build row: the build sinks consume all of them.
 func TestSemiJoinBuildAllocatesPerDistinctKey(t *testing.T) {
 	const distinct = 1_000
 	schema := types.NewSchema(types.Column{Name: "k", Kind: types.Int64})
 	probe := storage.NewRelation(schema, 64)
-	if err := probe.BulkAppend([]core.ColumnData{{Kind: types.Int64, Ints: []int64{-1, 5, 999, 1000}}}, 4); err != nil {
+	probeKeys := make([]int64, distinct)
+	for k := range probeKeys {
+		probeKeys[k] = int64(k)
+	}
+	if err := probe.BulkAppend([]core.ColumnData{{Kind: types.Int64, Ints: probeKeys}}, distinct); err != nil {
 		t.Fatal(err)
 	}
 	// allocated returns the bytes a semi join over rows build rows allocates.
@@ -502,8 +508,8 @@ func TestSemiJoinBuildAllocatesPerDistinctKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.NumRows() != 2 {
-			t.Fatalf("par %d: %d rows, want 2", par, res.NumRows())
+		if res.NumRows() != distinct {
+			t.Fatalf("par %d: %d rows, want %d", par, res.NumRows(), distinct)
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
@@ -526,10 +532,18 @@ func TestSemiJoinBuildAllocatesPerDistinctKey(t *testing.T) {
 // column, or a float+string pair — and where build rows end; every further
 // byte is one row, its key cells drawn from the kinds' pools (NULLs, NaN
 // payloads, -0.0 and +0.0 among them). Both chains run, serially and with
-// three workers.
+// three workers. The int shape, whose semi and anti joins filter their
+// build scan by the probe keys' range and tags, also runs over all-frozen
+// copies of both sides under ModeVectorizedSARGPSMA, so SMAs and PSMAs
+// decide that range.
 func FuzzJoin(f *testing.F) {
 	f.Add([]byte{0x13, 0, 1, 2, 3, 4, 5, 1, 1, 0, 8, 7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add([]byte{0x40, 9, 9, 9, 9, 3, 4, 13, 22, 31, 40, 0, 255})
+	// Int keys: a sparse probe side (MaxInt64, MinInt64, 0) over every
+	// build key, an all-NULL probe side and an empty one.
+	f.Add([]byte{50<<2 | 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0, 5, 6, 5, 0, 6})
+	f.Add([]byte{32<<2 | 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 4, 4, 4, 4, 4, 4, 4, 4, 4})
+	f.Add([]byte{63<<2 | 1, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 400 {
 			return
@@ -538,7 +552,7 @@ func FuzzJoin(f *testing.F) {
 		kinds := shapes[data[0]%4]
 		nk := len(kinds)
 		body := data[1:]
-		nb := int(data[0]>>2) * len(body) / 64
+		nb := int(data[0]>>2) * len(body) / 63
 		var buildRows, probeRows []types.Row
 		for i, b := range body {
 			row := types.Row{}
@@ -555,7 +569,19 @@ func FuzzJoin(f *testing.F) {
 			}
 		}
 		rowKinds := append(append([]types.Kind{}, kinds...), types.Int64)
-		build, probe := relOf(t, rowKinds, buildRows), relOf(t, rowKinds, probeRows)
+		sides := [][2]*storage.Relation{{relOf(t, rowKinds, buildRows), relOf(t, rowKinds, probeRows)}}
+		opts := []exec.Options{
+			{Mode: exec.ModeVectorizedSARG},
+			{Mode: exec.ModeVectorizedSARG, TupleAtATime: true},
+			{Mode: exec.ModeVectorizedSARG, Parallelism: 3},
+			{Mode: exec.ModeJIT, Parallelism: 3},
+		}
+		if data[0]%4 == 1 {
+			build, _ := residentRel(t, rowKinds, buildRows, "frozen")
+			probe, _ := residentRel(t, rowKinds, probeRows, "frozen")
+			sides = append(sides, [2]*storage.Relation{build, probe})
+			opts = append(opts, exec.Options{Mode: exec.ModeVectorizedSARGPSMA}, exec.Options{Mode: exec.ModeVectorizedSARGPSMA, Parallelism: 3})
+		}
 		cols, keys := make([]int, nk+1), make([]int, nk)
 		for i := range cols {
 			cols[i] = i
@@ -565,22 +591,19 @@ func FuzzJoin(f *testing.F) {
 		}
 		for _, kind := range []exec.JoinKind{exec.InnerJoin, exec.SemiJoin, exec.AntiJoin} {
 			want := renderRows(refJoin(kind, probeRows, buildRows, nk))
-			for _, opt := range []exec.Options{
-				{Mode: exec.ModeVectorizedSARG},
-				{Mode: exec.ModeVectorizedSARG, TupleAtATime: true},
-				{Mode: exec.ModeVectorizedSARG, Parallelism: 3},
-				{Mode: exec.ModeJIT, Parallelism: 3},
-			} {
-				plan := &exec.JoinNode{
-					Build:     &exec.ScanNode{Rel: build, Cols: cols},
-					Probe:     &exec.ScanNode{Rel: probe, Cols: cols},
-					BuildKeys: keys, ProbeKeys: keys, Kind: kind,
+			for si, side := range sides {
+				for _, opt := range opts {
+					plan := &exec.JoinNode{
+						Build:     &exec.ScanNode{Rel: side[0], Cols: cols},
+						Probe:     &exec.ScanNode{Rel: side[1], Cols: cols},
+						BuildKeys: keys, ProbeKeys: keys, Kind: kind,
+					}
+					res, err := exec.Run(plan, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireRows(t, fmt.Sprintf("kind%d/side%d/%+v", kind, si, opt), renderResult(res), want, opt.Parallelism <= 1)
 				}
-				res, err := exec.Run(plan, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireRows(t, fmt.Sprintf("kind%d/%+v", kind, opt), renderResult(res), want, opt.Parallelism <= 1)
 			}
 		}
 	})

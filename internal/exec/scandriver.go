@@ -109,6 +109,9 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		wp:      c.wp,
 		pinCols: append([]int{}, scan.Cols...),
 	}
+	if n := len(ex.spare); n > 0 {
+		d.batch, ex.spare = ex.spare[n-1], ex.spare[:n-1]
+	}
 	d.pushSARG = ex.plan.sargsPushed
 	// p.exprs is the condition evaluated inside the pipeline: the
 	// non-SARGable Filter, behind the SARGable predicates in modes that do
@@ -585,38 +588,11 @@ func (d *scanDriver) unpack(sc *core.Scanner, col int) {
 func (d *scanDriver) compactUnpacked(sel []uint32) {
 	b := &d.batch
 	for col, up := range d.unpacked {
-		if !up {
-			continue
-		}
-		c := &b.Cols[col]
-		switch c.Kind {
-		case types.Int64:
-			for i, p := range sel {
-				c.Ints[i] = c.Ints[p]
-			}
-			c.Ints = c.Ints[:len(sel)]
-		case types.Float64:
-			for i, p := range sel {
-				c.Floats[i] = c.Floats[p]
-			}
-			c.Floats = c.Floats[:len(sel)]
-		default:
-			for i, p := range sel {
-				c.Strs[i] = c.Strs[p]
-			}
-			c.Strs = c.Strs[:len(sel)]
-		}
-		if c.Nulls != nil {
-			for i, p := range sel {
-				c.Nulls[i] = c.Nulls[p]
-			}
-			c.Nulls = c.Nulls[:len(sel)]
+		if up {
+			gatherBatchCol(&b.Cols[col], &b.Cols[col], sel)
 		}
 	}
-	for i, p := range sel {
-		b.Pos[i] = b.Pos[p]
-	}
-	b.Pos = b.Pos[:len(sel)]
+	b.Pos = gather(b.Pos, b.Pos, sel)
 	b.N = len(sel)
 }
 
