@@ -123,6 +123,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzScanLayouts -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz=FuzzJoin -fuzztime=$(FUZZTIME) ./internal/exec
+	$(GO) test -run '^$$' -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzIndexModel -fuzztime=$(FUZZTIME) ./internal/index
 	$(GO) test -run '^$$' -fuzz=FuzzFindKernels -fuzztime=$(FUZZTIME) ./internal/simd

@@ -50,14 +50,13 @@ func exprTables(t *testing.T, n int) (orders, customers *Table, rows []Row) {
 }
 
 // exprOptions is every way a plan's expressions get compiled: four scan
-// modes, both chains, serial and parallel.
+// modes (ModeJIT's tuple chain, the batch chain in the other three),
+// serial and parallel.
 func exprOptions() []QueryOptions {
 	var opts []QueryOptions
 	for _, mode := range sargModes {
-		for _, tuple := range []bool{false, true} {
-			for _, par := range []int{1, 2} {
-				opts = append(opts, QueryOptions{Mode: mode, TupleAtATime: tuple, Parallelism: par})
-			}
+		for _, par := range []int{1, 2} {
+			opts = append(opts, QueryOptions{Mode: mode, Parallelism: par})
 		}
 	}
 	return opts

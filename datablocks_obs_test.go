@@ -145,28 +145,19 @@ func TestQueryProfileAggregate(t *testing.T) {
 
 func TestQueryProfileFallbackAndOrderBy(t *testing.T) {
 	_, tbl := profiledOrders(t)
-	res, err := tbl.Scan([]string{"id"}, []Pred{{Col: "id", Op: Lt, Lo: Int(50)}},
-		QueryOptions{Mode: ModeVectorizedSARG, TupleAtATime: true, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Profile.BatchPath {
-		t.Fatal("TupleAtATime ran the batch path")
-	}
-	if res.Profile.Fallback == "" {
-		t.Fatal("tuple fallback left no reason")
-	}
-
 	scan, err := tbl.ScanPlan([]string{"id"}, []Pred{{Col: "id", Op: Lt, Lo: Int(50)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ob := &exec.OrderByNode{Child: scan, Keys: []exec.OrderKey{{Col: 0, Desc: true}}, Limit: 10}
-	res, err = tbl.Query(ob, QueryOptions{Mode: ModeVectorizedSARG, Profile: true})
+	res, err := tbl.Query(ob, QueryOptions{Mode: ModeVectorizedSARG, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := res.Profile
+	if p.Fallback != "" {
+		t.Fatalf("a vectorized query reports a fallback: %q", p.Fallback)
+	}
 	last := p.Operators[len(p.Operators)-1]
 	if last.Name != "order-by" {
 		t.Fatalf("last operator %q, want order-by", last.Name)

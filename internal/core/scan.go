@@ -609,14 +609,20 @@ func (s *Scanner) SkippedBySMA() bool { return s.skipped }
 // PSMA narrowing.
 func (s *Scanner) ScanRange() (begin, end int) { return s.cur, s.end }
 
-// Next fills batch with the next vector of matching tuples. It returns
-// false when the block is exhausted. The batch's buffers are reused.
+// Next fills batch with the next vector of matching tuples, every
+// projected attribute unpacked (§3.4 "unpacking matches"). It returns false
+// when the block is exhausted. The batch's buffers are reused.
 func (s *Scanner) Next(batch *Batch) bool {
 	m, ok := s.NextMatches()
 	if !ok {
 		return false
 	}
-	s.Unpack(batch, m)
+	batch.N = len(m)
+	batch.Pos = append(batch.Pos[:0], m...)
+	s.sizeCols(batch)
+	for k := range s.spec.Project {
+		s.unpackCol(batch, k, m)
+	}
 	return true
 }
 
@@ -651,10 +657,6 @@ func (s *Scanner) NextMatches() ([]uint32, bool) {
 	}
 	return nil, false
 }
-
-// Unpack materializes the projected attributes at the given positions into
-// the batch.
-func (s *Scanner) Unpack(batch *Batch, m []uint32) { s.unpack(batch, m) }
 
 func (s *Scanner) evalFirst(p *compiledPred, n int, base uint32, m []uint32) []uint32 {
 	switch p.class {
@@ -756,17 +758,6 @@ func (s *Scanner) UnpackCodes(batch *Batch, m []uint32) {
 		for i, p := range m {
 			bc.Codes[i] = data[p]
 		}
-	}
-}
-
-// unpack materializes the projected attributes of the matched positions
-// into the batch (§3.4 "unpacking matches").
-func (s *Scanner) unpack(batch *Batch, m []uint32) {
-	batch.N = len(m)
-	batch.Pos = append(batch.Pos[:0], m...)
-	s.sizeCols(batch)
-	for k := range s.spec.Project {
-		s.unpackCol(batch, k, m)
 	}
 }
 

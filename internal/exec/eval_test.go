@@ -241,12 +241,12 @@ func same(a, b types.Value) bool {
 }
 
 // evalChains are the two back ends: the batch chain at three vector sizes
-// and the tuple chain.
+// and ModeJIT's tuple chain.
 var evalChains = []exec.Options{
 	{Mode: exec.ModeVectorizedSARG, VectorSize: 1},
 	{Mode: exec.ModeVectorizedSARG, VectorSize: 7},
 	{Mode: exec.ModeVectorizedSARG, VectorSize: 1024},
-	{Mode: exec.ModeVectorizedSARG, TupleAtATime: true},
+	{Mode: exec.ModeJIT},
 }
 
 // requireEval runs e over rel as a projection, as a filter condition and
@@ -288,7 +288,7 @@ func requireEval(t testing.TB, rel *storage.Relation, rows []types.Row, e exec.E
 		}
 	}
 	for _, opt := range evalChains {
-		name := fmt.Sprintf("%#v (vector size %d, tuple=%v)", e, opt.VectorSize, opt.TupleAtATime)
+		name := fmt.Sprintf("%#v (%v, vector size %d)", e, opt.Mode, opt.VectorSize)
 		requireColumn(t, name+" projected", ok, want, 0)(exec.Run(&exec.MapNode{Child: scan(), Exprs: []exec.Expr{e}}, opt))
 		requireColumn(t, name+" as a filter", cond, ids, 3)(exec.Run(&exec.FilterNode{Child: scan(), Cond: e}, opt))
 		res, err := exec.Run(&exec.AggNode{Child: scan(), Aggs: aggs}, opt)

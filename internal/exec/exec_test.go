@@ -366,42 +366,47 @@ func TestHashJoinInner(t *testing.T) {
 	}
 }
 
+// TestSemiAntiJoin counts the orders with and without a customer, in
+// every mode. An anti join asked to early-probe must keep the rows the
+// tags rule out, and a COUNT without GROUP BY over a join that keeps no
+// row is one row holding 0.
 func TestSemiAntiJoin(t *testing.T) {
 	orders := ordersRel(t, 4000, 1<<12, 1)
 	customers := customersRel(t, 1000)
-	semi := &AggNode{
-		Child: &JoinNode{
-			Build:     &ScanNode{Rel: customers, Cols: []int{0}},
-			Probe:     &ScanNode{Rel: orders, Cols: []int{0}},
-			BuildKeys: []int{0},
-			ProbeKeys: []int{0},
-			Kind:      SemiJoin,
-		},
-		Aggs: []AggSpec{{Func: AggCount}},
+	count := func(kind JoinKind, early bool, preds ...core.Predicate) Node {
+		return &AggNode{
+			Child: &JoinNode{
+				Build:      &ScanNode{Rel: customers, Cols: []int{0}, Preds: preds},
+				Probe:      &ScanNode{Rel: orders, Cols: []int{0}},
+				BuildKeys:  []int{0},
+				ProbeKeys:  []int{0},
+				Kind:       kind,
+				EarlyProbe: early,
+			},
+			Aggs: []AggSpec{{Func: AggCount}},
+		}
 	}
-	res, err := Run(semi, Options{Mode: ModeVectorizedSARG})
-	if err != nil {
-		t.Fatal(err)
+	none := core.Predicate{Col: 0, Op: types.Lt, Lo: types.IntValue(0)}
+	cases := []struct {
+		name string
+		plan Node
+		want int64
+	}{
+		{"semi", count(SemiJoin, false), 1000},
+		{"anti", count(AntiJoin, false), 3000},
+		{"anti early-probed", count(AntiJoin, true), 3000},
+		{"semi on no customer", count(SemiJoin, true, none), 0},
 	}
-	if got := res.Cols[0].Ints[0]; got != 1000 {
-		t.Fatalf("semi count = %d, want 1000", got)
-	}
-	anti := &AggNode{
-		Child: &JoinNode{
-			Build:     &ScanNode{Rel: customers, Cols: []int{0}},
-			Probe:     &ScanNode{Rel: orders, Cols: []int{0}},
-			BuildKeys: []int{0},
-			ProbeKeys: []int{0},
-			Kind:      AntiJoin,
-		},
-		Aggs: []AggSpec{{Func: AggCount}},
-	}
-	res, err = Run(anti, Options{Mode: ModeVectorizedSARG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Cols[0].Ints[0]; got != 3000 {
-		t.Fatalf("anti count = %d, want 3000", got)
+	for _, tc := range cases {
+		for _, mode := range allModes {
+			res, err := Run(tc.plan, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumRows() != 1 || res.Cols[0].Ints[0] != tc.want {
+				t.Fatalf("%s %v: %d rows %v, want one row, count %d", tc.name, mode, res.NumRows(), res.Cols[0].Ints, tc.want)
+			}
+		}
 	}
 }
 
@@ -526,9 +531,10 @@ func requireExactResult(t *testing.T, name string, a, b *Result) {
 }
 
 // TestBatchSinksMatchTupleExactly drives the batch-at-a-time consume path
-// against the tuple-at-a-time fallback over aggregation shapes the TPC-H
-// subset does not cover: nullable string group-bys, float and multi-column
-// group keys, COUNT(col), MIN/MAX over every kind, and residual filters in
+// against ModeJIT — the tuple scan and the tuple chain, which share no scan
+// code with it — over aggregation shapes the TPC-H subset does not cover:
+// nullable string group-bys, float and multi-column group keys,
+// COUNT(col), MIN/MAX over every kind, and residual filters in
 // non-pushdown mode.
 func TestBatchSinksMatchTupleExactly(t *testing.T) {
 	rel := ordersRel(t, 30000, 1<<13, 2) // frozen blocks + hot tail
@@ -591,15 +597,15 @@ func TestBatchSinksMatchTupleExactly(t *testing.T) {
 			}
 		},
 	}
-	for _, mode := range []ScanMode{ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA} {
-		for name, mk := range plans {
+	for name, mk := range plans {
+		tuple, err := Run(mk(), Options{Mode: ModeJIT})
+		if err != nil {
+			t.Fatalf("%s jit: %v", name, err)
+		}
+		for _, mode := range []ScanMode{ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA} {
 			batch, err := Run(mk(), Options{Mode: mode})
 			if err != nil {
 				t.Fatalf("%s %v batch: %v", name, mode, err)
-			}
-			tuple, err := Run(mk(), Options{Mode: mode, TupleAtATime: true})
-			if err != nil {
-				t.Fatalf("%s %v tuple: %v", name, mode, err)
 			}
 			if batch.NumRows() == 0 {
 				t.Fatalf("%s %v: empty result", name, mode)
@@ -616,7 +622,7 @@ func TestBatchSinksMatchTupleExactly(t *testing.T) {
 
 // TestBatchJoinStringKeysAndNulls exercises the batch probe with
 // non-integer join keys, including NULL probe keys, for inner, semi and
-// anti joins, against the tuple path.
+// anti joins, against ModeJIT's tuple chain.
 func TestBatchJoinStringKeysAndNulls(t *testing.T) {
 	orders := ordersRel(t, 12000, 1<<12, 2)
 	// Build side keyed by status strings; "open" appears twice so inner
@@ -643,12 +649,12 @@ func TestBatchJoinStringKeysAndNulls(t *testing.T) {
 				Kind:      kind,
 			}
 		}
+		tuple, err := Run(mk(), Options{Mode: ModeJIT})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, mode := range []ScanMode{ModeVectorized, ModeVectorizedSARG} {
 			batch, err := Run(mk(), Options{Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tuple, err := Run(mk(), Options{Mode: mode, TupleAtATime: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -688,14 +694,14 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &ScanNode{Rel: rel, Cols: []int{0, 3}}
-	opt := Options{Mode: ModeVectorizedSARG, TupleAtATime: true, Parallelism: 2, Profile: true}
+	opt := Options{Mode: ModeVectorizedSARG, Parallelism: 2, Profile: true}
 	ex, err := newExecutor(plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex.prof, _ = newProfiler(plan, opt)
 	err = ex.runPipeline(plan, func(*compiler) pipeSink {
-		return pipeSink{tuple: func(*Tuple) {
+		return pipeSink{batch: func(*core.Batch) {
 			for !ex.stop.Load() {
 				runtime.Gosched()
 			}
@@ -725,7 +731,7 @@ func (foreignExpr) isExpr() {}
 // parallelism and from each place a plan holds an expression (scan
 // conjunct, filter, map, aggregate argument) — rather than the query
 // running some other way; and the same plan with a well-formed expression
-// runs on either chain and agrees. (Which of two compilers refused is no
+// runs on either chain (every vectorized mode and ModeJIT) and agrees. (Which of two compilers refused is no
 // longer a question: neither can. TestMalformedExprIsAnError in the root
 // package walks the malformed expressions the exported constructors can
 // build.)
@@ -743,7 +749,7 @@ func TestCompileFailureIsTheQuerysError(t *testing.T) {
 	want := ""
 	for name, mk := range plans {
 		for _, mode := range []ScanMode{ModeJIT, ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA} {
-			for _, opt := range []Options{{Mode: mode}, {Mode: mode, Parallelism: 3, Profile: true}, {Mode: mode, TupleAtATime: true}} {
+			for _, opt := range []Options{{Mode: mode}, {Mode: mode, Parallelism: 3, Profile: true}} {
 				_, err := Run(mk(foreignExpr{}), opt)
 				if err == nil {
 					t.Fatalf("%s %+v: the foreign expression ran", name, opt)
@@ -765,7 +771,7 @@ func TestCompileFailureIsTheQuerysError(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, mode, err)
 			}
-			tuple, err := Run(mk(valid), Options{Mode: mode, TupleAtATime: true})
+			tuple, err := Run(mk(valid), Options{Mode: ModeJIT})
 			if err != nil {
 				t.Fatalf("%s %v tuple: %v", name, mode, err)
 			}
@@ -784,7 +790,7 @@ func TestCompileFailureIsTheQuerysError(t *testing.T) {
 	for name, plan := range malformed {
 		want := ""
 		for _, mode := range []ScanMode{ModeJIT, ModeVectorized, ModeVectorizedSARG, ModeVectorizedSARGPSMA} {
-			for _, opt := range []Options{{Mode: mode}, {Mode: mode, Parallelism: 3, Profile: true}, {Mode: mode, TupleAtATime: true}} {
+			for _, opt := range []Options{{Mode: mode}, {Mode: mode, Parallelism: 3, Profile: true}} {
 				_, err := Run(plan, opt)
 				if err == nil {
 					t.Fatalf("%s %+v: the malformed plan ran", name, opt)
@@ -823,14 +829,15 @@ func TestJoinProfileReportsBuildTime(t *testing.T) {
 		},
 	}
 	for name, plan := range plans {
-		for _, tuple := range []bool{false, true} {
-			res, err := Run(plan, Options{Mode: ModeVectorizedSARG, TupleAtATime: tuple, Profile: true})
+		_, stacked := plan.Probe.(*JoinNode)
+		for _, mode := range []ScanMode{ModeVectorizedSARG, ModeJIT} {
+			res, err := Run(plan, Options{Mode: mode, Profile: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			p := res.Profile
-			if p.BatchPath == tuple || (p.Fallback != "") != tuple {
-				t.Fatalf("%s tuple=%v: BatchPath=%v Fallback=%q", name, tuple, p.BatchPath, p.Fallback)
+			if p.Fallback != "" {
+				t.Fatalf("%s %v: Fallback=%q", name, mode, p.Fallback)
 			}
 			var joins int
 			var built time.Duration
@@ -840,16 +847,22 @@ func TestJoinProfileReportsBuildTime(t *testing.T) {
 				}
 				joins++
 				built += op.BuildTime
-				if op.BuildRows != 1500 || op.BuildTime <= 0 {
-					t.Fatalf("%s tuple=%v: join row %+v", name, tuple, op)
+				// ModeJIT runs no key pass: the stacked semi join builds
+				// every order, not only the 1 500 its probe side can match.
+				rows := uint64(1500)
+				if stacked && mode == ModeJIT && op.Name == "semi-join" {
+					rows = 6000
+				}
+				if op.BuildRows != rows || op.BuildTime <= 0 {
+					t.Fatalf("%s %v: join row %+v", name, mode, op)
 				}
 			}
 			want := 1
-			if _, stacked := plan.Probe.(*JoinNode); stacked {
+			if stacked {
 				want = 2
 			}
 			if joins != want || built > p.Wall {
-				t.Fatalf("%s tuple=%v: %d join rows (want %d), build time %v of wall %v", name, tuple, joins, want, built, p.Wall)
+				t.Fatalf("%s %v: %d join rows (want %d), build time %v of wall %v", name, mode, joins, want, built, p.Wall)
 			}
 			if !strings.Contains(p.String(), "build-time=") {
 				t.Fatalf("rendered profile omits the build time:\n%s", p)

@@ -140,8 +140,8 @@ func Not(e Expr) Expr    { return Logic{Op: '!', L: e} }
 // file, one closure (one emit) per node. Each value closure returns the
 // value and a NULL flag; conditions collapse SQL's three-valued logic
 // (NULL ⇒ false). It is written apart from the batch back end of vexpr.go
-// on purpose: the tuple chain is the reference the batch chain is tested
-// against, and shares with it only what precedes evaluation.
+// on purpose: ModeJIT's tuple chain is the comparator the batch chain is
+// tested against, and shares with it only what precedes evaluation.
 type (
 	valFn[T any] func(t *Tuple) (T, bool)
 	boolFn       func(t *Tuple) bool

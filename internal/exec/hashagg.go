@@ -26,7 +26,7 @@ import (
 //
 // Which chain drives the sink is fixed at construction: consumeBatch in
 // vectorized modes (arguments evaluated as vectors, scatter-folded by
-// group-id vector), consume under ModeJIT/TupleAtATime (arguments
+// group-id vector), consume under ModeJIT (arguments
 // evaluated per tuple). Both fold rows in scan order into the same
 // accumulators, so their results are bit-identical.
 type aggregator struct {

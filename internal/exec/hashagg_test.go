@@ -105,7 +105,7 @@ func bitRows(res *Result) []string {
 
 // TestCodedAggregationMatchesTuple: an aggregation directly on a scan takes
 // a coded chunk's keys as codes, and on every chunk mix and key shape its
-// result equals the tuple-at-a-time reference's bit for bit — in the same
+// result equals ModeJIT's (the tuple scan and chain) bit for bit — in the same
 // first-seen group order serially, as the same rows with three workers
 // (the folds are exact: integer sums, NaN-ruled MIN/MAX). Where a chunk
 // cannot be coded (hot, a NULL-able key, a wide domain) or something
@@ -151,9 +151,9 @@ func TestCodedAggregationMatchesTuple(t *testing.T) {
 			for _, par := range []int{1, 3} {
 				name := fmt.Sprintf("%s/%v/par%d", tc.name, mode, par)
 				evict()
-				want, err := Run(tc.plan, Options{Mode: mode, Parallelism: par, TupleAtATime: true})
+				want, err := Run(tc.plan, Options{Mode: ModeJIT, Parallelism: par})
 				if err != nil {
-					t.Fatalf("%s (tuple): %v", name, err)
+					t.Fatalf("%s (jit): %v", name, err)
 				}
 				evict()
 				got, err := Run(tc.plan, Options{Mode: mode, Parallelism: par})

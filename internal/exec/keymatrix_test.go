@@ -204,15 +204,16 @@ func joinEq(a, b types.Value) bool {
 }
 
 // refJoin is the nested-loop reference: probe rows in order, and per probe
-// row the matching build rows in build order.
-func refJoin(kind exec.JoinKind, probe, build []types.Row, nkeys int) []types.Row {
+// row the matching build rows in build order. Probe column probeKeys[i]
+// is compared with build column buildKeys[i].
+func refJoin(kind exec.JoinKind, probe, build []types.Row, probeKeys, buildKeys []int) []types.Row {
 	var out []types.Row
 	for _, p := range probe {
 		matched := false
 		for _, b := range build {
 			eq := true
-			for k := 0; k < nkeys && eq; k++ {
-				eq = joinEq(p[k], b[k])
+			for k := 0; k < len(probeKeys) && eq; k++ {
+				eq = joinEq(p[probeKeys[k]], b[buildKeys[k]])
 			}
 			if !eq {
 				continue
@@ -234,14 +235,13 @@ type runCfg struct {
 	opt  exec.Options
 }
 
-// runCfgs is batch / tuple-behind-vectorized-scan / JIT, each serial and
-// with four morsel workers.
+// runCfgs is the batch chain behind a vectorized scan and ModeJIT's tuple
+// chain behind its tuple scan, each serial and with four morsel workers.
 func runCfgs() []runCfg {
 	var out []runCfg
 	for _, par := range []int{1, 4} {
 		out = append(out,
 			runCfg{fmt.Sprintf("batch/p%d", par), exec.Options{Mode: exec.ModeVectorizedSARG, Parallelism: par}},
-			runCfg{fmt.Sprintf("tuple/p%d", par), exec.Options{Mode: exec.ModeVectorizedSARG, TupleAtATime: true, Parallelism: par}},
 			runCfg{fmt.Sprintf("jit/p%d", par), exec.Options{Mode: exec.ModeJIT, Parallelism: par}},
 		)
 	}
@@ -301,7 +301,7 @@ func TestJoinKeyMatrix(t *testing.T) {
 				keys[i] = i
 			}
 			for _, kind := range []exec.JoinKind{exec.InnerJoin, exec.SemiJoin, exec.AntiJoin} {
-				want := renderRows(refJoin(kind, probeRows, buildRows, nk))
+				want := renderRows(refJoin(kind, probeRows, buildRows, keys, keys))
 				if sz.name == "full" && kind != exec.AntiJoin && len(want) == 0 {
 					t.Fatalf("%s: reference join is empty; the matrix tests nothing", shape.name)
 				}
@@ -428,7 +428,7 @@ func TestSemiAntiJoinDuplicateBuildKeys(t *testing.T) {
 			wants := map[exec.JoinKind][][]string{} // per kind: over the scan, over the GROUP BY
 			for _, kind := range kinds {
 				for _, ref := range [][]types.Row{buildRows, groupedRows} {
-					want := renderRows(refJoin(kind, probeRows, ref, nk))
+					want := renderRows(refJoin(kind, probeRows, ref, keys, keys))
 					if len(want) == 0 || (kind != exec.InnerJoin && len(want) == len(probeRows)) {
 						t.Fatalf("%s: reference keeps %d of %d probe rows; the case tests nothing", shape.name, len(want), len(probeRows))
 					}
@@ -572,7 +572,7 @@ func FuzzJoin(f *testing.F) {
 		sides := [][2]*storage.Relation{{relOf(t, rowKinds, buildRows), relOf(t, rowKinds, probeRows)}}
 		opts := []exec.Options{
 			{Mode: exec.ModeVectorizedSARG},
-			{Mode: exec.ModeVectorizedSARG, TupleAtATime: true},
+			{Mode: exec.ModeJIT},
 			{Mode: exec.ModeVectorizedSARG, Parallelism: 3},
 			{Mode: exec.ModeJIT, Parallelism: 3},
 		}
@@ -590,7 +590,7 @@ func FuzzJoin(f *testing.F) {
 			keys[i] = i
 		}
 		for _, kind := range []exec.JoinKind{exec.InnerJoin, exec.SemiJoin, exec.AntiJoin} {
-			want := renderRows(refJoin(kind, probeRows, buildRows, nk))
+			want := renderRows(refJoin(kind, probeRows, buildRows, keys, keys))
 			for si, side := range sides {
 				for _, opt := range opts {
 					plan := &exec.JoinNode{
@@ -639,33 +639,48 @@ func TestJITSingleValueChunksKeepTheirNulls(t *testing.T) {
 
 // groupKey identifies a group the way the engine promises to: NULL is its
 // own value and floats are distinct by bit pattern.
-func groupKey(row types.Row, nkeys int) string { return render(row[:nkeys]) }
+func groupKey(row types.Row, keys []int) string {
+	key := make(types.Row, len(keys))
+	for i, k := range keys {
+		key[i] = row[k]
+	}
+	return render(key)
+}
+
+// refGroups splits rows into groups of equal key columns (groupKey), in
+// first-seen order, each group's rows in input order.
+func refGroups(rows []types.Row, keys []int) [][]types.Row {
+	var groups [][]types.Row
+	byKey := map[string]int{}
+	for _, row := range rows {
+		g, ok := byKey[groupKey(row, keys)]
+		if !ok {
+			g = len(groups)
+			byKey[groupKey(row, keys)] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], row)
+	}
+	return groups
+}
 
 // refGroupBy is the reference aggregation: COUNT(*), SUM(ordinal),
-// MIN(ordinal), MAX(ordinal) per group, groups in first-seen order.
+// MIN(ordinal), MAX(ordinal) per group of the first nkeys columns, groups
+// in first-seen order.
 func refGroupBy(rows []types.Row, nkeys int) []types.Row {
-	type acc struct {
-		key           types.Row
-		count, lo, hi int64
-		sum           float64
-	}
-	var order []*acc
-	byKey := map[string]*acc{}
-	for _, row := range rows {
-		ord := row[nkeys].Int()
-		g := byKey[groupKey(row, nkeys)]
-		if g == nil {
-			g = &acc{key: row[:nkeys], lo: ord, hi: ord}
-			byKey[groupKey(row, nkeys)] = g
-			order = append(order, g)
-		}
-		g.count++
-		g.sum += float64(ord)
-		g.lo, g.hi = min(g.lo, ord), max(g.hi, ord)
+	keys := make([]int, nkeys)
+	for i := range keys {
+		keys[i] = i
 	}
 	var out []types.Row
-	for _, g := range order {
-		out = append(out, append(append(types.Row{}, g.key...), iv(g.count), fv(g.sum), iv(g.lo), iv(g.hi)))
+	for _, g := range refGroups(rows, keys) {
+		lo, hi, sum := g[0][nkeys].Int(), g[0][nkeys].Int(), 0.0
+		for _, row := range g {
+			ord := row[nkeys].Int()
+			sum += float64(ord)
+			lo, hi = min(lo, ord), max(hi, ord)
+		}
+		out = append(out, append(append(types.Row{}, g[0][:nkeys]...), iv(int64(len(g))), fv(sum), iv(lo), iv(hi)))
 	}
 	return out
 }
@@ -745,7 +760,7 @@ func TestGroupByManyDistinctKeysParallel(t *testing.T) {
 	for _, opt := range []exec.Options{
 		{Mode: exec.ModeVectorizedSARG},
 		{Mode: exec.ModeVectorizedSARG, Parallelism: 4},
-		{Mode: exec.ModeVectorizedSARG, Parallelism: 4, TupleAtATime: true},
+		{Mode: exec.ModeJIT, Parallelism: 4},
 	} {
 		res, err := exec.Run(groupPlan(rel, 2), opt)
 		if err != nil {
@@ -753,6 +768,6 @@ func TestGroupByManyDistinctKeysParallel(t *testing.T) {
 		}
 		got := renderResult(res)
 		sort.Strings(got)
-		requireRows(t, fmt.Sprintf("par%d tuple=%v", opt.Parallelism, opt.TupleAtATime), got, want, true)
+		requireRows(t, fmt.Sprintf("%v par%d", opt.Mode, opt.Parallelism), got, want, true)
 	}
 }

@@ -24,11 +24,6 @@ type Options struct {
 	// Each worker compiles its own consumer chain and drives whole chunks
 	// (morsels); partial sink states are merged when all workers finish.
 	Parallelism int
-	// TupleAtATime runs the tuple-at-a-time chain behind a vectorized
-	// scan instead of the batch chain. It is the reference the equivalence
-	// tests and benchmarks compare the batch chain against; JIT mode is
-	// always tuple-at-a-time regardless.
-	TupleAtATime bool
 	// Stats, when non-nil, receives code-generation counters.
 	Stats *CompileStats
 	// Profile collects an EXPLAIN-ANALYZE style QueryProfile on the
@@ -165,6 +160,11 @@ func (ex *executor) run(n Node) (*Result, error) {
 		for _, a := range aggs[1:] {
 			root.merge(a)
 		}
+		if len(n.GroupBy) == 0 {
+			// Without GROUP BY there is one row, also over no input rows:
+			// COUNT 0, every other aggregate NULL.
+			root.globalGroup()
+		}
 		if p := ex.prof; p != nil {
 			p.groups = uint64(root.groups)
 		}
@@ -282,10 +282,10 @@ type pipeSink struct {
 
 // batchMode reports which chain this execution compiles: the
 // batch-at-a-time chain in vectorized modes, the tuple-at-a-time chain
-// under ModeJIT or Options.TupleAtATime. There is no third case and no
-// switching between them once chosen.
+// under ModeJIT. There is no third case and no switching between them
+// once chosen.
 func (ex *executor) batchMode() bool {
-	return ex.opt.Mode != ModeJIT && !ex.opt.TupleAtATime
+	return ex.opt.Mode != ModeJIT
 }
 
 // runPipeline executes the pipeline rooted at chain: it builds the hash
@@ -316,10 +316,6 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 	}
 	if p := ex.prof; p != nil && !ex.compileOnly {
 		p.totalChunks = uint64(len(chunks))
-		p.batchPath = ex.batchMode()
-		if ex.opt.TupleAtATime && ex.opt.Mode != ModeJIT {
-			p.fallback = "tuple-at-a-time forced by options"
-		}
 	}
 	drivers := make([]*scanDriver, workers)
 	defer func() {
@@ -336,23 +332,19 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 			c.wp = ex.prof.newWorker()
 		}
 		sink := sinkFactory(c)
-		var cons func(*Tuple)
-		var bcons batchConsumer
+		var d *scanDriver
 		if ex.batchMode() {
-			bcons = ex.compileBatchChain(chain, sink.batch, c)
-		} else {
-			cons = ex.compileChain(chain, sink.tuple, c)
-		}
-		d := ex.newScanDriver(scan, cons, bcons, c, chunks)
-		if bcons != nil && chain == Node(scan) && sink.reads != nil {
-			// Nothing between the scan and the sink: the scan unpacks only
-			// what the sink reads, and hands an aggregation's frozen keys
-			// over as codes. Any operator in between reads values.
-			d.reads, d.keys = sink.reads, sink.keys
-		}
-		// Early probing runs inside vectorized scans only (Appendix E).
-		if ex.opt.Mode != ModeJIT {
+			d = ex.newScanDriver(scan, nil, ex.compileBatchChain(chain, sink.batch, c), c, chunks)
+			if chain == Node(scan) && sink.reads != nil {
+				// Nothing between the scan and the sink: the scan unpacks only
+				// what the sink reads, and hands an aggregation's frozen keys
+				// over as codes. Any operator in between reads values.
+				d.reads, d.keys = sink.reads, sink.keys
+			}
+			// Early probing runs inside vectorized scans only (Appendix E).
 			d.ep, d.epRelCol = ex.earlyProbeFor(chain)
+		} else {
+			d = ex.newScanDriver(scan, ex.compileChain(chain, sink.tuple, c), nil, c, chunks)
 		}
 		drivers[w] = d
 	}
@@ -663,7 +655,8 @@ func (ex *executor) earlyProbeFor(n Node) (*hashTable, int) {
 	case *MapNode:
 		return ex.earlyProbeFor(n.Child)
 	case *JoinNode:
-		if !n.EarlyProbe || len(n.ProbeKeys) != 1 {
+		// An anti join keeps the rows the tags rule out: it never early-probes.
+		if !n.EarlyProbe || n.Kind == AntiJoin || len(n.ProbeKeys) != 1 {
 			return ex.earlyProbeFor(n.Probe)
 		}
 		scan, isScan := n.Probe.(*ScanNode)

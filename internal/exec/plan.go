@@ -120,7 +120,8 @@ type JoinNode struct {
 	Kind                 JoinKind
 	// EarlyProbe thins vectorized-scan match vectors against the build
 	// side's tag table before unpacking (Appendix E). It requires the
-	// probe child to be a ScanNode and a single integer join key.
+	// probe child to be a ScanNode and a single integer join key, and an
+	// anti join ignores it.
 	EarlyProbe bool
 }
 

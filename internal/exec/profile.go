@@ -23,14 +23,12 @@ type QueryProfile struct {
 	Mode        ScanMode
 	VectorSize  int
 	Parallelism int
-	// BatchPath reports whether the batch-at-a-time chain drove the
-	// pipeline. It is false exactly when the tuple-at-a-time chain was
-	// asked for: by ModeJIT (Fallback stays ""), or by TupleAtATime in a
-	// vectorized mode, which Fallback then names. A vectorized execution
-	// never drops to the tuple chain by itself — what it cannot compile
-	// is the query's error.
-	BatchPath bool
-	Fallback  string
+	// Fallback is always empty: the chain follows from Mode alone (the
+	// tuple-at-a-time chain under ModeJIT, the batch chain otherwise), and
+	// a vectorized execution never drops to the tuple chain — what it
+	// cannot compile is the query's error. It stays only for readers that
+	// still count non-empty values.
+	Fallback string
 	// Wall is the end-to-end execution time, including plan compilation
 	// and join build sides.
 	Wall time.Duration
@@ -127,8 +125,6 @@ type profiler struct {
 	joins   map[Node]buildNote // spine join -> its build pipeline
 
 	totalChunks uint64
-	fallback    string
-	batchPath   bool
 	workers     []*workerProf
 
 	groups, spilled   uint64
@@ -313,8 +309,6 @@ func (p *profiler) finish(resultRows uint64) *QueryProfile {
 		Mode:        p.opt.Mode,
 		VectorSize:  p.opt.VectorSize,
 		Parallelism: p.opt.Parallelism,
-		BatchPath:   p.batchPath,
-		Fallback:    p.fallback,
 		Wall:        time.Since(p.start),
 		Operators:   make([]OperatorProfile, len(p.names)),
 	}
@@ -408,15 +402,12 @@ func (p *profiler) finish(resultRows uint64) *QueryProfile {
 // String renders the profile EXPLAIN-ANALYZE style.
 func (q *QueryProfile) String() string {
 	var b strings.Builder
-	path := "tuple"
-	if q.BatchPath {
-		path = "batch"
+	path := "batch"
+	if q.Mode == ModeJIT {
+		path = "tuple"
 	}
 	fmt.Fprintf(&b, "mode=%s vector=%d workers=%d path=%s wall=%s\n",
 		q.Mode, q.VectorSize, len(q.Workers), path, round(q.Wall))
-	if q.Fallback != "" {
-		fmt.Fprintf(&b, "tuple path: %s\n", q.Fallback)
-	}
 	for i := len(q.Operators) - 1; i >= 0; i-- {
 		op := &q.Operators[i]
 		indent := strings.Repeat("  ", len(q.Operators)-1-i)

@@ -12,27 +12,26 @@ import (
 
 // scanDriver drives one worker's pipeline over chunks. It owns all
 // per-worker buffers (tuple register file, batch, match vectors) and
-// feeds exactly one consumer chain: bcons in batch mode, cons otherwise.
+// feeds exactly one consumer chain: bcons behind the vectorized scan of
+// every mode but ModeJIT, cons behind ModeJIT's tuple scan.
 type scanDriver struct {
 	scan    *ScanNode
-	mode    ScanMode
 	vecSize int
 	kinds   []types.Kind
 	stats   *CompileStats
 	tuple   *Tuple
 	batch   core.Batch
 
-	// cons is the tuple-at-a-time consumer chain and pipeFilter the
-	// residual condition evaluated in front of it, lowered from residual:
-	// Filter only in pushdown modes, Preds ∧ Filter otherwise (nil = none).
-	cons       func(*Tuple)
-	residual   *checked
-	pipeFilter boolFn
+	// cons is ModeJIT's tuple-at-a-time consumer chain and residual the
+	// condition its scan paths evaluate in front of it: Preds ∧ Filter
+	// (nil = none), lowered once per path.
+	cons     func(*Tuple)
+	residual *checked
 
 	// bcons is the batch-at-a-time consumer chain: gathered batches are
 	// handed over whole. conjuncts are the residual condition's top-level
 	// conjuncts compiled as vectorized masks (the batch twin of
-	// pipeFilter). The batch path materializes lazily: each conjunct
+	// residual). The batch path materializes lazily: each conjunct
 	// unpacks only the columns it references, thins the match vector, and
 	// later conjuncts (and the final projection) decompress survivors
 	// only.
@@ -49,10 +48,6 @@ type scanDriver struct {
 	// (ScanSpec.Codes). nil reads means every column is read as values.
 	reads []bool
 	keys  []int
-
-	// batchLoad copies one batch row into the tuple register file (the
-	// tuple chain behind a vectorized scan).
-	batchLoad []func(b *core.Batch, row int, t *Tuple)
 
 	// JIT scan code paths: one specialized path per storage-layout
 	// combination (Figure 5), plus one for hot chunks.
@@ -98,13 +93,11 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 	p := ex.plan.nodes[scan]
 	d := &scanDriver{
 		scan:    scan,
-		mode:    ex.opt.Mode,
 		vecSize: ex.opt.VectorSize,
 		cons:    cons,
 		bcons:   bcons,
 		kinds:   p.kinds,
 		stats:   c.stats,
-		tuple:   NewTuple(len(p.kinds)),
 		usePSMA: ex.opt.Mode == ModeVectorizedSARGPSMA,
 		wp:      c.wp,
 		pinCols: append([]int{}, scan.Cols...),
@@ -121,10 +114,12 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		for _, cj := range p.exprs {
 			d.conjuncts = append(d.conjuncts, vconjunct{cols: cj.cols(nil), mask: vc.mask(cj)})
 		}
-	} else if d.residual = allOf(p.exprs); d.residual != nil {
-		d.pipeFilter = c.bool(d.residual)
-	}
-	if d.mode == ModeJIT {
+		if c.stats != nil {
+			c.stats.ScanPaths++ // one interpreted vectorized path
+		}
+	} else {
+		d.tuple = NewTuple(len(p.kinds))
+		d.residual = allOf(p.exprs)
 		d.jitHot = d.compileHotPath(c)
 		d.jitLayouts = make(map[string]*layoutPath)
 		for i := range chunks {
@@ -140,55 +135,14 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 				}
 			}
 		}
-	} else {
-		if d.bcons == nil {
-			// Per-row copies from the gathered batch into the register
-			// file. The batch chain needs no loaders — whole vectors flow
-			// through.
-			d.batchLoad = d.compileBatchLoaders(c)
-		}
-		if c.stats != nil {
-			c.stats.ScanPaths++ // one interpreted vectorized path
-		}
 	}
 	return d
-}
-
-// compileBatchLoaders compiles the per-column copies from a scan batch into
-// the tuple register file.
-func (d *scanDriver) compileBatchLoaders(c *compiler) []func(b *core.Batch, row int, t *Tuple) {
-	loaders := make([]func(b *core.Batch, row int, t *Tuple), len(d.kinds))
-	for i, k := range d.kinds {
-		slot := i
-		switch k {
-		case types.Int64:
-			loaders[i] = func(b *core.Batch, row int, t *Tuple) {
-				col := &b.Cols[slot]
-				t.Ints[slot] = col.Ints[row]
-				t.Nulls[slot] = col.Nulls != nil && col.Nulls[row]
-			}
-		case types.Float64:
-			loaders[i] = func(b *core.Batch, row int, t *Tuple) {
-				col := &b.Cols[slot]
-				t.Floats[slot] = col.Floats[row]
-				t.Nulls[slot] = col.Nulls != nil && col.Nulls[row]
-			}
-		default:
-			loaders[i] = func(b *core.Batch, row int, t *Tuple) {
-				col := &b.Cols[slot]
-				t.Strs[slot] = col.Strs[row]
-				t.Nulls[slot] = col.Nulls != nil && col.Nulls[row]
-			}
-		}
-		c.emit()
-	}
-	return loaders
 }
 
 // compileHotPath compiles the tuple-at-a-time loaders over uncompressed
 // chunk columns.
 func (d *scanDriver) compileHotPath(c *compiler) *hotPath {
-	hp := &hotPath{filter: d.pipeFilter}
+	hp := &hotPath{}
 	for _, k := range d.kinds {
 		switch k {
 		case types.Int64:
@@ -208,6 +162,9 @@ func (d *scanDriver) compileHotPath(c *compiler) *hotPath {
 			})
 		}
 		c.emit()
+	}
+	if d.residual != nil {
+		hp.filter = c.bool(d.residual)
 	}
 	if c.stats != nil {
 		c.stats.ScanPaths++
@@ -314,7 +271,7 @@ func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) blockAccessor {
 // concurrent inserts, deletes and hot→cold freezes cannot tear a scan.
 func (d *scanDriver) processChunk(ch *storage.ChunkView) error {
 	switch {
-	case d.mode != ModeJIT:
+	case d.bcons != nil:
 		return d.vecChunk(ch)
 	case ch.IsFrozen():
 		return d.jitBlock(ch)
@@ -502,15 +459,7 @@ func (d *scanDriver) vecChunk(ch *storage.ChunkView) error {
 		if s != nil {
 			s.rowsMatched.Add(uint64(len(m)))
 		}
-		if d.bcons != nil {
-			d.lazyPush(sc, m)
-			continue
-		}
-		sc.Unpack(&d.batch, m)
-		if s != nil {
-			s.unpacks.Add(uint64(len(d.kinds)))
-		}
-		d.pushBatch()
+		d.lazyPush(sc, m)
 	}
 }
 
@@ -612,19 +561,4 @@ func (d *scanDriver) earlyProbe(sc *core.Scanner, m []uint32) []uint32 {
 		}
 	}
 	return m[:w]
-}
-
-// pushBatch feeds the unpacked batch tuple-at-a-time into the compiled
-// pipeline (Figure 6: "matches are pushed to the query pipeline tuple at a
-// time") — the TupleAtATime reference path behind a vectorized scan.
-func (d *scanDriver) pushBatch() {
-	t := d.tuple
-	for row := 0; row < d.batch.N; row++ {
-		for _, load := range d.batchLoad {
-			load(&d.batch, row, t)
-		}
-		if d.pipeFilter == nil || d.pipeFilter(t) {
-			d.cons(t)
-		}
-	}
 }

@@ -33,8 +33,8 @@ func topkRef(t *testing.T, child Node, keys []OrderKey, limit int, opt Options) 
 
 // TestTopKMatchesSortBy proves the streaming top-k sink is result-identical
 // to full materialization + stable sort + truncate, across tie-heavy and
-// NULL-bearing keys, ascending/descending mixes, batch and tuple consume
-// paths, and limits straddling the input size.
+// NULL-bearing keys, ascending/descending mixes, the batch chain and
+// ModeJIT's tuple chain, and limits straddling the input size.
 func TestTopKMatchesSortBy(t *testing.T) {
 	rel := ordersRel(t, 3000, 1<<10, 2)
 	// status (col 2) is a 4-value nullable string column: maximal ties plus
@@ -48,8 +48,8 @@ func TestTopKMatchesSortBy(t *testing.T) {
 	limits := []int{1, 7, 25, 2999, 3000, 5000}
 	for name, keys := range keySets {
 		for _, limit := range limits {
-			for _, tuple := range []bool{false, true} {
-				opt := Options{Mode: ModeVectorizedSARG, TupleAtATime: tuple}
+			for _, mode := range []ScanMode{ModeVectorizedSARG, ModeJIT} {
+				opt := Options{Mode: mode}
 				want := topkRef(t, &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}}, keys, limit, opt)
 				got, err := Run(&OrderByNode{
 					Child: &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}},
@@ -60,8 +60,8 @@ func TestTopKMatchesSortBy(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got.String() != want.String() {
-					t.Fatalf("%s limit=%d tuple=%v: top-k diverges from SortBy\n got:\n%s\nwant:\n%s",
-						name, limit, tuple, got.String(), want.String())
+					t.Fatalf("%s limit=%d %v: top-k diverges from SortBy\n got:\n%s\nwant:\n%s",
+						name, limit, mode, got.String(), want.String())
 				}
 			}
 		}
@@ -140,13 +140,13 @@ func testTopKSpecialFloats(t *testing.T) {
 				want = topkRef(t, scan(), keys, limit, Options{Mode: ModeVectorizedSARG})
 			}
 			for _, par := range []int{1, 2} {
-				for _, tuple := range []bool{false, true} {
-					opt := Options{Mode: ModeVectorizedSARG, Parallelism: par, TupleAtATime: tuple}
+				for _, mode := range []ScanMode{ModeVectorizedSARG, ModeJIT} {
+					opt := Options{Mode: mode, Parallelism: par}
 					got, err := Run(&OrderByNode{Child: scan(), Keys: keys, Limit: limit}, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireExactResult(t, fmt.Sprintf("desc=%v limit=%d par=%d tuple=%v", desc, limit, par, tuple), want, got)
+					requireExactResult(t, fmt.Sprintf("desc=%v limit=%d par=%d %v", desc, limit, par, mode), want, got)
 				}
 			}
 		}

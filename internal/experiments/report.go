@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,9 +17,14 @@ import (
 
 // measureBest runs f rounds times and returns the median duration, the
 // paper's methodology ("runtimes are the median of several measurements").
+// One untimed call comes first, so what f builds or faults in on its first
+// call is not a measurement, and each timed call starts after a
+// runtime.GC(), so no call pays for the garbage of the one before.
 func measureBest(rounds int, f func()) time.Duration {
+	f()
 	times := make([]time.Duration, max(rounds, 1))
 	for i := range times {
+		runtime.GC()
 		start := time.Now()
 		f()
 		times[i] = time.Since(start)

@@ -30,6 +30,19 @@ func TestMeasureBest(t *testing.T) {
 	if d := measureBest(0, func() {}); d < 0 {
 		t.Fatal("rounds=0 must still measure")
 	}
+	// The first call is a warm-up, not a measurement.
+	calls := 0
+	warm := measureBest(1, func() {
+		calls++
+		if calls == 1 {
+			time.Sleep(50 * time.Millisecond)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	})
+	if warm >= 50*time.Millisecond || calls != 2 {
+		t.Fatalf("measureBest(1, f) took %v over %d calls: the first call was timed", warm, calls)
+	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -332,23 +332,23 @@ func requireBitIdentical(t *testing.T, name string, a, b *exec.Result) {
 // TestBatchConsumeMatchesTupleExactly: on every supported query, every
 // vectorized scan mode and both storage temperatures, the batch-at-a-time
 // consume path (aggregation, join probe, materialization) produces a
-// bit-identical result to the tuple-at-a-time fallback, and the parallel
-// batch execution agrees up to float summation order.
+// bit-identical result to ModeJIT's tuple scan and tuple chain, and the
+// parallel batch execution agrees up to float summation order.
 func TestBatchConsumeMatchesTupleExactly(t *testing.T) {
 	hot := genTest(t, false)
 	cold := genTest(t, true)
 	modes := []exec.ScanMode{exec.ModeVectorized, exec.ModeVectorizedSARG, exec.ModeVectorizedSARGPSMA}
 	for _, q := range SupportedQueries {
 		for di, db := range []*DB{hot, cold} {
+			tuple, err := db.Query(q, exec.Options{Mode: exec.ModeJIT})
+			if err != nil {
+				t.Fatalf("Q%d frozen=%v (jit): %v", q, di == 1, err)
+			}
 			for _, mode := range modes {
 				name := fmt.Sprintf("Q%d frozen=%v %v", q, di == 1, mode)
 				batch, err := db.Query(q, exec.Options{Mode: mode})
 				if err != nil {
 					t.Fatalf("%s (batch): %v", name, err)
-				}
-				tuple, err := db.Query(q, exec.Options{Mode: mode, TupleAtATime: true})
-				if err != nil {
-					t.Fatalf("%s (tuple): %v", name, err)
 				}
 				if batch.NumRows() == 0 {
 					t.Fatalf("%s: empty result", name)
@@ -382,9 +382,8 @@ func TestBatchConsumeMatchesTupleExactly(t *testing.T) {
 
 // TestVectorizedModesRunTheBatchChain: every supported plan, in every
 // vectorized mode and at both storage temperatures, runs on the batch
-// chain with nothing to report as a fallback, and every join on its probe
-// spine accounts for its build pipeline. TupleAtATime is the one way onto
-// the tuple chain behind a vectorized scan, and says so.
+// chain — its scan pushes batches — with nothing to report as a fallback,
+// and every join on its probe spine accounts for its build pipeline.
 func TestVectorizedModesRunTheBatchChain(t *testing.T) {
 	hot := genTest(t, false)
 	cold := genTest(t, true)
@@ -397,20 +396,13 @@ func TestVectorizedModesRunTheBatchChain(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				p := res.Profile
-				if p == nil || !p.BatchPath || p.Fallback != "" {
+				if p == nil || p.Fallback != "" || p.Operators[0].RowsOut > 0 && p.Operators[0].Batches == 0 {
 					t.Fatalf("%s: profile %+v", name, p)
 				}
 				for _, op := range p.Operators {
 					if op.ProbeDetail && op.BuildTime <= 0 {
 						t.Fatalf("%s: %s reports no build time", name, op.Name)
 					}
-				}
-				res, err = db.Query(q, exec.Options{Mode: mode, Profile: true, TupleAtATime: true})
-				if err != nil {
-					t.Fatalf("%s (tuple): %v", name, err)
-				}
-				if p := res.Profile; p.BatchPath || p.Fallback != "tuple-at-a-time forced by options" {
-					t.Fatalf("%s (tuple): BatchPath=%v Fallback=%q", name, p.BatchPath, p.Fallback)
 				}
 			}
 		}
