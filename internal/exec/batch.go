@@ -29,7 +29,8 @@ func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) b
 	switch n := n.(type) {
 	case *FilterNode:
 		vc := &vcompiler{stats: c.stats}
-		f := &batchFilter{mask: vc.mask(ex.plan.nodes[n].exprs[0]), down: down}
+		p := ex.plan.nodes[n]
+		f := &batchFilter{mask: vc.mask(p.exprs[0]), live: p.live, down: down}
 		return ex.compileBatchChain(n.Child, f.consume, c)
 	case *MapNode:
 		return ex.compileBatchChain(n.Child, ex.compileBatchMap(n, down, c).consume, c)
@@ -49,26 +50,27 @@ type vconjunct struct {
 }
 
 // batchFilter drops batch rows failing the compiled mask by compacting the
-// batch in place.
+// batch's live columns in place.
 type batchFilter struct {
 	mask vecMaskFn
+	live []bool
 	sel  []uint32
 	down batchConsumer
 }
 
 //dbvet:hotpath
 func (f *batchFilter) consume(b *core.Batch) {
-	f.sel = filterBatch(b, f.mask(b), f.sel)
+	f.sel = filterBatch(b, f.mask(b), f.sel, f.live)
 	if b.N > 0 {
 		f.down(b)
 	}
 }
 
-// filterBatch compacts b to the rows where mask is true, reusing sel as
-// scratch; it returns the (possibly regrown) scratch slice.
+// filterBatch compacts b's live columns to the rows where mask is true,
+// reusing sel as scratch; it returns the (possibly regrown) scratch slice.
 //
 //dbvet:hotpath
-func filterBatch(b *core.Batch, mask []bool, sel []uint32) []uint32 {
+func filterBatch(b *core.Batch, mask []bool, sel []uint32, live []bool) []uint32 {
 	sel = resize(sel, b.N)[:0]
 	mask = mask[:b.N]
 	for i, m := range mask {
@@ -77,19 +79,22 @@ func filterBatch(b *core.Batch, mask []bool, sel []uint32) []uint32 {
 		}
 	}
 	if len(sel) < b.N {
-		compactBatchSel(b, sel)
+		compactBatchSel(b, sel, live)
 	}
 	return sel
 }
 
-// compactBatchSel keeps only the selected rows of b, in order, in place:
-// sel ascends, so each gather reads a row before any write reaches it.
+// compactBatchSel keeps only the selected rows of b's live columns, in
+// order, in place: sel ascends, so each gather reads a row before any
+// write reaches it.
 //
 //dbvet:hotpath
-func compactBatchSel(b *core.Batch, sel []uint32) {
-	cols := b.Cols // a local: the calls cannot change its length
+func compactBatchSel(b *core.Batch, sel []uint32, live []bool) {
+	cols := b.Cols[:len(live)] // a local: the calls cannot change its length
 	for ci := range cols {
-		gatherBatchCol(&cols[ci], &cols[ci], sel)
+		if live[ci] {
+			gatherBatchCol(&cols[ci], &cols[ci], sel)
+		}
 	}
 	if len(b.Pos) > 0 {
 		b.Pos = gather(b.Pos, b.Pos, sel)
@@ -174,7 +179,8 @@ type batchJoinProbe struct {
 	// or anti join needs to know.
 	firstOnly bool
 
-	np   int // probe column count
+	np   int    // probe column count
+	live []bool // the join's output columns its consumer reads
 	down batchConsumer
 
 	out    core.Batch
@@ -189,7 +195,7 @@ type batchJoinProbe struct {
 // matched the probe keys to the build keys in number and kind).
 func (ex *executor) newJoinProbe(n *JoinNode) *batchJoinProbe {
 	ht := ex.builds[n]
-	j := &batchJoinProbe{ht: ht, node: n, np: len(ex.plan.nodes[n.Probe].kinds), firstOnly: n.Kind != InnerJoin}
+	j := &batchJoinProbe{ht: ht, node: n, np: len(ex.plan.nodes[n.Probe].kinds), live: ex.plan.nodes[n].live, firstOnly: n.Kind != InnerJoin}
 	j.keys = append(j.keys, ht.keys...)
 	return j
 }
@@ -251,17 +257,23 @@ func (j *batchJoinProbe) consumeInner(b *core.Batch) {
 	out := &j.out
 	out.N = len(j.pairsP)
 	out.Pos = out.Pos[:0]
-	// Probe columns: gather by probe row index.
+	// Live probe columns: gather by probe row index.
 	pcols := b.Cols[:j.np]
-	pout := out.Cols[:j.np]
+	pout := out.Cols[:len(pcols)]
+	plive := j.live[:len(pcols)]
 	for i := range pcols {
-		gatherBatchCol(&pout[i], &pcols[i], j.pairsP)
+		if plive[i] {
+			gatherBatchCol(&pout[i], &pcols[i], j.pairsP)
+		}
 	}
-	// Build columns: gather by build row id from the kept segments.
+	// Live build columns: gather by build row id from the kept segments.
 	bcols := j.ht.rows
 	bout := out.Cols[j.np:][:len(bcols)]
+	blive := j.live[j.np:][:len(bcols)]
 	for bi := range bcols {
-		bcols[bi].gather(&bout[bi], j.pairsB)
+		if blive[bi] {
+			bcols[bi].gather(&bout[bi], j.pairsB)
+		}
 	}
 	j.down(out)
 }
@@ -279,7 +291,7 @@ func (j *batchJoinProbe) consumeSemiAnti(b *core.Batch) {
 	for _, r := range j.pairsP {
 		mask[r] = wantMatch
 	}
-	j.sel = filterBatch(b, mask, j.sel)
+	j.sel = filterBatch(b, mask, j.sel, j.live)
 	if b.N > 0 {
 		j.down(b)
 	}

@@ -969,9 +969,14 @@ func TestInnerJoinBuildCopiesRowsOnce(t *testing.T) {
 	if err := build.BulkAppend(data, rows); err != nil {
 		t.Fatal(err)
 	}
+	// The probe side holds every build key, so the key pass keeps every row.
+	probe := storage.NewRelation(types.NewSchema(cols[0]), 1<<14)
+	if err := probe.BulkAppend(data[:1], rows); err != nil {
+		t.Fatal(err)
+	}
 	plan := &JoinNode{
 		Build:     &ScanNode{Rel: build, Cols: []int{0, 1, 2, 3, 4, 5}},
-		Probe:     &ScanNode{Rel: intRel(t, []int64{7}), Cols: []int{0}},
+		Probe:     &ScanNode{Rel: probe, Cols: []int{0}},
 		BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: InnerJoin,
 	}
 	for _, par := range []int{1, 2} {
@@ -992,6 +997,51 @@ func TestInnerJoinBuildCopiesRowsOnce(t *testing.T) {
 		t.Logf("par %d: %d bytes allocated, bound %d", par, got, bound)
 		if got > bound {
 			t.Fatalf("par %d: the build allocated %d bytes for %d kept-row bytes and %d table bytes; bound %d", par, got, rows*rowBytes, table, bound)
+		}
+	}
+}
+
+// TestDeadColumnsAreNeitherUnpackedNorKept: a map above an inner join
+// reads two probe columns; the probe scan projects a third, and the build
+// side's non-key columns nobody reads. The probe scan unpacks the two live
+// columns only, and the build keeps segments for its key column only —
+// while the answer is the one ModeJIT's chain, which loads every column,
+// gives.
+func TestDeadColumnsAreNeitherUnpackedNorKept(t *testing.T) {
+	const rows = 1000 // one hot chunk, one batch
+	join := &JoinNode{
+		Build:     &ScanNode{Rel: ordersRel(t, rows, 1<<12, 0), Cols: []int{0, 1, 2, 3}},
+		Probe:     &ScanNode{Rel: ordersRel(t, rows, 1<<12, 0), Cols: []int{0, 1, 3}},
+		BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: InnerJoin,
+	}
+	plan := &MapNode{Child: join, Exprs: []Expr{Col(0), Col(1)}}
+	want, err := Run(plan, Options{Mode: ModeJIT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Mode: ModeVectorizedSARG, Profile: true}
+	got, err := Run(plan, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "map over inner join", want, got)
+	if got.NumRows() != rows {
+		t.Fatalf("%d rows, want %d", got.NumRows(), rows)
+	}
+	if n := got.Profile.Scan.ColumnUnpacks; n != 2 {
+		t.Fatalf("the probe scan unpacked %d columns, want the 2 live ones", n)
+	}
+	ex, err := newExecutor(plan, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.prepareBuilds(join); err != nil {
+		t.Fatal(err)
+	}
+	for c, col := range ex.builds[join].rows {
+		segs := len(col.ints) + len(col.floats) + len(col.strs) + len(col.nulls)
+		if (segs > 0) != (c == 0) {
+			t.Fatalf("build column %d holds %d segments; only the key column 0 is live", c, segs)
 		}
 	}
 }

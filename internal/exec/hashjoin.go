@@ -141,20 +141,23 @@ func gatherSegs[T any](dst []T, segs []*[segRows]T, ids []uint32) []T {
 // buildSink is one morsel worker's join build sink, for every join kind.
 // A semi- or anti-join sink binds the key columns of the rows it consumes,
 // hashes them and enters each distinct non-NULL key once into its own
-// hashTable, copying no other column; an inner-join sink copies every row
+// hashTable, copying no other column; an inner-join sink copies the live
+// columns of every row — the keys and what the join's consumer reads —
 // into its segments, which linkRows hashes and links once the workers are
-// done. Batches and tuples (viewed as one-row batches) take the same path,
-// so both chains share one build.
+// done; a dead column's segCol holds no segment. Batches and tuples
+// (viewed as one-row batches) take the same path, so both chains share one
+// build.
 type buildSink struct {
 	ht   *hashTable
 	cols []int    // the build keys' columns in the build pipeline's output
 	hs   []uint64 // a semi or anti join's per-batch hash scratch
 	kept []segCol // an inner join's rows; nil for a semi or anti join
+	live []bool   // the build columns kept
 	rows int      // rows consumed: the join's BuildRows
 }
 
-func newBuildSink(kinds []types.Kind, cols []int, inner bool) *buildSink {
-	s := &buildSink{ht: &hashTable{keys: make([]keyCol, len(cols))}, cols: cols}
+func newBuildSink(kinds []types.Kind, live []bool, cols []int, inner bool) *buildSink {
+	s := &buildSink{ht: &hashTable{keys: make([]keyCol, len(cols))}, cols: cols, live: live}
 	for i, c := range cols {
 		s.ht.keys[i] = keyCol{kind: kinds[c], canonZero: true}
 	}
@@ -171,7 +174,7 @@ func newBuildSink(kinds []types.Kind, cols []int, inner bool) *buildSink {
 // batch, or a tuple's registers as a one-row batch; a semi- or anti-join
 // sink binds a batch's key columns or a tuple's key registers and enters
 // their keys.
-func (s *buildSink) sink(reads []bool) pipeSink {
+func (s *buildSink) sink() pipeSink {
 	one := core.Batch{N: 1, Cols: make([]core.BatchCol, len(s.kept))}
 	return pipeSink{
 		tuple: func(t *Tuple) {
@@ -193,7 +196,6 @@ func (s *buildSink) sink(reads []bool) pipeSink {
 			bindBatch(s.ht.keys, b, s.cols)
 			s.add(b.N)
 		},
-		reads: reads,
 	}
 }
 
@@ -213,7 +215,9 @@ func (s *buildSink) keep(b *core.Batch) {
 		fill := s.rows & (segRows - 1)
 		n := min(b.N-at, segRows-fill)
 		for c := range s.kept {
-			s.kept[c].put(&b.Cols[c], fill, at, n)
+			if s.live[c] {
+				s.kept[c].put(&b.Cols[c], fill, at, n)
+			}
 		}
 		s.rows += n
 		at += n

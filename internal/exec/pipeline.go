@@ -67,8 +67,11 @@ func newExecutor(n Node, opt Options) (*executor, error) {
 	}
 	ex := &executor{opt: opt, builds: make(map[*JoinNode]*hashTable), snaps: make(map[*ScanNode][]storage.ChunkView), filters: make(map[*ScanNode]*keyFilter)}
 	ex.plan = checkedPlan{nodes: make(map[Node]*planned), sargsPushed: opt.Mode == ModeVectorizedSARG || opt.Mode == ModeVectorizedSARGPSMA}
-	_, err := ex.plan.check(n)
-	return ex, err
+	if _, err := ex.plan.check(n); err != nil {
+		return ex, err
+	}
+	ex.plan.markLive(n, nil)
+	return ex, nil
 }
 
 type executor struct {
@@ -194,16 +197,11 @@ func (ex *executor) run(n Node) (*Result, error) {
 func (ex *executor) aggregate(n *AggNode) ([]*aggregator, error) {
 	var aggs []*aggregator
 	kinds, args := ex.plan.nodes[n.Child].kinds, ex.plan.nodes[n].exprs
-	reads := make([]bool, len(kinds))
-	for _, arg := range args {
-		for _, col := range arg.cols(nil) {
-			reads[col] = true
-		}
-	}
+	vals := reads(make([]bool, len(kinds)), args)
 	err := ex.runPipeline(n.Child, func(c *compiler) pipeSink {
 		a := newAggregator(n, kinds, args, c.stats, ex.batchMode())
 		aggs = append(aggs, a)
-		return pipeSink{tuple: a.consume, batch: a.consumeBatch, keys: n.GroupBy, reads: reads}
+		return pipeSink{tuple: a.consume, batch: a.consumeBatch, keys: n.GroupBy, vals: vals}
 	})
 	return aggs, err
 }
@@ -267,17 +265,16 @@ func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
 // pipeSink is one worker's terminal consumer, offered in both forms.
 // runPipeline attaches exactly one of them — batch when the execution is
 // in batch mode, tuple otherwise — so a sink only needs its state prepared
-// for that one (see newAggregator).
+// for that one (see newAggregator). Which columns a sink reads is the
+// plan's live set of its input (checkedPlan.markLive).
 type pipeSink struct {
 	tuple func(*Tuple)
 	batch batchConsumer
-	// keys and reads are what a sink takes from a batch that comes straight
-	// from the scan: an aggregation's group-by columns, which it can take
-	// as codes, and the columns it reads as values — an aggregation's
-	// arguments, a join build's keys. nil reads means every column as
-	// values.
-	keys  []int
-	reads []bool
+	// keys are an aggregation's group-by columns, which it takes as codes
+	// from a batch straight from a coded scan; of them it takes those its
+	// arguments read (vals) as values too.
+	keys []int
+	vals []bool
 }
 
 // batchMode reports which chain this execution compiles: the
@@ -335,11 +332,11 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 		var d *scanDriver
 		if ex.batchMode() {
 			d = ex.newScanDriver(scan, nil, ex.compileBatchChain(chain, sink.batch, c), c, chunks)
-			if chain == Node(scan) && sink.reads != nil {
-				// Nothing between the scan and the sink: the scan unpacks only
-				// what the sink reads, and hands an aggregation's frozen keys
-				// over as codes. Any operator in between reads values.
-				d.reads, d.keys = sink.reads, sink.keys
+			if chain == Node(scan) {
+				// Nothing between the scan and the sink: the scan hands an
+				// aggregation's frozen keys over as codes. Any operator in
+				// between reads values.
+				d.keys, d.vals = sink.keys, sink.vals
 			}
 			// Early probing runs inside vectorized scans only (Appendix E).
 			d.ep, d.epRelCol = ex.earlyProbeFor(chain)
@@ -442,27 +439,20 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 // workers' distinct keys into the largest table (mergeKeys), from a build
 // scan its key pass may have restricted to the probe side's keys.
 func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
-	kinds := ex.plan.nodes[n.Build].kinds
+	p := ex.plan.nodes[n.Build]
 	inner := n.Kind == InnerJoin
 	build, err := ex.keyPass(n)
 	if err != nil {
 		return nil, 0, err
 	}
 	if build == nil { // no probe row has a key: nothing built can match
-		return newBuildSink(kinds, n.BuildKeys, false).ht, 0, nil
-	}
-	// A scan feeding a semi- or anti-join sink directly unpacks the key
-	// columns only, besides what its residual conjuncts read; an
-	// inner-join sink keeps every column.
-	reads := make([]bool, len(kinds))
-	for c := range reads {
-		reads[c] = inner || slices.Contains(n.BuildKeys, c)
+		return newBuildSink(p.kinds, p.live, n.BuildKeys, false).ht, 0, nil
 	}
 	var sinks []*buildSink
 	newSink := func(*compiler) pipeSink {
-		s := newBuildSink(kinds, n.BuildKeys, inner)
+		s := newBuildSink(p.kinds, p.live, n.BuildKeys, inner)
 		sinks = append(sinks, s)
-		return s.sink(reads)
+		return s.sink()
 	}
 	if streamableChain(build) {
 		if err := ex.runPipeline(build, newSink); err != nil {
@@ -493,45 +483,48 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	return root.ht, rows, nil
 }
 
-// keyPass runs semi or anti join n's probe side once, reading its key only,
-// when the build side is a scan on one integer key outside ModeJIT. It
+// keyPass runs join n's probe side once, for its key, when the build side
+// is a scan on one integer key outside ModeJIT — for every join kind. It
 // returns the build scan restricted to what those keys can match: their
 // range is added to its SARGs, so SMAs and PSMAs skip blocks, and their
 // tag bits become its early probe, so rows that cannot match are dropped
-// before any other column is unpacked (Appendix E). It returns nil when no
-// probe row has a non-NULL key, and n.Build for every other plan shape and
-// when the probe relation holds more rows than the build relation, whose
-// scan the pass could then save less than it reads. The probe pipeline
-// reads the snapshot this pass read: a row inserted in between would carry
-// a key the filter never saw.
+// before any other column is unpacked (Appendix E). The filtered scan
+// reads what the original's consumers read, and keeps the rows it keeps in
+// their order, so an inner join emits what it would unfiltered. It returns
+// nil when no probe row has a non-NULL key, and n.Build for every other
+// plan shape. The probe pipeline reads the snapshot this pass read: a row
+// inserted in between would carry a key the filter never saw.
 func (ex *executor) keyPass(n *JoinNode) (Node, error) {
 	scan, ok := n.Build.(*ScanNode)
-	if !ok || n.Kind == InnerJoin || ex.opt.Mode == ModeJIT || len(n.BuildKeys) != 1 || ex.plan.nodes[scan].kinds[n.BuildKeys[0]] != types.Int64 {
+	if !ok || ex.opt.Mode == ModeJIT || len(n.BuildKeys) != 1 || ex.plan.nodes[scan].kinds[n.BuildKeys[0]] != types.Int64 {
 		return n.Build, nil
 	}
 	probe, err := ex.prepareBuilds(n.Probe)
 	if err != nil {
 		return nil, err
 	}
-	if probe.Rel.NumRows() > scan.Rel.NumRows() {
-		return n.Build, nil
-	}
 	// A key pass of a join further down the spine may have read the probe
 	// relation already: its filter, this one and the probe read its snapshot.
 	if _, ok := ex.snaps[probe]; !ok {
 		ex.snaps[probe] = probe.Rel.Snapshot()
 	}
-	reads := make([]bool, len(ex.plan.nodes[n.Probe].kinds))
-	reads[n.ProbeKeys[0]] = true
+	chain := n.Probe
+	if chain == Node(probe) {
+		// Over a bare scan the pass unpacks the key alone, besides what the
+		// residual conjuncts read: it scans a copy with that live set.
+		cp, p := *probe, *ex.plan.nodes[probe]
+		chain, p.live, ex.snaps[&cp] = &cp, nil, ex.snaps[probe]
+		ex.plan.nodes[chain] = &p
+		ex.plan.markLive(chain, withKeys(make([]bool, len(p.kinds)), n.ProbeKeys))
+	}
 	var fs []*keyFilter
-	err = ex.runPipeline(n.Probe, func(*compiler) pipeSink {
+	err = ex.runPipeline(chain, func(*compiler) pipeSink {
 		f := &keyFilter{lo: math.MaxInt64, hi: math.MinInt64}
 		fs = append(fs, f)
 		c := n.ProbeKeys[0]
 		return pipeSink{
 			tuple: func(t *Tuple) { f.add(t.Ints[c:c+1], t.Nulls[c:c+1]) },
 			batch: func(b *core.Batch) { f.add(b.Cols[c].Ints[:b.N], b.Cols[c].Nulls) },
-			reads: reads,
 		}
 	})
 	if err != nil {
@@ -550,6 +543,7 @@ func (ex *executor) keyPass(n *JoinNode) (Node, error) {
 	if _, err := ex.plan.check(filtered); err != nil {
 		return nil, err
 	}
+	ex.plan.nodes[filtered].live = ex.plan.nodes[scan].live
 	ex.filters[filtered] = f
 	return filtered, nil
 }
@@ -618,7 +612,7 @@ func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler
 			}
 		}, c)
 	}
-	np := j.np
+	np, live := j.np, j.live[j.np:]
 	out := NewTuple(np + len(j.ht.rows))
 	return ex.compileChain(n.Probe, func(t *Tuple) {
 		bindTuple(j.keys, t, n.ProbeKeys)
@@ -633,7 +627,9 @@ func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler
 		copy(out.Nulls[:np], t.Nulls[:np])
 		for _, row := range j.pairsB {
 			for bi := range j.ht.rows {
-				j.ht.rows[bi].load(row, out, np+bi)
+				if live[bi] { // a dead build column's segments are empty
+					j.ht.rows[bi].load(row, out, np+bi)
+				}
 			}
 			down(out)
 		}

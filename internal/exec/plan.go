@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"datablocks/internal/core"
 	"datablocks/internal/storage"
@@ -182,6 +183,10 @@ type planned struct {
 	// evaluates — the Filter's, behind the Preds where the scan does not
 	// evaluate those itself.
 	exprs []*checked
+	// live marks the output columns the node's consumers read (markLive).
+	// What an operator does not read it neither unpacks, copies nor
+	// compacts; a dead batch column may hold stale data.
+	live []bool
 }
 
 // checkedPlan holds the checked form of every node of a query plan. Run and
@@ -233,6 +238,64 @@ func (pl *checkedPlan) check(n Node) ([]types.Kind, error) {
 	}
 	pl.nodes[n] = p
 	return p.kinds, nil
+}
+
+// markLive adds live, the output columns a consumer of n reads (nil:
+// every column), to n's live set and, when that grew, what n reads of its
+// inputs to theirs: a node reached twice reads the union.
+func (pl *checkedPlan) markLive(n Node, live []bool) {
+	p := pl.nodes[n]
+	grew := p.live == nil
+	if grew {
+		p.live = make([]bool, len(p.kinds))
+	}
+	for c := range p.live {
+		if !p.live[c] && (live == nil || live[c]) {
+			p.live[c], grew = true, true
+		}
+	}
+	if !grew {
+		return
+	}
+	switch n := n.(type) {
+	case *ScanNode:
+		reads(p.live, p.exprs)
+	case *FilterNode:
+		pl.markLive(n.Child, reads(slices.Clone(p.live), p.exprs))
+	case *MapNode:
+		pl.markLive(n.Child, reads(make([]bool, len(pl.nodes[n.Child].kinds)), p.exprs))
+	case *AggNode:
+		in := reads(make([]bool, len(pl.nodes[n.Child].kinds)), p.exprs)
+		pl.markLive(n.Child, withKeys(in, n.GroupBy))
+	case *JoinNode:
+		np := len(pl.nodes[n.Probe].kinds)
+		build := make([]bool, len(pl.nodes[n.Build].kinds))
+		if n.Kind == InnerJoin {
+			copy(build, p.live[np:])
+		}
+		pl.markLive(n.Probe, withKeys(slices.Clone(p.live[:np]), n.ProbeKeys))
+		pl.markLive(n.Build, withKeys(build, n.BuildKeys))
+	case *OrderByNode:
+		pl.markLive(n.Child, nil)
+	}
+}
+
+// reads marks in live the columns exprs read and returns it.
+func reads(live []bool, exprs []*checked) []bool {
+	for _, e := range exprs {
+		for _, c := range e.cols(nil) {
+			live[c] = true
+		}
+	}
+	return live
+}
+
+// withKeys marks the columns keys in live and returns it.
+func withKeys(live []bool, keys []int) []bool {
+	for _, c := range keys {
+		live[c] = true
+	}
+	return live
 }
 
 func (p *planned) checkScan(pl *checkedPlan, s *ScanNode) error {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"time"
 
 	"datablocks/internal/compress"
@@ -41,13 +42,15 @@ type scanDriver struct {
 	// materialized; vsel is the selection-vector scratch.
 	unpacked []bool
 	vsel     []uint32
-	// reads and keys are set when an aggregation consumes the scan's
-	// batches directly (pipeSink): the columns it reads as values — the
-	// rest are unpacked only for residual conjuncts — and its group-by
-	// columns, handed over as codes wherever the chunk allows
-	// (ScanSpec.Codes). nil reads means every column is read as values.
-	reads []bool
-	keys  []int
+	// live marks the columns the pipeline and the residual conjuncts read
+	// (checkedPlan.markLive); no other column is unpacked. keys and vals
+	// are set when an aggregation consumes the scan's batches directly
+	// (pipeSink): its group-by columns, handed over as codes wherever the
+	// chunk allows (ScanSpec.Codes) and then as values only where vals
+	// marks them.
+	live []bool
+	keys []int
+	vals []bool
 
 	// JIT scan code paths: one specialized path per storage-layout
 	// combination (Figure 5), plus one for hot chunks.
@@ -101,6 +104,7 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		usePSMA: ex.opt.Mode == ModeVectorizedSARGPSMA,
 		wp:      c.wp,
 		pinCols: append([]int{}, scan.Cols...),
+		live:    p.live,
 	}
 	if n := len(ex.spare); n > 0 {
 		d.batch, ex.spare = ex.spare[n-1], ex.spare[:n-1]
@@ -465,11 +469,11 @@ func (d *scanDriver) vecChunk(ch *storage.ChunkView) error {
 
 // lazyPush drives the late-materializing batch flow over one match vector:
 // residual conjuncts unpack only the columns they reference and thin the
-// match vector in place; of the other columns, those the consumer reads
-// are unpacked for the surviving positions only — an aggregation's keys
-// as codes when the chunk is coded, after every value column, since
-// unpacking a column's values drops its codes — and the finished batch
-// goes to the batch consumer whole.
+// match vector in place; of the other columns, the live ones are unpacked
+// for the surviving positions only — an aggregation's keys as codes when
+// the chunk is coded, after every value column, since unpacking a
+// column's values drops its codes — and the finished batch goes to the
+// batch consumer whole.
 func (d *scanDriver) lazyPush(sc *core.Scanner, m []uint32) {
 	b := &d.batch
 	b.N = len(m)
@@ -501,19 +505,16 @@ func (d *scanDriver) lazyPush(sc *core.Scanner, m []uint32) {
 		}
 		d.compactUnpacked(sel)
 	}
-	for col := range d.kinds {
-		if d.reads == nil || d.reads[col] {
+	coded := sc.Coded()
+	for col, live := range d.live {
+		if live && (!coded || d.vals[col] || !slices.Contains(d.keys, col)) {
 			d.unpack(sc, col)
 		}
 	}
-	if sc.Coded() {
+	if coded {
 		sc.UnpackCodes(b, b.Pos)
 		if d.wp != nil {
 			d.wp.scan.unpacks.Add(uint64(len(d.keys)))
-		}
-	} else {
-		for _, col := range d.keys {
-			d.unpack(sc, col)
 		}
 	}
 	d.bcons(b)
