@@ -30,7 +30,7 @@ func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) b
 	case *FilterNode:
 		vc := &vcompiler{stats: c.stats}
 		p := ex.plan.nodes[n]
-		f := &batchFilter{mask: vc.mask(p.exprs[0]), live: p.live, down: down}
+		f := &batchFilter{sel: vc.sel(p.exprs[0]), live: p.live, down: down}
 		return ex.compileBatchChain(n.Child, f.consume, c)
 	case *MapNode:
 		return ex.compileBatchChain(n.Child, ex.compileBatchMap(n, down, c).consume, c)
@@ -42,55 +42,44 @@ func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) b
 }
 
 // vconjunct is one top-level conjunct of a scan's residual condition,
-// compiled as a vectorized mask, plus the scan-output columns it reads.
+// compiled as a selection function, plus the scan-output columns it reads.
 // The lazy scan unpacks exactly those columns before evaluating it.
 type vconjunct struct {
 	cols []int
-	mask vecMaskFn
+	sel  selFn
 }
 
-// batchFilter drops batch rows failing the compiled mask by compacting the
-// batch's live columns in place.
+// batchFilter drops batch rows failing the compiled condition by
+// compacting the batch's live columns in place.
 type batchFilter struct {
-	mask vecMaskFn
+	sel  selFn
 	live []bool
-	sel  []uint32
+	all  []uint32
 	down batchConsumer
 }
 
 //dbvet:hotpath
 func (f *batchFilter) consume(b *core.Batch) {
-	f.sel = filterBatch(b, f.mask(b), f.sel, f.live)
+	f.all = selAll(f.all, b.N)
+	compactBatchSel(b, f.sel(b, f.all), f.live)
 	if b.N > 0 {
 		f.down(b)
 	}
 }
 
-// filterBatch compacts b's live columns to the rows where mask is true,
-// reusing sel as scratch; it returns the (possibly regrown) scratch slice.
-//
-//dbvet:hotpath
-func filterBatch(b *core.Batch, mask []bool, sel []uint32, live []bool) []uint32 {
-	sel = resize(sel, b.N)[:0]
-	mask = mask[:b.N]
-	for i, m := range mask {
-		if m {
-			sel = append(sel, uint32(i))
-		}
-	}
-	if len(sel) < b.N {
-		compactBatchSel(b, sel, live)
-	}
-	return sel
-}
-
 // compactBatchSel keeps only the selected rows of b's live columns, in
 // order, in place: sel ascends, so each gather reads a row before any
-// write reaches it.
+// write reaches it. Selecting every row leaves b as it is.
 //
 //dbvet:hotpath
 func compactBatchSel(b *core.Batch, sel []uint32, live []bool) {
-	cols := b.Cols[:len(live)] // a local: the calls cannot change its length
+	if len(sel) == b.N {
+		return
+	}
+	// A local, so the calls cannot change its length; a scan's batch has
+	// no columns until it unpacks one.
+	cols := b.Cols[:min(len(live), len(b.Cols))]
+	live = live[:len(cols)]
 	for ci := range cols {
 		if live[ci] {
 			gatherBatchCol(&cols[ci], &cols[ci], sel)
@@ -187,7 +176,7 @@ type batchJoinProbe struct {
 	hashes []uint64
 	pairsP []uint32
 	pairsB []uint32
-	mask   []bool
+	all    []uint32
 	sel    []uint32
 }
 
@@ -282,16 +271,14 @@ func (j *batchJoinProbe) consumeInner(b *core.Batch) {
 func (j *batchJoinProbe) consumeSemiAnti(b *core.Batch) {
 	// A probe row passes a semi join iff it matched, an anti join iff it
 	// did not (NULL keys never match: semi drops them, anti keeps them).
-	wantMatch := j.node.Kind == SemiJoin
-	j.mask = resize(j.mask, b.N)
-	mask := j.mask[:b.N]
-	for r := range mask {
-		mask[r] = !wantMatch
+	// The matched rows are pairsP: ascending, each row once.
+	sel := j.pairsP
+	if j.node.Kind == AntiJoin {
+		j.all = selAll(j.all, b.N)
+		j.sel = selDiff(j.sel, j.all, sel)
+		sel = j.sel
 	}
-	for _, r := range j.pairsP {
-		mask[r] = wantMatch
-	}
-	j.sel = filterBatch(b, mask, j.sel, j.live)
+	compactBatchSel(b, sel, j.live)
 	if b.N > 0 {
 		j.down(b)
 	}

@@ -387,7 +387,8 @@ func FuzzExprEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, i, j, k uint16, form uint8) {
 		a, b, c := exprs[int(i)%len(exprs)], exprs[int(j)%len(exprs)], exprs[int(k)%len(exprs)]
 		e := [...]exec.Expr{a, exec.Sub(a, b), exec.Div(a, b), exec.Cmp(types.Le, a, b), exec.BetweenE(a, b, c),
-			exec.If{Cond: a, Then: b, Else: c}, exec.Or(a, exec.Not(b)), exec.Mul(exec.Add(a, b), exec.Add(a, b))}[form%8]
+			exec.If{Cond: a, Then: b, Else: c}, exec.Or(a, exec.Not(b)), exec.Mul(exec.Add(a, b), exec.Add(a, b)),
+			exec.And(a, exec.Or(b, exec.Not(c))), exec.If{Cond: exec.Or(a, b), Then: c, Else: exec.CInt(0)}}[form%10]
 		rows := evalRows(seed, 40)
 		requireEval(t, evalRel(t, rows), rows, e)
 	})

@@ -237,7 +237,7 @@ func (a *aggregator) vectorize(args []*checked, stats *CompileStats) {
 	// reused inside a larger expression, e.g. Q1's discounted price
 	// inside its charge) evaluate once per batch. evalSlots bumps the
 	// epoch, so the scope is exactly one batch.
-	vc := &vcompiler{stats: stats, cse: &vcse{memo: make(map[Expr]vecFn[float64])}}
+	vc := &vcompiler{stats: stats, cse: &vcse{memo: make(map[Expr]vecFn[float64]), rows: make(map[Expr]func(*core.Batch) []uint32)}}
 	a.argSlot = make([]int, len(args))
 	seen := make(map[slotKey]int)
 	for i, arg := range args {

@@ -31,7 +31,7 @@ type scanDriver struct {
 
 	// bcons is the batch-at-a-time consumer chain: gathered batches are
 	// handed over whole. conjuncts are the residual condition's top-level
-	// conjuncts compiled as vectorized masks (the batch twin of
+	// conjuncts compiled as selection functions (the batch twin of
 	// residual). The batch path materializes lazily: each conjunct
 	// unpacks only the columns it references, thins the match vector, and
 	// later conjuncts (and the final projection) decompress survivors
@@ -39,9 +39,9 @@ type scanDriver struct {
 	bcons     batchConsumer
 	conjuncts []vconjunct
 	// unpacked tracks which scan-output columns the current batch has
-	// materialized; vsel is the selection-vector scratch.
+	// materialized; all holds the rows 0..N-1 a conjunct narrows.
 	unpacked []bool
-	vsel     []uint32
+	all      []uint32
 	// live marks the columns the pipeline and the residual conjuncts read
 	// (checkedPlan.markLive); no other column is unpacked. keys and vals
 	// are set when an aggregation consumes the scan's batches directly
@@ -116,7 +116,7 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 	if d.bcons != nil {
 		vc := &vcompiler{stats: c.stats}
 		for _, cj := range p.exprs {
-			d.conjuncts = append(d.conjuncts, vconjunct{cols: cj.cols(nil), mask: vc.mask(cj)})
+			d.conjuncts = append(d.conjuncts, vconjunct{cols: cj.cols(nil), sel: vc.sel(cj)})
 		}
 		if c.stats != nil {
 			c.stats.ScanPaths++ // one interpreted vectorized path
@@ -489,21 +489,10 @@ func (d *scanDriver) lazyPush(sc *core.Scanner, m []uint32) {
 		for _, col := range cj.cols {
 			d.unpack(sc, col)
 		}
-		mask := cj.mask(b)
-		sel := resize(d.vsel, b.N)[:0]
-		for r := 0; r < b.N; r++ {
-			if mask[r] {
-				sel = append(sel, uint32(r))
-			}
-		}
-		d.vsel = sel
-		if len(sel) == b.N {
-			continue
-		}
-		if len(sel) == 0 {
+		d.all = selAll(d.all, b.N)
+		if compactBatchSel(b, cj.sel(b, d.all), d.unpacked); b.N == 0 {
 			return
 		}
-		d.compactUnpacked(sel)
 	}
 	coded := sc.Coded()
 	for col, live := range d.live {
@@ -531,19 +520,6 @@ func (d *scanDriver) unpack(sc *core.Scanner, col int) {
 		d.wp.scan.unpacks.Inc()
 	}
 	d.unpacked[col] = true
-}
-
-// compactUnpacked keeps only the selected rows of the already-unpacked
-// columns and of the position vector.
-func (d *scanDriver) compactUnpacked(sel []uint32) {
-	b := &d.batch
-	for col, up := range d.unpacked {
-		if up {
-			gatherBatchCol(&b.Cols[col], &b.Cols[col], sel)
-		}
-	}
-	b.Pos = gather(b.Pos, b.Pos, sel)
-	b.N = len(sel)
 }
 
 // earlyProbe thins a match vector against the upstream join's tag table

@@ -23,9 +23,11 @@ import (
 // NULLs in this batch).
 type (
 	vecFn[T any] func(b *core.Batch) ([]T, []bool)
-	// vecMaskFn evaluates a boolean expression with SQL three-valued
-	// logic collapsed (NULL ⇒ false), one flag per row.
-	vecMaskFn func(b *core.Batch) []bool
+	// selFn narrows in, an ascending list of batch rows, to the rows where
+	// a boolean expression holds, with SQL three-valued logic collapsed
+	// (NULL ⇒ false). The result ascends and is read-only: the closure's
+	// scratch or in itself, valid until the next call.
+	selFn func(b *core.Batch, in []uint32) []uint32
 )
 
 // vcompiler lowers checked expressions to vectorized closures.
@@ -33,7 +35,8 @@ type vcompiler struct {
 	stats *CompileStats
 	// cse, when non-nil, enables common-subexpression elimination across
 	// everything this compiler lowers: structurally identical float
-	// subtrees share one closure whose result is computed once per epoch.
+	// subtrees and conditions share one closure whose result is computed
+	// once per epoch.
 	// Sinks that evaluate several expressions over the same batch (the
 	// vectorized aggregator) opt in and bump the epoch before each batch.
 	cse *vcse
@@ -46,6 +49,7 @@ type vcompiler struct {
 type vcse struct {
 	epoch uint64 // bumped by the owning sink before each batch
 	memo  map[Expr]vecFn[float64]
+	rows  map[Expr]func(*core.Batch) []uint32 // conditions, see holds
 }
 
 // cseWorthy reports whether a float subtree is worth memoizing: only
@@ -83,6 +87,35 @@ func (c *vcompiler) float(n *checked) vecFn[float64] {
 		return vals, nulls
 	}
 	c.cse.memo[n.src] = f
+	return f
+}
+
+// holds lowers boolean n to the rows of the whole batch where it holds:
+// what If and a boolean used as a value read. Under CSE a condition met
+// twice is one closure, evaluated once per epoch.
+func (c *vcompiler) holds(n *checked) func(b *core.Batch) []uint32 {
+	cs := c.cse
+	if cs != nil {
+		if f, ok := cs.rows[n.src]; ok {
+			return f
+		}
+	}
+	s := c.sel(n)
+	var all, rows []uint32
+	var stamp uint64                    // 0 = never evaluated; the sink's first epoch is 1
+	f := func(b *core.Batch) []uint32 { //dbvet:hotpath
+		if cs == nil || stamp != cs.epoch {
+			all = selAll(all, b.N)
+			rows = s(b, all)
+			if cs != nil {
+				stamp = cs.epoch
+			}
+		}
+		return rows
+	}
+	if cs != nil {
+		cs.rows[n.src] = f
+	}
 	return f
 }
 
@@ -136,18 +169,15 @@ func (c *vcompiler) int(n *checked) vecFn[int64] {
 			return col.Ints[:b.N], col.Nulls
 		}
 	case opBoolInt:
-		m := c.mask(n.a)
+		holds := c.holds(n.a)
 		var out []int64
 		c.emit()
 		return func(b *core.Batch) ([]int64, []bool) { //dbvet:hotpath
-			mask := m(b)
+			rows := holds(b)
 			out = resize(out, b.N)
-			for i := range out {
-				if mask[i] {
-					out[i] = 1
-				} else {
-					out[i] = 0
-				}
+			clear(out)
+			for _, r := range rows {
+				out[r] = 1
 			}
 			return out, nil
 		}
@@ -229,36 +259,67 @@ func vecValue[T value](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) ve
 			return out[:b.N], nulls[:b.N]
 		}
 	case opIf:
-		cond, th, el := c.mask(n.a), rec(n.b), rec(n.c)
-		var nscratch []bool
+		cond, th, el := c.holds(n.a), newIfArm(n.b, rec), newIfArm(n.c, rec)
+		var nulls []bool
 		c.emit()
 		return func(b *core.Batch) ([]T, []bool) { //dbvet:hotpath
-			mask := cond(b)
-			tv, tn := th(b)
-			ev, en := el(b)
-			out = resize(out, b.N)
-			var nulls []bool
-			if tn != nil || en != nil {
-				nscratch = resize(nscratch, b.N)
-				nulls = nscratch
+			rows := cond(b)
+			out, nulls = resize(out, b.N), resize(nulls, b.N)
+			// The else branch everywhere, then the then branch over the
+			// rows where the condition holds.
+			if null := el.put(b, out, nulls, nil, true); th.put(b, out, nulls, rows, false) || null {
+				return out, nulls
 			}
-			for i := range out {
-				if mask[i] {
-					out[i] = tv[i]
-					if nulls != nil {
-						nulls[i] = tn != nil && tn[i]
-					}
-				} else {
-					out[i] = ev[i]
-					if nulls != nil {
-						nulls[i] = en != nil && en[i]
-					}
-				}
-			}
-			return out, nulls
+			return out, nil
 		}
 	}
 	panic("exec: lowering a node check did not produce")
+}
+
+// ifArm is a branch of If: a literal is the scalar v (NULL when null),
+// anything else the closure f.
+type ifArm[T value] struct {
+	f    vecFn[T]
+	v    T
+	null bool
+}
+
+func newIfArm[T value](n *checked, rec func(*checked) vecFn[T]) ifArm[T] {
+	if n.op != opConst {
+		return ifArm[T]{f: rec(n)}
+	}
+	v, ok := literal[T](n)
+	return ifArm[T]{v: v, null: !ok}
+}
+
+// put writes the arm's values and NULL flags at rows of out and nulls, or
+// at every row when all is set, and reports whether a NULL can be among
+// them.
+func (a *ifArm[T]) put(b *core.Batch, out []T, nulls []bool, rows []uint32, all bool) bool {
+	var vals []T
+	var vn []bool
+	if a.f != nil {
+		vals, vn = a.f(b)
+	}
+	switch {
+	case all && a.f != nil:
+		copy(out, vals)
+		clear(nulls)
+		copy(nulls, vn)
+	case all:
+		for i := range out {
+			out[i], nulls[i] = a.v, a.null
+		}
+	case a.f != nil:
+		for _, r := range rows {
+			out[r], nulls[r] = vals[r], vn != nil && vn[r]
+		}
+	default:
+		for _, r := range rows {
+			out[r], nulls[r] = a.v, a.null
+		}
+	}
+	return a.null || vn != nil
 }
 
 // vecArith lowers + - *. Broadcast specialization: a literal operand
@@ -404,119 +465,235 @@ func (c *vcompiler) div(n *checked) vecFn[float64] {
 	}
 }
 
-func (c *vcompiler) mask(n *checked) vecMaskFn {
-	var out []bool
+// sel lowers boolean n to a selection function. AND evaluates its right
+// side on the left side's rows only, OR on the rows its left side did not
+// select, and NOT takes its inner rows out of in.
+func (c *vcompiler) sel(n *checked) selFn {
+	var out []uint32
 	switch n.op {
 	case opCompare, opBetween:
 		switch n.kind {
 		case types.Int64:
-			return vecCompare(c, n, c.int)
+			return selCompare(c, n, c.int)
 		case types.Float64:
-			return vecCompare(c, n, c.float)
+			return selCompare(c, n, c.float)
 		default:
-			return vecCompare(c, n, c.str)
+			return selCompare(c, n, c.str)
 		}
+	case opAnd:
+		return c.and(c.sel(n.a), c.sel(n.b))
 	case opPrefix:
 		l, r := c.str(n.a), c.str(n.b)
 		c.emit()
-		return func(b *core.Batch) []bool { //dbvet:hotpath
+		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			av, an := l(b)
 			pv, pn := r(b)
-			out = resize(out, b.N)
-			for i := range out {
-				out[i] = (an == nil || !an[i]) && (pn == nil || !pn[i]) && strings.HasPrefix(av[i], pv[i])
+			out = resize(out, len(in))
+			w := 0
+			for _, i := range in {
+				out[w] = i
+				w += b2i((an == nil || !an[i]) && (pn == nil || !pn[i]) && strings.HasPrefix(av[i], pv[i]))
 			}
-			return out
+			return out[:w]
 		}
 	case opNot:
-		inner := c.mask(n.a)
+		inner := c.sel(n.a)
 		c.emit()
-		return func(b *core.Batch) []bool { //dbvet:hotpath
-			m := inner(b)
-			out = resize(out, b.N)
-			for i := range out {
-				out[i] = !m[i]
-			}
+		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
+			out = selDiff(out, in, inner(b, in))
 			return out
 		}
-	case opAnd, opOr:
-		l, r := c.mask(n.a), c.mask(n.b)
-		and := n.op == opAnd
+	case opOr:
+		l, r := c.sel(n.a), c.sel(n.b)
+		var rest []uint32
 		c.emit()
-		return func(b *core.Batch) []bool { //dbvet:hotpath
-			lm, rm := l(b), r(b)
-			out = resize(out, b.N)
-			if and {
-				for i := range out {
-					out[i] = lm[i] && rm[i]
-				}
-			} else {
-				for i := range out {
-					out[i] = lm[i] || rm[i]
-				}
+		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
+			lrows := l(b, in)
+			if len(lrows) == len(in) {
+				return lrows
 			}
+			rest = selDiff(rest, in, lrows)
+			out = selMerge(out, lrows, r(b, rest))
 			return out
 		}
 	case opIsNull:
 		idx, not := n.col, n.not
 		c.emit()
-		return func(b *core.Batch) []bool { //dbvet:hotpath
+		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			nulls := b.Cols[idx].Nulls
-			out = resize(out, b.N)
-			if nulls == nil {
-				for i := range out {
-					out[i] = not
-				}
-				return out
+			out = resize(out, len(in))
+			w := 0
+			for _, r := range in {
+				out[w] = r
+				w += b2i((nulls != nil && nulls[r]) != not)
 			}
-			for i := range out {
-				out[i] = nulls[i] != not
-			}
-			return out
+			return out[:w]
 		}
 	default: // opTruthy
 		f := c.int(n.a)
 		c.emit()
-		return func(b *core.Batch) []bool { //dbvet:hotpath
+		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			v, nulls := f(b)
-			out = resize(out, b.N)
-			for i := range out {
-				out[i] = (nulls == nil || !nulls[i]) && v[i] != 0
+			out = resize(out, len(in))
+			w := 0
+			for _, r := range in {
+				out[w] = r
+				w += b2i(v[r] != 0 && (nulls == nil || !nulls[r]))
 			}
-			return out
+			return out[:w]
 		}
 	}
 }
 
-// vecCompare lowers a comparison or BETWEEN in the kind it compares in; a
-// NULL operand makes the row false.
-func vecCompare[T value](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) vecMaskFn {
-	l, r := rec(n.a), rec(n.b)
-	var out []bool
+// and evaluates r on the rows l keeps; no rows left, no call.
+func (c *vcompiler) and(l, r selFn) selFn {
+	c.emit()
+	return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
+		if rows := l(b, in); len(rows) > 0 {
+			return r(b, rows)
+		}
+		return in[:0]
+	}
+}
+
+// flipped is a comparison with its operands swapped: a op b ⇔ b flipped[op] a.
+var flipped = [...]types.CompareOp{types.Eq: types.Eq, types.Ne: types.Ne, types.Lt: types.Gt, types.Le: types.Ge, types.Gt: types.Lt, types.Ge: types.Le}
+
+// selCompare lowers a comparison or BETWEEN — a >= lo, then a <= hi on
+// the rows that passed — in the kind it compares in; a NULL operand makes
+// the row false. A literal operand stays a scalar (on the left, it swaps
+// sides) and its operator switch sits outside the loops. The NULL tests
+// are a pass of their own over the rows that compared true, run only for
+// an operand that has a NULL vector.
+func selCompare[T value](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) selFn {
+	op, a, x := n.cmp, n.a, n.b
 	if n.op == opBetween {
-		r2 := rec(n.c)
-		c.emit()
-		return func(b *core.Batch) []bool { //dbvet:hotpath
+		ge, le := checked{op: opCompare, cmp: types.Ge, a: a, b: x}, checked{op: opCompare, cmp: types.Le, a: a, b: n.c}
+		return c.and(selCompare(c, &ge, rec), selCompare(c, &le, rec))
+	}
+	if _, ok := literal[T](a); ok {
+		a, x, op = x, a, flipped[op]
+	}
+	l := rec(a)
+	var out []uint32
+	dropNulls := func(rows []uint32, nulls []bool) []uint32 { //dbvet:hotpath
+		if nulls == nil {
+			return rows
+		}
+		w := 0
+		for _, r := range rows {
+			out[w] = r
+			w += b2i(!nulls[r])
+		}
+		return out[:w]
+	}
+	c.emit()
+	if v, ok := literal[T](x); ok {
+		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			av, an := l(b)
-			lov, lon := r(b)
-			hiv, hin := r2(b)
-			out = resize(out, b.N)
-			for i := range out {
-				out[i] = (an == nil || !an[i]) && (lon == nil || !lon[i]) && (hin == nil || !hin[i]) &&
-					av[i] >= lov[i] && av[i] <= hiv[i]
+			out = resize(out, len(in))
+			w := 0
+			switch op {
+			case types.Eq:
+				for _, r := range in {
+					out[w] = r
+					w += b2i(av[r] == v)
+				}
+			case types.Ne:
+				for _, r := range in {
+					out[w] = r
+					w += b2i(av[r] != v)
+				}
+			case types.Lt:
+				for _, r := range in {
+					out[w] = r
+					w += b2i(av[r] < v)
+				}
+			case types.Le:
+				for _, r := range in {
+					out[w] = r
+					w += b2i(av[r] <= v)
+				}
+			case types.Gt:
+				for _, r := range in {
+					out[w] = r
+					w += b2i(av[r] > v)
+				}
+			default: // Ge
+				for _, r := range in {
+					out[w] = r
+					w += b2i(av[r] >= v)
+				}
 			}
-			return out
+			return dropNulls(out[:w], an)
 		}
 	}
-	op := n.cmp
-	c.emit()
-	return func(b *core.Batch) []bool { //dbvet:hotpath
+	r := rec(x)
+	return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 		av, an := l(b)
 		bv, bn := r(b)
-		out = resize(out, b.N)
-		for i := range out {
-			out[i] = (an == nil || !an[i]) && (bn == nil || !bn[i]) && compare(op, av[i], bv[i])
+		out = resize(out, len(in))
+		w := 0
+		for _, i := range in {
+			out[w] = i
+			w += b2i(compare(op, av[i], bv[i]))
 		}
-		return out
+		return dropNulls(dropNulls(out[:w], an), bn)
 	}
+}
+
+// b2i is 1 for true and 0 for false: selection loops add it to their
+// write index instead of branching on the row.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// selAll returns the rows 0..n-1, reusing all: every row below its
+// capacity already holds its own index.
+//
+//dbvet:hotpath
+func selAll(all []uint32, n int) []uint32 {
+	if cap(all) >= n {
+		return all[:n]
+	}
+	all = grow[uint32](n)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	return all
+}
+
+// selDiff writes to dst the rows of in that are not in sub, a subset of in;
+// both ascend.
+//
+//dbvet:hotpath
+func selDiff(dst, in, sub []uint32) []uint32 {
+	dst = resize(dst, len(in)-len(sub))[:0]
+	for _, r := range in {
+		if len(sub) > 0 && sub[0] == r {
+			sub = sub[1:]
+			continue
+		}
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// selMerge writes to dst the union of the disjoint ascending lists a and b,
+// ascending.
+//
+//dbvet:hotpath
+func selMerge(dst, a, b []uint32) []uint32 {
+	dst = resize(dst, len(a)+len(b))[:0]
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
