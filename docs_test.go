@@ -207,8 +207,8 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // here in its own diff, like an entry in lint-budget.json; one that
 // deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4535,
-	"total":                    19930,
+	"datablocks/internal/exec": 4484,
+	"total":                    19879,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"datablocks/internal/core"
 	"datablocks/internal/types"
 )
@@ -154,19 +156,18 @@ func (m *batchMap) consume(b *core.Batch) {
 // batchJoinProbe is one worker's probe state for one hash join, shared by
 // both chains: the batch chain binds a whole batch of probe keys and
 // probes them at once, the tuple chain binds one tuple and probes at n = 1
-// through the same code. A probe is hash vector (hashKeyCol) → chain walk
-// (hashTable.head/next) → typed verification of every candidate
-// (verifyRow); the verified (probe row, build row) pairs come out in probe
-// order, and per probe row in ascending build-row order.
+// through the same code. A probe is hash vector (hashKeyCol) → tag test →
+// one lookup of the row's key (keyTable.lookup, which verifies it) → the
+// entry's chain of build rows, unverified; the (probe row, build row)
+// pairs come out in probe order, and per probe row in ascending build-row
+// order. A semi or anti join's match is the entry itself.
 type batchJoinProbe struct {
 	ht   *hashTable
 	node *JoinNode
-	// keys is this worker's copy of the table's key columns (stored side
-	// shared and read-only, probe side bound per batch or tuple).
-	keys []keyCol
-	// firstOnly stops at a probe row's first verified match: all a semi
-	// or anti join needs to know.
-	firstOnly bool
+	// kt is this worker's view of the table: slots and stored key side
+	// shared and read-only, its own key columns' probe side bound per
+	// batch or tuple.
+	kt keyTable
 
 	np   int    // probe column count
 	live []bool // the join's output columns its consumer reads
@@ -184,8 +185,8 @@ type batchJoinProbe struct {
 // matched the probe keys to the build keys in number and kind).
 func (ex *executor) newJoinProbe(n *JoinNode) *batchJoinProbe {
 	ht := ex.builds[n]
-	j := &batchJoinProbe{ht: ht, node: n, np: len(ex.plan.nodes[n.Probe].kinds), live: ex.plan.nodes[n].live, firstOnly: n.Kind != InnerJoin}
-	j.keys = append(j.keys, ht.keys...)
+	j := &batchJoinProbe{ht: ht, node: n, np: len(ex.plan.nodes[n.Probe].kinds), live: ex.plan.nodes[n].live}
+	j.kt = keyTable{groupTable: ht.groupTable, keys: slices.Clone(ht.keys)}
 	return j
 }
 
@@ -201,7 +202,7 @@ func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compile
 
 //dbvet:hotpath
 func (j *batchJoinProbe) consume(b *core.Batch) {
-	bindBatch(j.keys, b, j.node.ProbeKeys)
+	bindBatch(j.kt.keys, b, j.node.ProbeKeys)
 	j.matchPairs(b.N)
 	if j.node.Kind == InnerJoin {
 		j.consumeInner(b)
@@ -210,8 +211,9 @@ func (j *batchJoinProbe) consume(b *core.Batch) {
 	j.consumeSemiAnti(b)
 }
 
-// matchPairs probes the n rows bound to j.keys and fills pairsP/pairsB
-// with the verified matches.
+// matchPairs probes the n rows bound to j.kt.keys and fills pairsP with
+// the matching probe rows, and for an inner join pairsB with their build
+// rows. A row with a NULL key cell is never looked up: NULL never joins.
 //
 //dbvet:hotpath
 func (j *batchJoinProbe) matchPairs(n int) {
@@ -219,21 +221,40 @@ func (j *batchJoinProbe) matchPairs(n int) {
 	j.pairsB = j.pairsB[:0]
 	j.hashes = resize(j.hashes, n)
 	hs := j.hashes[:n]
-	keys := j.keys
+	keys := j.kt.keys
 	for k := range keys {
 		hashKeyCol(hs, k == 0, &keys[k])
 	}
-	ht := j.ht
-	next := ht.next
+	ht, inner := j.ht, j.node.Kind == InnerJoin
+	first, next := ht.first, ht.next
+	// The NULL test runs per row only when a key column has NULL flags.
+	nullable := false
+	for k := range keys {
+		nullable = nullable || keys[k].nulls != nil
+	}
+rows:
 	for r, h := range hs {
-		for row := ht.head(h); row >= 0; row = next[row] {
-			if verifyRow(keys, uint32(row), r) {
-				j.pairsP = append(j.pairsP, uint32(r))
-				j.pairsB = append(j.pairsB, uint32(row))
-				if j.firstOnly {
-					break
+		if !ht.tags.test(h) {
+			continue
+		}
+		if nullable {
+			for k := range keys {
+				if keys[k].nulls != nil && keys[k].nulls[r] {
+					continue rows
 				}
 			}
+		}
+		e := j.kt.lookup(h, r)
+		if e < 0 {
+			continue
+		}
+		if !inner {
+			j.pairsP = append(j.pairsP, uint32(r))
+			continue
+		}
+		for row := first[e]; row >= 0; row = next[row] {
+			j.pairsP = append(j.pairsP, uint32(r))
+			j.pairsB = append(j.pairsB, uint32(row))
 		}
 	}
 }

@@ -919,7 +919,7 @@ func TestKeyPassAndProbeReadOneSnapshot(t *testing.T) {
 			if _, err = ex.prepareBuilds(first); err != nil {
 				t.Fatal(err)
 			}
-			if n := len(ex.builds[first].next); n != 10 {
+			if n := ex.builds[first].entries; n != 10 {
 				t.Fatalf("%v: the filtered build holds %d keys, want the probe side's 10", mode, n)
 			}
 			if _, err = probe.Insert(types.Row{types.IntValue(50)}); err != nil {
@@ -992,7 +992,12 @@ func TestInnerJoinBuildCopiesRowsOnce(t *testing.T) {
 		if err != nil || kept != rows {
 			t.Fatalf("par %d: %d rows kept, err %v", par, kept, err)
 		}
-		table := 12*len(ht.slots) + 4*len(ht.next) + 8*len(ht.keys[0].gInt)
+		// Every array the table holds: slots, row chains, per-entry first
+		// rows and stored key cells.
+		table := 12*len(ht.slots) + 4*len(ht.next) + 4*cap(ht.first)
+		for _, k := range ht.keys {
+			table += cap(k.gNull) + 8*cap(k.gInt) + 16*cap(k.gStr)
+		}
 		got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1.25*float64(rows*rowBytes+table))
 		t.Logf("par %d: %d bytes allocated, bound %d", par, got, bound)
 		if got > bound {

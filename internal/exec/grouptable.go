@@ -1,19 +1,18 @@
 package exec
 
-// groupTable is the one hash table of internal/exec: open addressing with
-// linear probing over two parallel flat arrays (combined key hash, entry
-// id). The aggregator embeds it to map group keys to group ids; the join's
-// hashTable embeds it to map key hashes to build-row chains. Power-of-two
-// capacity keeps the slot computation a mask, a probe step touches 12
-// bytes, and neither array holds pointers, so the collector never scans a
-// table however large the build side or the group count.
+// groupTable is the slot array of the one hash table of internal/exec,
+// keyTable: open addressing with linear probing over two parallel flat
+// arrays (combined key hash, entry id), one slot per distinct key, for
+// aggregation groups and join keys alike. Power-of-two capacity keeps the
+// slot computation a mask, a probe step touches 12 bytes, and neither
+// array holds pointers, so the collector never scans a table however
+// large the build side or the group count.
 //
 // The table knows hashes, not keys. A slot matches a probe only if its
-// stored hash equals the probe hash AND the owner verifies the entry's key
-// columns (keyCol, verifyRow) against the probing row, so equal-hash
-// distinct keys can never merge: in the aggregator they occupy separate
-// slots on the same probe chain, in the join they share one slot and every
-// row of its chain is verified.
+// stored hash equals the probe hash AND the keyTable verifies the entry's
+// key columns (keyCol, verifyRow) against the probing row, so equal-hash
+// distinct keys can never merge: they occupy separate slots on the same
+// probe chain.
 type groupTable struct {
 	hashes []uint64
 	slots  []uint32 // entry id + 1; 0 marks an empty slot
@@ -49,10 +48,9 @@ func (t *groupTable) reserve(n int) {
 }
 
 // insert stores id under hash h in a fresh slot, without looking for an
-// existing one: callers that need one slot per hash call find first.
-// Called once per new entry — never per probed row — so it may allocate
-// (first use, growth). The load factor stays below 3/4, so every probe
-// chain ends at an empty slot.
+// existing one: keyTable.resolve has looked. Called once per new entry —
+// never per probed row — so it may allocate (first use, growth). The load
+// factor stays below 3/4, so every probe chain ends at an empty slot.
 func (t *groupTable) insert(h uint64, id uint32) {
 	t.ensure()
 	if (t.used+1)*4 >= len(t.slots)*3 {
@@ -66,20 +64,6 @@ func (t *groupTable) insert(h uint64, id uint32) {
 	t.hashes[i] = h
 	t.slots[i] = id + 1
 	t.used++
-}
-
-// find returns the position of the first slot on h's probe chain that
-// stores hash h; ok is false when the chain ends first.
-func (t *groupTable) find(h uint64) (pos uint64, ok bool) {
-	if t.slots == nil {
-		return 0, false
-	}
-	for i := h & t.mask; t.slots[i] != 0; i = (i + 1) & t.mask {
-		if t.hashes[i] == h {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // resize reallocates the table at n slots (a power of two) and rehashes

@@ -28,9 +28,13 @@ func TestGroupTableGrowAndProbe(t *testing.T) {
 		t.Fatalf("load factor too high: %d used in %d slots", tab.used, len(tab.slots))
 	}
 	for i := 0; i < n; i++ {
-		pos, ok := tab.find(hash(i))
-		if !ok || tab.slots[pos]-1 != uint32(i) {
-			t.Fatalf("hash(%d): pos=%d ok=%v", i, pos, ok)
+		h := hash(i)
+		pos := h & tab.mask
+		for tab.slots[pos] != 0 && tab.hashes[pos] != h {
+			pos = (pos + 1) & tab.mask
+		}
+		if tab.slots[pos]-1 != uint32(i) {
+			t.Fatalf("hash(%d): pos=%d slot=%d", i, pos, tab.slots[pos])
 		}
 	}
 
@@ -67,46 +71,97 @@ func TestGroupTableEmptyProbe(t *testing.T) {
 	}
 }
 
-// TestJoinChainsSurviveGrow links build rows into a hash table that grows
-// several times on the way (no reserve), with only a handful of distinct
-// hashes so every chain is long: after each doubling every chain must
-// still read complete and in ascending build-row order.
+// TestJoinChainsSurviveGrow: 20 000 build rows over 700 keys, a third of
+// them on one hot key. A semi/anti build sink resolves them batch by batch
+// into a table that starts at its minimum size and grows: every key keeps
+// the entry id it got first, since an inner join's chains are indexed by
+// it. An inner build of the same rows kept by two sinks links every
+// entry's rows, across segments and sinks, into one complete chain in
+// ascending row order, and an absent key has no entry.
 func TestJoinChainsSurviveGrow(t *testing.T) {
-	const rows, spread = 20_000, 700
-	hashOf := func(row int) uint64 {
+	const rows, spread, hot, batch = 20_000, 700, int64(1_000_007), 1000
+	keyOf := func(row int) int64 {
 		if row%3 == 0 {
-			return 0xfeed000000000007 // one hot hash shared by a third of the rows
+			return hot
 		}
-		return simd.Mix64(uint64(row % spread))
+		return int64(row % spread)
 	}
-	ht := &hashTable{next: make([]int32, rows)}
-	want := map[uint64][]int32{}
-	for row := rows - 1; row >= 0; row-- {
-		ht.link(hashOf(row), int32(row))
+	kinds, live, cols := []types.Kind{types.Int64}, []bool{true}, []int{0}
+	b := core.Batch{Cols: []core.BatchCol{{Kind: types.Int64}}}
+	fill := func(from, n int) *core.Batch {
+		b.N, b.Cols[0].Ints = n, b.Cols[0].Ints[:0]
+		for r := from; r < from+n; r++ {
+			b.Cols[0].Ints = append(b.Cols[0].Ints, keyOf(r))
+		}
+		return &b
 	}
-	for row := 0; row < rows; row++ {
-		want[hashOf(row)] = append(want[hashOf(row)], int32(row))
+
+	keys := newBuildSink(kinds, live, cols, false)
+	idOf := map[int64]uint32{}
+	for from := 0; from < rows; from += batch {
+		fill(from, batch)
+		bindBatch(keys.kt.keys, &b, cols)
+		for r, id := range keys.kt.resolve(batch) {
+			k := keyOf(from + r)
+			if first, seen := idOf[k]; !seen {
+				idOf[k] = id
+			} else if id != first {
+				t.Fatalf("row %d: key %d resolved to entry %d, first to %d", from+r, k, id, first)
+			}
+		}
 	}
-	if len(ht.slots) <= groupTableMinSize {
-		t.Fatalf("table never grew: %d slots", len(ht.slots))
+	if len(keys.kt.slots) <= groupTableMinSize {
+		t.Fatalf("table never grew: %d slots", len(keys.kt.slots))
 	}
-	if ht.used != len(want) {
-		t.Fatalf("%d slots used for %d distinct hashes", ht.used, len(want))
+	if keys.kt.entries != len(idOf) || keys.kt.used != len(idOf) {
+		t.Fatalf("%d entries, %d slots used for %d distinct keys", keys.kt.entries, keys.kt.used, len(idOf))
 	}
-	for h, rows := range want {
+
+	// The inner build: the first sink keeps rows 0..split-1, the second
+	// the rest; the second sink's row ids start at the first's segment
+	// count times segRows.
+	const split = 12_345
+	sinks := []*buildSink{newBuildSink(kinds, live, cols, true), newBuildSink(kinds, live, cols, true)}
+	want := map[int64][]int32{}
+	for si, span := range [][2]int{{0, split}, {split, rows}} {
+		base := 0
+		if si == 1 {
+			base = (split+segRows-1)/segRows*segRows - split
+		}
+		for from := span[0]; from < span[1]; from += batch {
+			n := min(batch, span[1]-from)
+			sinks[si].keep(fill(from, n))
+			for r := from; r < from+n; r++ {
+				want[keyOf(r)] = append(want[keyOf(r)], int32(base+r))
+			}
+		}
+	}
+	ht := linkRows(sinks, rows)
+	if ht.entries != len(want) || ht.used != len(want) {
+		t.Fatalf("%d entries, %d slots used for %d distinct keys", ht.entries, ht.used, len(want))
+	}
+	k := &ht.keys[0]
+	k.nulls = nil
+	for key, ids := range want {
+		k.ints = []int64{key}
+		e := ht.lookup(simd.Mix64(uint64(key)), 0)
+		if e < 0 {
+			t.Fatalf("key %d: no entry", key)
+		}
 		i := 0
-		for row := ht.head(h); row >= 0; row = ht.next[row] {
-			if i >= len(rows) || rows[i] != row {
-				t.Fatalf("hash %#x: chain position %d is row %d, want %v", h, i, row, rows)
+		for row := ht.first[e]; row >= 0; row = ht.next[row] {
+			if i >= len(ids) || ids[i] != row {
+				t.Fatalf("key %d: chain position %d is row %d, want %v", key, i, row, ids)
 			}
 			i++
 		}
-		if i != len(rows) {
-			t.Fatalf("hash %#x: chain has %d rows, want %d", h, i, len(rows))
+		if i != len(ids) {
+			t.Fatalf("key %d: chain has %d rows, want %d", key, i, len(ids))
 		}
 	}
-	if ht.head(12345) != -1 {
-		t.Fatal("absent hash has a chain")
+	k.ints = []int64{12345}
+	if ht.lookup(simd.Mix64(12345), 0) != -1 {
+		t.Fatal("absent key has an entry")
 	}
 }
 
@@ -128,6 +183,16 @@ func unmix64(x uint64) uint64 {
 	x *= inverse(0xbf58476d1ce4e5b9)
 	x ^= x>>30 ^ x>>60
 	return x
+}
+
+// EqualHashTwin returns the y2 for which the two-column integer key
+// (x2, y2) has the combined hash of (x, y), solved as in
+// TestEqualHashDistinctKeysNeverMerge; the join tests of package exec_test
+// build their colliding keys with it.
+func EqualHashTwin(x, y, x2 int64) int64 {
+	h := simd.HashCombine(simd.Mix64(uint64(x)), simd.Mix64(uint64(y)))
+	rot := unmix64(simd.HashCombine(simd.Mix64(uint64(x2)), 0))
+	return int64(unmix64(unmix64(h) ^ rot))
 }
 
 // TestEqualHashDistinctKeysNeverMerge feeds the aggregator key pairs that

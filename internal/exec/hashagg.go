@@ -15,14 +15,12 @@ import (
 // batch chain can fold whole argument vectors with the simd kernels
 // instead of chasing a per-group state struct per row.
 //
-// Groups are resolved one way whatever feeds the sink: the rows' group-by
-// cells are bound to keys (a batch's columns, one tuple's registers, or —
-// in merge — another worker's stored keys), hashed column-wise and looked
-// up in the embedded groupTable, and every hash hit is verified against
-// the stored raw key cells, so equal-hash distinct keys never merge.
-// Group ids are dense and issued in first-seen row order, which is the
-// order finalize renders. Aggregations without GROUP BY skip all of that
-// and fold straight into group 0.
+// Groups are the entries of the embedded keyTable, resolved one way
+// whatever feeds the sink: the rows' group-by cells are bound to its keys
+// (a batch's columns, one tuple's registers) and resolved, or another
+// worker's table is absorbed (merge). Group ids are dense and issued in
+// first-seen row order, which is the order finalize renders. Aggregations
+// without GROUP BY skip all of that and fold straight into group 0.
 //
 // Which chain drives the sink is fixed at construction: consumeBatch in
 // vectorized modes (arguments evaluated as vectors, scatter-folded by
@@ -30,10 +28,9 @@ import (
 // evaluated per tuple). Both fold rows in scan order into the same
 // accumulators, so their results are bit-identical.
 type aggregator struct {
-	groupTable // group-key hash → group id
+	keyTable // group keys → group id; keys has one column per group-by ordinal
 
 	node     *AggNode
-	inKinds  []types.Kind
 	argKinds []types.Kind
 
 	// Tuple-chain argument evaluators, nil in batch mode. COUNT(col) only
@@ -79,14 +76,7 @@ type aggregator struct {
 	maxS   [][]string
 	seen   [][]bool
 
-	// keys has one column per group-by ordinal; its stored side is every
-	// group's raw key cells, indexed by group id.
-	keys   []keyCol
-	groups int
-
-	gids    []uint32 // per-row group ids of the rows being assigned (scratch)
-	rowHash []uint64 // their combined key hashes (scratch)
-	badRows []uint32 // rows flagged by column-wise verification (scratch)
+	groups int // the groups the accumulators have cells for
 
 	codes codeTable
 }
@@ -137,7 +127,6 @@ func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, stats *
 	n := len(node.Aggs)
 	a := &aggregator{
 		node:     node,
-		inKinds:  inKinds,
 		argKinds: make([]types.Kind, n),
 		counts:   make([][]int64, n),
 		sums:     make([][]float64, n),
@@ -148,8 +137,8 @@ func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, stats *
 		minS:     make([][]string, n),
 		maxS:     make([][]string, n),
 		seen:     make([][]bool, n),
-		keys:     make([]keyCol, len(node.GroupBy)),
 	}
+	a.keys = make([]keyCol, len(node.GroupBy))
 	for i, g := range node.GroupBy {
 		a.keys[i].kind = inKinds[g]
 	}
@@ -303,35 +292,37 @@ func (a *aggregator) evalSlots(b *core.Batch) {
 	}
 }
 
-// newGroup appends a zeroed accumulator cell to every array a canonical
-// aggregate folds into and returns the new group id; the caller records
-// the group's key cells and table entry.
-func (a *aggregator) newGroup() uint32 {
-	gid := uint32(a.groups)
-	a.groups++
+// grow appends zeroed accumulator cells, in every array a canonical
+// aggregate folds into, for the groups the key table has entered since
+// the last call.
+func (a *aggregator) grow() {
+	n := a.entries - a.groups
+	if n == 0 {
+		return
+	}
+	a.groups = a.entries
 	for i, spec := range a.node.Aggs {
 		if a.accIdx[i] != i {
 			continue
 		}
 		switch spec.Func {
 		case AggSum, AggAvg:
-			a.sums[i] = append(a.sums[i], 0)
-			a.counts[i] = append(a.counts[i], 0)
+			a.sums[i] = append(a.sums[i], make([]float64, n)...)
+			a.counts[i] = append(a.counts[i], make([]int64, n)...)
 		case AggCount, AggCountCol:
-			a.counts[i] = append(a.counts[i], 0)
+			a.counts[i] = append(a.counts[i], make([]int64, n)...)
 		default: // MIN, MAX
-			a.seen[i] = append(a.seen[i], false)
+			a.seen[i] = append(a.seen[i], make([]bool, n)...)
 			switch a.argKinds[i] {
 			case types.Int64:
-				a.minI[i], a.maxI[i] = append(a.minI[i], 0), append(a.maxI[i], 0)
+				a.minI[i], a.maxI[i] = append(a.minI[i], make([]int64, n)...), append(a.maxI[i], make([]int64, n)...)
 			case types.Float64:
-				a.minF[i], a.maxF[i] = append(a.minF[i], 0), append(a.maxF[i], 0)
+				a.minF[i], a.maxF[i] = append(a.minF[i], make([]float64, n)...), append(a.maxF[i], make([]float64, n)...)
 			default:
-				a.minS[i], a.maxS[i] = append(a.minS[i], ""), append(a.maxS[i], "")
+				a.minS[i], a.maxS[i] = append(a.minS[i], make([]string, n)...), append(a.maxS[i], make([]string, n)...)
 			}
 		}
 	}
-	return gid
 }
 
 // widen extends group g's running [min, max] to cover [mn, mx], in the
@@ -353,9 +344,8 @@ func widen[T cmp.Ordered](mins, maxs []T, seen []bool, g uint32, mn, mx T) {
 // globalGroup returns group 0 of an aggregation without GROUP BY,
 // creating it on first use.
 func (a *aggregator) globalGroup() uint32 {
-	if a.groups == 0 {
-		a.newGroup()
-	}
+	a.entries = 1
+	a.grow()
 	return 0
 }
 
@@ -367,7 +357,9 @@ func (a *aggregator) consume(t *Tuple) {
 		return
 	}
 	bindTuple(a.keys, t, a.node.GroupBy)
-	a.fold(a.assignGroups(1)[0], t)
+	gid := a.resolve(1)[0]
+	a.grow()
+	a.fold(gid, t)
 }
 
 func (a *aggregator) fold(gid uint32, t *Tuple) {
@@ -430,8 +422,9 @@ func (a *aggregator) consumeBatch(b *core.Batch) {
 		gids = a.assignCodes(b.N)
 	} else {
 		bindBatch(a.keys, b, a.node.GroupBy)
-		gids = a.assignGroups(b.N)
+		gids = a.resolve(b.N)
 	}
+	a.grow()
 	aggs := a.node.Aggs
 	argSlot := a.argSlot[:len(aggs)]
 	accIdx := a.accIdx[:len(aggs)]
@@ -535,146 +528,6 @@ func (a *aggregator) foldBatchMinMax(i, slot int, gids []uint32) {
 	}
 }
 
-// assignGroups resolves the n rows bound to a.keys to group ids: the key
-// columns are hashed column-at-a-time into one combined hash per row, and
-// each hash resolves to a group id verified against the stored key cells
-// (so a collision can never merge two distinct groups). New groups are
-// created in row order — first-seen order, whichever chain feeds the sink.
-//
-//dbvet:hotpath
-func (a *aggregator) assignGroups(n int) []uint32 {
-	a.rowHash = resize(a.rowHash, n)
-	a.gids = resize(a.gids, n)
-	// hs and gids are re-sliced to n outside the loops, so every [r]
-	// access below is proven in bounds.
-	hs := a.rowHash[:n]
-	gids := a.gids[:n]
-	keys := a.keys
-	for k := range keys {
-		hashKeyCol(hs, k == 0, &keys[k])
-	}
-	// Probe the open-addressing table: flat array reads, no calls on the
-	// hit path. Resolution is two-pass. Pass 1 assigns each row a
-	// provisional group by stored hash alone (an empty slot creates the
-	// group, in row order). Pass 2 then verifies every assignment
-	// column-at-a-time against the stored key cells — the kind dispatch
-	// runs once per column per batch instead of once per row — and the
-	// (astronomically rare, 64-bit hash collision) mismatches re-probe
-	// with the full per-row verification. A collision can therefore never
-	// merge two distinct groups; the only observable effect of deferring
-	// its resolution is the colliding group's first-seen position. The
-	// table slices are hoisted out of the row loops and refreshed only
-	// after a new group is created (inserting may grow the table).
-	a.ensure()
-	hashes, slots, mask := a.hashes, a.slots, a.mask
-	for r, h := range hs {
-		i := h & mask
-		var gid uint32
-		for {
-			s := slots[i]
-			if s == 0 {
-				gid = a.newGroupFromRow(h, r)
-				hashes, slots, mask = a.hashes, a.slots, a.mask
-				break
-			}
-			if hashes[i] == h {
-				gid = s - 1
-				break
-			}
-			i = (i + 1) & mask
-		}
-		gids[r] = gid
-	}
-	bad := a.badRows[:0]
-	for c := range keys {
-		v := &keys[c]
-		gNull := v.gNull
-		switch v.kind {
-		case types.Int64:
-			ints, gInt := v.ints[:len(gids)], v.gInt
-			if v.nulls == nil {
-				for r, g := range gids {
-					if gNull[g] || gInt[g] != ints[r] {
-						bad = append(bad, uint32(r))
-					}
-				}
-			} else {
-				nulls := v.nulls[:len(gids)]
-				for r, g := range gids {
-					if gNull[g] != nulls[r] || (!nulls[r] && gInt[g] != ints[r]) {
-						bad = append(bad, uint32(r))
-					}
-				}
-			}
-		case types.Float64:
-			floats, gInt := v.floats[:len(gids)], v.gInt
-			if v.nulls == nil {
-				for r, g := range gids {
-					if gNull[g] || gInt[g] != int64(math.Float64bits(floats[r])) {
-						bad = append(bad, uint32(r))
-					}
-				}
-			} else {
-				nulls := v.nulls[:len(gids)]
-				for r, g := range gids {
-					if gNull[g] != nulls[r] || (!nulls[r] && gInt[g] != int64(math.Float64bits(floats[r]))) {
-						bad = append(bad, uint32(r))
-					}
-				}
-			}
-		default:
-			strs, gStr := v.strs[:len(gids)], v.gStr
-			if v.nulls == nil {
-				for r, g := range gids {
-					if gNull[g] || gStr[g] != strs[r] {
-						bad = append(bad, uint32(r))
-					}
-				}
-			} else {
-				nulls := v.nulls[:len(gids)]
-				for r, g := range gids {
-					if gNull[g] != nulls[r] || (!nulls[r] && gStr[g] != strs[r]) {
-						bad = append(bad, uint32(r))
-					}
-				}
-			}
-		}
-	}
-	a.badRows = bad[:0]
-	// Re-probe the flagged rows with full verification. A row flagged by
-	// more than one column appears more than once; the re-probe is
-	// idempotent, so duplicates only repeat the (rare) walk.
-	for _, br := range bad {
-		r := int(br)
-		h := hs[r]
-		i := h & mask
-		for {
-			s := slots[i]
-			if s == 0 {
-				gids[r] = a.newGroupFromRow(h, r)
-				hashes, slots, mask = a.hashes, a.slots, a.mask
-				break
-			}
-			if hashes[i] == h && verifyRow(keys, s-1, r) {
-				gids[r] = s - 1
-				break
-			}
-			i = (i + 1) & mask
-		}
-	}
-	return gids
-}
-
-// newGroupFromRow creates the group of bound row r, whose key hash is h.
-func (a *aggregator) newGroupFromRow(h uint64, r int) uint32 {
-	gid := a.newGroup()
-	for k := range a.keys {
-		a.keys[k].storeRow(r)
-	}
-	a.insert(h, gid)
-	return gid
-}
-
 // bindCodes points the code table at coded batch b's key codes, clearing
 // it when b comes from another block than the table was filled from.
 func (a *aggregator) bindCodes(b *core.Batch) {
@@ -761,34 +614,23 @@ func (a *aggregator) resolveCode(r int) uint32 {
 			key.ints = ct.ints[k : k+1]
 		}
 	}
-	return a.assignGroups(1)[0]
+	return a.resolve(1)[0]
 }
 
 // merge folds another worker's partial groups into this aggregator, in the
 // other worker's first-seen group order (re-aggregation across morsels,
-// cf. morsel-driven parallelism [20]): o's stored keys are probed like a
-// batch of o.groups rows, so groups match by hash + raw key cells.
+// cf. morsel-driven parallelism [20]): its key table is absorbed, so
+// groups match by hash + raw key cells.
 func (a *aggregator) merge(o *aggregator) {
 	if o.groups == 0 {
 		return
 	}
-	gids := a.gids[:0]
+	gids := []uint32{0}
 	if len(a.keys) == 0 {
-		gids = append(gids, a.globalGroup())
+		a.globalGroup()
 	} else {
-		for i := range a.keys {
-			k, ok := &a.keys[i], &o.keys[i]
-			k.nulls, k.ints, k.strs = ok.gNull, ok.gInt, ok.gStr
-			if k.kind == types.Float64 {
-				// Stored floats are bit patterns: hash and compare them as
-				// the integers they are stored as (same hash, same order).
-				k.kind = types.Int64
-			}
-		}
-		gids = a.assignGroups(o.groups)
-		for i, g := range a.node.GroupBy {
-			a.keys[i].kind = a.inKinds[g]
-		}
+		gids = a.absorb(&o.keyTable)
+		a.grow()
 	}
 	for g, gid := range gids {
 		og := uint32(g)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"datablocks/internal/blockstore"
 	"datablocks/internal/core"
 	"datablocks/internal/exec"
+	"datablocks/internal/simd"
 	"datablocks/internal/storage"
 	"datablocks/internal/types"
 )
@@ -324,41 +326,139 @@ func TestJoinKeyMatrix(t *testing.T) {
 }
 
 // TestJoinDuplicateBuildKeysEmitInBuildOrder pins the emission order the
-// chained table must preserve: a probe row's matches come out in ascending
-// build-row order, whatever order the build rows were linked in.
+// chains must preserve: a probe row's matches come out complete and in
+// ascending build-row order — per build sink, so serially in all — with
+// the probe rows in order serially. Two inputs: 200 build rows over 5
+// keys, and 20 000 over 700 keys with a third of them on one hot key,
+// whose table ends far past its first 64 slots.
 func TestJoinDuplicateBuildKeysEmitInBuildOrder(t *testing.T) {
-	kinds := []types.Kind{types.Int64, types.Int64}
-	var buildRows, probeRows []types.Row
-	for r := 0; r < 200; r++ {
-		buildRows = append(buildRows, types.Row{iv(int64(r % 5)), iv(int64(r))})
-	}
-	for r := 0; r < 10; r++ {
-		probeRows = append(probeRows, types.Row{iv(int64(r % 7)), iv(int64(r))})
-	}
-	build, probe := relOf(t, kinds, buildRows), relOf(t, kinds, probeRows)
-	plan := &exec.JoinNode{
-		Build:     &exec.ScanNode{Rel: build, Cols: []int{0, 1}},
-		Probe:     &exec.ScanNode{Rel: probe, Cols: []int{0, 1}},
-		BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: exec.InnerJoin,
-	}
-	for _, cfg := range runCfgs() {
-		if cfg.opt.Parallelism != 1 {
-			continue
-		}
-		res, err := exec.Run(plan, cfg.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NumRows() != 5*2*40-2*40 { // probe keys 0..4 twice, except 3 and 4 once; 5 and 6 never match
-			t.Fatalf("%s: %d rows", cfg.name, res.NumRows())
-		}
-		lastProbe, lastBuild := int64(-1), int64(-1)
-		for i := 0; i < res.NumRows(); i++ {
-			p, b := res.Cols[1].Ints[i], res.Cols[3].Ints[i]
-			if p < lastProbe || (p == lastProbe && b <= lastBuild) {
-				t.Fatalf("%s: row %d (probe %d, build %d) follows (probe %d, build %d)", cfg.name, i, p, b, lastProbe, lastBuild)
+	const hot = 1 << 40
+	inputs := []struct {
+		name         string
+		nb, np       int
+		build, probe func(r int) int64
+	}{
+		{"5 keys", 200, 10, func(r int) int64 { return int64(r % 5) }, func(r int) int64 { return int64(r % 7) }},
+		{"700 keys, one hot", 20_000, 702, func(r int) int64 {
+			if r%3 == 0 {
+				return hot
 			}
-			lastProbe, lastBuild = p, b
+			return int64(r % 700)
+		}, func(r int) int64 {
+			if r == 700 {
+				return hot
+			}
+			return int64(r) // 701 matches nothing
+		}},
+	}
+	kinds := []types.Kind{types.Int64, types.Int64}
+	for _, in := range inputs {
+		var buildRows, probeRows []types.Row
+		want := map[int64][]int64{} // build ordinals per key, ascending
+		for r := 0; r < in.nb; r++ {
+			k := in.build(r)
+			buildRows = append(buildRows, types.Row{iv(k), iv(int64(r))})
+			want[k] = append(want[k], int64(r))
+		}
+		matches := 0
+		for r := 0; r < in.np; r++ {
+			probeRows = append(probeRows, types.Row{iv(in.probe(r)), iv(int64(r))})
+			matches += len(want[in.probe(r)])
+		}
+		build, probe := relOf(t, kinds, buildRows), relOf(t, kinds, probeRows)
+		plan := &exec.JoinNode{
+			Build:     &exec.ScanNode{Rel: build, Cols: []int{0, 1}},
+			Probe:     &exec.ScanNode{Rel: probe, Cols: []int{0, 1}},
+			BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: exec.InnerJoin,
+		}
+		for _, par := range []int{1, 2} {
+			for _, mode := range []exec.ScanMode{exec.ModeVectorizedSARG, exec.ModeJIT} {
+				name := fmt.Sprintf("%s/%v/p%d", in.name, mode, par)
+				res, err := exec.Run(plan, exec.Options{Mode: mode, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.NumRows() != matches {
+					t.Fatalf("%s: %d rows, want %d", name, res.NumRows(), matches)
+				}
+				got := map[int64][]int64{} // build ordinals per probe row, as emitted
+				lastProbe := int64(-1)
+				for i := 0; i < res.NumRows(); i++ {
+					p, b := res.Cols[1].Ints[i], res.Cols[3].Ints[i]
+					if par == 1 && p < lastProbe {
+						t.Fatalf("%s: row %d (probe %d) follows probe %d", name, i, p, lastProbe)
+					}
+					got[p], lastProbe = append(got[p], b), p
+				}
+				for p, bs := range got {
+					// A chain is each sink's rows in ascending order, the
+					// sinks one after another: at most par ascending runs.
+					runs := 1
+					for i := 1; i < len(bs); i++ {
+						if bs[i] <= bs[i-1] {
+							runs++
+						}
+					}
+					sorted := slices.Clone(bs)
+					slices.Sort(sorted)
+					if k := in.probe(int(p)); runs > par || !slices.Equal(sorted, want[k]) {
+						t.Fatalf("%s: probe %d (key %d) matched build rows %v in %d runs, want %v", name, p, k, bs, runs, want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinEqualHashDistinctKeysNeverMatch is the join twin of
+// TestEqualHashDistinctKeysNeverMerge: two-column integer keys (i, i+n)
+// and (i+n, y) that provably share their combined hash are build and
+// probe keys of inner, semi and anti joins. The build holds every first
+// key, some twice, and the twins of even i only, so an odd i's twin probes
+// a chain whose one slot stores its hash under another key and must miss;
+// two workers each meet collisions in their own tables and again when
+// one absorbs the other. Every run agrees with refJoin.
+func TestJoinEqualHashDistinctKeysNeverMatch(t *testing.T) {
+	const n = 400
+	hash := func(x, y int64) uint64 { return simd.HashCombine(simd.Mix64(uint64(x)), simd.Mix64(uint64(y))) }
+	var buildRows, twins, probeRows []types.Row
+	for i := int64(0); i < n; i++ {
+		y2 := exec.EqualHashTwin(i, i+n, i+n)
+		if hash(i+n, y2) != hash(i, i+n) {
+			t.Fatalf("(%d, %d) does not collide with (%d, %d)", i+n, y2, i, i+n)
+		}
+		buildRows = append(buildRows, types.Row{iv(i), iv(i + n), iv(i)})
+		if i%3 == 0 {
+			buildRows = append(buildRows, types.Row{iv(i), iv(i + n), iv(-i)})
+		}
+		if i%2 == 0 {
+			twins = append(twins, types.Row{iv(i + n), iv(y2), iv(i + n)})
+		}
+		probeRows = append(probeRows, types.Row{iv(i + n), iv(y2), iv(i)}, types.Row{iv(i), iv(i + n), iv(i)})
+	}
+	buildRows = append(buildRows, twins...)
+	kinds := []types.Kind{types.Int64, types.Int64, types.Int64}
+	build, probe := relOf(t, kinds, buildRows), relOf(t, kinds, probeRows)
+	keys, cols := []int{0, 1}, []int{0, 1, 2}
+	cfgs := []runCfg{
+		{"batch/p1", exec.Options{Mode: exec.ModeVectorizedSARG, Parallelism: 1}},
+		{"batch/p2", exec.Options{Mode: exec.ModeVectorizedSARG, Parallelism: 2}},
+		{"jit/p1", exec.Options{Mode: exec.ModeJIT, Parallelism: 1}},
+	}
+	for _, kind := range []exec.JoinKind{exec.InnerJoin, exec.SemiJoin, exec.AntiJoin} {
+		want := renderRows(refJoin(kind, probeRows, buildRows, keys, keys))
+		for _, cfg := range cfgs {
+			plan := &exec.JoinNode{
+				Build:     &exec.ScanNode{Rel: build, Cols: cols},
+				Probe:     &exec.ScanNode{Rel: probe, Cols: cols},
+				BuildKeys: keys, ProbeKeys: keys, Kind: kind,
+			}
+			res, err := exec.Run(plan, cfg.opt)
+			name := fmt.Sprintf("kind%d/%s", kind, cfg.name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requireRows(t, name, renderResult(res), want, cfg.opt.Parallelism == 1)
 		}
 	}
 }

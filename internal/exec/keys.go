@@ -10,12 +10,12 @@ import (
 
 // This file is the one key identity of internal/exec: a key is its
 // column-wise combined 64-bit hash plus its raw typed cells. Group keys
-// and join keys, batch rows and tuples, all hash through hashKeyCol and
-// compare through verifyRow, so two paths cannot disagree about which
-// rows share a key.
+// and join keys, batch rows and tuples, all hash through hashKeyCol,
+// compare through verifyRow and enter a table through keyTable.resolve,
+// so two paths cannot disagree about which rows share a key.
 
-// keyCol is one key column of a hash table. The stored side holds the
-// column's cell for every table entry (group id or build row), as flat
+// keyCol is one key column of a keyTable. The stored side holds the
+// column's cell for every entry (a group or a distinct join key), as flat
 // typed arrays; the probe side is a view of the rows currently being
 // hashed and looked up — a batch's column, a tuple's register (as a
 // one-row vector) or another table's stored side — rebound by the owner
@@ -34,9 +34,7 @@ type keyCol struct {
 	strs   []string
 
 	// Stored side, indexed by entry id. Only the array of the column's
-	// kind is populated; floats are kept as bit patterns in gInt. gNull ==
-	// nil means no entry has a NULL key (join build rows with NULL keys
-	// are never entered, so NULL probe keys never match).
+	// kind is populated; floats are kept as bit patterns in gInt.
 	gNull []bool
 	gInt  []int64
 	gStr  []string
@@ -154,7 +152,7 @@ func verifyRow(keys []keyCol, id uint32, r int) bool {
 	for k := range keys {
 		c := &keys[k]
 		null := c.nulls != nil && c.nulls[r]
-		if null != (c.gNull != nil && c.gNull[id]) {
+		if null != c.gNull[id] {
 			return false
 		}
 		if null {
@@ -203,4 +201,206 @@ func (c *keyCol) storeRow(r int) {
 		}
 		c.gStr = append(c.gStr, v)
 	}
+}
+
+// keyTable is the one hash-table layout of internal/exec: a groupTable
+// with one slot per distinct key, whose entry id indexes the key's stored
+// cells in keys, and the entry count. resolve is the only way a key
+// enters it — a group of the aggregator, a distinct key of a join build,
+// or another worker's entry (absorb) — so there is one notion of "the
+// same key" for every operator. Entry ids are dense and issued in
+// first-seen row order. A NULL cell is entered like any value and equals
+// only NULL; that NULL never joins is the join prober's rule, not the
+// table's.
+type keyTable struct {
+	groupTable
+	keys    []keyCol
+	entries int
+
+	ids     []uint32 // per-row entry ids of the rows being resolved (scratch)
+	hs      []uint64 // their combined key hashes (scratch)
+	badRows []uint32 // rows flagged by column-wise verification (scratch)
+}
+
+// resolve returns the entry ids of the n rows bound to t.keys, entering
+// the keys the table lacks: the key columns are hashed column-at-a-time
+// into one combined hash per row, and each hash resolves to an entry
+// verified against the stored key cells (so a collision can never merge
+// two distinct keys). New entries are created in row order.
+//
+//dbvet:hotpath
+func (t *keyTable) resolve(n int) []uint32 {
+	t.hs = resize(t.hs, n)
+	t.ids = resize(t.ids, n)
+	// hs and ids are re-sliced to n outside the loops, so every [r]
+	// access below is proven in bounds.
+	hs := t.hs[:n]
+	ids := t.ids[:n]
+	keys := t.keys
+	for k := range keys {
+		hashKeyCol(hs, k == 0, &keys[k])
+	}
+	// Probe the open-addressing table: flat array reads, no calls on the
+	// hit path. Resolution is two-pass. Pass 1 assigns each row a
+	// provisional entry by stored hash alone (an empty slot creates the
+	// entry, in row order). Pass 2 then verifies every assignment
+	// column-at-a-time against the stored key cells — the kind dispatch
+	// runs once per column per batch instead of once per row — and the
+	// mismatches re-probe with the full per-row verification: a 64-bit
+	// hash collision (astronomically rare), or a join key's -0.0, stored
+	// as +0.0. A collision can therefore never merge two distinct keys;
+	// the only observable effect of deferring its resolution is the
+	// colliding entry's first-seen position. The table slices are hoisted
+	// out of the row loops and refreshed only after an entry is created
+	// (inserting may grow the table).
+	t.ensure()
+	hashes, slots, mask := t.hashes, t.slots, t.mask
+	for r, h := range hs {
+		i := h & mask
+		var id uint32
+		for {
+			s := slots[i]
+			if s == 0 {
+				id = t.newEntry(h, r)
+				hashes, slots, mask = t.hashes, t.slots, t.mask
+				break
+			}
+			if hashes[i] == h {
+				id = s - 1
+				break
+			}
+			i = (i + 1) & mask
+		}
+		ids[r] = id
+	}
+	// Every stored array of a column is re-sliced to its NULL flags'
+	// length, the entry count, so a cell read after its flag is proven.
+	bad := t.badRows[:0]
+	for c := range keys {
+		v := &keys[c]
+		gNull := v.gNull
+		switch v.kind {
+		case types.Int64:
+			ints, gInt := v.ints[:len(ids)], v.gInt[:len(gNull)]
+			if v.nulls == nil {
+				for r, g := range ids {
+					if gNull[g] || gInt[g] != ints[r] {
+						bad = append(bad, uint32(r))
+					}
+				}
+			} else {
+				nulls := v.nulls[:len(ids)]
+				for r, g := range ids {
+					if gNull[g] != nulls[r] || (!nulls[r] && gInt[g] != ints[r]) {
+						bad = append(bad, uint32(r))
+					}
+				}
+			}
+		case types.Float64:
+			floats, gInt := v.floats[:len(ids)], v.gInt[:len(gNull)]
+			if v.nulls == nil {
+				for r, g := range ids {
+					if gNull[g] || gInt[g] != int64(math.Float64bits(floats[r])) {
+						bad = append(bad, uint32(r))
+					}
+				}
+			} else {
+				nulls := v.nulls[:len(ids)]
+				for r, g := range ids {
+					if gNull[g] != nulls[r] || (!nulls[r] && gInt[g] != int64(math.Float64bits(floats[r]))) {
+						bad = append(bad, uint32(r))
+					}
+				}
+			}
+		default:
+			strs, gStr := v.strs[:len(ids)], v.gStr[:len(gNull)]
+			if v.nulls == nil {
+				for r, g := range ids {
+					if gNull[g] || gStr[g] != strs[r] {
+						bad = append(bad, uint32(r))
+					}
+				}
+			} else {
+				nulls := v.nulls[:len(ids)]
+				for r, g := range ids {
+					if gNull[g] != nulls[r] || (!nulls[r] && gStr[g] != strs[r]) {
+						bad = append(bad, uint32(r))
+					}
+				}
+			}
+		}
+	}
+	t.badRows = bad[:0]
+	// Re-probe the flagged rows with full verification. A row flagged by
+	// more than one column appears more than once; the re-probe is
+	// idempotent, so duplicates only repeat the (rare) walk.
+	for _, br := range bad {
+		r := int(br)
+		h := hs[r]
+		i := h & mask
+		for {
+			s := slots[i]
+			if s == 0 {
+				ids[r] = t.newEntry(h, r)
+				hashes, slots, mask = t.hashes, t.slots, t.mask
+				break
+			}
+			if hashes[i] == h && verifyRow(keys, s-1, r) {
+				ids[r] = s - 1
+				break
+			}
+			i = (i + 1) & mask
+		}
+	}
+	return ids
+}
+
+// newEntry enters bound row r, whose key hash is h, as a new entry.
+func (t *keyTable) newEntry(h uint64, r int) uint32 {
+	id := uint32(t.entries)
+	t.entries++
+	for k := range t.keys {
+		t.keys[k].storeRow(r)
+	}
+	t.insert(h, id)
+	return id
+}
+
+// absorb enters the keys of another worker's table o that t lacks, and
+// returns the entry id in t of each of o's entries, in o's order: o's
+// stored key cells are bound as t's probe side and resolved like a batch
+// of o.entries rows, floats as the canonical bit patterns they are stored
+// as (same hash, same equality).
+func (t *keyTable) absorb(o *keyTable) []uint32 {
+	for i := range t.keys {
+		k, ok := &t.keys[i], &o.keys[i]
+		k.nulls, k.ints, k.strs = ok.gNull, ok.gInt, ok.gStr
+		if k.kind == types.Float64 {
+			k.kind = types.Int64
+		}
+	}
+	ids := t.resolve(o.entries)
+	for i := range t.keys {
+		k := &t.keys[i]
+		k.kind, k.nulls, k.ints, k.strs = o.keys[i].kind, nil, nil, nil
+	}
+	return ids
+}
+
+// lookup returns the entry holding bound row r's key, whose hash is h, or
+// -1: a walk of h's probe chain that verifies the row against each slot
+// storing h. It enters nothing, and needs a table that has had a key
+// resolved (the join prober reaches it only past a tag set from one).
+//
+//dbvet:hotpath
+func (t *keyTable) lookup(h uint64, r int) int32 {
+	// hashes re-sliced to the slot count: a slot's hash read after its
+	// entry id needs no bounds check.
+	hashes, slots, mask := t.hashes[:len(t.slots)], t.slots, t.mask
+	for i := h & mask; slots[i] != 0; i = (i + 1) & mask {
+		if hashes[i] == h && verifyRow(t.keys, slots[i]-1, r) {
+			return int32(slots[i]) - 1
+		}
+	}
+	return -1
 }

@@ -434,10 +434,11 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 // table and the number of rows the build sinks consumed. Every join kind
 // streams its build pipeline into one buildSink per morsel worker, or, when
 // the build side is a pipeline breaker, feeds its materialized result to
-// one sink as a single batch. An inner join then links the sinks' rows
-// into one table (linkRows); a semi or anti join inserts the smaller
-// workers' distinct keys into the largest table (mergeKeys), from a build
-// scan its key pass may have restricted to the probe side's keys.
+// one sink as a single batch. An inner join then chains the sinks' rows
+// in one table (linkRows); a semi or anti join absorbs the smaller
+// workers' distinct keys into the largest table, from a build scan its
+// key pass may have restricted to the probe side's keys. The finished
+// table's tags are set last.
 func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	p := ex.plan.nodes[n.Build]
 	inner := n.Kind == InnerJoin
@@ -446,7 +447,7 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 		return nil, 0, err
 	}
 	if build == nil { // no probe row has a key: nothing built can match
-		return newBuildSink(p.kinds, p.live, n.BuildKeys, false).ht, 0, nil
+		return &hashTable{keyTable: newBuildSink(p.kinds, p.live, n.BuildKeys, false).kt}, 0, nil
 	}
 	var sinks []*buildSink
 	newSink := func(*compiler) pipeSink {
@@ -471,16 +472,20 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	for _, s := range sinks {
 		rows += s.rows
 	}
+	var ht *hashTable
 	if inner {
-		return linkRows(sinks, rows), rows, nil
-	}
-	root := slices.MaxFunc(sinks, func(a, b *buildSink) int { return len(a.ht.next) - len(b.ht.next) })
-	for _, s := range sinks {
-		if s != root {
-			root.hs = root.ht.mergeKeys(s.ht, root.hs)
+		ht = linkRows(sinks, rows)
+	} else {
+		root := slices.MaxFunc(sinks, func(a, b *buildSink) int { return a.kt.entries - b.kt.entries })
+		for _, s := range sinks {
+			if s != root {
+				root.kt.absorb(&s.kt)
+			}
 		}
+		ht = &hashTable{keyTable: root.kt}
 	}
-	return root.ht, rows, nil
+	ht.setTags()
+	return ht, rows, nil
 }
 
 // keyPass runs join n's probe side once, for its key, when the build side
@@ -605,9 +610,9 @@ func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler
 	if n.Kind != InnerJoin {
 		wantMatch := n.Kind == SemiJoin
 		return ex.compileChain(n.Probe, func(t *Tuple) {
-			bindTuple(j.keys, t, n.ProbeKeys)
+			bindTuple(j.kt.keys, t, n.ProbeKeys)
 			j.matchPairs(1)
-			if (len(j.pairsB) > 0) == wantMatch {
+			if (len(j.pairsP) > 0) == wantMatch {
 				down(t)
 			}
 		}, c)
@@ -615,7 +620,7 @@ func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler
 	np, live := j.np, j.live[j.np:]
 	out := NewTuple(np + len(j.ht.rows))
 	return ex.compileChain(n.Probe, func(t *Tuple) {
-		bindTuple(j.keys, t, n.ProbeKeys)
+		bindTuple(j.kt.keys, t, n.ProbeKeys)
 		j.matchPairs(1)
 		if len(j.pairsB) == 0 {
 			return
@@ -638,12 +643,12 @@ func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler
 
 // earlyProbeFor finds a join directly above the scan with EarlyProbe set
 // and a single integer key, or a key pass's filter on the scan itself,
-// returning its tag table and the relation column holding the key.
-func (ex *executor) earlyProbeFor(n Node) (*hashTable, int) {
+// returning its tags and the relation column holding the key.
+func (ex *executor) earlyProbeFor(n Node) (*tagSet, int) {
 	switch n := n.(type) {
 	case *ScanNode:
 		if f := ex.filters[n]; f != nil {
-			return &f.ht, f.col
+			return &f.tags, f.col
 		}
 		return nil, -1
 	case *FilterNode:
@@ -663,7 +668,7 @@ func (ex *executor) earlyProbeFor(n Node) (*hashTable, int) {
 		if len(ht.keys) != 1 || ht.keys[0].kind != types.Int64 {
 			return nil, -1
 		}
-		return ht, scan.Cols[n.ProbeKeys[0]]
+		return &ht.tags, scan.Cols[n.ProbeKeys[0]]
 	default:
 		return nil, -1
 	}

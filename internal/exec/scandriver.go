@@ -58,7 +58,7 @@ type scanDriver struct {
 	jitHot     *hotPath
 
 	// Early probing of an upstream join (Appendix E).
-	ep       *hashTable
+	ep       *tagSet
 	epRelCol int
 	epVals   []int64
 
@@ -532,7 +532,7 @@ func (d *scanDriver) earlyProbe(sc *core.Scanner, m []uint32) []uint32 {
 	sc.GatherInts(d.epRelCol, m, vals)
 	w := 0
 	for i, p := range m {
-		if d.ep.testTagInt(vals[i]) {
+		if d.ep.testInt(vals[i]) {
 			m[w] = p
 			w++
 		}
