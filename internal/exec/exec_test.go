@@ -330,72 +330,71 @@ func TestHashJoinInner(t *testing.T) {
 	customers := customersRel(t, 2000)
 	// orders join customers on okey % 2000 == ckey is not expressible;
 	// instead join on okey (0..7999) vs ckey (0..1999): 2000 matches.
-	mkPlan := func(early bool) Node {
-		return &AggNode{
-			Child: &JoinNode{
-				Build:      &ScanNode{Rel: customers, Cols: []int{0, 1}, Preds: []core.Predicate{{Col: 1, Op: types.Eq, Lo: types.StringValue("DE")}}},
-				Probe:      &ScanNode{Rel: orders, Cols: []int{0, 1}},
-				BuildKeys:  []int{0},
-				ProbeKeys:  []int{0},
-				Kind:       InnerJoin,
-				EarlyProbe: early,
-			},
-			GroupBy: []int{3}, // nation
-			Aggs:    []AggSpec{{Func: AggCount}, {Func: AggSum, Arg: Col(1)}},
-		}
+	plan := &AggNode{
+		Child: &JoinNode{
+			Build:     &ScanNode{Rel: customers, Cols: []int{0, 1}, Preds: []core.Predicate{{Col: 1, Op: types.Eq, Lo: types.StringValue("DE")}}},
+			Probe:     &ScanNode{Rel: orders, Cols: []int{0, 1}},
+			BuildKeys: []int{0},
+			ProbeKeys: []int{0},
+			Kind:      InnerJoin,
+		},
+		GroupBy: []int{3}, // nation
+		Aggs:    []AggSpec{{Func: AggCount}, {Func: AggSum, Arg: Col(1)}},
 	}
 	var ref *Result
 	for _, mode := range allModes {
-		for _, early := range []bool{false, true} {
-			res, err := Run(mkPlan(early), Options{Mode: mode})
-			if err != nil {
-				t.Fatalf("%v early=%v: %v", mode, early, err)
-			}
-			if res.NumRows() != 1 {
-				t.Fatalf("%v early=%v: %d groups, want 1", mode, early, res.NumRows())
-			}
-			if got := res.Cols[1].Ints[0]; got != 500 {
-				t.Fatalf("%v early=%v: count = %d, want 500 (DE customers with ckey<2000)", mode, early, got)
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			requireSameResult(t, fmt.Sprintf("%v early=%v", mode, early), ref, res)
+		res, err := Run(plan, Options{Mode: mode})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
 		}
+		if res.NumRows() != 1 {
+			t.Fatalf("%v: %d groups, want 1", mode, res.NumRows())
+		}
+		if got := res.Cols[1].Ints[0]; got != 500 {
+			t.Fatalf("%v: count = %d, want 500 (DE customers with ckey<2000)", mode, got)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		requireSameResult(t, mode.String(), ref, res)
 	}
 }
 
 // TestSemiAntiJoin counts the orders with and without a customer, in
-// every mode. An anti join asked to early-probe must keep the rows the
-// tags rule out, and a COUNT without GROUP BY over a join that keeps no
-// row is one row holding 0.
+// every mode, over a scan build side (key-passed) and over a filtered one
+// (early-probed, except by the anti join). An anti join must keep the rows
+// the build's tags rule out, and a COUNT without GROUP BY over a join that
+// keeps no row is one row holding 0.
 func TestSemiAntiJoin(t *testing.T) {
 	orders := ordersRel(t, 4000, 1<<12, 1)
 	customers := customersRel(t, 1000)
-	count := func(kind JoinKind, early bool, preds ...core.Predicate) Node {
+	count := func(kind JoinKind, build Node) Node {
 		return &AggNode{
 			Child: &JoinNode{
-				Build:      &ScanNode{Rel: customers, Cols: []int{0}, Preds: preds},
-				Probe:      &ScanNode{Rel: orders, Cols: []int{0}},
-				BuildKeys:  []int{0},
-				ProbeKeys:  []int{0},
-				Kind:       kind,
-				EarlyProbe: early,
+				Build:     build,
+				Probe:     &ScanNode{Rel: orders, Cols: []int{0}},
+				BuildKeys: []int{0},
+				ProbeKeys: []int{0},
+				Kind:      kind,
 			},
 			Aggs: []AggSpec{{Func: AggCount}},
 		}
 	}
+	scan := func(preds ...core.Predicate) Node { return &ScanNode{Rel: customers, Cols: []int{0}, Preds: preds} }
+	filtered := func(lo int64) Node { return &FilterNode{Child: scan(), Cond: Cmp(types.Ge, Col(0), CInt(lo))} }
 	none := core.Predicate{Col: 0, Op: types.Lt, Lo: types.IntValue(0)}
 	cases := []struct {
 		name string
 		plan Node
 		want int64
 	}{
-		{"semi", count(SemiJoin, false), 1000},
-		{"anti", count(AntiJoin, false), 3000},
-		{"anti early-probed", count(AntiJoin, true), 3000},
-		{"semi on no customer", count(SemiJoin, true, none), 0},
+		{"semi", count(SemiJoin, scan()), 1000},
+		{"anti", count(AntiJoin, scan()), 3000},
+		{"semi early-probed", count(SemiJoin, filtered(0)), 1000},
+		{"anti over a filtered build", count(AntiJoin, filtered(0)), 3000},
+		{"semi on no customer", count(SemiJoin, scan(none)), 0},
+		{"semi early-probed on no customer", count(SemiJoin, filtered(1000)), 0},
 	}
 	for _, tc := range cases {
 		for _, mode := range allModes {

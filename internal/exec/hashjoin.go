@@ -20,8 +20,9 @@ import (
 //
 // tags holds the tag bits of the entries' hashes — our analogue of
 // HyPer's tagged hash-table pointers (Appendix E, [20]) — that probes test
-// before touching the table and vectorized scans test early, to drop probe
-// tuples before unpacking them.
+// before touching the table. When keySide picks the probe side, the probe
+// scan tests them early (earlyProbeFor), to drop probe rows before
+// unpacking them.
 type hashTable struct {
 	keyTable
 	first []int32
@@ -52,13 +53,6 @@ func (s *tagSet) set(h uint64) {
 func (s *tagSet) test(h uint64) bool {
 	tag := h >> 48
 	return s[tag>>6]>>(tag&63)&1 == 1
-}
-
-// testInt probes the tag filter for a bare integer key — the early-probe
-// fast path used inside vectorized scans (Appendix E, Figure 14): one hash,
-// one bit test, no table access.
-func (s *tagSet) testInt(key int64) bool {
-	return s.test(simd.Mix64(uint64(key)))
 }
 
 // segRows is the size of the segments an inner-join sink keeps its rows

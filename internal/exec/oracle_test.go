@@ -384,7 +384,6 @@ func (g *planGen) join(probe exec.Node, pcols []outCol) (exec.Node, []outCol) {
 		return probe, pcols
 	}
 	g.joins++
-	j.EarlyProbe = g.pick(2) == 0
 	if j.Kind != exec.InnerJoin {
 		return j, pcols
 	}
@@ -654,7 +653,7 @@ func planString(n exec.Node) string {
 	case *exec.MapNode:
 		return fmt.Sprintf("map(%#v, %s)", n.Exprs, planString(n.Child))
 	case *exec.JoinNode:
-		return fmt.Sprintf("join(kind=%d probe=%v build=%v early=%v, %s, %s)", n.Kind, n.ProbeKeys, n.BuildKeys, n.EarlyProbe, planString(n.Probe), planString(n.Build))
+		return fmt.Sprintf("join(kind=%d probe=%v build=%v, %s, %s)", n.Kind, n.ProbeKeys, n.BuildKeys, planString(n.Probe), planString(n.Build))
 	case *exec.AggNode:
 		return fmt.Sprintf("agg(by=%v aggs=%#v, %s)", n.GroupBy, n.Aggs, planString(n.Child))
 	case *exec.OrderByNode:

@@ -488,20 +488,39 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	return ht, rows, nil
 }
 
-// keyPass runs join n's probe side once, for its key, when the build side
-// is a scan on one integer key outside ModeJIT — for every join kind. It
-// returns the build scan restricted to what those keys can match: their
-// range is added to its SARGs, so SMAs and PSMAs skip blocks, and their
-// tag bits become its early probe, so rows that cannot match are dropped
-// before any other column is unpacked (Appendix E). The filtered scan
-// reads what the original's consumers read, and keeps the rows it keeps in
-// their order, so an inner join emits what it would unfiltered. It returns
-// nil when no probe row has a non-NULL key, and n.Build for every other
-// plan shape. The probe pipeline reads the snapshot this pass read: a row
-// inserted in between would carry a key the filter never saw.
+// keySide decides, from the plan's shape alone, which scan join n's keys
+// filter before the hash probe, if any. Only a single integer key outside
+// ModeJIT filters. A scan build side is key-passed (build is true), for
+// every join kind; otherwise a probe child that is the scan itself is
+// early-probed against the build's tags (Appendix E), except by an anti
+// join, which keeps the rows the tags rule out. A key-passed join does not
+// also early-probe: its build holds only keys its probe side has.
+func (ex *executor) keySide(n *JoinNode) (scan *ScanNode, build bool) {
+	if ex.opt.Mode == ModeJIT || len(n.BuildKeys) != 1 || ex.plan.nodes[n.Build].kinds[n.BuildKeys[0]] != types.Int64 {
+		return nil, false
+	}
+	if s, ok := n.Build.(*ScanNode); ok {
+		return s, true
+	}
+	if s, ok := n.Probe.(*ScanNode); ok && n.Kind != AntiJoin {
+		return s, false
+	}
+	return nil, false
+}
+
+// keyPass runs join n's probe side once, for its key, when keySide picks
+// the build side. It returns the build scan restricted to what those keys
+// can match: their range is added to its SARGs, so SMAs and PSMAs skip
+// blocks, and their tag bits become its early probe, so rows that cannot
+// match are dropped before any other column is unpacked. The filtered
+// scan reads what the original's consumers read, and keeps the rows it
+// keeps in their order, so an inner join emits what it would unfiltered.
+// It returns nil when no probe row has a non-NULL key, and n.Build for
+// every other join. The probe pipeline reads the snapshot this pass read:
+// a row inserted in between would carry a key the filter never saw.
 func (ex *executor) keyPass(n *JoinNode) (Node, error) {
-	scan, ok := n.Build.(*ScanNode)
-	if !ok || ex.opt.Mode == ModeJIT || len(n.BuildKeys) != 1 || ex.plan.nodes[scan].kinds[n.BuildKeys[0]] != types.Int64 {
+	scan, build := ex.keySide(n)
+	if !build {
 		return n.Build, nil
 	}
 	probe, err := ex.prepareBuilds(n.Probe)
@@ -527,10 +546,7 @@ func (ex *executor) keyPass(n *JoinNode) (Node, error) {
 		f := &keyFilter{lo: math.MaxInt64, hi: math.MinInt64}
 		fs = append(fs, f)
 		c := n.ProbeKeys[0]
-		return pipeSink{
-			tuple: func(t *Tuple) { f.add(t.Ints[c:c+1], t.Nulls[c:c+1]) },
-			batch: func(b *core.Batch) { f.add(b.Cols[c].Ints[:b.N], b.Cols[c].Nulls) },
-		}
+		return pipeSink{batch: func(b *core.Batch) { f.add(b.Cols[c].Ints[:b.N], b.Cols[c].Nulls) }}
 	})
 	if err != nil {
 		return nil, err
@@ -641,9 +657,10 @@ func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler
 	}, c)
 }
 
-// earlyProbeFor finds a join directly above the scan with EarlyProbe set
-// and a single integer key, or a key pass's filter on the scan itself,
-// returning its tags and the relation column holding the key.
+// earlyProbeFor finds the scan's one early probe: the build's tags of the
+// join directly above it whose keys filter its probe side (keySide), or a
+// key pass's filter on the scan itself. It returns the tags and the
+// relation column holding the key.
 func (ex *executor) earlyProbeFor(n Node) (*tagSet, int) {
 	switch n := n.(type) {
 	case *ScanNode:
@@ -656,19 +673,10 @@ func (ex *executor) earlyProbeFor(n Node) (*tagSet, int) {
 	case *MapNode:
 		return ex.earlyProbeFor(n.Child)
 	case *JoinNode:
-		// An anti join keeps the rows the tags rule out: it never early-probes.
-		if !n.EarlyProbe || n.Kind == AntiJoin || len(n.ProbeKeys) != 1 {
-			return ex.earlyProbeFor(n.Probe)
+		if scan, build := ex.keySide(n); scan != nil && !build {
+			return &ex.builds[n].tags, scan.Cols[n.ProbeKeys[0]]
 		}
-		scan, isScan := n.Probe.(*ScanNode)
-		if !isScan {
-			return ex.earlyProbeFor(n.Probe)
-		}
-		ht := ex.builds[n]
-		if len(ht.keys) != 1 || ht.keys[0].kind != types.Int64 {
-			return nil, -1
-		}
-		return &ht.tags, scan.Cols[n.ProbeKeys[0]]
+		return ex.earlyProbeFor(n.Probe)
 	default:
 		return nil, -1
 	}

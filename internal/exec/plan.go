@@ -119,11 +119,6 @@ type JoinNode struct {
 	Build, Probe         Node
 	BuildKeys, ProbeKeys []int
 	Kind                 JoinKind
-	// EarlyProbe thins vectorized-scan match vectors against the build
-	// side's tag table before unpacking (Appendix E). It requires the
-	// probe child to be a ScanNode and a single integer join key, and an
-	// anti join ignores it.
-	EarlyProbe bool
 }
 
 // OutKinds implements Node.

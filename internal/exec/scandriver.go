@@ -522,17 +522,17 @@ func (d *scanDriver) unpack(sc *core.Scanner, col int) {
 	d.unpacked[col] = true
 }
 
-// earlyProbe thins a match vector against the upstream join's tag table
-// before unpacking (Appendix E): only the key column is gathered.
+// earlyProbe thins a match vector against the scan's one tag set — its
+// join's build tags or a key pass's probe-key tags (earlyProbeFor) —
+// before unpacking (Appendix E, Figure 14): only the key column is
+// gathered, and a key costs one hash and one bit test, no table access.
 func (d *scanDriver) earlyProbe(sc *core.Scanner, m []uint32) []uint32 {
-	if cap(d.epVals) < len(m) {
-		d.epVals = make([]int64, len(m))
-	}
-	vals := d.epVals[:len(m)]
+	d.epVals = resize(d.epVals, len(m))
+	vals := d.epVals
 	sc.GatherInts(d.epRelCol, m, vals)
 	w := 0
 	for i, p := range m {
-		if d.ep.testInt(vals[i]) {
+		if d.ep.test(simd.Mix64(uint64(vals[i]))) {
 			m[w] = p
 			w++
 		}

@@ -436,6 +436,27 @@ func TestJoinBuildRows(t *testing.T) {
 	}
 }
 
+// TestProbeScanRows pins the work of every query's probe side, on frozen
+// data at parallelism 1: the rows the root scan keeps after SARGs,
+// visibility and early probing. A join whose probe child is the scan
+// tests its build's tags there, unless its key pass ran the other way
+// (Q4, Q12, Q14, Q19). Q3's and Q5's lineitem scans drop the rows whose
+// order cannot match before unpacking them: 78 of the 5 964 rows Q3's
+// SARG passes stay, and 1 991 of Q5's 11 925.
+func TestProbeScanRows(t *testing.T) {
+	db := genTest(t, true)
+	want := map[int]uint64{1: 11925, 3: 78, 4: 140, 5: 1991, 6: 228, 12: 978, 14: 137, 19: 760}
+	for q, rows := range want {
+		res, err := db.Query(q, exec.Options{Mode: exec.ModeVectorizedSARGPSMA, Profile: true, Parallelism: 1})
+		if err != nil {
+			t.Fatalf("Q%d: %v", q, err)
+		}
+		if got := res.Profile.Scan.RowsMatched; got != rows {
+			t.Errorf("Q%d: the root scan kept %d rows, want %d", q, got, rows)
+		}
+	}
+}
+
 // coldState is one residency state of a frozen database whose relations
 // all have block stores; reset puts every relation into that state and
 // returns the database to query (a freshly restored one for "reopened").
