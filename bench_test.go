@@ -37,7 +37,7 @@ func benchDBs(b *testing.B) (hot, cold *tpch.DB) {
 		if benchCold, err = tpch.Generate(benchSF, 0); err != nil {
 			panic(err)
 		}
-		if err = benchCold.FreezeAll(false, false); err != nil {
+		if err = benchCold.FreezeAll(false); err != nil {
 			panic(err)
 		}
 	})

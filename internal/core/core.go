@@ -121,9 +121,6 @@ type FreezeOptions struct {
 	// compression, improving PSMA precision for clustered queries (§3.2,
 	// Figure 11). Negative keeps the insertion order.
 	SortBy int
-	// NoPSMA skips building the PSMA lookup tables (ablation for
-	// Figure 11's +SORT(−PSMA) configuration).
-	NoPSMA bool
 }
 
 // Freeze compresses n tuples into an immutable Data Block, choosing the
@@ -175,7 +172,7 @@ func Freeze(cols []ColumnData, n int, opts FreezeOptions) (*Block, error) {
 		switch col.Kind {
 		case types.Int64:
 			a.Ints = compress.EncodeInts(col.Ints[:n], col.Nulls)
-			if !opts.NoPSMA && a.Ints.Scheme != compress.SingleValue {
+			if a.Ints.Scheme != compress.SingleValue {
 				v := a.Ints
 				a.Psma = psma.Build(n, v.Width, v.CodeAt, v.MinCode())
 			}
@@ -183,7 +180,7 @@ func Freeze(cols []ColumnData, n int, opts FreezeOptions) (*Block, error) {
 			a.Floats = compress.EncodeFloats(col.Floats[:n], col.Nulls)
 		case types.String:
 			a.Strs = compress.EncodeStrings(col.Strs[:n], col.Nulls)
-			if !opts.NoPSMA && a.Strs.Scheme != compress.SingleValue {
+			if a.Strs.Scheme != compress.SingleValue {
 				v := a.Strs
 				a.Psma = psma.Build(n, v.Width, v.CodeAt, 0)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"datablocks/internal/compress"
@@ -346,26 +347,41 @@ func TestFreezeSortImprovesPSMA(t *testing.T) {
 	}
 }
 
-func TestNoPSMAOption(t *testing.T) {
+// TestUsePSMAWithoutPSMA: Freeze builds no PSMA over a double attribute or
+// a single-value one, and UnmarshalBlock accepts a coded attribute whose
+// PSMA flag is off; a scan that asks for PSMA narrowing over any of them
+// must still find exactly the matching rows.
+func TestUsePSMAWithoutPSMA(t *testing.T) {
 	n := 100
+	prices := make([]float64, n)
+	flags := make([]int64, n)
 	ids := make([]int64, n)
-	for i := range ids {
+	for i := range prices {
+		prices[i] = float64(i) / 2
+		flags[i] = 7
 		ids[i] = int64(i)
 	}
-	b, err := Freeze([]ColumnData{{Kind: types.Int64, Ints: ids}}, n, FreezeOptions{SortBy: -1, NoPSMA: true})
+	b, err := Freeze([]ColumnData{{Kind: types.Float64, Floats: prices}, {Kind: types.Int64, Ints: flags}, {Kind: types.Int64, Ints: ids}}, n, FreezeOptions{SortBy: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Attr(0).Psma != nil {
-		t.Fatal("NoPSMA ignored")
+	if b.Attr(0).Psma != nil || b.Attr(1).Psma != nil || b.Scheme(1) != compress.SingleValue {
+		t.Fatal("bad test setup: want a double and a single-value attribute, neither with a PSMA")
 	}
-	got, _ := collectAll(t, b, ScanSpec{
-		Preds:   []Predicate{{Col: 0, Op: types.Eq, Lo: types.IntValue(5)}},
-		Project: []int{0},
-		UsePSMA: true, // requesting PSMA on a block without one must still work
-	})
-	if len(got) != 1 || got[0] != 5 {
-		t.Fatalf("got %v", got)
+	b.Attr(2).Psma = nil
+	for _, tc := range []struct {
+		preds []Predicate
+		want  []uint32
+	}{
+		{[]Predicate{{Col: 0, Op: types.Eq, Lo: types.FloatValue(5)}}, []uint32{10}},
+		{[]Predicate{{Col: 1, Op: types.Eq, Lo: types.IntValue(7)}, {Col: 0, Op: types.Between, Lo: types.FloatValue(1), Hi: types.FloatValue(2)}}, []uint32{2, 3, 4}},
+		{[]Predicate{{Col: 1, Op: types.Eq, Lo: types.IntValue(8)}}, nil},
+		{[]Predicate{{Col: 2, Op: types.Eq, Lo: types.IntValue(5)}}, []uint32{5}},
+	} {
+		got, _ := collectAll(t, b, ScanSpec{Preds: tc.preds, Project: []int{0, 1, 2}, UsePSMA: true})
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("%v: got %v, want %v", tc.preds, got, tc.want)
+		}
 	}
 }
 

@@ -128,8 +128,11 @@ func serializeCases() []serializeCase {
 }
 
 // TestSerializeRoundTripMatrix round-trips every compression scheme ×
-// {no nulls, some nulls, all nulls} × {PSMA on, off} through
+// {no nulls, some nulls, all nulls} × {PSMA as frozen, dropped} through
 // MarshalBinary/UnmarshalBlock and compares the blocks cell by cell.
+// Freeze builds a PSMA for every coded attribute; the format's PSMA flag
+// is per attribute and UnmarshalBlock accepts it off on any scheme, so the
+// nopsma cases drop the frozen block's PSMA before marshalling it.
 func TestSerializeRoundTripMatrix(t *testing.T) {
 	const n = 512
 	for _, tc := range serializeCases() {
@@ -142,9 +145,12 @@ func TestSerializeRoundTripMatrix(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					col := tc.gen(n)
 					col.Nulls = mkNulls(n, nullMode)
-					blk, err := Freeze([]ColumnData{col}, n, FreezeOptions{SortBy: -1, NoPSMA: noPSMA})
+					blk, err := Freeze([]ColumnData{col}, n, FreezeOptions{SortBy: -1})
 					if err != nil {
 						t.Fatalf("freeze: %v", err)
+					}
+					if noPSMA {
+						blk.Attr(0).Psma = nil
 					}
 					if nullMode == "none" && blk.Scheme(0) != tc.scheme {
 						t.Fatalf("expected scheme %v, got %v (bad test setup)", tc.scheme, blk.Scheme(0))
@@ -491,7 +497,7 @@ func TestUnmarshalRejectsBadStructure(t *testing.T) {
 func fuzzSeeds(f *testing.F) ([][]byte, []types.Kind) {
 	const n = 64
 	kinds := []types.Kind{types.Int64, types.Float64, types.String}
-	seed := func(nullMode string, noPSMA bool) []byte {
+	seed := func(nullMode string) []byte {
 		ints := make([]int64, n)
 		floats := make([]float64, n)
 		strs := make([]string, n)
@@ -504,7 +510,7 @@ func fuzzSeeds(f *testing.F) ([][]byte, []types.Kind) {
 			{Kind: types.Int64, Ints: ints, Nulls: mkNulls(n, nullMode)},
 			{Kind: types.Float64, Floats: floats},
 			{Kind: types.String, Strs: strs, Nulls: mkNulls(n, nullMode)},
-		}, n, FreezeOptions{SortBy: -1, NoPSMA: noPSMA})
+		}, n, FreezeOptions{SortBy: -1})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -514,7 +520,7 @@ func fuzzSeeds(f *testing.F) ([][]byte, []types.Kind) {
 		}
 		return buf
 	}
-	return [][]byte{seed("none", false), seed("some", false), seed("all", true), {}, make([]byte, headerSize)}, kinds
+	return [][]byte{seed("none"), seed("some"), seed("all"), {}, make([]byte, headerSize)}, kinds
 }
 
 // readAll touches every cell of the attributes in cols (nil: all).

@@ -30,14 +30,14 @@ func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) b
 	down = c.wp.wrapBatch(ex.profIdx(n), down)
 	switch n := n.(type) {
 	case *FilterNode:
-		vc := &vcompiler{stats: c.stats}
+		vc := &vcompiler{}
 		p := ex.plan.nodes[n]
 		f := &batchFilter{sel: vc.sel(p.exprs[0]), live: p.live, down: down}
 		return ex.compileBatchChain(n.Child, f.consume, c)
 	case *MapNode:
-		return ex.compileBatchChain(n.Child, ex.compileBatchMap(n, down, c).consume, c)
+		return ex.compileBatchChain(n.Child, ex.compileBatchMap(n, down).consume, c)
 	case *JoinNode:
-		return ex.compileBatchChain(n.Probe, ex.compileBatchJoin(n, down, c).consume, c)
+		return ex.compileBatchChain(n.Probe, ex.compileBatchJoin(n, down).consume, c)
 	default: // the ScanNode: prepareBuilds admitted nothing else
 		return down
 	}
@@ -103,8 +103,8 @@ type batchMap struct {
 	down    batchConsumer
 }
 
-func (ex *executor) compileBatchMap(n *MapNode, down batchConsumer, c *compiler) *batchMap {
-	vc := &vcompiler{stats: c.stats}
+func (ex *executor) compileBatchMap(n *MapNode, down batchConsumer) *batchMap {
+	vc := &vcompiler{}
 	m := &batchMap{down: down}
 	m.out.Cols = make([]core.BatchCol, len(n.Exprs))
 	for _, e := range ex.plan.nodes[n].exprs {
@@ -190,13 +190,12 @@ func (ex *executor) newJoinProbe(n *JoinNode) *batchJoinProbe {
 	return j
 }
 
-func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer, c *compiler) *batchJoinProbe {
+func (ex *executor) compileBatchJoin(n *JoinNode, down batchConsumer) *batchJoinProbe {
 	j := ex.newJoinProbe(n)
 	j.down = down
 	if n.Kind == InnerJoin {
 		j.out.Cols = make([]core.BatchCol, j.np+len(j.ht.rows))
 	}
-	c.emit()
 	return j
 }
 

@@ -19,7 +19,8 @@
 // The closure-compilation analogy is load-bearing for the reproduction:
 // compile time is real work proportional to the number of generated code
 // paths, so the Figure 5 explosion (one specialized scan per storage-layout
-// combination) and its vectorized-scan remedy are measurable.
+// combination) and its vectorized-scan remedy are measurable. CompileOnly
+// times that work alone and returns the number of scan paths it compiled.
 package exec
 
 import (
@@ -47,14 +48,6 @@ func NewTuple(n int) *Tuple {
 		Strs:   make([]string, n),
 		Nulls:  make([]bool, n),
 	}
-}
-
-// CompileStats counts the code-generation work of a query: the number of
-// closures constructed (the analogue of emitted IR instructions) and the
-// number of specialized scan code paths (Figure 5's x-axis).
-type CompileStats struct {
-	Closures  int
-	ScanPaths int
 }
 
 // Expr is a scalar expression over pipeline tuples: one of the node types
@@ -155,16 +148,9 @@ type (
 
 // compiler lowers checked expressions to tuple closures.
 type compiler struct {
-	stats *CompileStats
 	// wp is the worker's profile shard the chain being compiled should
 	// report into; nil when the query is not being profiled.
 	wp *workerProf
-}
-
-func (c *compiler) emit() {
-	if c.stats != nil {
-		c.stats.Closures++
-	}
 }
 
 // literal returns the value of a non-NULL literal node — what a constant
@@ -188,11 +174,9 @@ func (c *compiler) int(n *checked) valFn[int64] {
 	switch n.op {
 	case opCol:
 		idx := n.col
-		c.emit()
 		return func(t *Tuple) (int64, bool) { return t.Ints[idx], t.Nulls[idx] }
 	case opBoolInt:
 		b := c.bool(n.a)
-		c.emit()
 		return func(t *Tuple) (int64, bool) {
 			if b(t) {
 				return 1, false
@@ -209,11 +193,9 @@ func (c *compiler) float(n *checked) valFn[float64] {
 	switch n.op {
 	case opCol:
 		idx := n.col
-		c.emit()
 		return func(t *Tuple) (float64, bool) { return t.Floats[idx], t.Nulls[idx] }
 	case opToFloat:
 		f := c.int(n.a)
-		c.emit()
 		return func(t *Tuple) (float64, bool) {
 			v, null := f(t)
 			return float64(v), null
@@ -223,7 +205,6 @@ func (c *compiler) float(n *checked) valFn[float64] {
 			return tupleArith(c, n, c.float)
 		}
 		l, r := c.float(n.a), c.float(n.b)
-		c.emit()
 		return func(t *Tuple) (float64, bool) {
 			a, an := l(t)
 			b, bn := r(t)
@@ -239,7 +220,6 @@ func (c *compiler) float(n *checked) valFn[float64] {
 func (c *compiler) str(n *checked) valFn[string] {
 	if n.op == opCol {
 		idx := n.col
-		c.emit()
 		return func(t *Tuple) (string, bool) { return t.Strs[idx], t.Nulls[idx] }
 	}
 	return tupleValue(c, n, c.str)
@@ -251,11 +231,9 @@ func tupleValue[T value](c *compiler, n *checked, rec func(*checked) valFn[T]) v
 	switch n.op {
 	case opConst:
 		v, ok := literal[T](n)
-		c.emit()
 		return func(*Tuple) (T, bool) { return v, !ok }
 	case opIf:
 		cond, th, el := c.bool(n.a), rec(n.b), rec(n.c)
-		c.emit()
 		return func(t *Tuple) (T, bool) {
 			if cond(t) {
 				return th(t)
@@ -269,7 +247,6 @@ func tupleValue[T value](c *compiler, n *checked, rec func(*checked) valFn[T]) v
 // tupleArith lowers + - *; a NULL operand makes the result NULL.
 func tupleArith[T number](c *compiler, n *checked, rec func(*checked) valFn[T]) valFn[T] {
 	l, r := rec(n.a), rec(n.b)
-	c.emit()
 	switch n.arith {
 	case '+':
 		return func(t *Tuple) (T, bool) {
@@ -305,7 +282,6 @@ func (c *compiler) bool(n *checked) boolFn {
 		}
 	case opPrefix:
 		l, r := c.str(n.a), c.str(n.b)
-		c.emit()
 		return func(t *Tuple) bool {
 			a, an := l(t)
 			p, pn := r(t)
@@ -313,22 +289,18 @@ func (c *compiler) bool(n *checked) boolFn {
 		}
 	case opNot:
 		inner := c.bool(n.a)
-		c.emit()
 		return func(t *Tuple) bool { return !inner(t) }
 	case opAnd, opOr:
 		l, r := c.bool(n.a), c.bool(n.b)
-		c.emit()
 		if n.op == opAnd {
 			return func(t *Tuple) bool { return l(t) && r(t) }
 		}
 		return func(t *Tuple) bool { return l(t) || r(t) }
 	case opIsNull:
 		idx, not := n.col, n.not
-		c.emit()
 		return func(t *Tuple) bool { return t.Nulls[idx] != not }
 	default: // opTruthy
 		f := c.int(n.a)
-		c.emit()
 		return func(t *Tuple) bool {
 			v, null := f(t)
 			return !null && v != 0
@@ -342,7 +314,6 @@ func tupleCompare[T value](c *compiler, n *checked, rec func(*checked) valFn[T])
 	l, r := rec(n.a), rec(n.b)
 	if n.op == opBetween {
 		r2 := rec(n.c)
-		c.emit()
 		return func(t *Tuple) bool {
 			a, an := l(t)
 			lo, ln := r(t)
@@ -351,7 +322,6 @@ func tupleCompare[T value](c *compiler, n *checked, rec func(*checked) valFn[T])
 		}
 	}
 	op := n.cmp
-	c.emit()
 	return func(t *Tuple) bool {
 		a, an := l(t)
 		b, bn := r(t)

@@ -136,19 +136,6 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func TestCompileStatsCount(t *testing.T) {
-	_, kinds := testTuple()
-	stats := &CompileStats{}
-	n, err := checkBool(And(Cmp(types.Eq, Col(0), CInt(1)), Cmp(types.Lt, Col(1), CFloat(2))), kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	(&compiler{stats: stats}).bool(n)
-	if stats.Closures < 5 {
-		t.Fatalf("closures = %d, want >= 5", stats.Closures)
-	}
-}
-
 func TestBoolFromIntExpr(t *testing.T) {
 	tup, kinds := testTuple()
 	c := &compiler{}

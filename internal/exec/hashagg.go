@@ -123,7 +123,7 @@ func (a *aggregator) release() {
 // aggregate arguments (nil for COUNT(*), a sum's already converted to the
 // double it folds) for exactly one chain: vectorized slots when batch is
 // set, tuple closures otherwise.
-func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, stats *CompileStats, batch bool) *aggregator {
+func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, batch bool) *aggregator {
 	n := len(node.Aggs)
 	a := &aggregator{
 		node:     node,
@@ -177,9 +177,9 @@ func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, stats *
 		}
 	}
 	if batch {
-		a.vectorize(args, stats)
+		a.vectorize(args)
 	} else {
-		a.compileTupleArgs(args, &compiler{stats: stats})
+		a.compileTupleArgs(args, &compiler{})
 	}
 	return a
 }
@@ -217,7 +217,7 @@ func (a *aggregator) compileTupleArgs(args []*checked, c *compiler) {
 
 // vectorize compiles the batch-at-a-time argument evaluators, deduplicating
 // identical arguments into shared slots.
-func (a *aggregator) vectorize(args []*checked, stats *CompileStats) {
+func (a *aggregator) vectorize(args []*checked) {
 	type slotKey struct {
 		e    Expr
 		kind types.Kind
@@ -226,7 +226,7 @@ func (a *aggregator) vectorize(args []*checked, stats *CompileStats) {
 	// reused inside a larger expression, e.g. Q1's discounted price
 	// inside its charge) evaluate once per batch. evalSlots bumps the
 	// epoch, so the scope is exactly one batch.
-	vc := &vcompiler{stats: stats, cse: &vcse{memo: make(map[Expr]vecFn[float64]), rows: make(map[Expr]func(*core.Batch) []uint32)}}
+	vc := &vcompiler{cse: &vcse{memo: make(map[Expr]vecFn[float64]), rows: make(map[Expr]func(*core.Batch) []uint32)}}
 	a.argSlot = make([]int, len(args))
 	seen := make(map[slotKey]int)
 	for i, arg := range args {

@@ -24,8 +24,6 @@ type Options struct {
 	// Each worker compiles its own consumer chain and drives whole chunks
 	// (morsels); partial sink states are merged when all workers finish.
 	Parallelism int
-	// Stats, when non-nil, receives code-generation counters.
-	Stats *CompileStats
 	// Profile collects an EXPLAIN-ANALYZE style QueryProfile on the
 	// Result. Profiling counters live in per-worker shards merged after
 	// the morsel workers join, so the scan kernels stay allocation- and
@@ -87,8 +85,11 @@ type executor struct {
 	spare []core.Batch
 	// plan is the checked form of the plan: what every compile step below
 	// lowers, and where it reads a node's output kinds.
-	plan        checkedPlan
+	plan checkedPlan
+	// compileOnly stops each pipeline once its workers are compiled;
+	// scanPaths is then what CompileOnly returns.
 	compileOnly bool
+	scanPaths   int
 	// prof, when non-nil, collects the QueryProfile for the root pipeline.
 	// Join build sides run with prof temporarily cleared: the profile
 	// describes the probe spine, builds appear as BuildRows on their join.
@@ -109,23 +110,21 @@ func (ex *executor) profIdx(n Node) int {
 
 // CompileOnly performs all code generation for the plan — pipeline
 // closures and the per-storage-layout scan paths — without scanning any
-// data. It isolates the compile-time cost that Figure 5 plots. Join build
-// sides, being pipeline breakers, would require execution and are not
-// permitted here.
-func CompileOnly(n Node, opt Options) (CompileStats, error) {
-	var stats CompileStats
-	if opt.Stats == nil {
-		opt.Stats = &stats
-	}
+// data. It isolates the compile-time cost that Figure 5 plots, and returns
+// the scan code paths worker 0 compiled: one per storage-layout
+// combination plus the hot path under ModeJIT, the one vectorized scan in
+// every other mode. Join build sides, being pipeline breakers, would
+// require execution and are not permitted here.
+func CompileOnly(n Node, opt Options) (int, error) {
 	ex, err := newExecutor(n, opt)
 	if err != nil {
-		return CompileStats{}, err
+		return 0, err
 	}
 	ex.compileOnly = true
 	if _, err := ex.run(n); err != nil {
-		return CompileStats{}, err
+		return 0, err
 	}
-	return *opt.Stats, nil
+	return ex.scanPaths, nil
 }
 
 func (ex *executor) run(n Node) (*Result, error) {
@@ -199,7 +198,7 @@ func (ex *executor) aggregate(n *AggNode) ([]*aggregator, error) {
 	kinds, args := ex.plan.nodes[n.Child].kinds, ex.plan.nodes[n].exprs
 	vals := reads(make([]bool, len(kinds)), args)
 	err := ex.runPipeline(n.Child, func(c *compiler) pipeSink {
-		a := newAggregator(n, kinds, args, c.stats, ex.batchMode())
+		a := newAggregator(n, kinds, args, ex.batchMode())
 		aggs = append(aggs, a)
 		return pipeSink{tuple: a.consume, batch: a.consumeBatch, keys: n.GroupBy, vals: vals}
 	})
@@ -322,9 +321,6 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 	}()
 	for w := 0; w < workers; w++ {
 		c := &compiler{}
-		if w == 0 {
-			c.stats = ex.opt.Stats
-		}
 		if ex.prof != nil && !ex.compileOnly {
 			c.wp = ex.prof.newWorker()
 		}
@@ -346,6 +342,10 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 		drivers[w] = d
 	}
 	if ex.compileOnly {
+		ex.scanPaths = 1
+		if d := drivers[0]; d.jitHot != nil {
+			ex.scanPaths += len(d.jitLayouts)
+		}
 		return nil
 	}
 	if workers == 1 {
@@ -578,7 +578,6 @@ func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) func(*T
 	switch n := n.(type) {
 	case *FilterNode:
 		cond := c.bool(ex.plan.nodes[n].exprs[0])
-		c.emit()
 		cons := func(t *Tuple) {
 			if cond(t) {
 				down(t)
@@ -602,7 +601,6 @@ func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) func(*T
 				f := c.str(e)
 				setters[i] = func(in, out *Tuple) { out.Strs[slot], out.Nulls[slot] = f(in) }
 			}
-			c.emit()
 		}
 		cons := func(t *Tuple) {
 			for _, set := range setters {
@@ -622,7 +620,6 @@ func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) func(*T
 // key registers are probed as a one-row batch (see batchJoinProbe).
 func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler) func(*Tuple) {
 	j := ex.newJoinProbe(n)
-	c.emit()
 	if n.Kind != InnerJoin {
 		wantMatch := n.Kind == SemiJoin
 		return ex.compileChain(n.Probe, func(t *Tuple) {

@@ -19,7 +19,6 @@ type scanDriver struct {
 	scan    *ScanNode
 	vecSize int
 	kinds   []types.Kind
-	stats   *CompileStats
 	tuple   *Tuple
 	batch   core.Batch
 
@@ -100,7 +99,6 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 		cons:    cons,
 		bcons:   bcons,
 		kinds:   p.kinds,
-		stats:   c.stats,
 		usePSMA: ex.opt.Mode == ModeVectorizedSARGPSMA,
 		wp:      c.wp,
 		pinCols: append([]int{}, scan.Cols...),
@@ -114,12 +112,9 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 	// non-SARGable Filter, behind the SARGable predicates in modes that do
 	// not push them into the scan.
 	if d.bcons != nil {
-		vc := &vcompiler{stats: c.stats}
+		vc := &vcompiler{}
 		for _, cj := range p.exprs {
 			d.conjuncts = append(d.conjuncts, vconjunct{cols: cj.cols(nil), sel: vc.sel(cj)})
-		}
-		if c.stats != nil {
-			c.stats.ScanPaths++ // one interpreted vectorized path
 		}
 	} else {
 		d.tuple = NewTuple(len(p.kinds))
@@ -165,13 +160,9 @@ func (d *scanDriver) compileHotPath(c *compiler) *hotPath {
 				t.Nulls[slot] = h.IsNull(relCol, row)
 			})
 		}
-		c.emit()
 	}
 	if d.residual != nil {
 		hp.filter = c.bool(d.residual)
-	}
-	if c.stats != nil {
-		c.stats.ScanPaths++
 	}
 	return hp
 }
@@ -183,16 +174,13 @@ func (d *scanDriver) compileHotPath(c *compiler) *hotPath {
 func (d *scanDriver) compileLayout(blk *core.Block, c *compiler) *layoutPath {
 	lp := &layoutPath{}
 	for i, relCol := range d.scan.Cols {
-		lp.accessors = append(lp.accessors, compileAccessor(blk.Attr(relCol), d.kinds[i], c))
+		lp.accessors = append(lp.accessors, compileAccessor(blk.Attr(relCol), d.kinds[i]))
 	}
 	// Clone the filter for this code path (the paper's unrolled variants
 	// each carry their own copies of the predicate code): the checked tree
 	// is lowered again, not checked again.
 	if d.residual != nil {
 		lp.filter = c.bool(d.residual)
-	}
-	if c.stats != nil {
-		c.stats.ScanPaths++
 	}
 	return lp
 }
@@ -201,8 +189,7 @@ func (d *scanDriver) compileLayout(blk *core.Block, c *compiler) *layoutPath {
 // block's LayoutKey. Everything else, such as whether a single-value
 // attribute is all NULL, is read from the attribute each call is handed:
 // the path serves every block of that layout.
-func compileAccessor(a *core.Attr, kind types.Kind, c *compiler) blockAccessor {
-	defer c.emit()
+func compileAccessor(a *core.Attr, kind types.Kind) blockAccessor {
 	loadNull := func(a *core.Attr, row int) bool {
 		return a.Validity != nil && !simd.BitmapGet(a.Validity, uint32(row))
 	}
@@ -333,7 +320,7 @@ func (d *scanDriver) jitBlock(ch *storage.ChunkView) error {
 	if lp == nil {
 		// A layout frozen after compilation: generate its path lazily
 		// (and pay the compile cost now).
-		lp = d.compileLayout(blk, &compiler{stats: d.stats})
+		lp = d.compileLayout(blk, &compiler{})
 		d.jitLayouts[key] = lp
 	}
 	t := d.tuple

@@ -32,7 +32,6 @@ type (
 
 // vcompiler lowers checked expressions to vectorized closures.
 type vcompiler struct {
-	stats *CompileStats
 	// cse, when non-nil, enables common-subexpression elimination across
 	// everything this compiler lowers: structurally identical float
 	// subtrees and conditions share one closure whose result is computed
@@ -119,12 +118,6 @@ func (c *vcompiler) holds(n *checked) func(b *core.Batch) []uint32 {
 	return f
 }
 
-func (c *vcompiler) emit() {
-	if c.stats != nil {
-		c.stats.Closures++
-	}
-}
-
 // resize returns s with length n, reusing capacity when it can. The grow
 // side is kept in a separate //go:noinline function so the make stays out
 // of the inlined fast path: hot-path callers see only a capacity compare,
@@ -163,7 +156,6 @@ func (c *vcompiler) int(n *checked) vecFn[int64] {
 	switch n.op {
 	case opCol:
 		idx := n.col
-		c.emit()
 		return func(b *core.Batch) ([]int64, []bool) { //dbvet:hotpath
 			col := &b.Cols[idx]
 			return col.Ints[:b.N], col.Nulls
@@ -171,7 +163,6 @@ func (c *vcompiler) int(n *checked) vecFn[int64] {
 	case opBoolInt:
 		holds := c.holds(n.a)
 		var out []int64
-		c.emit()
 		return func(b *core.Batch) ([]int64, []bool) { //dbvet:hotpath
 			rows := holds(b)
 			out = resize(out, b.N)
@@ -191,7 +182,6 @@ func (c *vcompiler) floatNode(n *checked) vecFn[float64] {
 	switch n.op {
 	case opCol:
 		idx := n.col
-		c.emit()
 		return func(b *core.Batch) ([]float64, []bool) { //dbvet:hotpath
 			col := &b.Cols[idx]
 			return col.Floats[:b.N], col.Nulls
@@ -199,7 +189,6 @@ func (c *vcompiler) floatNode(n *checked) vecFn[float64] {
 	case opToFloat:
 		f := c.int(n.a)
 		var out []float64
-		c.emit()
 		return func(b *core.Batch) ([]float64, []bool) { //dbvet:hotpath
 			iv, nulls := f(b)
 			out = resize(out, b.N)
@@ -220,7 +209,6 @@ func (c *vcompiler) floatNode(n *checked) vecFn[float64] {
 func (c *vcompiler) str(n *checked) vecFn[string] {
 	if n.op == opCol {
 		idx := n.col
-		c.emit()
 		return func(b *core.Batch) ([]string, []bool) { //dbvet:hotpath
 			col := &b.Cols[idx]
 			return col.Strs[:b.N], col.Nulls
@@ -239,7 +227,6 @@ func vecValue[T value](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) ve
 		// every batch that fits (callers never mutate operand vectors).
 		v, ok := literal[T](n)
 		var nulls []bool
-		c.emit()
 		return func(b *core.Batch) ([]T, []bool) { //dbvet:hotpath
 			if b.N > len(out) {
 				out = make([]T, b.N)
@@ -261,7 +248,6 @@ func vecValue[T value](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) ve
 	case opIf:
 		cond, th, el := c.holds(n.a), newIfArm(n.b, rec), newIfArm(n.c, rec)
 		var nulls []bool
-		c.emit()
 		return func(b *core.Batch) ([]T, []bool) { //dbvet:hotpath
 			rows := cond(b)
 			out, nulls = resize(out, b.N), resize(nulls, b.N)
@@ -330,7 +316,6 @@ func vecArith[T number](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) v
 	var out []T
 	if rv, ok := literal[T](n.b); ok {
 		l := rec(n.a)
-		c.emit()
 		return func(b *core.Batch) ([]T, []bool) { //dbvet:hotpath
 			av, an := l(b)
 			out = resize(out, b.N)
@@ -353,7 +338,6 @@ func vecArith[T number](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) v
 	}
 	if lv, ok := literal[T](n.a); ok {
 		r := rec(n.b)
-		c.emit()
 		return func(b *core.Batch) ([]T, []bool) { //dbvet:hotpath
 			bv, bn := r(b)
 			out = resize(out, b.N)
@@ -376,7 +360,6 @@ func vecArith[T number](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) v
 	}
 	l, r := rec(n.a), rec(n.b)
 	var nscratch []bool
-	c.emit()
 	return func(b *core.Batch) ([]T, []bool) { //dbvet:hotpath
 		av, an := l(b)
 		bv, bn := r(b)
@@ -409,7 +392,6 @@ func (c *vcompiler) div(n *checked) vecFn[float64] {
 	var nulls []bool
 	if rv, ok := literal[float64](n.b); ok {
 		l := c.float(n.a)
-		c.emit()
 		if rv == 0 {
 			return func(b *core.Batch) ([]float64, []bool) { //dbvet:hotpath
 				out = resize(out, b.N)
@@ -431,7 +413,6 @@ func (c *vcompiler) div(n *checked) vecFn[float64] {
 	}
 	if lv, ok := literal[float64](n.a); ok {
 		r := c.float(n.b)
-		c.emit()
 		return func(b *core.Batch) ([]float64, []bool) { //dbvet:hotpath
 			bv, bn := r(b)
 			out = resize(out, b.N)
@@ -447,7 +428,6 @@ func (c *vcompiler) div(n *checked) vecFn[float64] {
 		}
 	}
 	l, r := c.float(n.a), c.float(n.b)
-	c.emit()
 	return func(b *core.Batch) ([]float64, []bool) { //dbvet:hotpath
 		av, an := l(b)
 		bv, bn := r(b)
@@ -484,7 +464,6 @@ func (c *vcompiler) sel(n *checked) selFn {
 		return c.and(c.sel(n.a), c.sel(n.b))
 	case opPrefix:
 		l, r := c.str(n.a), c.str(n.b)
-		c.emit()
 		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			av, an := l(b)
 			pv, pn := r(b)
@@ -498,7 +477,6 @@ func (c *vcompiler) sel(n *checked) selFn {
 		}
 	case opNot:
 		inner := c.sel(n.a)
-		c.emit()
 		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			out = selDiff(out, in, inner(b, in))
 			return out
@@ -506,7 +484,6 @@ func (c *vcompiler) sel(n *checked) selFn {
 	case opOr:
 		l, r := c.sel(n.a), c.sel(n.b)
 		var rest []uint32
-		c.emit()
 		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			lrows := l(b, in)
 			if len(lrows) == len(in) {
@@ -518,7 +495,6 @@ func (c *vcompiler) sel(n *checked) selFn {
 		}
 	case opIsNull:
 		idx, not := n.col, n.not
-		c.emit()
 		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			nulls := b.Cols[idx].Nulls
 			out = resize(out, len(in))
@@ -531,7 +507,6 @@ func (c *vcompiler) sel(n *checked) selFn {
 		}
 	default: // opTruthy
 		f := c.int(n.a)
-		c.emit()
 		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			v, nulls := f(b)
 			out = resize(out, len(in))
@@ -547,7 +522,6 @@ func (c *vcompiler) sel(n *checked) selFn {
 
 // and evaluates r on the rows l keeps; no rows left, no call.
 func (c *vcompiler) and(l, r selFn) selFn {
-	c.emit()
 	return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 		if rows := l(b, in); len(rows) > 0 {
 			return r(b, rows)
@@ -587,7 +561,6 @@ func selCompare[T value](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) 
 		}
 		return out[:w]
 	}
-	c.emit()
 	if v, ok := literal[T](x); ok {
 		return func(b *core.Batch, in []uint32) []uint32 { //dbvet:hotpath
 			av, an := l(b)

@@ -131,14 +131,14 @@ func TestLayoutRelationDistinctLayouts(t *testing.T) {
 		for i := range cols {
 			cols[i] = i
 		}
-		stats, err := exec.CompileOnly(&exec.ScanNode{Rel: rel, Cols: cols}, exec.Options{Mode: exec.ModeJIT})
+		paths, err := exec.CompileOnly(&exec.ScanNode{Rel: rel, Cols: cols}, exec.Options{Mode: exec.ModeJIT})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// One JIT path per distinct layout plus the hot path (tail chunk
 		// may be hot if rows don't fill it — layoutRelation freezes all).
-		if stats.ScanPaths < combos || stats.ScanPaths > combos+1 {
-			t.Fatalf("combos=%d: scan paths = %d", combos, stats.ScanPaths)
+		if paths < combos || paths > combos+1 {
+			t.Fatalf("combos=%d: scan paths = %d", combos, paths)
 		}
 	}
 }

@@ -5,8 +5,6 @@ import "encoding/binary"
 // This file holds the scalar baselines the paper measures against:
 //
 //   - FindScalar: branch-free scalar code, the "x86" series of Figures 8/9.
-//   - FindBranchy: naive branching code, whose selectivity sensitivity
-//     motivates the positions table (Figure 12a discussion).
 //   - ReduceScalar: branch-free scalar reduce, the Figure 9 baseline.
 //   - PositionsFromBitmap / PositionsFromBitmapBranchy: the two bitmask →
 //     position-vector conversions compared in §5.4 for bit-packed scans.
@@ -59,29 +57,6 @@ func FindScalar(data []byte, width, n int, op Op, c1, c2 uint64, base uint32, ou
 	return out[:k]
 }
 
-// FindBranchy appends matching positions using a naive branch per element.
-// Its cost varies with selectivity through branch prediction, unlike the
-// table-driven kernels.
-func FindBranchy(data []byte, width, n int, op Op, c1, c2 uint64, base uint32, out []uint32) []uint32 {
-	lo, hi, ne, empty, all := normalizeU(op, c1, c2, maxFor(width))
-	if empty {
-		return out
-	}
-	out = EnsureCap(out, n)
-	if all {
-		return appendAll(out, n, base)
-	}
-	for i := 0; i < n; i++ {
-		v := ReadUint(data, i, width)
-		if evalU(v, lo, hi, ne) == 1 {
-			k := len(out)
-			out = out[: k+1 : cap(out)]
-			out[k] = base + uint32(i)
-		}
-	}
-	return out
-}
-
 // ReduceScalar shrinks a match vector with one branch-free scalar comparison
 // per surviving position (the Figure 9 "x86" baseline).
 func ReduceScalar(data []byte, width int, op Op, c1, c2 uint64, m []uint32) []uint32 {
@@ -116,34 +91,6 @@ func ReduceScalar(data []byte, width int, op Op, c1, c2 uint64, m []uint32) []ui
 		}
 	}
 	return m[:w]
-}
-
-// FindScalarInt64 is the branch-free tuple-at-a-time baseline on signed
-// columns, used by the JIT-style scan measurements.
-func FindScalarInt64(col []int64, op Op, c1, c2 int64, base uint32, out []uint32) []uint32 {
-	lo, hi, ne, empty, all := normalizeI64(op, c1, c2)
-	n := len(col)
-	if empty {
-		return out
-	}
-	out = EnsureCap(out, n)
-	if all {
-		return appendAll(out, n, base)
-	}
-	k := len(out)
-	out = out[:cap(out):cap(out)]
-	if ne {
-		for i, v := range col {
-			out[k] = base + uint32(i)
-			k += int(b2u(v != lo))
-		}
-	} else {
-		for i, v := range col {
-			out[k] = base + uint32(i)
-			k += int(b2u(v >= lo && v <= hi))
-		}
-	}
-	return out[:k]
 }
 
 // PositionsFromBitmapBranchy converts a bitmap of n match bits into a

@@ -171,9 +171,6 @@ func TestScalarVariantsMatchSWAR(t *testing.T) {
 			if got := FindScalar(data, width, n, op, c1, c2, 0, nil); !equalU32(got, want) {
 				t.Errorf("FindScalar width=%d op=%v mismatch", width, op)
 			}
-			if got := FindBranchy(data, width, n, op, c1, c2, 0, nil); !equalU32(got, want) {
-				t.Errorf("FindBranchy width=%d op=%v mismatch", width, op)
-			}
 		}
 	}
 }
@@ -236,9 +233,6 @@ func TestFindReduceInt64(t *testing.T) {
 		got := FindInt64(col, op, c1, c2, 0, nil)
 		if !equalU32(got, want) {
 			t.Fatalf("FindInt64 op=%v: got %d want %d matches", op, len(got), len(want))
-		}
-		if got2 := FindScalarInt64(col, op, c1, c2, 0, nil); !equalU32(got2, want) {
-			t.Fatalf("FindScalarInt64 op=%v mismatch", op)
 		}
 		all := make([]uint32, len(col))
 		for i := range all {

@@ -368,9 +368,9 @@ func truncCols(cols []core.ColumnData, n int) []core.ColumnData {
 
 // FreezeAll freezes every relation completely (no hot tail), optionally
 // sorting lineitem blocks by l_shipdate (the Figure 11 configuration).
-func (db *DB) FreezeAll(sortLineitemByShipdate, noPSMA bool) error {
+func (db *DB) FreezeAll(sortLineitemByShipdate bool) error {
 	for name, rel := range db.Relations() {
-		opts := core.FreezeOptions{SortBy: -1, NoPSMA: noPSMA}
+		opts := core.FreezeOptions{SortBy: -1}
 		if name == "lineitem" && sortLineitemByShipdate {
 			opts.SortBy = rel.Schema().MustColumn("l_shipdate")
 		}

@@ -23,7 +23,7 @@ func genTest(t *testing.T, freeze bool) *DB {
 		t.Fatal(err)
 	}
 	if freeze {
-		if err := db.FreezeAll(false, false); err != nil {
+		if err := db.FreezeAll(false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func TestUnsupportedQuery(t *testing.T) {
 
 func TestFreezeAllSorted(t *testing.T) {
 	db := genTest(t, false)
-	if err := db.FreezeAll(true, false); err != nil {
+	if err := db.FreezeAll(true); err != nil {
 		t.Fatal(err)
 	}
 	shipCol := db.li("l_shipdate")
