@@ -207,8 +207,8 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // here in its own diff, like an entry in lint-budget.json; one that
 // deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4407,
-	"total":                    19750,
+	"datablocks/internal/exec": 4447,
+	"total":                    19790,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's

@@ -156,11 +156,13 @@ func (m *batchMap) consume(b *core.Batch) {
 // batchJoinProbe is one worker's probe state for one hash join, shared by
 // both chains: the batch chain binds a whole batch of probe keys and
 // probes them at once, the tuple chain binds one tuple and probes at n = 1
-// through the same code. A probe is hash vector (hashKeyCol) → tag test →
-// one lookup of the row's key (keyTable.lookup, which verifies it) → the
-// entry's chain of build rows, unverified; the (probe row, build row)
-// pairs come out in probe order, and per probe row in ascending build-row
-// order. A semi or anti join's match is the entry itself.
+// through the same code. A probe finds each row's entry — in a keyed
+// table at dir[key−lo], otherwise by hash vector (hashKeyCol) → tag test
+// → one lookup of the row's key (keyTable.lookup, which verifies it) —
+// and emits the entry's chain of build rows, unverified; the (probe row,
+// build row) pairs come out in probe order, and per probe row in
+// ascending build-row order. A semi or anti join's match is the entry
+// itself.
 type batchJoinProbe struct {
 	ht   *hashTable
 	node *JoinNode
@@ -175,6 +177,7 @@ type batchJoinProbe struct {
 
 	out    core.Batch
 	hashes []uint64
+	ents   []int32
 	pairsP []uint32
 	pairsB []uint32
 	all    []uint32
@@ -212,38 +215,46 @@ func (j *batchJoinProbe) consume(b *core.Batch) {
 
 // matchPairs probes the n rows bound to j.kt.keys and fills pairsP with
 // the matching probe rows, and for an inner join pairsB with their build
-// rows. A row with a NULL key cell is never looked up: NULL never joins.
+// rows: first each row's entry, or -1, then one emission loop. A row with
+// a NULL key cell finds none: NULL never joins.
 //
 //dbvet:hotpath
 func (j *batchJoinProbe) matchPairs(n int) {
 	j.pairsP = j.pairsP[:0]
 	j.pairsB = j.pairsB[:0]
-	j.hashes = resize(j.hashes, n)
-	hs := j.hashes[:n]
+	j.ents = resize(j.ents, n)
+	ents := j.ents[:n]
 	keys := j.kt.keys
-	for k := range keys {
-		hashKeyCol(hs, k == 0, &keys[k])
-	}
 	ht, inner := j.ht, j.node.Kind == InnerJoin
-	first, next := ht.first, ht.next
-	// The NULL test runs per row only when a key column has NULL flags.
-	nullable := false
-	for k := range keys {
-		nullable = nullable || keys[k].nulls != nil
-	}
-rows:
-	for r, h := range hs {
-		if !ht.tags.test(h) {
-			continue
-		}
-		if nullable {
-			for k := range keys {
-				if keys[k].nulls != nil && keys[k].nulls[r] {
-					continue rows
-				}
+	if ht.keyed {
+		// A key outside the front misses on the one unsigned compare.
+		ints, dir, lo := keys[0].ints[:n], ht.dir, ht.lo
+		for r, k := range ints {
+			ents[r] = -1
+			if i := uint64(k) - uint64(lo); i < uint64(len(dir)) {
+				ents[r] = int32(dir[i]) - 1
 			}
 		}
-		e := j.kt.lookup(h, r)
+	} else {
+		j.hashes = resize(j.hashes, n)
+		hs := j.hashes[:n]
+		for k := range keys {
+			hashKeyCol(hs, k == 0, &keys[k])
+		}
+		for r, h := range hs {
+			ents[r] = -1
+			if ht.tags.test(h) {
+				ents[r] = j.kt.lookup(h, r)
+			}
+		}
+	}
+	for k := range keys {
+		if keys[k].nulls != nil {
+			missNulls(ents, keys[k].nulls)
+		}
+	}
+	first, next := ht.first, ht.next
+	for r, e := range ents {
 		if e < 0 {
 			continue
 		}
@@ -254,6 +265,18 @@ rows:
 		for row := first[e]; row >= 0; row = next[row] {
 			j.pairsP = append(j.pairsP, uint32(r))
 			j.pairsB = append(j.pairsB, uint32(row))
+		}
+	}
+}
+
+// missNulls sets the entry of every row whose key cell is NULL to -1.
+//
+//dbvet:hotpath
+func missNulls(ents []int32, nulls []bool) {
+	nulls = nulls[:len(ents)]
+	for r, null := range nulls {
+		if null {
+			ents[r] = -1
 		}
 	}
 }

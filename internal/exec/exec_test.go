@@ -932,6 +932,73 @@ func TestKeyPassAndProbeReadOneSnapshot(t *testing.T) {
 	}
 }
 
+// TestDenseKeysTakeTheFront pins the density rule of a key-passed join
+// (keyFilter.span): its table is keyed — entries at dir[key−lo], no hash
+// slots — iff the probe keys' span hi−lo+1 is at most 4 × their count n.
+// n probe keys whose span is exactly 4n take the front, for inner, semi
+// and anti joins; span 4n+1 hashes. A two-column key and ModeJIT, which
+// have no key pass, always hash.
+func TestDenseKeysTakeTheFront(t *testing.T) {
+	const n = 100
+	probeKeys := func(hi int64) []int64 {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = 4 * int64(i)
+		}
+		ks[n-1] = hi
+		return ks
+	}
+	buildKeys := make([]int64, 4*n+2)
+	for i := range buildKeys {
+		buildKeys[i] = int64(i)
+	}
+	build := intRel(t, buildKeys)
+	two := func(keys []int64) *storage.Relation {
+		rel := storage.NewRelation(types.NewSchema(types.Column{Name: "a", Kind: types.Int64}, types.Column{Name: "b", Kind: types.Int64}), 64)
+		if err := rel.BulkAppend([]core.ColumnData{{Kind: types.Int64, Ints: keys}, {Kind: types.Int64, Ints: keys}}, len(keys)); err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	cases := []struct {
+		name  string
+		hi    int64 // the greatest probe key: the span is hi+1
+		two   bool
+		mode  ScanMode
+		keyed bool
+	}{
+		{"span 4n", 4*n - 1, false, ModeVectorizedSARG, true},
+		{"span 4n+1", 4 * n, false, ModeVectorizedSARG, false},
+		{"span 4n, two keys", 4*n - 1, true, ModeVectorizedSARG, false},
+		{"span 4n, jit", 4*n - 1, false, ModeJIT, false},
+	}
+	for _, tc := range cases {
+		for _, kind := range []JoinKind{InnerJoin, SemiJoin, AntiJoin} {
+			plan := &JoinNode{Build: &ScanNode{Rel: build, Cols: []int{0}}, Probe: &ScanNode{Rel: intRel(t, probeKeys(tc.hi)), Cols: []int{0}},
+				BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: kind}
+			if tc.two {
+				plan.Build = &ScanNode{Rel: two(buildKeys), Cols: []int{0, 1}}
+				plan.Probe = &ScanNode{Rel: two(probeKeys(tc.hi)), Cols: []int{0, 1}}
+				plan.BuildKeys, plan.ProbeKeys = []int{0, 1}, []int{0, 1}
+			}
+			ex, err := newExecutor(plan, Options{Mode: tc.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ht, _, err := ex.build(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ht.keyed != tc.keyed || (len(ht.dir) == int(tc.hi)+1) != tc.keyed || (ht.slots == nil) != tc.keyed {
+				t.Fatalf("%s, kind %d: keyed %v, front of %d, %d slots; want keyed %v", tc.name, kind, ht.keyed, len(ht.dir), len(ht.slots), tc.keyed)
+			}
+			if want := n; ht.entries != want && tc.keyed {
+				t.Fatalf("%s, kind %d: %d entries, want %d", tc.name, kind, ht.entries, want)
+			}
+		}
+	}
+}
+
 // TestInnerJoinBuildCopiesRowsOnce: an inner-join build copies each kept
 // row once, into segments allocated once, so what it allocates is the kept
 // rows and the table, plus a little: at most 1.25 × (kept-row bytes +
@@ -988,9 +1055,9 @@ func TestInnerJoinBuildCopiesRowsOnce(t *testing.T) {
 		if err != nil || kept != rows {
 			t.Fatalf("par %d: %d rows kept, err %v", par, kept, err)
 		}
-		// Every array the table holds: slots, row chains, per-entry first
-		// rows and stored key cells.
-		table := 12*len(ht.slots) + 4*len(ht.next) + 4*cap(ht.first)
+		// Every array the table holds: slots, direct front, row chains,
+		// per-entry first rows and stored key cells.
+		table := 12*len(ht.slots) + 4*len(ht.dir) + 4*len(ht.next) + 4*cap(ht.first)
 		for _, k := range ht.keys {
 			table += cap(k.gNull) + 8*cap(k.gInt) + 16*cap(k.gStr)
 		}

@@ -3,7 +3,6 @@ package exec
 import (
 	"cmp"
 	"math"
-	"sync"
 
 	"datablocks/internal/core"
 	"datablocks/internal/simd"
@@ -82,41 +81,25 @@ type aggregator struct {
 }
 
 // codeTable resolves batches whose keys arrive as 1-byte codes (a coded
-// scan, core.ScanSpec.Codes) without hashing: the codes of a row combine
-// into one index, c0 + d0·(c1 + d1·(c2 + …)) over the key domains' sizes
-// d, and the index maps to the group id. The table is valid for one set of
-// domains — one block — and is cleared when a batch brings another. An
-// index is resolved on its first row through the one-row hashed probe,
+// scan, core.ScanSpec.Codes) without hashing, through the key table's
+// direct front (keyTable.dir): the codes of a row combine into one index,
+// c0 + d0·(c1 + d1·(c2 + …)) over the key domains' sizes d, which the
+// front maps to the group id. The front is sized to one set of domains'
+// combinations — one block's — and cleared when a batch brings another.
+// An index is resolved on its first row through the one-row hashed probe,
 // with the row's key decoded to values, so groups are created in the same
 // first-seen row order as on the hashed path and equal keys in different
 // blocks meet in the same group.
 type codeTable struct {
-	ids    *[core.MaxCodeCombos]uint32 // index → group id + 1; 0 = unresolved
-	doms   []*core.Attr                // the key domains ids is valid for
-	stride []uint16                    // d0·…·d(k-1) per key column
-	used   int                         // d0·d1·…: the entries of ids in use
-	codes  [][]byte                    // the bound batch's codes per key column
-	combos []uint16                    // per-row indexes (scratch)
-	gids   []uint32                    // per-row group ids (scratch)
+	doms   []*core.Attr // the key domains the front is valid for
+	stride []uint16     // d0·…·d(k-1) per key column
+	codes  [][]byte     // the bound batch's codes per key column
+	combos []uint16     // per-row indexes (scratch)
+	gids   []uint32     // per-row group ids (scratch)
 	// The decoded key cells of the row being resolved, bound to the keys'
 	// probe side as one-row vectors.
 	ints []int64
 	strs []string
-}
-
-// codeTables recycles the 256 KiB index arrays of code tables across
-// queries; a query typically fills a handful of entries. A table is
-// returned cleared (release).
-var codeTables = sync.Pool{New: func() any { return new([core.MaxCodeCombos]uint32) }}
-
-// release hands the code table's index array back to codeTables once the
-// aggregator has been merged and rendered.
-func (a *aggregator) release() {
-	if ct := &a.codes; ct.ids != nil {
-		clear(ct.ids[:ct.used])
-		codeTables.Put(ct.ids)
-		ct.ids = nil
-	}
 }
 
 // newAggregator builds a worker's sink for node, lowering the checked
@@ -528,12 +511,12 @@ func (a *aggregator) foldBatchMinMax(i, slot int, gids []uint32) {
 	}
 }
 
-// bindCodes points the code table at coded batch b's key codes, clearing
-// it when b comes from another block than the table was filled from.
+// bindCodes points the code table at coded batch b's key codes. When b
+// comes from another block than the front was filled from, it sizes the
+// front to the block's combinations, reusing its array, and clears it.
 func (a *aggregator) bindCodes(b *core.Batch) {
 	ct, keys := &a.codes, a.node.GroupBy
-	if ct.ids == nil {
-		ct.ids = codeTables.Get().(*[core.MaxCodeCombos]uint32)
+	if ct.doms == nil {
 		ct.doms, ct.stride, ct.codes = make([]*core.Attr, len(keys)), make([]uint16, len(keys)), make([][]byte, len(keys))
 		ct.ints, ct.strs = make([]int64, len(keys)), make([]string, len(keys))
 	}
@@ -545,21 +528,22 @@ func (a *aggregator) bindCodes(b *core.Batch) {
 	if same {
 		return
 	}
-	clear(ct.ids[:ct.used])
-	ct.used = 1
+	combos := 1
 	for k, g := range keys {
 		// The scan admits at most core.MaxCodeCombos combinations, so every
 		// index, and every stride that matters, fits 16 bits.
 		ct.doms[k] = b.Cols[g].Domain
-		ct.stride[k] = uint16(ct.used)
-		ct.used *= ct.doms[k].CodeCard()
+		ct.stride[k] = uint16(combos)
+		combos *= ct.doms[k].CodeCard()
 	}
+	a.dir = resize(a.dir, combos)
+	clear(a.dir)
 }
 
 // assignCodes resolves the n rows of the bound coded batch to group ids
-// through the code table: once a block's key combination has a group,
-// each of its rows costs one table load — no hash, no verification, no
-// string.
+// through the front: once a block's key combination has a group, each of
+// its rows costs one load — no hash, no verification, no string. A
+// combination the front lacks takes the one-row hashed probe.
 //
 //dbvet:hotpath
 func (a *aggregator) assignCodes(n int) []uint32 {
@@ -572,13 +556,15 @@ func (a *aggregator) assignCodes(n int) []uint32 {
 	for k, codes := range ct.codes {
 		foldCodes(combos, codes, stride[k])
 	}
-	// A uint16 index into the 64 Ki-entry table needs no bounds check.
-	ids := ct.ids
+	// Every index is inside the front; the compare proves it.
+	dir := a.dir
 	for r, x := range combos {
-		id := ids[x]
-		if id == 0 {
-			id = a.resolveCode(r) + 1
-			ids[x] = id
+		var id uint32
+		if int(x) < len(dir) {
+			if id = dir[x]; id == 0 {
+				id = a.resolveCode(r) + 1
+				dir[x] = id
+			}
 		}
 		gids[r] = id - 1
 	}

@@ -184,7 +184,7 @@ func TestCodedAggregationMatchesTuple(t *testing.T) {
 				}
 				coded := false
 				for _, a := range workers {
-					coded = coded || a.codes.ids != nil
+					coded = coded || a.dir != nil
 				}
 				if coded != tc.coded {
 					t.Fatalf("%s: keys travelled as codes: %v, want %v", name, coded, tc.coded)
@@ -256,8 +256,8 @@ func TestCodedConsumeBatchAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, fold); allocs != 0 {
 		t.Fatalf("%v allocations per pair of coded batches", allocs)
 	}
-	if a.groups != 21 || a.codes.ids == nil {
-		t.Fatalf("%d groups, code table used: %v", a.groups, a.codes.ids != nil)
+	if a.groups != 21 || a.dir == nil {
+		t.Fatalf("%d groups, code table used: %v", a.groups, a.dir != nil)
 	}
 }
 

@@ -16,12 +16,15 @@ import (
 // the row after row (-1 ends a chain). A chain reads in ascending row
 // order, which fixes the join's emission order and with it every
 // downstream float sum. A NULL key is an entry like any other: the prober
-// never looks one up, so NULL keys never join.
+// drops the match of a probe row whose key is NULL, so NULL keys never
+// join.
 //
-// tags holds the tag bits of the entries' hashes — our analogue of
-// HyPer's tagged hash-table pointers (Appendix E, [20]) — that probes test
-// before touching the table. When keySide picks the probe side, the probe
-// scan tests them early (earlyProbeFor), to drop probe rows before
+// A key-passed join over dense keys is keyed (keyFilter.span): its
+// entries are found at dir[key−lo], with no slots, hashes or tags.
+// Otherwise tags holds the tag bits of the entries' hashes — our analogue
+// of HyPer's tagged hash-table pointers (Appendix E, [20]) — that probes
+// test before touching the table. When keySide picks the probe side, the
+// probe scan tests them early (earlyProbeFor), to drop probe rows before
 // unpacking them.
 type hashTable struct {
 	keyTable
@@ -229,12 +232,13 @@ func (s *buildSink) keep(b *core.Batch) {
 }
 
 // linkRows makes one inner-join table of the sinks' segments, taken in
-// sink order, holding rows rows. Segment by segment, from the last, it
-// binds the key cells as the table's probe side and resolves them, then
-// chains the rows to their entries in descending order, each becoming its
-// entry's new first row, so every chain reads in ascending row order:
-// arrival order within a sink, sink order across them. A table holds at
-// most one entry per row: every per-entry array is sized once, for rows.
+// sink order, holding rows rows, keyed when the first sink's table is.
+// Segment by segment, from the last, it binds the key cells as the
+// table's probe side and resolves them, then chains the rows to their
+// entries in descending order, each becoming its entry's new first row,
+// so every chain reads in ascending row order: arrival order within a
+// sink, sink order across them. A table holds at most one entry per row:
+// every per-entry array, and the slots of a hashed table, is sized once.
 func linkRows(sinks []*buildSink, rows int) *hashTable {
 	root := sinks[0]
 	ht, cols, segs := &hashTable{keyTable: root.kt, rows: root.kept}, root.kept, 0
@@ -259,7 +263,9 @@ func linkRows(sinks []*buildSink, rows int) *hashTable {
 			k.gInt = make([]int64, 0, rows)
 		}
 	}
-	ht.reserve(rows)
+	if !ht.keyed {
+		ht.reserve(rows)
+	}
 	g := segs
 	for si := len(sinks) - 1; si >= 0; si-- {
 		for left := sinks[si].rows; left > 0; {
@@ -293,12 +299,12 @@ func linkRows(sinks []*buildSink, rows int) *hashTable {
 }
 
 // keyFilter is what a key pass (executor.keyPass) learns of a probe
-// side's non-NULL integer keys: their tag bits and their range lo..hi.
-// col is the build relation's key column.
+// side's non-NULL integer keys: their tag bits, their range lo..hi and
+// their count n. col is the build relation's key column.
 type keyFilter struct {
 	tags   tagSet
 	lo, hi int64
-	col    int
+	n, col int
 }
 
 // add enters the non-NULL keys among ints.
@@ -307,6 +313,7 @@ func (f *keyFilter) add(ints []int64, nulls []bool) {
 		if nulls == nil || !nulls[r] {
 			f.tags.set(simd.Mix64(uint64(k)))
 			f.lo, f.hi = min(f.lo, k), max(f.hi, k)
+			f.n++
 		}
 	}
 }
@@ -317,4 +324,17 @@ func (f *keyFilter) merge(o *keyFilter) {
 		f.tags[i] |= w
 	}
 	f.lo, f.hi = min(f.lo, o.lo), max(f.hi, o.hi)
+	f.n += o.n
+}
+
+// span is the size of the direct front a join over these keys indexes
+// its entries in (keyTable.dir), or 0 when they are too sparse for one:
+// the range hi−lo+1 must be at most 4 × the keys and at most 2^20. It
+// computes hi−lo unsigned, which cannot overflow.
+func (f *keyFilter) span() int {
+	d := uint64(f.hi) - uint64(f.lo)
+	if d >= 1<<20 || d >= 4*uint64(f.n) {
+		return 0
+	}
+	return int(d) + 1
 }

@@ -10,6 +10,7 @@ package exec_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -707,6 +708,75 @@ func FuzzJoin(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestKeyedJoinAtInt64Extremes: a key-passed join indexes dense probe
+// keys directly (a keyed table's front at key − lo), so its range must be
+// computed without int64 overflow and must miss every key outside it.
+// The key sets: {MinInt64, -1, 0, MaxInt64} and {MinInt64, 0}, whose
+// range hi − lo + 1 overflows int64 (the join hashes); dense ranges at
+// either end of int64 and around 0 (keyed). Every set has NULL keys on
+// both sides, probe keys one below and one above the build's, and build
+// keys one below and one above the probe's. Inner, semi and anti joins
+// run on one worker and on two, in every vectorized mode, against refJoin.
+func TestKeyedJoinAtInt64Extremes(t *testing.T) {
+	span := func(lo int64, n int) []int64 {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = lo + int64(i)
+		}
+		return ks
+	}
+	sets := []struct {
+		name         string
+		probe, build []int64
+	}{
+		{"extremes", []int64{math.MinInt64, -1, 0, math.MaxInt64}, []int64{math.MinInt64, -1, 0, math.MaxInt64, 5}},
+		{"min-and-0", []int64{math.MinInt64, 0}, []int64{math.MinInt64, 0, -1, 1}},
+		{"dense-min", span(math.MinInt64, 12), span(math.MinInt64+1, 12)},
+		{"dense-max", span(math.MaxInt64-11, 12), span(math.MaxInt64-12, 12)},
+		{"dense-0", span(-6, 13), append(span(-5, 11), -7, 7)},
+	}
+	kinds := []types.Kind{types.Int64, types.Int64}
+	// rows repeats keys (NULL among them) times, each row with its ordinal,
+	// in a shuffled order, so several 64-row chunks and duplicates exist.
+	rows := func(keys []int64, times int, seed int64) []types.Row {
+		var vals []types.Value
+		for i := 0; i < times; i++ {
+			vals = append(vals, null(types.Int64))
+			for _, k := range keys {
+				vals = append(vals, iv(k))
+			}
+		}
+		rand.New(rand.NewSource(seed)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		out := make([]types.Row, len(vals))
+		for i, v := range vals {
+			out[i] = types.Row{v, iv(int64(i))}
+		}
+		return out
+	}
+	for _, set := range sets {
+		probeRows, buildRows := rows(set.probe, 20, 1), rows(set.build, 3, 2)
+		probe, build := relOf(t, kinds, probeRows), relOf(t, kinds, buildRows)
+		for _, kind := range []exec.JoinKind{exec.InnerJoin, exec.SemiJoin, exec.AntiJoin} {
+			want := renderRows(refJoin(kind, probeRows, buildRows, []int{0}, []int{0}))
+			for _, mode := range []exec.ScanMode{exec.ModeVectorized, exec.ModeVectorizedSARG, exec.ModeVectorizedSARGPSMA} {
+				for _, par := range []int{1, 2} {
+					plan := &exec.JoinNode{
+						Build:     &exec.ScanNode{Rel: build, Cols: []int{0, 1}},
+						Probe:     &exec.ScanNode{Rel: probe, Cols: []int{0, 1}},
+						BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: kind,
+					}
+					name := fmt.Sprintf("%s/kind%d/%v/par%d", set.name, kind, mode, par)
+					res, err := exec.Run(plan, exec.Options{Mode: mode, Parallelism: par})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					requireRows(t, name, renderResult(res), want, par == 1)
+				}
+			}
+		}
+	}
 }
 
 // TestJITSingleValueChunksKeepTheirNulls: a JIT scan path serves every

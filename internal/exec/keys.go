@@ -212,10 +212,21 @@ func (c *keyCol) storeRow(r int) {
 // first-seen row order. A NULL cell is entered like any value and equals
 // only NULL; that NULL never joins is the join prober's rule, not the
 // table's.
+//
+// dir is the table's direct front: dir[i] holds entry+1 of the key whose
+// index is i, 0 while there is none, so a key found there costs one load
+// and no hash, slot walk or verification. A keyed table — a join's, over
+// one integer key whose range lo..lo+len(dir)−1 the key pass knows — has
+// no slots: key k's index is k − lo, and resolve enters keys there. The
+// aggregator's coded batches index it by their code combination instead,
+// in front of the hashed slots (aggregator.assignCodes).
 type keyTable struct {
 	groupTable
 	keys    []keyCol
 	entries int
+	dir     []uint32
+	lo      int64
+	keyed   bool
 
 	ids     []uint32 // per-row entry ids of the rows being resolved (scratch)
 	hs      []uint64 // their combined key hashes (scratch)
@@ -230,8 +241,11 @@ type keyTable struct {
 //
 //dbvet:hotpath
 func (t *keyTable) resolve(n int) []uint32 {
-	t.hs = resize(t.hs, n)
 	t.ids = resize(t.ids, n)
+	if t.keyed {
+		return t.resolveKeyed(t.ids[:n])
+	}
+	t.hs = resize(t.hs, n)
 	// hs and ids are re-sliced to n outside the loops, so every [r]
 	// access below is proven in bounds.
 	hs := t.hs[:n]
@@ -355,14 +369,40 @@ func (t *keyTable) resolve(n int) []uint32 {
 	return ids
 }
 
-// newEntry enters bound row r, whose key hash is h, as a new entry.
+// resolveKeyed is resolve for a keyed table: row r's key k is entry
+// dir[k−lo]−1, entered there when it is new. The join build's scan keeps
+// only non-NULL keys inside the front (its Between SARG); a key outside
+// would get an entry of its own that no probe finds, as no probe key lies
+// outside.
+//
+//dbvet:hotpath
+func (t *keyTable) resolveKeyed(ids []uint32) []uint32 {
+	ints, dir, lo := t.keys[0].ints[:len(ids)], t.dir, t.lo
+	for r, k := range ints {
+		i := uint64(k) - uint64(lo)
+		if i >= uint64(len(dir)) {
+			ids[r] = t.newEntry(0, r)
+			continue
+		}
+		if dir[i] == 0 {
+			dir[i] = t.newEntry(0, r) + 1
+		}
+		ids[r] = dir[i] - 1
+	}
+	return ids
+}
+
+// newEntry enters bound row r, whose key hash is h, as a new entry; a
+// keyed table's caller indexes it in the front instead of the slots.
 func (t *keyTable) newEntry(h uint64, r int) uint32 {
 	id := uint32(t.entries)
 	t.entries++
 	for k := range t.keys {
 		t.keys[k].storeRow(r)
 	}
-	t.insert(h, id)
+	if !t.keyed {
+		t.insert(h, id)
+	}
 	return id
 }
 

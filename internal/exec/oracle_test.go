@@ -662,6 +662,40 @@ func planString(n exec.Node) string {
 	return fmt.Sprintf("%T", n)
 }
 
+// drawKeys redraws colK of a's and b's rows from one of four key sets, so
+// that joins on it run both through a keyed table's front and hashed: the
+// pools as drawn (extremes: hashed); a shuffled dense range lo..lo+k on
+// each side (keyed when the probe side has enough rows); the same with a
+// stride of 5 to 8 (too sparse: hashed); dense ranges that overlap in
+// part, so that probe keys lie below the build's and build keys above the
+// probe's. lo sits at either end of int64 or just below 0, the value a
+// NULL cell holds underneath. A NULL the pools drew stays NULL.
+func drawKeys(r *rand.Rand, a, b []types.Row) {
+	set := r.Intn(4)
+	if set == 0 {
+		return
+	}
+	lo := []int64{math.MinInt64, -r.Int63n(8), math.MaxInt64 - 4096}[r.Intn(3)]
+	stride := int64(1)
+	if set == 2 {
+		stride = 5 + r.Int63n(4)
+	}
+	fill := func(rows []types.Row, from int64) {
+		k := 1 + r.Intn(len(rows)+1)
+		for i, p := range r.Perm(len(rows)) {
+			if !rows[i][colK].IsNull() {
+				rows[i][colK] = iv(lo + stride*(from+int64(p%k)))
+			}
+		}
+	}
+	fill(a, 0)
+	from := int64(0)
+	if set == 3 {
+		from = r.Int63n(int64(len(a)) + 1)
+	}
+	fill(b, from)
+}
+
 // FuzzPlan draws one plan and its data from seed and holds every mode ×
 // storage state × parallelism 1 and 4 to refRun: in order on one worker,
 // as a multiset on four. A plan with a SARG constant of the wrong kind
@@ -683,6 +717,7 @@ func FuzzPlan(f *testing.F) {
 		bRows, bDead := oracleRows(r, m)
 		vecSize := []int{0, 7, 64}[r.Intn(3)]
 		planSeed := r.Int63()
+		drawKeys(r, aRows, bRows)
 		wantErr := ""
 		for _, state := range oracleStates {
 			a, aVis, resetA := oracleRel(t, aRows, aDead, state)

@@ -170,11 +170,7 @@ func (ex *executor) run(n Node) (*Result, error) {
 		if p := ex.prof; p != nil {
 			p.groups = uint64(root.groups)
 		}
-		res := root.finalize(ex.plan.nodes[n].kinds)
-		for _, a := range aggs {
-			a.release()
-		}
-		return res, nil
+		return root.finalize(ex.plan.nodes[n].kinds), nil
 	default:
 		var results []*Result
 		err := ex.runPipeline(n, func(*compiler) pipeSink {
@@ -437,12 +433,14 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 // one sink as a single batch. An inner join then chains the sinks' rows
 // in one table (linkRows); a semi or anti join absorbs the smaller
 // workers' distinct keys into the largest table, from a build scan its
-// key pass may have restricted to the probe side's keys. The finished
-// table's tags are set last.
+// key pass may have restricted to the probe side's keys. The table is
+// keyed when the key pass found the probe keys dense (keyFilter.span):
+// the filtered scan keeps only build keys inside their range. The
+// finished table's tags are set last.
 func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	p := ex.plan.nodes[n.Build]
 	inner := n.Kind == InnerJoin
-	build, err := ex.keyPass(n)
+	build, f, err := ex.keyPass(n)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -452,6 +450,12 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	var sinks []*buildSink
 	newSink := func(*compiler) pipeSink {
 		s := newBuildSink(p.kinds, p.live, n.BuildKeys, inner)
+		// A keyed table's front: a semi or anti sink enters its keys there
+		// as they arrive; an inner join's one table is linked from the
+		// first sink's.
+		if f != nil && f.span() > 0 && (!inner || len(sinks) == 0) {
+			s.kt.dir, s.kt.lo, s.kt.keyed = make([]uint32, f.span()), f.lo, true
+		}
 		sinks = append(sinks, s)
 		return s.sink()
 	}
@@ -515,17 +519,18 @@ func (ex *executor) keySide(n *JoinNode) (scan *ScanNode, build bool) {
 // match are dropped before any other column is unpacked. The filtered
 // scan reads what the original's consumers read, and keeps the rows it
 // keeps in their order, so an inner join emits what it would unfiltered.
-// It returns nil when no probe row has a non-NULL key, and n.Build for
-// every other join. The probe pipeline reads the snapshot this pass read:
+// Beside it comes what the pass learnt of the keys (keyFilter). It
+// returns nil when no probe row has a non-NULL key, and n.Build with no
+// filter for every other join. The probe pipeline reads the snapshot this pass read:
 // a row inserted in between would carry a key the filter never saw.
-func (ex *executor) keyPass(n *JoinNode) (Node, error) {
+func (ex *executor) keyPass(n *JoinNode) (Node, *keyFilter, error) {
 	scan, build := ex.keySide(n)
 	if !build {
-		return n.Build, nil
+		return n.Build, nil, nil
 	}
 	probe, err := ex.prepareBuilds(n.Probe)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// A key pass of a join further down the spine may have read the probe
 	// relation already: its filter, this one and the probe read its snapshot.
@@ -549,24 +554,24 @@ func (ex *executor) keyPass(n *JoinNode) (Node, error) {
 		return pipeSink{batch: func(b *core.Batch) { f.add(b.Cols[c].Ints[:b.N], b.Cols[c].Nulls) }}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f := fs[0]
 	for _, o := range fs[1:] {
 		f.merge(o)
 	}
 	if f.lo > f.hi {
-		return nil, nil
+		return nil, nil, nil
 	}
 	f.col = scan.Cols[n.BuildKeys[0]]
 	in := core.Predicate{Col: f.col, Op: types.Between, Lo: types.IntValue(f.lo), Hi: types.IntValue(f.hi)}
 	filtered := &ScanNode{Rel: scan.Rel, Cols: scan.Cols, Preds: append(slices.Clip(scan.Preds), in), Filter: scan.Filter}
 	if _, err := ex.plan.check(filtered); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ex.plan.nodes[filtered].live = ex.plan.nodes[scan].live
 	ex.filters[filtered] = f
-	return filtered, nil
+	return filtered, f, nil
 }
 
 // compileChain lowers the operator chain above the scan into a single fused
