@@ -24,20 +24,20 @@ type batchConsumer func(*core.Batch)
 
 // compileBatchChain lowers the chain above the scan into a batch consumer
 // feeding down: vectorized modes run this chain or nothing.
-func (ex *executor) compileBatchChain(n Node, down batchConsumer, c *compiler) batchConsumer {
+func (ex *executor) compileBatchChain(n Node, down batchConsumer, wp *workerProf) batchConsumer {
 	// down consumes n's output batches: the wrapper counts n's emitted
 	// rows/batches and times the downstream chain (see compileChain).
-	down = c.wp.wrapBatch(ex.profIdx(n), down)
+	down = wp.wrapBatch(ex.profIdx(n), down)
 	switch n := n.(type) {
 	case *FilterNode:
 		vc := &vcompiler{}
 		p := ex.plan.nodes[n]
 		f := &batchFilter{sel: vc.sel(p.exprs[0]), live: p.live, down: down}
-		return ex.compileBatchChain(n.Child, f.consume, c)
+		return ex.compileBatchChain(n.Child, f.consume, wp)
 	case *MapNode:
-		return ex.compileBatchChain(n.Child, ex.compileBatchMap(n, down).consume, c)
+		return ex.compileBatchChain(n.Child, ex.compileBatchMap(n, down).consume, wp)
 	case *JoinNode:
-		return ex.compileBatchChain(n.Probe, ex.compileBatchJoin(n, down).consume, c)
+		return ex.compileBatchChain(n.Probe, ex.compileBatchJoin(n, down).consume, wp)
 	default: // the ScanNode: prepareBuilds admitted nothing else
 		return down
 	}

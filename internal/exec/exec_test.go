@@ -526,12 +526,14 @@ func requireExactResult(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestBatchSinksMatchTupleExactly drives the batch-at-a-time consume path
-// against ModeJIT — the tuple scan and the tuple chain, which share no scan
-// code with it — over aggregation shapes the TPC-H subset does not cover:
-// nullable string group-bys, float and multi-column group keys,
-// COUNT(col), MIN/MAX over every kind, and residual filters in
-// non-pushdown mode.
+// TestBatchSinksMatchTupleExactly drives the batch-at-a-time chain against
+// ModeJIT over aggregation shapes the TPC-H subset does not cover: nullable
+// string group-bys, float and multi-column group keys, COUNT(col), MIN/MAX
+// over every kind, and residual filters in non-pushdown mode. What stays
+// independent of the batch chain is ModeJIT's scan, filter, map and join
+// probe; the sinks are shared (ModeJIT's batcher feeds them), so this holds
+// the vectorized scan and chain, and the batches they hand the sinks, to
+// the compiled tuple scan and chain.
 func TestBatchSinksMatchTupleExactly(t *testing.T) {
 	rel := ordersRel(t, 30000, 1<<13, 2) // frozen blocks + hot tail
 	plans := map[string]func() Node{
@@ -696,7 +698,7 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex.prof, _ = newProfiler(plan, opt)
-	err = ex.runPipeline(plan, func(*compiler) pipeSink {
+	err = ex.runPipeline(plan, func() pipeSink {
 		return pipeSink{batch: func(*core.Batch) {
 			for !ex.stop.Load() {
 				runtime.Gosched()
@@ -714,6 +716,54 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	}
 	if morsels > 2 {
 		t.Fatalf("workers processed %d of 400 morsels after one failed; the stop flag is not stopping the backlog", morsels)
+	}
+}
+
+// TestJITBatcherHandsOnMorselBatches pins the batcher that ends ModeJIT's
+// tuple chain: over frozen chunks, hot chunks and deleted rows it hands
+// the sink every visible row, in batches of 1 to VectorSize rows that never
+// span two morsels, with the columns the sink does not read left empty.
+func TestJITBatcherHandsOnMorselBatches(t *testing.T) {
+	const chunkRows, vecSize = 256, 5
+	rel := ordersRel(t, 1000, chunkRows, 2) // chunks 0, 1 frozen; 2, 3 hot
+	visible := 1000
+	for i := 0; i < 1000; i += 7 {
+		if rel.Delete(storage.TupleID{Chunk: uint32(i / chunkRows), Row: uint32(i % chunkRows)}) {
+			visible--
+		}
+	}
+	// The aggregation reads okey and price: status and qty are dead.
+	scan := &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}}
+	plan := &AggNode{Child: scan, GroupBy: []int{0}, Aggs: []AggSpec{{Func: AggSum, Arg: Col(1)}}}
+	ex, err := newExecutor(plan, Options{Mode: ModeJIT, VectorSize: vecSize, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, batches := 0, 0
+	err = ex.runPipeline(scan, func() pipeSink {
+		return pipeSink{batch: func(b *core.Batch) {
+			batches++
+			rows += b.N
+			if b.N < 1 || b.N > vecSize {
+				t.Errorf("batch %d holds %d rows, want 1..%d", batches, b.N, vecSize)
+			}
+			for r, okey := range b.Cols[0].Ints[:b.N] {
+				if okey/chunkRows != b.Cols[0].Ints[0]/chunkRows {
+					t.Errorf("batch %d spans two morsels: okey %d at row %d after okey %d", batches, okey, r, b.Cols[0].Ints[0])
+				}
+			}
+			for _, c := range []int{2, 3} {
+				if col := &b.Cols[c]; len(col.Ints)+len(col.Strs)+len(col.Nulls) != 0 {
+					t.Errorf("batch %d: dead column %d holds cells", batches, c)
+				}
+			}
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != visible {
+		t.Fatalf("the sink got %d rows in %d batches, want the %d visible", rows, batches, visible)
 	}
 }
 

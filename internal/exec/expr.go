@@ -1,13 +1,15 @@
-// Package exec implements the query engine of §4: a data-centric,
-// push-based engine whose pipelines are "compiled" into fused
-// tuple-at-a-time Go closures (our stand-in for HyPer's LLVM code
-// generation), fed either by compiled scans or by the interpreted,
-// pre-compiled vectorized scan over uncompressed chunks and Data Blocks
-// behind a single interface (Figure 6). That interface is core.Scanner:
-// this package asks storage for a chunk's block or raw columns and core for
-// match vectors and unpacked batches, and does not know how a predicate is
-// evaluated on either layout. Only the compiled scans — Figure 5's
-// per-layout code generation, a comparator — read the layouts themselves.
+// Package exec implements the query engine of §4: a push-based engine
+// whose pipelines run batch-at-a-time behind the interpreted,
+// pre-compiled vectorized scan, one scan over uncompressed chunks and Data
+// Blocks alike (Figure 6) — the production path of every mode but ModeJIT.
+// The scan's interface is core.Scanner: this package asks storage
+// for a chunk's block or raw columns and core for match vectors and
+// unpacked batches, and does not know how a predicate is evaluated on
+// either layout. ModeJIT, the comparator, compiles its pipelines into
+// fused tuple-at-a-time Go closures (our stand-in for HyPer's LLVM code
+// generation) behind compiled scans, one per storage layout (Figure 5),
+// which alone read the layouts themselves; its chain ends in a batcher
+// that feeds the same batch sinks (jit.go).
 //
 // Expressions have one front end and two back ends: check (check.go) types
 // every expression of a plan once per query and is the only code that can

@@ -204,7 +204,7 @@ func EqualHashTwin(x, y, x2 int64) int64 {
 func TestEqualHashDistinctKeysNeverMerge(t *testing.T) {
 	kinds := []types.Kind{types.Int64, types.Int64}
 	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}}}
-	a := newAggregator(node, kinds, []*checked{nil}, true)
+	a := newAggregator(node, kinds, []*checked{nil})
 	const pairs = 3000
 	hash := func(x, y int64) uint64 { return simd.HashCombine(simd.Mix64(uint64(x)), simd.Mix64(uint64(y))) }
 	var xs, ys []int64
@@ -261,7 +261,7 @@ func TestGroupByEqualColumnsNeedsNoReprobes(t *testing.T) {
 		xs[i] = int64(i)
 	}
 	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}}}
-	a := newAggregator(node, []types.Kind{types.Int64, types.Int64}, []*checked{nil}, true)
+	a := newAggregator(node, []types.Kind{types.Int64, types.Int64}, []*checked{nil})
 	a.consumeBatch(&core.Batch{N: n, Cols: []core.BatchCol{{Kind: types.Int64, Ints: xs}, {Kind: types.Int64, Ints: xs}}})
 	if a.groups != n {
 		t.Fatalf("%d groups, want %d", a.groups, n)

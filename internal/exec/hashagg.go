@@ -15,29 +15,22 @@ import (
 // instead of chasing a per-group state struct per row.
 //
 // Groups are the entries of the embedded keyTable, resolved one way
-// whatever feeds the sink: the rows' group-by cells are bound to its keys
-// (a batch's columns, one tuple's registers) and resolved, or another
-// worker's table is absorbed (merge). Group ids are dense and issued in
-// first-seen row order, which is the order finalize renders. Aggregations
-// without GROUP BY skip all of that and fold straight into group 0.
+// whatever feeds the sink: a batch's group-by columns are bound to its
+// keys and resolved — or, straight from a coded scan, looked up by code
+// (codeTable) — or another worker's table is absorbed (merge). Group ids
+// are dense and issued in first-seen row order, which is the order
+// finalize renders. Aggregations without GROUP BY skip all of that and
+// fold straight into group 0.
 //
-// Which chain drives the sink is fixed at construction: consumeBatch in
-// vectorized modes (arguments evaluated as vectors, scatter-folded by
-// group-id vector), consume under ModeJIT (arguments
-// evaluated per tuple). Both fold rows in scan order into the same
-// accumulators, so their results are bit-identical.
+// Every mode feeds it batches (consumeBatch): the vectorized scan's, or
+// those the batcher ending ModeJIT's tuple chain fills. Arguments are
+// evaluated as vectors and scatter-folded by group-id vector, in row
+// order, so every mode's serial result is bit-identical.
 type aggregator struct {
 	keyTable // group keys → group id; keys has one column per group-by ordinal
 
 	node     *AggNode
 	argKinds []types.Kind
-
-	// Tuple-chain argument evaluators, nil in batch mode. COUNT(col) only
-	// needs its argument's NULL flag (argNull).
-	argI    []valFn[int64]
-	argF    []valFn[float64]
-	argS    []valFn[string]
-	argNull []func(*Tuple) bool
 
 	// accIdx maps each aggregate to its canonical accumulator: aggregates
 	// whose folds are identical — SUM(x)/AVG(x) (same sum+count),
@@ -46,9 +39,9 @@ type aggregator struct {
 	// marks the canonical aggregate; the rest only read at finalize.
 	accIdx []int
 
-	// Batch-chain argument evaluation slots, nil in tuple mode.
-	// Aggregates with an identical (argument expression, evaluation kind)
-	// share a slot, so e.g. SUM(x) and AVG(x) evaluate x once per batch.
+	// Argument evaluation slots. Aggregates with an identical (argument
+	// expression, evaluation kind) share a slot, so e.g. SUM(x) and AVG(x)
+	// evaluate x once per batch.
 	argSlot []int // per agg; -1 for COUNT(*)
 	// cse is the vectorized compiler's common-subexpression state; the
 	// batch path bumps its epoch before evaluating each batch's slots.
@@ -104,9 +97,8 @@ type codeTable struct {
 
 // newAggregator builds a worker's sink for node, lowering the checked
 // aggregate arguments (nil for COUNT(*), a sum's already converted to the
-// double it folds) for exactly one chain: vectorized slots when batch is
-// set, tuple closures otherwise.
-func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, batch bool) *aggregator {
+// double it folds) to vectorized slots.
+func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked) *aggregator {
 	n := len(node.Aggs)
 	a := &aggregator{
 		node:     node,
@@ -159,43 +151,8 @@ func newAggregator(node *AggNode, inKinds []types.Kind, args []*checked, batch b
 			a.argKinds[i] = args[i].kind
 		}
 	}
-	if batch {
-		a.vectorize(args)
-	} else {
-		a.compileTupleArgs(args, &compiler{})
-	}
+	a.vectorize(args)
 	return a
-}
-
-// nullOf narrows a typed evaluator to its NULL flag.
-func nullOf[T any](f func(*Tuple) (T, bool)) func(*Tuple) bool {
-	return func(t *Tuple) bool {
-		_, null := f(t)
-		return null
-	}
-}
-
-// compileTupleArgs compiles the tuple-at-a-time argument evaluators.
-func (a *aggregator) compileTupleArgs(args []*checked, c *compiler) {
-	n := len(args)
-	a.argI, a.argF, a.argS = make([]valFn[int64], n), make([]valFn[float64], n), make([]valFn[string], n)
-	a.argNull = make([]func(*Tuple) bool, n)
-	for i, arg := range args {
-		if arg == nil {
-			continue
-		}
-		switch arg.kind {
-		case types.Int64:
-			a.argI[i] = c.int(arg)
-			a.argNull[i] = nullOf(a.argI[i])
-		case types.Float64:
-			a.argF[i] = c.float(arg)
-			a.argNull[i] = nullOf(a.argF[i])
-		default:
-			a.argS[i] = c.str(arg)
-			a.argNull[i] = nullOf(a.argS[i])
-		}
-	}
 }
 
 // vectorize compiles the batch-at-a-time argument evaluators, deduplicating
@@ -324,70 +281,14 @@ func widen[T cmp.Ordered](mins, maxs []T, seen []bool, g uint32, mn, mx T) {
 	}
 }
 
-// globalGroup returns group 0 of an aggregation without GROUP BY,
-// creating it on first use.
-func (a *aggregator) globalGroup() uint32 {
+// globalGroup creates group 0 of an aggregation without GROUP BY, unless
+// it exists.
+func (a *aggregator) globalGroup() {
 	a.entries = 1
 	a.grow()
-	return 0
 }
 
-// consume folds one tuple (tuple-at-a-time chain): the tuple's group-by
-// registers are probed as a one-row batch.
-func (a *aggregator) consume(t *Tuple) {
-	if len(a.keys) == 0 {
-		a.fold(a.globalGroup(), t)
-		return
-	}
-	bindTuple(a.keys, t, a.node.GroupBy)
-	gid := a.resolve(1)[0]
-	a.grow()
-	a.fold(gid, t)
-}
-
-func (a *aggregator) fold(gid uint32, t *Tuple) {
-	for i, spec := range a.node.Aggs {
-		if a.accIdx[i] != i {
-			continue // an identical fold already feeds this accumulator
-		}
-		switch spec.Func {
-		case AggCount:
-			a.counts[i][gid]++
-		case AggCountCol:
-			if !a.argNull[i](t) {
-				a.counts[i][gid]++
-			}
-		case AggSum, AggAvg:
-			v, null := a.argF[i](t)
-			if null {
-				continue
-			}
-			a.sums[i][gid] += v
-			a.counts[i][gid]++
-		case AggMin, AggMax:
-			a.foldMinMax(gid, i, t)
-		}
-	}
-}
-
-func (a *aggregator) foldMinMax(gid uint32, i int, t *Tuple) {
-	switch a.argKinds[i] {
-	case types.Int64:
-		if v, null := a.argI[i](t); !null {
-			widen(a.minI[i], a.maxI[i], a.seen[i], gid, v, v)
-		}
-	case types.Float64:
-		if v, null := a.argF[i](t); !null {
-			widen(a.minF[i], a.maxF[i], a.seen[i], gid, v, v)
-		}
-	default:
-		if v, null := a.argS[i](t); !null {
-			widen(a.minS[i], a.maxS[i], a.seen[i], gid, v, v)
-		}
-	}
-}
-
-// consumeBatch folds a whole batch (batch-at-a-time path).
+// consumeBatch folds a whole batch.
 //
 //dbvet:hotpath
 func (a *aggregator) consumeBatch(b *core.Batch) {
@@ -650,8 +551,8 @@ func (a *aggregator) merge(o *aggregator) {
 // canonNaN maps every NaN to the canonical quiet NaN, mirroring the simd
 // sum kernels: a sum that hits Inf + -Inf manufactures a NaN whose payload
 // depends on hardware operand order, which the compiler picks per build —
-// canonicalizing at finalize keeps the tuple and batch paths bit-identical
-// even for NaN-producing inputs.
+// canonicalizing at finalize keeps results bit-identical across kernels
+// and builds even for NaN-producing inputs.
 func canonNaN(x float64) float64 {
 	if x != x {
 		return math.NaN()

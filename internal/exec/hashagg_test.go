@@ -247,7 +247,7 @@ func TestCodedConsumeBatchAllocatesNothing(t *testing.T) {
 		}
 		args = append(args, arg)
 	}
-	a := newAggregator(node, kinds, args, true)
+	a := newAggregator(node, kinds, args)
 	fold := func() {
 		a.consumeBatch(batches[0])
 		a.consumeBatch(batches[1])
@@ -288,7 +288,7 @@ func TestMinMaxFloatIgnoresOrderAndBatching(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			for _, groupBy := range [][]int{nil, {1}} {
 				node := &AggNode{GroupBy: groupBy, Aggs: []AggSpec{{Func: AggMin, Arg: Col(0)}, {Func: AggMax, Arg: Col(0)}}}
-				workers := []*aggregator{newAggregator(node, kinds, []*checked{arg, arg}, true), newAggregator(node, kinds, []*checked{arg, arg}, true)}
+				workers := []*aggregator{newAggregator(node, kinds, []*checked{arg, arg}), newAggregator(node, kinds, []*checked{arg, arg})}
 				perm := r.Perm(len(vals))
 				split := r.Intn(len(vals) + 1)
 				for w, rows := range [][]int{perm[:split], perm[split:]} {

@@ -121,20 +121,6 @@ func (c *segCol) gather(dst *core.BatchCol, ids []uint32) {
 	dst.Nulls = gatherSegs(dst.Nulls, c.nulls, ids)
 }
 
-// load copies row id's cell into register slot of t.
-func (c *segCol) load(id uint32, t *Tuple, slot int) {
-	g, at := id>>segBits, id&(segRows-1)
-	t.Nulls[slot] = c.nulls[g][at]
-	switch c.kind {
-	case types.Int64:
-		t.Ints[slot] = c.ints[g][at]
-	case types.Float64:
-		t.Floats[slot] = c.floats[g][at]
-	default:
-		t.Strs[slot] = c.strs[g][at]
-	}
-}
-
 // gatherSegs gathers the cells of rows ids, reusing dst.
 //
 //dbvet:hotpath
@@ -152,9 +138,9 @@ func gatherSegs[T any](dst []T, segs []*[segRows]T, ids []uint32) []T {
 // key once, copying no other column; an inner-join sink copies the live
 // columns of every row — the keys and what the join's consumer reads —
 // into its segments, which linkRows resolves and chains once the workers
-// are done; a dead column's segCol holds no segment. Batches and tuples
-// (viewed as one-row batches) take the same path, so both chains share one
-// build.
+// are done; a dead column's segCol holds no segment. It takes batches in
+// every mode, so ModeJIT's tuple chain, through its batcher, builds as the
+// batch chain does.
 type buildSink struct {
 	kt   keyTable // a semi or anti join's keys; an inner join's key kinds
 	cols []int    // the build keys' columns in the build pipeline's output
@@ -178,40 +164,17 @@ func newBuildSink(kinds []types.Kind, live []bool, cols []int, inner bool) *buil
 	return s
 }
 
-// sink offers the build sink to both chains. An inner-join sink keeps a
-// batch, or a tuple's registers as a one-row batch; a semi- or anti-join
-// sink binds a batch's key columns or a tuple's key registers and enters
-// their keys.
-func (s *buildSink) sink() pipeSink {
-	one := core.Batch{N: 1, Cols: make([]core.BatchCol, len(s.kept))}
-	return pipeSink{
-		tuple: func(t *Tuple) {
-			if s.kept != nil {
-				for c := range one.Cols {
-					one.Cols[c] = core.BatchCol{Ints: t.Ints[c : c+1], Floats: t.Floats[c : c+1], Strs: t.Strs[c : c+1], Nulls: t.Nulls[c : c+1]}
-				}
-				s.keep(&one)
-				return
-			}
-			bindTuple(s.kt.keys, t, s.cols)
-			s.add(1)
-		},
-		batch: func(b *core.Batch) {
-			if s.kept != nil {
-				s.keep(b)
-				return
-			}
-			bindBatch(s.kt.keys, b, s.cols)
-			s.add(b.N)
-		},
+// consume is the build sink's batch consumer. An inner-join sink keeps the
+// batch's rows; a semi- or anti-join sink binds its key columns and enters
+// the keys its table lacks.
+func (s *buildSink) consume(b *core.Batch) {
+	if s.kept != nil {
+		s.keep(b)
+		return
 	}
-}
-
-// add enters the keys of the n rows bound to the key columns that the
-// table lacks.
-func (s *buildSink) add(n int) {
-	s.rows += n
-	s.kt.resolve(n)
+	bindBatch(s.kt.keys, b, s.cols)
+	s.rows += b.N
+	s.kt.resolve(b.N)
 }
 
 // keep copies b's rows into the sink's last segment, starting a new one

@@ -48,16 +48,6 @@ func bindBatch(keys []keyCol, b *core.Batch, cols []int) {
 	}
 }
 
-// bindTuple points the probe side of keys at the tuple's registers cols,
-// each as a one-row vector: the tuple-at-a-time chain probes with the
-// same code as the batch chain, at n = 1.
-func bindTuple(keys []keyCol, t *Tuple, cols []int) {
-	for i, c := range cols {
-		k := &keys[i]
-		k.nulls, k.ints, k.floats, k.strs = t.Nulls[c:c+1], t.Ints[c:c+1], t.Floats[c:c+1], t.Strs[c:c+1]
-	}
-}
-
 // nullKeyHash is the hash contribution of a NULL key cell.
 const nullKeyHash = 0x9e3779b97f4a7c15
 

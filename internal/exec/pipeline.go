@@ -173,10 +173,10 @@ func (ex *executor) run(n Node) (*Result, error) {
 		return root.finalize(ex.plan.nodes[n].kinds), nil
 	default:
 		var results []*Result
-		err := ex.runPipeline(n, func(*compiler) pipeSink {
+		err := ex.runPipeline(n, func() pipeSink {
 			res := NewResult(ex.plan.nodes[n].kinds)
 			results = append(results, res)
-			return pipeSink{tuple: res.appendTuple, batch: res.appendBatch}
+			return pipeSink{batch: res.appendBatch}
 		})
 		if err != nil {
 			return nil, err
@@ -193,10 +193,10 @@ func (ex *executor) aggregate(n *AggNode) ([]*aggregator, error) {
 	var aggs []*aggregator
 	kinds, args := ex.plan.nodes[n.Child].kinds, ex.plan.nodes[n].exprs
 	vals := reads(make([]bool, len(kinds)), args)
-	err := ex.runPipeline(n.Child, func(c *compiler) pipeSink {
-		a := newAggregator(n, kinds, args, ex.batchMode())
+	err := ex.runPipeline(n.Child, func() pipeSink {
+		a := newAggregator(n, kinds, args)
 		aggs = append(aggs, a)
-		return pipeSink{tuple: a.consume, batch: a.consumeBatch, keys: n.GroupBy, vals: vals}
+		return pipeSink{batch: a.consumeBatch, keys: n.GroupBy, vals: vals}
 	})
 	return aggs, err
 }
@@ -227,10 +227,10 @@ func streamableChain(n Node) bool {
 // identical to materialize + SortBy (stable, NULLs first).
 func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
 	var sinks []*topkSink
-	err := ex.runPipeline(n.Child, func(*compiler) pipeSink {
+	err := ex.runPipeline(n.Child, func() pipeSink {
 		s := newTopkSink(ex.plan.nodes[n.Child].kinds, n.Keys, n.Limit)
 		sinks = append(sinks, s)
-		return pipeSink{tuple: s.consumeTuple, batch: s.consumeBatch}
+		return pipeSink{batch: s.consumeBatch}
 	})
 	if err != nil {
 		return nil, err
@@ -257,13 +257,11 @@ func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
 	return root, nil
 }
 
-// pipeSink is one worker's terminal consumer, offered in both forms.
-// runPipeline attaches exactly one of them — batch when the execution is
-// in batch mode, tuple otherwise — so a sink only needs its state prepared
-// for that one (see newAggregator). Which columns a sink reads is the
-// plan's live set of its input (checkedPlan.markLive).
+// pipeSink is one worker's terminal consumer, which takes batches in every
+// mode: behind the vectorized scan's batch chain, or behind the batcher
+// that ends ModeJIT's tuple chain (jit.go). Which columns a sink reads is
+// the plan's live set of its input (checkedPlan.markLive).
 type pipeSink struct {
-	tuple func(*Tuple)
 	batch batchConsumer
 	// keys are an aggregation's group-by columns, which it takes as codes
 	// from a batch straight from a coded scan; of them it takes those its
@@ -272,10 +270,11 @@ type pipeSink struct {
 	vals []bool
 }
 
-// batchMode reports which chain this execution compiles: the
-// batch-at-a-time chain in vectorized modes, the tuple-at-a-time chain
-// under ModeJIT. There is no third case and no switching between them
-// once chosen.
+// batchMode reports which scan and chain this execution compiles: the
+// vectorized scan and batch-at-a-time chain in vectorized modes, the
+// compiled tuple scan and tuple-at-a-time chain under ModeJIT. There is no
+// third case and no switching between them once chosen; the sinks are the
+// same in both.
 func (ex *executor) batchMode() bool {
 	return ex.opt.Mode != ModeJIT
 }
@@ -286,7 +285,7 @@ func (ex *executor) batchMode() bool {
 // cannot fail — and drives the scan over the relation's chunks (morsels).
 // sinkFactory runs once per worker, on the calling goroutine, before any
 // worker starts.
-func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink) error {
+func (ex *executor) runPipeline(chain Node, sinkFactory func() pipeSink) error {
 	scan, err := ex.prepareBuilds(chain)
 	if err != nil {
 		return err
@@ -316,14 +315,14 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 		}
 	}()
 	for w := 0; w < workers; w++ {
-		c := &compiler{}
+		var wp *workerProf
 		if ex.prof != nil && !ex.compileOnly {
-			c.wp = ex.prof.newWorker()
+			wp = ex.prof.newWorker()
 		}
-		sink := sinkFactory(c)
+		sink := sinkFactory()
 		var d *scanDriver
 		if ex.batchMode() {
-			d = ex.newScanDriver(scan, nil, ex.compileBatchChain(chain, sink.batch, c), c, chunks)
+			d = ex.newScanDriver(scan, ex.compileBatchChain(chain, sink.batch, wp), wp)
 			if chain == Node(scan) {
 				// Nothing between the scan and the sink: the scan hands an
 				// aggregation's frozen keys over as codes. Any operator in
@@ -333,14 +332,15 @@ func (ex *executor) runPipeline(chain Node, sinkFactory func(*compiler) pipeSink
 			// Early probing runs inside vectorized scans only (Appendix E).
 			d.ep, d.epRelCol = ex.earlyProbeFor(chain)
 		} else {
-			d = ex.newScanDriver(scan, ex.compileChain(chain, sink.tuple, c), nil, c, chunks)
+			d = ex.newScanDriver(scan, nil, wp)
+			ex.compileJIT(d, chain, sink.batch, chunks)
 		}
 		drivers[w] = d
 	}
 	if ex.compileOnly {
 		ex.scanPaths = 1
-		if d := drivers[0]; d.jitHot != nil {
-			ex.scanPaths += len(d.jitLayouts)
+		if j := drivers[0].jit; j != nil {
+			ex.scanPaths += len(j.layouts)
 		}
 		return nil
 	}
@@ -448,7 +448,7 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 		return &hashTable{keyTable: newBuildSink(p.kinds, p.live, n.BuildKeys, false).kt}, 0, nil
 	}
 	var sinks []*buildSink
-	newSink := func(*compiler) pipeSink {
+	newSink := func() pipeSink {
 		s := newBuildSink(p.kinds, p.live, n.BuildKeys, inner)
 		// A keyed table's front: a semi or anti sink enters its keys there
 		// as they arrive; an inner join's one table is linked from the
@@ -457,7 +457,7 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 			s.kt.dir, s.kt.lo, s.kt.keyed = make([]uint32, f.span()), f.lo, true
 		}
 		sinks = append(sinks, s)
-		return s.sink()
+		return pipeSink{batch: s.consume}
 	}
 	if streamableChain(build) {
 		if err := ex.runPipeline(build, newSink); err != nil {
@@ -470,7 +470,7 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		newSink(nil).batch(res.batch())
+		newSink().batch(res.batch())
 	}
 	rows := 0
 	for _, s := range sinks {
@@ -547,7 +547,7 @@ func (ex *executor) keyPass(n *JoinNode) (Node, *keyFilter, error) {
 		ex.plan.markLive(chain, withKeys(make([]bool, len(p.kinds)), n.ProbeKeys))
 	}
 	var fs []*keyFilter
-	err = ex.runPipeline(chain, func(*compiler) pipeSink {
+	err = ex.runPipeline(chain, func() pipeSink {
 		f := &keyFilter{lo: math.MaxInt64, hi: math.MinInt64}
 		fs = append(fs, f)
 		c := n.ProbeKeys[0]
@@ -572,91 +572,6 @@ func (ex *executor) keyPass(n *JoinNode) (Node, *keyFilter, error) {
 	ex.plan.nodes[filtered].live = ex.plan.nodes[scan].live
 	ex.filters[filtered] = f
 	return filtered, f, nil
-}
-
-// compileChain lowers the operator chain above the scan into a single fused
-// consumer closure — the query-pipeline compilation of §4.
-func (ex *executor) compileChain(n Node, down func(*Tuple), c *compiler) func(*Tuple) {
-	// down consumes n's output: wrapping it here counts n's emitted rows
-	// and times everything downstream of n, attributed to n's slot.
-	down = c.wp.wrapTuple(ex.profIdx(n), down)
-	switch n := n.(type) {
-	case *FilterNode:
-		cond := c.bool(ex.plan.nodes[n].exprs[0])
-		cons := func(t *Tuple) {
-			if cond(t) {
-				down(t)
-			}
-		}
-		return ex.compileChain(n.Child, cons, c)
-	case *MapNode:
-		exprs := ex.plan.nodes[n].exprs
-		out := NewTuple(len(exprs))
-		setters := make([]func(in, out *Tuple), len(exprs))
-		for i, e := range exprs {
-			slot := i
-			switch e.kind {
-			case types.Int64:
-				f := c.int(e)
-				setters[i] = func(in, out *Tuple) { out.Ints[slot], out.Nulls[slot] = f(in) }
-			case types.Float64:
-				f := c.float(e)
-				setters[i] = func(in, out *Tuple) { out.Floats[slot], out.Nulls[slot] = f(in) }
-			default:
-				f := c.str(e)
-				setters[i] = func(in, out *Tuple) { out.Strs[slot], out.Nulls[slot] = f(in) }
-			}
-		}
-		cons := func(t *Tuple) {
-			for _, set := range setters {
-				set(t, out)
-			}
-			down(out)
-		}
-		return ex.compileChain(n.Child, cons, c)
-	case *JoinNode:
-		return ex.compileJoinProbe(n, down, c)
-	default: // the ScanNode: prepareBuilds admitted nothing else
-		return down
-	}
-}
-
-// compileJoinProbe lowers a join probe into the tuple chain: each tuple's
-// key registers are probed as a one-row batch (see batchJoinProbe).
-func (ex *executor) compileJoinProbe(n *JoinNode, down func(*Tuple), c *compiler) func(*Tuple) {
-	j := ex.newJoinProbe(n)
-	if n.Kind != InnerJoin {
-		wantMatch := n.Kind == SemiJoin
-		return ex.compileChain(n.Probe, func(t *Tuple) {
-			bindTuple(j.kt.keys, t, n.ProbeKeys)
-			j.matchPairs(1)
-			if (len(j.pairsP) > 0) == wantMatch {
-				down(t)
-			}
-		}, c)
-	}
-	np, live := j.np, j.live[j.np:]
-	out := NewTuple(np + len(j.ht.rows))
-	return ex.compileChain(n.Probe, func(t *Tuple) {
-		bindTuple(j.kt.keys, t, n.ProbeKeys)
-		j.matchPairs(1)
-		if len(j.pairsB) == 0 {
-			return
-		}
-		// Probe columns change only per probe tuple.
-		copy(out.Ints[:np], t.Ints[:np])
-		copy(out.Floats[:np], t.Floats[:np])
-		copy(out.Strs[:np], t.Strs[:np])
-		copy(out.Nulls[:np], t.Nulls[:np])
-		for _, row := range j.pairsB {
-			for bi := range j.ht.rows {
-				if live[bi] { // a dead build column's segments are empty
-					j.ht.rows[bi].load(row, out, np+bi)
-				}
-			}
-			down(out)
-		}
-	}, c)
 }
 
 // earlyProbeFor finds the scan's one early probe: the build's tags of the

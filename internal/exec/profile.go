@@ -273,20 +273,6 @@ func (p *profiler) noteBuild(n Node, rows uint64, d time.Duration) {
 	p.mu.Unlock()
 }
 
-// wrapTuple instruments one operator's output edge on the tuple chain.
-func (wp *workerProf) wrapTuple(i int, down func(*Tuple)) func(*Tuple) {
-	if wp == nil || i < 0 {
-		return down
-	}
-	cell := &wp.cells[i]
-	return func(t *Tuple) {
-		cell.rowsOut.Inc()
-		t0 := time.Now()
-		down(t)
-		cell.downNs.Add(uint64(time.Since(t0)))
-	}
-}
-
 // wrapBatch instruments one operator's output edge on the batch chain.
 func (wp *workerProf) wrapBatch(i int, down batchConsumer) batchConsumer {
 	if wp == nil || i < 0 {

@@ -45,23 +45,6 @@ func (r *Result) NumRows() int { return r.n }
 // NumCols returns the column count.
 func (r *Result) NumCols() int { return len(r.Cols) }
 
-// appendTuple copies the first ncols slots of t as a new row.
-func (r *Result) appendTuple(t *Tuple) {
-	for i := range r.Cols {
-		c := &r.Cols[i]
-		c.Nulls = append(c.Nulls, t.Nulls[i])
-		switch c.Kind {
-		case types.Int64:
-			c.Ints = append(c.Ints, t.Ints[i])
-		case types.Float64:
-			c.Floats = append(c.Floats, t.Floats[i])
-		default:
-			c.Strs = append(c.Strs, t.Strs[i])
-		}
-	}
-	r.n++
-}
-
 // appendBatch bulk-appends a whole batch column-at-a-time — the
 // batch-mode materialization sink (no per-row dispatch).
 func (r *Result) appendBatch(b *core.Batch) {
@@ -220,22 +203,6 @@ func (r *Result) copyRow(dst, src int) {
 	}
 }
 
-// writeRowFromTuple overwrites row slot with the tuple's leading columns.
-func (r *Result) writeRowFromTuple(slot int, t *Tuple) {
-	for i := range r.Cols {
-		c := &r.Cols[i]
-		c.Nulls[slot] = t.Nulls[i]
-		switch c.Kind {
-		case types.Int64:
-			c.Ints[slot] = t.Ints[i]
-		case types.Float64:
-			c.Floats[slot] = t.Floats[i]
-		default:
-			c.Strs[slot] = t.Strs[i]
-		}
-	}
-}
-
 // writeRowFromBatch overwrites row slot with batch row br.
 func (r *Result) writeRowFromBatch(slot int, b *core.Batch, br int) {
 	for i := range r.Cols {
@@ -251,24 +218,6 @@ func (r *Result) writeRowFromBatch(slot int, b *core.Batch, br int) {
 			c.Strs[slot] = bc.Strs[br]
 		}
 	}
-}
-
-// appendRowFromBatch appends batch row br as a new result row.
-func (r *Result) appendRowFromBatch(b *core.Batch, br int) {
-	for i := range r.Cols {
-		c := &r.Cols[i]
-		bc := &b.Cols[i]
-		c.Nulls = append(c.Nulls, bc.Nulls != nil && bc.Nulls[br])
-		switch c.Kind {
-		case types.Int64:
-			c.Ints = append(c.Ints, bc.Ints[br])
-		case types.Float64:
-			c.Floats = append(c.Floats, bc.Floats[br])
-		default:
-			c.Strs = append(c.Strs, bc.Strs[br])
-		}
-	}
-	r.n++
 }
 
 func (r *Result) permute(idx []int) {

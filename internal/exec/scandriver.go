@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"datablocks/internal/compress"
 	"datablocks/internal/core"
 	"datablocks/internal/simd"
 	"datablocks/internal/storage"
@@ -12,26 +11,24 @@ import (
 )
 
 // scanDriver drives one worker's pipeline over chunks. It owns all
-// per-worker buffers (tuple register file, batch, match vectors) and
-// feeds exactly one consumer chain: bcons behind the vectorized scan of
-// every mode but ModeJIT, cons behind ModeJIT's tuple scan.
+// per-worker buffers (batch, match vectors) and feeds exactly one consumer
+// chain: bcons behind the vectorized scan of every mode but ModeJIT, and
+// under ModeJIT the tuple scan and chain of jit, which end in a batcher
+// handing the same batch sink batches.
 type scanDriver struct {
 	scan    *ScanNode
 	vecSize int
 	kinds   []types.Kind
-	tuple   *Tuple
 	batch   core.Batch
 
-	// cons is ModeJIT's tuple-at-a-time consumer chain and residual the
-	// condition its scan paths evaluate in front of it: Preds ∧ Filter
-	// (nil = none), lowered once per path.
-	cons     func(*Tuple)
-	residual *checked
+	// jit is ModeJIT's compiled tuple scan and chain (jit.go); nil in
+	// every other mode.
+	jit *jitScan
 
 	// bcons is the batch-at-a-time consumer chain: gathered batches are
 	// handed over whole. conjuncts are the residual condition's top-level
 	// conjuncts compiled as selection functions (the batch twin of
-	// residual). The batch path materializes lazily: each conjunct
+	// jitScan.residual). The batch path materializes lazily: each conjunct
 	// unpacks only the columns it references, thins the match vector, and
 	// later conjuncts (and the final projection) decompress survivors
 	// only.
@@ -51,11 +48,6 @@ type scanDriver struct {
 	keys []int
 	vals []bool
 
-	// JIT scan code paths: one specialized path per storage-layout
-	// combination (Figure 5), plus one for hot chunks.
-	jitLayouts map[string]*layoutPath
-	jitHot     *hotPath
-
 	// Early probing of an upstream join (Appendix E).
 	ep       *tagSet
 	epRelCol int
@@ -74,33 +66,15 @@ type scanDriver struct {
 	wp *workerProf
 }
 
-// layoutPath is the compiled scan code for one storage-layout combination.
-type layoutPath struct {
-	accessors []blockAccessor
-	filter    boolFn
-}
-
-// blockAccessor loads one attribute of one row into a tuple slot. It is
-// specialized at compile time on (kind, scheme, width) — the "unrolled"
-// decompression code of §4.
-type blockAccessor func(a *core.Attr, row int, t *Tuple, slot int)
-
-// hotPath is the compiled tuple-at-a-time scan over uncompressed chunks.
-type hotPath struct {
-	loaders []func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int)
-	filter  boolFn
-}
-
-func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batchConsumer, c *compiler, chunks []storage.ChunkView) *scanDriver {
+func (ex *executor) newScanDriver(scan *ScanNode, bcons batchConsumer, wp *workerProf) *scanDriver {
 	p := ex.plan.nodes[scan]
 	d := &scanDriver{
 		scan:    scan,
 		vecSize: ex.opt.VectorSize,
-		cons:    cons,
 		bcons:   bcons,
 		kinds:   p.kinds,
 		usePSMA: ex.opt.Mode == ModeVectorizedSARGPSMA,
-		wp:      c.wp,
+		wp:      wp,
 		pinCols: append([]int{}, scan.Cols...),
 		live:    p.live,
 	}
@@ -111,164 +85,28 @@ func (ex *executor) newScanDriver(scan *ScanNode, cons func(*Tuple), bcons batch
 	// p.exprs is the condition evaluated inside the pipeline: the
 	// non-SARGable Filter, behind the SARGable predicates in modes that do
 	// not push them into the scan.
-	if d.bcons != nil {
+	if bcons != nil {
 		vc := &vcompiler{}
 		for _, cj := range p.exprs {
 			d.conjuncts = append(d.conjuncts, vconjunct{cols: cj.cols(nil), sel: vc.sel(cj)})
 		}
-	} else {
-		d.tuple = NewTuple(len(p.kinds))
-		d.residual = allOf(p.exprs)
-		d.jitHot = d.compileHotPath(c)
-		d.jitLayouts = make(map[string]*layoutPath)
-		for i := range chunks {
-			ch := &chunks[i]
-			// Evicted chunks have no resident block to compile against
-			// (and partly loaded ones may lack the scan's columns); their
-			// layout path is compiled lazily when the scan acquires the
-			// block.
-			if ch.IsFrozen() && ch.Block() != nil && ch.Block().Has(d.pinCols) {
-				key := ch.Block().LayoutKey()
-				if _, done := d.jitLayouts[key]; !done {
-					d.jitLayouts[key] = d.compileLayout(ch.Block(), c)
-				}
-			}
-		}
 	}
 	return d
-}
-
-// compileHotPath compiles the tuple-at-a-time loaders over uncompressed
-// chunk columns.
-func (d *scanDriver) compileHotPath(c *compiler) *hotPath {
-	hp := &hotPath{}
-	for _, k := range d.kinds {
-		switch k {
-		case types.Int64:
-			hp.loaders = append(hp.loaders, func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int) {
-				t.Ints[slot] = h.Ints(relCol)[row]
-				t.Nulls[slot] = h.IsNull(relCol, row)
-			})
-		case types.Float64:
-			hp.loaders = append(hp.loaders, func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int) {
-				t.Floats[slot] = h.Floats(relCol)[row]
-				t.Nulls[slot] = h.IsNull(relCol, row)
-			})
-		default:
-			hp.loaders = append(hp.loaders, func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int) {
-				t.Strs[slot] = h.Strs(relCol)[row]
-				t.Nulls[slot] = h.IsNull(relCol, row)
-			})
-		}
-	}
-	if d.residual != nil {
-		hp.filter = c.bool(d.residual)
-	}
-	return hp
-}
-
-// compileLayout generates the specialized ("unrolled", §4) scan code path
-// for one storage-layout combination: one decompressing accessor per
-// projected attribute plus a fresh clone of the residual filter. The work
-// done here is what Figure 5 measures.
-func (d *scanDriver) compileLayout(blk *core.Block, c *compiler) *layoutPath {
-	lp := &layoutPath{}
-	for i, relCol := range d.scan.Cols {
-		lp.accessors = append(lp.accessors, compileAccessor(blk.Attr(relCol), d.kinds[i]))
-	}
-	// Clone the filter for this code path (the paper's unrolled variants
-	// each carry their own copies of the predicate code): the checked tree
-	// is lowered again, not checked again.
-	if d.residual != nil {
-		lp.filter = c.bool(d.residual)
-	}
-	return lp
-}
-
-// compileAccessor specializes decompression on (kind, scheme, width) — the
-// block's LayoutKey. Everything else, such as whether a single-value
-// attribute is all NULL, is read from the attribute each call is handed:
-// the path serves every block of that layout.
-func compileAccessor(a *core.Attr, kind types.Kind) blockAccessor {
-	loadNull := func(a *core.Attr, row int) bool {
-		return a.Validity != nil && !simd.BitmapGet(a.Validity, uint32(row))
-	}
-	switch kind {
-	case types.Int64:
-		switch a.Ints.Scheme {
-		case compress.SingleValue:
-			return func(a *core.Attr, row int, t *Tuple, slot int) {
-				t.Ints[slot] = a.Ints.Single
-				t.Nulls[slot] = a.Ints.AllNull || loadNull(a, row)
-			}
-		case compress.Truncation:
-			switch a.Ints.Width {
-			case 1:
-				return func(a *core.Attr, row int, t *Tuple, slot int) {
-					t.Ints[slot] = a.Ints.Min + int64(a.Ints.Data[row])
-					t.Nulls[slot] = loadNull(a, row)
-				}
-			case 2:
-				return func(a *core.Attr, row int, t *Tuple, slot int) {
-					t.Ints[slot] = a.Ints.Min + int64(simd.ReadUint(a.Ints.Data, row, 2))
-					t.Nulls[slot] = loadNull(a, row)
-				}
-			default:
-				return func(a *core.Attr, row int, t *Tuple, slot int) {
-					t.Ints[slot] = a.Ints.Min + int64(simd.ReadUint(a.Ints.Data, row, 4))
-					t.Nulls[slot] = loadNull(a, row)
-				}
-			}
-		case compress.Dictionary:
-			width := a.Ints.Width
-			return func(a *core.Attr, row int, t *Tuple, slot int) {
-				t.Ints[slot] = a.Ints.Dict[simd.ReadUint(a.Ints.Data, row, width)]
-				t.Nulls[slot] = loadNull(a, row)
-			}
-		default:
-			return func(a *core.Attr, row int, t *Tuple, slot int) {
-				t.Ints[slot] = compress.UnbiasInt(simd.ReadUint(a.Ints.Data, row, 8))
-				t.Nulls[slot] = loadNull(a, row)
-			}
-		}
-	case types.Float64:
-		if a.Floats.Scheme == compress.SingleValue {
-			return func(a *core.Attr, row int, t *Tuple, slot int) {
-				t.Floats[slot] = a.Floats.Single
-				t.Nulls[slot] = a.Floats.AllNull || loadNull(a, row)
-			}
-		}
-		return func(a *core.Attr, row int, t *Tuple, slot int) {
-			t.Floats[slot] = a.Floats.Values[row]
-			t.Nulls[slot] = loadNull(a, row)
-		}
-	default:
-		if a.Strs.Scheme == compress.SingleValue {
-			return func(a *core.Attr, row int, t *Tuple, slot int) {
-				t.Strs[slot] = a.Strs.Single
-				t.Nulls[slot] = a.Strs.AllNull || loadNull(a, row)
-			}
-		}
-		width := a.Strs.Width
-		return func(a *core.Attr, row int, t *Tuple, slot int) {
-			t.Strs[slot] = a.Strs.Dict[simd.ReadUint(a.Strs.Data, row, width)]
-			t.Nulls[slot] = loadNull(a, row)
-		}
-	}
 }
 
 // processChunk runs the pipeline over one morsel. The chunk view is an
 // immutable snapshot: the driver never re-reads mutable relation state, so
 // concurrent inserts, deletes and hot→cold freezes cannot tear a scan.
 func (d *scanDriver) processChunk(ch *storage.ChunkView) error {
-	switch {
-	case d.bcons != nil:
+	if d.jit == nil {
 		return d.vecChunk(ch)
-	case ch.IsFrozen():
-		return d.jitBlock(ch)
-	default:
-		return d.jitHotChunk(ch)
 	}
+	// The batcher hands on the morsel's last rows: no batch spans two.
+	defer d.jit.out.flush()
+	if ch.IsFrozen() {
+		return d.jitBlock(ch)
+	}
+	return d.jitHotChunk(ch)
 }
 
 // pin acquires a frozen view for the scan: the block is pinned in RAM —
@@ -301,66 +139,6 @@ func (d *scanDriver) processChunkTimed(ch *storage.ChunkView) error {
 	err := d.processChunk(ch)
 	d.wp.busyNs.Add(uint64(time.Since(t0)))
 	return err
-}
-
-// jitBlock scans a frozen block tuple-at-a-time through the layout's
-// specialized code path.
-func (d *scanDriver) jitBlock(ch *storage.ChunkView) error {
-	if err := d.pin(ch); err != nil {
-		return err
-	}
-	defer ch.Release()
-	// JIT never probes the SMA, so every frozen chunk is visited.
-	if d.wp != nil {
-		d.wp.scan.frozenChunks.Inc()
-	}
-	blk := ch.Block()
-	key := blk.LayoutKey()
-	lp := d.jitLayouts[key]
-	if lp == nil {
-		// A layout frozen after compilation: generate its path lazily
-		// (and pay the compile cost now).
-		lp = d.compileLayout(blk, &compiler{})
-		d.jitLayouts[key] = lp
-	}
-	t := d.tuple
-	n := ch.Rows()
-	for row := 0; row < n; row++ {
-		if ch.IsDeleted(row) {
-			continue
-		}
-		for i, acc := range lp.accessors {
-			acc(blk.Attr(d.scan.Cols[i]), row, t, i)
-		}
-		if lp.filter == nil || lp.filter(t) {
-			d.cons(t)
-		}
-	}
-	return nil
-}
-
-// jitHotChunk scans an uncompressed chunk tuple-at-a-time.
-func (d *scanDriver) jitHotChunk(ch *storage.ChunkView) error {
-	if d.wp != nil {
-		d.wp.scan.hotChunks.Inc()
-	}
-	h := ch.Hot()
-	t := d.tuple
-	// Iterate to the view's watermark: rows appended after the snapshot
-	// are not part of the view.
-	n := ch.Rows()
-	for row := 0; row < n; row++ {
-		if ch.IsDeleted(row) {
-			continue
-		}
-		for i, load := range d.jitHot.loaders {
-			load(h, d.scan.Cols[i], row, t, i)
-		}
-		if d.jitHot.filter == nil || d.jitHot.filter(t) {
-			d.cons(t)
-		}
-	}
-	return nil
 }
 
 // vecChunk runs the interpreted vectorized scan (Figure 6) over one chunk of

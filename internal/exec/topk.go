@@ -93,6 +93,18 @@ func (s *topkSink) appendZeroRow() {
 	s.seqs = append(s.seqs, 0)
 }
 
+// fill makes batch row br resident in a new slot, while the buffer holds
+// fewer than limit rows.
+func (s *topkSink) fill(b *core.Batch, br int) {
+	s.appendZeroRow()
+	s.buf.writeRowFromBatch(s.buf.n-1, b, br)
+	s.seqs[s.buf.n-1] = s.next
+	s.next++
+	if s.buf.n == s.limit {
+		s.becomeFull()
+	}
+}
+
 // offer routes a staged row: during filling it is already resident (slot
 // buf.n-1); when full the caller staged it in scratch and offer replaces
 // the heap root if the row beats it.
@@ -107,34 +119,13 @@ func (s *topkSink) offerScratch() {
 	}
 }
 
-// consumeTuple is the tuple-at-a-time sink interface.
-func (s *topkSink) consumeTuple(t *Tuple) {
-	if !s.full {
-		s.buf.appendTuple(t)
-		s.seqs = append(s.seqs, s.next)
-		s.next++
-		if s.buf.n == s.limit {
-			s.becomeFull()
-		}
-		return
-	}
-	s.buf.writeRowFromTuple(int(s.scratch), t)
-	s.offerScratch()
-}
-
-// consumeBatch is the batch-at-a-time sink interface.
+// consumeBatch is the sink interface.
 //
 //dbvet:hotpath
 func (s *topkSink) consumeBatch(b *core.Batch) {
 	r := 0
-	for !s.full && r < b.N {
-		s.buf.appendRowFromBatch(b, r)
-		s.seqs = append(s.seqs, s.next)
-		s.next++
-		if s.buf.n == s.limit {
-			s.becomeFull()
-		}
-		r++
+	for ; !s.full && r < b.N; r++ {
+		s.fill(b, r)
 	}
 	for ; r < b.N; r++ {
 		s.buf.writeRowFromBatch(int(s.scratch), b, r)

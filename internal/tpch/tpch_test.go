@@ -331,9 +331,12 @@ func requireBitIdentical(t *testing.T, name string, a, b *exec.Result) {
 
 // TestBatchConsumeMatchesTupleExactly: on every supported query, every
 // vectorized scan mode and both storage temperatures, the batch-at-a-time
-// consume path (aggregation, join probe, materialization) produces a
-// bit-identical result to ModeJIT's tuple scan and tuple chain, and the
-// parallel batch execution agrees up to float summation order.
+// chain (scan, filter, map, join probe) produces a bit-identical result to
+// ModeJIT's tuple scan and tuple chain, and the parallel batch execution
+// agrees up to float summation order. The scan, filter, map and join probe
+// are what stays independent of the batch chain; the sinks (aggregation,
+// join build, materialization) are shared, fed under ModeJIT by the
+// batcher that ends its tuple chain.
 func TestBatchConsumeMatchesTupleExactly(t *testing.T) {
 	hot := genTest(t, false)
 	cold := genTest(t, true)
