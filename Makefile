@@ -56,7 +56,7 @@ race:
 # shadow analyzer need golang.org/x/tools (SSA); shadow is covered by
 # the in-tree dbvet analyzer instead (make lint), nilness stays gated
 # on the dependency (see ARCHITECTURE.md, Enforced invariants).
-UNUSED_FUNCS = errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,sort.Reverse,context.WithValue,context.WithCancel,context.WithDeadline,context.WithTimeout,datablocks/internal/simd.SumFloat64,datablocks/internal/simd.CountNotNull,datablocks/internal/simd.MinMaxInt64,datablocks/internal/simd.MinMaxFloat64,datablocks/internal/simd.Mix64,datablocks/internal/simd.HashCombine,datablocks/internal/simd.HashStr,datablocks/internal/simd.BitmapGet,datablocks/internal/simd.BitmapWords,datablocks/internal/simd.AVX2Enabled,datablocks/internal/simd.CPUFeatureLevel,datablocks/internal/simd.DispatchInfo
+UNUSED_FUNCS = errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,sort.Reverse,context.WithValue,context.WithCancel,context.WithDeadline,context.WithTimeout,datablocks/internal/simd.SumFloat64,datablocks/internal/simd.CountNotNull,datablocks/internal/simd.MinMaxInt64,datablocks/internal/simd.MinMaxFloat64,datablocks/internal/simd.Mix64,datablocks/internal/simd.HashCombine,datablocks/internal/simd.HashStr,datablocks/internal/simd.BitmapGet,datablocks/internal/simd.BitmapWords,datablocks/internal/simd.CPUFeatureLevel,datablocks/internal/simd.DispatchInfo
 
 vet:
 	$(GO) vet -unusedresult.funcs='$(UNUSED_FUNCS)' ./...

@@ -233,8 +233,8 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // here in its own diff, like an entry in lint-budget.json; one that
 // deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4355,
-	"total":                    19698,
+	"datablocks/internal/exec": 4181,
+	"total":                    19523,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's

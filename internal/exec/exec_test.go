@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -409,25 +411,196 @@ func TestSemiAntiJoin(t *testing.T) {
 	}
 }
 
-func TestOrderByLimit(t *testing.T) {
-	rel := ordersRel(t, 3000, 1<<12, 1)
-	plan := &OrderByNode{
-		Child: &ScanNode{Rel: rel, Cols: []int{0, 1}},
-		Keys:  []OrderKey{{Col: 1, Desc: true}, {Col: 0}},
-		Limit: 10,
-	}
-	res, err := Run(plan, Options{Mode: ModeVectorizedSARG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != 10 {
-		t.Fatalf("rows = %d", res.NumRows())
-	}
-	for i := 1; i < res.NumRows(); i++ {
-		if res.Cols[1].Floats[i] > res.Cols[1].Floats[i-1] {
-			t.Fatalf("not descending at %d", i)
+// visibleRows reads rel's visible rows in scan order — chunk by chunk, each
+// in row order — through point reads, not through a scan.
+func visibleRows(rel *storage.Relation) []types.Row {
+	var rows []types.Row
+	for i := 0; i < rel.NumChunks(); i++ {
+		for j := 0; j < rel.Chunk(i).Rows(); j++ {
+			if row, ok := rel.Get(storage.TupleID{Chunk: uint32(i), Row: uint32(j)}); ok {
+				rows = append(rows, row)
+			}
 		}
 	}
+	return rows
+}
+
+// orderRef is ORDER BY ... LIMIT over rows, written apart from the engine:
+// a stable sort (NULLs first, Desc negates, values through cmp.Compare),
+// then the first limit rows when limit is positive.
+func orderRef(rows []types.Row, keys []OrderKey, limit int) []types.Row {
+	out := append([]types.Row(nil), rows...)
+	sort.SliceStable(out, func(a, b int) bool {
+		for _, k := range keys {
+			va, vb := out[a][k.Col], out[b][k.Col]
+			var ord int
+			switch {
+			case va.IsNull() && vb.IsNull():
+			case va.IsNull():
+				ord = -1
+			case vb.IsNull():
+				ord = 1
+			case va.Kind() == types.Int64:
+				ord = cmp.Compare(va.Int(), vb.Int())
+			case va.Kind() == types.Float64:
+				ord = cmp.Compare(va.Float(), vb.Float())
+			default:
+				ord = cmp.Compare(va.Str(), vb.Str())
+			}
+			if k.Desc {
+				ord = -ord
+			}
+			if ord != 0 {
+				return ord < 0
+			}
+		}
+		return false
+	})
+	if limit > 0 && limit < len(out) {
+		out = out[:limit]
+	}
+	return out
+}
+
+// requireRows compares got with want row by row, in order.
+func requireRows(t *testing.T, name string, want []types.Row, got *Result) {
+	t.Helper()
+	if got.NumRows() != len(want) {
+		t.Fatalf("%s: %d rows, want %d", name, got.NumRows(), len(want))
+	}
+	for i, row := range want {
+		for c, v := range row {
+			if g := got.Value(c, i); !g.Equal(v) {
+				t.Fatalf("%s: row %d col %d = %v, want %v", name, i, c, g, v)
+			}
+		}
+	}
+}
+
+// TestOrderByLimit holds ORDER BY ... LIMIT to orderRef over the
+// relation's visible rows: tie-heavy and NULL-bearing keys with limits
+// straddling the input size on both chains, a filter below the sort on one
+// worker and on four, and double keys holding NaN, ±Inf and -0.0.
+func TestOrderByLimit(t *testing.T) {
+	t.Run("ties", func(t *testing.T) {
+		rel := ordersRel(t, 3000, 1<<10, 2)
+		rows := visibleRows(rel)
+		// status (col 2) is a 4-value nullable string: maximal ties plus
+		// NULLs first. qty (col 3) has 50 distinct values, so ties alone
+		// decide which rows a limit keeps: scan order, as a stable sort.
+		keySets := map[string][]OrderKey{
+			"ties+nulls": {{Col: 2}, {Col: 3, Desc: true}},
+			"desc+nulls": {{Col: 2, Desc: true}, {Col: 1}},
+			"numeric":    {{Col: 1, Desc: true}, {Col: 0}},
+			"all-tied":   {{Col: 3}},
+		}
+		for name, keys := range keySets {
+			for _, limit := range []int{1, 7, 25, 2999, 3000, 5000} {
+				want := orderRef(rows, keys, limit)
+				for _, mode := range []ScanMode{ModeVectorizedSARG, ModeJIT} {
+					got, err := Run(&OrderByNode{
+						Child: &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}},
+						Keys:  keys,
+						Limit: limit,
+					}, Options{Mode: mode, Parallelism: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireRows(t, fmt.Sprintf("%s limit=%d %v", name, limit, mode), want, got)
+				}
+			}
+		}
+	})
+	t.Run("filtered", func(t *testing.T) {
+		// The key list ends in the unique okey, a total order, so the
+		// answer does not depend on how morsels fall to workers.
+		rel := ordersRel(t, 4000, 1<<10, 3)
+		keys := []OrderKey{{Col: 3, Desc: true}, {Col: 0}}
+		var kept []types.Row
+		for _, row := range visibleRows(rel) {
+			if row[3].Int() >= 5 {
+				kept = append(kept, row)
+			}
+		}
+		want := orderRef(kept, keys, 40)
+		for _, par := range []int{1, 4} {
+			for _, mode := range []ScanMode{ModeVectorizedSARG, ModeJIT} {
+				got, err := Run(&OrderByNode{
+					Child: &FilterNode{
+						Child: &ScanNode{Rel: rel, Cols: []int{0, 1, 2, 3}},
+						Cond:  Cmp(types.Ge, Col(3), CInt(5)),
+					},
+					Keys:  keys,
+					Limit: 40,
+				}, Options{Mode: mode, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireRows(t, fmt.Sprintf("par=%d %v", par, mode), want, got)
+			}
+		}
+	})
+	t.Run("special-floats", func(t *testing.T) {
+		// NULLs first, then NaN, then the numbers, -0.0 tied with +0.0;
+		// under a comparison in which NaN ties with everything the sort
+		// has no order to follow. k breaks every tie.
+		rel := specialFloatsRel(t, 3000)
+		rows := visibleRows(rel)
+		for _, desc := range []bool{false, true} {
+			keys := []OrderKey{{Col: 1, Desc: desc}, {Col: 0}}
+			for _, limit := range []int{0, 5, 200} {
+				want := orderRef(rows, keys, limit)
+				for _, par := range []int{1, 2} {
+					for _, mode := range []ScanMode{ModeVectorizedSARG, ModeJIT} {
+						got, err := Run(&OrderByNode{
+							Child: &ScanNode{Rel: rel, Cols: []int{0, 1}},
+							Keys:  keys,
+							Limit: limit,
+						}, Options{Mode: mode, Parallelism: par})
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireRows(t, fmt.Sprintf("desc=%v limit=%d par=%d %v", desc, limit, par, mode), want, got)
+					}
+				}
+			}
+		}
+	})
+}
+
+// specialFloatsRel is (k unique int, f nullable double) over 1 Ki-row
+// chunks, the first frozen, where f is NaN in one row of twenty and ±Inf,
+// -0.0, +0.0 or NULL in as many more.
+func specialFloatsRel(t *testing.T, n int) *storage.Relation {
+	t.Helper()
+	rel := storage.NewRelation(types.NewSchema(
+		types.Column{Name: "k", Kind: types.Int64},
+		types.Column{Name: "f", Kind: types.Float64, Nullable: true},
+	), 1<<10)
+	cols := []core.ColumnData{
+		{Kind: types.Int64, Ints: make([]int64, n)},
+		{Kind: types.Float64, Floats: make([]float64, n), Nulls: make([]bool, n)},
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for i := 0; i < n; i++ {
+		cols[0].Ints[i] = int64(i)
+		cols[1].Floats[i] = float64((i*7919)%1000) - 500
+		switch r := (i * 31) % 120; {
+		case r < 6:
+			cols[1].Floats[i] = math.NaN()
+		case r < 11:
+			cols[1].Floats[i] = specials[r-6]
+		case r == 11:
+			cols[1].Nulls[i] = true
+		}
+	}
+	if err := rel.BulkAppend(cols, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.FreezeChunk(0, core.FreezeOptions{SortBy: -1}); err != nil {
+		t.Fatal(err)
+	}
+	return rel
 }
 
 func TestCompileStatsScanPathExplosion(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // and join probes are fused into one closure per pipeline (compileChain),
 // which pushes one register file (Tuple) through them. The chain ends in a
 // batcher, which hands the sink batches: the sinks — result, aggregation,
-// top-k, join build — are the vectorized modes' own, so the two engines
+// join build — are the vectorized modes' own, so the two engines
 // differ in how they scan, filter, map and probe, and nowhere else.
 
 // jitScan is ModeJIT's part of one worker's scan driver.

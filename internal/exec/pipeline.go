@@ -130,9 +130,6 @@ func CompileOnly(n Node, opt Options) (int, error) {
 func (ex *executor) run(n Node) (*Result, error) {
 	switch n := n.(type) {
 	case *OrderByNode:
-		if n.Limit > 0 && streamableChain(n.Child) {
-			return ex.runTopK(n)
-		}
 		res, err := ex.run(n.Child)
 		if err != nil {
 			return nil, err
@@ -202,9 +199,9 @@ func (ex *executor) aggregate(n *AggNode) ([]*aggregator, error) {
 }
 
 // streamableChain reports whether n is a pure pipeline (scan / filter /
-// map / join-probe chain) that runPipeline can drive directly — the
-// precondition for the streaming top-k sink. Pipeline breakers
-// (aggregation, nested ORDER BY) materialize first and sort after.
+// map / join-probe chain) that runPipeline can drive directly into a join
+// build's sinks. A pipeline breaker (aggregation, ORDER BY) materializes
+// first, and the build takes its result as one batch.
 func streamableChain(n Node) bool {
 	switch n := n.(type) {
 	case *ScanNode:
@@ -219,42 +216,6 @@ func streamableChain(n Node) bool {
 	default:
 		return false
 	}
-}
-
-// runTopK executes ORDER BY ... LIMIT k over a streamable child with the
-// bounded per-worker top-k sinks: each worker retains at most k rows
-// during the scan, so the sort input never materializes. Result order is
-// identical to materialize + SortBy (stable, NULLs first).
-func (ex *executor) runTopK(n *OrderByNode) (*Result, error) {
-	var sinks []*topkSink
-	err := ex.runPipeline(n.Child, func() pipeSink {
-		s := newTopkSink(ex.plan.nodes[n.Child].kinds, n.Keys, n.Limit)
-		sinks = append(sinks, s)
-		return pipeSink{batch: s.consumeBatch}
-	})
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	var rowsIn uint64
-	for _, s := range sinks {
-		rowsIn += uint64(s.next)
-	}
-	root := sinks[0].finalize()
-	if len(sinks) > 1 {
-		for _, s := range sinks[1:] {
-			// Each worker's top-k is a superset filter of the global
-			// top-k: concatenate and re-rank the ≤ workers*k survivors.
-			root.append(s.finalize())
-		}
-		root.SortBy(n.Keys, n.Limit)
-	}
-	if p := ex.prof; p != nil {
-		p.orderIn = rowsIn
-		p.orderOut = uint64(root.NumRows())
-		p.orderTime = time.Since(t0)
-	}
-	return root, nil
 }
 
 // pipeSink is one worker's terminal consumer, which takes batches in every

@@ -134,11 +134,10 @@ func (r *Result) batch() *core.Batch {
 }
 
 // compareRowsAt compares rows ia and ib under the given order keys (NULLs
-// first, Desc negates), returning <0, 0 or >0. Shared by SortBy and the
-// top-k sink so both orders agree exactly. Values compare through
-// cmp.Compare, a total order on doubles too (NaN below every number, equal
-// to itself, -0.0 = +0.0) — a sort key has to be one, unlike a predicate,
-// which follows IEEE (compare, expr.go).
+// first, Desc negates), returning <0, 0 or >0: SortBy's order. Values
+// compare through cmp.Compare, a total order on doubles too (NaN below
+// every number, equal to itself, -0.0 = +0.0) — a sort key has to be one,
+// unlike a predicate, which follows IEEE (compare, expr.go).
 func (r *Result) compareRowsAt(keys []OrderKey, ia, ib int) int {
 	for _, k := range keys {
 		c := &r.Cols[k.Col]
@@ -185,39 +184,6 @@ func (r *Result) SortBy(keys []OrderKey, limit int) {
 		idx = idx[:limit]
 	}
 	r.permute(idx)
-}
-
-// copyRow overwrites row dst with row src, in place.
-func (r *Result) copyRow(dst, src int) {
-	for i := range r.Cols {
-		c := &r.Cols[i]
-		c.Nulls[dst] = c.Nulls[src]
-		switch c.Kind {
-		case types.Int64:
-			c.Ints[dst] = c.Ints[src]
-		case types.Float64:
-			c.Floats[dst] = c.Floats[src]
-		default:
-			c.Strs[dst] = c.Strs[src]
-		}
-	}
-}
-
-// writeRowFromBatch overwrites row slot with batch row br.
-func (r *Result) writeRowFromBatch(slot int, b *core.Batch, br int) {
-	for i := range r.Cols {
-		c := &r.Cols[i]
-		bc := &b.Cols[i]
-		c.Nulls[slot] = bc.Nulls != nil && bc.Nulls[br]
-		switch c.Kind {
-		case types.Int64:
-			c.Ints[slot] = bc.Ints[br]
-		case types.Float64:
-			c.Floats[slot] = bc.Floats[br]
-		default:
-			c.Strs[slot] = bc.Strs[br]
-		}
-	}
 }
 
 func (r *Result) permute(idx []int) {

@@ -80,10 +80,6 @@ var kernelFamilies = []string{
 	"hash.mix64",
 }
 
-// AVX2Enabled reports whether the assembler kernels are dispatched in
-// this process.
-func AVX2Enabled() bool { return avx2Active }
-
 // CPUFeatureLevel names the instruction-set level the dispatcher selected:
 // "avx2" when the assembler kernels are active, "baseline" otherwise.
 func CPUFeatureLevel() string {

@@ -337,15 +337,15 @@ func TestDispatchInfoCoherent(t *testing.T) {
 		if d.Impl != "avx2" && d.Impl != "portable" {
 			t.Fatalf("kernel %s: bad impl %q", d.Kernel, d.Impl)
 		}
-		if d.Impl == "avx2" && !AVX2Enabled() {
+		if d.Impl == "avx2" && !avx2Active {
 			t.Fatalf("kernel %s reports avx2 but dispatch is disabled", d.Kernel)
 		}
 	}
-	if AVX2Enabled() && CPUFeatureLevel() != "avx2" {
-		t.Fatal("CPUFeatureLevel disagrees with AVX2Enabled")
+	if avx2Active && CPUFeatureLevel() != "avx2" {
+		t.Fatal("CPUFeatureLevel disagrees with avx2Active")
 	}
-	if !AVX2Enabled() && CPUFeatureLevel() != "baseline" {
-		t.Fatal("CPUFeatureLevel disagrees with AVX2Enabled")
+	if !avx2Active && CPUFeatureLevel() != "baseline" {
+		t.Fatal("CPUFeatureLevel disagrees with avx2Active")
 	}
 }
 
