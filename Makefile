@@ -28,7 +28,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: all build test test-portable race vet lint lint-vet fmt-check stress flake fuzz-short examples linkcheck loc ci
+.PHONY: all build test test-portable race vet lint fmt-check stress flake fuzz-short examples linkcheck loc ci
 
 all: ci
 
@@ -61,23 +61,15 @@ UNUSED_FUNCS = errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,sort.Reverse,context
 vet:
 	$(GO) vet -unusedresult.funcs='$(UNUSED_FUNCS)' ./...
 
-# dbvet: the in-tree static-analysis suite (internal/analysis).
-# Standalone mode loads the test-augmented package variants exactly as
-# go vet does, so _test.go files are covered, and keeps a per-package
-# result cache in bin/dbvet-cache keyed by tool hash, sources, export
-# data and dependency facts — an unchanged tree re-lints in the time it
-# takes to hash it. `go vet -vettool=bin/dbvet ./...` is the protocol
-# form (same analyzers, same findings); lint-vet exercises it so the
-# two modes cannot drift.
+# dbvet: the in-tree static-analysis suite (internal/analysis). It loads
+# the test-augmented package variants exactly as go vet does, so _test.go
+# files are covered, and keeps a per-package result cache in
+# bin/dbvet-cache keyed by tool hash, sources, export data and dependency
+# facts — an unchanged tree re-lints in the time it takes to hash it.
 lint:
 	@mkdir -p bin
 	$(GO) build -o bin/dbvet ./cmd/dbvet
 	./bin/dbvet ./...
-
-lint-vet:
-	@mkdir -p bin
-	$(GO) build -o bin/dbvet ./cmd/dbvet
-	$(GO) vet -vettool=bin/dbvet ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); \

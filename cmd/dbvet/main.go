@@ -1,28 +1,19 @@
 // Command dbvet is the engine's static-analysis driver. It runs the
 // contract checkers under internal/analysis — lockcheck, deadlockcheck,
 // nilness, atomiccheck, pincheck, hotpath, hotpathperf, errcheckdb and
-// shadow — in two modes:
-//
-// Standalone, over package patterns:
+// shadow — over package patterns:
 //
 //	go run ./cmd/dbvet ./...
 //	go run ./cmd/dbvet -hotpath=false ./internal/storage
 //
-// As a go vet tool, speaking the -vettool compilation-unit protocol:
-//
-//	go build -o /tmp/dbvet ./cmd/dbvet
-//	go vet -vettool=/tmp/dbvet ./...
-//
-// Both modes analyze test files: standalone loading expands each
-// package into its test-augmented and external-test variants exactly as
-// go vet does, so the modes cannot disagree on findings.
+// Test files are analyzed: loading expands each package into its
+// test-augmented and external-test variants exactly as go vet does.
 //
 // Interprocedural facts (deadlockcheck's lock summaries) flow between
-// packages through go vet's vetx files in -vettool mode and in memory,
-// in dependency order, in standalone mode. Standalone runs additionally
-// keep a per-package result cache (-cachedir, default bin/dbvet-cache)
-// keyed by tool hash, source bytes, dependency export data and
-// dependency facts, so a no-change run is incremental.
+// packages in memory, in dependency order. A per-package result cache
+// (-cachedir, default bin/dbvet-cache) keyed by tool hash, source bytes,
+// dependency export data and dependency facts makes a no-change run
+// incremental.
 //
 // Exit status is 1 when any diagnostic survives //dbvet:ignore
 // suppression, 0 otherwise. Suppressions must carry a written reason;
@@ -36,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -63,27 +55,10 @@ var suite = []*analysis.Analyzer{
 	shadow.Analyzer,
 }
 
-// modulePrefix gates fact computation in VetxOnly mode: only this
-// module's packages have lock summaries worth type-checking for;
-// everything else (the standard library) gets instant empty facts.
-const modulePrefix = "datablocks"
-
 func main() {
 	if err := analysis.Validate(suite); err != nil {
 		fmt.Fprintln(os.Stderr, "dbvet:", err)
 		os.Exit(1)
-	}
-
-	// The go command probes a vettool with -V=full and -flags before
-	// handing it unit config files; handle those before flag parsing so
-	// their output stays exactly what the protocol expects.
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full", "--V=full":
-			analysis.PrintVersion()
-		case "-flags", "--flags":
-			analysis.PrintFlags(suite)
-		}
 	}
 
 	fs := flag.NewFlagSet("dbvet", flag.ExitOnError)
@@ -96,10 +71,9 @@ func main() {
 		enabled[a.Name] = fs.Bool(a.Name, true, doc)
 	}
 	jsonOut := fs.Bool("json", false, "print surviving findings as JSON on stdout")
-	cacheDir := fs.String("cachedir", "bin/dbvet-cache", "standalone result cache directory (empty disables)")
+	cacheDir := fs.String("cachedir", "bin/dbvet-cache", "result cache directory (empty disables)")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: dbvet [-<analyzer>=false ...] [-json] [package pattern ...]\n")
-		fmt.Fprintf(fs.Output(), "       dbvet <unit>.cfg    (go vet -vettool mode)\n\nanalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: dbvet [-<analyzer>=false ...] [-json] [-cachedir dir] [package pattern ...]\n\nflags:\n")
 		fs.PrintDefaults()
 	}
 	fs.Parse(os.Args[1:])
@@ -111,16 +85,7 @@ func main() {
 		}
 	}
 
-	args := fs.Args()
-	// go vet mode: a single positional argument naming a *.cfg file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		analysis.RunUnit(args[0], active, func(importPath string) bool {
-			return strings.HasPrefix(importPath, modulePrefix)
-		})
-		return
-	}
-
-	patterns := args
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -203,21 +168,30 @@ func main() {
 	}
 }
 
-// openCache builds the standalone result cache. The salt folds in the
-// tool binary, the enabled analyzer set and the hot-path budget file,
-// each of which changes findings without changing package sources.
+// openCache builds the result cache. The salt folds in the tool binary
+// (a rebuilt dbvet invalidates everything it produced), the enabled
+// analyzer set and the hot-path budget file, each of which changes
+// findings without changing package sources.
 func openCache(dir string, active []*analysis.Analyzer) *analysis.Cache {
 	if dir == "" {
 		return nil
 	}
-	self, err := analysis.SelfHash()
+	h := sha256.New()
+	// `go run` binaries in temp dirs can vanish mid-run; degrade to
+	// uncached analysis rather than failing.
+	exe, err := os.Executable()
 	if err != nil {
-		// `go run` binaries in temp dirs can vanish mid-run; degrade to
-		// uncached analysis rather than failing.
 		return nil
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "self=%s\n", self)
+	f, err := os.Open(exe)
+	if err != nil {
+		return nil
+	}
+	_, err = io.Copy(h, f)
+	f.Close()
+	if err != nil {
+		return nil
+	}
 	for _, a := range active {
 		fmt.Fprintf(h, "analyzer=%s\n", a.Name)
 	}

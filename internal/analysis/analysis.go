@@ -25,9 +25,9 @@
 //	                        mandatory: an ignore without one is itself
 //	                        reported.
 //
-// Drivers: cmd/dbvet runs the suite standalone over package patterns and
-// speaks the `go vet -vettool` protocol; analysistest runs one analyzer
-// over a fixture tree annotated with `// want` expectations.
+// Drivers: cmd/dbvet runs the suite over package patterns (Load, then
+// RunAnalyzers per package in dependency order); analysistest runs one
+// analyzer over a fixture tree annotated with `// want` expectations.
 package analysis
 
 import (
@@ -48,18 +48,13 @@ type Analyzer struct {
 	Name string
 
 	// Doc states the contract the analyzer enforces. The first line is
-	// the summary shown by `dbvet help`.
+	// the summary shown in dbvet's usage.
 	Doc string
 
 	// Run applies the analyzer to one package. It reports findings via
 	// pass.Report and returns an error only for internal failures —
 	// a finding is a Diagnostic, never an error.
 	Run func(*Pass) (any, error)
-
-	// ExportsFacts marks analyzers that call Pass.ExportFact. Drivers
-	// run only these (and only over module packages) when a unit is
-	// analyzed purely for its facts (go vet's VetxOnly mode).
-	ExportsFacts bool
 }
 
 // A Pass hands an Analyzer one type-checked package.
@@ -86,9 +81,8 @@ type Pass struct {
 }
 
 // PackageFacts is the serialized analysis state one package exports for
-// its dependents, keyed by analyzer name. It travels through the go
-// vet vetx files in -vettool mode and in memory (plus the result
-// cache) in standalone mode.
+// its dependents, keyed by analyzer name. It travels in memory, in
+// dependency order, and is stored with the package's result cache entry.
 type PackageFacts map[string]json.RawMessage
 
 // DepFacts returns the facts the named analyzer exported from each of
@@ -105,8 +99,8 @@ func (p *Pass) DepFacts(name string) []json.RawMessage {
 
 // ExportFact serializes v as this analyzer's fact for dependent
 // packages. The value must marshal deterministically (sorted slices;
-// maps are fine, encoding/json orders their keys), or the go command's
-// vetx-based caching churns.
+// maps are fine, encoding/json orders their keys), or the result cache
+// keys of dependent packages churn.
 func (p *Pass) ExportFact(v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {

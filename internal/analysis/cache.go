@@ -10,7 +10,7 @@ import (
 	"sort"
 )
 
-// Cache is the standalone driver's per-package result store, so a
+// Cache is the driver's per-package result store, so a
 // no-change `dbvet ./...` run replays results instead of re-analyzing
 // the module. An entry's key covers everything that can change a
 // package's findings:

@@ -10,9 +10,9 @@
 //     caller summaries, so `r.mu.Lock(); c.load()` contributes
 //     Relation.mu→Chunk.loadMu even when the loadMu.Lock() sits three
 //     calls deep. The fixpoint is bounded by the module's import DAG:
-//     summaries of other packages arrive as analysis facts (through go
-//     vet's vetx files, or threaded in memory by the standalone
-//     driver), already transitively closed. Functions without a visible
+//     summaries of other packages arrive as analysis facts (threaded
+//     in memory by the driver, in dependency order), already
+//     transitively closed. Functions without a visible
 //     body or summary — interface methods, function values, stdlib —
 //     contribute nothing; a *Locked name or a //dbvet:locks annotation
 //     is exactly the summary at that boundary: the callee requires its
@@ -56,10 +56,9 @@ var Order = []string{
 
 // Analyzer is the deadlockcheck pass.
 var Analyzer = &analysis.Analyzer{
-	Name:         "deadlockcheck",
-	Doc:          "build the interprocedural acquires-before lock graph and report any cycle",
-	Run:          run,
-	ExportsFacts: true,
+	Name: "deadlockcheck",
+	Doc:  "build the interprocedural acquires-before lock graph and report any cycle",
+	Run:  run,
 }
 
 // packageFact is what one package exports for its dependents: the

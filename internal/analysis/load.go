@@ -39,7 +39,7 @@ type Package struct {
 	// DepExports maps each dependency that has compiler export data to
 	// that file's path. The path embeds the go build cache's output
 	// hash, so it changes whenever the dependency's compiled form
-	// does — the standalone result cache keys on it.
+	// does — the result cache keys on it.
 	DepExports map[string]string
 }
 
@@ -65,13 +65,12 @@ type listPackage struct {
 // are imported from compiler export data produced by `go list -export`,
 // so loading works offline and without any third-party module.
 //
-// Test files are included, exactly as the `go vet -vettool` path sees
-// them: `go list -test` expands each package with tests into its
-// test-augmented variant ("p [p.test]", whose GoFiles fold in the
-// in-package _test.go files) and the external test package
-// ("p_test [p.test]"); Load analyzes those instead of the plain
-// package, so the standalone and vettool modes cannot disagree on
-// findings. The synthesized test-binary mains ("p.test") are skipped.
+// Test files are included, as `go vet` includes them: `go list -test`
+// expands each package with tests into its test-augmented variant
+// ("p [p.test]", whose GoFiles fold in the in-package _test.go files)
+// and the external test package ("p_test [p.test]"); Load analyzes
+// those instead of the plain package. The synthesized test-binary mains
+// ("p.test") are skipped.
 //
 // The returned slice is in dependency order: a package appears after
 // every package it imports, so drivers can thread analysis facts

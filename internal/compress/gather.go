@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"encoding/binary"
-
-	"datablocks/internal/simd"
-)
+import "encoding/binary"
 
 // This file implements the "unpacking matches" half of §3.4: decompressing
 // exactly the tuples selected by a match-position vector into output
@@ -58,52 +54,6 @@ func (v *IntVector) Gather(pos []uint32, out []int64) {
 	}
 }
 
-// Decode decompresses the full column into out (length N). Used by scans
-// without predicate pushdown and by the decompress-then-filter baselines.
-func (v *IntVector) Decode(out []int64) {
-	switch v.Scheme {
-	case SingleValue:
-		for i := range out {
-			out[i] = v.Single
-		}
-	case Truncation:
-		base := uint64(v.Min)
-		switch v.Width {
-		case 1:
-			for i := 0; i < v.N; i++ {
-				out[i] = int64(base + uint64(v.Data[i]))
-			}
-		case 2:
-			for i := 0; i < v.N; i++ {
-				out[i] = int64(base + uint64(binary.LittleEndian.Uint16(v.Data[i*2:])))
-			}
-		default:
-			for i := 0; i < v.N; i++ {
-				out[i] = int64(base + uint64(binary.LittleEndian.Uint32(v.Data[i*4:])))
-			}
-		}
-	case Dictionary:
-		switch v.Width {
-		case 1:
-			for i := 0; i < v.N; i++ {
-				out[i] = v.Dict[v.Data[i]]
-			}
-		case 2:
-			for i := 0; i < v.N; i++ {
-				out[i] = v.Dict[binary.LittleEndian.Uint16(v.Data[i*2:])]
-			}
-		default:
-			for i := 0; i < v.N; i++ {
-				out[i] = v.Dict[binary.LittleEndian.Uint32(v.Data[i*4:])]
-			}
-		}
-	default:
-		for i := 0; i < v.N; i++ {
-			out[i] = UnbiasInt(binary.LittleEndian.Uint64(v.Data[i*8:]))
-		}
-	}
-}
-
 // Gather decompresses the strings at the given positions into out.
 func (v *StringVector) Gather(pos []uint32, out []string) {
 	if v.Scheme == SingleValue {
@@ -128,19 +78,6 @@ func (v *StringVector) Gather(pos []uint32, out []string) {
 	}
 }
 
-// Decode decompresses the full string column into out.
-func (v *StringVector) Decode(out []string) {
-	if v.Scheme == SingleValue {
-		for i := 0; i < v.N; i++ {
-			out[i] = v.Single
-		}
-		return
-	}
-	for i := 0; i < v.N; i++ {
-		out[i] = v.Dict[simd.ReadUint(v.Data, i, v.Width)]
-	}
-}
-
 // Gather decompresses the doubles at the given positions into out.
 func (v *FloatVector) Gather(pos []uint32, out []float64) {
 	if v.Scheme == SingleValue {
@@ -152,15 +89,4 @@ func (v *FloatVector) Gather(pos []uint32, out []float64) {
 	for i, p := range pos {
 		out[i] = v.Values[p]
 	}
-}
-
-// Decode decompresses the full double column into out.
-func (v *FloatVector) Decode(out []float64) {
-	if v.Scheme == SingleValue {
-		for i := 0; i < v.N; i++ {
-			out[i] = v.Single
-		}
-		return
-	}
-	copy(out, v.Values)
 }

@@ -33,12 +33,6 @@ type BatchCol struct {
 	Domain *Attr
 }
 
-// Reset clears the batch for reuse without releasing buffers.
-func (b *Batch) Reset() {
-	b.N = 0
-	b.Pos = b.Pos[:0]
-}
-
 // Value returns cell (col, row) of the batch as a dynamic value.
 func (b *Batch) Value(col, row int) types.Value {
 	c := &b.Cols[col]

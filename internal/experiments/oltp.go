@@ -8,9 +8,6 @@ import (
 
 	"datablocks"
 	"datablocks/internal/core"
-	"datablocks/internal/exec"
-	"datablocks/internal/index"
-	"datablocks/internal/storage"
 	"datablocks/internal/tpch"
 	"datablocks/internal/types"
 	"datablocks/internal/xrand"
@@ -19,7 +16,9 @@ import (
 // Table3 reproduces Table 3: throughput of random point-access queries
 // (select * from customer where c_custkey = ?) under
 // {uncompressed JIT, uncompressed vectorized, Data Blocks, +PSMA}
-// x {PK index, no index} x {ordered, shuffled}.
+// x {PK index, no index} x {ordered, shuffled}. Every variant is a
+// datablocks table keyed on c_custkey: the PK index rows time
+// Table.Lookup, the no-index rows Table.LookupScan.
 func Table3(w io.Writer, sf float64, lookups int) error {
 	base, err := tpch.Generate(sf, 0)
 	if err != nil {
@@ -28,43 +27,50 @@ func Table3(w io.Writer, sf float64, lookups int) error {
 	cols, n := RelationColumns(base.Customer)
 	shuffled := shuffleColumns(cols, n)
 
+	db := datablocks.Open()
+	defer db.Close() // in memory without a block store: nothing to flush
 	type variant struct {
-		name   string
-		rel    *storage.Relation
-		frozen bool
-		mode   exec.ScanMode
+		name string
+		tbl  *datablocks.Table
+		mode datablocks.ScanMode
 	}
-	build := func(c []core.ColumnData, freeze bool) (*storage.Relation, error) {
-		return CloneRelation(base.Customer.Schema(), c, n, 0, freeze)
+	load := func(name string, c []core.ColumnData, freeze bool) (*datablocks.Table, error) {
+		t, lerr := db.CreateTable(name, base.Customer.Schema().Columns, datablocks.WithPrimaryKey("c_custkey"))
+		if lerr == nil {
+			lerr = t.BulkLoad(c, n)
+		}
+		if lerr == nil && freeze {
+			lerr = t.FreezeAll()
+		}
+		return t, lerr
 	}
-	mkVariants := func(c []core.ColumnData) ([]variant, error) {
-		hot, err := build(c, false)
+	mkVariants := func(name string, c []core.ColumnData) ([]variant, error) {
+		hot, err := load(name+"_hot", c, false)
 		if err != nil {
 			return nil, err
 		}
-		cold, err := build(c, true)
+		cold, err := load(name+"_frozen", c, true)
 		if err != nil {
 			return nil, err
 		}
 		return []variant{
-			{"uncompressed (JIT)", hot, false, exec.ModeJIT},
-			{"uncompressed (Vectorized)", hot, false, exec.ModeVectorizedSARG},
-			{"Data Blocks", cold, true, exec.ModeVectorizedSARG},
-			{"Data Blocks +PSMA", cold, true, exec.ModeVectorizedSARGPSMA},
+			{"uncompressed (JIT)", hot, datablocks.ModeJIT},
+			{"uncompressed (Vectorized)", hot, datablocks.ModeVectorizedSARG},
+			{"Data Blocks", cold, datablocks.ModeVectorizedSARG},
+			{"Data Blocks +PSMA", cold, datablocks.ModeVectorizedSARGPSMA},
 		}, nil
 	}
-	ordered, err := mkVariants(cols)
+	ordered, err := mkVariants("ordered", cols)
 	if err != nil {
 		return err
 	}
-	shuffledV, err := mkVariants(shuffled)
+	shuffledV, err := mkVariants("shuffled", shuffled)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(w, "Table 3 — point-access throughput (lookups/s), customer SF %g (%d rows), %d lookups\n", sf, n, lookups)
 	tbl := newTable(w, "storage", "index", "ordered", "shuffled")
-	allCols := allColumnOrdinals(base.Customer.Schema())
 	for vi := range ordered {
 		for _, withIndex := range []bool{true, false} {
 			row := []any{ordered[vi].name, idxName(withIndex)}
@@ -77,7 +83,7 @@ func Table3(w io.Writer, sf float64, lookups int) error {
 						nLookups = 3
 					}
 				}
-				tput, err := pointLookupThroughput(v.rel, v.mode, withIndex, nLookups, allCols)
+				tput, err := pointLookupThroughput(v.tbl, v.mode, withIndex, nLookups, n)
 				if err != nil {
 					return err
 				}
@@ -100,52 +106,25 @@ func idxName(b bool) string {
 	return "no index"
 }
 
-func allColumnOrdinals(s *types.Schema) []int {
-	out := make([]int, s.NumColumns())
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// pointLookupThroughput measures select-star point queries per second.
-func pointLookupThroughput(rel *storage.Relation, mode exec.ScanMode, withIndex bool, lookups int, cols []int) (float64, error) {
-	n := 0
-	for _, ch := range rel.Chunks() {
-		n += ch.Rows()
-	}
+// pointLookupThroughput measures select-star point queries per second on
+// keys drawn from 1..n: through the primary-key index, or as a scan with
+// an equality SARG in the given mode.
+func pointLookupThroughput(t *datablocks.Table, mode datablocks.ScanMode, withIndex bool, lookups, n int) (float64, error) {
 	r := xrand.New(0xA11)
-	var pk *index.Hash
-	if withIndex {
-		pk = index.NewHash(n)
-		if err := pk.Rebuild(rel, 0); err != nil {
-			return 0, err
-		}
-	}
 	start := time.Now()
 	for i := 0; i < lookups; i++ {
 		key := r.Range(1, int64(n))
+		var ok bool
 		if withIndex {
-			tid, ok := pk.Lookup(key)
-			if !ok {
-				return 0, fmt.Errorf("key %d missing", key)
+			_, ok = t.Lookup(key)
+		} else {
+			var err error
+			if _, ok, err = t.LookupScan("c_custkey", key, mode); err != nil {
+				return 0, err
 			}
-			if _, ok := rel.Get(tid); !ok {
-				return 0, fmt.Errorf("tuple %v missing", tid)
-			}
-			continue
 		}
-		plan := &exec.ScanNode{
-			Rel:   rel,
-			Cols:  cols,
-			Preds: []core.Predicate{{Col: 0, Op: types.Eq, Lo: types.IntValue(key)}},
-		}
-		res, err := exec.Run(plan, exec.Options{Mode: mode})
-		if err != nil {
-			return 0, err
-		}
-		if res.NumRows() != 1 {
-			return 0, fmt.Errorf("key %d: %d rows", key, res.NumRows())
+		if !ok {
+			return 0, fmt.Errorf("key %d missing", key)
 		}
 	}
 	return float64(lookups) / time.Since(start).Seconds(), nil

@@ -121,39 +121,3 @@ func (t *Table) ScanStrs(col int, visit func(base int, vals []string)) {
 		base += ch.n
 	}
 }
-
-// PointLookup finds the first row whose integer key column equals key by
-// scanning — Vectorwise has no traditional index structure, so "point
-// accesses are always performed as a scan" (§5.3). It returns the row
-// ordinal or -1.
-func (t *Table) PointLookup(keyCol int, key int64) int {
-	found := -1
-	buf := make([]int64, t.ChunkRows)
-	base := 0
-	for _, ch := range t.chunks {
-		vals := buf[:ch.n]
-		ch.ints[keyCol].Decompress(vals)
-		for i, v := range vals {
-			if v == key {
-				found = base + i
-				break
-			}
-		}
-		if found >= 0 {
-			break
-		}
-		base += ch.n
-	}
-	return found
-}
-
-// GetInt decompresses the chunk containing row and returns the value —
-// positional access exists only via decompression of the surrounding
-// chunk.
-func (t *Table) GetInt(col, row int) int64 {
-	ci := row / t.ChunkRows
-	ch := &t.chunks[ci]
-	buf := make([]int64, ch.n)
-	ch.ints[col].Decompress(buf)
-	return buf[row%t.ChunkRows]
-}

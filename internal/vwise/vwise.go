@@ -3,13 +3,14 @@
 // PFOR-DELTA, and PDICT, with sub-byte bit-packed codes and exception
 // "patching" for outliers.
 //
-// The paper compares Data Blocks against this design in three places:
-// Table 1 (Vectorwise compresses ~25% smaller thanks to bit-packing and
-// patching), Table 2 (query processing on compressed Vectorwise storage is
+// The paper compares Data Blocks against this design in Table 1
+// (Vectorwise compresses ~25% smaller thanks to bit-packing and patching)
+// and Table 2 (query processing on compressed Vectorwise storage is
 // *slower* than uncompressed because scans fully decompress and never
-// filter early), and Table 3 (point lookups run as scans, ~17/s). The
-// package therefore offers exactly those capabilities: compressed sizes,
-// full-column decompression for scans, and scan-based point lookups.
+// filter early). The package therefore offers exactly those capabilities:
+// compressed sizes and full-column decompression for scans. (The paper's
+// Table 3 also quotes Vectorwise's scan-based point lookups, ~17/s; this
+// reproduction's Table 3 has no Vectorwise row.)
 package vwise
 
 import (

@@ -144,16 +144,6 @@ func TestTableScanAndLookup(t *testing.T) {
 	if sum != want {
 		t.Fatalf("scan sum = %d, want %d", sum, want)
 	}
-	// Scan-based point lookup.
-	if row := tbl.PointLookup(0, 3456); row != 3456 {
-		t.Fatalf("lookup = %d", row)
-	}
-	if row := tbl.PointLookup(0, 99999); row != -1 {
-		t.Fatalf("missing key found at %d", row)
-	}
-	if got := tbl.GetInt(0, 4321); got != 4321 {
-		t.Fatalf("GetInt = %d", got)
-	}
 	// Strings and floats decompress correctly chunk-wise.
 	tbl.ScanStrs(2, func(base int, vals []string) {
 		for i, s := range vals {

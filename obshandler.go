@@ -2,11 +2,9 @@ package datablocks
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"sort"
-	"sync"
 
 	"datablocks/internal/obs"
 )
@@ -41,30 +39,6 @@ func (db *DB) ObsHandler() http.Handler {
 		fmt.Fprint(w, "datablocks telemetry\n\n/metrics  Prometheus text format\n/vars     JSON snapshot\n")
 	})
 	return mux
-}
-
-// expvarPublished guards against double expvar registration, which panics:
-// the global expvar registry has no Unpublish, so a name is claimed for the
-// life of the process.
-var (
-	expvarMu        sync.Mutex
-	expvarPublished = map[string]bool{}
-)
-
-// PublishExpvar registers the database's Metrics snapshot as a lazily
-// evaluated expvar under name (conventionally "datablocks"), making it
-// visible on the standard /debug/vars page. It reports false — without
-// registering — when the name is already taken, so two databases cannot
-// collide (publish each under a distinct name).
-func (db *DB) PublishExpvar(name string) bool {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarPublished[name] || expvar.Get(name) != nil {
-		return false
-	}
-	expvar.Publish(name, expvar.Func(func() any { return db.Metrics() }))
-	expvarPublished[name] = true
-	return true
 }
 
 // promSamples flattens the Metrics snapshot into Prometheus samples.
