@@ -234,7 +234,7 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // deletes code lowers it.
 var locCeilings = map[string]int{
 	"datablocks/internal/exec": 4181,
-	"total":                    19186,
+	"total":                    19168,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's

@@ -15,8 +15,9 @@
 package compress
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Scheme identifies a compression method for one attribute in one block.
@@ -98,35 +99,17 @@ func BiasInt(v int64) uint64 { return uint64(v) ^ signBias }
 // UnbiasInt inverts BiasInt.
 func UnbiasInt(c uint64) int64 { return int64(c ^ signBias) }
 
-// sortedDistinct returns the ascending distinct values of vals.
-func sortedDistinct(vals []int64) []int64 {
+// sortedDistinct returns the ascending distinct values of vals in a slice
+// of exactly their count: a dictionary the block keeps must not pin the
+// sorted copy of the whole column it was found in.
+func sortedDistinct[T cmp.Ordered](vals []T) []T {
 	if len(vals) == 0 {
 		return nil
 	}
-	s := append([]int64(nil), vals...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[w-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
-}
-
-func sortedDistinctStrings(vals []string) []string {
-	if len(vals) == 0 {
-		return nil
-	}
-	s := append([]string(nil), vals...)
-	sort.Strings(s)
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[w-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
+	s := slices.Clone(vals)
+	slices.Sort(s)
+	s = slices.Compact(s)
+	d := make([]T, len(s))
+	copy(d, s)
+	return d
 }

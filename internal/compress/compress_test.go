@@ -1,10 +1,14 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEncodeIntsSchemes(t *testing.T) {
@@ -229,6 +233,48 @@ func TestEncodeStrings(t *testing.T) {
 	single := EncodeStrings([]string{"x", "x"}, nil)
 	if single.Scheme != SingleValue || single.Single != "x" {
 		t.Fatalf("single-value string broken: %+v", single)
+	}
+}
+
+// TestDictionariesHoldExactlyTheirValues: a dictionary keeps nothing of the
+// column it was found in. An integer dictionary's array has exactly its
+// entries; a string section is exactly the distinct values' bytes in
+// ascending order, with one offset more than the dictionary has entries;
+// and a single-value string does not alias its input.
+func TestDictionariesHoldExactlyTheirValues(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, card := range []int{2, 7, 300, 5000} {
+		ints := make([]int64, 8192)
+		strs := make([]string, len(ints))
+		for i := range ints {
+			k := r.Intn(card)
+			ints[i] = int64(k) << 40
+			strs[i] = fmt.Sprintf("v%0*d", 1+k%5, k)
+		}
+		iv := EncodeInts(ints, nil)
+		if iv.Scheme != Dictionary || cap(iv.Dict) != len(iv.Dict) {
+			t.Fatalf("cardinality %d: scheme %v, dictionary len %d cap %d", card, iv.Scheme, len(iv.Dict), cap(iv.Dict))
+		}
+		distinct := slices.Clone(strs)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		sv := EncodeStrings(strs, nil)
+		if sv.DictLen() != len(distinct) || len(sv.Offsets) != len(distinct)+1 {
+			t.Fatalf("cardinality %d: %d entries and %d offsets for %d distinct values", card, sv.DictLen(), len(sv.Offsets), len(distinct))
+		}
+		if sv.Section != strings.Join(distinct, "") {
+			t.Fatalf("cardinality %d: the section is not the distinct values back to back", card)
+		}
+		for c, s := range distinct {
+			if sv.Entry(c) != s {
+				t.Fatalf("cardinality %d: entry %d = %q, want %q", card, c, sv.Entry(c), s)
+			}
+		}
+	}
+	in := strings.Repeat("x", 64)
+	single := EncodeStrings([]string{in[:8], in[:8]}, nil)
+	if single.Scheme != SingleValue || single.Single != in[:8] || unsafe.StringData(single.Single) == unsafe.StringData(in) {
+		t.Fatalf("single value %q aliases its input or is wrong", single.Single)
 	}
 }
 

@@ -65,15 +65,15 @@ func (v *StringVector) Gather(pos []uint32, out []string) {
 	switch v.Width {
 	case 1:
 		for i, p := range pos {
-			out[i] = v.Dict[v.Data[p]]
+			out[i] = v.Entry(int(v.Data[p]))
 		}
 	case 2:
 		for i, p := range pos {
-			out[i] = v.Dict[binary.LittleEndian.Uint16(v.Data[p*2:])]
+			out[i] = v.Entry(int(binary.LittleEndian.Uint16(v.Data[p*2:])))
 		}
 	default:
 		for i, p := range pos {
-			out[i] = v.Dict[binary.LittleEndian.Uint32(v.Data[p*4:])]
+			out[i] = v.Entry(int(binary.LittleEndian.Uint32(v.Data[p*4:])))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"math"
 	"sort"
+	"strings"
 
 	"datablocks/internal/simd"
 )
@@ -10,19 +11,30 @@ import (
 // StringVector is one string attribute of a Data Block. Strings are always
 // reduced to integer codes (§3.4: "also string types are always compressed
 // to integers"): either a single value or an order-preserving dictionary.
-// The dictionary doubles as the block's string section.
+//
+// The dictionary is the block's string section (§3): its distinct values
+// in ascending order, back to back in one string, and an offset array with
+// one entry more than the dictionary, so entry c is
+// Section[Offsets[c]:Offsets[c+1]]. Freeze builds both at exactly their
+// size and a reload rebuilds them from the on-disk section in two
+// allocations. Neither holds a pointer per entry, so the collector neither
+// scans them nor lets them pin the strings the block was frozen from. A
+// decoded value is a substring of the section and keeps all of it alive
+// (core.Block.Row says when a point read copies).
 type StringVector struct {
 	Scheme  Scheme // SingleValue or Dictionary
 	Width   int
 	N       int
 	AllNull bool
 	Single  string
-	Dict    []string // ascending distinct values
+	Section string   // Dictionary: the distinct values, ascending, back to back
+	Offsets []uint32 // Dictionary: entry c is Section[Offsets[c]:Offsets[c+1]]
 	Data    []byte   // key codes
 }
 
 // EncodeStrings compresses one string column. nulls may be nil; null
-// positions receive code 0 as a don't-care.
+// positions receive code 0 as a don't-care. The vector owns its strings:
+// it references none of values.
 func EncodeStrings(values []string, nulls []bool) *StringVector {
 	v := &StringVector{N: len(values)}
 	nonNull := values
@@ -39,19 +51,28 @@ func EncodeStrings(values []string, nulls []bool) *StringVector {
 		v.AllNull = true
 		return v
 	}
-	dict := sortedDistinctStrings(nonNull)
+	dict := sortedDistinct(nonNull)
 	if len(dict) == 1 {
 		v.Scheme = SingleValue
-		v.Single = dict[0]
+		v.Single = strings.Clone(dict[0])
 		return v
 	}
 	v.Scheme = Dictionary
-	v.Dict = dict
 	v.Width = ByteWidth(uint64(len(dict) - 1))
+	size := 0
+	for _, s := range dict {
+		size += len(s)
+	}
+	var sec strings.Builder
+	sec.Grow(size)
+	v.Offsets = make([]uint32, len(dict)+1)
 	idx := make(map[string]uint64, len(dict))
 	for i, s := range dict {
 		idx[s] = uint64(i)
+		sec.WriteString(s)
+		v.Offsets[i+1] = uint32(sec.Len())
 	}
+	v.Section = sec.String()
 	v.Data = make([]byte, len(values)*v.Width+8)
 	for i, s := range values {
 		code := uint64(0)
@@ -63,12 +84,24 @@ func EncodeStrings(values []string, nulls []bool) *StringVector {
 	return v
 }
 
+// Entry returns dictionary entry c, a substring of the section.
+func (v *StringVector) Entry(c int) string { return v.Section[v.Offsets[c]:v.Offsets[c+1]] }
+
+// DictLen returns the number of dictionary entries (0 for SingleValue).
+func (v *StringVector) DictLen() int { return max(len(v.Offsets)-1, 0) }
+
+// search returns the first code whose entry satisfies f, which must be
+// false and then true in dictionary order.
+func (v *StringVector) search(f func(string) bool) int {
+	return sort.Search(v.DictLen(), func(c int) bool { return f(v.Entry(c)) })
+}
+
 // Get decodes the string at row i (don't-care for null rows).
 func (v *StringVector) Get(i int) string {
 	if v.Scheme == SingleValue {
 		return v.Single
 	}
-	return v.Dict[simd.ReadUint(v.Data, i, v.Width)]
+	return v.Entry(int(simd.ReadUint(v.Data, i, v.Width)))
 }
 
 // CodeAt returns the raw dictionary code at row i.
@@ -79,7 +112,7 @@ func (v *StringVector) Min() string {
 	if v.Scheme == SingleValue {
 		return v.Single
 	}
-	return v.Dict[0]
+	return v.Entry(0)
 }
 
 // Max returns the largest non-null string (SMA).
@@ -87,7 +120,7 @@ func (v *StringVector) Max() string {
 	if v.Scheme == SingleValue {
 		return v.Single
 	}
-	return v.Dict[len(v.Dict)-1]
+	return v.Entry(v.DictLen() - 1)
 }
 
 // TranslateRange rewrites an inclusive string range into the code domain.
@@ -121,23 +154,23 @@ func (v *StringVector) TranslateBounds(lo, hi string, hasLo, hasHi, loExcl, hiEx
 	c1 := 0
 	if hasLo {
 		if loExcl {
-			c1 = sort.Search(len(v.Dict), func(i int) bool { return v.Dict[i] > lo })
+			c1 = v.search(func(s string) bool { return s > lo })
 		} else {
-			c1 = sort.SearchStrings(v.Dict, lo)
+			c1 = v.search(func(s string) bool { return s >= lo })
 		}
 	}
-	c2 := len(v.Dict) - 1
+	c2 := v.DictLen() - 1
 	if hasHi {
 		if hiExcl {
-			c2 = sort.SearchStrings(v.Dict, hi) - 1
+			c2 = v.search(func(s string) bool { return s >= hi }) - 1
 		} else {
-			c2 = sort.Search(len(v.Dict), func(i int) bool { return v.Dict[i] > hi }) - 1
+			c2 = v.search(func(s string) bool { return s > hi }) - 1
 		}
 	}
 	switch {
 	case c1 > c2:
 		return Translation{Verdict: None}
-	case c1 == 0 && c2 == len(v.Dict)-1:
+	case c1 == 0 && c2 == v.DictLen()-1:
 		return Translation{Verdict: All}
 	default:
 		return Translation{Verdict: Range, C1: uint64(c1), C2: uint64(c2)}
@@ -159,15 +192,14 @@ func (v *StringVector) TranslatePrefix(p string) Translation {
 		}
 		return Translation{Verdict: None}
 	}
-	c1 := sort.SearchStrings(v.Dict, p)
-	c2 := sort.Search(len(v.Dict), func(i int) bool {
-		s := v.Dict[i]
+	c1 := v.search(func(s string) bool { return s >= p })
+	c2 := v.search(func(s string) bool {
 		return len(s) < len(p) && s > p || len(s) >= len(p) && s[:len(p)] > p
 	}) - 1
 	if c1 > c2 {
 		return Translation{Verdict: None}
 	}
-	if c1 == 0 && c2 == len(v.Dict)-1 {
+	if c1 == 0 && c2 == v.DictLen()-1 {
 		return Translation{Verdict: All}
 	}
 	return Translation{Verdict: Range, C1: uint64(c1), C2: uint64(c2)}
@@ -184,8 +216,8 @@ func (v *StringVector) TranslateNotEqual(c string) Translation {
 		}
 		return Translation{Verdict: All}
 	}
-	i := sort.SearchStrings(v.Dict, c)
-	if i >= len(v.Dict) || v.Dict[i] != c {
+	i := v.search(func(s string) bool { return s >= c })
+	if i >= v.DictLen() || v.Entry(i) != c {
 		return Translation{Verdict: All}
 	}
 	return Translation{Verdict: NotEqual, C1: uint64(i)}
@@ -194,16 +226,10 @@ func (v *StringVector) TranslateNotEqual(c string) Translation {
 // CompressedSize returns the in-memory footprint in bytes: key codes plus
 // the dictionary's string bytes and per-entry offsets.
 func (v *StringVector) CompressedSize() int {
-	size := headerOverhead
-	switch v.Scheme {
-	case SingleValue:
-		return size + len(v.Single) + 4
-	default:
-		for _, s := range v.Dict {
-			size += len(s) + 4
-		}
-		return size + v.N*v.Width
+	if v.Scheme == SingleValue {
+		return headerOverhead + len(v.Single) + 4
 	}
+	return headerOverhead + len(v.Section) + 4*v.DictLen() + v.N*v.Width
 }
 
 // FloatVector is one double attribute. Doubles are never truncated (§3.3);

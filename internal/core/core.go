@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -81,8 +82,8 @@ type Block struct {
 	// for every block except one Directory.Load built from a column subset;
 	// reading an attribute such a block lacks is a caller bug (see Has).
 	missing int
-	// decoded marks a block decoded from its serialized form: its string
-	// dictionary entries are substrings of whole sections (see Row).
+	// decoded marks a block decoded from its serialized form, one that was
+	// evicted once already (see Row).
 	decoded bool
 }
 
@@ -180,6 +181,9 @@ func Freeze(cols []ColumnData, n int, opts FreezeOptions) (*Block, error) {
 			a.Floats = compress.EncodeFloats(col.Floats[:n], col.Nulls)
 		case types.String:
 			a.Strs = compress.EncodeStrings(col.Strs[:n], col.Nulls)
+			if len(a.Strs.Section) > math.MaxUint32 {
+				return nil, fmt.Errorf("core: column %d: %d distinct string bytes exceed a section's 4 GiB", ci, len(a.Strs.Section))
+			}
 			if a.Strs.Scheme != compress.SingleValue {
 				v := a.Strs
 				a.Psma = psma.Build(n, v.Width, v.CodeAt, 0)
@@ -355,12 +359,13 @@ func (b *Block) Value(col, row int) types.Value {
 }
 
 // Row materializes tuple row into dst, one value per attribute — the point
-// read of a whole tuple. The strings it returns own their bytes. In a block
-// decoded from its serialized form the dictionary entries are substrings of
-// whole sections, and a row outlives the pin it was read under: returned as
-// they are, its strings would keep those sections alive — past the block's
-// eviction, and for as long as a hot chunk the row is written back into.
-// They are copied out, into one allocation per row.
+// read of a whole tuple. A string it returns is a substring of its block's
+// string section, and a row outlives the pin it was read under: kept, or
+// written back into a hot chunk, it keeps the section alive after the
+// block is evicted. A block decoded from its serialized form has been
+// evicted before, so its rows' strings are copied out (copy on escape),
+// into one allocation per row. A block frozen in process is read without
+// the copy: that allocation made a point read half again as slow.
 func (b *Block) Row(row int, dst types.Row) {
 	strBytes := 0
 	for i := range dst {
@@ -444,7 +449,7 @@ func (b *Block) AttrUncompressedSize(i int) int {
 			size += len(v.Single) * b.n
 		} else {
 			for row := 0; row < b.n; row++ {
-				size += len(v.Dict[v.CodeAt(row)])
+				size += len(v.Entry(int(v.CodeAt(row))))
 			}
 		}
 		return size

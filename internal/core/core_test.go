@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"datablocks/internal/compress"
@@ -573,4 +576,63 @@ func equalU32(a, b []uint32) bool {
 		}
 	}
 	return true
+}
+
+// TestFrozenBlocksRetainTheirCompressedSize: once its input is gone, a
+// frozen block holds about the heap CompressedSize counts — no 16-byte
+// header per dictionary entry, no sorted copy of a whole column behind a
+// dictionary, no reference into the strings it was frozen from.
+func TestFrozenBlocksRetainTheirCompressedSize(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	blocks := freezeStringBlocks(t, 8, 16384)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	counted := 0
+	for _, b := range blocks {
+		counted += b.CompressedSize()
+	}
+	t.Logf("%d blocks retain %.0f B of heap, CompressedSize counts %d B (%.2fx)", len(blocks), heap, counted, heap/float64(counted))
+	if heap > 1.3*float64(counted) {
+		t.Fatalf("frozen blocks retain %.0f B of heap, %.2fx the %d B CompressedSize counts: want <= 1.3x", heap, heap/float64(counted), counted)
+	}
+	runtime.KeepAlive(blocks)
+}
+
+// freezeStringBlocks freezes n blocks of rows tuples each: a key, a 7-value
+// string column with one allocation per cell (as a loader's parser makes
+// them), a 7-value integer dictionary and a string distinct per row. The
+// input columns are garbage once it returns.
+func freezeStringBlocks(t *testing.T, n, rows int) []*Block {
+	t.Helper()
+	modes := []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}
+	blocks := make([]*Block, n)
+	for b := range blocks {
+		keys := make([]int64, rows)
+		mode := make([]string, rows)
+		prio := make([]int64, rows)
+		comment := make([]string, rows)
+		for i := range keys {
+			keys[i] = int64(b*rows + i)
+			mode[i] = strings.Clone(modes[i*31%7])
+			prio[i] = int64(i%7) << 40
+			comment[i] = fmt.Sprintf("comment %d of block %d", i, b)
+		}
+		blk, err := Freeze([]ColumnData{
+			{Kind: types.Int64, Ints: keys},
+			{Kind: types.String, Strs: mode},
+			{Kind: types.Int64, Ints: prio},
+			{Kind: types.String, Strs: comment},
+		}, rows, FreezeOptions{SortBy: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk.Scheme(1) != compress.Dictionary || blk.Scheme(2) != compress.Dictionary || blk.Scheme(3) != compress.Dictionary {
+			t.Fatalf("schemes %v %v %v, want three dictionaries", blk.Scheme(1), blk.Scheme(2), blk.Scheme(3))
+		}
+		blocks[b] = blk
+	}
+	return blocks
 }

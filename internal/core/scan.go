@@ -166,7 +166,7 @@ func (a *Attr) CodeCard() int {
 	case a.Validity != nil:
 		return 0
 	case a.Kind == types.String && a.Strs.Width == 1:
-		return len(a.Strs.Dict)
+		return a.Strs.DictLen()
 	case a.Kind == types.Int64 && a.Ints.Width == 1 && a.Ints.Scheme == compress.Dictionary:
 		return len(a.Ints.Dict)
 	case a.Kind == types.Int64 && a.Ints.Width == 1:
@@ -184,7 +184,7 @@ func (a *Attr) CodeInt(c byte) int64 {
 }
 
 // CodeStr decodes one code of a string attribute with a CodeCard.
-func (a *Attr) CodeStr(c byte) string { return a.Strs.Dict[c] }
+func (a *Attr) CodeStr(c byte) string { return a.Strs.Entry(int(c)) }
 
 // NewColumnScanner compiles spec against the first n rows of uncompressed
 // columns, the layout of a hot chunk. There is no SMA or PSMA to consult:

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 
 	"datablocks/internal/compress"
 	"datablocks/internal/psma"
@@ -175,13 +176,13 @@ func (b *Block) MarshalBinary() ([]byte, error) {
 				e.dataLen = v.N * v.Width
 				buf = append(buf, v.Data[:e.dataLen]...)
 			}
-			strs := v.Dict
-			e.strCount = len(strs)
-			if strs == nil {
-				strs = []string{v.Single}
-			}
+			e.strCount = v.DictLen()
 			strStart := len(buf)
-			for _, s := range strs {
+			for c := range max(e.strCount, 1) {
+				s := v.Single
+				if e.strCount > 0 {
+					s = v.Entry(c)
+				}
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 				buf = append(buf, s...)
 			}
@@ -483,8 +484,8 @@ func (d *Directory) load(fetch fetchFunc, have *Block, cols []int) (*Block, int,
 
 // decode builds the attribute from its sections, sec[:e.length], which
 // validate already sized; the dataSlack bytes behind them are addressable.
-// Nothing bulky is copied: the code vector is a subslice of sec, and a
-// string dictionary is one string with its entries as substrings.
+// The code vector is a subslice of sec; a string section costs two
+// allocations, its bytes and its offsets, whatever its entry count.
 func (e *dirAttr) decode(n int, sec []byte) (Attr, error) {
 	body := sec[:e.length]
 	if got := crc32.Checksum(body, crcTable); got != e.crc {
@@ -532,31 +533,35 @@ func (e *dirAttr) decode(n int, sec []byte) (Attr, error) {
 		a.Floats = v
 	case types.String:
 		v := &compress.StringVector{Scheme: e.scheme, Width: e.width, N: n, AllNull: allNull, Data: data}
-		all := string(strSec)
-		strs := make([]string, max(e.strCount, 1))
+		// On disk each entry is its u32 length and its bytes; in memory the
+		// bytes are back to back, and ends holds where each entry stops.
+		ends := make([]uint32, max(e.strCount, 1)+1)
+		var sec strings.Builder
+		sec.Grow(len(strSec) - 4*(len(ends)-1)) // validate checked the prefixes fit
 		off := 0
-		for j := range strs {
-			if off+4 > len(all) {
-				return Attr{}, fmt.Errorf("string %d starts at %d in a section of %d bytes", j, off, len(all))
+		for j := 1; j < len(ends); j++ {
+			if off+4 > len(strSec) {
+				return Attr{}, fmt.Errorf("string %d starts at %d in a section of %d bytes", j-1, off, len(strSec))
 			}
 			l := int(binary.LittleEndian.Uint32(strSec[off:]))
 			off += 4
-			if l > len(all)-off {
-				return Attr{}, fmt.Errorf("string %d of %d bytes at %d overruns a section of %d bytes", j, l, off, len(all))
+			if l > len(strSec)-off {
+				return Attr{}, fmt.Errorf("string %d of %d bytes at %d overruns a section of %d bytes", j-1, l, off, len(strSec))
 			}
-			strs[j] = all[off : off+l]
+			sec.Write(strSec[off : off+l])
+			ends[j] = uint32(sec.Len())
 			off += l
 		}
-		if off != len(all) {
-			return Attr{}, fmt.Errorf("strings end at %d in a section of %d bytes", off, len(all))
+		if off != len(strSec) {
+			return Attr{}, fmt.Errorf("strings end at %d in a section of %d bytes", off, len(strSec))
 		}
 		if e.scheme == compress.SingleValue {
-			v.Single = strs[0]
+			v.Single = sec.String()
 		} else {
 			if c := maxCode(data, n, e.width); c >= uint64(e.strCount) {
 				return Attr{}, fmt.Errorf("code %d exceeds dictionary of %d", c, e.strCount)
 			}
-			v.Dict = strs
+			v.Section, v.Offsets = sec.String(), ends
 		}
 		a.Strs = v
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"testing"
 
@@ -270,6 +271,57 @@ func contains(cols []int, c int) bool {
 // top of every other subset, and compares what is loaded cell by cell with
 // the whole-block decode; the bytes read must be exactly the sections of
 // the attributes that were missing.
+// TestReloadStringSectionAllocs: reloading a string dictionary costs two
+// allocations, its section and its offsets, whatever its entry count. The
+// block without it is a key column alone; what any coded attribute costs
+// on top of that — its vector header and its PSMA — is priced by a
+// truncated integer attribute over the same codes, which has no dictionary.
+func TestReloadStringSectionAllocs(t *testing.T) {
+	const n = 4096
+	reloadAllocs := func(cols ...ColumnData) float64 {
+		t.Helper()
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = int64(i)
+		}
+		cols = append([]ColumnData{{Kind: types.Int64, Ints: keys}}, cols...)
+		blk, err := Freeze(cols, n, FreezeOptions{SortBy: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := blk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := make([]types.Kind, len(cols))
+		for i := range cols {
+			kinds[i] = cols[i].Kind
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := UnmarshalBlock(buf, kinds); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	without := reloadAllocs()
+	codes := make([]int64, n)
+	for i := range codes {
+		codes[i] = int64(i % 7)
+	}
+	shell := reloadAllocs(ColumnData{Kind: types.Int64, Ints: codes}) - without
+	for _, card := range []int{7, 250, 4000} {
+		strs := make([]string, n)
+		for i := range strs {
+			strs[i] = fmt.Sprintf("entry-%d", i%card)
+		}
+		with := reloadAllocs(ColumnData{Kind: types.String, Strs: strs})
+		t.Logf("%d entries: %.0f allocations, %.0f without the attribute, %.0f for a coded attribute's shell", card, with, without, shell)
+		if with-without > shell+2 {
+			t.Fatalf("%d entries: a string dictionary costs %.0f allocations beyond its attribute's shell, want <= 2", card, with-without-shell)
+		}
+	}
+}
+
 func TestLoadBySubset(t *testing.T) {
 	buf, kinds := mustMarshalBlock(t)
 	whole, err := UnmarshalBlock(buf, kinds)

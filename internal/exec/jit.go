@@ -380,7 +380,7 @@ func compileAccessor(a *core.Attr, kind types.Kind) blockAccessor {
 		}
 		width := a.Strs.Width
 		return func(a *core.Attr, row int, t *Tuple, slot int) {
-			t.Strs[slot] = a.Strs.Dict[simd.ReadUint(a.Strs.Data, row, width)]
+			t.Strs[slot] = a.Strs.Entry(int(simd.ReadUint(a.Strs.Data, row, width)))
 			t.Nulls[slot] = loadNull(a, row)
 		}
 	}

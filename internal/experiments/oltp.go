@@ -69,21 +69,14 @@ func Table3(w io.Writer, sf float64, lookups int) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "Table 3 — point-access throughput (lookups/s), customer SF %g (%d rows), %d lookups\n", sf, n, lookups)
+	fmt.Fprintf(w, "Table 3 — point-access throughput (lookups/s), customer SF %g (%d rows), %d index lookups, no-index rounds of >= %v\n", sf, n, lookups, minScanCellTime)
 	tbl := newTable(w, "storage", "index", "ordered", "shuffled")
 	for vi := range ordered {
 		for _, withIndex := range []bool{true, false} {
 			row := []any{ordered[vi].name, idxName(withIndex)}
 			for _, vs := range [][]variant{ordered, shuffledV} {
 				v := vs[vi]
-				nLookups := lookups
-				if !withIndex {
-					nLookups = lookups / 100 // scans are ~1000x slower; keep runs short
-					if nLookups < 3 {
-						nLookups = 3
-					}
-				}
-				tput, err := pointLookupThroughput(v.tbl, v.mode, withIndex, nLookups, n)
+				tput, err := pointLookupThroughput(v.tbl, v.mode, withIndex, lookups, n)
 				if err != nil {
 					return err
 				}
@@ -106,13 +99,40 @@ func idxName(b bool) string {
 	return "no index"
 }
 
-// pointLookupThroughput measures select-star point queries per second on
-// keys drawn from 1..n: through the primary-key index, or as a scan with
-// an equality SARG in the given mode.
+// minScanCellTime is the least time one round of a no-index cell runs. A
+// scan costs about 1000 index probes, so a count scaled from -lookups runs
+// for a few milliseconds, too short to time the same way twice.
+const minScanCellTime = 100 * time.Millisecond
+
+// pointLookupThroughput returns select-star point queries per second on
+// keys drawn from 1..n: lookups of them through the primary-key index, or
+// as scans with an equality SARG in the given mode, as many as it takes
+// one round to run for minScanCellTime (from lookups/100 up, doubling).
 func pointLookupThroughput(t *datablocks.Table, mode datablocks.ScanMode, withIndex bool, lookups, n int) (float64, error) {
+	var err error
+	round := func(count int) time.Duration {
+		return measureBest(1, func() {
+			if err == nil {
+				err = pointLookups(t, mode, withIndex, count, n)
+			}
+		})
+	}
+	count := lookups
+	if !withIndex {
+		count = max(lookups/100, 3)
+	}
+	d := round(count)
+	for !withIndex && d < minScanCellTime && err == nil {
+		count *= 2
+		d = round(count)
+	}
+	return float64(count) / d.Seconds(), err
+}
+
+// pointLookups runs count point queries (see pointLookupThroughput).
+func pointLookups(t *datablocks.Table, mode datablocks.ScanMode, withIndex bool, count, n int) error {
 	r := xrand.New(0xA11)
-	start := time.Now()
-	for i := 0; i < lookups; i++ {
+	for i := 0; i < count; i++ {
 		key := r.Range(1, int64(n))
 		var ok bool
 		if withIndex {
@@ -120,14 +140,14 @@ func pointLookupThroughput(t *datablocks.Table, mode datablocks.ScanMode, withIn
 		} else {
 			var err error
 			if _, ok, err = t.LookupScan("c_custkey", key, mode); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		if !ok {
-			return 0, fmt.Errorf("key %d missing", key)
+			return fmt.Errorf("key %d missing", key)
 		}
 	}
-	return float64(lookups) / time.Since(start).Seconds(), nil
+	return nil
 }
 
 // shuffleColumns permutes all columns with one random permutation,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"unsafe"
@@ -296,5 +297,28 @@ func TestPointReadsOwnTheirStrings(t *testing.T) {
 	}
 	if unsafe.StringData(row[2].Str()) == unsafe.StringData(inBlock) {
 		t.Fatal("a point read aliases the reloaded block's dictionary section")
+	}
+
+	// A block frozen in process and never evicted holds its strings in a
+	// section of its own: a point read returns none of the strings the
+	// rows were inserted with, which the block would otherwise keep alive.
+	var err error
+	r = NewRelation(testSchema(), 64)
+	notes := make([]string, 64)
+	for i := range notes {
+		notes[i] = fmt.Sprintf("note-%d", i)
+		if tids[i], err = r.Insert(mkRow(int64(i), 0, notes[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err = r.FreezeAll(core.FreezeOptions{SortBy: -1}, false); err != nil {
+		t.Fatal(err)
+	}
+	row, ok = r.Get(tids[3])
+	if !ok || row[2].Str() != "note-3" || r.Chunk(0).State() != ChunkFrozen {
+		t.Fatalf("row = %v, %v; chunk %v", row, ok, r.Chunk(0).State())
+	}
+	if unsafe.StringData(row[2].Str()) == unsafe.StringData(notes[3]) {
+		t.Fatal("a point read of a block frozen in process returns the string the row was inserted with")
 	}
 }

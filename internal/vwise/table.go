@@ -81,9 +81,6 @@ func (t *Table) CompressedSize() int {
 	return size
 }
 
-// NumChunks returns the chunk count.
-func (t *Table) NumChunks() int { return len(t.chunks) }
-
 // ScanInts decompresses the given integer column chunk by chunk and invokes
 // visit with each decompressed buffer and the chunk's base row — the
 // decompress-then-process scan pattern.
@@ -93,30 +90,6 @@ func (t *Table) ScanInts(col int, visit func(base int, vals []int64)) {
 	for _, ch := range t.chunks {
 		vals := buf[:ch.n]
 		ch.ints[col].Decompress(vals)
-		visit(base, vals)
-		base += ch.n
-	}
-}
-
-// ScanFloats is ScanInts for doubles.
-func (t *Table) ScanFloats(col int, visit func(base int, vals []float64)) {
-	buf := make([]float64, t.ChunkRows)
-	base := 0
-	for _, ch := range t.chunks {
-		vals := buf[:ch.n]
-		ch.floats[col].Decompress(vals)
-		visit(base, vals)
-		base += ch.n
-	}
-}
-
-// ScanStrs is ScanInts for strings.
-func (t *Table) ScanStrs(col int, visit func(base int, vals []string)) {
-	buf := make([]string, t.ChunkRows)
-	base := 0
-	for _, ch := range t.chunks {
-		vals := buf[:ch.n]
-		ch.strs[col].Decompress(vals)
 		visit(base, vals)
 		base += ch.n
 	}

@@ -300,15 +300,6 @@ func EncodeStrings(values []string) *StrColumn {
 	return &StrColumn{N: len(values), Dict: dict, Packed: pv}
 }
 
-// Decompress materializes all strings into out.
-func (c *StrColumn) Decompress(out []string) {
-	tmp := make([]uint32, c.N)
-	c.Packed.UnpackAll(tmp)
-	for i, code := range tmp {
-		out[i] = c.Dict[code]
-	}
-}
-
 // CompressedSize returns the column footprint in bytes.
 func (c *StrColumn) CompressedSize() int {
 	size := 32 + c.Packed.SizeBytes()
@@ -329,9 +320,6 @@ type FloatColumn struct {
 func EncodeFloats(values []float64) *FloatColumn {
 	return &FloatColumn{N: len(values), Values: append([]float64(nil), values...)}
 }
-
-// Decompress copies the values.
-func (c *FloatColumn) Decompress(out []float64) { copy(out, c.Values) }
 
 // CompressedSize returns the column footprint in bytes.
 func (c *FloatColumn) CompressedSize() int { return 32 + 8*c.N }
