@@ -1,6 +1,10 @@
 # Tier-1 verify plus the concurrency checks, one command each.
 #
 #   make ci          — everything the driver checks, in order
+#   make bench-module — vet and test the benchmark module (benchmark/, a
+#                      module of its own that imports engine internals
+#                      the root build never compiles), as CI's
+#                      benchmark job does
 #   make lint        — the dbvet analyzer suite (lock, deadlock, nilness,
 #                      atomic, pin, hotpath, hotpath-perf, errcheck,
 #                      shadow contracts) over every package, test files
@@ -28,7 +32,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: all build test test-portable race vet lint fmt-check stress flake fuzz-short examples linkcheck loc ci
+.PHONY: all build test test-portable race vet bench-module lint fmt-check stress flake fuzz-short examples linkcheck loc ci
 
 all: ci
 
@@ -60,6 +64,12 @@ UNUSED_FUNCS = errors.New,fmt.Errorf,fmt.Sprint,fmt.Sprintf,sort.Reverse,context
 
 vet:
 	$(GO) vet -unusedresult.funcs='$(UNUSED_FUNCS)' ./...
+
+# The benchmark module (benchmark/go.mod, replace datablocks => ../)
+# compiles against engine internals: a change to them breaks it here, not
+# at the next benchmark run. Its tests run every workload at smoke scale.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # dbvet: the in-tree static-analysis suite (internal/analysis). It loads
 # the test-augmented package variants exactly as go vet does, so _test.go
@@ -144,4 +154,4 @@ loc:
 		printf '%6d  %s\n' "$$n" "$$pkg"; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
-ci: fmt-check vet lint build test test-portable race stress flake fuzz-short examples linkcheck
+ci: fmt-check vet bench-module lint build test test-portable race stress flake fuzz-short examples linkcheck

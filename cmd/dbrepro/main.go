@@ -24,7 +24,7 @@ func main() {
 		sf       = flag.Float64("sf", 0.05, "TPC-H scale factor")
 		rows     = flag.Int("rows", 400_000, "rows for IMDB/flights data sets")
 		rounds   = flag.Int("rounds", 3, "measurement rounds (median reported)")
-		lookups  = flag.Int("lookups", 20_000, "point lookups for table3")
+		lookups  = flag.Int("lookups", 20_000, "table3: point queries in a cell's first timed round (scans run 1/100 of them)")
 		txCount  = flag.Int("tx", 20_000, "transactions for tpcc")
 		parallel = flag.Int("parallel", 0, "query parallelism (<=0: all of GOMAXPROCS)")
 		combos   = flag.Int("combos", 4096, "max storage-layout combinations for fig5")

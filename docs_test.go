@@ -233,8 +233,8 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // here in its own diff, like an entry in lint-budget.json; one that
 // deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4181,
-	"total":                    19168,
+	"datablocks/internal/exec": 4060,
+	"total":                    18892,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's
@@ -345,9 +345,7 @@ func TestLocCeilings(t *testing.T) {
 // goes once the file is back under the ceiling.
 const fileLineCeiling = 800
 
-var oversizedFiles = map[string]int{
-	"internal/core/scan.go": 830,
-}
+var oversizedFiles = map[string]int{}
 
 // TestFileLineCeilings fails when a non-test Go file of the module exceeds
 // its raw-line ceiling, or when an oversizedFiles entry excuses nothing: a

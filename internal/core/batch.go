@@ -1,10 +1,8 @@
 package core
 
-import "datablocks/internal/types"
-
 // Batch is one vector of unpacked tuples flowing from a vectorized scan
-// into the consuming query pipeline (Figure 6). Buffers are reused across
-// Next calls; consumers must not retain slices beyond the next call.
+// into the consuming query pipeline (Figure 6). Buffers are reused from
+// one vector to the next; consumers must not retain slices beyond it.
 type Batch struct {
 	// N is the number of tuples in the batch.
 	N int
@@ -16,44 +14,26 @@ type Batch struct {
 	Cols []BatchCol
 }
 
-// BatchCol is one projected column of a batch.
+// BatchCol is one projected column of a batch: its values, and, when the
+// column travels as its block's 1-byte codes (ScanSpec.Codes), the codes
+// with the attribute that decodes them (Attr.CodeInt, Attr.CodeStr). A
+// coded column's values are set only if it was unpacked as well.
 type BatchCol struct {
-	Kind   types.Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	// Nulls marks NULL cells; nil when the column has no NULLs in this
-	// batch's source.
-	Nulls []bool
-	// Domain, when non-nil, says the column travels as its block's 1-byte
-	// codes, Codes, which Domain decodes (Attr.CodeInt, Attr.CodeStr): see
-	// ScanSpec.Codes. The value vectors then hold values only if the column
-	// was unpacked as well.
+	ColumnData
 	Codes  []byte
 	Domain *Attr
 }
 
-// Value returns cell (col, row) of the batch as a dynamic value.
-func (b *Batch) Value(col, row int) types.Value {
-	c := &b.Cols[col]
-	if c.Nulls != nil && c.Nulls[row] {
-		return types.NullValue(c.Kind)
-	}
-	switch c.Kind {
-	case types.Int64:
-		return types.IntValue(c.Ints[row])
-	case types.Float64:
-		return types.FloatValue(c.Floats[row])
-	default:
-		return types.StringValue(c.Strs[row])
-	}
-}
-
 // resize returns s with length n, reusing its backing array when it is
-// large enough.
+// large enough. The allocation is out of line, in grow, so a hot-path
+// caller that inlines resize sees only the capacity compare (as exec's
+// resize does).
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return grow[T](n)
 	}
 	return s[:n]
 }
+
+//go:noinline
+func grow[T any](n int) []T { return make([]T, n) }

@@ -87,35 +87,6 @@ type Block struct {
 	decoded bool
 }
 
-// ColumnData is the uncompressed input of one column at freeze time.
-// Exactly one of Ints, Floats, Strs must be set; Nulls is optional.
-type ColumnData struct {
-	Kind   types.Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Nulls  []bool
-}
-
-// check reports whether the column holds at least n rows of its kind.
-func (c *ColumnData) check(n int) error {
-	have := 0
-	switch c.Kind {
-	case types.Int64:
-		have = len(c.Ints)
-	case types.Float64:
-		have = len(c.Floats)
-	case types.String:
-		have = len(c.Strs)
-	default:
-		return fmt.Errorf("unsupported kind %v", c.Kind)
-	}
-	if have < n || c.Nulls != nil && len(c.Nulls) < n {
-		return fmt.Errorf("%d %v values, %d null flags for %d rows", have, c.Kind, len(c.Nulls), n)
-	}
-	return nil
-}
-
 // FreezeOptions controls block construction.
 type FreezeOptions struct {
 	// SortBy reorders the block's tuples by the given column before
@@ -142,13 +113,17 @@ func Freeze(cols []ColumnData, n int, opts FreezeOptions) (*Block, error) {
 			return nil, fmt.Errorf("core: column %d: %w", ci, err)
 		}
 	}
-	var perm []int
+	var perm []uint32
 	if opts.SortBy >= 0 {
-		perm = sortPermutation(cols[opts.SortBy], n)
+		perm = sortPermutation(&cols[opts.SortBy], n)
 	}
 	b := &Block{n: n, attrs: make([]Attr, len(cols))}
 	for ci := range cols {
-		col := applyPerm(cols[ci], n, perm)
+		col := cols[ci]
+		if perm != nil {
+			col = ColumnData{}
+			Gather(&col, &cols[ci], perm)
+		}
 		a := &b.attrs[ci]
 		a.Kind = col.Kind
 		if col.Nulls != nil {
@@ -193,63 +168,15 @@ func Freeze(cols []ColumnData, n int, opts FreezeOptions) (*Block, error) {
 	return b, nil
 }
 
-// sortPermutation returns the stable ordering of rows by the given column
-// (NULLs first).
-func sortPermutation(col ColumnData, n int) []int {
-	perm := make([]int, n)
+// sortPermutation returns the stable ordering of rows by the given
+// column: the order of Compare, which Result.SortBy shares.
+func sortPermutation(col *ColumnData, n int) []uint32 {
+	perm := make([]uint32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = uint32(i)
 	}
-	isNull := func(i int) bool { return col.Nulls != nil && col.Nulls[i] }
-	less := func(i, j int) bool {
-		ni, nj := isNull(i), isNull(j)
-		if ni || nj {
-			return ni && !nj
-		}
-		switch col.Kind {
-		case types.Int64:
-			return col.Ints[i] < col.Ints[j]
-		case types.Float64:
-			return col.Floats[i] < col.Floats[j]
-		default:
-			return col.Strs[i] < col.Strs[j]
-		}
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return less(perm[a], perm[b]) })
+	sort.SliceStable(perm, func(a, b int) bool { return Compare(col, int(perm[a]), int(perm[b])) < 0 })
 	return perm
-}
-
-// applyPerm reorders a column by perm (identity when perm is nil), always
-// truncating to n rows.
-func applyPerm(col ColumnData, n int, perm []int) ColumnData {
-	if perm == nil {
-		return col
-	}
-	out := ColumnData{Kind: col.Kind}
-	switch col.Kind {
-	case types.Int64:
-		out.Ints = make([]int64, n)
-		for i, p := range perm {
-			out.Ints[i] = col.Ints[p]
-		}
-	case types.Float64:
-		out.Floats = make([]float64, n)
-		for i, p := range perm {
-			out.Floats[i] = col.Floats[p]
-		}
-	case types.String:
-		out.Strs = make([]string, n)
-		for i, p := range perm {
-			out.Strs[i] = col.Strs[p]
-		}
-	}
-	if col.Nulls != nil {
-		out.Nulls = make([]bool, n)
-		for i, p := range perm {
-			out.Nulls[i] = col.Nulls[p]
-		}
-	}
-	return out
 }
 
 // Rows returns the number of tuples in the block.
@@ -421,17 +348,6 @@ func (b *Block) AttrCompressedSize(i int) int {
 	}
 	if a.Psma != nil {
 		size += a.Psma.SizeBytes()
-	}
-	return size
-}
-
-// UncompressedSize returns the footprint the same tuples occupy in the hot,
-// uncompressed store (8 bytes per fixed-size value; strings as bytes plus
-// offset).
-func (b *Block) UncompressedSize() int {
-	size := 0
-	for i := range b.attrs {
-		size += b.AttrUncompressedSize(i)
 	}
 	return size
 }

@@ -45,6 +45,21 @@ func buildTestBlock(t *testing.T, n int, withNulls bool, opts FreezeOptions) (*B
 	return b, ids, prices, cats, nulls
 }
 
+// nextBatch fills batch with the scan's next vector of matches, every
+// projected column unpacked, as the executor's scan driver does; false
+// once the chunk is exhausted.
+func nextBatch(sc *Scanner, batch *Batch) bool {
+	m, ok := sc.NextMatches()
+	if !ok {
+		return false
+	}
+	batch.N, batch.Pos = len(m), append(batch.Pos[:0], m...)
+	for k := range sc.spec.Project {
+		sc.UnpackColumn(batch, k, m)
+	}
+	return true
+}
+
 func collectAll(t *testing.T, b *Block, spec ScanSpec) ([]uint32, []Batch) {
 	t.Helper()
 	sc, err := NewScanner(b, spec)
@@ -54,12 +69,12 @@ func collectAll(t *testing.T, b *Block, spec ScanSpec) ([]uint32, []Batch) {
 	var pos []uint32
 	var batches []Batch
 	var batch Batch
-	for sc.Next(&batch) {
+	for nextBatch(sc, &batch) {
 		pos = append(pos, batch.Pos...)
 		// deep copy for inspection
 		cp := Batch{N: batch.N, Pos: append([]uint32(nil), batch.Pos...)}
 		for _, c := range batch.Cols {
-			cc := BatchCol{Kind: c.Kind}
+			cc := BatchCol{ColumnData: ColumnData{Kind: c.Kind}}
 			cc.Ints = append([]int64(nil), c.Ints...)
 			cc.Floats = append([]float64(nil), c.Floats...)
 			cc.Strs = append([]string(nil), c.Strs...)
@@ -252,7 +267,7 @@ func TestSMABlockSkipping(t *testing.T) {
 		t.Fatal("expected SMA skip for out-of-range predicate")
 	}
 	var batch Batch
-	if sc.Next(&batch) {
+	if nextBatch(sc, &batch) {
 		t.Fatal("skipped scanner must yield nothing")
 	}
 	// Dictionary probe miss also rules the block out: string equality on a
@@ -560,7 +575,11 @@ func TestCompressionRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(b.UncompressedSize()) / float64(b.CompressedSize())
+	unc := 0
+	for i := 0; i < b.NumAttrs(); i++ {
+		unc += b.AttrUncompressedSize(i)
+	}
+	ratio := float64(unc) / float64(b.CompressedSize())
 	if ratio < 4 {
 		t.Fatalf("compression ratio %.2f too low for dict-friendly data", ratio)
 	}

@@ -206,12 +206,12 @@ func checkScanLayouts(t *testing.T, data []byte) {
 		}
 		got := map[uint32]string{}
 		var batch Batch
-		for sc.Next(&batch) {
+		for nextBatch(sc, &batch) {
 			for i, p := range batch.Pos {
 				if _, dup := got[p]; dup {
 					t.Fatalf("%s: position %d matched twice", name, p)
 				}
-				got[p] = fmt.Sprint(batch.Value(0, i), batch.Value(1, i), batch.Value(2, i))
+				got[p] = fmt.Sprint(Cell(&batch.Cols[0].ColumnData, i), Cell(&batch.Cols[1].ColumnData, i), Cell(&batch.Cols[2].ColumnData, i))
 			}
 		}
 		for p, w := range want {

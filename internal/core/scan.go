@@ -145,8 +145,8 @@ type Scanner struct {
 }
 
 // NewScanner compiles spec against the block. A nil error with a skipped
-// scanner (Next returning false immediately) means the block was ruled out
-// before touching any data — the SMA skip of §3.2.
+// scanner (NextMatches returning false immediately) means the block was
+// ruled out before touching any data — the SMA skip of §3.2.
 func NewScanner(b *Block, spec ScanSpec) (*Scanner, error) {
 	s := &Scanner{b: b, spec: spec, end: b.n, coded: len(spec.Codes) > 0}
 	combos := 1
@@ -609,23 +609,6 @@ func (s *Scanner) SkippedBySMA() bool { return s.skipped }
 // PSMA narrowing.
 func (s *Scanner) ScanRange() (begin, end int) { return s.cur, s.end }
 
-// Next fills batch with the next vector of matching tuples, every
-// projected attribute unpacked (§3.4 "unpacking matches"). It returns false
-// when the block is exhausted. The batch's buffers are reused.
-func (s *Scanner) Next(batch *Batch) bool {
-	m, ok := s.NextMatches()
-	if !ok {
-		return false
-	}
-	batch.N = len(m)
-	batch.Pos = append(batch.Pos[:0], m...)
-	s.sizeCols(batch)
-	for k := range s.spec.Project {
-		s.unpackCol(batch, k, m)
-	}
-	return true
-}
-
 // NextMatches runs the find/reduce phase only, returning the next non-empty
 // match-position vector (valid until the next call). Splitting matching
 // from unpacking lets callers thin the match vector further — e.g. by early
@@ -766,7 +749,7 @@ func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 	bc := &batch.Cols[k]
 	bc.Domain = nil
 	if s.b == nil {
-		s.cols[col].gather(bc, m)
+		Gather(&bc.ColumnData, &s.cols[col], m)
 		return
 	}
 	a := &s.b.attrs[col]
@@ -795,36 +778,5 @@ func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 		}
 	default:
 		bc.Nulls = nil
-	}
-}
-
-// gather copies the column's cells at the given positions into bc: unpacking
-// for the uncompressed layout (the "copying of matches" of Figure 6).
-func (c *ColumnData) gather(bc *BatchCol, m []uint32) {
-	bc.Kind = c.Kind
-	switch c.Kind {
-	case types.Int64:
-		bc.Ints = resize(bc.Ints, len(m))
-		for i, p := range m {
-			bc.Ints[i] = c.Ints[p]
-		}
-	case types.Float64:
-		bc.Floats = resize(bc.Floats, len(m))
-		for i, p := range m {
-			bc.Floats[i] = c.Floats[p]
-		}
-	default:
-		bc.Strs = resize(bc.Strs, len(m))
-		for i, p := range m {
-			bc.Strs[i] = c.Strs[p]
-		}
-	}
-	if c.Nulls == nil {
-		bc.Nulls = nil
-		return
-	}
-	bc.Nulls = resize(bc.Nulls, len(m))
-	for i, p := range m {
-		bc.Nulls[i] = c.Nulls[p]
 	}
 }

@@ -19,7 +19,7 @@ func TestCastInfoShape(t *testing.T) {
 	// NULL-heavy columns must actually contain NULLs.
 	nullCount := 0
 	for _, ch := range rel.Chunks() {
-		if nulls := ch.Hot().Nulls(4); nulls != nil {
+		if nulls := ch.Hot().Columns(ch.Rows())[4].Nulls; nulls != nil {
 			for _, b := range nulls {
 				if b {
 					nullCount++
@@ -46,8 +46,7 @@ func TestFlightsOrderedAndQueried(t *testing.T) {
 	dateCol := rel.Schema().MustColumn("flightdate")
 	prev := int64(-1 << 62)
 	for _, ch := range rel.Chunks() {
-		for row := 0; row < ch.Rows(); row++ {
-			d := ch.Hot().Ints(dateCol)[row]
+		for _, d := range ch.Hot().Columns(ch.Rows())[dateCol].Ints {
 			if d < prev {
 				t.Fatal("flights not ordered by date")
 			}

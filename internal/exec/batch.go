@@ -84,11 +84,11 @@ func compactBatchSel(b *core.Batch, sel []uint32, live []bool) {
 	live = live[:len(cols)]
 	for ci := range cols {
 		if live[ci] {
-			gatherBatchCol(&cols[ci], &cols[ci], sel)
+			core.Gather(&cols[ci].ColumnData, &cols[ci].ColumnData, sel)
 		}
 	}
 	if len(b.Pos) > 0 {
-		b.Pos = gather(b.Pos, b.Pos, sel)
+		b.Pos = core.GatherVec(b.Pos, b.Pos, sel)
 	}
 	b.N = len(sel)
 }
@@ -295,7 +295,7 @@ func (j *batchJoinProbe) consumeInner(b *core.Batch) {
 	plive := j.live[:len(pcols)]
 	for i := range pcols {
 		if plive[i] {
-			gatherBatchCol(&pout[i], &pcols[i], j.pairsP)
+			core.Gather(&pout[i].ColumnData, &pcols[i].ColumnData, j.pairsP)
 		}
 	}
 	// Live build columns: gather by build row id from the kept segments.
@@ -325,35 +325,4 @@ func (j *batchJoinProbe) consumeSemiAnti(b *core.Batch) {
 	if b.N > 0 {
 		j.down(b)
 	}
-}
-
-// gatherBatchCol gathers src's cells at idx into dst, which may be src.
-func gatherBatchCol(dst, src *core.BatchCol, idx []uint32) {
-	dst.Kind = src.Kind
-	switch src.Kind {
-	case types.Int64:
-		dst.Ints = gather(dst.Ints, src.Ints, idx)
-	case types.Float64:
-		dst.Floats = gather(dst.Floats, src.Floats, idx)
-	default:
-		dst.Strs = gather(dst.Strs, src.Strs, idx)
-	}
-	if src.Nulls == nil {
-		dst.Nulls = nil
-	} else {
-		dst.Nulls = gather(dst.Nulls, src.Nulls, idx)
-	}
-}
-
-// gather gathers src at idx, reusing dst. The destination is re-sliced to
-// len(idx), proving the write index in bounds; the data-dependent reads
-// keep their checks (see lint-budget.json).
-//
-//dbvet:hotpath
-func gather[T any](dst, src []T, idx []uint32) []T {
-	d := resize(dst, len(idx))[:len(idx)]
-	for i, p := range idx {
-		d[i] = src[p]
-	}
-	return d
 }

@@ -170,7 +170,7 @@ func TestScanAgainstNaiveReference(t *testing.T) {
 			if ch.IsFrozen() {
 				qty = ch.Block().Int(3, row)
 			} else {
-				qty = ch.Hot().Ints(3)[row]
+				qty = ch.Hot().Columns(ch.Rows())[3].Ints[row]
 			}
 			if qty >= 25 {
 				want++
@@ -267,7 +267,8 @@ func TestMapAndFilterExpressions(t *testing.T) {
 			if ch.IsFrozen() {
 				qty, price = ch.Block().Int(3, row), ch.Block().Float(1, row)
 			} else {
-				qty, price = ch.Hot().Ints(3)[row], ch.Hot().Floats(1)[row]
+				hot := ch.Hot().Columns(ch.Rows())
+				qty, price = hot[3].Ints[row], hot[1].Floats[row]
 			}
 			if qty >= 10 {
 				wantRev += price * 1.1

@@ -87,7 +87,7 @@ func TestJoinChainsSurviveGrow(t *testing.T) {
 		return int64(row % spread)
 	}
 	kinds, live, cols := []types.Kind{types.Int64}, []bool{true}, []int{0}
-	b := core.Batch{Cols: []core.BatchCol{{Kind: types.Int64}}}
+	b := core.Batch{Cols: []core.BatchCol{{ColumnData: core.ColumnData{Kind: types.Int64}}}}
 	fill := func(from, n int) *core.Batch {
 		b.N, b.Cols[0].Ints = n, b.Cols[0].Ints[:0]
 		for r := from; r < from+n; r++ {
@@ -225,8 +225,8 @@ func TestEqualHashDistinctKeysNeverMerge(t *testing.T) {
 	for from := 0; from < len(xs); from += 7 {
 		to := min(from+7, len(xs))
 		b := &core.Batch{N: to - from, Cols: []core.BatchCol{
-			{Kind: types.Int64, Ints: xs[from:to]},
-			{Kind: types.Int64, Ints: ys[from:to]},
+			{ColumnData: core.ColumnData{Kind: types.Int64, Ints: xs[from:to]}},
+			{ColumnData: core.ColumnData{Kind: types.Int64, Ints: ys[from:to]}},
 		}}
 		a.consumeBatch(b)
 	}
@@ -262,7 +262,7 @@ func TestGroupByEqualColumnsNeedsNoReprobes(t *testing.T) {
 	}
 	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}}}
 	a := newAggregator(node, []types.Kind{types.Int64, types.Int64}, []*checked{nil})
-	a.consumeBatch(&core.Batch{N: n, Cols: []core.BatchCol{{Kind: types.Int64, Ints: xs}, {Kind: types.Int64, Ints: xs}}})
+	a.consumeBatch(&core.Batch{N: n, Cols: []core.BatchCol{{ColumnData: core.ColumnData{Kind: types.Int64, Ints: xs}}, {ColumnData: core.ColumnData{Kind: types.Int64, Ints: xs}}}})
 	if a.groups != n {
 		t.Fatalf("%d groups, want %d", a.groups, n)
 	}

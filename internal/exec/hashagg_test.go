@@ -294,7 +294,7 @@ func TestMinMaxFloatIgnoresOrderAndBatching(t *testing.T) {
 				for w, rows := range [][]int{perm[:split], perm[split:]} {
 					for len(rows) > 0 {
 						k := 1 + r.Intn(len(rows))
-						b := &core.Batch{N: k, Cols: []core.BatchCol{{Kind: types.Float64}, {Kind: types.Int64, Ints: make([]int64, k)}}}
+						b := &core.Batch{N: k, Cols: []core.BatchCol{{ColumnData: core.ColumnData{Kind: types.Float64}}, {ColumnData: core.ColumnData{Kind: types.Int64, Ints: make([]int64, k)}}}}
 						for _, row := range rows[:k] {
 							b.Cols[0].Floats = append(b.Cols[0].Floats, vals[row])
 						}

@@ -49,7 +49,7 @@ type blockAccessor func(a *core.Attr, row int, t *Tuple, slot int)
 
 // hotPath is the compiled tuple-at-a-time scan over uncompressed chunks.
 type hotPath struct {
-	loaders []func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int)
+	loaders []func(c *core.ColumnData, row int, t *Tuple, slot int)
 	filter  boolFn
 }
 
@@ -222,7 +222,7 @@ func newBatcher(b *core.Batch, kinds []types.Kind, live []bool, size int, sink b
 	bt := &batcher{b: b, size: size, sink: sink}
 	b.N, b.Pos, b.Cols = 0, b.Pos[:0], resize(b.Cols, len(kinds))
 	for c, k := range kinds {
-		b.Cols[c] = core.BatchCol{Kind: k}
+		b.Cols[c] = core.BatchCol{ColumnData: core.ColumnData{Kind: k}}
 		switch {
 		case !live[c]: // the sink does not read it: it stays empty
 		case k == types.Int64:
@@ -274,19 +274,19 @@ func (d *scanDriver) compileHotPath(c *compiler) *hotPath {
 	for _, k := range d.kinds {
 		switch k {
 		case types.Int64:
-			hp.loaders = append(hp.loaders, func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int) {
-				t.Ints[slot] = h.Ints(relCol)[row]
-				t.Nulls[slot] = h.IsNull(relCol, row)
+			hp.loaders = append(hp.loaders, func(c *core.ColumnData, row int, t *Tuple, slot int) {
+				t.Ints[slot] = c.Ints[row]
+				t.Nulls[slot] = c.Nulls != nil && c.Nulls[row]
 			})
 		case types.Float64:
-			hp.loaders = append(hp.loaders, func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int) {
-				t.Floats[slot] = h.Floats(relCol)[row]
-				t.Nulls[slot] = h.IsNull(relCol, row)
+			hp.loaders = append(hp.loaders, func(c *core.ColumnData, row int, t *Tuple, slot int) {
+				t.Floats[slot] = c.Floats[row]
+				t.Nulls[slot] = c.Nulls != nil && c.Nulls[row]
 			})
 		default:
-			hp.loaders = append(hp.loaders, func(h *storage.HotChunk, relCol, row int, t *Tuple, slot int) {
-				t.Strs[slot] = h.Strs(relCol)[row]
-				t.Nulls[slot] = h.IsNull(relCol, row)
+			hp.loaders = append(hp.loaders, func(c *core.ColumnData, row int, t *Tuple, slot int) {
+				t.Strs[slot] = c.Strs[row]
+				t.Nulls[slot] = c.Nulls != nil && c.Nulls[row]
 			})
 		}
 	}
@@ -427,17 +427,17 @@ func (d *scanDriver) jitHotChunk(ch *storage.ChunkView) error {
 	if d.wp != nil {
 		d.wp.scan.hotChunks.Inc()
 	}
-	h := ch.Hot()
 	t, cons, hp := d.jit.tuple, d.jit.cons, d.jit.hot
 	// Iterate to the view's watermark: rows appended after the snapshot
 	// are not part of the view.
 	n := ch.Rows()
+	cols := ch.Hot().Columns(n)
 	for row := 0; row < n; row++ {
 		if ch.IsDeleted(row) {
 			continue
 		}
 		for i, load := range hp.loaders {
-			load(h, d.scan.Cols[i], row, t, i)
+			load(&cols[d.scan.Cols[i]], row, t, i)
 		}
 		if hp.filter == nil || hp.filter(t) {
 			cons(t)

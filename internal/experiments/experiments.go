@@ -20,59 +20,38 @@ func RelationColumns(rel *storage.Relation) ([]core.ColumnData, int) {
 	for _, ch := range rel.Chunks() {
 		n += ch.Rows()
 	}
-	cols := make([]core.ColumnData, rel.Schema().NumColumns())
-	for i, c := range rel.Schema().Columns {
-		cols[i].Kind = c.Kind
-		switch c.Kind {
-		case types.Int64:
-			cols[i].Ints = make([]int64, 0, n)
-		case types.Float64:
-			cols[i].Floats = make([]float64, 0, n)
-		default:
-			cols[i].Strs = make([]string, 0, n)
-		}
-		if c.Nullable {
-			cols[i].Nulls = make([]bool, 0, n)
-		}
-	}
+	cols := core.MakeColumns(rel.Schema(), n)
+	tuple := make(types.Row, len(cols))
+	at := 0
 	for _, ch := range rel.Chunks() {
 		rows := ch.Rows()
-		for ci := range cols {
-			kind := cols[ci].Kind
-			for row := 0; row < rows; row++ {
-				var v types.Value
-				if ch.IsFrozen() {
-					v = ch.Block().Value(ci, row)
-				} else {
-					v = ch.Hot().Value(ci, row)
-				}
-				if cols[ci].Nulls != nil {
-					cols[ci].Nulls = append(cols[ci].Nulls, v.IsNull())
-				}
-				switch kind {
-				case types.Int64:
-					if v.IsNull() {
-						cols[ci].Ints = append(cols[ci].Ints, 0)
-					} else {
-						cols[ci].Ints = append(cols[ci].Ints, v.Int())
-					}
-				case types.Float64:
-					if v.IsNull() {
-						cols[ci].Floats = append(cols[ci].Floats, 0)
-					} else {
-						cols[ci].Floats = append(cols[ci].Floats, v.Float())
-					}
-				default:
-					if v.IsNull() {
-						cols[ci].Strs = append(cols[ci].Strs, "")
-					} else {
-						cols[ci].Strs = append(cols[ci].Strs, v.Str())
-					}
-				}
+		read := chunkRows(ch, rows)
+		for row := 0; row < rows; row++ {
+			read(row, tuple)
+			core.SetRow(cols, at+row, tuple)
+		}
+		at += rows
+	}
+	return cols, n
+}
+
+// chunkRows returns a reader of tuple row, into dst, of a chunk's first
+// rows rows, frozen or hot.
+func chunkRows(ch *storage.Chunk, rows int) func(row int, dst types.Row) {
+	if ch.IsFrozen() {
+		blk := ch.Block()
+		return func(row int, dst types.Row) {
+			for col := range dst {
+				dst[col] = blk.Value(col, row)
 			}
 		}
 	}
-	return cols, n
+	hot := ch.Hot().Columns(rows)
+	return func(row int, dst types.Row) {
+		for col := range dst {
+			dst[col] = core.Cell(&hot[col], row)
+		}
+	}
 }
 
 // CloneRelation rebuilds a relation from columns with a given chunk size
@@ -94,18 +73,8 @@ func CloneRelation(schema *types.Schema, cols []core.ColumnData, n, chunkRows in
 // "HyPer uncompressed" rows of Table 1.
 func UncompressedBytes(cols []core.ColumnData, n int) int {
 	size := 0
-	for _, c := range cols {
-		switch c.Kind {
-		case types.Int64, types.Float64:
-			size += 8 * n
-		default:
-			for _, s := range c.Strs {
-				size += len(s) + 16
-			}
-		}
-		if c.Nulls != nil {
-			size += n
-		}
+	for i := range cols {
+		size += core.HotBytes(&cols[i], n)
 	}
 	return size
 }

@@ -9,7 +9,6 @@ import (
 	"datablocks"
 	"datablocks/internal/core"
 	"datablocks/internal/tpch"
-	"datablocks/internal/types"
 	"datablocks/internal/xrand"
 )
 
@@ -69,7 +68,7 @@ func Table3(w io.Writer, sf float64, lookups int) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "Table 3 — point-access throughput (lookups/s), customer SF %g (%d rows), %d index lookups, no-index rounds of >= %v\n", sf, n, lookups, minScanCellTime)
+	fmt.Fprintf(w, "Table 3 — point-access throughput (lookups/s), customer SF %g (%d rows), rounds of >= %v\n", sf, n, minCellTime)
 	tbl := newTable(w, "storage", "index", "ordered", "shuffled")
 	for vi := range ordered {
 		for _, withIndex := range []bool{true, false} {
@@ -99,15 +98,18 @@ func idxName(b bool) string {
 	return "no index"
 }
 
-// minScanCellTime is the least time one round of a no-index cell runs. A
-// scan costs about 1000 index probes, so a count scaled from -lookups runs
-// for a few milliseconds, too short to time the same way twice.
-const minScanCellTime = 100 * time.Millisecond
+// minCellTime is the least time the timed round of a cell runs. A count
+// taken from -lookups alone runs for about a millisecond through the index
+// and a few through scans (one costs about 1000 index probes), too short
+// to time the same way twice.
+const minCellTime = 100 * time.Millisecond
 
 // pointLookupThroughput returns select-star point queries per second on
 // keys drawn from 1..n: lookups of them through the primary-key index, or
-// as scans with an equality SARG in the given mode, as many as it takes
-// one round to run for minScanCellTime (from lookups/100 up, doubling).
+// as scans with an equality SARG in the given mode. Both kinds of cell
+// calibrate alike: a first round of lookups (index) or lookups/100 (scans)
+// queries, then rounds scaled by the last one's time until one runs for
+// minCellTime; that round is the cell's.
 func pointLookupThroughput(t *datablocks.Table, mode datablocks.ScanMode, withIndex bool, lookups, n int) (float64, error) {
 	var err error
 	round := func(count int) time.Duration {
@@ -122,8 +124,11 @@ func pointLookupThroughput(t *datablocks.Table, mode datablocks.ScanMode, withIn
 		count = max(lookups/100, 3)
 	}
 	d := round(count)
-	for !withIndex && d < minScanCellTime && err == nil {
-		count *= 2
+	for d < minCellTime && err == nil {
+		// Aim 20 % past the floor, growing at most 100-fold a round, so a
+		// round that a timer fluke cut short cannot run away.
+		grow := min(1.2*float64(minCellTime)/float64(max(d, time.Microsecond)), 100)
+		count = int(float64(count) * grow)
 		d = round(count)
 	}
 	return float64(count) / d.Seconds(), err
@@ -153,37 +158,14 @@ func pointLookups(t *datablocks.Table, mode datablocks.ScanMode, withIndex bool,
 // shuffleColumns permutes all columns with one random permutation,
 // destroying the c_custkey ordering (the Table 3 "shuffled" column).
 func shuffleColumns(cols []core.ColumnData, n int) []core.ColumnData {
-	perm := make([]int, n)
+	perm := make([]uint32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = uint32(i)
 	}
 	xrand.New(0x5F).Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	out := make([]core.ColumnData, len(cols))
-	for ci, c := range cols {
-		out[ci].Kind = c.Kind
-		switch c.Kind {
-		case types.Int64:
-			out[ci].Ints = make([]int64, n)
-			for i, p := range perm {
-				out[ci].Ints[i] = c.Ints[p]
-			}
-		case types.Float64:
-			out[ci].Floats = make([]float64, n)
-			for i, p := range perm {
-				out[ci].Floats[i] = c.Floats[p]
-			}
-		default:
-			out[ci].Strs = make([]string, n)
-			for i, p := range perm {
-				out[ci].Strs[i] = c.Strs[p]
-			}
-		}
-		if c.Nulls != nil {
-			out[ci].Nulls = make([]bool, n)
-			for i, p := range perm {
-				out[ci].Nulls[i] = c.Nulls[p]
-			}
-		}
+	for ci := range cols {
+		core.Gather(&out[ci], &cols[ci], perm)
 	}
 	return out
 }

@@ -78,17 +78,14 @@ func addRow(tw *tabwriter.Writer, cells ...any) {
 func csvSize(rel *storage.Relation) int {
 	size := 0
 	ncols := rel.Schema().NumColumns()
+	tuple := make(types.Row, ncols)
 	for _, ch := range rel.Chunks() {
 		rows := ch.Rows()
+		read := chunkRows(ch, rows)
 		for row := 0; row < rows; row++ {
 			size += ncols // separators + newline
-			for col := 0; col < ncols; col++ {
-				var v types.Value
-				if ch.IsFrozen() {
-					v = ch.Block().Value(col, row)
-				} else {
-					v = ch.Hot().Value(col, row)
-				}
+			read(row, tuple)
+			for _, v := range tuple {
 				if v.IsNull() {
 					continue
 				}

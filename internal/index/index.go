@@ -392,6 +392,7 @@ func (h *Hash) RebuildReserve(r *storage.Relation, keyCol, extra int) error {
 		}
 		frozen := c.IsFrozen()
 		var keys []int64
+		var hotNulls []bool
 		if frozen {
 			// Decode the key column once per block instead of one point
 			// access per row: the bulk rebuild path at recovery time.
@@ -400,7 +401,8 @@ func (h *Hash) RebuildReserve(r *storage.Relation, keyCol, extra int) error {
 		} else {
 			// Hot columns are already flat; read them in place (never via
 			// the scratch buffer, which would alias live column storage).
-			keys = c.Hot().Ints(keyCol)
+			key := c.Hot().Columns(c.Rows())[keyCol]
+			keys, hotNulls = key.Ints, key.Nulls
 		}
 		for row := 0; row < c.Rows(); row++ {
 			if c.IsDeleted(row) {
@@ -410,7 +412,7 @@ func (h *Hash) RebuildReserve(r *storage.Relation, keyCol, extra int) error {
 				if c.Block().IsNull(keyCol, row) {
 					continue
 				}
-			} else if c.Hot().IsNull(keyCol, row) {
+			} else if hotNulls != nil && hotNulls[row] {
 				continue
 			}
 			if err := h.Insert(keys[row], storage.TupleID{Chunk: uint32(ci), Row: uint32(row)}); err != nil {

@@ -68,7 +68,7 @@ func TestDeleteAndUpdate(t *testing.T) {
 	}
 	// Simulate replay's update = pending insert + commit + index repoint.
 	tid, _ := h.Lookup(7)
-	newTid, err := r.InsertPending(types.Row{types.IntValue(7), types.IntValue(777)})
+	newTid, err := r.InsertPendingStripe(0, types.Row{types.IntValue(7), types.IntValue(777)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestVersionRecordProtocol(t *testing.T) {
 	e0 := r.ReadEpoch()
 	oldTid, _ := h.Lookup(1)
 	// Step 1: pending insert — invisible, old version still resolves.
-	newTid, err := r.InsertPending(types.Row{types.IntValue(1), types.IntValue(11)})
+	newTid, err := r.InsertPendingStripe(0, types.Row{types.IntValue(1), types.IntValue(11)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestVersionRecordProtocol(t *testing.T) {
 // at TupleID{0,0}.
 func TestPublishAbsentKeyNoFabricatedPrev(t *testing.T) {
 	r, h := keyedRelation(t, 3, 0)
-	tid, err := r.InsertPending(types.Row{types.IntValue(99), types.IntValue(990)})
+	tid, err := r.InsertPendingStripe(0, types.Row{types.IntValue(99), types.IntValue(990)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,88 +10,25 @@ import (
 )
 
 // HotChunk is an uncompressed, append-only columnar chunk. Rows below the
-// published row count are immutable; the backing arrays are allocated at
-// full chunk capacity up front, so growing the chunk never reallocates
-// them.
+// published row count are immutable; the columns are allocated at full
+// chunk capacity up front, so growing the chunk never reallocates them.
 type HotChunk struct {
 	n    atomic.Int32
-	cols []hotCol
-}
-
-type hotCol struct {
-	kind   types.Kind
-	ints   []int64
-	floats []float64
-	strs   []string
-	nulls  []bool // allocated with the chunk for nullable columns, nil otherwise
+	cols []core.ColumnData
 }
 
 // Rows returns the number of tuples in the chunk (including deleted ones).
 func (h *HotChunk) Rows() int { return int(h.n.Load()) }
 
-// Ints exposes an integer column to row-at-a-time readers (compiled scans,
-// index rebuild); a vectorized scan reads Columns.
-func (h *HotChunk) Ints(col int) []int64 { return h.cols[col].ints[:h.Rows()] }
-
-// Floats exposes a double column.
-func (h *HotChunk) Floats(col int) []float64 { return h.cols[col].floats[:h.Rows()] }
-
-// Strs exposes a string column.
-func (h *HotChunk) Strs(col int) []string { return h.cols[col].strs[:h.Rows()] }
-
-// Nulls exposes the column's null flags, or nil when the column holds no
-// NULLs.
-func (h *HotChunk) Nulls(col int) []bool {
-	if h.cols[col].nulls == nil {
-		return nil
-	}
-	return h.cols[col].nulls[:h.Rows()]
-}
-
-// IsNull reports whether cell (col, row) is NULL.
-func (h *HotChunk) IsNull(col, row int) bool {
-	c := &h.cols[col]
-	return c.nulls != nil && c.nulls[row]
-}
-
-// Value returns cell (col, row) as a dynamic value.
-func (h *HotChunk) Value(col, row int) types.Value {
-	c := &h.cols[col]
-	if c.nulls != nil && c.nulls[row] {
-		return types.NullValue(c.kind)
-	}
-	switch c.kind {
-	case types.Int64:
-		return types.IntValue(c.ints[row])
-	case types.Float64:
-		return types.FloatValue(c.floats[row])
-	default:
-		return types.StringValue(c.strs[row])
-	}
-}
-
-// Columns returns the first n rows of every column as core's uncompressed
-// layout, sharing the chunk's arrays: what a freeze compresses and what a
-// vectorized scan of the hot chunk reads. n must not exceed a row count the
-// caller has observed (a view's watermark, or Rows under the lock that bars
-// appends); rows below it are immutable.
+// Columns returns the first n rows of every column, sharing the chunk's
+// arrays: what a freeze compresses, what a vectorized scan of the hot chunk
+// reads and what every other reader indexes. n must not exceed a row count
+// the caller has observed (a view's watermark, or Rows under the lock that
+// bars appends); rows below it are immutable.
 func (h *HotChunk) Columns(n int) []core.ColumnData {
 	cols := make([]core.ColumnData, len(h.cols))
 	for ci := range h.cols {
-		col := &h.cols[ci]
-		cd := core.ColumnData{Kind: col.kind}
-		switch col.kind {
-		case types.Int64:
-			cd.Ints = col.ints[:n]
-		case types.Float64:
-			cd.Floats = col.floats[:n]
-		default:
-			cd.Strs = col.strs[:n]
-		}
-		if col.nulls != nil {
-			cd.Nulls = col.nulls[:n]
-		}
-		cols[ci] = cd
+		cols[ci] = core.Head(h.cols[ci], n)
 	}
 	return cols
 }
@@ -140,9 +77,10 @@ type chunkPayload struct {
 	blk *core.Block
 }
 
-// pendingEpoch is the birth stamp of a row inserted by InsertPending: it
-// sorts after every real epoch, so the row is invisible to all readers
-// until CommitUpdate overwrites the stamp with the commit epoch.
+// pendingEpoch is the birth stamp of a row inserted by
+// InsertPendingStripe: it sorts after every real epoch, so the row is
+// invisible to all readers until CommitUpdate overwrites the stamp with
+// the commit epoch.
 const pendingEpoch = ^uint64(0)
 
 // stamps is one of a chunk's two per-row epoch arrays: chunk capacity
@@ -209,7 +147,7 @@ type Chunk struct {
 	// Telemetry (EpochStats, MemStats) and the sorted-freeze precondition;
 	// no visibility decision reads these. numDeleted counts retired rows,
 	// retiredCount those retired in this process lifetime (the backlog a
-	// sorted freeze collects), pending the InsertPending rows neither
+	// sorted freeze collects), pending the InsertPendingStripe rows neither
 	// committed nor aborted, bornCount the rows ever given a birth stamp.
 	numDeleted   atomic.Int32
 	retiredCount atomic.Int32
@@ -468,5 +406,5 @@ func (v *ChunkView) Value(col, row int) types.Value {
 	if v.blk != nil {
 		return v.blk.Value(col, row)
 	}
-	return v.hot.Value(col, row)
+	return core.Cell(&v.hot.cols[col], row)
 }

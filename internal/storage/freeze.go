@@ -130,9 +130,14 @@ func (r *Relation) freezeChunkSorted(c *Chunk, i int, opts core.FreezeOptions) e
 		n, opts.SortBy = total, -1
 	}
 	cols := h.Columns(total)
-	for ci := range cols {
-		cd := &cols[ci]
-		cd.Ints, cd.Floats, cd.Strs, cd.Nulls = gather(cd.Ints, keep), gather(cd.Floats, keep), gather(cd.Strs, keep), gather(cd.Nulls, keep)
+	if keep != nil {
+		// Into fresh columns: the chunk's own arrays stay as they are for
+		// the views that still read them.
+		for ci := range cols {
+			var kept core.ColumnData
+			core.Gather(&kept, &cols[ci], keep)
+			cols[ci] = kept
+		}
 	}
 	start := time.Now()
 	blk, err := freezeBlock(cols, n, opts)
@@ -233,20 +238,6 @@ func (r *Relation) SealedHotChunks() int {
 		n++
 	}
 	return n
-}
-
-// gather returns the elements of src at the positions in keep, in keep's
-// order; a nil keep, or a nil src (a column vector the kind leaves out),
-// is returned as is.
-func gather[T any](src []T, keep []uint32) []T {
-	if keep == nil || src == nil {
-		return src
-	}
-	out := make([]T, len(keep))
-	for i, p := range keep {
-		out[i] = src[p]
-	}
-	return out
 }
 
 // SetBlockStore attaches a disk-backed block store: frozen blocks become

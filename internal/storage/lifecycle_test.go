@@ -72,7 +72,7 @@ func TestEpochVisibility(t *testing.T) {
 	e0 := r.ReadEpoch()
 
 	// A pending version is invisible at every epoch; the old row stays.
-	pend, err := r.InsertPending(mkRow(1, 2.0, "v1"))
+	pend, err := r.InsertPendingStripe(0, mkRow(1, 2.0, "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEpochVisibility(t *testing.T) {
 func TestAbortPendingInvisible(t *testing.T) {
 	r := NewRelation(testSchema(), 0)
 	tid, _ := r.Insert(mkRow(1, 1.0, "keep"))
-	pend, err := r.InsertPending(mkRow(1, 9.0, "dead"))
+	pend, err := r.InsertPendingStripe(0, mkRow(1, 9.0, "dead"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestAbortPendingInvisible(t *testing.T) {
 func TestSnapshotCutoffExcludesLaterCommit(t *testing.T) {
 	r := NewRelation(testSchema(), 0)
 	tid, _ := r.Insert(mkRow(1, 1.0, "old"))
-	pend, err := r.InsertPending(mkRow(1, 2.0, "new"))
+	pend, err := r.InsertPendingStripe(0, mkRow(1, 2.0, "new"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSnapshotWatermarkExcludesLaterUpdate(t *testing.T) {
 	tid, _ := r.Insert(mkRow(1, 1.0, "old"))
 	views := r.Snapshot() // before the chunk has any stamp
 
-	pend, err := r.InsertPending(mkRow(1, 2.0, "new"))
+	pend, err := r.InsertPendingStripe(0, mkRow(1, 2.0, "new"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,8 @@ func TestSnapshotStableDuringWrites(t *testing.T) {
 	if views[0].IsDeleted(3) {
 		t.Fatal("snapshot observed a later delete")
 	}
-	if got := views[0].Hot().Ints(0); len(got) != 10 {
+	h := views[0].Hot()
+	if got := h.Columns(h.Rows())[0].Ints; len(got) != 10 {
 		t.Fatalf("snapshot column length = %d", len(got))
 	}
 	fresh := r.Snapshot()
@@ -558,7 +559,7 @@ func TestStorageStress(t *testing.T) {
 				case 4:
 					// Three-step epoch-versioned update of an own key.
 					victim := tids[i/4]
-					pend, err := r.InsertPending(mkRow(base+int64(2*perWriter+i), 2, "p"))
+					pend, err := r.InsertPendingStripe(0, mkRow(base+int64(2*perWriter+i), 2, "p"))
 					if err != nil {
 						t.Error(err)
 						return

@@ -7,7 +7,6 @@ import (
 	"datablocks/internal/compress"
 	"datablocks/internal/core"
 	"datablocks/internal/obs"
-	"datablocks/internal/types"
 )
 
 // relMetrics is the relation's freeze-pipeline telemetry: cumulative
@@ -262,18 +261,7 @@ func (r *Relation) MemoryStats() MemStats {
 		h := p.hot
 		hn := h.Rows()
 		for ci := range h.cols {
-			col := &h.cols[ci]
-			switch col.kind {
-			case types.Int64, types.Float64:
-				m.HotBytes += 8 * hn
-			default:
-				for _, s := range col.strs[:hn] {
-					m.HotBytes += len(s) + 16
-				}
-			}
-			if col.nulls != nil {
-				m.HotBytes += hn
-			}
+			m.HotBytes += core.HotBytes(&h.cols[ci], hn)
 		}
 	}
 	return m

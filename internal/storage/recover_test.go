@@ -41,14 +41,14 @@ func TestManifestRestoreRoundTrip(t *testing.T) {
 	if _, err := update(r, TupleID{Chunk: 1, Row: 5}, mkRow(1000, 1, "updated")); err != nil {
 		t.Fatal(err)
 	}
-	pend, err := r.InsertPending(mkRow(1001, 2, "committed"))
+	pend, err := r.InsertPendingStripe(0, mkRow(1001, 2, "committed"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r.CommitUpdate(TupleID{Chunk: 2, Row: 7}, pend); !ok {
 		t.Fatal("commit refused")
 	}
-	aborted, err := r.InsertPending(mkRow(1002, 3, "aborted"))
+	aborted, err := r.InsertPendingStripe(0, mkRow(1002, 3, "aborted"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestManifestChunksMarksPendingDeleted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pendTid, err := r.InsertPending(mkRow(999, 0, "pending"))
+	pendTid, err := r.InsertPendingStripe(0, mkRow(999, 0, "pending"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 // freely are:
 //
 //   - OLTP writes: Insert, BulkAppend, Delete and the three-step update
-//     protocol InsertPending/CommitUpdate/AbortPending, each O(1).
+//     protocol InsertPendingStripe/CommitUpdate/AbortPending, each O(1).
 //     Appends serialize per write stripe (SetWriteStripes): InsertStripe
 //     and InsertPendingStripe on distinct stripes run concurrently,
 //     holding only their stripe's appender lock; the single-writer entry
@@ -25,9 +25,10 @@
 //   - OLAP scans: Snapshot returns ChunkViews pinned to an epoch cutoff;
 //     scan drivers iterate a snapshot and never observe row versions
 //     committed after the cutoff. A view hands the vectorized scan its
-//     chunk in one of core's two layouts — Block, or Hot().Columns — and
-//     the hot layout is known here and in core only: freeze and scan read
-//     it through the same HotChunk.Columns.
+//     chunk in one of core's two layouts — Block, or Hot().Columns, the
+//     one uncompressed column core.ColumnData — and a hot chunk is read
+//     only through HotChunk.Columns and core's column functions: freeze,
+//     scan, point read and index rebuild alike.
 //   - Background freezing: FreezeChunk/FreezeAll with a negative SortBy
 //     run core.Freeze compression outside the relation lock, so inserts,
 //     lookups and scans proceed while a chunk is being compressed.
@@ -64,11 +65,11 @@
 // The per-chunk counters are telemetry; no read consults them.
 //
 // The three-step update protocol orders the steps so that no read epoch
-// ever observes a gap: InsertPending appends the new version invisibly
-// (born at +inf), the caller publishes the new tuple identifier in its
-// index, and CommitUpdate atomically (one epoch) makes the new version
-// visible and retires the old one. Between the steps, readers resolve the
-// old version; after commit, the epoch decides.
+// ever observes a gap: InsertPendingStripe appends the new version
+// invisibly (born at +inf), the caller publishes the new tuple identifier
+// in its index, and CommitUpdate atomically (one epoch) makes the new
+// version visible and retires the old one. Between the steps, readers
+// resolve the old version; after commit, the epoch decides.
 //
 // Snapshots are zero-copy: a ChunkView captures the chunk's row-count
 // watermark and then its two stamp arrays, and filters by the cutoff epoch
@@ -260,7 +261,7 @@ type Relation struct {
 
 	// stripes are the append lanes (at least one). The slice itself is
 	// fixed before concurrent use (SetWriteStripes); single-writer callers
-	// use stripe 0 through the Insert/InsertPending entry points.
+	// use stripe 0 through the Insert entry point.
 	stripes []relStripe
 
 	// live is the live tuple count, maintained atomically because stripe
@@ -333,8 +334,8 @@ func NewRelation(schema *types.Schema, chunkCapacity int) *Relation {
 
 // SetWriteStripes partitions the append path into n independent stripes
 // (InsertStripe/InsertPendingStripe). It must be called before the
-// relation sees any insert or concurrent use; the legacy single-writer
-// entry points keep routing to stripe 0.
+// relation sees any insert or concurrent use; the single-writer entry
+// points (Insert, BulkAppend) keep routing to stripe 0.
 func (r *Relation) SetWriteStripes(n int) {
 	if n < 1 {
 		n = 1
@@ -519,7 +520,7 @@ func (r *Relation) GetAt(tid TupleID, e uint64) (types.Row, Visibility) {
 	p := c.pay.Load()
 	if p.hot != nil {
 		for i := range row {
-			row[i] = p.hot.Value(i, int(tid.Row))
+			row[i] = core.Cell(&p.hot.cols[i], int(tid.Row))
 		}
 		return row, Visible
 	}

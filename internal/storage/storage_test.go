@@ -31,7 +31,7 @@ func mkRow(id int64, amount float64, note string) types.Row {
 // append the new version pending, then commit it against tid, aborting
 // it when tid is no longer live.
 func update(r *Relation, tid TupleID, row types.Row) (TupleID, error) {
-	nt, err := r.InsertPending(row)
+	nt, err := r.InsertPendingStripe(0, row)
 	if err != nil {
 		return TupleID{}, err
 	}

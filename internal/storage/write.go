@@ -14,22 +14,7 @@ import (
 // stripe lock. Nullable columns get their null flags eagerly for the same
 // reason; non-nullable columns never have any.
 func (r *Relation) newHotChunk() *HotChunk {
-	h := &HotChunk{cols: make([]hotCol, r.schema.NumColumns())}
-	for i, col := range r.schema.Columns {
-		h.cols[i].kind = col.Kind
-		switch col.Kind {
-		case types.Int64:
-			h.cols[i].ints = make([]int64, r.chunkCap)
-		case types.Float64:
-			h.cols[i].floats = make([]float64, r.chunkCap)
-		default:
-			h.cols[i].strs = make([]string, r.chunkCap)
-		}
-		if col.Nullable {
-			h.cols[i].nulls = make([]bool, r.chunkCap)
-		}
-	}
-	return h
+	return &HotChunk{cols: core.MakeColumns(r.schema, r.chunkCap)}
 }
 
 // ensureTail returns the stripe's hot tail chunk, rolling over to a fresh
@@ -114,32 +99,7 @@ func (r *Relation) appendRow(c *Chunk, ci int, row types.Row, born uint64) Tuple
 		c.born.ensure(r.chunkCap)[n].Store(born)
 		c.bornCount.Add(1)
 	}
-	for i, v := range row {
-		col := &h.cols[i]
-		if col.nulls != nil {
-			col.nulls[n] = v.IsNull()
-		}
-		switch col.kind {
-		case types.Int64:
-			if v.IsNull() {
-				col.ints[n] = 0
-			} else {
-				col.ints[n] = v.Int()
-			}
-		case types.Float64:
-			if v.IsNull() {
-				col.floats[n] = 0
-			} else {
-				col.floats[n] = v.Float()
-			}
-		default:
-			if v.IsNull() {
-				col.strs[n] = ""
-			} else {
-				col.strs[n] = v.Str()
-			}
-		}
-	}
+	core.SetRow(h.cols, n, row)
 	// Publish the row only after its values are in place: the row count is
 	// the watermark snapshots read, and its atomic store orders the value
 	// writes before any reader that loads it.
@@ -187,19 +147,7 @@ func (r *Relation) BulkAppendTracked(cols []core.ColumnData, n int) ([]uint32, e
 			span = n - off
 		}
 		for i := range cols {
-			col := &h.cols[i]
-			src := &cols[i]
-			switch col.kind {
-			case types.Int64:
-				copy(col.ints[hn:hn+span], src.Ints[off:off+span])
-			case types.Float64:
-				copy(col.floats[hn:hn+span], src.Floats[off:off+span])
-			default:
-				copy(col.strs[hn:hn+span], src.Strs[off:off+span])
-			}
-			if col.nulls != nil && src.Nulls != nil {
-				copy(col.nulls[hn:hn+span], src.Nulls[off:off+span])
-			}
+			core.CopyRows(&h.cols[i], hn, &cols[i], off, span)
 		}
 		h.n.Store(int32(hn + span))
 		r.live.Add(int64(span))
@@ -245,18 +193,12 @@ func (r *Relation) retireLocked(c *Chunk, row uint32, e uint64) bool {
 	return true
 }
 
-// InsertPending appends a new row version that is invisible to every
-// reader and snapshot (born at +inf) until CommitUpdate stamps it. It is
-// step one of the anomaly-free update protocol: insert the new version,
-// publish its identifier in the index, then commit. The pending row does
-// not count as live.
-func (r *Relation) InsertPending(row types.Row) (TupleID, error) {
-	return r.InsertPendingStripe(0, row)
-}
-
-// InsertPendingStripe is InsertPending through write stripe s, holding
-// only that stripe's appender lock. It is step one of the striped update
-// protocol; the commit still serializes on the relation lock.
+// InsertPendingStripe appends a new row version through write stripe s,
+// holding only that stripe's appender lock. The version is invisible to
+// every reader and snapshot (born at +inf) until CommitUpdate stamps it.
+// It is step one of the anomaly-free update protocol: insert the new
+// version, publish its identifier in the index, then commit, which still
+// serializes on the relation lock. The pending row does not count as live.
 func (r *Relation) InsertPendingStripe(s int, row types.Row) (TupleID, error) {
 	if err := r.validateRow(row); err != nil {
 		return TupleID{}, err
@@ -301,7 +243,7 @@ func (r *Relation) CommitUpdate(oldTid, newTid TupleID) (uint64, bool) {
 	return e, true
 }
 
-// AbortPending discards a pending row inserted by InsertPending: the row
+// AbortPending discards a pending row inserted by InsertPendingStripe: the row
 // keeps its slot but is retired before every epoch, invisible to every
 // reader past and future. It must only be called on a row whose commit
 // never happened.

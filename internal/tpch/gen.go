@@ -163,7 +163,7 @@ func (db *DB) genSupplier(r *xrand.Rand, n, chunkRows int) error {
 		col("s_nationkey", types.Int64), col("s_phone", types.String),
 		col("s_acctbal", types.Int64), col("s_comment", types.String),
 	), chunkRows)
-	cols := newCols(db.Supplier, n)
+	cols := core.MakeColumns(db.Supplier.Schema(), n)
 	for i := 0; i < n; i++ {
 		key := int64(i + 1)
 		cols[0].Ints[i] = key
@@ -183,7 +183,7 @@ func (db *DB) genCustomer(r *xrand.Rand, n, chunkRows int) error {
 		col("c_nationkey", types.Int64), col("c_phone", types.String),
 		col("c_acctbal", types.Int64), col("c_mktsegment", types.String), col("c_comment", types.String),
 	), chunkRows)
-	cols := newCols(db.Customer, n)
+	cols := core.MakeColumns(db.Customer.Schema(), n)
 	for i := 0; i < n; i++ {
 		key := int64(i + 1)
 		cols[0].Ints[i] = key
@@ -204,7 +204,7 @@ func (db *DB) genPart(r *xrand.Rand, n, chunkRows int) error {
 		col("p_brand", types.String), col("p_type", types.String), col("p_size", types.Int64),
 		col("p_container", types.String), col("p_retailprice", types.Int64), col("p_comment", types.String),
 	), chunkRows)
-	cols := newCols(db.Part, n)
+	cols := core.MakeColumns(db.Part.Schema(), n)
 	for i := 0; i < n; i++ {
 		key := int64(i + 1)
 		m, nn := r.Intn(5)+1, r.Intn(5)+1
@@ -245,15 +245,15 @@ func (db *DB) genOrdersAndLineitem(r *xrand.Rand, numOrders, numCust, numParts, 
 		col("l_comment", types.String),
 	), chunkRows)
 
-	oCols := newCols(db.Orders, numOrders)
+	oCols := core.MakeColumns(db.Orders.Schema(), numOrders)
 	const batch = 1 << 15
-	lCols := newCols(db.Lineitem, batch)
+	lCols := core.MakeColumns(db.Lineitem.Schema(), batch)
 	lCount := 0
 	flush := func() error {
 		if lCount == 0 {
 			return nil
 		}
-		err := db.Lineitem.BulkAppend(truncCols(lCols, lCount), lCount)
+		err := db.Lineitem.BulkAppend(lCols, lCount)
 		lCount = 0
 		return err
 	}
@@ -330,40 +330,6 @@ func (db *DB) genOrdersAndLineitem(r *xrand.Rand, numOrders, numCust, numParts, 
 		return err
 	}
 	return db.Orders.BulkAppend(oCols, numOrders)
-}
-
-// newCols allocates column buffers matching a relation's schema.
-func newCols(rel *storage.Relation, n int) []core.ColumnData {
-	cols := make([]core.ColumnData, rel.Schema().NumColumns())
-	for i, c := range rel.Schema().Columns {
-		cols[i].Kind = c.Kind
-		switch c.Kind {
-		case types.Int64:
-			cols[i].Ints = make([]int64, n)
-		case types.Float64:
-			cols[i].Floats = make([]float64, n)
-		default:
-			cols[i].Strs = make([]string, n)
-		}
-	}
-	return cols
-}
-
-func truncCols(cols []core.ColumnData, n int) []core.ColumnData {
-	out := make([]core.ColumnData, len(cols))
-	for i, c := range cols {
-		out[i] = c
-		if c.Ints != nil {
-			out[i].Ints = c.Ints[:n]
-		}
-		if c.Floats != nil {
-			out[i].Floats = c.Floats[:n]
-		}
-		if c.Strs != nil {
-			out[i].Strs = c.Strs[:n]
-		}
-	}
-	return out
 }
 
 // FreezeAll freezes every relation completely (no hot tail), optionally

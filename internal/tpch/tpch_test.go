@@ -87,12 +87,12 @@ func TestDatesAndDomains(t *testing.T) {
 	db := genTest(t, false)
 	lo, hi := types.DateToDays(1992, time.January, 1), types.DateToDays(1998, time.December, 31)
 	for _, ch := range db.Lineitem.Chunks() {
-		h := ch.Hot()
-		ship := h.Ints(db.li("l_shipdate"))
-		commit := h.Ints(db.li("l_commitdate"))
-		receipt := h.Ints(db.li("l_receiptdate"))
-		disc := h.Ints(db.li("l_discount"))
-		qty := h.Ints(db.li("l_quantity"))
+		h := ch.Hot().Columns(ch.Rows())
+		ship := h[db.li("l_shipdate")].Ints
+		commit := h[db.li("l_commitdate")].Ints
+		receipt := h[db.li("l_receiptdate")].Ints
+		disc := h[db.li("l_discount")].Ints
+		qty := h[db.li("l_quantity")].Ints
 		for i := range ship {
 			if ship[i] < lo || ship[i] > hi || commit[i] < lo || receipt[i] < ship[i] {
 				t.Fatalf("date invariants violated at %d", i)

@@ -344,19 +344,7 @@ func (t *Table) BulkLoad(cols []core.ColumnData, n int) error {
 func rowAt(cols []core.ColumnData, i int) types.Row {
 	row := make(types.Row, len(cols))
 	for c := range cols {
-		cd := &cols[c]
-		if cd.Nulls != nil && i < len(cd.Nulls) && cd.Nulls[i] {
-			row[c] = types.NullValue(cd.Kind)
-			continue
-		}
-		switch cd.Kind {
-		case types.Int64:
-			row[c] = types.IntValue(cd.Ints[i])
-		case types.Float64:
-			row[c] = types.FloatValue(cd.Floats[i])
-		default:
-			row[c] = types.StringValue(cd.Strs[i])
-		}
+		row[c] = core.Cell(&cols[c], i)
 	}
 	return row
 }
