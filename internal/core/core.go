@@ -351,23 +351,3 @@ func (b *Block) AttrCompressedSize(i int) int {
 	}
 	return size
 }
-
-// AttrUncompressedSize returns one attribute's hot-store footprint.
-func (b *Block) AttrUncompressedSize(i int) int {
-	a := &b.attrs[i]
-	switch a.Kind {
-	case types.Int64, types.Float64:
-		return 8 * b.n
-	default:
-		size := 16 * b.n // string header
-		v := a.Strs
-		if v.Scheme == compress.SingleValue {
-			size += len(v.Single) * b.n
-		} else {
-			for row := 0; row < b.n; row++ {
-				size += len(v.Entry(int(v.CodeAt(row))))
-			}
-		}
-		return size
-	}
-}

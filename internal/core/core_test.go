@@ -568,16 +568,17 @@ func TestCompressionRatio(t *testing.T) {
 		cats[i] = names[i%len(names)]
 		small[i] = int64(i % 100)
 	}
-	b, err := Freeze([]ColumnData{
+	cols := []ColumnData{
 		{Kind: types.String, Strs: cats},
 		{Kind: types.Int64, Ints: small},
-	}, n, FreezeOptions{SortBy: -1})
+	}
+	b, err := Freeze(cols, n, FreezeOptions{SortBy: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	unc := 0
-	for i := 0; i < b.NumAttrs(); i++ {
-		unc += b.AttrUncompressedSize(i)
+	for i := range cols {
+		unc += HotBytes(&cols[i], n)
 	}
 	ratio := float64(unc) / float64(b.CompressedSize())
 	if ratio < 4 {

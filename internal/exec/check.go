@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"datablocks/internal/types"
@@ -18,9 +19,15 @@ import (
 //
 // The rules (ARCHITECTURE.md, "Query execution", has them as a table):
 // arithmetic, comparisons and If bring their operands to one kind — doubles
-// if any operand is a double, strings only among strings; / is always a
-// double; a boolean used as a value is 0/1 and never NULL; an integer used
-// as a condition is true when neither NULL nor 0.
+// if any operand is a double, strings only among strings; a boolean used as
+// a value is 0/1 and never NULL; an integer used as a condition is true
+// when neither NULL nor 0. An integer divided by the literal 10^k is a
+// scaled integer, the same integer read as v/10^k: + − and If align their
+// operands' scales, × adds them, and arithmetic on scaled integers reads
+// NULL where it leaves int64 instead of wrapping. A scaled integer becomes
+// the double v/10^k where a double is wanted — a comparison, any other
+// division, MIN/MAX, an output column, a scale past maxScale — and SUM and
+// AVG fold it exactly (hashagg.go).
 
 // exprOp is the form of a checked node.
 type exprOp uint8
@@ -31,7 +38,7 @@ const (
 	opConst                 // the literal val (possibly NULL)
 	opArith                 // a arith b: + - * in kind, / in doubles
 	opIf                    // b where a holds, c elsewhere
-	opToFloat               // the integer a as a double
+	opToFloat               // the integer a as a double, divided by 10^a.scale
 	opBoolInt               // the boolean a as 0/1
 	// Booleans, SQL's three-valued logic collapsed: NULL is false.
 	opCompare // a cmp b, compared in kind
@@ -57,7 +64,17 @@ type checked struct {
 	arith   byte
 	cmp     types.CompareOp
 	not     bool
+	// scale is k for a scaled integer, which stands for the value v/10^k;
+	// its arithmetic never wraps (overflow reads NULL).
+	scale uint8
 }
+
+// maxScale is the largest scale: 10^18 is the largest power of ten in an
+// int64.
+const maxScale = 18
+
+// pow10 holds 10^k for k ≤ maxScale.
+var pow10 = [maxScale + 1]int64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
 
 func (n *checked) boolean() bool { return n.op >= opCompare }
 
@@ -80,9 +97,69 @@ func (n *checked) float() *checked {
 	}
 	v := types.NullValue(types.Float64)
 	if !n.val.IsNull() {
-		v = types.FloatValue(float64(n.val.Int()))
+		v = types.FloatValue(float64(n.val.Int()) / float64(pow10[n.scale]))
 	}
 	return &checked{op: opConst, kind: types.Float64, src: n.src, val: v}
+}
+
+// unscaled is the value n where a double or an unscaled integer is
+// wanted: a scaled integer as a double, anything else as it is.
+func (n *checked) unscaled() *checked {
+	if n.scale > 0 {
+		return n.float()
+	}
+	return n
+}
+
+// rescale is the integer n at scale s ≥ n.scale, its integer times
+// 10^(s−n.scale): a literal multiplied here, anything else by a scaled
+// multiplication. A product that leaves int64 is NULL.
+func (n *checked) rescale(s uint8) *checked {
+	d := s - n.scale
+	switch {
+	case d == 0:
+		return n
+	case n.op != opConst:
+		// No src: the multiplication is no node of the source, so the CSE
+		// memo does not key it.
+		ten := &checked{op: opConst, kind: types.Int64, val: types.IntValue(pow10[d])}
+		return &checked{op: opArith, kind: types.Int64, arith: '*', a: n, b: ten, scale: s}
+	}
+	r := *n
+	r.scale = s
+	if v, ok := literal[int64](n); ok {
+		p, fits := arithInt64('*', v, pow10[d])
+		if r.val = types.IntValue(p); !fits {
+			r.val = types.NullValue(types.Int64)
+		}
+	}
+	return &r
+}
+
+// arithInt64 is a op b for op + - *, and whether it fits an int64.
+func arithInt64(op byte, a, b int64) (int64, bool) {
+	switch op {
+	case '+':
+		s := a + b
+		return s, (s^a)&(s^b) >= 0
+	case '-':
+		s := a - b
+		return s, (a^b)&(a^s) >= 0
+	}
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	// The signed high word: the unsigned one, less b where a is negative
+	// and a where b is.
+	hi -= uint64(a>>63)&uint64(b) + uint64(b>>63)&uint64(a)
+	return int64(lo), hi == uint64(int64(lo)>>63)
+}
+
+// tenPower is k when the integer n is the literal 10^k, 1 ≤ k ≤
+// maxScale, and 0 otherwise.
+func tenPower(n *checked) uint8 {
+	if v, ok := literal[int64](n); ok && n.scale == 0 {
+		return uint8(max(slices.Index(pow10[:], v), 0))
+	}
+	return 0
 }
 
 // cols appends the distinct pipeline columns n reads, in first-reference
@@ -126,14 +203,32 @@ func check(e Expr, kinds []types.Kind) (*checked, error) {
 		if e.Op != '+' && e.Op != '-' && e.Op != '*' && e.Op != '/' {
 			return nil, fmt.Errorf("exec: unknown arithmetic operator %q", e.Op)
 		}
-		ns, kind, err := operands(kinds, e.Op == '/', e.L, e.R)
+		ns, kind, err := operands(kinds, false, e.L, e.R)
 		if err != nil {
 			return nil, err
 		}
 		if kind == types.String {
 			return nil, errors.New("exec: arithmetic on strings")
 		}
-		return &checked{op: opArith, kind: kind, src: e, arith: e.Op, a: ns[0], b: ns[1]}, nil
+		n := &checked{op: opArith, kind: kind, src: e, arith: e.Op, a: ns[0], b: ns[1]}
+		if kind == types.Float64 {
+			return n, nil
+		}
+		switch k := tenPower(n.b); {
+		case e.Op == '/' && k > 0 && n.a.scale+k <= maxScale:
+			// The integer passes through; only its scale changes.
+			s := *n.a
+			s.src, s.scale = e, n.a.scale+k
+			return &s, nil
+		case e.Op == '*' && n.a.scale+n.b.scale <= maxScale:
+			n.scale = n.a.scale + n.b.scale
+		case e.Op == '+' || e.Op == '-':
+			n.scale = max(n.a.scale, n.b.scale)
+			n.a, n.b = n.a.rescale(n.scale), n.b.rescale(n.scale)
+		default: // a division in doubles, or a scale past maxScale
+			n.kind, n.a, n.b = types.Float64, n.a.float(), n.b.float()
+		}
+		return n, nil
 	case Compare:
 		n := &checked{op: opCompare, src: e, cmp: e.Op}
 		es := []Expr{e.L, e.R}
@@ -149,7 +244,7 @@ func check(e Expr, kinds []types.Kind) (*checked, error) {
 		case e.Op == types.Prefix:
 			n.op = opPrefix
 		}
-		ns, kind, err := operands(kinds, false, es...)
+		ns, kind, err := operands(kinds, true, es...)
 		if err != nil {
 			return nil, err
 		}
@@ -201,16 +296,17 @@ func check(e Expr, kinds []types.Kind) (*checked, error) {
 		if kind == types.String {
 			return nil, errors.New("exec: If over strings")
 		}
-		return &checked{op: opIf, kind: kind, src: e, a: cond, b: ns[0], c: ns[1]}, nil
+		s := max(ns[0].scale, ns[1].scale)
+		return &checked{op: opIf, kind: kind, src: e, a: cond, b: ns[0].rescale(s), c: ns[1].rescale(s), scale: s}, nil
 	}
 	return nil, fmt.Errorf("exec: unknown expression node %T", e)
 }
 
 // operands checks the two or three es as values of one kind and converts
-// each to it: doubles if any is a double (or double is set), strings only
-// when all are.
-func operands(kinds []types.Kind, double bool, es ...Expr) (ns [3]*checked, kind types.Kind, err error) {
-	strs := 0
+// each to it: doubles if any is a double (or, when compared, a scaled
+// integer), strings only when all are. Integers keep their scales.
+func operands(kinds []types.Kind, compared bool, es ...Expr) (ns [3]*checked, kind types.Kind, err error) {
+	strs, double := 0, false
 	for i, e := range es {
 		if ns[i], err = checkValue(e, kinds); err != nil {
 			return ns, 0, err
@@ -221,6 +317,7 @@ func operands(kinds []types.Kind, double bool, es ...Expr) (ns [3]*checked, kind
 		case types.Float64:
 			double = true
 		}
+		double = double || compared && ns[i].scale > 0
 	}
 	switch {
 	case strs == len(es):
@@ -244,10 +341,10 @@ func checkBool(e Expr, kinds []types.Kind) (*checked, error) {
 		return nil, err
 	case n.boolean():
 		return n, nil
-	case n.kind == types.Int64:
+	case n.kind == types.Int64 && n.scale == 0:
 		return &checked{op: opTruthy, kind: types.Int64, src: n.src, a: n}, nil
 	}
-	return nil, fmt.Errorf("exec: %v expression used as a condition", n.kind)
+	return nil, fmt.Errorf("exec: %v expression used as a condition", n.unscaled().kind)
 }
 
 // checkValue checks e as a value of its own kind.

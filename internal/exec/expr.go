@@ -186,7 +186,17 @@ func (c *compiler) int(n *checked) valFn[int64] {
 			return 0, false
 		}
 	case opArith:
-		return tupleArith(c, n, c.int)
+		if n.scale == 0 {
+			return tupleArith(c, n, c.int)
+		}
+		// Scaled arithmetic: a result that leaves int64 is NULL.
+		l, r, op := c.int(n.a), c.int(n.b), n.arith
+		return func(t *Tuple) (int64, bool) {
+			a, an := l(t)
+			b, bn := r(t)
+			v, ok := arithInt64(op, a, b)
+			return v, an || bn || !ok
+		}
 	}
 	return tupleValue(c, n, c.int)
 }
@@ -197,10 +207,10 @@ func (c *compiler) float(n *checked) valFn[float64] {
 		idx := n.col
 		return func(t *Tuple) (float64, bool) { return t.Floats[idx], t.Nulls[idx] }
 	case opToFloat:
-		f := c.int(n.a)
+		f, k := c.int(n.a), n.a.scale
 		return func(t *Tuple) (float64, bool) {
 			v, null := f(t)
-			return float64(v), null
+			return float64(v) / float64(pow10[k]), null
 		}
 	case opArith:
 		if n.arith != '/' {

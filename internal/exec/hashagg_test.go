@@ -232,7 +232,11 @@ func TestCodedConsumeBatchAllocatesNothing(t *testing.T) {
 		sc.UnpackColumn(batches[i], 2, m)
 		sc.UnpackCodes(batches[i], m)
 	}
-	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{{Func: AggCount}, {Func: AggSum, Arg: Col(2)}, {Func: AggMax, Arg: Col(2)}}}
+	// An integer SUM, a double one and the AVG of a scaled product.
+	node := &AggNode{GroupBy: []int{0, 1}, Aggs: []AggSpec{
+		{Func: AggCount}, {Func: AggSum, Arg: Col(2)}, {Func: AggMax, Arg: Col(2)},
+		{Func: AggSum, Arg: Mul(Col(2), CFloat(0.5))}, {Func: AggAvg, Arg: Mul(Div(Col(2), CInt(100)), Col(2))},
+	}}
 	var args []*checked
 	for _, spec := range node.Aggs {
 		var arg *checked
@@ -241,11 +245,11 @@ func TestCodedConsumeBatchAllocatesNothing(t *testing.T) {
 			if arg, err = check(spec.Arg, kinds); err != nil {
 				t.Fatal(err)
 			}
-			if spec.Func == AggSum {
-				arg = arg.float()
-			}
 		}
 		args = append(args, arg)
+	}
+	if args[1].kind != types.Int64 || args[3].kind != types.Float64 || args[4].scale != 2 {
+		t.Fatalf("sum arguments typed %v, %v and scale %d", args[1].kind, args[3].kind, args[4].scale)
 	}
 	a := newAggregator(node, kinds, args)
 	fold := func() {

@@ -361,6 +361,7 @@ func (p *planned) checkMap(pl *checkedPlan, m *MapNode) error {
 		if err != nil {
 			return err
 		}
+		c = c.unscaled()
 		p.exprs, p.kinds = append(p.exprs, c), append(p.kinds, c.kind)
 	}
 	return nil
@@ -413,12 +414,14 @@ func (p *planned) checkAgg(pl *checkedPlan, a *AggNode) error {
 		switch spec.Func {
 		case AggCount, AggCountCol:
 		case AggSum, AggAvg:
-			// Sums fold doubles whatever the argument's kind.
+			// A sum folds its argument's kind: integers, scaled or not,
+			// exactly, doubles in row order; it yields a double either way.
 			if arg.kind == types.String {
 				return errors.New("exec: sum over strings")
 			}
-			arg, kind = arg.float(), types.Float64
+			kind = types.Float64
 		case AggMin, AggMax:
+			arg = arg.unscaled()
 			kind = arg.kind
 		default:
 			return fmt.Errorf("exec: unknown aggregate function %d", spec.Func)

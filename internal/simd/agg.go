@@ -13,7 +13,8 @@ import (
 //
 // Float folds are strictly sequential (no lane reassociation): the batch
 // path must produce bit-identical sums to the tuple-at-a-time path, which
-// accumulates in row order.
+// accumulates in row order. Integer sums are exact, so their order does
+// not matter.
 
 // SumFloat64 folds a float vector into the running accumulator acc,
 // skipping NULL positions, and returns the new accumulator plus the
@@ -226,6 +227,62 @@ func GroupSumFloat64(sums []float64, counts []int64, gids []uint32, vals []float
 			continue
 		}
 		sums[g] += vals[i]
+		counts[g]++
+	}
+}
+
+// SumInt64 folds an integer vector, skipping NULL positions, into the
+// running sum acc, a 128-bit two's complement integer (acc[0] the low
+// word, acc[1] the high one), and returns it with the non-null count. The
+// sum is exact, so every fold order yields the same cell. nulls may be nil.
+//
+//dbvet:hotpath
+func SumInt64(acc [2]uint64, vals []int64, nulls []bool) ([2]uint64, int64) {
+	lo, hi := acc[0], acc[1]
+	var c uint64
+	if nulls == nil {
+		for _, v := range vals {
+			lo, c = bits.Add64(lo, uint64(v), 0)
+			hi += uint64(v>>63) + c // the sign extension, plus the carry
+		}
+		return [2]uint64{lo, hi}, int64(len(vals))
+	}
+	nulls = nulls[:len(vals)]
+	var cnt int64
+	for i, v := range vals {
+		if !nulls[i] {
+			lo, c = bits.Add64(lo, uint64(v), 0)
+			hi += uint64(v>>63) + c
+			cnt++
+		}
+	}
+	return [2]uint64{lo, hi}, cnt
+}
+
+// GroupSumInt64 scatter-adds an integer vector into per-group 128-bit
+// sums (SumInt64's cells), bumping the per-group non-null count.
+//
+//dbvet:hotpath
+func GroupSumInt64(sums [][2]uint64, counts []int64, gids []uint32, vals []int64, nulls []bool) {
+	vals = vals[:len(gids)]
+	var c uint64
+	if nulls == nil {
+		for i, g := range gids {
+			s, v := &sums[g], vals[i]
+			s[0], c = bits.Add64(s[0], uint64(v), 0)
+			s[1] += uint64(v>>63) + c
+			counts[g]++
+		}
+		return
+	}
+	nulls = nulls[:len(gids)]
+	for i, g := range gids {
+		if nulls[i] {
+			continue
+		}
+		s, v := &sums[g], vals[i]
+		s[0], c = bits.Add64(s[0], uint64(v), 0)
+		s[1] += uint64(v>>63) + c
 		counts[g]++
 	}
 }

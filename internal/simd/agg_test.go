@@ -2,6 +2,8 @@ package simd
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -147,6 +149,64 @@ func TestHashCombineOrderDependent(t *testing.T) {
 	for i, f := range fs {
 		if want[i] = HashCombine(want[i], Mix64(math.Float64bits(f))); hf[i] != want[i] {
 			t.Fatalf("float (%v, %v): kernel %x, scalar %x", f, f, hf[i], want[i])
+		}
+	}
+}
+
+// TestSumInt64MatchesBig: both integer folds hold the exact sum, as a
+// 128-bit cell, of values that carry past int64 either way — against
+// math/big, over random splits into batches, with and without NULLs.
+func TestSumInt64MatchesBig(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pool := []int64{math.MaxInt64, math.MinInt64, 1 << 62, -1 << 62, -1, 0, 1}
+	cellValue := func(c [2]uint64) *big.Int {
+		v := new(big.Int).Lsh(big.NewInt(int64(c[1])), 64)
+		return v.Add(v, new(big.Int).SetUint64(c[0]))
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(300)
+		vals, nulls, gids := make([]int64, n), make([]bool, n), make([]uint32, n)
+		want := []*big.Int{new(big.Int), new(big.Int), new(big.Int)}
+		wantN := make([]int64, 3)
+		masked := trial%2 == 0
+		for i := range vals {
+			vals[i], gids[i] = pool[r.Intn(len(pool))], uint32(r.Intn(3))
+			if r.Intn(3) == 0 {
+				vals[i] = r.Int63() - r.Int63()
+			}
+			nulls[i] = masked && r.Intn(4) == 0
+			if !nulls[i] {
+				want[gids[i]].Add(want[gids[i]], big.NewInt(vals[i]))
+				wantN[gids[i]]++
+			}
+		}
+		if !masked {
+			nulls = nil
+		}
+		sums, counts := make([][2]uint64, 3), make([]int64, 3)
+		var acc [2]uint64
+		var accN int64
+		for lo := 0; lo < n; {
+			hi := lo + 1 + r.Intn(n-lo)
+			var bn []bool
+			if nulls != nil {
+				bn = nulls[lo:hi]
+			}
+			GroupSumInt64(sums, counts, gids[lo:hi], vals[lo:hi], bn)
+			var c int64
+			acc, c = SumInt64(acc, vals[lo:hi], bn)
+			accN += c
+			lo = hi
+		}
+		total := new(big.Int)
+		for g := range want {
+			total.Add(total, want[g])
+			if cellValue(sums[g]).Cmp(want[g]) != 0 || counts[g] != wantN[g] {
+				t.Fatalf("trial %d group %d: GroupSumInt64 = %v (%d rows), want %v (%d)", trial, g, cellValue(sums[g]), counts[g], want[g], wantN[g])
+			}
+		}
+		if cellValue(acc).Cmp(total) != 0 || accN != wantN[0]+wantN[1]+wantN[2] {
+			t.Fatalf("trial %d: SumInt64 = %v (%d rows), want %v", trial, cellValue(acc), accN, total)
 		}
 	}
 }

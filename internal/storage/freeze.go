@@ -46,7 +46,7 @@ func (r *Relation) FreezeChunk(i int, opts core.FreezeOptions) error {
 	start := time.Now()
 	blk, err := freezeBlock(cols, n, opts)
 	if err == nil {
-		r.noteFreeze(blk, time.Since(start), false)
+		r.noteFreeze(blk, cols, n, time.Since(start), false)
 	}
 	r.mu.Lock()
 	if err != nil {
@@ -144,7 +144,7 @@ func (r *Relation) freezeChunkSorted(c *Chunk, i int, opts core.FreezeOptions) e
 	if err != nil {
 		return err
 	}
-	r.noteFreeze(blk, time.Since(start), opts.SortBy >= 0)
+	r.noteFreeze(blk, cols, n, time.Since(start), opts.SortBy >= 0)
 	r.installBlockLocked(c, blk)
 	if opts.SortBy < 0 {
 		return nil

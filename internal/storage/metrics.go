@@ -42,9 +42,10 @@ func (m *relMetrics) hist() *obs.Histogram {
 	return m.freezeNsHist
 }
 
-// noteFreeze records one completed block compression. Runs outside the
-// relation lock (the same place freezeBlock itself runs).
-func (r *Relation) noteFreeze(blk *core.Block, dur time.Duration, sorted bool) {
+// noteFreeze records one completed block compression of the n rows of
+// cols, the columns freezeBlock consumed. Runs outside the relation lock
+// (the same place freezeBlock itself runs).
+func (r *Relation) noteFreeze(blk *core.Block, cols []core.ColumnData, n int, dur time.Duration, sorted bool) {
 	m := &r.met
 	m.freezes.Inc()
 	if sorted {
@@ -53,7 +54,7 @@ func (r *Relation) noteFreeze(blk *core.Block, dur time.Duration, sorted bool) {
 	m.freezeNs.Add(uint64(dur))
 	m.hist().Observe(uint64(dur))
 	for i := 0; i < blk.NumAttrs(); i++ {
-		in := uint64(blk.AttrUncompressedSize(i))
+		in := uint64(core.HotBytes(&cols[i], n))
 		out := uint64(blk.AttrCompressedSize(i))
 		m.bytesIn.Add(in)
 		m.bytesOut.Add(out)

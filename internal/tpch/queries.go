@@ -74,8 +74,8 @@ func (db *DB) q1() exec.Node {
 		rf
 		ls
 	)
-	discPrice := exec.Mul(dollars(exec.Col(price)), exec.Sub(exec.CFloat(1), frac(exec.Col(disc))))
-	charge := exec.Mul(discPrice, exec.Add(exec.CFloat(1), frac(exec.Col(tax))))
+	discPrice := exec.Mul(dollars(exec.Col(price)), exec.Sub(exec.CInt(1), frac(exec.Col(disc))))
+	charge := exec.Mul(discPrice, exec.Add(exec.CInt(1), frac(exec.Col(tax))))
 	return &exec.OrderByNode{
 		Child: &exec.AggNode{
 			Child: &exec.ScanNode{
@@ -139,7 +139,7 @@ func (db *DB) q3() exec.Node {
 		BuildKeys: []int{0}, ProbeKeys: []int{0},
 		Kind: exec.InnerJoin,
 	}
-	revenue := exec.Mul(dollars(exec.Col(1)), exec.Sub(exec.CFloat(1), frac(exec.Col(2))))
+	revenue := exec.Mul(dollars(exec.Col(1)), exec.Sub(exec.CInt(1), frac(exec.Col(2))))
 	return &exec.OrderByNode{
 		Child: &exec.AggNode{
 			Child:   j,
@@ -235,7 +235,7 @@ func (db *DB) q5() exec.Node {
 		Child: js,
 		Cond:  exec.Cmp(types.Eq, exec.Col(8), exec.Col(10)), // c_nationkey == s_nationkey
 	}
-	revenue := exec.Mul(dollars(exec.Col(2)), exec.Sub(exec.CFloat(1), frac(exec.Col(3))))
+	revenue := exec.Mul(dollars(exec.Col(2)), exec.Sub(exec.CInt(1), frac(exec.Col(3))))
 	return &exec.OrderByNode{
 		Child: &exec.AggNode{
 			Child:   filtered,
@@ -325,12 +325,12 @@ func (db *DB) q14() exec.Node {
 		},
 	}
 	j := &exec.JoinNode{Build: part, Probe: liScan, BuildKeys: []int{0}, ProbeKeys: []int{0}, Kind: exec.InnerJoin}
-	revenue := exec.Mul(dollars(exec.Col(1)), exec.Sub(exec.CFloat(1), frac(exec.Col(2))))
+	revenue := exec.Mul(dollars(exec.Col(1)), exec.Sub(exec.CInt(1), frac(exec.Col(2))))
 	isPromo := exec.Cmp(types.Prefix, exec.Col(5), exec.CStr("PROMO"))
 	return &exec.AggNode{
 		Child: j,
 		Aggs: []exec.AggSpec{
-			{Func: exec.AggSum, Arg: exec.If{Cond: isPromo, Then: revenue, Else: exec.CFloat(0)}},
+			{Func: exec.AggSum, Arg: exec.If{Cond: isPromo, Then: revenue, Else: exec.CInt(0)}},
 			{Func: exec.AggSum, Arg: revenue},
 		},
 	}
@@ -393,7 +393,7 @@ func (db *DB) q19() exec.Node {
 			group("Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15),
 		),
 	)
-	revenue := exec.Mul(dollars(exec.Col(2)), exec.Sub(exec.CFloat(1), frac(exec.Col(3))))
+	revenue := exec.Mul(dollars(exec.Col(2)), exec.Sub(exec.CInt(1), frac(exec.Col(3))))
 	return &exec.AggNode{
 		Child: &exec.FilterNode{Child: j, Cond: cond},
 		Aggs:  []exec.AggSpec{{Func: exec.AggSum, Arg: revenue}},
