@@ -18,10 +18,17 @@ type Batch struct {
 // column travels as its block's 1-byte codes (ScanSpec.Codes), the codes
 // with the attribute that decodes them (Attr.CodeInt, Attr.CodeStr). A
 // coded column's values are set only if it was unpacked as well.
+//
+// Ranged reports that every non-NULL value of an Int64 column lies in
+// [Lo, Hi]: the scan stamps a frozen attribute's SMA there. No other
+// producer sets it; a batch's rows compacted in place keep it, as a subset
+// stays inside the bound.
 type BatchCol struct {
 	ColumnData
 	Codes  []byte
 	Domain *Attr
+	Ranged bool
+	Lo, Hi int64
 }
 
 // resize returns s with length n, reusing its backing array when it is

@@ -747,7 +747,7 @@ func (s *Scanner) UnpackCodes(batch *Batch, m []uint32) {
 func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 	col := s.spec.Project[k]
 	bc := &batch.Cols[k]
-	bc.Domain = nil
+	bc.Domain, bc.Ranged = nil, false
 	if s.b == nil {
 		Gather(&bc.ColumnData, &s.cols[col], m)
 		return
@@ -758,6 +758,7 @@ func (s *Scanner) unpackCol(batch *Batch, k int, m []uint32) {
 	case types.Int64:
 		bc.Ints = resize(bc.Ints, len(m))
 		a.Ints.Gather(m, bc.Ints)
+		bc.Ranged, bc.Lo, bc.Hi = !a.Ints.AllNull, a.Ints.Min, a.Ints.Max
 	case types.Float64:
 		bc.Floats = resize(bc.Floats, len(m))
 		a.Floats.Gather(m, bc.Floats)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"strings"
 
 	"datablocks/internal/core"
@@ -327,18 +328,21 @@ func vecArith[T number](c *vcompiler, n *checked, rec func(*checked) vecFn[T]) v
 }
 
 // scaledArith lowers + - * on scaled integers, which read NULL where they
-// leave int64. A batch whose operands' ranges keep every row in int64 —
-// simd.MinMaxInt64 proves it, a literal's range is its value — takes the
-// wrapping loops, any other a checked loop.
+// leave int64. A batch whose operands' ranges keep every row in int64
+// takes the wrapping loops, any other a checked loop. An operand's range
+// is its lowered one (intRange); only where that is unknown — a hot
+// chunk's column, a join's or a map's output, a node intRange cannot
+// bound — does a simd.MinMaxInt64 pass over its values find it.
 func (c *vcompiler) scaledArith(n *checked) vecFn[int64] {
 	o := newBinop(n, c.int)
+	ra, rb := c.intRange(n.a), c.intRange(n.b)
 	var out []int64
 	var nulls []bool
 	return func(b *core.Batch) ([]int64, []bool) { //dbvet:hotpath
 		av, an, bv, bn := o.operands(b)
-		alo, ahi := bounds(av, an, o.k)
-		blo, bhi := bounds(bv, bn, o.k)
-		if fits(o.op, alo, ahi, blo, bhi) {
+		alo, ahi := bounds(ra, b, av, an)
+		blo, bhi := bounds(rb, b, bv, bn)
+		if _, _, ok := span(o.op, alo, ahi, blo, bhi); ok {
 			out = o.apply(out, av, bv, b.N)
 			var merged []bool
 			merged, nulls = orNulls(an, bn, nulls, b.N)
@@ -358,6 +362,47 @@ func (c *vcompiler) scaledArith(n *checked) vecFn[int64] {
 		}
 		return out, nulls
 	}
+}
+
+// rangeFn is a lowered int64 node's bound on its non-NULL values in the
+// batch; ok is false where it is unknown.
+type rangeFn func(b *core.Batch) (lo, hi int64, ok bool)
+
+// intRange lowers int64 n to its range, from scalars alone: a column's
+// bound as the scan stamped it (core.BatchCol.Ranged), a literal's value
+// (a NULL has no values, which [0, 0] bounds), the corners of + − × where
+// span proves they stay in int64, the union of If's arms and [0, 1] for a
+// boolean. Any other node's range, and one whose operand's is, is unknown.
+func (c *vcompiler) intRange(n *checked) rangeFn {
+	switch n.op {
+	case opCol:
+		idx := n.col
+		return func(b *core.Batch) (int64, int64, bool) {
+			col := &b.Cols[idx]
+			return col.Lo, col.Hi, col.Ranged
+		}
+	case opConst:
+		v, _ := literal[int64](n)
+		return func(*core.Batch) (int64, int64, bool) { return v, v, true }
+	case opBoolInt:
+		return func(*core.Batch) (int64, int64, bool) { return 0, 1, true }
+	case opArith:
+		op, l, r := n.arith, c.intRange(n.a), c.intRange(n.b)
+		return func(b *core.Batch) (int64, int64, bool) {
+			alo, ahi, aok := l(b)
+			blo, bhi, bok := r(b)
+			lo, hi, ok := span(op, alo, ahi, blo, bhi)
+			return lo, hi, ok && aok && bok
+		}
+	case opIf:
+		th, el := c.intRange(n.b), c.intRange(n.c)
+		return func(b *core.Batch) (int64, int64, bool) {
+			tlo, thi, tok := th(b)
+			elo, ehi, eok := el(b)
+			return min(tlo, elo), max(thi, ehi), tok && eok
+		}
+	}
+	return func(*core.Batch) (int64, int64, bool) { return 0, 0, false }
 }
 
 // binop is a lowered + - *: its operands' closures, where a literal
@@ -392,28 +437,31 @@ func (o *binop[T]) operands(b *core.Batch) (av []T, an []bool, bv []T, bn []bool
 	return av, an, bv, bn
 }
 
-// bounds is the range of an operand's non-NULL values: the literal k
-// where vals is nil, else a simd.MinMaxInt64 pass.
-func bounds(vals []int64, nulls []bool, k int64) (lo, hi int64) {
-	if vals == nil {
-		return k, k
+// bounds is the range of an operand's non-NULL values: its lowered range
+// r where that is known, else a simd.MinMaxInt64 pass over vals.
+func bounds(r rangeFn, b *core.Batch, vals []int64, nulls []bool) (lo, hi int64) {
+	lo, hi, ok := r(b)
+	if !ok {
+		lo, hi, _ = simd.MinMaxInt64(vals, nulls)
 	}
-	lo, hi, _ = simd.MinMaxInt64(vals, nulls)
 	return lo, hi
 }
 
-// fits reports whether a op b stays in int64 for every a in [alo, ahi]
-// and b in [blo, bhi]: + - * are monotone in each operand, so the corners
-// decide.
-func fits(op byte, alo, ahi, blo, bhi int64) bool {
+// span is the range of a op b for every a in [alo, ahi] and b in
+// [blo, bhi], and whether all of it stays in int64: + - * are monotone in
+// each operand, so the corners decide.
+func span(op byte, alo, ahi, blo, bhi int64) (lo, hi int64, ok bool) {
+	lo, hi = math.MaxInt64, math.MinInt64
 	for _, a := range [2]int64{alo, ahi} {
 		for _, b := range [2]int64{blo, bhi} {
-			if _, ok := arithInt64(op, a, b); !ok {
-				return false
+			v, fits := arithInt64(op, a, b)
+			if !fits {
+				return 0, 0, false
 			}
+			lo, hi = min(lo, v), max(hi, v)
 		}
 	}
-	return true
+	return lo, hi, true
 }
 
 // apply writes av op bv, wrapping, to the first n rows of out, where a nil
