@@ -25,9 +25,10 @@
 #   make examples    — build every example; run quickstart (incl. durable
 #                      reopen) against a temp dir
 #   make linkcheck   — verify local links in README/ARCHITECTURE/ROADMAP
-#   make loc         — non-test, non-blank, non-comment Go lines per
-#                      package (ROADMAP aim 2's tracked figure; printed
-#                      in the CI job summary next to the lint delta)
+#   make loc         — non-test, non-blank, non-comment Go and
+#                      assembler lines per package (ROADMAP aim 2's
+#                      tracked figure; printed in the CI job summary next
+#                      to the lint delta)
 
 GO ?= go
 FUZZTIME ?= 60s
@@ -144,13 +145,13 @@ examples:
 linkcheck:
 	$(GO) test -run TestMarkdownDocLinks .
 
-# Code size per package: lines of non-test Go that are neither blank nor
-# comment-only. `go list ./...` already leaves out what the figure must
-# not count — benchmark/ is its own module, and the analyzer fixtures
-# live under testdata directories.
+# Code size per package: lines of non-test Go and of assembler that are
+# neither blank nor comment-only. `go list ./...` already leaves out what
+# the figure must not count — benchmark/ is its own module, and the
+# analyzer fixtures live under testdata directories.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
-		n=$$(ls "$$dir"/*.go | grep -v '_test\.go$$' | xargs cat | grep -v '^[[:space:]]*//' | grep -vc '^[[:space:]]*$$'); \
+		n=$$(ls "$$dir"/*.go "$$dir"/*.s 2>/dev/null | grep -v '_test\.go$$' | xargs cat | grep -v '^[[:space:]]*//' | grep -vc '^[[:space:]]*$$'); \
 		printf '%6d  %s\n' "$$n" "$$pkg"; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 

@@ -228,19 +228,26 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 }
 
 // locCeilings is ROADMAP aim 2's tracked figure as a ratchet: the lines
-// `make loc` counts, for internal/exec and for the whole tree, at the PR
-// that last moved them. A PR that needs more says so by raising a number
-// here in its own diff, like an entry in lint-budget.json; one that
-// deletes code lowers it.
+// `make loc` counts, for internal/exec, internal/simd and the whole tree,
+// at the PR that last moved them. A PR that needs more says so by raising
+// a number here in its own diff, like an entry in lint-budget.json; one
+// that deletes code lowers it.
 var locCeilings = map[string]int{
 	"datablocks/internal/exec": 4300,
-	"total":                    19163,
+	"datablocks/internal/simd": 2404,
+	"total":                    19839,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's
-// packages — the files `make loc` counts — with its package's import path
-// and its source.
+// packages with its package's import path and its source.
 func moduleGoFiles(t *testing.T, visit func(pkg, file, src string)) {
+	t.Helper()
+	moduleFiles(t, "*.go", visit)
+}
+
+// moduleFiles is moduleGoFiles for the files that match pattern in each
+// package's directory, test files left out.
+func moduleFiles(t *testing.T, pattern string, visit func(pkg, file, src string)) {
 	t.Helper()
 	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Dir}}", "./...").Output()
 	if err != nil {
@@ -248,7 +255,7 @@ func moduleGoFiles(t *testing.T, visit func(pkg, file, src string)) {
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		pkg, dir, _ := strings.Cut(line, " ")
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,18 +326,20 @@ func TestLintBudgetNamesHotpathFuncs(t *testing.T) {
 }
 
 // TestLocCeilings counts what `make loc` counts — every line of a
-// package's non-test Go files that is neither blank nor comment-only — and
-// fails when a figure exceeds its ceiling.
+// package's non-test Go and assembler files that is neither blank nor
+// comment-only — and fails when a figure exceeds its ceiling.
 func TestLocCeilings(t *testing.T) {
 	loc := map[string]int{}
-	moduleGoFiles(t, func(pkg, _, src string) {
-		for _, l := range strings.Split(src, "\n") {
-			if l = strings.TrimSpace(l); l != "" && !strings.HasPrefix(l, "//") {
-				loc[pkg]++
-				loc["total"]++
+	for _, pattern := range []string{"*.go", "*.s"} {
+		moduleFiles(t, pattern, func(pkg, _, src string) {
+			for _, l := range strings.Split(src, "\n") {
+				if l = strings.TrimSpace(l); l != "" && !strings.HasPrefix(l, "//") {
+					loc[pkg]++
+					loc["total"]++
+				}
 			}
-		}
-	})
+		})
+	}
 	for name, ceiling := range locCeilings {
 		if loc[name] == 0 || loc[name] > ceiling {
 			t.Errorf("%s: %d lines, ceiling %d (make loc)", name, loc[name], ceiling)

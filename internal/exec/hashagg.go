@@ -673,11 +673,12 @@ func (a *aggregator) merge(o *aggregator) {
 	}
 }
 
-// canonNaN maps every NaN to the canonical quiet NaN, mirroring the simd
-// sum kernels: a sum that hits Inf + -Inf manufactures a NaN whose payload
-// depends on hardware operand order, which the compiler picks per build —
-// canonicalizing at finalize keeps results bit-identical across kernels
-// and builds even for NaN-producing inputs.
+// canonNaN maps every NaN to the canonical quiet NaN. A float sum that
+// hits Inf + -Inf manufactures a NaN whose payload depends on the ADDSD
+// operand order, which the compiler picks per build, and the simd sum
+// kernels pass it on as it is: finalize canonicalizes every float SUM and
+// AVG, so results stay bit-identical across folds and builds even for
+// NaN-producing inputs.
 func canonNaN(x float64) float64 {
 	if x != x {
 		return math.NaN()

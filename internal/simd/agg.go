@@ -20,24 +20,21 @@ import (
 // skipping NULL positions, and returns the new accumulator plus the
 // non-null count. Folding into acc (rather than summing the batch and
 // adding once) keeps the addition order identical to the tuple path across
-// batch boundaries, so results stay bit-identical. nulls may be nil.
+// batch boundaries, so results stay bit-identical. nulls may be nil. The
+// order leaves no lanes to use, so there is no assembler version. Kept out
+// of line, its one re-slice stays a check per call, outside the caller's
+// loop over aggregates.
 //
 //dbvet:hotpath
+//go:noinline
 func SumFloat64(acc float64, vals []float64, nulls []bool) (float64, int64) {
 	if nulls == nil {
-		return sumF64DenseFn(acc, vals), int64(len(vals))
+		for _, v := range vals {
+			acc += v
+		}
+		return acc, int64(len(vals))
 	}
-	return sumF64MaskedFn(acc, vals, nulls)
-}
-
-func sumFloat64Dense(acc float64, vals []float64) float64 {
-	for _, v := range vals {
-		acc += v
-	}
-	return canonNaN(acc)
-}
-
-func sumFloat64Masked(acc float64, vals []float64, nulls []bool) (float64, int64) {
+	nulls = nulls[:len(vals)]
 	var cnt int64
 	for i, v := range vals {
 		if !nulls[i] {
@@ -45,19 +42,7 @@ func sumFloat64Masked(acc float64, vals []float64, nulls []bool) (float64, int64
 			cnt++
 		}
 	}
-	return canonNaN(acc), cnt
-}
-
-// canonNaN maps every NaN to the canonical quiet NaN. A sum that hits
-// Inf + -Inf manufactures a NaN whose payload depends on the ADDSD operand
-// order — which the compiler is free to pick per build for the portable
-// loop — so both sum implementations canonicalize on exit to keep the
-// asm/portable bit-identity contract independent of codegen.
-func canonNaN(x float64) float64 {
-	if x != x {
-		return math.NaN()
-	}
-	return x
+	return acc, cnt
 }
 
 // CountNotNull counts the non-NULL positions. nulls may be nil.
@@ -87,12 +72,14 @@ func MinMaxInt64(vals []int64, nulls []bool) (mn, mx int64, any bool) {
 		mn, mx = minMaxI64DenseFn(vals)
 		return mn, mx, true
 	}
-	return minMaxI64MaskFn(vals, nulls)
+	return minMaxInt64Masked(vals, nulls)
 }
 
 // minMaxInt64Dense folds a non-empty vector. Integer min/max is
 // associative, so the assembler version may fold lanes in any order and
-// still match this sequential loop exactly.
+// still match this sequential loop exactly. The masked fold has no
+// assembler version: a NULL test per row leaves it a scalar loop, which
+// Go compiles as well as hand-written code.
 func minMaxInt64Dense(vals []int64) (mn, mx int64) {
 	mn, mx = vals[0], vals[0]
 	for _, v := range vals[1:] {

@@ -10,16 +10,7 @@ import (
 // Assembler stubs (agg_amd64.s).
 
 //go:noescape
-func sumF64DenseAVX2asm(acc float64, data *float64, n int) float64
-
-//go:noescape
-func sumF64MaskedAVX2asm(acc float64, data *float64, nulls *byte, n int) (acc2 float64, cnt int64)
-
-//go:noescape
 func minMaxI64DenseAVX2asm(data *int64, n int) (mn, mx int64)
-
-//go:noescape
-func minMaxI64MaskedAVX2asm(data *int64, nulls *byte, n int) (mn, mx int64, any bool)
 
 //go:noescape
 func minMaxF64DenseAVX2asm(data *float64, n int) (mn, mx float64)
@@ -37,32 +28,9 @@ func mix64CombineAVX2(hs, src unsafe.Pointer, n4 int)
 // checks; gc stores bools as the bytes 0 and 1.
 func boolBase(nulls []bool) *byte { return (*byte)(unsafe.Pointer(&nulls[0])) }
 
-func sumFloat64DenseAVX2(acc float64, vals []float64) float64 {
-	if len(vals) == 0 {
-		return canonNaN(acc)
-	}
-	// canonNaN on both legs: see the portable sumFloat64Dense.
-	return canonNaN(sumF64DenseAVX2asm(acc, &vals[0], len(vals)))
-}
-
-func sumFloat64MaskedAVX2(acc float64, vals []float64, nulls []bool) (float64, int64) {
-	if len(vals) == 0 {
-		return canonNaN(acc), 0
-	}
-	s, cnt := sumF64MaskedAVX2asm(acc, &vals[0], boolBase(nulls), len(vals))
-	return canonNaN(s), cnt
-}
-
 // minMaxInt64DenseAVX2 requires len(vals) > 0 (the MinMaxInt64 contract).
 func minMaxInt64DenseAVX2(vals []int64) (int64, int64) {
 	return minMaxI64DenseAVX2asm(&vals[0], len(vals))
-}
-
-func minMaxInt64MaskedAVX2(vals []int64, nulls []bool) (int64, int64, bool) {
-	if len(vals) == 0 {
-		return 0, 0, false
-	}
-	return minMaxI64MaskedAVX2asm(&vals[0], boolBase(nulls), len(vals))
 }
 
 func minMaxFloat64DenseAVX2(vals []float64) (float64, float64) {

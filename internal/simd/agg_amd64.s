@@ -1,69 +1,20 @@
 // AVX2 aggregation and hash kernels (agg_amd64.go wrappers).
 //
-// Bit-identity contract: float64 folds keep the exact element order of the
-// portable loops (IEEE addition is not reassociable, and min/max keep the
-// first of equal values), so their wins come from MINSD/MAXSD — branching
-// only on a NaN — and dropped bounds checks. The
-// int64 min/max fold IS associative, so it runs four lanes wide with
-// VPCMPGTQ + VPBLENDVB. The Mix64 batch hash runs four lanes of splitmix64
-// with the 64x64 multiply decomposed into three VPMULUDQ products.
+// Bit-identity contract: the float64 min/max folds keep the exact element
+// order of the portable loops (they keep the first of equal values), so
+// their wins come from MINSD/MAXSD — branching only on a NaN — and dropped
+// bounds checks. The int64 min/max fold IS associative, so it runs four
+// lanes wide with VPCMPGTQ + VPBLENDVB. The Mix64 batch hash runs four
+// lanes of splitmix64 with the 64x64 multiply decomposed into three
+// VPMULUDQ products.
 //
 // X registers alias the low halves of the same-numbered Y registers; the
 // vector kernels keep constants in Y12-Y15 and scratch in Y8-Y11 so scalar
-// X0-X3 code in the same file never collides.
+// X0-X3 code in the same file never collides. A kernel that issues VEX
+// instructions moves scalars in and out of vector registers with VMOVQ,
+// never the legacy-SSE MOVQ (TestKernelsAreVEXClean).
 
 #include "textflag.h"
-
-// func sumF64DenseAVX2asm(acc float64, data *float64, n int) float64
-TEXT ·sumF64DenseAVX2asm(SB), NOSPLIT, $0-32
-	MOVSD acc+0(FP), X0
-	MOVQ  data+8(FP), SI
-	MOVQ  n+16(FP), CX
-	MOVQ  CX, DX
-	ANDQ  $-4, DX
-	XORQ  R10, R10
-	CMPQ  DX, $0
-	JEQ   sdtail
-sd4:
-	ADDSD (SI)(R10*8), X0
-	ADDSD 8(SI)(R10*8), X0
-	ADDSD 16(SI)(R10*8), X0
-	ADDSD 24(SI)(R10*8), X0
-	ADDQ  $4, R10
-	CMPQ  R10, DX
-	JLT   sd4
-sdtail:
-	CMPQ  R10, CX
-	JGE   sddone
-	ADDSD (SI)(R10*8), X0
-	INCQ  R10
-	JMP   sdtail
-sddone:
-	MOVSD X0, ret+24(FP)
-	RET
-
-// func sumF64MaskedAVX2asm(acc float64, data *float64, nulls *byte, n int) (float64, int64)
-TEXT ·sumF64MaskedAVX2asm(SB), NOSPLIT, $0-48
-	MOVSD acc+0(FP), X0
-	MOVQ  data+8(FP), SI
-	MOVQ  nulls+16(FP), DX
-	MOVQ  n+24(FP), CX
-	XORQ  R13, R13
-	XORQ  R10, R10
-sm:
-	CMPQ  R10, CX
-	JGE   smdone
-	CMPB  (DX)(R10*1), $0
-	JNE   smskip
-	ADDSD (SI)(R10*8), X0
-	INCQ  R13
-smskip:
-	INCQ  R10
-	JMP   sm
-smdone:
-	MOVSD X0, acc2+32(FP)
-	MOVQ  R13, cnt+40(FP)
-	RET
 
 // func minMaxI64DenseAVX2asm(data *int64, n int) (mn, mx int64)
 // n >= 1. Four-wide fold: Y0 = running min lanes, Y1 = running max lanes.
@@ -95,14 +46,14 @@ mi4:
 	VPSHUFD   $0xEE, X0, X2
 	VPCMPGTQ  X2, X0, X3
 	VPBLENDVB X3, X2, X0, X0
-	MOVQ      X0, AX
+	VMOVQ     X0, AX
 	VEXTRACTI128 $1, Y1, X2
 	VPCMPGTQ  X1, X2, X3
 	VPBLENDVB X3, X2, X1, X1
 	VPSHUFD   $0xEE, X1, X2
 	VPCMPGTQ  X1, X2, X3
 	VPBLENDVB X3, X2, X1, X1
-	MOVQ      X1, BX
+	VMOVQ     X1, BX
 	VZEROUPPER
 mitail:
 	CMPQ R10, CX
@@ -117,42 +68,6 @@ mitail:
 midone:
 	MOVQ AX, mn+16(FP)
 	MOVQ BX, mx+24(FP)
-	RET
-
-// func minMaxI64MaskedAVX2asm(data *int64, nulls *byte, n int) (mn, mx int64, any bool)
-// mn/mx stay zero when every position is NULL, matching the portable loop.
-TEXT ·minMaxI64MaskedAVX2asm(SB), NOSPLIT, $0-41
-	MOVQ data+0(FP), SI
-	MOVQ nulls+8(FP), DX
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-	XORQ BX, BX
-	XORQ R13, R13
-	XORQ R10, R10
-mm:
-	CMPQ  R10, CX
-	JGE   mmdone
-	CMPB  (DX)(R10*1), $0
-	JNE   mmskip
-	MOVQ  (SI)(R10*8), R12
-	TESTQ R13, R13
-	JNZ   mmfold
-	MOVQ  R12, AX
-	MOVQ  R12, BX
-	MOVQ  $1, R13
-	JMP   mmskip
-mmfold:
-	CMPQ    R12, AX
-	CMOVQLT R12, AX
-	CMPQ    R12, BX
-	CMOVQGT R12, BX
-mmskip:
-	INCQ R10
-	JMP  mm
-mmdone:
-	MOVQ AX, mn+24(FP)
-	MOVQ BX, mx+32(FP)
-	MOVB R13, any+40(FP)
 	RET
 
 // The float min/max step, for a value v in X2 against the running MIN in
@@ -260,16 +175,16 @@ mgdone:
 
 #define MIX64_CONSTS \
 	MOVQ $0xbf58476d1ce4e5b9, AX \
-	MOVQ AX, X12                 \
+	VMOVQ AX, X12                \
 	VPBROADCASTQ X12, Y12        \
 	SHRQ $32, AX                 \
-	MOVQ AX, X13                 \
+	VMOVQ AX, X13                \
 	VPBROADCASTQ X13, Y13        \
 	MOVQ $0x94d049bb133111eb, AX \
-	MOVQ AX, X14                 \
+	VMOVQ AX, X14                \
 	VPBROADCASTQ X14, Y14        \
 	SHRQ $32, AX                 \
-	MOVQ AX, X15                 \
+	VMOVQ AX, X15                \
 	VPBROADCASTQ X15, Y15
 
 // func mix64BatchAVX2(src, out unsafe.Pointer, n4 int)

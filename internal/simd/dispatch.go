@@ -1,14 +1,14 @@
 package simd
 
-import "sort"
-
-// Runtime kernel dispatch. Every hot kernel is reached through a package
-// function variable initialized to the portable (pure-Go SWAR/scalar)
-// implementation; on amd64 hosts with AVX2 the arch init swaps in the
-// assembler version (see dispatch_amd64.go). The portable and assembler
-// implementations are bit-identical by contract — including NULL-mask
-// handling and accumulator seeding — and the differential fuzz/property
-// tests in this package enforce it.
+// Runtime kernel dispatch. Every kernel that has an assembler version is
+// reached through a package function variable initialized to the portable
+// (pure-Go SWAR/scalar) implementation; on amd64 hosts with AVX2 the arch
+// init swaps in the assembler version (see dispatch_amd64.go). A kernel
+// keeps an assembler version only while BenchmarkKernelPairs shows it
+// beating its portable twin on the shapes the engine feeds it. The
+// portable and assembler implementations are bit-identical by contract —
+// including NULL-mask handling and match-vector append behavior — and the
+// differential fuzz/property tests in this package enforce it.
 //
 // Dispatch is decided once at process start:
 //
@@ -44,10 +44,7 @@ var (
 	reduceNeI64Fn      = reduceNeI64
 	reduceBitmapFn     = reduceBitmapPortable
 
-	sumF64DenseFn    = sumFloat64Dense
-	sumF64MaskedFn   = sumFloat64Masked
 	minMaxI64DenseFn = minMaxInt64Dense
-	minMaxI64MaskFn  = minMaxInt64Masked
 	minMaxF64DenseFn = minMaxFloat64Dense
 	minMaxF64MaskFn  = minMaxFloat64Masked
 
@@ -66,18 +63,14 @@ var (
 	avx2Active bool
 )
 
-// avx2Kernels names the kernel families the arch init has pointed at
-// assembler implementations; everything else is portable.
-var avx2Kernels = map[string]bool{}
-
-// kernelFamilies is the stable list reported by DispatchInfo.
+// kernelFamilies names, in order, the kernel families DispatchInfo
+// reports. Every one has an assembler version, and installAVX2 installs
+// them all or none.
 var kernelFamilies = []string{
-	"find.w1", "find.w2", "find.w4", "find.w8",
-	"find.int64", "find.bitmap",
-	"reduce.w1", "reduce.w2", "reduce.w4", "reduce.w8",
-	"reduce.int64", "reduce.bitmap",
-	"agg.sum_f64", "agg.minmax_i64", "agg.minmax_f64",
+	"agg.minmax_f64", "agg.minmax_i64",
+	"find.bitmap", "find.int64", "find.w1", "find.w2", "find.w4", "find.w8",
 	"hash.mix64",
+	"reduce.bitmap", "reduce.int64", "reduce.w1", "reduce.w2", "reduce.w4", "reduce.w8",
 }
 
 // CPUFeatureLevel names the instruction-set level the dispatcher selected:
@@ -99,14 +92,13 @@ type KernelDispatch struct {
 // name. Benchmark and metrics JSON embed it so numbers from different
 // hosts (or different GODEBUG legs) are interpretable.
 func DispatchInfo() []KernelDispatch {
-	out := make([]KernelDispatch, 0, len(kernelFamilies))
-	for _, k := range kernelFamilies {
-		impl := "portable"
-		if avx2Kernels[k] {
-			impl = "avx2"
-		}
-		out = append(out, KernelDispatch{Kernel: k, Impl: impl})
+	impl := "portable"
+	if avx2Active {
+		impl = "avx2"
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kernel < out[j].Kernel })
+	out := make([]KernelDispatch, len(kernelFamilies))
+	for i, k := range kernelFamilies {
+		out[i] = KernelDispatch{Kernel: k, Impl: impl}
+	}
 	return out
 }

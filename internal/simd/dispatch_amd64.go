@@ -70,7 +70,8 @@ func indexByte(s string, c byte) int {
 }
 
 // installAVX2 points every kernel function variable at its assembler
-// implementation. Called once from init, before any kernel can run.
+// implementation: every family of kernelFamilies. Called once from init,
+// before any kernel can run.
 func installAVX2() {
 	findBetweenW1Fn = findBetweenW1AVX2
 	findNeW1Fn = findNeW1AVX2
@@ -94,24 +95,11 @@ func installAVX2() {
 	reduceBetweenI64Fn = reduceBetweenI64AVX2
 	reduceNeI64Fn = reduceNeI64AVX2
 	reduceBitmapFn = reduceBitmapAVX2
-	sumF64DenseFn = sumFloat64DenseAVX2
-	sumF64MaskedFn = sumFloat64MaskedAVX2
 	minMaxI64DenseFn = minMaxInt64DenseAVX2
-	minMaxI64MaskFn = minMaxInt64MaskedAVX2
 	minMaxF64DenseFn = minMaxFloat64DenseAVX2
 	minMaxF64MaskFn = minMaxFloat64MaskedAVX2
 	hashI64Fn = hashInt64AVX2
 	hashF64Fn = hashFloat64AVX2
 	hashCombineI64Fn = hashCombineInt64AVX2
 	hashCombineF64Fn = hashCombineFloat64AVX2
-	for _, k := range []string{
-		"find.w1", "find.w2", "find.w4", "find.w8",
-		"find.int64", "find.bitmap",
-		"reduce.w1", "reduce.w2", "reduce.w4", "reduce.w8",
-		"reduce.int64", "reduce.bitmap",
-		"agg.sum_f64", "agg.minmax_i64", "agg.minmax_f64",
-		"hash.mix64",
-	} {
-		avx2Kernels[k] = true
-	}
 }

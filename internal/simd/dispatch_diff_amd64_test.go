@@ -3,8 +3,11 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -221,22 +224,8 @@ func TestDiffAggKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for _, n := range randLens(rng) {
 		vals := randFloats(rng, n)
-		acc := rng.NormFloat64()
-
-		gotS := sumFloat64DenseAVX2(acc, vals)
-		wantS := sumFloat64Dense(acc, vals)
-		if math.Float64bits(gotS) != math.Float64bits(wantS) {
-			t.Fatalf("sum dense n=%d: %x want %x", n, math.Float64bits(gotS), math.Float64bits(wantS))
-		}
 		for _, p := range []float64{0, 0.3, 1} {
 			nulls := randNulls(rng, n, p)
-			gs, gc := sumFloat64MaskedAVX2(acc, vals, nulls)
-			ws, wc := sumFloat64Masked(acc, vals, nulls)
-			if math.Float64bits(gs) != math.Float64bits(ws) || gc != wc {
-				t.Fatalf("sum masked n=%d p=%v: (%x,%d) want (%x,%d)",
-					n, p, math.Float64bits(gs), gc, math.Float64bits(ws), wc)
-			}
-
 			gmn, gmx, gany := minMaxFloat64MaskedAVX2(vals, nulls)
 			wmn, wmx, wany := minMaxFloat64Masked(vals, nulls)
 			if math.Float64bits(gmn) != math.Float64bits(wmn) ||
@@ -263,15 +252,6 @@ func TestDiffAggKernels(t *testing.T) {
 			wmn, wmx := minMaxInt64Dense(ints)
 			if gmn != wmn || gmx != wmx {
 				t.Fatalf("minmax i64 dense n=%d: (%d,%d) want (%d,%d)", n, gmn, gmx, wmn, wmx)
-			}
-		}
-		for _, p := range []float64{0, 0.3, 1} {
-			nulls := randNulls(rng, n, p)
-			gmn, gmx, gany := minMaxInt64MaskedAVX2(ints, nulls)
-			wmn, wmx, wany := minMaxInt64Masked(ints, nulls)
-			if gmn != wmn || gmx != wmx || gany != wany {
-				t.Fatalf("minmax i64 masked n=%d p=%v: (%d,%d,%v) want (%d,%d,%v)",
-					n, p, gmn, gmx, gany, wmn, wmx, wany)
 			}
 		}
 	}
@@ -333,12 +313,13 @@ func TestDispatchInfoCoherent(t *testing.T) {
 	if len(info) != len(kernelFamilies) {
 		t.Fatalf("DispatchInfo reports %d families, want %d", len(info), len(kernelFamilies))
 	}
+	if !slices.IsSortedFunc(info, func(a, b KernelDispatch) int { return strings.Compare(a.Kernel, b.Kernel) }) {
+		t.Fatalf("DispatchInfo is not sorted by kernel name: %v", info)
+	}
+	want := map[bool]string{true: "avx2", false: "portable"}[avx2Active]
 	for _, d := range info {
-		if d.Impl != "avx2" && d.Impl != "portable" {
-			t.Fatalf("kernel %s: bad impl %q", d.Kernel, d.Impl)
-		}
-		if d.Impl == "avx2" && !avx2Active {
-			t.Fatalf("kernel %s reports avx2 but dispatch is disabled", d.Kernel)
+		if d.Impl != want {
+			t.Fatalf("kernel %s reports %q, want %q (avx2Active=%v)", d.Kernel, d.Impl, want, avx2Active)
 		}
 	}
 	if avx2Active && CPUFeatureLevel() != "avx2" {
@@ -366,6 +347,193 @@ func TestGodebugParsing(t *testing.T) {
 	for _, c := range cases {
 		if got := godebugDisablesAVX2(c.in); got != c.off {
 			t.Errorf("godebugDisablesAVX2(%q) = %v want %v", c.in, got, c.off)
+		}
+	}
+}
+
+// kernelPair is one AVX2 kernel and its portable twin, each bound to
+// inputs prepared for one shape and size.
+type kernelPair struct {
+	name           string
+	avx2, portable func()
+}
+
+var (
+	sinkMatches []uint32
+	sinkI64     int64
+	sinkF64     float64
+)
+
+// kernelPairs builds every AVX2 kernel's pair over n rows. Finds keep
+// about half the rows (≠ keeps nearly all); reduces thin a match vector
+// holding every k-th row, restored by a copy before each call on both
+// sides.
+func kernelPairs(n int) []kernelPair {
+	rng := rand.New(rand.NewSource(int64(n)))
+	data := make([]byte, n*8)
+	rng.Read(data)
+	ints := make([]int64, n)
+	for i := range ints {
+		ints[i] = int64(rng.Uint64())
+	}
+	bm := make([]uint64, BitmapWords(n))
+	for i := range bm {
+		bm[i] = rng.Uint64()
+	}
+	out := EnsureCap(nil, n+8)
+	var ps []kernelPair
+	add := func(name string, avx2, portable func()) {
+		ps = append(ps, kernelPair{name, avx2, portable})
+	}
+
+	add("find.w1.between",
+		func() { sinkMatches = findBetweenW1AVX2(data[:n], n, 64, 191, 0, out[:0]) },
+		func() { sinkMatches = findBetweenW1(data[:n], n, 64, 191, 0, out[:0]) })
+	add("find.w1.ne",
+		func() { sinkMatches = findNeW1AVX2(data[:n], n, data[0], 0, out[:0]) },
+		func() { sinkMatches = findNeW1(data[:n], n, data[0], 0, out[:0]) })
+	add("find.w2.between",
+		func() { sinkMatches = findBetweenW2AVX2(data[:2*n], n, 1<<14, 3<<14, 0, out[:0]) },
+		func() { sinkMatches = findBetweenW2(data[:2*n], n, 1<<14, 3<<14, 0, out[:0]) })
+	add("find.w2.ne",
+		func() { sinkMatches = findNeW2AVX2(data[:2*n], n, 7, 0, out[:0]) },
+		func() { sinkMatches = findNeW2(data[:2*n], n, 7, 0, out[:0]) })
+	add("find.w4.between",
+		func() { sinkMatches = findBetweenW4AVX2(data[:4*n], n, 1<<30, 3<<30, 0, out[:0]) },
+		func() { sinkMatches = findBetweenW4(data[:4*n], n, 1<<30, 3<<30, 0, out[:0]) })
+	add("find.w4.ne",
+		func() { sinkMatches = findNeW4AVX2(data[:4*n], n, 7, 0, out[:0]) },
+		func() { sinkMatches = findNeW4(data[:4*n], n, 7, 0, out[:0]) })
+	add("find.w8.between",
+		func() { sinkMatches = findBetweenW8AVX2(data, n, 1<<62, 3<<62, 0, out[:0]) },
+		func() { sinkMatches = findBetweenW8(data, n, 1<<62, 3<<62, 0, out[:0]) })
+	add("find.w8.ne",
+		func() { sinkMatches = findNeW8AVX2(data, n, 7, 0, out[:0]) },
+		func() { sinkMatches = findNeW8(data, n, 7, 0, out[:0]) })
+	add("find.int64.between",
+		func() { sinkMatches = findBetweenI64AVX2(ints, -1<<62, 1<<62, 0, out[:0]) },
+		func() { sinkMatches = findBetweenI64(ints, -1<<62, 1<<62, 0, out[:0]) })
+	add("find.int64.ne",
+		func() { sinkMatches = findNeI64AVX2(ints, 7, 0, out[:0]) },
+		func() { sinkMatches = findNeI64(ints, 7, 0, out[:0]) })
+	add("find.bitmap",
+		func() { sinkMatches = findBitmapAVX2(bm, n, true, 0, out[:0]) },
+		func() { sinkMatches = findBitmapPortable(bm, n, true, 0, out[:0]) })
+
+	for _, k := range []int{1, 3, 10} {
+		var m0 []uint32
+		for i := 0; i < n; i += k {
+			m0 = append(m0, uint32(i))
+		}
+		m := make([]uint32, len(m0))
+		reduce := func(name string, avx2, portable func([]uint32) []uint32) {
+			add(fmt.Sprintf("%s/1-in-%d", name, k),
+				func() { copy(m, m0); sinkMatches = avx2(m) },
+				func() { copy(m, m0); sinkMatches = portable(m) })
+		}
+		reduce("reduce.w1.between",
+			func(m []uint32) []uint32 { return reduceBetweenW1AVX2(data[:n], 64, 191, m) },
+			func(m []uint32) []uint32 { return reduceBetweenW1(data[:n], 64, 191, m) })
+		reduce("reduce.w1.ne",
+			func(m []uint32) []uint32 { return reduceNeW1AVX2(data[:n], data[0], m) },
+			func(m []uint32) []uint32 { return reduceNeW1(data[:n], data[0], m) })
+		reduce("reduce.w2.between",
+			func(m []uint32) []uint32 { return reduceBetweenW2AVX2(data[:2*n], 1<<14, 3<<14, m) },
+			func(m []uint32) []uint32 { return reduceBetweenW2(data[:2*n], 1<<14, 3<<14, m) })
+		reduce("reduce.w2.ne",
+			func(m []uint32) []uint32 { return reduceNeW2AVX2(data[:2*n], 7, m) },
+			func(m []uint32) []uint32 { return reduceNeW2(data[:2*n], 7, m) })
+		reduce("reduce.w4.between",
+			func(m []uint32) []uint32 { return reduceBetweenW4AVX2(data[:4*n], 1<<30, 3<<30, m) },
+			func(m []uint32) []uint32 { return reduceBetweenW4(data[:4*n], 1<<30, 3<<30, m) })
+		reduce("reduce.w4.ne",
+			func(m []uint32) []uint32 { return reduceNeW4AVX2(data[:4*n], 7, m) },
+			func(m []uint32) []uint32 { return reduceNeW4(data[:4*n], 7, m) })
+		reduce("reduce.w8.between",
+			func(m []uint32) []uint32 { return reduceBetweenW8AVX2(data, 1<<62, 3<<62, m) },
+			func(m []uint32) []uint32 { return reduceBetweenW8(data, 1<<62, 3<<62, m) })
+		reduce("reduce.w8.ne",
+			func(m []uint32) []uint32 { return reduceNeW8AVX2(data, 7, m) },
+			func(m []uint32) []uint32 { return reduceNeW8(data, 7, m) })
+		reduce("reduce.int64.between",
+			func(m []uint32) []uint32 { return reduceBetweenI64AVX2(ints, -1<<62, 1<<62, m) },
+			func(m []uint32) []uint32 { return reduceBetweenI64(ints, -1<<62, 1<<62, m) })
+		reduce("reduce.int64.ne",
+			func(m []uint32) []uint32 { return reduceNeI64AVX2(ints, 7, m) },
+			func(m []uint32) []uint32 { return reduceNeI64(ints, 7, m) })
+		reduce("reduce.bitmap",
+			func(m []uint32) []uint32 { return reduceBitmapAVX2(bm, true, m) },
+			func(m []uint32) []uint32 { return reduceBitmapPortable(bm, true, m) })
+	}
+
+	// Min/max over wide (every int64), sorted and narrow (0–99) integers.
+	sorted, narrow := slices.Clone(ints), make([]int64, n)
+	slices.Sort(sorted)
+	for i := range narrow {
+		narrow[i] = rng.Int63n(100)
+	}
+	shapes := map[string][]int64{"wide": ints, "sorted": sorted, "narrow": narrow}
+	for _, shape := range []string{"wide", "sorted", "narrow"} {
+		iv := shapes[shape]
+		fv := make([]float64, n)
+		for i, v := range iv {
+			fv[i] = float64(v)
+		}
+		add("agg.minmax_i64/"+shape,
+			func() { sinkI64, _ = minMaxInt64DenseAVX2(iv) },
+			func() { sinkI64, _ = minMaxInt64Dense(iv) })
+		add("agg.minmax_f64/"+shape,
+			func() { sinkF64, _ = minMaxFloat64DenseAVX2(fv) },
+			func() { sinkF64, _ = minMaxFloat64Dense(fv) })
+	}
+	floats := make([]float64, n)
+	for i := range floats {
+		floats[i] = rng.NormFloat64()
+	}
+	for _, pct := range []int{0, 10, 50} {
+		nulls := randNulls(rng, n, float64(pct)/100)
+		add(fmt.Sprintf("agg.minmax_f64.masked/nulls=%d%%", pct),
+			func() { sinkF64, _, _ = minMaxFloat64MaskedAVX2(floats, nulls) },
+			func() { sinkF64, _, _ = minMaxFloat64Masked(floats, nulls) })
+	}
+
+	hs := make([]uint64, n)
+	add("hash.i64",
+		func() { hashInt64AVX2(ints, hs) },
+		func() { hashInt64Portable(ints, hs) })
+	add("hash.f64",
+		func() { hashFloat64AVX2(floats, hs) },
+		func() { hashFloat64Portable(floats, hs) })
+	add("hash.combine_i64",
+		func() { hashCombineInt64AVX2(hs, ints) },
+		func() { hashCombineInt64Portable(hs, ints) })
+	add("hash.combine_f64",
+		func() { hashCombineFloat64AVX2(hs, floats) },
+		func() { hashCombineFloat64Portable(hs, floats) })
+	return ps
+}
+
+// BenchmarkKernelPairs times every AVX2 kernel against its portable twin
+// on the same inputs, at 32, 256, 2 048 and 8 192 rows: an assembler
+// kernel stays while it wins on the shapes the engine feeds it.
+//
+//	go test -run '^$' -bench KernelPairs -benchtime 30ms -count 5 ./internal/simd
+func BenchmarkKernelPairs(b *testing.B) {
+	if !cpuHasAVX2 {
+		b.Skip("host CPU lacks AVX2")
+	}
+	for _, n := range []int{32, 256, 2048, 8192} {
+		for _, p := range kernelPairs(n) {
+			b.Run(fmt.Sprintf("%s/n=%d/avx2", p.name, n), func(b *testing.B) {
+				for range b.N {
+					p.avx2()
+				}
+			})
+			b.Run(fmt.Sprintf("%s/n=%d/go", p.name, n), func(b *testing.B) {
+				for range b.N {
+					p.portable()
+				}
+			})
 		}
 	}
 }

@@ -37,10 +37,10 @@
 // corrupt an operand splat prepared before it runs.
 #define FIND_SETUP(baseoff, outoff, woff) \
 	MOVL    baseoff(FP), CX   \
-	MOVL    CX, X15           \
+	VMOVD   CX, X15           \
 	VPBROADCASTD X15, Y3      \
 	MOVL    $8, CX            \
-	MOVL    CX, X15           \
+	VMOVD   CX, X15           \
 	VPBROADCASTD X15, Y4      \
 	MOVQ    outoff(FP), DI    \
 	MOVQ    woff(FP), R8      \
@@ -53,10 +53,10 @@ TEXT ·findBetweenU8AVX2(SB), NOSPLIT, $0-64
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ lo+16(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTB X0, Y0
 	MOVQ hi+24(FP), AX
-	MOVQ AX, X1
+	VMOVQ AX, X1
 	VPBROADCASTB X1, Y1
 	FIND_SETUP(base+32, out+40, w+48)
 w1b:
@@ -84,7 +84,7 @@ TEXT ·findNeU8AVX2(SB), NOSPLIT, $0-56
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ c+16(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTB X0, Y0
 	FIND_SETUP(base+24, out+32, w+40)
 w1n:
@@ -122,10 +122,10 @@ TEXT ·findBetweenU16AVX2(SB), NOSPLIT, $0-64
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ lo+16(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTW X0, Y0
 	MOVQ hi+24(FP), AX
-	MOVQ AX, X1
+	VMOVQ AX, X1
 	VPBROADCASTW X1, Y1
 	FIND_SETUP(base+32, out+40, w+48)
 w2b:
@@ -151,7 +151,7 @@ TEXT ·findNeU16AVX2(SB), NOSPLIT, $0-56
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ c+16(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTW X0, Y0
 	FIND_SETUP(base+24, out+32, w+40)
 w2n:
@@ -174,10 +174,10 @@ TEXT ·findBetweenU32AVX2(SB), NOSPLIT, $0-64
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ lo+16(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTD X0, Y0
 	MOVQ hi+24(FP), AX
-	MOVQ AX, X1
+	VMOVQ AX, X1
 	VPBROADCASTD X1, Y1
 	FIND_SETUP(base+32, out+40, w+48)
 w4b:
@@ -202,7 +202,7 @@ TEXT ·findNeU32AVX2(SB), NOSPLIT, $0-56
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ c+16(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTD X0, Y0
 	FIND_SETUP(base+24, out+32, w+40)
 w4n:
@@ -227,15 +227,15 @@ TEXT ·findBetween64AVX2(SB), NOSPLIT, $0-72
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ flip+32(FP), BX
-	MOVQ BX, X2
+	VMOVQ BX, X2
 	VPBROADCASTQ X2, Y2
 	MOVQ lo+16(FP), AX
 	XORQ BX, AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0
 	MOVQ hi+24(FP), AX
 	XORQ BX, AX
-	MOVQ AX, X1
+	VMOVQ AX, X1
 	VPBROADCASTQ X1, Y1
 	FIND_SETUP(base+40, out+48, w+56)
 w8b:
@@ -269,7 +269,7 @@ TEXT ·findNe64AVX2(SB), NOSPLIT, $0-56
 	MOVQ data+0(FP), SI
 	MOVQ n+8(FP), DX
 	MOVQ c+16(FP), AX
-	MOVQ AX, X0
+	VMOVQ AX, X0
 	VPBROADCASTQ X0, Y0
 	FIND_SETUP(base+24, out+32, w+40)
 w8n:
