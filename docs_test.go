@@ -233,9 +233,9 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // a number here in its own diff, like an entry in lint-budget.json; one
 // that deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4300,
-	"datablocks/internal/simd": 2404,
-	"total":                    19839,
+	"datablocks/internal/exec": 4308,
+	"datablocks/internal/simd": 2531,
+	"total":                    19961,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's

@@ -378,3 +378,38 @@ func TestCompressedSizeAccounting(t *testing.T) {
 		t.Fatalf("size = %d, want ~1032", size)
 	}
 }
+
+// TestCodeVectorsCarryGatherSlack: every code vector EncodeInts and
+// EncodeStrings build holds at least 3 bytes behind its N·Width code
+// bytes, the reach of simd's 4-byte gathers at the last code.
+func TestCodeVectorsCarryGatherSlack(t *testing.T) {
+	const n = 1000
+	ints := map[string]func(i int) int64{
+		"trunc1":       func(i int) int64 { return int64(i % 200) },
+		"trunc2":       func(i int) int64 { return int64(i) * 60 },
+		"trunc4":       func(i int) int64 { return int64(i) << 20 },
+		"dict1":        func(i int) int64 { return int64(i%3) << 40 },
+		"dict2":        func(i int) int64 { return int64(i%300) << 40 },
+		"uncompressed": func(i int) int64 { return int64(i) * 0x9E3779B97F4A7C1 },
+	}
+	for name, gen := range ints {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = gen(i)
+		}
+		v := EncodeInts(vals, nil)
+		if len(v.Data) < v.N*v.Width+3 {
+			t.Errorf("EncodeInts %s (%v, width %d): %d data bytes for %d codes", name, v.Scheme, v.Width, len(v.Data), v.N)
+		}
+	}
+	for _, card := range []int{3, 300} {
+		strs := make([]string, n)
+		for i := range strs {
+			strs[i] = fmt.Sprint("s", i%card)
+		}
+		v := EncodeStrings(strs, nil)
+		if len(v.Data) < v.N*v.Width+3 {
+			t.Errorf("EncodeStrings (width %d): %d data bytes for %d codes", v.Width, len(v.Data), v.N)
+		}
+	}
+}

@@ -1,12 +1,18 @@
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"datablocks/internal/simd"
+)
 
 // This file implements the "unpacking matches" half of §3.4: decompressing
 // exactly the tuples selected by a match-position vector into output
 // vectors. Byte-aligned codes make this a tight positional gather — the
 // operation whose cost dominates bit-packed formats at moderate
-// selectivities (Figure 12b).
+// selectivities (Figure 12b). Truncated codes widen in simd.GatherWiden
+// (AVX2 gathers where the CPU has them, the Go loops otherwise); the
+// dictionary, uncompressed and string loops stay here.
 
 // Gather decompresses the values at the given positions into out, which
 // must have length len(pos).
@@ -17,21 +23,7 @@ func (v *IntVector) Gather(pos []uint32, out []int64) {
 			out[i] = v.Single
 		}
 	case Truncation:
-		base := uint64(v.Min)
-		switch v.Width {
-		case 1:
-			for i, p := range pos {
-				out[i] = int64(base + uint64(v.Data[p]))
-			}
-		case 2:
-			for i, p := range pos {
-				out[i] = int64(base + uint64(binary.LittleEndian.Uint16(v.Data[p*2:])))
-			}
-		default:
-			for i, p := range pos {
-				out[i] = int64(base + uint64(binary.LittleEndian.Uint32(v.Data[p*4:])))
-			}
-		}
+		simd.GatherWiden(v.Data, v.N, v.Width, uint64(v.Min), pos, out)
 	case Dictionary:
 		switch v.Width {
 		case 1:

@@ -738,9 +738,7 @@ func (s *Scanner) UnpackCodes(batch *Batch, m []uint32) {
 		}
 		bc.Domain = a
 		bc.Codes = resize(bc.Codes, len(m))
-		for i, p := range m {
-			bc.Codes[i] = data[p]
-		}
+		simd.GatherBytes(data, s.b.n, m, bc.Codes)
 	}
 }
 

@@ -659,3 +659,53 @@ func FuzzLoadAttrs(f *testing.F) {
 		}
 	})
 }
+
+// TestLoadedCodeVectorsCarryGatherSlack: the code vectors of a block
+// decoded by UnmarshalBlock or Directory.Load reach at least 3 bytes past
+// their last code, the reach of simd's 4-byte gathers; inside a block the
+// bytes are the next section's, behind the last one the trailer's.
+func TestLoadedCodeVectorsCarryGatherSlack(t *testing.T) {
+	check := func(label string, b *Block) {
+		t.Helper()
+		for i := range b.attrs {
+			a := &b.attrs[i]
+			if a.Ints != nil && a.Ints.Data != nil && len(a.Ints.Data) < a.Ints.N*a.Ints.Width+3 {
+				t.Errorf("%s attr %d: %d data bytes for %d codes of width %d", label, i, len(a.Ints.Data), a.Ints.N, a.Ints.Width)
+			}
+			if a.Strs != nil && a.Strs.Data != nil && len(a.Strs.Data) < a.Strs.N*a.Strs.Width+3 {
+				t.Errorf("%s attr %d: %d string code bytes for %d codes of width %d", label, i, len(a.Strs.Data), a.Strs.N, a.Strs.Width)
+			}
+		}
+	}
+	bufs := map[string][]byte{}
+	kinds := map[string][]types.Kind{}
+	bufs["three"], kinds["three"] = mustMarshalBlock(t)
+	for _, tc := range serializeCases() {
+		blk, err := Freeze([]ColumnData{tc.gen(300)}, 300, FreezeOptions{SortBy: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bufs[tc.name], err = blk.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		kinds[tc.name] = []types.Kind{tc.kind}
+	}
+	for name, buf := range bufs {
+		b, err := UnmarshalBlock(buf, kinds[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"/unmarshal", b)
+		d, err := ParseDirectory(buf[:DirectorySize(len(kinds[name]))], kinds[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range subsets(len(kinds[name])) {
+			b, _, err := d.Load(bytes.NewReader(buf), nil, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprint(name, "/load", cols), b)
+		}
+	}
+}

@@ -559,17 +559,30 @@ func (a *aggregator) bindCodes(b *core.Batch) {
 //dbvet:hotpath
 func (a *aggregator) assignCodes(n int) []uint32 {
 	ct := &a.codes
-	ct.combos = resize(ct.combos, n)
 	ct.gids = resize(ct.gids, n)
-	combos, gids := ct.combos[:n], ct.gids[:n]
+	if len(ct.codes) == 1 { // the index is the code
+		frontIDs(a, ct.codes[0][:n], ct.gids)
+		return ct.gids
+	}
+	ct.combos = resize(ct.combos, n)
+	combos := ct.combos[:n]
 	clear(combos)
 	stride := ct.stride[:len(ct.codes)]
 	for k, codes := range ct.codes {
 		foldCodes(combos, codes, stride[k])
 	}
+	frontIDs(a, combos, ct.gids)
+	return ct.gids
+}
+
+// frontIDs sets gids[r] to the group of front index idx[r] (assignCodes).
+//
+//dbvet:hotpath
+func frontIDs[T uint8 | uint16](a *aggregator, idx []T, gids []uint32) {
+	gids = gids[:len(idx)]
 	// Every index is inside the front; the compare proves it.
 	dir := a.dir
-	for r, x := range combos {
+	for r, x := range idx {
 		var id uint32
 		if int(x) < len(dir) {
 			if id = dir[x]; id == 0 {
@@ -579,7 +592,6 @@ func (a *aggregator) assignCodes(n int) []uint32 {
 		}
 		gids[r] = id - 1
 	}
-	return gids
 }
 
 // foldCodes adds one key column's codes, times the column's stride, into

@@ -52,6 +52,9 @@ var (
 	hashF64Fn        = hashFloat64Portable
 	hashCombineI64Fn = hashCombineInt64Portable
 	hashCombineF64Fn = hashCombineFloat64Portable
+
+	gatherWidenFn = gatherWiden
+	gatherBytesFn = gatherBytes
 )
 
 // cpuHasAVX2 reports the hardware capability; avx2Active reports the
@@ -71,6 +74,7 @@ var kernelFamilies = []string{
 	"find.bitmap", "find.int64", "find.w1", "find.w2", "find.w4", "find.w8",
 	"hash.mix64",
 	"reduce.bitmap", "reduce.int64", "reduce.w1", "reduce.w2", "reduce.w4", "reduce.w8",
+	"unpack.codes", "unpack.w1", "unpack.w2", "unpack.w4",
 }
 
 // CPUFeatureLevel names the instruction-set level the dispatcher selected:

@@ -102,4 +102,6 @@ func installAVX2() {
 	hashF64Fn = hashFloat64AVX2
 	hashCombineI64Fn = hashCombineInt64AVX2
 	hashCombineF64Fn = hashCombineFloat64AVX2
+	gatherWidenFn = gatherWidenAVX2
+	gatherBytesFn = gatherBytesAVX2
 }

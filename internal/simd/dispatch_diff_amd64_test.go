@@ -310,8 +310,8 @@ func TestDiffHashKernels(t *testing.T) {
 
 func TestDispatchInfoCoherent(t *testing.T) {
 	info := DispatchInfo()
-	if len(info) != len(kernelFamilies) {
-		t.Fatalf("DispatchInfo reports %d families, want %d", len(info), len(kernelFamilies))
+	if len(info) != len(kernelFamilies) || len(info) != 19 {
+		t.Fatalf("DispatchInfo reports %d families, want the %d with assembler (19)", len(info), len(kernelFamilies))
 	}
 	if !slices.IsSortedFunc(info, func(a, b KernelDispatch) int { return strings.Compare(a.Kernel, b.Kernel) }) {
 		t.Fatalf("DispatchInfo is not sorted by kernel name: %v", info)
@@ -495,6 +495,27 @@ func kernelPairs(n int) []kernelPair {
 		add(fmt.Sprintf("agg.minmax_f64.masked/nulls=%d%%", pct),
 			func() { sinkF64, _, _ = minMaxFloat64MaskedAVX2(floats, nulls) },
 			func() { sinkF64, _, _ = minMaxFloat64Masked(floats, nulls) })
+	}
+
+	// Unpack at Q1's density (98.5 %), every row and every tenth row, from
+	// codes with the kernels' slack behind them.
+	codes := make([]byte, 4*n+3)
+	rng.Read(codes)
+	wide, narrowOut := make([]int64, n), make([]byte, n)
+	for _, d := range []struct {
+		name string
+		pos  []uint32
+	}{{"1-in-1", randPositions(rng, n, 1, true)}, {"98.5%", randPositions(rng, n, 0.985, true)}, {"1-in-10", randMatches(rng, n, 0.1)}} {
+		pos := d.pos
+		for _, w := range []int{1, 2, 4} {
+			base := uint64(1)<<63 - uint64(w)
+			add(fmt.Sprintf("unpack.w%d/%s", w, d.name),
+				func() { gatherWidenAVX2(codes, n, w, base, pos, wide) },
+				func() { gatherWiden(codes, n, w, base, pos, wide) })
+		}
+		add("unpack.codes/"+d.name,
+			func() { gatherBytesAVX2(codes, n, pos, narrowOut) },
+			func() { gatherBytes(codes, n, pos, narrowOut) })
 	}
 
 	hs := make([]uint64, n)

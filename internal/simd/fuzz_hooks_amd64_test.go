@@ -12,6 +12,7 @@ func init() {
 	if !cpuHasAVX2 {
 		return
 	}
+	unpackAlt.widen, unpackAlt.bytes = gatherWidenAVX2, gatherBytesAVX2
 	fuzzFindAlt = func(data []byte, width, n int, op Op, c1, c2 uint64, base uint32) []uint32 {
 		lo, hi, ne, empty, all := normalizeU(op, c1, c2, maxFor(width))
 		if empty {

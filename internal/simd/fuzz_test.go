@@ -316,3 +316,48 @@ func FuzzMinMaxKernels(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnpackKernels holds GatherWiden and GatherBytes — dispatched,
+// portable, and on the AVX2 kernels where the CPU has them — to refWiden
+// over arbitrary codes, widths and bases, with positions anywhere in
+// [0, n) drawn from sel, on code vectors carrying exactly the 3 bytes of
+// slack the kernels need.
+func FuzzUnpackKernels(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, []byte{0, 3, 9, 200, 7, 1, 2, 4, 6}, byte(1), uint64(1<<63-2))
+	f.Add(make([]byte, 64), []byte{0xff, 0xfe, 0, 1}, byte(2), uint64(1<<63))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{5}, byte(4), ^uint64(0))
+	f.Fuzz(func(t *testing.T, codes, sel []byte, widthB byte, base uint64) {
+		width := []int{1, 2, 4}[widthB%3]
+		n := len(codes) / width
+		if n == 0 {
+			return
+		}
+		data := append(codes[:n*width:n*width], 0, 0, 0)
+		pos := make([]uint32, len(sel))
+		for i, s := range sel {
+			pos[i] = uint32((int(s) + i*31) % n)
+		}
+		want := refWiden(data, width, base, pos)
+		for name, gather := range widenTwins() {
+			got := make([]int64, len(pos))
+			gather(data, n, width, base, pos, got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s w%d base %#x: out[%d] (pos %d of %d) = %d, want %d", name, width, base, i, pos[i], n, got[i], want[i])
+				}
+			}
+		}
+		if width != 1 {
+			return
+		}
+		for name, gather := range bytesTwins() {
+			got := make([]byte, len(pos))
+			gather(data, n, pos, got)
+			for i := range got {
+				if got[i] != data[pos[i]] {
+					t.Fatalf("%s codes: out[%d] (pos %d of %d) = %d, want %d", name, i, pos[i], n, got[i], data[pos[i]])
+				}
+			}
+		}
+	})
+}
