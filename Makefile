@@ -133,6 +133,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzReduceKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzMinMaxKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackKernels -fuzztime=$(FUZZTIME) ./internal/simd
+	$(GO) test -run '^$$' -fuzz=FuzzGroupFold -fuzztime=$(FUZZTIME) ./internal/simd
 
 # Build every example and run quickstart end to end — it creates a durable
 # database in a temp dir, closes it and reopens it, so the documented

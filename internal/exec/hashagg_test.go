@@ -455,6 +455,15 @@ func TestIntegerSumsFlushAndFallBack(t *testing.T) {
 		workers := []*aggregator{newAggregator(node, kinds, args), newAggregator(node, kinds, args)}
 		sums, counts, rows := map[int64]*big.Int{}, map[int64]int64{}, map[int64]int64{}
 		var flushes, fallbacks int
+		// SUM 0's int64 partials, one per group, in the block (none
+		// without GROUP BY).
+		partials := func(a *aggregator) []int64 {
+			var p []int64
+			for g := 0; a.cell[0] > 0 && g < a.groups; g++ {
+				p = append(p, a.cells[g*a.w+a.cell[0]])
+			}
+			return p
+		}
 		for batch := 0; batch < 24; batch++ {
 			const n = 8
 			near := int64(1) << 59
@@ -491,13 +500,13 @@ func TestIntegerSumsFlushAndFallBack(t *testing.T) {
 			// Which leg ran shows in what changed: the cells alone after
 			// a fold into them, the cells and the partials after a flush.
 			a := workers[batch%3%2]
-			parts, cells := slices.Clone(a.parts[0]), slices.Clone(a.isums[0])
+			parts, cells := partials(a), slices.Clone(a.isums[0])
 			a.consumeBatch(b)
-			grown := len(a.parts[0]) - len(parts)
+			grown := len(partials(a)) - len(parts)
 			parts, cells = append(parts, make([]int64, grown)...), append(cells, make([][2]uint64, grown)...)
 			switch {
 			case slices.Equal(cells, a.isums[0]):
-			case slices.Equal(parts, a.parts[0]):
+			case slices.Equal(parts, partials(a)):
 				fallbacks++
 			default:
 				flushes++
@@ -525,6 +534,106 @@ func TestIntegerSumsFlushAndFallBack(t *testing.T) {
 			avg, _ := new(big.Rat).SetFrac(sums[g], big.NewInt(counts[g])).Float64()
 			if row[0].Float() != sum || row[1].Float() != avg || row[2].Int() != counts[g] || row[3].Int() != rows[g] {
 				t.Fatalf("group by %v, group %d: %v, want [%v %v %d %d]", groupBy, g, row, sum, avg, counts[g], rows[g])
+			}
+		}
+	}
+}
+
+// TestOnePassFoldMatchesBig: one GROUP BY whose batches fold, in one
+// pass, a NULL-free integer SUM and AVG and the row count, while a SUM
+// whose column brings NULLs in every other batch takes a masked pass into
+// its own cell and COUNT of that column reads rows less its NULLs. Values
+// near 2^58 and 2^59 fill the partials until they flush, and every fifth
+// batch brings the 2^59 column near 2^62, which has no room and folds
+// into the 128-bit cells, leaving a hole in the pass. At parallelism 1
+// and over two workers merged, the answers must be math/big's.
+func TestOnePassFoldMatchesBig(t *testing.T) {
+	kinds := []types.Kind{types.Int64, types.Int64, types.Int64, types.Int64}
+	node := &AggNode{GroupBy: []int{0}, Aggs: []AggSpec{
+		{Func: AggSum, Arg: Col(1)}, {Func: AggSum, Arg: Col(2)}, {Func: AggAvg, Arg: Col(3)},
+		{Func: AggCountCol, Arg: Col(1)}, {Func: AggCount},
+	}}
+	args := make([]*checked, len(node.Aggs))
+	for i, spec := range node.Aggs {
+		if spec.Arg != nil {
+			var err error
+			if args[i], err = check(spec.Arg, kinds); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(57))
+	type want struct {
+		sums          [3]*big.Int
+		nonNull, rows int64
+	}
+	wants := map[int64]*want{}
+	var batches []*core.Batch
+	for batch := 0; batch < 40; batch++ {
+		const n = 13
+		b := &core.Batch{N: n, Cols: make([]core.BatchCol, 4)}
+		for c := range b.Cols {
+			b.Cols[c] = core.BatchCol{ColumnData: core.ColumnData{Kind: types.Int64, Ints: make([]int64, n)}}
+		}
+		if batch%2 == 1 {
+			b.Cols[1].Nulls = make([]bool, n)
+		}
+		for i := 0; i < n; i++ {
+			g := int64(r.Intn(3))
+			b.Cols[0].Ints[i] = g
+			if wants[g] == nil {
+				wants[g] = &want{sums: [3]*big.Int{new(big.Int), new(big.Int), new(big.Int)}}
+			}
+			w := wants[g]
+			w.rows++
+			for c, near := range []int64{1 << 58, 1 << 59, 1000} {
+				if c == 1 && batch%5 == 4 {
+					near = 1 << 62
+				}
+				v := near - r.Int63n(near/4)
+				if r.Intn(2) == 0 {
+					v = -v
+				}
+				if c == 0 && b.Cols[1].Nulls != nil && r.Intn(3) == 0 {
+					b.Cols[1].Nulls[i], b.Cols[1].Ints[i] = true, math.MinInt64
+					continue
+				}
+				if c == 0 {
+					w.nonNull++
+				}
+				b.Cols[1+c].Ints[i] = v
+				w.sums[c].Add(w.sums[c], big.NewInt(v))
+			}
+		}
+		batches = append(batches, b)
+	}
+	out := []types.Kind{types.Int64, types.Float64, types.Float64, types.Float64, types.Int64, types.Int64}
+	for _, workers := range []int{1, 2} {
+		aggs := make([]*aggregator, workers)
+		for w := range aggs {
+			aggs[w] = newAggregator(node, kinds, args)
+		}
+		for i, b := range batches {
+			aggs[i%workers].consumeBatch(b)
+		}
+		if aggs[0].flushed == 0 {
+			t.Fatalf("%d workers: no flush", workers)
+		}
+		for _, o := range aggs[1:] {
+			aggs[0].merge(o)
+		}
+		res := aggs[0].finalize(out)
+		if res.NumRows() != len(wants) {
+			t.Fatalf("%d workers: %d groups, want %d", workers, res.NumRows(), len(wants))
+		}
+		for i := 0; i < res.NumRows(); i++ {
+			row := res.Row(i)
+			w := wants[row[0].Int()]
+			sum0, _ := new(big.Rat).SetInt(w.sums[0]).Float64()
+			sum1, _ := new(big.Rat).SetInt(w.sums[1]).Float64()
+			avg2, _ := new(big.Rat).SetFrac(w.sums[2], big.NewInt(w.rows)).Float64()
+			if row[1].Float() != sum0 || row[2].Float() != sum1 || row[3].Float() != avg2 || row[4].Int() != w.nonNull || row[5].Int() != w.rows {
+				t.Fatalf("%d workers, group %d: %v, want [%v %v %v %d %d]", workers, row[0].Int(), row[1:], sum0, sum1, avg2, w.nonNull, w.rows)
 			}
 		}
 	}

@@ -54,9 +54,9 @@ func TestMinMaxKernels(t *testing.T) {
 func TestGroupedFolds(t *testing.T) {
 	gids := []uint32{0, 1, 0, 1, 0}
 	counts := make([]int64, 2)
-	GroupCount(counts, gids)
+	GroupFold(counts, 1, gids, nil)
 	if counts[0] != 3 || counts[1] != 2 {
-		t.Fatalf("GroupCount = %v", counts)
+		t.Fatalf("GroupFold = %v", counts)
 	}
 	counts = make([]int64, 2)
 	GroupCountNulls(counts, gids, []bool{false, true, false, false, true})
@@ -201,7 +201,7 @@ func TestSumInt64MatchesBig(t *testing.T) {
 				if bound += need; !room || bound >= 1<<63 {
 					t.Fatalf("trial %d: no room for rows %d..%d in [%d, %d]", trial, lo, hi, mn, mx)
 				}
-				GroupAddInt64(parts, gids[lo:hi], vals[lo:hi], bn)
+				GroupAddInt64(parts, 1, 0, gids[lo:hi], vals[lo:hi], bn)
 			}
 			lo = hi
 		}
