@@ -127,10 +127,12 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzExprEval -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz=FuzzJoin -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) ./internal/exec
+	$(GO) test -run '^$$' -fuzz=FuzzKeyFilter -fuzztime=$(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzIndexModel -fuzztime=$(FUZZTIME) ./internal/index
 	$(GO) test -run '^$$' -fuzz=FuzzFindKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzReduceKernels -fuzztime=$(FUZZTIME) ./internal/simd
+	$(GO) test -run '^$$' -fuzz=FuzzKeyBits -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzMinMaxKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzUnpackKernels -fuzztime=$(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz=FuzzGroupFold -fuzztime=$(FUZZTIME) ./internal/simd

@@ -233,9 +233,9 @@ func TestErrcheckdbNamesExist(t *testing.T) {
 // a number here in its own diff, like an entry in lint-budget.json; one
 // that deletes code lowers it.
 var locCeilings = map[string]int{
-	"datablocks/internal/exec": 4328,
-	"datablocks/internal/simd": 2591,
-	"total":                    20041,
+	"datablocks/internal/exec": 4410,
+	"datablocks/internal/simd": 2660,
+	"total":                    20192,
 }
 
 // moduleGoFiles calls visit on every non-test Go file of the module's

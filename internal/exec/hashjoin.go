@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"math"
+	"math/bits"
+
 	"datablocks/internal/core"
 	"datablocks/internal/simd"
 	"datablocks/internal/types"
@@ -23,15 +26,17 @@ import (
 // entries are found at dir[key−lo], with no slots, hashes or tags.
 // Otherwise tags holds the tag bits of the entries' hashes — our analogue
 // of HyPer's tagged hash-table pointers (Appendix E, [20]) — that probes
-// test before touching the table. When keySide picks the probe side, the
-// probe scan tests them early (earlyProbeFor), to drop probe rows before
-// unpacking them.
+// test before touching the table. When keySide picks the probe side, ep
+// holds the entries' non-NULL keys, which the probe scan tests early
+// (earlyProbeFor), to drop probe rows before unpacking them: exactly, as
+// bits, when their range is small enough.
 type hashTable struct {
 	keyTable
 	first []int32
 	next  []int32
 	rows  []segCol
 	tags  tagSet
+	ep    *keyFilter
 }
 
 // setTags sets the tag of every entry's hash: one pass over the slots of
@@ -261,42 +266,151 @@ func linkRows(sinks []*buildSink, rows int) *hashTable {
 	return ht
 }
 
-// keyFilter is what a key pass (executor.keyPass) learns of a probe
-// side's non-NULL integer keys: their tag bits, their range lo..hi and
-// their count n. col is the build relation's key column.
+// keyFilter is the set of a join's non-NULL integer keys a scan's early
+// probe tests (scanDriver.earlyProbe): a key pass's of the probe side's
+// keys (executor.keyPass), or that of the build's keys of a join keySide
+// early-probes (hashTable.ep). It holds them exactly, as bits, while
+// their words fit maxFilterWords, and otherwise as the tag bits of their
+// hashes; never both. Bit i of bits stands for key base+i, and base is a
+// multiple of 64, so two filters' words line up and merge ORs them at an
+// offset; a filter with no keys, or with tags, has no bits. lo..hi is the
+// keys' range; col is the relation column a filtered scan reads the key
+// from.
 type keyFilter struct {
-	tags   tagSet
+	bits   []uint64
+	base   int64
+	tags   *tagSet
 	lo, hi int64
-	n, col int
+	col    int
 }
 
-// add enters the non-NULL keys among ints.
+// maxFilterWords bounds bits: any range of 2^20 keys fits.
+const maxFilterWords = 1<<14 + 1
+
+func newKeyFilter() *keyFilter {
+	return &keyFilter{lo: math.MaxInt64, hi: math.MinInt64}
+}
+
+// add enters the non-NULL keys among ints: a key inside bits costs one bit
+// set, any other key goes through insert.
 func (f *keyFilter) add(ints []int64, nulls []bool) {
+	ks, base, end := f.bits, uint64(f.base), uint64(len(f.bits))<<6
+	lo, hi := f.lo, f.hi
 	for r, k := range ints {
-		if nulls == nil || !nulls[r] {
-			f.tags.set(simd.Mix64(uint64(k)))
-			f.lo, f.hi = min(f.lo, k), max(f.hi, k)
-			f.n++
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		lo, hi = min(lo, k), max(hi, k)
+		if i := uint64(k) - base; i < end {
+			ks[i>>6] |= 1 << (i & 63)
+			continue
+		}
+		f.insert(k, lo, hi)
+		ks, base, end = f.bits, uint64(f.base), uint64(len(f.bits))<<6
+	}
+	f.lo, f.hi = lo, hi
+}
+
+// insert enters key k, which bits do not cover; klo..khi is the keys'
+// range, k included. The bits are laid out anew over the words the range
+// needs, numbered in key order (key k is in word (k+2^63)/64), and as
+// many again as they held before, on k's side, but never past the int64
+// range or maxFilterWords words in all; when the range alone needs more
+// words, the bits turn into tags.
+func (f *keyFilter) insert(k, klo, khi int64) {
+	b, n := (uint64(f.base)^1<<63)>>6, uint64(len(f.bits))
+	lo, hi := (uint64(klo)^1<<63)>>6, (uint64(khi)^1<<63)>>6+1
+	if f.tags == nil && hi-lo > maxFilterWords {
+		f.toTags()
+	}
+	if f.tags != nil {
+		f.tags.set(simd.Mix64(uint64(k)))
+		return
+	}
+	if extra := min(n, maxFilterWords-(hi-lo)); k == klo {
+		lo -= min(extra, lo)
+	} else {
+		hi = min(hi+extra, 1<<58)
+	}
+	ks := make([]uint64, hi-lo)
+	if from, to := max(b, lo), min(b+n, hi); from < to {
+		copy(ks[from-lo:], f.bits[from-b:to-b])
+	}
+	f.bits, f.base = ks, int64(lo<<6^1<<63)
+	i := uint64(k) - uint64(f.base)
+	ks[i>>6] |= 1 << (i & 63)
+}
+
+// toTags turns the bits into the tags of their keys.
+func (f *keyFilter) toTags() {
+	f.tags = new(tagSet)
+	for i, w := range f.bits {
+		for ; w != 0; w &= w - 1 {
+			f.tags.set(simd.Mix64(uint64(f.base) + uint64(i<<6+bits.TrailingZeros64(w))))
 		}
 	}
+	f.bits = nil
 }
 
-// merge enters another worker's keys.
+// merge enters another worker's keys: while both filters hold bits, it
+// grows f's to cover o's range, as adding o's least and greatest key
+// does, and ORs in o's words of that range at their offset; once either
+// holds tags, or the two ranges pass maxFilterWords words together, it
+// ORs o's tags into f's.
 func (f *keyFilter) merge(o *keyFilter) {
+	if o.lo > o.hi {
+		return
+	}
+	if o.tags == nil {
+		if f.add([]int64{o.lo, o.hi}, nil); f.tags == nil {
+			ob, fb := uint64(o.base), uint64(f.base)
+			for i := (uint64(o.lo) - ob) &^ 63; i <= uint64(o.hi)-ob; i += 64 {
+				f.bits[(i+ob-fb)>>6] |= o.bits[i>>6]
+			}
+			return
+		}
+	}
+	if f.tags == nil {
+		f.toTags()
+	}
+	if o.tags == nil {
+		o.toTags()
+	}
 	for i, w := range o.tags {
 		f.tags[i] |= w
 	}
 	f.lo, f.hi = min(f.lo, o.lo), max(f.hi, o.hi)
-	f.n += o.n
+}
+
+// keep compacts the match vector m to the rows whose key, vals[i] for
+// row m[i], the filter holds, keeping their order: over bits in one
+// branch-free kernel (simd.ReduceKeyBits), over tags with a hash a row.
+func (f *keyFilter) keep(m []uint32, vals []int64) []uint32 {
+	if f.tags == nil {
+		return simd.ReduceKeyBits(f.bits, f.base, vals, m)
+	}
+	w, vals := 0, vals[:len(m)]
+	for i, p := range m {
+		if f.tags.test(simd.Mix64(uint64(vals[i]))) {
+			m[w] = p
+			w++
+		}
+	}
+	return m[:w]
 }
 
 // span is the size of the direct front a join over these keys indexes
 // its entries in (keyTable.dir), or 0 when they are too sparse for one:
-// the range hi−lo+1 must be at most 4 × the keys and at most 2^20. It
+// their range hi−lo+1 must be at most 4 × the distinct keys and at most
+// 2^20. Only bits count the distinct keys; over tags it is 0. It
 // computes hi−lo unsigned, which cannot overflow.
 func (f *keyFilter) span() int {
+	n := 0
+	for _, w := range f.bits {
+		n += bits.OnesCount64(w)
+	}
 	d := uint64(f.hi) - uint64(f.lo)
-	if d >= 1<<20 || d >= 4*uint64(f.n) {
+	if d >= 1<<20 || d >= 4*uint64(n) {
 		return 0
 	}
 	return int(d) + 1

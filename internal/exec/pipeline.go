@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -397,7 +396,8 @@ func (ex *executor) prepareBuilds(n Node) (*ScanNode, error) {
 // key pass may have restricted to the probe side's keys. The table is
 // keyed when the key pass found the probe keys dense (keyFilter.span):
 // the filtered scan keeps only build keys inside their range. The
-// finished table's tags are set last.
+// finished table's tags are set last, and, when keySide early-probes the
+// join's probe scan, the filter of its keys that scan tests.
 func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	p := ex.plan.nodes[n.Build]
 	inner := n.Kind == InnerJoin
@@ -408,14 +408,18 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 	if build == nil { // no probe row has a key: nothing built can match
 		return &hashTable{keyTable: newBuildSink(p.kinds, p.live, n.BuildKeys, false).kt}, 0, nil
 	}
+	span := 0
+	if f != nil {
+		span = f.span()
+	}
 	var sinks []*buildSink
 	newSink := func() pipeSink {
 		s := newBuildSink(p.kinds, p.live, n.BuildKeys, inner)
 		// A keyed table's front: a semi or anti sink enters its keys there
 		// as they arrive; an inner join's one table is linked from the
 		// first sink's.
-		if f != nil && f.span() > 0 && (!inner || len(sinks) == 0) {
-			s.kt.dir, s.kt.lo, s.kt.keyed = make([]uint32, f.span()), f.lo, true
+		if span > 0 && (!inner || len(sinks) == 0) {
+			s.kt.dir, s.kt.lo, s.kt.keyed = make([]uint32, span), f.lo, true
 		}
 		sinks = append(sinks, s)
 		return pipeSink{batch: s.consume}
@@ -450,6 +454,11 @@ func (ex *executor) build(n *JoinNode) (*hashTable, int, error) {
 		ht = &hashTable{keyTable: root.kt}
 	}
 	ht.setTags()
+	if scan, build := ex.keySide(n); scan != nil && !build {
+		k := &ht.keys[0]
+		ht.ep = newKeyFilter()
+		ht.ep.add(k.gInt[:ht.entries], k.gNull)
+	}
 	return ht, rows, nil
 }
 
@@ -509,7 +518,7 @@ func (ex *executor) keyPass(n *JoinNode) (Node, *keyFilter, error) {
 	}
 	var fs []*keyFilter
 	err = ex.runPipeline(chain, func() pipeSink {
-		f := &keyFilter{lo: math.MaxInt64, hi: math.MinInt64}
+		f := newKeyFilter()
 		fs = append(fs, f)
 		c := n.ProbeKeys[0]
 		return pipeSink{batch: func(b *core.Batch) { f.add(b.Cols[c].Ints[:b.N], b.Cols[c].Nulls) }}
@@ -535,15 +544,15 @@ func (ex *executor) keyPass(n *JoinNode) (Node, *keyFilter, error) {
 	return filtered, f, nil
 }
 
-// earlyProbeFor finds the scan's one early probe: the build's tags of the
-// join directly above it whose keys filter its probe side (keySide), or a
-// key pass's filter on the scan itself. It returns the tags and the
-// relation column holding the key.
-func (ex *executor) earlyProbeFor(n Node) (*tagSet, int) {
+// earlyProbeFor finds the scan's one early probe: the build keys' filter
+// of the join directly above it whose keys filter its probe side
+// (keySide), or a key pass's filter on the scan itself. It returns the
+// filter and the relation column holding the key.
+func (ex *executor) earlyProbeFor(n Node) (*keyFilter, int) {
 	switch n := n.(type) {
 	case *ScanNode:
 		if f := ex.filters[n]; f != nil {
-			return &f.tags, f.col
+			return f, f.col
 		}
 		return nil, -1
 	case *FilterNode:
@@ -552,7 +561,7 @@ func (ex *executor) earlyProbeFor(n Node) (*tagSet, int) {
 		return ex.earlyProbeFor(n.Child)
 	case *JoinNode:
 		if scan, build := ex.keySide(n); scan != nil && !build {
-			return &ex.builds[n].tags, scan.Cols[n.ProbeKeys[0]]
+			return ex.builds[n].ep, scan.Cols[n.ProbeKeys[0]]
 		}
 		return ex.earlyProbeFor(n.Probe)
 	default:

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"datablocks/internal/core"
-	"datablocks/internal/simd"
 	"datablocks/internal/storage"
 	"datablocks/internal/types"
 )
@@ -49,7 +48,7 @@ type scanDriver struct {
 	vals []bool
 
 	// Early probing of an upstream join (Appendix E).
-	ep       *tagSet
+	ep       *keyFilter
 	epRelCol int
 	epVals   []int64
 
@@ -287,20 +286,13 @@ func (d *scanDriver) unpack(sc *core.Scanner, col int) {
 	d.unpacked[col] = true
 }
 
-// earlyProbe thins a match vector against the scan's one tag set — its
-// join's build tags or a key pass's probe-key tags (earlyProbeFor) —
+// earlyProbe thins a match vector against the scan's one key filter —
+// its join's build keys or a key pass's probe keys (earlyProbeFor) —
 // before unpacking (Appendix E, Figure 14): only the key column is
-// gathered, and a key costs one hash and one bit test, no table access.
+// gathered, and a key costs one bit test, or one hash and one bit test
+// when the filter holds tags; no table is accessed.
 func (d *scanDriver) earlyProbe(sc *core.Scanner, m []uint32) []uint32 {
 	d.epVals = resize(d.epVals, len(m))
-	vals := d.epVals
-	sc.GatherInts(d.epRelCol, m, vals)
-	w := 0
-	for i, p := range m {
-		if d.ep.test(simd.Mix64(uint64(vals[i]))) {
-			m[w] = p
-			w++
-		}
-	}
-	return m[:w]
+	sc.GatherInts(d.epRelCol, m, d.epVals)
+	return d.ep.keep(m, d.epVals)
 }

@@ -43,6 +43,7 @@ var (
 	reduceBetweenI64Fn = reduceBetweenI64
 	reduceNeI64Fn      = reduceNeI64
 	reduceBitmapFn     = reduceBitmapPortable
+	reduceKeyBitsFn    = reduceKeyBits
 
 	minMaxI64DenseFn = minMaxInt64Dense
 	minMaxF64DenseFn = minMaxFloat64Dense
@@ -73,7 +74,7 @@ var kernelFamilies = []string{
 	"agg.minmax_f64", "agg.minmax_i64",
 	"find.bitmap", "find.int64", "find.w1", "find.w2", "find.w4", "find.w8",
 	"hash.mix64",
-	"reduce.bitmap", "reduce.int64", "reduce.w1", "reduce.w2", "reduce.w4", "reduce.w8",
+	"reduce.bitmap", "reduce.int64", "reduce.keybits", "reduce.w1", "reduce.w2", "reduce.w4", "reduce.w8",
 	"unpack.codes", "unpack.w1", "unpack.w2", "unpack.w4",
 }
 

@@ -95,6 +95,7 @@ func installAVX2() {
 	reduceBetweenI64Fn = reduceBetweenI64AVX2
 	reduceNeI64Fn = reduceNeI64AVX2
 	reduceBitmapFn = reduceBitmapAVX2
+	reduceKeyBitsFn = reduceKeyBitsAVX2
 	minMaxI64DenseFn = minMaxInt64DenseAVX2
 	minMaxF64DenseFn = minMaxFloat64DenseAVX2
 	minMaxF64MaskFn = minMaxFloat64MaskedAVX2

@@ -310,8 +310,8 @@ func TestDiffHashKernels(t *testing.T) {
 
 func TestDispatchInfoCoherent(t *testing.T) {
 	info := DispatchInfo()
-	if len(info) != len(kernelFamilies) || len(info) != 19 {
-		t.Fatalf("DispatchInfo reports %d families, want the %d with assembler (19)", len(info), len(kernelFamilies))
+	if len(info) != len(kernelFamilies) || len(info) != 20 {
+		t.Fatalf("DispatchInfo reports %d families, want the %d with assembler (20)", len(info), len(kernelFamilies))
 	}
 	if !slices.IsSortedFunc(info, func(a, b KernelDispatch) int { return strings.Compare(a.Kernel, b.Kernel) }) {
 		t.Fatalf("DispatchInfo is not sorted by kernel name: %v", info)
@@ -464,6 +464,31 @@ func kernelPairs(n int) []kernelPair {
 		reduce("reduce.bitmap",
 			func(m []uint32) []uint32 { return reduceBitmapAVX2(bm, true, m) },
 			func(m []uint32) []uint32 { return reduceBitmapPortable(bm, true, m) })
+	}
+
+	// Key bits at an early probe's shapes: a bitmap of 1 876 words (TPC-H
+	// Q4's order keys at SF 0.02) with about 1 in 64 or 1 in 2 bits set, keys
+	// that fall in it — a tenth of them outside when spread — and the
+	// ascending positions of every row or of every third one.
+	for _, dense := range []bool{false, true} {
+		kb := make([]uint64, 1876)
+		for i := range kb {
+			kb[i] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+			if dense {
+				kb[i] = rng.Uint64()
+			}
+		}
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = 1000 + rng.Int63n(int64(len(kb))*64*11/10)
+		}
+		for _, k := range []int{1, 3} {
+			m0 := randPositions(rng, n, 1/float64(k), true)
+			m := make([]uint32, len(m0))
+			add(fmt.Sprintf("reduce.keybits/dense=%v/1-in-%d", dense, k),
+				func() { copy(m, m0); sinkMatches = reduceKeyBitsAVX2(kb, 1000, keys, m) },
+				func() { copy(m, m0); sinkMatches = reduceKeyBits(kb, 1000, keys, m) })
+		}
 	}
 
 	// Min/max over wide (every int64), sorted and narrow (0–99) integers.

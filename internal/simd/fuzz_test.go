@@ -22,6 +22,8 @@ var (
 	fuzzReduceAlt func(data []byte, width int, op Op, c1, c2 uint64, m []uint32) []uint32
 	// fuzzMinMaxAlt is MinMaxFloat64 on the AVX2 kernels (nil without them).
 	fuzzMinMaxAlt func(vals []float64, nulls []bool) (mn, mx float64, any bool)
+	// fuzzKeyBitsAlt is ReduceKeyBits on the AVX2 kernel (nil without it).
+	fuzzKeyBitsAlt func(bm []uint64, base int64, vals []int64, m []uint32) []uint32
 )
 
 // evalU is the oracle: does the width-truncated unsigned value v satisfy
@@ -231,6 +233,63 @@ func FuzzReduceKernels(f *testing.F) {
 			}
 			if got := ReduceBitmap(bm, wantSet, append([]uint32(nil), mb...)); !eqPos(got, wantB) {
 				t.Fatalf("ReduceBitmap wantSet=%v: got %d matches want %d", wantSet, len(got), len(wantB))
+			}
+		}
+	})
+}
+
+// FuzzKeyBits holds ReduceKeyBits — the dispatched kernel, the Go loop
+// and, with AVX2, the assembler — against a per-key oracle. The bitmap
+// and the keys come from data; the base puts the keys around the bitmap,
+// across its ends and at the ends of int64, so keys below it wrap to huge
+// offsets and keys past it read no word.
+func FuzzKeyBits(f *testing.F) {
+	f.Add([]byte{0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, []byte{0xff, 0x0f}, int64(0), uint8(2))
+	f.Add(make([]byte, 200), []byte{0xaa, 0x55, 0xff}, int64(-1)<<63, uint8(0))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"), []byte{0xf7}, int64(math.MaxInt64-100), uint8(5))
+	f.Fuzz(func(t *testing.T, data, sel []byte, base int64, words uint8) {
+		bm := make([]uint64, int(words)%5)
+		for i := range bm {
+			if len(data) >= 8*(i+1) {
+				bm[i] = binary.LittleEndian.Uint64(data[8*i:])
+			}
+		}
+		vals := make([]int64, len(data))
+		for i, b := range data {
+			// Keys near the bitmap, across its ends, far off and at the
+			// ends of int64.
+			switch b % 4 {
+			case 0, 1:
+				vals[i] = base + int64(b)*int64(words+1)%320 - 32
+			case 2:
+				vals[i] = base + int64(b)<<56
+			default:
+				vals[i] = []int64{math.MinInt64, math.MaxInt64, base - 1, base + int64(len(bm))*64}[b/4%4]
+			}
+		}
+		m := selVector(sel, len(vals))
+		// The kernels read the key of the i-th position at vals[i].
+		keys := make([]int64, len(m))
+		var want []uint32
+		for i, p := range m {
+			keys[i] = vals[p]
+			j := uint64(keys[i]) - uint64(base)
+			if j < uint64(len(bm))*64 && bm[j/64]>>(j%64)&1 == 1 {
+				want = append(want, p)
+			}
+		}
+		if got := ReduceKeyBits(bm, base, keys, append([]uint32(nil), m...)); !eqPos(got, want) {
+			t.Fatalf("ReduceKeyBits base=%d words=%d: got %d matches want %d", base, len(bm), len(got), len(want))
+		}
+		if len(bm) == 0 {
+			return
+		}
+		if got := reduceKeyBits(bm, base, keys, append([]uint32(nil), m...)); !eqPos(got, want) {
+			t.Fatalf("Go loop base=%d words=%d: got %d matches want %d", base, len(bm), len(got), len(want))
+		}
+		if fuzzKeyBitsAlt != nil {
+			if got := fuzzKeyBitsAlt(bm, base, keys, append([]uint32(nil), m...)); !eqPos(got, want) {
+				t.Fatalf("AVX2 base=%d words=%d: got %d matches want %d", base, len(bm), len(got), len(want))
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package simd
 
 import (
 	"encoding/binary"
+	"math/bits"
 )
 
 // Reduce shrinks an existing match vector m in place, keeping only positions
@@ -312,6 +313,36 @@ func reduceBitmapPortable(bm []uint64, wantSet bool, m []uint32) []uint32 {
 		w += int(b2u(bm[p>>6]>>(p&63)&1 == want))
 	}
 	return m[:w]
+}
+
+// ReduceKeyBits keeps only the match positions whose key is in the set bm
+// holds: vals[i] is the key of m[i], and key k is in the set iff bit
+// k−base of bm is set, so a key outside bm's len(bm)·64 bits is not. It
+// compacts m in place and returns the shortened slice (aliasing m). vals
+// must hold at least len(m) keys.
+func ReduceKeyBits(bm []uint64, base int64, vals []int64, m []uint32) []uint32 {
+	if len(bm) == 0 {
+		return m[:0]
+	}
+	return reduceKeyBitsFn(bm, base, vals[:len(m)], m)
+}
+
+func reduceKeyBits(bm []uint64, base int64, vals []int64, m []uint32) []uint32 {
+	return m[:reduceKeyBitsFrom(bm, base, vals, m, 0, 0)]
+}
+
+// reduceKeyBitsFrom compacts m[r:] onto m[w:] and returns the new length.
+// It is branch-free: a key outside bm clears its borrow bit in, which
+// masks both the word it reads and the bit it adds.
+func reduceKeyBitsFrom(bm []uint64, base int64, vals []int64, m []uint32, r, w int) int {
+	vals, end := vals[r:len(m)], uint64(len(bm))<<6
+	for i, p := range m[r:] {
+		j := uint64(vals[i]) - uint64(base)
+		_, in := bits.Sub64(j, end, 0)
+		m[w] = p
+		w += int(bm[(j&-in)>>6] >> (j & 63) & in)
+	}
+	return w
 }
 
 // BitmapGet reports bit i of bm.

@@ -42,6 +42,9 @@ func reduceNe64AVX2(data unsafe.Pointer, c uint64, m *uint32, r8 int) int
 //go:noescape
 func reduceBitmapWordsAVX2(bm *uint64, want uint64, m *uint32, r8 int) int
 
+//go:noescape
+func reduceKeyBitsAVX2asm(bm *uint64, nbits uint64, base int64, vals *int64, m *uint32, r8 int) int
+
 func reduceBetweenW1AVX2(data []byte, lo, hi uint8, m []uint32) []uint32 {
 	w, r := 0, len(m)&^7
 	if r > 0 {
@@ -182,4 +185,14 @@ func reduceBitmapAVX2(bm []uint64, wantSet bool, m []uint32) []uint32 {
 		w += int(b2u(bm[p>>6]>>(p&63)&1 == want))
 	}
 	return m[:w]
+}
+
+// reduceKeyBitsAVX2 runs the kernel over whole groups of 8 positions and
+// the Go loop over the rest.
+func reduceKeyBitsAVX2(bm []uint64, base int64, vals []int64, m []uint32) []uint32 {
+	w, r := 0, len(m)&^7
+	if r > 0 {
+		w = reduceKeyBitsAVX2asm(&bm[0], uint64(len(bm))<<6, base, &vals[0], &m[0], r)
+	}
+	return m[:reduceKeyBitsFrom(bm, base, vals, m, r, w)]
 }

@@ -329,3 +329,53 @@ rbm:
 	VZEROUPPER
 	MOVQ R8, ret+32(FP)
 	RET
+
+// RKB4(off, dst) sets bits 0–3 of dst for the 4 keys at vals[r+off/8:]:
+// j = key − base, in range iff j < nbits unsigned (a signed compare of
+// both sides with the sign bit flipped). The in-range lanes gather their
+// bitmap word — the others keep the zeroed destination — and a shift by
+// 63 − j&63 moves the key's bit to the sign bit VMOVMSKPD reads.
+#define RKB4(off, dst) \
+	VMOVDQU    off(SI)(R10*8), Y7  \
+	VPSUBQ     Y3, Y7, Y7          \
+	VPXOR      Y5, Y7, Y8          \
+	VPCMPGTQ   Y8, Y4, Y8          \
+	VPSRLQ     $6, Y7, Y9          \
+	VPXOR      Y10, Y10, Y10       \
+	VPGATHERQQ Y8, (DI)(Y9*8), Y10 \
+	VPANDN     Y6, Y7, Y7          \
+	VPSLLVQ    Y7, Y10, Y10        \
+	VMOVMSKPD  Y10, dst
+
+// func reduceKeyBitsAVX2asm(bm *uint64, nbits uint64, base int64, vals *int64, m *uint32, r8 int) int
+// Keeps m[i] iff bit vals[i]−base of bm[0:nbits/64] is set; r8 is a
+// positive multiple of 8. DI bitmap base, SI key base; Y3 base splat,
+// Y4 nbits with the sign bit flipped, Y5 the sign bit, Y6 63.
+TEXT ·reduceKeyBitsAVX2asm(SB), NOSPLIT, $0-56
+	MOVQ         bm+0(FP), DI
+	VPBROADCASTQ nbits+8(FP), Y4
+	VPBROADCASTQ base+16(FP), Y3
+	MOVQ         vals+24(FP), SI
+	MOVQ         m+32(FP), BX
+	MOVQ         r8+40(FP), DX
+	MOVQ         $0x8000000000000000, AX
+	VMOVQ        AX, X5
+	VPBROADCASTQ X5, Y5
+	VPXOR        Y5, Y4, Y4
+	MOVQ         $63, AX
+	VMOVQ        AX, X6
+	VPBROADCASTQ X6, Y6
+	LEAQ         ·posTable(SB), R9
+	XORQ         R10, R10
+	XORQ         R8, R8
+rkb:
+	RKB4(0, R15)
+	RKB4(32, R13)
+	SHLL $4, R13
+	ORL  R13, R15
+	COMPACT8
+	CMPQ R10, DX
+	JLT  rkb
+	VZEROUPPER
+	MOVQ R8, ret+48(FP)
+	RET

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"datablocks/internal/blockstore"
+	"datablocks/internal/core"
 	"datablocks/internal/exec"
 	"datablocks/internal/storage"
 	"datablocks/internal/types"
@@ -414,14 +415,14 @@ func TestVectorizedModesRunTheBatchChain(t *testing.T) {
 
 // TestJoinBuildRows pins what every join on a query's probe spine builds,
 // on frozen data at parallelism 1. A join over a scan build side on one
-// integer key — inner, semi or anti — builds only the rows whose key its
-// probe side's key range and tag bits admit: Q12 keeps 53 of 3 000 orders,
-// Q14 122 and Q19 340 of 400 parts. A join whose build side is itself a
-// join (Q3, Q5) builds what that join emits; Q4's semi join was
-// key-filtered already.
+// integer key — inner, semi or anti — builds only the rows whose key is
+// among its probe side's keys, which the key pass holds exactly as a
+// bitmap over their range: Q4 keeps 350 late lineitems, Q12 51 of 3 000
+// orders, Q14 122 and Q19 340 of 400 parts. A join whose build side is
+// itself a join (Q3, Q5) builds what that join emits.
 func TestJoinBuildRows(t *testing.T) {
 	db := genTest(t, true)
-	want := map[int][]uint64{3: {295}, 4: {375}, 5: {496, 4}, 12: {53}, 14: {122}, 19: {340}}
+	want := map[int][]uint64{3: {295}, 4: {350}, 5: {496, 4}, 12: {51}, 14: {122}, 19: {340}}
 	for q, rows := range want {
 		res, err := db.Query(q, exec.Options{Mode: exec.ModeVectorizedSARGPSMA, Profile: true, Parallelism: 1})
 		if err != nil {
@@ -442,13 +443,14 @@ func TestJoinBuildRows(t *testing.T) {
 // TestProbeScanRows pins the work of every query's probe side, on frozen
 // data at parallelism 1: the rows the root scan keeps after SARGs,
 // visibility and early probing. A join whose probe child is the scan
-// tests its build's tags there, unless its key pass ran the other way
+// tests its build's keys there, unless its key pass ran the other way
 // (Q4, Q12, Q14, Q19). Q3's and Q5's lineitem scans drop the rows whose
-// order cannot match before unpacking them: 78 of the 5 964 rows Q3's
-// SARG passes stay, and 1 991 of Q5's 11 925.
+// order does not join before unpacking them: 41 of the 5 964 rows Q3's
+// SARG passes stay, and 1 921 of Q5's 11 925
+// (TestEarlyProbeKeepsExactlyTheJoiningRows).
 func TestProbeScanRows(t *testing.T) {
 	db := genTest(t, true)
-	want := map[int]uint64{1: 11925, 3: 78, 4: 140, 5: 1991, 6: 228, 12: 978, 14: 137, 19: 760}
+	want := map[int]uint64{1: 11925, 3: 41, 4: 140, 5: 1921, 6: 228, 12: 978, 14: 137, 19: 760}
 	for q, rows := range want {
 		res, err := db.Query(q, exec.Options{Mode: exec.ModeVectorizedSARGPSMA, Profile: true, Parallelism: 1})
 		if err != nil {
@@ -456,6 +458,74 @@ func TestProbeScanRows(t *testing.T) {
 		}
 		if got := res.Profile.Scan.RowsMatched; got != rows {
 			t.Errorf("Q%d: the root scan kept %d rows, want %d", q, got, rows)
+		}
+	}
+}
+
+// TestEarlyProbeKeepsExactlyTheJoiningRows: the order keys Q3's and Q5's
+// lineitem scans test lie in a small range, so their early probe is an
+// exact bitmap of the keys the build holds, and each scan keeps exactly
+// the lineitems whose order joins — counted here with Go maps over the
+// generated columns — hot and frozen, serial and parallel.
+func TestEarlyProbeKeepsExactlyTheJoiningRows(t *testing.T) {
+	db := genTest(t, false)
+	col := func(rel *storage.Relation, name string) []core.ColumnData {
+		c := rel.Schema().MustColumn(name)
+		var out []core.ColumnData
+		for _, ch := range rel.Chunks() {
+			out = append(out, ch.Hot().Columns(ch.Rows())[c])
+		}
+		return out
+	}
+	ints := func(rel *storage.Relation, name string) (out []int64) {
+		for _, c := range col(rel, name) {
+			out = append(out, c.Ints...)
+		}
+		return out
+	}
+	custKeys, segments := ints(db.Customer, "c_custkey"), col(db.Customer, "c_mktsegment")
+	building, customers := map[int64]bool{}, map[int64]bool{}
+	for i, s := 0, 0; s < len(segments); s++ {
+		for _, seg := range segments[s].Strs {
+			customers[custKeys[i]], building[custKeys[i]] = true, seg == "BUILDING"
+			i++
+		}
+	}
+	day := func(y int, m time.Month, d int) int64 { return int64(types.DateToDays(y, m, d)) }
+	q3, q5 := map[int64]bool{}, map[int64]bool{}
+	okey, ocust, odate := ints(db.Orders, "o_orderkey"), ints(db.Orders, "o_custkey"), ints(db.Orders, "o_orderdate")
+	for i, k := range okey {
+		q3[k] = q3[k] || odate[i] < day(1995, time.March, 15) && building[ocust[i]]
+		q5[k] = q5[k] || odate[i] >= day(1994, time.January, 1) && odate[i] <= day(1994, time.December, 31) && customers[ocust[i]]
+	}
+	want := map[int]uint64{}
+	lkey, lship := ints(db.Lineitem, "l_orderkey"), ints(db.Lineitem, "l_shipdate")
+	for i, k := range lkey {
+		if q3[k] && lship[i] > day(1995, time.March, 15) {
+			want[3]++
+		}
+		if q5[k] {
+			want[5]++
+		}
+	}
+	for _, frozen := range []bool{false, true} {
+		if frozen {
+			if err := db.FreezeAll(false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for q, rows := range want {
+			for _, mode := range []exec.ScanMode{exec.ModeVectorizedSARG, exec.ModeVectorizedSARGPSMA} {
+				for _, par := range []int{1, 2} {
+					res, err := db.Query(q, exec.Options{Mode: mode, Profile: true, Parallelism: par})
+					if err != nil {
+						t.Fatalf("Q%d: %v", q, err)
+					}
+					if got := res.Profile.Scan.RowsMatched; got != rows {
+						t.Errorf("Q%d frozen=%v %v par %d: the root scan kept %d rows, want the %d that join", q, frozen, mode, par, got, rows)
+					}
+				}
+			}
 		}
 	}
 }
